@@ -253,18 +253,6 @@ def is_free_module(m):
     return not dec.torsion_divisors
 
 
-def check_bar_mod_s1(b, r):
-    """Mod_S1 membership, or finite free over the whole ring with height <= r."""
-    ok, why = check_mod_s1(b, r)
-    if ok:
-        return True, "mod_s1"
-    if is_free_module(b.module):
-        cert = check_height(b, 0, r)
-        if not isinstance(cert, HeightFailure):
-            return True, "free"
-    return False, why
-
-
 @dataclass
 class BKMap:
     source: BKModule

@@ -176,67 +176,3 @@ def torsion_length_of_multiset(multiset, prec):
 
 def free_rank_of_multiset(multiset, prec):
     return sum(1 for a in multiset if a == prec)
-
-
-def enumerate_homs(src_fm, tgt_fm, limit=None):
-    """All module homs src -> tgt by generator-image search with order pruning."""
-    ring = src_fm.ring
-    prec = ring.precision
-    u = ring.uniformizer_power(1)
-    gen_classes = []
-    for i in range(src_fm.gens):
-        e = [ring.zero] * src_fm.gens
-        e[i] = ring.one
-        gen_classes.append(src_fm.rep(tuple(e)))
-    orders = []
-    for gcl in gen_classes:
-        k = 0
-        x = gcl
-        while x != src_fm.zero:
-            x = src_fm.scale(u, x)
-            k += 1
-        orders.append(k)
-    candidate_sets = []
-    for k in orders:
-        cand = [y for y in tgt_fm.elements
-                if _u_power_kills(tgt_fm, y, k)]
-        candidate_sets.append(cand)
-    rel_rows = list(src_fm.presented.relations.data)
-    count = 0
-    for images in product(*candidate_sets):
-        ok = True
-        for row in rel_rows:
-            acc = tgt_fm.zero
-            for coeff, im in zip(row, images):
-                if ring.is_zero(coeff):
-                    continue
-                acc = tgt_fm.add(acc, tgt_fm.scale(coeff, im))
-            if acc != tgt_fm.zero:
-                ok = False
-                break
-        if ok:
-            yield images
-            count += 1
-            if limit is not None and count >= limit:
-                return
-
-
-def _u_power_kills(fm, y, k):
-    u = fm.ring.uniformizer_power(1)
-    x = y
-    for _ in range(k):
-        x = fm.scale(u, x)
-    return x == fm.zero
-
-
-def hom_as_map(src_fm, images):
-    """Evaluate the hom with the given generator images on a class."""
-    def apply(x, tgt_fm):
-        acc = tgt_fm.zero
-        for coeff, im in zip(x, images):
-            if src_fm.ring.is_zero(coeff):
-                continue
-            acc = tgt_fm.add(acc, tgt_fm.scale(coeff, im))
-        return acc
-
-    return apply

@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .linalg import Mat
+from .rings import primerange
 from .schemas import (
     cw_to_json,
     jsonable,
@@ -260,8 +261,6 @@ def run_command(command, input_data, options):
         primes = input_data.get("primes")
         bound = options.get("prime_bound")
         if primes is None and bound is not None:
-            from sympy import primerange
-
             primes = [q for q in primerange(2, bound + 1)
                       if q not in ses.a.ring.inverted_primes]
         survey = lgm.local_split_survey(ls, primes=primes,

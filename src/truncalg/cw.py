@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from sympy import factorint, primerange
-
 from .errors import InternalInconsistencyError, SchemaError
-from .linalg import Mat, kernel_left_parts, solve_left_mod
+from .linalg import Mat, kernel_left_parts, smith_normal_form, solve_left_mod
 from .modules import (
     PresentedModule,
     compose,
@@ -30,7 +28,7 @@ from .modules import (
     rows_are_zero_classes,
     verify_exact_at,
 )
-from .rings import LocalizedIntegers
+from .rings import LocalizedIntegers, factorint, primerange
 
 ZRING = LocalizedIntegers(())
 
@@ -94,15 +92,9 @@ def is_connected(x):
     """rank(boundary_1) == c_0 - 1 characterizes connectedness."""
     if x.cell_count(0) == 1:
         return True
-    snf = __snf(x.boundary(1))
+    snf = smith_normal_form(x.boundary(1), ZRING)
     rank = sum(1 for d in snf.divisors if d != 0)
     return rank == x.cell_count(0) - 1
-
-
-def __snf(mat):
-    from .linalg import smith_normal_form
-
-    return smith_normal_form(mat, ZRING)
 
 
 def skeleton(x, k):
@@ -185,14 +177,6 @@ def chain_form(divisors):
     return tuple(v for v in chain if v > 1)
 
 
-def strip_primes(n, primes):
-    n = abs(int(n))
-    for q in primes:
-        while n % q == 0:
-            n //= q
-    return n
-
-
 def denominator_bound(d):
     """M = floor((d+1)/2), the factorial denominator index, and the primes."""
     m = (d + 1) // 2
@@ -219,9 +203,10 @@ def _cohomology_presentation(x, j):
 
 def _group_of(m, inverted):
     dec = decompose_elementary(m)
+    strip_s = LocalizedIntegers(tuple(inverted)).strip_s
     divisors = []
     for d in dec.torsion_divisors:
-        s = strip_primes(int(d), inverted)
+        s = strip_s(d)
         if s > 1:
             divisors.append(s)
     return LocalizedAbelianGroup(dec.free_rank, chain_form(divisors))

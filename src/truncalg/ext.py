@@ -261,7 +261,3 @@ def _ses_split_verdict(ring, a_exp, b_exp, v, mlen):
                     Mat(1, 2, [[ring.zero, ring.one]]),
                     Mat(2, 1, [[ring.one], [ring.zero]]))
     return split_test(ses).split
-
-
-def expected_ext_exponent(a_exp, b_exp):
-    return min(a_exp, b_exp)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import UnsupportedRingError
 from .rings import (
@@ -291,7 +292,7 @@ def _snf_localized(mat, ring):
     for i in range(w.rows):
         den = 1
         for x in w.a[i]:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = lcm(den, x.denominator)
         if den != 1:
             w.scale_row(i, Fraction(den), Fraction(1, den))
 
@@ -370,12 +371,6 @@ def _snf_localized(mat, ring):
     return w.result()
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def smith_normal_form(mat, ring):
     """SNF with witnesses; divisors ordered by non-decreasing valuation.
 
@@ -408,7 +403,7 @@ def _solve_snf(snf, mat, b, ring, failures=None):
         for j in range(mat.cols):
             cj = c.data[i][j]
             if j < ndiv:
-                q = _ring_divide(ring, cj, snf.divisors[j])
+                q = ring.divide(cj, snf.divisors[j])
                 if q is None:
                     ok_all = False
                     if failures is None:
@@ -425,10 +420,6 @@ def _solve_snf(snf, mat, b, ring, failures=None):
     if not ok_all:
         return None
     return Mat(b.rows, mat.rows, ys).mul(snf.left, ring)
-
-
-def _ring_divide(ring, x, y):
-    return ring.divide(x, y)
 
 
 def _kernel_snf(snf, mat, ring):

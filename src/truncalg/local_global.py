@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from sympy import primerange
-
 from .errors import (
     HypothesisUnmetError,
     InternalInconsistencyError,
@@ -31,7 +29,7 @@ from .modules import (
     support_primes,
     zero_detect,
 )
-from .rings import TruncatedLambda
+from .rings import TruncatedLambda, factorint, prime_valuation, primerange
 
 
 @dataclass
@@ -76,14 +74,6 @@ def _failure_primes(obstruction, sset):
     Entries are (row, position, divisor, residue) over the integer base; a
     zero divisor with nonzero residue obstructs at every prime, witnessed by
     the smallest one."""
-    def val_at(n, q):
-        v = 0
-        n = abs(int(n))
-        while n and n % q == 0:
-            n //= q
-            v += 1
-        return v
-
     primes = set()
     everywhere = False
     for _, _, d, c in obstruction:
@@ -94,10 +84,8 @@ def _failure_primes(obstruction, sset):
             continue
         if c == 0:
             continue
-        for q in primerange(2, abs(int(d.numerator)) + 1):
-            if q in sset or d.numerator % q != 0:
-                continue
-            if val_at(c.numerator, q) < val_at(d.numerator, q):
+        for q, e in factorint(abs(d.numerator)).items():
+            if q not in sset and prime_valuation(c.numerator, q) < e:
                 primes.add(q)
     if everywhere:
         smallest = next(q for q in primerange(2, 1000) if q not in sset)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from sympy import factorint, primerange
+from math import prod
 
 from .errors import (
     HypothesisUnmetError,
@@ -34,7 +33,10 @@ from .rings import (
     TruncatedPadic,
     TruncatedPowerSeries,
     default_eisenstein,
+    factorint,
     is_snf_capable,
+    prime_valuation,
+    primerange,
 )
 from . import linalg
 
@@ -250,13 +252,6 @@ def subquotient_presentation(ambient, gens_rows, killer_rows):
     return PresentedModule(ring, gens_rows.rows, rel)
 
 
-def quotient_by_rows(ambient, rows):
-    """(ambient / span(rows), projection)."""
-    ring = ambient.ring
-    qmod = PresentedModule(ring, ambient.gens, rows.vstack(ambient.relations))
-    return qmod, module_map(ambient, qmod, Mat.identity(ambient.gens, ring), check=False)
-
-
 # ---------------------------------------------------------------------------
 # Smith-normal-form backed structure operations
 
@@ -367,8 +362,7 @@ def torsion_length(m):
     total = 0
     for d in dec.torsion_divisors:
         if isinstance(ring, LocalizedIntegers):
-            n = abs(int(Fraction(d)))
-            total += sum(factorint(n).values()) if n > 1 else 0
+            total += sum(factorint(abs(int(Fraction(d)))).values())
         else:
             total += ring.val(d)
     return total
@@ -603,12 +597,7 @@ def _adaptive_matrix_precision(mat, ell):
         for x in row:
             vals = x if isinstance(x, tuple) else (x,)
             for c in vals:
-                n = abs(int(Fraction(c).numerator)) if not isinstance(c, int) else abs(c)
-                v = 0
-                while n and n % ell == 0:
-                    n //= ell
-                    v += 1
-                worst = max(worst, v)
+                worst = max(worst, prime_valuation(Fraction(c).numerator, ell))
     return max(4, worst + 2)
 
 
@@ -717,60 +706,15 @@ class SupportResult:
     certificate: dict
 
 
-def _constant_term_fraction_matrix(m):
-    return [[Fraction(x[0]) for x in row] for row in m.relations.data]
-
-
-def _fraction_rank(rows, cols, data):
-    """Rank over Q by fraction-free Gauss elimination."""
-    a = [row[:] for row in data]
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, rows):
-            if a[i][col] != 0:
-                f = a[i][col] / a[rank][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
-def _minor_gcd(data, rows, cols, size):
-    from itertools import combinations
-    from math import gcd
-
-    def det(ridx, cidx):
-        if not ridx:
-            return Fraction(1)
-        acc = Fraction(0)
-        sign = 1
-        for t, j in enumerate(cidx):
-            acc += sign * data[ridx[0]][j] * det(ridx[1:], cidx[:t] + cidx[t + 1:])
-            sign = -sign
-        return acc
-
-    g = 0
-    for ridx in combinations(range(rows), size):
-        for cidx in combinations(range(cols), size):
-            d = det(list(ridx), list(cidx))
-            g = gcd(g, abs(d.numerator))
-    return g
-
-
 def support_primes(m, bound=None):
     """Primes ell outside S with M/(ell, q-1)M nonzero.
 
-    Complete by Fitting-content factorization: if the constant-term relation
-    matrix has full rank over Q, the support is exactly the primes dividing
-    the gcd of its maximal minors (S-part stripped); otherwise the support is
-    every non-inverted prime, reported with everywhere=True.
+    Complete by Fitting-content factorization of the constant-term relation
+    matrix, read off its Smith normal form over Z[1/S]: if the matrix has
+    full rank, the support is exactly the primes dividing the content, the
+    product of its invariant factors (these are S-stripped, and generate the
+    0th Fitting ideal, the gcd of the maximal minors); otherwise the support
+    is every non-inverted prime, reported with everywhere=True.
     """
     ring = m.ring
     if not isinstance(ring, TruncatedLambda):
@@ -780,20 +724,23 @@ def support_primes(m, bound=None):
         raise SchemaError("prime bound must be >= 2")
     if m.gens == 0:
         return SupportResult(False, [], 1, {"reason": "zero module"})
-    data = _constant_term_fraction_matrix(m)
-    rank = _fraction_rank(m.relations.rows, m.gens, data)
-    if rank < m.gens:
+    constant = Mat(m.relations.rows, m.gens,
+                   [[Fraction(x[0]) for x in row] for row in m.relations.data])
+    divisors = [int(d) for d in linalg.smith_normal_form(constant, ring.scalar).divisors if d]
+    if len(divisors) < m.gens:
         primes = [q for q in primerange(2, (bound or 2) + 1) if q not in sset] if bound else []
         return SupportResult(True, primes, 0,
                              {"reason": "constant-term matrix rank-deficient over Q"})
-    content = _minor_gcd(data, m.relations.rows, m.gens, m.gens)
-    stripped = LocalizedIntegers(sset).strip_s(content)
-    fact = {int(q): int(e) for q, e in factorint(stripped).items()} if stripped > 1 else {}
+    content = prod(divisors)
+    fact = {}
+    for d in divisors:
+        for q, e in factorint(d).items():
+            fact[q] = fact.get(q, 0) + e
     primes = sorted(fact)
     if bound is not None:
         primes = [q for q in primes if q <= bound]
-    return SupportResult(False, primes, int(stripped),
-                         {"content": int(stripped), "factorization": fact})
+    return SupportResult(False, primes, content,
+                         {"content": content, "factorization": dict(sorted(fact.items()))})
 
 
 @dataclass

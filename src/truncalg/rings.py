@@ -15,12 +15,193 @@ base ring (TruncatedPadic resp. LocalizedIntegers), see linalg.expand_matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import isprime
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import SchemaError, UnsupportedRingError
+
+# ---------------------------------------------------------------------------
+# Prime arithmetic: primality, prime ranges, factorization, valuations
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# the least strong pseudoprime to all 13 bases in _SMALL_PRIMES (Sorenson &
+# Webster 2015): below it those bases decide primality exactly
+_SPRP13_BOUND = 3317044064679887385961981
+
+
+def _as_int(n):
+    if isinstance(n, bool):
+        raise ValueError(f"{n} is not an integer")
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{n} is not an integer") from None
+
+
+def _is_sprp(n, bases):
+    """Strong probable-prime test of an odd n > max(bases) to every base."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _half(x, n):
+    """x / 2 mod the odd modulus n."""
+    x %= n
+    return (x + n) // 2 if x & 1 else x // 2
+
+
+def _is_strong_lucas_prp(n):
+    """Strong Lucas probable-prime test with Selfridge's parameters: D is the
+    first of 5, -7, 9, -11, ... with (D|n) = -1, P = 1, Q = (1 - D)/4.
+    n must be odd, not a square, and larger than every |D| tried."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    u, v, qk = 1, 1, Q % n          # U_1, V_1, Q^1; binary ladder up to U_k, V_k
+    for bit in bin(k)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = _half(u + v, n), _half(D * u + v, n)
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def isprime(n):
+    """Primality of an integer; non-integers (bools included) raise ValueError.
+
+    Exact below 3.3e24: trial division by the primes up to 41, then strong
+    probable-prime tests to those 13 bases.  Above, the BPSW test (base-2
+    Miller-Rabin plus a strong Lucas test), which has no known counterexample.
+    """
+    if type(n) is not int:
+        n = _as_int(n)
+    if n < 43:
+        return n in _SMALL_PRIME_SET
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return False
+    if n < 43 * 43:
+        return True
+    if n < _SPRP13_BOUND:
+        return _is_sprp(n, _SMALL_PRIMES)
+    return _is_sprp(n, (2,)) and isqrt(n) ** 2 != n and _is_strong_lucas_prp(n)
+
+
+def primerange(lo, hi):
+    """The primes q with lo <= q < hi, in increasing order, generated lazily."""
+    for n in range(max(lo, 2), hi):
+        if isprime(n):
+            yield n
+
+
+def _rho_divisor(n):
+    """A proper divisor of a composite n free of prime factors up to 41:
+    Pollard's rho with Brent's cycle search, from x0 = 2 with c = 1, 2, ..."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: replay the batch step by step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factorint(n):
+    """Prime factorization {prime: exponent} of an integer n >= 1, in
+    increasing prime order: trial division by the primes up to 41, then
+    Pollard-Brent rho on the cofactors that are not prime."""
+    n = _as_int(n)
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out = {}
+    for q in _SMALL_PRIMES:
+        while n % q == 0:
+            n //= q
+            out[q] = out.get(q, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def prime_valuation(n, q):
+    """Exponent of the prime q in the integer n; 0 for n = 0, so zero entries
+    never raise a maximum of valuations."""
+    n = abs(int(n))
+    v = 0
+    while n and n % q == 0:
+        n //= q
+        v += 1
+    return v
 
 
 class AtLeastPrecision:
@@ -326,6 +507,9 @@ class _PolyTruncMixin:
         coeffs += [s.zero] * (self.mlen - len(coeffs))
         return tuple(s.normalize(c) for c in coeffs)
 
+    def normalize(self, raw):
+        return self.from_coeffs(raw if isinstance(raw, (list, tuple)) else [raw])
+
     def add(self, x, y):
         s = self.scalar
         return tuple(s.add(a, b) for a, b in zip(x, y))
@@ -380,8 +564,26 @@ class _PolyTruncMixin:
         return "[" + ", ".join(self.scalar.element_str(c) for c in x) + "]"
 
 
+class _ZFamilyMixin(_PolyTruncMixin):
+    """The z-families over W/p^N with k = F_p: the Frobenius z |-> z^p."""
+
+    def frobenius(self, x):
+        """z |-> z^p; identity on the W-coefficients."""
+        s = self.scalar
+        out = [s.zero] * self.mlen
+        for j, a in enumerate(x):
+            if j * self.p >= self.mlen:
+                break
+            out[j * self.p] = a
+        return tuple(out)
+
+    @property
+    def frobenius_trusted_precision(self):
+        return (self.mlen + self.p - 1) // self.p
+
+
 @dataclass(frozen=True)
-class TruncatedPowerSeries(_PolyTruncMixin, ChainRing):
+class TruncatedPowerSeries(_ZFamilyMixin, ChainRing):
     """k[[z]] truncated: F_p[z]/(z^M). Chain ring with uniformizer z."""
 
     p: int
@@ -418,26 +620,9 @@ class TruncatedPowerSeries(_PolyTruncMixin, ChainRing):
         s = self.scalar
         return tuple(list(x[k:]) + [s.zero] * k)
 
-    def normalize(self, raw):
-        return self.from_coeffs(raw if isinstance(raw, (list, tuple)) else [raw])
-
-    def frobenius(self, x):
-        """z |-> z^p; identity on F_p coefficients."""
-        s = self.scalar
-        out = [s.zero] * self.mlen
-        for j, a in enumerate(x):
-            if j * self.p >= self.mlen:
-                break
-            out[j * self.p] = a
-        return tuple(out)
-
-    @property
-    def frobenius_trusted_precision(self):
-        return (self.mlen + self.p - 1) // self.p
-
 
 @dataclass(frozen=True)
-class TruncatedBK(_PolyTruncMixin, RingBase):
+class TruncatedBK(_ZFamilyMixin, RingBase):
     """W[[z]] at bi-truncation (p^N, z^M), W = Z_p with k = F_p."""
 
     p: int
@@ -462,9 +647,6 @@ class TruncatedBK(_PolyTruncMixin, RingBase):
     def scalar(self):
         return TruncatedPadic(self.p, self.precision_n)
 
-    def normalize(self, raw):
-        return self.from_coeffs(raw if isinstance(raw, (list, tuple)) else [raw])
-
     def p_valuation(self, x):
         """Largest k with x in (p^k): min of coefficient p-valuations."""
         s = self.scalar
@@ -473,19 +655,6 @@ class TruncatedBK(_PolyTruncMixin, RingBase):
 
     def z_valuation(self, x):
         return self.var_valuation(x)
-
-    def frobenius(self, x):
-        s = self.scalar
-        out = [s.zero] * self.mlen
-        for j, a in enumerate(x):
-            if j * self.p >= self.mlen:
-                break
-            out[j * self.p] = a
-        return tuple(out)
-
-    @property
-    def frobenius_trusted_precision(self):
-        return (self.mlen + self.p - 1) // self.p
 
     def eisenstein_element(self):
         return self.from_coeffs([self.scalar.from_int(c) for c in self.eisenstein.coefficients])
@@ -515,9 +684,6 @@ class TruncatedLambda(_PolyTruncMixin, RingBase):
     @property
     def scalar(self):
         return LocalizedIntegers(self.inverted_primes)
-
-    def normalize(self, raw):
-        return self.from_coeffs(raw if isinstance(raw, (list, tuple)) else [raw])
 
     def q_minus_one(self):
         return self.var_power(1)

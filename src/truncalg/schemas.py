@@ -152,8 +152,14 @@ def matrix_to_json(mat, ring):
 
 
 def parse_module(data, loc="/module", ring=None):
+    """A presented module; with `ring` given, a ring field the operand
+    carries must declare that same ring."""
     if ring is None:
         ring = parse_ring(_want(data, "ring", loc), loc + "/ring")
+    elif isinstance(data, dict) and "ring" in data:
+        if parse_ring(data["ring"], loc + "/ring") != ring:
+            raise SchemaError("module ring differs from the ring of the enclosing input",
+                              loc + "/ring")
     gens = _want(data, "generators", loc, int)
     if gens < 0:
         raise SchemaError("generator count must be nonnegative", loc)

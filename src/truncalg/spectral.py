@@ -50,7 +50,13 @@ from .modules import (
     torsion_length,
     zero_map,
 )
-from .rings import LocalizedIntegers, TruncatedPadic, TruncatedPowerSeries, is_snf_capable
+from .rings import (
+    LocalizedIntegers,
+    TruncatedPadic,
+    TruncatedPowerSeries,
+    is_snf_capable,
+    prime_valuation,
+)
 
 
 @dataclass
@@ -519,15 +525,6 @@ def _reduction_length(m, n):
 # inclusion is fine, so the complex is never re-validated over the target.
 
 
-def _ell_val(n, ell):
-    v = 0
-    n = abs(int(n))
-    while n and n % ell == 0:
-        n //= ell
-        v += 1
-    return v
-
-
 def _tensored_kernel_vanishes(f, ell):
     """ker(f (x) Z_ell) = 0, decided exactly: flatness gives
     ker(f) (x) Z_ell, which vanishes iff ker(f) is prime-to-ell torsion."""
@@ -535,7 +532,7 @@ def _tensored_kernel_vanishes(f, ell):
     dec = decompose_elementary(kmod)
     if dec.free_rank:
         return False
-    return all(_ell_val(d.numerator, ell) == 0 for d in dec.torsion_divisors)
+    return all(prime_valuation(d.numerator, ell) == 0 for d in dec.torsion_divisors)
 
 
 def _retraction_solves_at(f, ell):
@@ -554,7 +551,7 @@ def _retraction_solves_at(f, ell):
             continue
         if c == 0:
             continue
-        if _ell_val(c.numerator, ell) < _ell_val(d.numerator, ell):
+        if prime_valuation(c.numerator, ell) < prime_valuation(d.numerator, ell):
             return False
     return True
 
@@ -562,18 +559,16 @@ def _retraction_solves_at(f, ell):
 def _ell_profile(m, ell):
     """Torsion exponents at ell of the tensored module, exactly."""
     dec = decompose_elementary(m)
-    out = [_ell_val(d.numerator, ell) for d in dec.torsion_divisors]
+    out = [prime_valuation(d.numerator, ell) for d in dec.torsion_divisors]
     return tuple(sorted(v for v in out if v > 0))
 
 
 def _entry_injects_into_completion(m, ell):
     """M -> M (x) Z_ell is injective iff the torsion is pure ell-power."""
-    from sympy import factorint
-
     dec = decompose_elementary(m)
     for d in dec.torsion_divisors:
         n = abs(int(d.numerator))
-        if set(factorint(n)) - {ell}:
+        if n != ell ** prime_valuation(n, ell):
             return False, f"torsion divisor {n} has primes other than {ell}"
     return True, None
 

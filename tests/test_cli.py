@@ -133,3 +133,52 @@ def test_tower_job():
     assert code == 0
     assert report["verdicts"]["torsion_exponents"] == [2]
     assert any("tower" in n for n in report["witnesses"]["notes"])
+
+
+Z8 = {"family": "TruncatedPadic", "p": 2, "N": 3}
+Z27 = {"family": "TruncatedPadic", "p": 3, "N": 3}
+
+
+def _cyclic(ring, d):
+    return {"ring": ring, "generators": 1, "relations": [[d]]}
+
+
+@pytest.mark.parametrize("job, pointer", [
+    ({"command": "ext1", "input": {"c": _cyclic(Z8, 2), "a": _cyclic(Z27, 3)}},
+     "/input/a/ring"),
+    ({"command": "split",
+      "input": {"ses": {"a": _cyclic(Z8, 2), "b": _cyclic(Z8, 4), "c": _cyclic(Z27, 2),
+                        "inject": [[2]], "surject": [[1]]}}},
+     "/input/ses/c/ring"),
+    ({"command": "lambda-zero",
+      "input": {"map": {
+          "source": _cyclic({"family": "TruncatedLambda", "inverted_primes": [2], "M": 2},
+                            [3, 0]),
+          "target": _cyclic({"family": "TruncatedLambda", "inverted_primes": [3], "M": 2},
+                            [3, 0]),
+          "matrix": [[[1, 0]]]}}},
+     "/input/map/target/ring"),
+])
+def test_operand_ring_mismatch_rejected(job, pointer):
+    """An operand's own ring field must match the ring it is parsed over;
+    it is never silently reread in the other ring."""
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema"
+    assert report["error"].startswith(pointer + ":")
+
+
+def test_runtime_import_graph_has_no_sympy():
+    """Importing every truncalg module and running corpus jobs loads no sympy."""
+    child = (
+        "import importlib, json, pkgutil, sys\n"
+        "import truncalg\n"
+        "for info in pkgutil.iter_modules(truncalg.__path__):\n"
+        "    importlib.import_module('truncalg.' + info.name)\n"
+        "from truncalg.cli import run_job\n"
+        "for path in sys.argv[1:]:\n"
+        "    with open(path) as fh:\n"
+        "        assert run_job(json.load(fh))[1] == 0, path\n"
+        "assert 'sympy' not in sys.modules\n")
+    jobs = [os.path.join(CORPUS, n) for n in ("cw_rp2.json", "lambda_zero_qminus1.json")]
+    proc = subprocess.run([sys.executable, "-c", child] + jobs, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

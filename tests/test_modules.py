@@ -290,6 +290,53 @@ def test_support_primes_examples():
     assert support_primes(PresentedModule.zero(lam)).primes == []
 
 
+PRIMES_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def test_support_primes_match_fibres_at_small_primes():
+    """Random full-rank Lambda modules with up to 6 generators: an ell <= 50
+    outside S is reported exactly when M/(ell, q-1)M, presented over F_ell by
+    the constant terms, is nonzero; a square presentation has content
+    |det| with its S-part removed."""
+    rng = random.Random(2026)
+    for _ in range(16):
+        sset = rng.choice([(), (2,), (3, 5)])
+        lam = TruncatedLambda(sset, 2)
+        g = rng.randint(1, 6)
+        diag = [rng.choice([1, 1, 2, 3, 5, 6, 7, 10, 49, 53]) for _ in range(g)]
+        a = [[diag[i] if i == j else (rng.randint(-9, 9) if j > i else 0)
+              for j in range(g)] for i in range(g)]
+        for _ in range(3 * g if g > 1 else 0):  # unimodular row and column operations
+            i, j = rng.sample(range(g), 2)
+            c = rng.randint(-3, 3)
+            if rng.random() < 0.5:
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            else:
+                for row in a:
+                    row[i] += c * row[j]
+        extra = rng.randint(0, 1)
+        a += [[rng.randint(-20, 20) for _ in range(g)] for _ in range(extra)]
+        rows = []
+        for row in a:
+            unit = Fraction(1, sset[0]) if sset and rng.random() < 0.5 else 1
+            rows.append([lam.from_coeffs([Fraction(x) * unit, rng.randint(-3, 3)]) for x in row])
+        res = support_primes(PresentedModule(lam, g, Mat(len(rows), g, rows)))
+        assert not res.everywhere
+        if not extra:
+            det = 1
+            for d in diag:
+                det *= d
+            assert res.content == LocalizedIntegers(sset).strip_s(det)
+        for ell in PRIMES_TO_50:
+            if ell in sset:
+                continue
+            fp = TruncatedPadic(ell, 1)
+            fibre = [[fp.from_int(x[0].numerator * pow(x[0].denominator, -1, ell)) for x in row]
+                     for row in rows]
+            nonzero = not is_zero_module(PresentedModule(fp, g, Mat(len(fibre), g, fibre)))
+            assert (ell in res.primes) == nonzero, (ell, res.primes)
+
+
 def test_zero_detect_examples():
     lam = LAM
     free = PresentedModule.free(lam, 1)
