@@ -33,6 +33,7 @@ from .errors import (
 from .linalg import Mat
 from .rings import primerange
 from .schemas import (
+    _want,
     cw_to_json,
     jsonable,
     map_to_json,
@@ -44,6 +45,7 @@ from .schemas import (
     parse_map,
     parse_matrix,
     parse_module,
+    parse_primes,
     parse_ring,
     parse_ses,
     parse_tower,
@@ -53,12 +55,6 @@ from .schemas import (
 COMMANDS = ("snf", "decompose", "ext1", "split", "ss-report", "ss-basechange",
             "bk-height", "bk-structure", "cw-ktheory", "cw-verify",
             "lambda-survey", "lambda-zero", "oracle")
-
-
-def _want(obj, key, types=None):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"job input is missing '{key}'", "/input")
-    return obj[key]
 
 
 def _apply_precision_overrides(data, options):
@@ -95,8 +91,8 @@ def run_command(command, input_data, options):
     oracle_on = bool(options.get("oracle"))
 
     if command == "snf":
-        ring = parse_ring(_want(input_data, "ring"))
-        rows = _want(input_data, "matrix")
+        ring = parse_ring(_want(input_data, "ring", "/input"))
+        rows = _want(input_data, "matrix", "/input")
         cols = len(rows[0]) if rows else int(input_data.get("cols", 0))
         mat = parse_matrix(rows, ring, cols, "/input/matrix")
         res = mods.smith_normal_form(mat, ring)
@@ -110,7 +106,7 @@ def run_command(command, input_data, options):
     if command == "decompose":
         from .rings import TruncatedBK
 
-        m = parse_module(_want(input_data, "module"), "/input/module")
+        m = parse_module(_want(input_data, "module", "/input"), "/input/module")
         if isinstance(m.ring, TruncatedBK):
             dec = decompose_over_s(m)
             if isinstance(dec, NotElementary):
@@ -129,8 +125,8 @@ def run_command(command, input_data, options):
                 "ledgers": {}}
 
     if command == "ext1":
-        c = parse_module(_want(input_data, "c"), "/input/c")
-        a = parse_module(_want(input_data, "a"), "/input/a", ring=c.ring)
+        c = parse_module(_want(input_data, "c", "/input"), "/input/c")
+        a = parse_module(_want(input_data, "a", "/input"), "/input/a", ring=c.ring)
         exps, free = extm.ext1_divisor_exponents(c, a)
         payload = {"verdicts": {"torsion_exponents": exps, "free_rank": free},
                    "witnesses": {"module": module_to_json(extm.ext1(c, a))},
@@ -148,7 +144,7 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "split":
-        ses = parse_ses(_want(input_data, "ses"), "/input/ses")
+        ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
         v = mods.split_test(ses)
         out = {"verdicts": {"split": v.split}, "witnesses": {}, "ledgers": {}}
         if v.split:
@@ -158,7 +154,7 @@ def run_command(command, input_data, options):
         return out
 
     if command in ("ss-report", "oracle"):
-        x = parse_filtered_complex(_want(input_data, "complex"), "/input/complex")
+        x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
         if command == "oracle":
             verdicts = spec.oracle(x)
             return {"verdicts": jsonable(verdicts), "witnesses": {}, "ledgers": {}}
@@ -179,8 +175,8 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "ss-basechange":
-        x = parse_filtered_complex(_want(input_data, "complex"), "/input/complex")
-        spec_json = _want(input_data, "spec")
+        x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
+        spec_json = _want(input_data, "spec", "/input")
         bspec = mods.BaseChangeSpec(
             kind=spec_json.get("kind"), unit=spec_json.get("unit"),
             ell=spec_json.get("ell"), precision_n=spec_json.get("precision_n"))
@@ -199,8 +195,8 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "bk-height":
-        b = parse_bk_module(_want(input_data, "bk"), "/input/bk")
-        s, r = int(_want(input_data, "s")), int(_want(input_data, "r"))
+        b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
+        s, r = _want(input_data, "s", "/input", int), _want(input_data, "r", "/input", int)
         trail = [f"frobenius trusted z-precision: {b.ring.frobenius_trusted_precision}"]
         cert = bkm.check_height(b, s, r)
         if isinstance(cert, bkm.HeightFailure):
@@ -213,8 +209,9 @@ def run_command(command, input_data, options):
                 "ledgers": {}, "precision_trail": trail}
 
     if command == "bk-structure":
-        b = parse_bk_module(_want(input_data, "bk"), "/input/bk")
-        r = int(input_data.get("r", b.height_window[1]))
+        b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
+        r = (_want(input_data, "r", "/input", int) if "r" in input_data
+             else b.height_window[1])
         tower = None
         if input_data.get("tower"):
             tower = parse_tower(input_data["tower"], "/input/tower")
@@ -234,7 +231,7 @@ def run_command(command, input_data, options):
                 "hypothesis_flag": not res.hypothesis_met}
 
     if command == "cw-ktheory":
-        x = parse_cw(_want(input_data, "cw"), "/input/cw")
+        x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
         k = cwm.ktheory(x)
         return {"verdicts": {
                     "dimension": k.d, "denominator_index": k.m_index,
@@ -248,7 +245,7 @@ def run_command(command, input_data, options):
                     for j, g in cwm.reduced_cohomology(x, k.inverted).items()}}}
 
     if command == "cw-verify":
-        x = parse_cw(_want(input_data, "cw"), "/input/cw")
+        x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
         trace = cwm.skeletal_verification(x)
         all_exact = all(n["exact"] for step in trace for n in step["nodes"])
         return {"verdicts": {"all_nodes_exact": all_exact,
@@ -256,9 +253,11 @@ def run_command(command, input_data, options):
                 "witnesses": {"trace": jsonable(trace)}, "ledgers": {}}
 
     if command == "lambda-survey":
-        ses = parse_ses(_want(input_data, "ses"), "/input/ses")
+        ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
         ls = lgm.LambdaSES(ses)
         primes = input_data.get("primes")
+        if primes is not None:
+            primes = parse_primes(primes, "/input/primes")
         bound = options.get("prime_bound")
         if primes is None and bound is not None:
             primes = [q for q in primerange(2, bound + 1)
@@ -278,7 +277,7 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "lambda-zero":
-        f = parse_map(_want(input_data, "map"), "/input/map")
+        f = parse_map(_want(input_data, "map", "/input"), "/input/map")
         rep = lgm.zero_local_global(f)
         return {"verdicts": {"is_zero": rep.direct_zero,
                              "witness_prime": rep.witness_prime,

@@ -14,8 +14,9 @@ T^g = base^(g*M) is a base-module isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import UnsupportedRingError
@@ -154,10 +155,15 @@ class _Worker:
         self.a = [list(r) for r in mat.data]
         self.rows = mat.rows
         self.cols = mat.cols
-        self.l = Mat.identity(mat.rows, ring).tolist()
-        self.linv = Mat.identity(mat.rows, ring).tolist()
-        self.r = Mat.identity(mat.cols, ring).tolist()
-        self.rinv = Mat.identity(mat.cols, ring).tolist()
+        one, zero = ring.one, ring.zero
+
+        def identity(n):
+            return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+        self.l = identity(mat.rows)
+        self.linv = identity(mat.rows)
+        self.r = identity(mat.cols)
+        self.rinv = identity(mat.cols)
 
     def swap_rows(self, i, j):
         if i == j:
@@ -375,16 +381,30 @@ def smith_normal_form(mat, ring):
     """SNF with witnesses; divisors ordered by non-decreasing valuation.
 
     Raises UnsupportedRing for TruncatedBK and TruncatedLambda: use the
-    restriction-of-scalars solvers instead.
+    restriction-of-scalars solvers instead.  Results are memoized per process
+    by (ring, matrix); each call returns its own SNFResult.
     """
     if isinstance(ring, (TruncatedBK, TruncatedLambda)):
         raise UnsupportedRingError(
             f"{type(ring).__name__} admits no Smith normal form; use restriction of scalars")
+    if not is_snf_capable(ring):
+        raise UnsupportedRingError(f"no SNF over {type(ring).__name__}")
+    snf = _snf_memo(ring, mat)
+    # the witnesses are immutable Mats; the divisors list is the caller's own
+    return replace(snf, divisors=list(snf.divisors))
+
+
+# Solvers and kernels repeat the same (ring, matrix) inputs within a job: a
+# random tower check makes about 110 SNF calls on about 20 distinct inputs.
+# With 32 entries the misses equal the distinct inputs on every corpus job
+# (at most 37, ext_golden_p2) and every tower; filtered complexes with up to
+# 61 distinct inputs miss 1 to 3 more.  lru_cache is thread-safe, which the
+# --corpus-dir worker threads need.
+@lru_cache(maxsize=32)
+def _snf_memo(ring, mat):
     if isinstance(ring, LocalizedIntegers):
         return _snf_localized(mat, ring)
-    if is_snf_capable(ring):
-        return _snf_chain(mat, ring)
-    raise UnsupportedRingError(f"no SNF over {type(ring).__name__}")
+    return _snf_chain(mat, ring)
 
 
 def _solve_snf(snf, mat, b, ring, failures=None):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
@@ -195,7 +196,10 @@ def factorint(n):
 
 def prime_valuation(n, q):
     """Exponent of the prime q in the integer n; 0 for n = 0, so zero entries
-    never raise a maximum of valuations."""
+    never raise a maximum of valuations.  q < 2 raises ValueError (q = 1
+    divides every n and would never stop)."""
+    if q < 2:
+        raise ValueError(f"valuation at {q}: the base must be a prime")
     n = abs(int(n))
     v = 0
     while n and n % q == 0:
@@ -423,7 +427,10 @@ class TruncatedPadic(ChainRing):
         if self.precision_n < 1:
             raise SchemaError("precision must be >= 1")
 
-    @property
+    # ring constants are cached on the instance: cached_property writes the
+    # instance __dict__ directly, so it works on the frozen dataclasses, and
+    # equality and hashing stay field-only
+    @cached_property
     def modulus(self):
         return self.p ** self.precision_n
 
@@ -441,6 +448,9 @@ class TruncatedPadic(ChainRing):
 
     def from_int(self, n):
         return int(n) % self.modulus
+
+    def is_zero(self, x):
+        return x == 0
 
     def add(self, x, y):
         return (x + y) % self.modulus
@@ -488,7 +498,7 @@ class _PolyTruncMixin:
         """Base coefficient ring object (TruncatedPadic or LocalizedIntegers-like)."""
         raise NotImplementedError
 
-    @property
+    @cached_property
     def zero(self):
         return (self.scalar.zero,) * self.mlen
 
@@ -599,7 +609,7 @@ class TruncatedPowerSeries(_ZFamilyMixin, ChainRing):
     def mlen(self):
         return self.precision_m
 
-    @property
+    @cached_property
     def scalar(self):
         return TruncatedPadic(self.p, 1)
 
@@ -643,7 +653,7 @@ class TruncatedBK(_ZFamilyMixin, RingBase):
     def mlen(self):
         return self.precision_m
 
-    @property
+    @cached_property
     def scalar(self):
         return TruncatedPadic(self.p, self.precision_n)
 
@@ -681,7 +691,7 @@ class TruncatedLambda(_PolyTruncMixin, RingBase):
     def mlen(self):
         return self.precision_m
 
-    @property
+    @cached_property
     def scalar(self):
         return LocalizedIntegers(self.inverted_primes)
 

@@ -21,16 +21,29 @@ from .rings import (
     TruncatedPadic,
     TruncatedPowerSeries,
     default_eisenstein,
+    isprime,
 )
 
 
 def _want(obj, key, loc, types=None):
+    """obj[key], which must exist and, given `types`, be of one of them.
+    A JSON boolean is never accepted as an integer."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"missing field '{key}'", loc)
     v = obj[key]
-    if types and not isinstance(v, types):
+    if types and (not isinstance(v, types) or isinstance(v, bool)):
         raise SchemaError(f"field '{key}' has the wrong type", f"{loc}/{key}")
     return v
+
+
+def parse_primes(data, loc):
+    """A JSON list of primes: integers (not booleans) that are prime."""
+    if not isinstance(data, list):
+        raise SchemaError("must be a list of primes", loc)
+    for k, q in enumerate(data):
+        if type(q) is not int or not isprime(q):
+            raise SchemaError(f"{q!r} is not a prime", f"{loc}/{k}")
+    return data
 
 
 def parse_ring(data, loc="/ring"):
@@ -227,6 +240,8 @@ def parse_filtered_complex(data, loc="/complex"):
     for k, fj in enumerate(data.get("filtration", [])):
         floc = f"{loc}/filtration/{k}"
         i = _want(fj, "degree", floc, int)
+        if i not in modules:
+            raise SchemaError(f"degree {i} is outside {lo}..{hi}", floc + "/degree")
         n = _want(fj, "weight", floc, int)
         sub = parse_module(_want(fj, "module", floc), floc + "/module", ring=ring)
         inc = parse_matrix(_want(fj, "inclusion", floc, list), ring,

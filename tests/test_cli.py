@@ -108,17 +108,28 @@ def test_cli_process_end_to_end(tmp_path):
 
 
 def test_cli_batch_mode(tmp_path):
+    """The whole corpus on two worker threads, which share the SNF memo,
+    reproduces every frozen report byte for byte with its exit code."""
     import shutil
 
-    for name in ("cw_s2.json", "snf_2468.json"):
+    names = sorted(n for n in os.listdir(CORPUS)
+                   if n.endswith(".json") and not n.endswith(".report.json"))
+    assert len(names) == 18
+    for name in names:
         shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path),
          "--workers", "2"],
         capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "cw_s2.report.json").exists()
-    assert (tmp_path / "snf_2468.report.json").exists()
+    codes = {}
+    for name in names:
+        report = name[:-5] + ".report.json"
+        with open(os.path.join(CORPUS, report)) as fh:
+            frozen = fh.read()
+        assert (tmp_path / report).read_text() == frozen, name
+        codes[name] = json.loads(frozen)["exit_code"]
+    assert proc.stdout.splitlines() == [f"{n}: exit {codes[n]}" for n in names]
+    assert proc.returncode == max(codes.values()), proc.stderr
 
 
 def test_exploration_mode_flag():
@@ -182,3 +193,53 @@ def test_runtime_import_graph_has_no_sympy():
     jobs = [os.path.join(CORPUS, n) for n in ("cw_rp2.json", "lambda_zero_qminus1.json")]
     proc = subprocess.run([sys.executable, "-c", child] + jobs, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _mutant(name, pointer, value):
+    """Corpus job `name` with the field at JSON pointer `pointer` set to value."""
+    job = load(name)
+    *path, last = pointer.strip("/").split("/")
+    node = job
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return job
+
+
+_CHILD_RUN_JOB = (
+    "import json, sys\n"
+    "from truncalg.cli import run_job\n"
+    "report, code = run_job(json.load(sys.stdin))\n"
+    "json.dump({'code': code, 'report': report}, sys.stdout)\n")
+
+
+@pytest.mark.parametrize("name, field, value, pointer", [
+    ("lambda_survey_nonsplit9.json", "/input/primes", ["x"], "/input/primes/0"),
+    ("lambda_survey_nonsplit9.json", "/input/primes", 7, "/input/primes"),
+    ("lambda_survey_nonsplit9.json", "/input/primes", [5.0], "/input/primes/0"),
+    ("lambda_survey_nonsplit9.json", "/input/primes", [5, 1], "/input/primes/1"),
+    ("lambda_survey_nonsplit9.json", "/input/primes", [1], "/input/primes/0"),
+    ("lambda_survey_nonsplit9.json", "/input/primes", [True], "/input/primes/0"),
+    ("bk_height_identity.json", "/input/s", "a", "/input/s"),
+    ("bk_height_identity.json", "/input/s", 2.7, "/input/s"),
+    ("bk_height_identity.json", "/input/r", "a", "/input/r"),
+    ("bk_structure_tower.json", "/input/r", "a", "/input/r"),
+    ("bk_structure_tower.json", "/input/r", 1.5, "/input/r"),
+    ("ss_golden_trichotomy.json", "/input/complex/filtration/0/degree", 1,
+     "/input/complex/filtration/0/degree"),
+    ("ss_basechange_identity.json", "/input/complex/filtration/0/degree", -1,
+     "/input/complex/filtration/0/degree"),
+])
+def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
+    """Each mutant once raised, hung or was silently truncated; now it exits 1
+    with a schema error at the field.  The job runs in a child process with a
+    timeout, so a regression to the old hang ([1] and [true] looped forever
+    in prime_valuation) fails instead of stalling the suite."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD_RUN_JOB],
+                          input=json.dumps(_mutant(name, field, value)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    report = out["report"]
+    assert out["code"] == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(pointer + ":"), report["error"]

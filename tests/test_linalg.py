@@ -6,6 +6,7 @@ import pytest
 from truncalg.errors import UnsupportedRingError
 from truncalg.linalg import (
     Mat,
+    _snf_memo,
     expand_matrix,
     expand_rows,
     invert,
@@ -245,3 +246,86 @@ def test_zero_dimension_edges():
         assert k.rows == 2
         b = Mat(1, 2, [[ring.zero, ring.zero]])
         assert solve_left(empty_rows, b, ring) is not None
+
+
+@pytest.mark.parametrize("ring", [Z2_6, Z3_4, S1, ZL2], ids=lambda r: type(r).__name__)
+def test_snf_memo_cold_equals_warm(ring):
+    rng = random.Random(23)
+    for _ in range(10):
+        m = random_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4))
+        _snf_memo.cache_clear()
+        cold = smith_normal_form(m, ring)
+        hits = _snf_memo.cache_info().hits
+        warm = smith_normal_form(m, ring)
+        assert _snf_memo.cache_info().hits == hits + 1
+        assert warm == cold
+        assert cold.verify(m, ring) and warm.verify(m, ring)
+
+
+@pytest.mark.parametrize("ring", [BK, LAM], ids=lambda r: type(r).__name__)
+def test_expansion_solve_memo_cold_equals_warm(ring):
+    """BK and Lambda solves reach the memo through expand_matrix."""
+    rng = random.Random(29)
+    for _ in range(8):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        a = random_matrix(ring, rng, rows, cols)
+        b = random_matrix(ring, rng, 2, rows).mul(a, ring)
+        _snf_memo.cache_clear()
+        cold = solve_left(a, b, ring)
+        hits = _snf_memo.cache_info().hits
+        warm = solve_left(a, b, ring)
+        assert _snf_memo.cache_info().hits > hits
+        assert warm == cold and cold.mul(a, ring) == b
+
+
+def test_snf_memo_result_is_the_callers_own():
+    ring = TruncatedPadic(2, 5)
+    m = mk(ring, [[4, 2], [6, 8]])
+    first = smith_normal_form(m, ring)
+    expected = list(first.divisors)
+    first.divisors.append(99)
+    first.divisors[0] = 7
+    first.left = Mat.identity(2, ring)
+    again = smith_normal_form(m, ring)
+    assert again.divisors == expected
+    assert again.verify(m, ring)
+
+
+def test_snf_memo_evicts_and_stays_correct():
+    """More distinct inputs than the memo holds: evicted entries are
+    recomputed with the same result."""
+    rng = random.Random(31)
+    mats = [random_matrix(Z2_6, rng, 3, 3) for _ in range(40)]
+    assert len(set(mats)) == 40
+    _snf_memo.cache_clear()
+    first = [smith_normal_form(m, Z2_6) for m in mats]
+    assert _snf_memo.cache_info().currsize < 40
+    for m, res in zip(mats, first):
+        again = smith_normal_form(m, Z2_6)
+        assert again == res and again.verify(m, Z2_6)
+
+
+def test_snf_memo_shared_by_threads():
+    """Threads sharing the memo (as --corpus-dir workers do), with eviction
+    and a short switch interval, all get the single-threaded results."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(37)
+    mats = [random_matrix(Z3_4, rng, 3, 3) for _ in range(40)]
+    _snf_memo.cache_clear()
+    expected = [smith_normal_form(m, Z3_4) for m in mats]
+
+    def work(seed):
+        order = list(range(len(mats)))
+        random.Random(seed).shuffle(order)
+        return all(smith_normal_form(mats[i], Z3_4) == expected[i] for i in order * 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, seed) for seed in range(8)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)

@@ -58,6 +58,9 @@ def test_factorint_primerange_valuation_fixed_cases():
     assert next(primerange(2, 10 ** 30)) == 2
     assert prime_valuation(-72, 2) == 3 and prime_valuation(-72, 3) == 2
     assert prime_valuation(0, 5) == 0 and prime_valuation(7, 5) == 0
+    for q in (1, 0, -2):  # q = 1 used to loop forever
+        with pytest.raises(ValueError):
+            prime_valuation(12, q)
 
 
 @given(st.integers(min_value=-10, max_value=10 ** 30))
