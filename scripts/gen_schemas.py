@@ -192,7 +192,8 @@ job = {
     "required": ["command", "input"],
     "exit_codes": {"0": "completed", "1": "schema/input error (never dispatched)",
                    "2": "hypothesis gate unmet", "3": "precision-limited",
-                   "4": "internal inconsistency (theorem-contradicting outcome)"},
+                   "4": "internal inconsistency (theorem-contradicting outcome) "
+                        "or internal error (any other exception, named by type)"},
 }
 
 report = {
@@ -208,6 +209,10 @@ report = {
         "witnesses": {"type": "object"},
         "ledgers": {"type": "object"},
         "precision_trail": {"type": "array"},
+        "error": {"type": "string",
+                  "description": "present when the job stopped without verdicts"},
+        "error_kind": {"enum": ["schema", "hypothesis_gate", "precision_limited",
+                                "internal_inconsistency", "internal_error"]},
         "timing_ms": {"description": "null unless --timing was passed, keeping "
                                      "default output byte-stable"}},
     "required": ["version", "command", "exit_code"],

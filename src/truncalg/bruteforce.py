@@ -1,10 +1,10 @@
 """Element-level enumeration oracles for small finite modules.
 
 These deliberately avoid the SNF/solver machinery: modules are materialized
-as explicit coset spaces, subgroups are closed pointwise, divisor multisets
-are read off cardinality profiles |u^j Q|, and homomorphisms are found by
-exhaustive generator-image search.  Used as ground truth in tests and by
-spectral.oracle.
+as explicit coset spaces, a subgroup is grown one generator at a time
+(S <- S + R.x, which stays a submodule at every step), and divisor multisets
+are read off cardinality profiles |u^j Q|.  Used as ground truth in tests
+and by spectral.oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import UnsupportedRingError
-from .linalg import Mat
 from .rings import TruncatedPadic, TruncatedPowerSeries
 
 ORACLE_ELEMENT_BOUND = 4096
@@ -42,26 +41,28 @@ def _vec_scale(ring, c, x):
     return tuple(ring.mul(c, a) for a in x)
 
 
+def _grow_submodule(zero, elems, multiples, add):
+    """Submodule generated by elems, grown one generator at a time.
+
+    S starts as {zero}; each x not yet in S replaces S by
+    {s + m : s in S, m in multiples(x)}.  S and multiples(x) = R.x are
+    submodules, so their sum is too, and the last S is the closure of elems
+    under addition and scalars."""
+    closed = {zero}
+    for x in elems:
+        if x not in closed:
+            mx = multiples(x)
+            closed = {add(s, m) for s in closed for m in mx}
+    return closed
+
+
 def span_subgroup(ring, rows, gens):
     """Additive closure of all ring multiples of the given rows in R^gens."""
-    zero = (ring.zero,) * gens
     scalars = enumerate_ring(ring)
-    seeds = {zero}
-    for r in rows:
-        for c in scalars:
-            seeds.add(_vec_scale(ring, c, tuple(r)))
-    closed = set(seeds)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in seeds:
-                y = _vec_add(ring, x, s)
-                if y not in closed:
-                    closed.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return closed
+    return _grow_submodule(
+        (ring.zero,) * gens, (tuple(r) for r in rows),
+        lambda x: {_vec_scale(ring, c, x) for c in scalars},
+        lambda x, y: _vec_add(ring, x, y))
 
 
 class FiniteModule:
@@ -117,22 +118,10 @@ class FiniteModule:
 
     def subgroup(self, elems):
         """Closure of the given classes under addition and scalars."""
-        seeds = {self.zero}
-        for x in elems:
-            for c in enumerate_ring(self.ring):
-                seeds.add(self.scale(c, x))
-        closed = set(seeds)
-        frontier = list(closed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seeds:
-                    y = self.add(x, s)
-                    if y not in closed:
-                        closed.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return closed
+        scalars = enumerate_ring(self.ring)
+        return _grow_submodule(
+            self.zero, (self.rep(x) for x in elems),
+            lambda x: {self.scale(c, x) for c in scalars}, self.add)
 
 
 def _log_size(n, p):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 completed, 2 hypothesis gate unmet, 3 precision-limited,
 4 internal inconsistency (a checked theorem came out false -- a bug or a
-precision artifact, never a mathematical discovery claim).  Input and schema
-problems exit 1 before dispatch.
+precision artifact, never a mathematical discovery claim) or internal error
+(any other exception, reported with its type).  Input and schema problems
+exit 1 before dispatch.
 
 Reports are byte-deterministic for fixed input and version: keys are sorted
 and the timing field stays null unless --timing is passed.
@@ -17,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from . import VERSION_STAMP
@@ -92,8 +94,15 @@ def run_command(command, input_data, options):
 
     if command == "snf":
         ring = parse_ring(_want(input_data, "ring", "/input"))
-        rows = _want(input_data, "matrix", "/input")
-        cols = len(rows[0]) if rows else int(input_data.get("cols", 0))
+        rows = _want(input_data, "matrix", "/input", list)
+        if rows:
+            if not isinstance(rows[0], list):
+                raise SchemaError("row 0 must be an array", "/input/matrix/0")
+            cols = len(rows[0])
+        else:
+            cols = _want(input_data, "cols", "/input", int) if "cols" in input_data else 0
+            if cols < 0:
+                raise SchemaError("field 'cols' must be >= 0", "/input/cols")
         mat = parse_matrix(rows, ring, cols, "/input/matrix")
         res = mods.smith_normal_form(mat, ring)
         if not res.verify(mat, ring):
@@ -176,7 +185,7 @@ def run_command(command, input_data, options):
 
     if command == "ss-basechange":
         x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
-        spec_json = _want(input_data, "spec", "/input")
+        spec_json = _want(input_data, "spec", "/input", dict)
         bspec = mods.BaseChangeSpec(
             kind=spec_json.get("kind"), unit=spec_json.get("unit"),
             ell=spec_json.get("ell"), precision_n=spec_json.get("precision_n"))
@@ -341,6 +350,11 @@ def run_job(job, timing=False):
         exit_code = 3
     except InternalInconsistencyError as exc:
         payload = {"error": str(exc), "error_kind": "internal_inconsistency"}
+        exit_code = 4
+    except Exception as exc:
+        # a bug, not a verdict: report it so a batch still records every job
+        traceback.print_exc()
+        payload = {"error": f"{type(exc).__name__}: {exc}", "error_kind": "internal_error"}
         exit_code = 4
     elapsed_ms = int((time.time() - started) * 1000)
     report = {

@@ -2,7 +2,8 @@
 
 Exit-code mapping used by the CLI:
   0 completed, 2 hypothesis gate unmet, 3 precision-limited,
-  4 internal inconsistency (a checked theorem failed to hold).
+  4 internal inconsistency (a checked theorem failed to hold), or any
+    other exception, reported as an internal error.
 Input/schema problems exit 1 and never reach dispatch.
 """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .bruteforce import _grow_submodule
 from .errors import (InternalInconsistencyError, NotElementaryError,
                      PrecisionError, UnsupportedRingError)
 from .linalg import Mat
@@ -174,17 +175,7 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True, cancel=None):
     zero = (0,) * mlen
 
     def closure(gens):
-        seen = {zero}
-        stack = [zero]
-        gens = list(gens)
-        while stack:
-            x = stack.pop()
-            for s in gens:
-                y = add(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+        return _grow_submodule(zero, gens, lambda x: {smul(c, x) for c in range(pb)}, add)
 
     split_set = set()
     for v in avals:

@@ -15,6 +15,7 @@ an internal inconsistency, never silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .bruteforce import (
     FiniteModule,
@@ -667,6 +668,7 @@ def oracle(x, cancel=None):
             return fms[i]
         return None
 
+    @cache
     def fil_set(i, n):
         f = fm(i)
         if f is None:
@@ -709,13 +711,18 @@ def oracle(x, cancel=None):
     for i in range(x.lo, x.hi + 1):
         f = fms[i]
         for n in range(x.wmin + 1, x.wmax + 1):
-            fs = fil_set(i, n)
-            zn = {e for e in fs if (fm(i - 1) is None or d_of(i, e) == fms[i - 1].zero)}
-            fil_up = fil_set(i + 1, n)
-            dsub = f.subgroup(d_image(i + 1, fil_up)) if fm(i + 1) else {f.zero}
+            zn = fil_set(i, n) & ker[i]
+            dsub = f.subgroup(d_image(i + 1, fil_set(i + 1, n))) if fm(i + 1) else {f.zero}
             for e in zn:
                 if e in bnd[i] and e not in dsub:
                     degenerate = False
+
+    # a_sets[i][n] = (Z_i meet fil^n) + B_i, the preimage of fil^n H_i in Z_i
+    a_sets = {}
+    if degenerate:
+        for i in range(x.lo, x.hi + 1):
+            a_sets[i] = {n: fms[i].subgroup((fil_set(i, n) & ker[i]) | bnd[i])
+                         for n in range(x.wmin, x.wmax + 2)}
 
     saturated = degenerate
     if degenerate:
@@ -725,13 +732,7 @@ def oracle(x, cancel=None):
             lt = torsion_length_of_multiset(h_mult, prec)
             gr_sum = 0
             for n in range(x.wmin, x.wmax + 1):
-                a_n = f.subgroup(
-                    {e for e in fil_set(i, n)
-                     if (fm(i - 1) is None or d_of(i, e) == fms[i - 1].zero)} | bnd[i])
-                a_n1 = f.subgroup(
-                    {e for e in fil_set(i, n + 1)
-                     if (fm(i - 1) is None or d_of(i, e) == fms[i - 1].zero)} | bnd[i])
-                mult = quotient_exponent_multiset(f, a_n, a_n1)
+                mult = quotient_exponent_multiset(f, a_sets[i][n], a_sets[i][n + 1])
                 gr_sum += torsion_length_of_multiset(mult, prec)
             if lt != gr_sum:
                 saturated = False
@@ -743,19 +744,18 @@ def oracle(x, cancel=None):
                 break
             f = fms[i]
             submods = _all_submodules_of_quotient(f, ker[i], bnd[i])
-            hsize = len(f.subgroup(ker[i])) // len(f.subgroup(bnd[i]))
+            bsize = len(bnd[i])
+            hsize = len(ker[i]) // bsize
             for n in range(x.wmin + 1, x.wmax + 1):
-                a_set = f.subgroup(
-                    {e for e in fil_set(i, n)
-                     if (fm(i - 1) is None or d_of(i, e) == fms[i - 1].zero)} | bnd[i])
-                asize = len(a_set) // len(f.subgroup(bnd[i]))
+                a_set = a_sets[i][n]
+                asize = len(a_set) // bsize
                 found = False
                 for b_set in submods:
                     inter = a_set & b_set
-                    if len(inter) == len(f.subgroup(bnd[i])):
+                    if len(inter) == bsize:
                         ssum = f.subgroup(a_set | b_set)
-                        if len(ssum) // len(f.subgroup(bnd[i])) == hsize and \
-                                (len(b_set) // len(f.subgroup(bnd[i]))) * asize == hsize:
+                        if len(ssum) // bsize == hsize and \
+                                (len(b_set) // bsize) * asize == hsize:
                             found = True
                             break
                 if not found:
@@ -798,7 +798,7 @@ def _oracle_zr(x, fms, fil_set, d_of, n, i, r):
     fs = fil_set(i, n)
     if not (x.lo <= i - 1 <= x.hi):
         return fs
-    tgt_sub = fms[i - 1].subgroup(fil_set(i - 1, n + r))
+    tgt_sub = fil_set(i - 1, n + r)
     return {e for e in fs if d_of(i, e) in tgt_sub}
 
 
@@ -814,15 +814,14 @@ def _oracle_boundary(x, fms, fil_set, d_of, n, i, r):
 
 
 def _all_submodules_of_quotient(f, big, small):
-    """All submodules of big/small, represented as saturated subsets of big."""
-    base = f.subgroup(small)
-    subs = {frozenset(base)}
-    frontier = [frozenset(base)]
-    big_set = f.subgroup(big)
+    """All submodules of big/small, represented as saturated subsets of big;
+    big and small are submodules of f."""
+    subs = {frozenset(small)}
+    frontier = [frozenset(small)]
     while frontier:
         nxt = []
         for s in frontier:
-            for e in big_set:
+            for e in big:
                 if e in s:
                     continue
                 grown = frozenset(f.subgroup(set(s) | {e}))

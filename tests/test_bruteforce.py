@@ -1,0 +1,146 @@
+"""The element-level closures against a naive pairwise-sum closure.
+
+`FiniteModule.subgroup` and `span_subgroup` grow a submodule one generator
+at a time.  The reference below is the breadth-first closure under all
+pairwise sums that they replaced: slower, but obviously right.
+"""
+
+import importlib
+import pkgutil
+import random
+
+import pytest
+
+import truncalg
+from truncalg.bruteforce import (
+    ORACLE_ELEMENT_BOUND,
+    FiniteModule,
+    enumerate_ring,
+    quotient_exponent_multiset,
+    ring_size,
+    span_subgroup,
+)
+from truncalg.linalg import Mat
+from truncalg.modules import PresentedModule
+from truncalg.rings import TruncatedPadic, TruncatedPowerSeries
+
+# (ring, largest generator count), each within ORACLE_ELEMENT_BOUND
+RINGS = [
+    (TruncatedPadic(2, 2), 4),          # Z/4
+    (TruncatedPadic(2, 3), 3),          # Z/8
+    (TruncatedPadic(3, 2), 3),          # Z/9
+    (TruncatedPowerSeries(2, 2), 4),    # F_2[z]/z^2
+    (TruncatedPowerSeries(3, 2), 3),    # F_3[z]/z^2
+]
+MODULES_PER_RING = 12
+
+
+def pairwise_closure(zero, seeds, add):
+    """Close {zero} and the seeds under pairwise sums, level by level."""
+    seeds = set(seeds) | {zero}
+    closed = set(seeds)
+    frontier = list(closed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in seeds:
+                y = add(x, s)
+                if y not in closed:
+                    closed.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return closed
+
+
+def reference_subgroup(fm, elems):
+    scalars = enumerate_ring(fm.ring)
+    return pairwise_closure(fm.zero, {fm.scale(c, x) for x in elems for c in scalars},
+                            fm.add)
+
+
+def reference_span(ring, rows, gens):
+    scalars = enumerate_ring(ring)
+    seeds = {tuple(ring.mul(c, a) for a in r) for r in rows for c in scalars}
+    return pairwise_closure((ring.zero,) * gens, seeds,
+                            lambda x, y: tuple(ring.add(a, b) for a, b in zip(x, y)))
+
+
+def random_vectors(ring, gens, count, rng):
+    scalars = enumerate_ring(ring)
+    return [tuple(rng.choice(scalars) for _ in range(gens)) for _ in range(count)]
+
+
+def random_modules(ring, max_gens, seed):
+    """Presented modules with 1..max_gens generators and 0..3 relations."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(MODULES_PER_RING):
+        g = rng.randint(1, max_gens)
+        assert ring_size(ring) ** g <= ORACLE_ELEMENT_BOUND
+        rows = [list(v) for v in random_vectors(ring, g, rng.randint(0, 3), rng)]
+        out.append(PresentedModule(ring, g, Mat(len(rows), g, rows)))
+    return out
+
+
+MODULES = {k: random_modules(ring, max_gens, 41 + k)
+           for k, (ring, max_gens) in enumerate(RINGS)}
+
+
+@pytest.mark.parametrize("k", range(len(RINGS)))
+def test_subgroup_matches_pairwise_closure(k):
+    """Canonical classes and raw vectors alike, from zero to four elements."""
+    rng = random.Random(1000 + k)
+    for pm in MODULES[k]:
+        fm = FiniteModule(pm)
+        for _ in range(4):
+            elems = [rng.choice(fm.elements) for _ in range(rng.randint(0, 2))]
+            elems += random_vectors(pm.ring, pm.gens, rng.randint(0, 2), rng)
+            assert fm.subgroup(elems) == reference_subgroup(fm, elems), (pm, elems)
+
+
+@pytest.mark.parametrize("k", range(len(RINGS)))
+def test_span_subgroup_matches_pairwise_closure(k):
+    rng = random.Random(2000 + k)
+    for pm in MODULES[k]:
+        assert span_subgroup(pm.ring, pm.relations.data, pm.gens) == \
+            reference_span(pm.ring, pm.relations.data, pm.gens), pm
+        rows = random_vectors(pm.ring, pm.gens, rng.randint(0, 4), rng)
+        assert span_subgroup(pm.ring, rows, pm.gens) == \
+            reference_span(pm.ring, rows, pm.gens), (pm, rows)
+
+
+@pytest.mark.parametrize("k", range(len(RINGS)))
+def test_subgroup_is_closed_and_canonical(k):
+    """The closure of a subgroup is itself, and it holds only canonical reps."""
+    rng = random.Random(3000 + k)
+    for pm in MODULES[k]:
+        fm = FiniteModule(pm)
+        sub = fm.subgroup(random_vectors(pm.ring, pm.gens, rng.randint(1, 3), rng))
+        assert fm.subgroup(sub) == sub
+        assert all(fm.rep(e) == e for e in sub)
+        assert sub <= set(fm.elements)
+        assert len(fm.elements) % len(sub) == 0
+        assert fm.subgroup(fm.elements) == set(fm.elements)
+        assert fm.subgroup([]) == {fm.zero}
+
+
+def test_closures_use_no_solver(monkeypatch):
+    """The oracle's closures stand apart from the SNF and the solvers: with
+    both patched to raise in every namespace, they still run."""
+    built = [(pm, random_vectors(pm.ring, pm.gens, 3, random.Random(k)))
+             for k, mods in MODULES.items() for pm in mods[:2]]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("solver called from the element-level oracle")
+
+    for info in pkgutil.iter_modules(truncalg.__path__):
+        mod = importlib.import_module(f"truncalg.{info.name}")
+        for name in ("smith_normal_form", "solve_left_info"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    for pm, vecs in built:
+        fm = FiniteModule(pm)
+        sub = fm.subgroup(vecs)
+        assert sub == reference_subgroup(fm, vecs)
+        assert span_subgroup(pm.ring, vecs, pm.gens) == reference_span(pm.ring, vecs, pm.gens)
+        quotient_exponent_multiset(fm, fm.elements, sub)

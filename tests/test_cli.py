@@ -147,6 +147,7 @@ def test_tower_job():
 
 
 Z8 = {"family": "TruncatedPadic", "p": 2, "N": 3}
+Z64 = {"family": "TruncatedPadic", "p": 2, "N": 6}
 Z27 = {"family": "TruncatedPadic", "p": 3, "N": 3}
 
 
@@ -229,6 +230,11 @@ _CHILD_RUN_JOB = (
      "/input/complex/filtration/0/degree"),
     ("ss_basechange_identity.json", "/input/complex/filtration/0/degree", -1,
      "/input/complex/filtration/0/degree"),
+    ("snf_2468.json", "/input/matrix", 5, "/input/matrix"),
+    ("snf_2468.json", "/input/matrix", [5], "/input/matrix/0"),
+    ("snf_2468.json", "/input", {"ring": Z64, "matrix": [], "cols": "a"}, "/input/cols"),
+    ("snf_2468.json", "/input", {"ring": Z64, "matrix": [], "cols": -1}, "/input/cols"),
+    ("ss_basechange_identity.json", "/input/spec", 5, "/input/spec"),
 ])
 def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     """Each mutant once raised, hung or was silently truncated; now it exits 1
@@ -243,3 +249,37 @@ def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     report = out["report"]
     assert out["code"] == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"].startswith(pointer + ":"), report["error"]
+
+
+# Z/p^N whose modulus has ~900k digits: formatting it raises ValueError
+# (Python's int-to-str digit limit) while the non-canonical -1 is rejected
+HUGE_MODULUS_JOB = {
+    "command": "snf",
+    "input": {"ring": {"family": "TruncatedPadic", "p": 1000000007, "N": 100000},
+              "matrix": [[-1]]},
+    "options": {}}
+
+
+def test_unexpected_exception_is_an_internal_error_report(tmp_path):
+    """An exception outside the error taxonomy becomes an exit-4 report that
+    names its type, and in batch mode the other jobs still get theirs."""
+    import shutil
+
+    report, code = run_job(HUGE_MODULUS_JOB)
+    assert code == 4 and report["error_kind"] == "internal_error"
+    assert "ValueError" in report["error"]
+    assert report["job"] == HUGE_MODULUS_JOB
+
+    (tmp_path / "snf_huge_modulus.json").write_text(json.dumps(HUGE_MODULUS_JOB))
+    shutil.copy(os.path.join(CORPUS, "snf_2468.json"), tmp_path / "snf_2468.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout.splitlines() == ["snf_2468.json: exit 0",
+                                        "snf_huge_modulus.json: exit 4"]
+    with open(os.path.join(CORPUS, "snf_2468.report.json")) as fh:
+        assert (tmp_path / "snf_2468.report.json").read_text() == fh.read()
+    huge = json.loads((tmp_path / "snf_huge_modulus.report.json").read_text())
+    assert huge["exit_code"] == 4 and huge["error_kind"] == "internal_error"
+    assert "ValueError" in huge["error"]

@@ -263,6 +263,33 @@ def test_oracle_agreement_at_higher_precision():
     assert (True, False) in hist  # the saturated-but-not-split tier appears
 
 
+def test_oracle_agreement_two_generators_z8():
+    """Two-generator complexes over Z/2^3 (up to 64 elements per degree):
+    checker and oracle agree on all four tiers, over more than one tier
+    class."""
+    rng = random.Random(71)
+    ring = TruncatedPadic(2, 3)
+    hist = {}
+    done = 0
+    for _ in range(600):
+        if done >= 20:
+            break
+        x = random_filtered_complex(ring, rng, max_gens=2, weights=rng.choice([2, 3]))
+        if x is None:
+            continue
+        orc = oracle(x)
+        rep = degeneration_report(x)
+        got = {"rationally_degenerate": rep.rationally_degenerate,
+               "degenerate": rep.degenerate, "saturated": rep.saturated,
+               "split": rep.split}
+        assert got == orc, {i: x.module(i).relations.data for i in range(x.lo, x.hi + 1)}
+        tiers = tuple(got[k] for k in sorted(got))
+        hist[tiers] = hist.get(tiers, 0) + 1
+        done += 1
+    assert done == 20
+    assert len(hist) >= 2, hist
+
+
 def test_verdict_monotonicity_fuzz():
     rng = random.Random(23)
     ring = TruncatedPadic(2, 2)
