@@ -188,7 +188,8 @@ job = {
                     "properties": {"oracle": {"type": "boolean"},
                                    "prime_bound": {"type": "integer"},
                                    "precision_n": {"type": "integer"},
-                                   "precision_m": {"type": "integer"}}}},
+                                   "precision_m": {"type": "integer"},
+                                   "precision_n_local": {"type": "integer"}}}},
     "required": ["command", "input"],
     "exit_codes": {"0": "completed", "1": "schema/input error (never dispatched)",
                    "2": "hypothesis gate unmet", "3": "precision-limited",
@@ -202,8 +203,11 @@ report = {
     "type": "object",
     "properties": {
         "version": {"type": "string"},
-        "command": {"type": "string"},
-        "job": {"description": "echo of the input job"},
+        "command": {"type": ["string", "null"],
+                    "description": "null when the job names no command or "
+                                   "is not a JSON object"},
+        "job": {"description": "echo of the input job; null when the job "
+                               "file could not be read as JSON"},
         "exit_code": {"type": "integer"},
         "verdicts": {"type": "object"},
         "witnesses": {"type": "object"},

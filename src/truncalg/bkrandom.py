@@ -9,12 +9,10 @@ quotient admits.  Every produced tower verifies by construction."""
 from __future__ import annotations
 
 from .breuil_kisin import (
-    BKModule,
     extension_node,
     frob_matrix,
     leaf,
     make_bk_module,
-    phi_twist,
 )
 from .linalg import Mat, invert, solve_left_mod
 from .modules import PresentedModule, module_map

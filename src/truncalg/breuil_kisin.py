@@ -14,7 +14,7 @@ rather than fabricate certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     HypothesisUnmetError,
@@ -25,31 +25,29 @@ from .errors import (
 )
 from .linalg import Mat, solve_left_mod
 from .modules import (
-    BaseChangeSpec,
     ModuleMap,
     PresentedModule,
-    base_change,
     cokernel,
     compose,
     decompose_elementary,
-    identity_map,
     image,
+    is_injective,
+    is_surjective,
     is_zero_map,
-    is_zero_module,
     kernel,
     maps_equal,
     module_map,
     rows_are_zero_classes,
     verify_exact_at,
 )
-from .rings import TruncatedBK, TruncatedPowerSeries
-from .smodules import NotElementary, decompose_over_s, gr_p
+from .rings import TruncatedBK
+from .smodules import NotElementary, _reduce_mod_p, _s1_of, decompose_over_s, gr_p
 
 
 def phi_twist(m):
-    """The Frobenius-twist base change of a presented module."""
-    out, _ = base_change(m, BaseChangeSpec("frobenius_twist"))
-    return out
+    """The Frobenius twist of a presented module over either z-family:
+    z |-> z^p on the relations."""
+    return PresentedModule(m.ring, m.gens, frob_matrix(m.relations, m.ring))
 
 
 def frob_matrix(mat, ring):
@@ -222,10 +220,8 @@ def is_killed_by_p(m):
 
 def s1_presentation(m):
     """A p-killed module over T as a module over S1 = F_p[z]/(z^M)."""
-    ring = m.ring
-    s1 = TruncatedPowerSeries(ring.p, ring.precision_m)
-    rows = [[tuple(c % ring.p for c in x) for x in row] for row in m.relations.data]
-    return PresentedModule(s1, m.gens, Mat(m.relations.rows, m.gens, rows))
+    s1 = _s1_of(m.ring)
+    return PresentedModule(s1, m.gens, _reduce_mod_p(m.relations, s1))
 
 
 def is_s1_free(m):
@@ -370,11 +366,9 @@ def verify_tower(node, r, bar=False, p_killed_only=False):
     ok, why = verify_tower(node.quot, r, bar=bar)
     if not ok:
         return ok, why
-    kmod, kincl = kernel(node.incl)
-    if not rows_are_zero_classes(node.sub.bk.module, kincl.matrix):
+    if not is_injective(node.incl):
         return False, "tower inclusion not injective"
-    cmod, _ = cokernel(node.proj)
-    if not is_zero_module(cmod):
+    if not is_surjective(node.proj):
         return False, "tower projection not surjective"
     if not verify_exact_at(node.incl, node.proj):
         return False, "tower stage not exact"
@@ -457,22 +451,13 @@ class BKSes:
 def make_bk_ses(a, b, c, inject_matrix, surject_matrix):
     inj = make_bk_map(a, b, inject_matrix)
     sur = make_bk_map(b, c, surject_matrix)
-    kmod, kincl = kernel(inj.map)
-    if not rows_are_zero_classes(a.module, kincl.matrix):
+    if not is_injective(inj.map):
         raise HypothesisUnmetError("BK inject has a kernel")
-    cmod, _ = cokernel(sur.map)
-    if not is_zero_module(cmod):
+    if not is_surjective(sur.map):
         raise HypothesisUnmetError("BK surject has a cokernel")
     if not verify_exact_at(inj.map, sur.map):
         raise HypothesisUnmetError("BK sequence not exact in the middle")
     return BKSes(a, b, c, inj.map, sur.map)
-
-
-def _s1_twist(m_s1):
-    """Frobenius twist of an S1-presented module (z |-> z^p on relations)."""
-    s1 = m_s1.ring
-    rows = [[s1.frobenius(x) for x in row] for row in m_s1.relations.data]
-    return PresentedModule(s1, m_s1.gens, Mat(m_s1.relations.rows, m_s1.gens, rows))
 
 
 def _lift_rows(surject, targets, ring):
@@ -494,39 +479,27 @@ def connecting_maps(ses):
     """The maps c_j: Q -> gr_p^j A (lift, multiply by p, project), verified
     Frobenius-compatible at the trusted z-precision."""
     ring = ses.b.ring
-    n = ring.precision_n
-    p = ring.p
     q = ses.c
     lifts = _lift_rows(ses.surject, Mat.identity(q.module.gens, ring), ring)
-    p_lifts = lifts.scale(ring.from_int(p), ring)
+    p_lifts = lifts.scale(ring.from_int(ring.p), ring)
     a_rows = _express_through(ses.inject, p_lifts, ring)
-    out = []
-    q_s1 = s1_presentation(q.module)
-    s1 = q_s1.ring
+    q_obj = _s1_object(s1_presentation(q.module), q)
+    s1 = q_obj.module.ring
+    cj_mat = _reduce_mod_p(a_rows, s1)
     trusted = ring.frobenius_trusted_precision
-    for j in range(n):
+    out = []
+    for j in range(ring.precision_n):
         sl = gr_p(ses.a.module, j)
-        cj_rows = [[tuple(c % p for c in x) for x in row] for row in a_rows.data]
-        cj = module_map(q_s1, sl.module, Mat(len(cj_rows), ses.a.module.gens, cj_rows))
+        cj = module_map(q_obj.module, sl.module, cj_mat)
         # Frobenius compatibility: c_j . phi(gr A) = phi(Q) . c_j after twisting
-        phi_q_rows = [[tuple(c % p for c in x) for x in row] for row in q.phi.matrix.data]
-        phi_a_rows = [[tuple(c % p for c in x) for x in row] for row in ses.a.phi.matrix.data]
-        tw_q = _s1_twist(q_s1)
-        tw_a = _s1_twist(sl.module)
-        phi_q = module_map(tw_q, q_s1, Mat(len(phi_q_rows), q.module.gens, phi_q_rows))
-        phi_a = module_map(tw_a, sl.module,
-                           Mat(len(phi_a_rows), ses.a.module.gens, phi_a_rows))
-        lhs = phi_q.matrix.mul(cj.matrix, s1)
-        rhs = frob_s1_matrix(cj.matrix, s1).mul(phi_a.matrix, s1)
+        a_obj = _s1_object(sl.module, ses.a)
+        lhs = q_obj.phi.matrix.mul(cj.matrix, s1)
+        rhs = frob_matrix(cj.matrix, s1).mul(a_obj.phi.matrix, s1)
         if not _equal_at_z_precision(sl.module, lhs, rhs, trusted):
             raise InternalInconsistencyError(
                 f"connecting map c_{j} is not Frobenius-compatible at trusted precision")
         out.append((cj, sl))
     return out
-
-
-def frob_s1_matrix(mat, s1):
-    return Mat(mat.rows, mat.cols, [[s1.frobenius(x) for x in row] for row in mat.data])
 
 
 def _equal_at_z_precision(target_module, m1, m2, zprec):
@@ -546,20 +519,17 @@ def gr_extension_transfer(ses, quotient_kind, sub_gr_towers, r):
     Returns the per-j certificates for gr_p^j(middle)."""
     ring = ses.b.ring
     n = ring.precision_n
-    p = ring.p
+    q_s1 = s1_presentation(ses.c.module)
+    s1 = q_s1.ring
+    surject_s1 = _reduce_mod_p(ses.surject.matrix, s1)
     out = {}
     if quotient_kind == "free":
-        qred = s1_presentation_free_reduction(ses.c)
+        inject_s1 = _reduce_mod_p(ses.inject.matrix, s1)
         for j in range(n):
             slb = gr_p(ses.b.module, j)
             sla = gr_p(ses.a.module, j)
-            s1 = slb.module.ring
-            arows = [[tuple(c % p for c in x) for x in row] for row in ses.inject.matrix.data]
-            brows = [[tuple(c % p for c in x) for x in row] for row in ses.surject.matrix.data]
-            inc = module_map(sla.module, slb.module,
-                             Mat(len(arows), ses.b.module.gens, arows))
-            prj = module_map(slb.module, qred,
-                             Mat(len(brows), ses.c.module.gens, brows))
+            inc = module_map(sla.module, slb.module, inject_s1)
+            prj = module_map(slb.module, q_s1, surject_s1)
             if not verify_exact_at(inc, prj):
                 raise InternalInconsistencyError(
                     f"free-quotient gr sequence failed exactness at slice {j}")
@@ -567,42 +537,22 @@ def gr_extension_transfer(ses, quotient_kind, sub_gr_towers, r):
                       "quot": "free reduction of the quotient"}
         return out
     cjs = connecting_maps(ses)
-    q_s1 = s1_presentation(ses.c.module)
+    q_obj = _s1_object(q_s1, ses.c)
+    # gr_j B -> gr_{j-1} A by p^j b |-> p^{j-1} (p b)
+    pb_rows = Mat.identity(ses.b.module.gens, ring).scale(ring.from_int(ring.p), ring)
+    down_s1 = _reduce_mod_p(_express_through(ses.inject, pb_rows, ring), s1)
     for j in range(n):
         cj, sla = cjs[j]
-        q_bk_s1 = _as_s1_bk(ses.c)
-        gr_a_bk = _gr_slice_bk(ses.a, j, sla)
-        fmap = _make_s1_bk_map(q_bk_s1, gr_a_bk, cj.matrix)
+        fmap = _make_s1_bk_map(q_obj, _s1_object(sla.module, ses.a), cj.matrix)
         im_tower, cok_tower, _ = s1_closure_check(fmap, sub_gr_towers[j], r)
         slb = gr_p(ses.b.module, j)
-        s1 = slb.module.ring
         if j == 0:
-            brows = [[tuple(c % p for c in x) for x in row] for row in ses.surject.matrix.data]
-            prj = module_map(slb.module, q_s1, Mat(len(brows), ses.c.module.gens, brows))
-            seq_tail = prj
+            tail = module_map(slb.module, q_s1, surject_s1)
         else:
-            # gr_j B -> gr_{j-1} A by p^j b |-> p^{j-1} (p b)
-            pb_rows = Mat.identity(ses.b.module.gens, ring).scale(ring.from_int(p), ring)
-            arows = _express_through(ses.inject, pb_rows, ring)
-            sl_prev = gr_p(ses.a.module, j - 1)
-            rows = [[tuple(c % p for c in x) for x in row] for row in arows.data]
-            prj = module_map(slb.module, sl_prev.module,
-                             Mat(len(rows), ses.a.module.gens, rows))
-            seq_tail = prj
+            tail = module_map(slb.module, cjs[j - 1][1].module, down_s1)
         out[j] = {"connecting": cj, "image_tower": im_tower,
-                  "cokernel_tower": cok_tower, "tail": seq_tail}
+                  "cokernel_tower": cok_tower, "tail": tail}
     return out
-
-
-def s1_presentation_free_reduction(bk):
-    return s1_presentation_raw(bk.module)
-
-
-def s1_presentation_raw(m):
-    ring = m.ring
-    s1 = TruncatedPowerSeries(ring.p, ring.precision_m)
-    rows = [[tuple(c % ring.p for c in x) for x in row] for row in m.relations.data]
-    return PresentedModule(s1, m.gens, Mat(m.relations.rows, m.gens, rows))
 
 
 # S1-level BK-like structures (p-killed objects live over S1 with their own
@@ -615,24 +565,10 @@ class S1Module:
     phi: ModuleMap
 
 
-def _as_s1_bk(bk):
-    q_s1 = s1_presentation(bk.module)
-    s1 = q_s1.ring
-    p = s1.p
-    rows = [[tuple(c % p for c in x) for x in row] for row in bk.phi.matrix.data]
-    phi = module_map(_s1_twist(q_s1), q_s1, Mat(len(rows), bk.module.gens, rows))
-    return S1Module(q_s1, phi)
-
-
-def _gr_slice_bk(bk, j, sl=None):
-    ring = bk.ring
-    if sl is None:
-        sl = gr_p(bk.module, j)
-    s1 = sl.module.ring
-    rows = [[tuple(c % ring.p for c in x) for x in row] for row in bk.phi.matrix.data]
-    phi = module_map(_s1_twist(sl.module), sl.module,
-                     Mat(len(rows), bk.module.gens, rows))
-    return S1Module(sl.module, phi)
+def _s1_object(m_s1, bk):
+    """An S1-presented module carrying bk's structure map reduced mod p."""
+    phi = _reduce_mod_p(bk.phi.matrix, m_s1.ring)
+    return S1Module(m_s1, module_map(phi_twist(m_s1), m_s1, phi))
 
 
 @dataclass
@@ -646,7 +582,7 @@ def _make_s1_bk_map(src, tgt, matrix):
     f = module_map(src.module, tgt.module, matrix)
     s1 = src.module.ring
     lhs = src.phi.matrix.mul(matrix, s1)
-    rhs = frob_s1_matrix(matrix, s1).mul(tgt.phi.matrix, s1)
+    rhs = frob_matrix(matrix, s1).mul(tgt.phi.matrix, s1)
     trusted = (s1.mlen + s1.p - 1) // s1.p
     if not _equal_at_z_precision(tgt.module, lhs, rhs, trusted):
         raise HypothesisUnmetError("S1 map fails Frobenius equivariance at trusted precision")
@@ -669,7 +605,7 @@ def s1_leaf(obj):
 
 def gr_tower_leaf(bk, j):
     """Leaf certificate for gr_p^j of a module whose slice is S1-free."""
-    return s1_leaf(_gr_slice_bk(bk, j))
+    return s1_leaf(_s1_object(gr_p(bk.module, j).module, bk))
 
 
 def s1_closure_check(f, n_tower, r):
@@ -677,18 +613,18 @@ def s1_closure_check(f, n_tower, r):
     s1 = f.source.module.ring
     if n_tower.kind != "extension":
         imod, iincl, _ = image(f.map)
-        phi_i = module_map(_s1_twist(imod), imod, f.source.phi.matrix)
+        phi_i = module_map(phi_twist(imod), imod, f.source.phi.matrix)
         cmod, _ = cokernel(f.map)
-        phi_c = module_map(_s1_twist(cmod), cmod, n_tower.obj.phi.matrix)
+        phi_c = module_map(phi_twist(cmod), cmod, n_tower.obj.phi.matrix)
         return s1_leaf(S1Module(imod, phi_i)), s1_leaf(S1Module(cmod, phi_c)), {}
     gmat = f.map.matrix.mul(n_tower.proj.matrix, s1)
     g = _make_s1_bk_map(f.source, n_tower.quot.obj, gmat)
     kmod, kincl = kernel(g.map)
-    comp = frob_s1_matrix(kincl.matrix, s1).mul(f.source.phi.matrix, s1)
+    comp = frob_matrix(kincl.matrix, s1).mul(f.source.phi.matrix, s1)
     sol = solve_left_mod(kincl.matrix, comp, f.source.module.relations, s1)
     if sol is None:
         raise InternalInconsistencyError("S1 kernel is not phi-stable")
-    kobj = S1Module(kmod, module_map(_s1_twist(kmod), kmod, sol[0]))
+    kobj = S1Module(kmod, module_map(phi_twist(kmod), kmod, sol[0]))
     rows = kincl.matrix.mul(f.map.matrix, s1)
     sol2 = solve_left_mod(n_tower.incl.matrix, rows, n_tower.obj.module.relations, s1)
     if sol2 is None:
@@ -696,13 +632,13 @@ def s1_closure_check(f, n_tower, r):
     fprime = _make_s1_bk_map(kobj, n_tower.sub.obj, sol2[0])
     im_sub, cok_sub, _ = s1_closure_check(fprime, n_tower.sub, r)
     imod, iincl, _ = image(f.map)
-    phi_i = module_map(_s1_twist(imod), imod, f.source.phi.matrix)
+    phi_i = module_map(phi_twist(imod), imod, f.source.phi.matrix)
     iobj = S1Module(imod, phi_i)
     cmod, _ = cokernel(f.map)
-    phi_c = module_map(_s1_twist(cmod), cmod, n_tower.obj.phi.matrix)
+    phi_c = module_map(phi_twist(cmod), cmod, n_tower.obj.phi.matrix)
     cobj = S1Module(cmod, phi_c)
     img_g, _, _ = image(g.map)
-    phi_img = module_map(_s1_twist(img_g), img_g, f.source.phi.matrix)
+    phi_img = module_map(phi_twist(img_g), img_g, f.source.phi.matrix)
     im_node = S1TowerNode(iobj, "extension",
                           sub=im_sub,
                           incl=module_map(im_sub.obj.module, imod, kincl.matrix),
@@ -710,7 +646,7 @@ def s1_closure_check(f, n_tower, r):
                           proj=module_map(imod, img_g,
                                           Mat.identity(f.source.module.gens, s1)))
     cok_g, _ = cokernel(g.map)
-    phi_cg = module_map(_s1_twist(cok_g), cok_g, n_tower.quot.obj.phi.matrix)
+    phi_cg = module_map(phi_twist(cok_g), cok_g, n_tower.quot.obj.phi.matrix)
     cok_node = S1TowerNode(cobj, "extension",
                            sub=cok_sub,
                            incl=module_map(cok_sub.obj.module, cmod, n_tower.incl.matrix),

@@ -19,28 +19,22 @@ import sys
 import tempfile
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from . import VERSION_STAMP
 from .errors import (
-    HypothesisUnmetError,
     InternalInconsistencyError,
-    NotElementaryError,
-    NotWellDefinedError,
-    PrecisionError,
     SchemaError,
     TruncalgError,
     UnsupportedRingError,
 )
-from .linalg import Mat
+from .linalg import smith_normal_form
 from .rings import primerange
 from .schemas import (
     _want,
-    cw_to_json,
     jsonable,
-    map_to_json,
     matrix_to_json,
     module_to_json,
+    parse_base_change_spec,
     parse_bk_module,
     parse_cw,
     parse_filtered_complex,
@@ -51,7 +45,6 @@ from .schemas import (
     parse_ring,
     parse_ses,
     parse_tower,
-    ring_to_json,
 )
 
 COMMANDS = ("snf", "decompose", "ext1", "split", "ss-report", "ss-basechange",
@@ -93,7 +86,7 @@ def run_command(command, input_data, options):
     oracle_on = bool(options.get("oracle"))
 
     if command == "snf":
-        ring = parse_ring(_want(input_data, "ring", "/input"))
+        ring = parse_ring(_want(input_data, "ring", "/input"), "/input/ring")
         rows = _want(input_data, "matrix", "/input", list)
         if rows:
             if not isinstance(rows[0], list):
@@ -104,7 +97,7 @@ def run_command(command, input_data, options):
             if cols < 0:
                 raise SchemaError("field 'cols' must be >= 0", "/input/cols")
         mat = parse_matrix(rows, ring, cols, "/input/matrix")
-        res = mods.smith_normal_form(mat, ring)
+        res = smith_normal_form(mat, ring)
         if not res.verify(mat, ring):
             raise InternalInconsistencyError("SNF witnesses failed to verify")
         return {"verdicts": {"divisors": [jsonable_elt(d, ring) for d in res.divisors]},
@@ -185,10 +178,7 @@ def run_command(command, input_data, options):
 
     if command == "ss-basechange":
         x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
-        spec_json = _want(input_data, "spec", "/input", dict)
-        bspec = mods.BaseChangeSpec(
-            kind=spec_json.get("kind"), unit=spec_json.get("unit"),
-            ell=spec_json.get("ell"), precision_n=spec_json.get("precision_n"))
+        bspec = parse_base_change_spec(_want(input_data, "spec", "/input", dict), "/input/spec")
         rep, descent = spec.base_change_report(x, bspec)
         if isinstance(rep, spec.TensoredReport):
             payload = {"verdicts": {"degenerate_after_tensoring": rep.degenerate,
@@ -222,7 +212,7 @@ def run_command(command, input_data, options):
         r = (_want(input_data, "r", "/input", int) if "r" in input_data
              else b.height_window[1])
         tower = None
-        if input_data.get("tower"):
+        if input_data.get("tower") is not None:
             tower = parse_tower(input_data["tower"], "/input/tower")
         res = bkm.structure_check(b, r, tower=tower)
         verdicts = {"hypothesis_met": res.hypothesis_met,
@@ -323,56 +313,69 @@ def report_payload(rep):
             "notes": rep.notes}
 
 
-def run_job(job, timing=False):
-    """Execute one job dict; returns (report dict, exit code)."""
-    started = time.time()
-    exit_code = 0
-    payload = {}
-    hypothesis_flag = False
-    try:
-        command = job.get("command")
-        if command not in COMMANDS:
-            raise SchemaError(f"unknown command '{command}'", "/command")
-        options = job.get("options", {}) or {}
-        input_data = _apply_precision_overrides(job.get("input", {}), options)
-        payload = run_command(command, input_data, options)
-        hypothesis_flag = payload.pop("hypothesis_flag", False)
-        exit_code = payload.pop("exit_code_override", 0)
-    except SchemaError as exc:
-        payload = {"error": str(exc), "error_kind": "schema"}
-        exit_code = 1
-    except (HypothesisUnmetError, UnsupportedRingError, NotWellDefinedError,
-            NotElementaryError) as exc:
-        payload = {"error": str(exc), "error_kind": "hypothesis_gate"}
-        exit_code = 2
-    except PrecisionError as exc:
-        payload = {"error": str(exc), "error_kind": "precision_limited"}
-        exit_code = 3
-    except InternalInconsistencyError as exc:
-        payload = {"error": str(exc), "error_kind": "internal_inconsistency"}
-        exit_code = 4
-    except Exception as exc:
-        # a bug, not a verdict: report it so a batch still records every job
-        traceback.print_exc()
-        payload = {"error": f"{type(exc).__name__}: {exc}", "error_kind": "internal_error"}
-        exit_code = 4
-    elapsed_ms = int((time.time() - started) * 1000)
+ERROR_KINDS = {1: "schema", 2: "hypothesis_gate", 3: "precision_limited",
+               4: "internal_inconsistency"}
+
+
+def _failure(exc):
+    """(payload, exit code) for the exception that ended a job."""
+    if isinstance(exc, TruncalgError):
+        return {"error": str(exc), "error_kind": ERROR_KINDS[exc.exit_code]}, exc.exit_code
+    # a bug, not a verdict: report it so a batch still records every job
+    traceback.print_exception(exc)
+    return {"error": f"{type(exc).__name__}: {exc}", "error_kind": "internal_error"}, 4
+
+
+def _report(job, payload, exit_code, hypothesis_flag=False, timing_ms=None):
     report = {
         "version": VERSION_STAMP,
-        "command": job.get("command"),
+        "command": job.get("command") if isinstance(job, dict) else None,
         "job": job,
         "exit_code": exit_code,
         "hypothesis_flag": hypothesis_flag,
-        "timing_ms": elapsed_ms if timing else None,
+        "timing_ms": timing_ms,
     }
     report.update({k: payload.get(k) for k in ("verdicts", "witnesses", "ledgers", "notes")
                    if k in payload})
     if "error" in payload:
         report["error"] = payload["error"]
         report["error_kind"] = payload["error_kind"]
-    precision_trail = payload.get("precision_trail", [])
-    report["precision_trail"] = precision_trail
+    report["precision_trail"] = payload.get("precision_trail", [])
+    return report
+
+
+def run_job(job, timing=False):
+    """Execute one job (a parsed JSON document); returns (report dict, exit code)."""
+    started = time.time()
+    hypothesis_flag = False
+    try:
+        if not isinstance(job, dict):
+            raise SchemaError("a job must be a JSON object")
+        command = job.get("command")
+        if command not in COMMANDS:
+            raise SchemaError(f"unknown command '{command}'", "/command")
+        options = _parse_options(job)
+        input_data = _apply_precision_overrides(job.get("input", {}), options)
+        payload = run_command(command, input_data, options)
+        hypothesis_flag = payload.pop("hypothesis_flag", False)
+        exit_code = payload.pop("exit_code_override", 0)
+    except Exception as exc:
+        payload, exit_code = _failure(exc)
+    elapsed_ms = int((time.time() - started) * 1000)
+    report = _report(job, payload, exit_code, hypothesis_flag,
+                     elapsed_ms if timing else None)
     return report, exit_code
+
+
+def _parse_options(job):
+    """The job's options; the integer ones must be JSON integers."""
+    options = job.get("options", {}) or {}
+    if not isinstance(options, dict):
+        raise SchemaError("options must be an object", "/options")
+    for key in ("prime_bound", "precision_n", "precision_m", "precision_n_local"):
+        if options.get(key) is not None:
+            _want(options, key, "/options", int)
+    return options
 
 
 def emit(report, fmt="json"):
@@ -426,57 +429,26 @@ def main(argv=None):
     ap.add_argument("--prime-bound", type=int, default=None)
     ap.add_argument("--precision-N", type=int, default=None, dest="precision_n")
     ap.add_argument("--precision-M", type=int, default=None, dest="precision_m")
-    ap.add_argument("--workers", type=int, default=max(1, (os.cpu_count() or 2) // 2))
     ap.add_argument("--corpus-dir", help="process every .json job in a directory")
     ap.add_argument("--timing", action="store_true",
                     help="include wall time in the JSON report (breaks byte stability)")
     args = ap.parse_args(argv)
 
     if args.corpus_dir:
-        paths = sorted(p for p in os.listdir(args.corpus_dir)
+        names = sorted(p for p in os.listdir(args.corpus_dir)
                        if p.endswith(".json") and not p.endswith(".report.json"))
-        codes = {}
-
-        def work(name):
+        worst = 0
+        for name in names:
             full = os.path.join(args.corpus_dir, name)
-            with open(full) as fh:
-                job = json.load(fh)
-            job = _merge_cli_options(job, args)
-            report, code = run_job(job, timing=args.timing)
-            out = full[:-5] + ".report.json"
-            _atomic_write(out, emit(report, "json"))
-            return name, code
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            for name, code in pool.map(work, paths):
-                codes[name] = code
-                print(f"{name}: exit {code}")
-        return max(codes.values()) if codes else 0
+            text, code = _run_file(full, None, args, "json")
+            _atomic_write(full[:-5] + ".report.json", text)
+            print(f"{name}: exit {code}")
+            worst = max(worst, code)
+        return worst
 
     if not args.command:
         ap.error("a command or --corpus-dir is required")
-    if args.input:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(sys.stdin)
-    config_path = os.environ.get("TRUNCALG_CONFIG")
-    if config_path and os.path.exists(config_path):
-        with open(config_path) as fh:
-            defaults = json.load(fh).get("options", {})
-        if isinstance(doc, dict) and "command" in doc:
-            doc = dict(doc, options={**defaults, **(doc.get("options") or {})})
-    if "command" in doc:
-        job = doc
-        if job.get("command") != args.command:
-            print(f"warning: job file command {job.get('command')!r} "
-                  f"overridden by CLI {args.command!r}", file=sys.stderr)
-            job = dict(job, command=args.command)
-    else:
-        job = {"command": args.command, "input": doc, "options": {}}
-    job = _merge_cli_options(job, args)
-    report, code = run_job(job, timing=args.timing)
-    text = emit(report, args.format)
+    text, code = _run_file(args.input, args.command, args, args.format)
     if args.output:
         _atomic_write(args.output, text)
     else:
@@ -484,8 +456,52 @@ def main(argv=None):
     return code
 
 
+def _run_file(path, command, args, fmt):
+    """load -> run_job -> emit for one job file (stdin when path is None);
+    returns (report text, exit code).  Every failure, an unreadable file and a
+    report that cannot be printed included, ends as a report.
+
+    With a command (single mode) a document without "command" is that
+    command's input; in batch mode each file is a whole job."""
+    try:
+        if path is None:
+            doc = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        payload, code = _failure(SchemaError(f"unreadable job: {type(exc).__name__}: {exc}"))
+        report = _report(None, payload, code, timing_ms=0 if args.timing else None)
+    else:
+        report, code = run_job(_merge_cli_options(_as_job(doc, command), args),
+                               timing=args.timing)
+    try:
+        return emit(report, fmt), code
+    except Exception as exc:
+        payload, code = _failure(exc)
+        return emit(_report(report["job"], payload, code,
+                            timing_ms=report["timing_ms"]), fmt), code
+
+
+def _as_job(doc, command):
+    if command is None:
+        return doc
+    if isinstance(doc, dict) and "command" in doc:
+        if doc.get("command") != command:
+            print(f"warning: job file command {doc.get('command')!r} "
+                  f"overridden by CLI {command!r}", file=sys.stderr)
+            return dict(doc, command=command)
+        return doc
+    return {"command": command, "input": doc, "options": {}}
+
+
 def _merge_cli_options(job, args):
-    options = dict(job.get("options", {}) or {})
+    """The job with the CLI's option flags merged in; a job or an options
+    value of the wrong type is left for run_job to report."""
+    options = (job.get("options") or {}) if isinstance(job, dict) else None
+    if not isinstance(options, dict):
+        return job
+    options = dict(options)
     if args.oracle:
         options["oracle"] = True
     if args.prime_bound is not None:

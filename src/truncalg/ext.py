@@ -25,7 +25,6 @@ from .modules import (
     build_ses,
     decompose_elementary,
     direct_sum,
-    module_from_divisors,
     split_test,
 )
 from .rings import TruncatedBK, TruncatedPadic

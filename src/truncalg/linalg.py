@@ -76,11 +76,6 @@ class Mat:
         assert self.cols == other.cols
         return Mat(self.rows + other.rows, self.cols, self.data + other.data)
 
-    def hstack(self, other):
-        assert self.rows == other.rows
-        return Mat(self.rows, self.cols + other.cols,
-                   [self.data[i] + other.data[i] for i in range(self.rows)])
-
     def transpose(self):
         return Mat(self.cols, self.rows,
                    [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -398,8 +393,8 @@ def smith_normal_form(mat, ring):
 # random tower check makes about 110 SNF calls on about 20 distinct inputs.
 # With 32 entries the misses equal the distinct inputs on every corpus job
 # (at most 37, ext_golden_p2) and every tower; filtered complexes with up to
-# 61 distinct inputs miss 1 to 3 more.  lru_cache is thread-safe, which the
-# --corpus-dir worker threads need.
+# 61 distinct inputs miss 1 to 3 more.  lru_cache is thread-safe, so an
+# embedding program may run jobs on several threads.
 @lru_cache(maxsize=32)
 def _snf_memo(ring, mat):
     if isinstance(ring, LocalizedIntegers):

@@ -21,17 +21,15 @@ from .errors import (
     HypothesisUnmetError,
     InternalInconsistencyError,
     NotWellDefinedError,
-    PrecisionError,
     SchemaError,
     UnsupportedRingError,
 )
-from .linalg import Mat, kernel_left, kernel_left_parts, solve_left, solve_left_info, solve_left_mod
+from .linalg import Mat, kernel_left_parts, solve_left, solve_left_info, solve_left_mod
 from .rings import (
     LocalizedIntegers,
     TruncatedBK,
     TruncatedLambda,
     TruncatedPadic,
-    TruncatedPowerSeries,
     default_eisenstein,
     factorint,
     is_snf_capable,
@@ -195,6 +193,18 @@ def cokernel(f):
     return cmod, proj
 
 
+def is_injective(f):
+    """Every kernel row of f is a zero class of the source.  The rows come
+    unpruned: a row pruning would drop lies in the span of the kept rows and
+    the relations, so the verdict is the one the pruned kernel gives."""
+    rows = kernel_left_parts([f.matrix, f.target.relations], f.source.ring)[0]
+    return rows_are_zero_classes(f.source, rows)
+
+
+def is_surjective(f):
+    return is_zero_module(cokernel(f)[0])
+
+
 @dataclass
 class Subquotient:
     kernel: PresentedModule
@@ -276,11 +286,6 @@ class ElementaryDecomposition:
         return (maps_equal(compose(self.to_canonical, self.from_canonical), identity_map(m))
                 and maps_equal(compose(self.from_canonical, self.to_canonical),
                                identity_map(self.canonical_module)))
-
-
-def smith_normal_form(mat, ring):
-    """Spec surface: SNF over the SNF-capable families (see linalg)."""
-    return linalg.smith_normal_form(mat, ring)
 
 
 def decompose_elementary(m):
@@ -411,11 +416,9 @@ def build_ses(a, b, c, inject_matrix, surject_matrix, verify=True):
 
 
 def validate_ses(ses):
-    kmod, kincl = kernel(ses.inject)
-    if not rows_are_zero_classes(ses.a, kincl.matrix):
+    if not is_injective(ses.inject):
         return "inject has nonzero kernel"
-    cmod, _ = cokernel(ses.surject)
-    if not is_zero_module(cmod):
+    if not is_surjective(ses.surject):
         return "surject has nonzero cokernel"
     if not verify_exact_at(ses.inject, ses.surject):
         return "image(inject) != kernel(surject)"
@@ -437,78 +440,42 @@ def _hom_solve(source, target, post=None, pre=None):
     Returns (Mat | None, failures)."""
     ring = source.ring
     gs, gt = source.gens, target.gens
-    ks, kt = source.relations.rows, target.relations.rows
-    unknown_blocks = [("x", gs * gt)]
-    eqs = []
-
-    def x_index(i, j):
-        return i * gt + j
-
     nvars = gs * gt
-    aux_offsets = {}
     cols = []
     rhs = []
 
-    def new_aux(name, count):
+    def block(left, right, q, urel):
+        """Equations (left . X . right)[a][c] - (Y . urel)[a][c] = q[a][c]
+        in a fresh auxiliary unknown Y."""
         nonlocal nvars
-        aux_offsets[name] = nvars
-        nvars += count
-        unknown_blocks.append((name, count))
+        aux, ku = nvars, urel.rows
+        nvars += left.rows * ku
+        for a in range(left.rows):
+            for c in range(right.cols):
+                col = {}
+                for i, lc in enumerate(left.data[a]):
+                    if ring.is_zero(lc):
+                        continue
+                    for j in range(gt):
+                        rc = right.data[j][c]
+                        if not ring.is_zero(rc):
+                            col[i * gt + j] = ring.mul(lc, rc)
+                for s in range(ku):
+                    coeff = ring.neg(urel.data[s][c])
+                    if not ring.is_zero(coeff):
+                        col[aux + a * ku + s] = coeff
+                cols.append(col)
+                rhs.append(q.data[a][c])
 
-    new_aux("wd", ks * kt)
-    eq_wd = []
-    for r in range(ks):
-        for j in range(gt):
-            col = {}
-            for i in range(gs):
-                coeff = source.relations.data[r][i]
-                if not ring.is_zero(coeff):
-                    col[x_index(i, j)] = ring.add(col.get(x_index(i, j), ring.zero), coeff)
-            for t in range(kt):
-                coeff = ring.neg(target.relations.data[t][j])
-                if not ring.is_zero(coeff):
-                    idx = aux_offsets["wd"] + r * kt + t
-                    col[idx] = ring.add(col.get(idx, ring.zero), coeff)
-            cols.append(col)
-            rhs.append(ring.zero)
-
+    ident_s, ident_t = Mat.identity(gs, ring), Mat.identity(gt, ring)
+    block(source.relations, ident_t, Mat.zero(source.relations.rows, gt, ring),
+          target.relations)
     if post is not None:
         pmat, qmat, umod = post
-        ku = umod.relations.rows
-        new_aux("post", gs * ku)
-        for a in range(gs):
-            for ccol in range(umod.gens):
-                col = {}
-                for j in range(gt):
-                    coeff = pmat.data[j][ccol]
-                    if not ring.is_zero(coeff):
-                        col[x_index(a, j)] = ring.add(col.get(x_index(a, j), ring.zero), coeff)
-                for s in range(ku):
-                    coeff = ring.neg(umod.relations.data[s][ccol])
-                    if not ring.is_zero(coeff):
-                        idx = aux_offsets["post"] + a * ku + s
-                        col[idx] = ring.add(col.get(idx, ring.zero), coeff)
-                cols.append(col)
-                rhs.append(qmat.data[a][ccol])
-
+        block(ident_s, pmat, qmat, umod.relations)
     if pre is not None:
         p2, q2 = pre
-        m = p2.rows
-        new_aux("pre", m * kt)
-        for a in range(m):
-            for j in range(gt):
-                col = {}
-                for i in range(gs):
-                    coeff = p2.data[a][i]
-                    if not ring.is_zero(coeff):
-                        col[x_index(i, j)] = ring.add(col.get(x_index(i, j), ring.zero), coeff)
-                for t in range(kt):
-                    coeff = ring.neg(target.relations.data[t][j])
-                    if not ring.is_zero(coeff):
-                        idx = aux_offsets["pre"] + a * kt + t
-                        col[idx] = ring.add(col.get(idx, ring.zero), coeff)
-                cols.append(col)
-                rhs.append(q2.data[a][j])
+        block(p2, ident_t, q2, target.relations)
 
     neq = len(cols)
     big = [[ring.zero] * neq for _ in range(nvars)]
@@ -520,7 +487,7 @@ def _hom_solve(source, target, post=None, pre=None):
     sol, failures = solve_left_info(bigmat, bvec, ring)
     if sol is None:
         return None, failures
-    xmat = Mat(gs, gt, [[sol.data[0][x_index(i, j)] for j in range(gt)] for i in range(gs)])
+    xmat = Mat(gs, gt, [sol.data[0][i * gt:(i + 1) * gt] for i in range(gs)])
     return xmat, []
 
 

@@ -368,9 +368,6 @@ class LocalizedIntegers(RingBase):
         """Generator of the annihilator of (d); None means ann = 0."""
         return self.one if d == 0 else None
 
-    def element_str(self, x):
-        return str(x)
-
 
 class ChainRing(RingBase):
     """Common protocol for Z/p^N and F_p[z]/(z^M): every ideal is (uniformizer^k)."""
@@ -759,8 +756,6 @@ def is_expansion_ring(ring):
 
 def base_ring_of(ring):
     """The chain/PID base a TruncatedBK or TruncatedLambda expands over."""
-    if isinstance(ring, TruncatedBK):
-        return ring.scalar
-    if isinstance(ring, TruncatedLambda):
+    if isinstance(ring, (TruncatedBK, TruncatedLambda)):
         return ring.scalar
     raise UnsupportedRingError(f"{type(ring).__name__} has no expansion base")

@@ -8,11 +8,12 @@ JSON-pointer-style location."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import SchemaError
 from .linalg import Mat
-from .modules import PresentedModule, ShortExactSequence, module_map
+from .modules import BaseChangeSpec, PresentedModule, module_map
 from .rings import (
     EisensteinSpec,
     LocalizedIntegers,
@@ -20,7 +21,6 @@ from .rings import (
     TruncatedLambda,
     TruncatedPadic,
     TruncatedPowerSeries,
-    default_eisenstein,
     isprime,
 )
 
@@ -36,6 +36,17 @@ def _want(obj, key, loc, types=None):
     return v
 
 
+def _int_list(data, loc, length=None):
+    """A JSON list of integers (not booleans), of the given length if one is given."""
+    if not isinstance(data, list) or (length is not None and len(data) != length):
+        raise SchemaError("must be a list of " + (f"{length} " if length else "")
+                          + "integers", loc)
+    for k, v in enumerate(data):
+        if type(v) is not int:
+            raise SchemaError(f"{v!r} is not an integer", f"{loc}/{k}")
+    return data
+
+
 def parse_primes(data, loc):
     """A JSON list of primes: integers (not booleans) that are prime."""
     if not isinstance(data, list):
@@ -46,26 +57,42 @@ def parse_primes(data, loc):
     return data
 
 
+# Z/p^N coefficients are refused when p^N has more digits than this: the
+# arithmetic would crawl and the report could not print the entries.
+MAX_MODULUS_DIGITS = 4000
+
+
+def _p_and_n(data, loc):
+    """p and N of a p-adic family; p^N, never computed, has at most
+    MAX_MODULUS_DIGITS decimal digits."""
+    p, n = _want(data, "p", loc, int), _want(data, "N", loc, int)
+    if p > 1 and n * math.log10(p) >= MAX_MODULUS_DIGITS:
+        raise SchemaError(f"p^N has more than {MAX_MODULUS_DIGITS} decimal digits", loc + "/N")
+    return p, n
+
+
 def parse_ring(data, loc="/ring"):
     fam = _want(data, "family", loc, str)
     try:
         if fam == "LocalizedIntegers":
-            return LocalizedIntegers(tuple(_want(data, "inverted_primes", loc, list)))
+            return LocalizedIntegers(tuple(parse_primes(
+                _want(data, "inverted_primes", loc), loc + "/inverted_primes")))
         if fam == "TruncatedPadic":
-            return TruncatedPadic(_want(data, "p", loc, int), _want(data, "N", loc, int))
+            return TruncatedPadic(*_p_and_n(data, loc))
         if fam == "TruncatedPowerSeries":
             return TruncatedPowerSeries(_want(data, "p", loc, int), _want(data, "M", loc, int))
         if fam == "TruncatedBK":
             eis = None
             if "eisenstein" in data and data["eisenstein"] is not None:
-                e = data["eisenstein"]
-                eis = EisensteinSpec(tuple(_want(e, "coefficients", loc + "/eisenstein", list)),
-                                     _want(e, "ramification_e", loc + "/eisenstein", int))
-            return TruncatedBK(_want(data, "p", loc, int), _want(data, "N", loc, int),
-                               _want(data, "M", loc, int), eis)
+                e, eloc = data["eisenstein"], loc + "/eisenstein"
+                eis = EisensteinSpec(
+                    tuple(_int_list(_want(e, "coefficients", eloc), eloc + "/coefficients")),
+                    _want(e, "ramification_e", eloc, int))
+            return TruncatedBK(*_p_and_n(data, loc), _want(data, "M", loc, int), eis)
         if fam == "TruncatedLambda":
-            return TruncatedLambda(tuple(_want(data, "inverted_primes", loc, list)),
-                                   _want(data, "M", loc, int))
+            return TruncatedLambda(tuple(parse_primes(
+                _want(data, "inverted_primes", loc), loc + "/inverted_primes")),
+                _want(data, "M", loc, int))
     except SchemaError:
         raise
     except Exception as exc:
@@ -131,8 +158,6 @@ def parse_element(v, ring, loc):
         if len(v) != ring.mlen:
             raise SchemaError(
                 f"coefficient array must have exactly length {ring.mlen}", loc)
-        if isinstance(ring, TruncatedLambda):
-            return tuple(parse_element(c, ring.scalar, f"{loc}/{i}") for i, c in enumerate(v))
         return tuple(parse_element(c, ring.scalar, f"{loc}/{i}") for i, c in enumerate(v))
     raise SchemaError("unknown ring for element", loc)
 
@@ -185,26 +210,26 @@ def module_to_json(m):
             "relations": matrix_to_json(m.relations, m.ring)}
 
 
+def _parse_map_matrix(data, key, source, target, loc):
+    """The matrix data[key] of a map source -> target: one row per source generator."""
+    mat = parse_matrix(_want(data, key, loc, list), source.ring, target.gens, f"{loc}/{key}")
+    if mat.rows != source.gens:
+        raise SchemaError(f"matrix needs {source.gens} rows", f"{loc}/{key}")
+    return mat
+
+
 def parse_map(data, loc="/map"):
     src = parse_module(_want(data, "source", loc), loc + "/source")
     tgt = parse_module(_want(data, "target", loc), loc + "/target", ring=src.ring)
-    mat = parse_matrix(_want(data, "matrix", loc, list), src.ring, tgt.gens, loc + "/matrix")
-    if mat.rows != src.gens:
-        raise SchemaError(f"matrix needs {src.gens} rows", loc + "/matrix")
-    return module_map(src, tgt, mat)
-
-
-def map_to_json(f):
-    return {"source": module_to_json(f.source), "target": module_to_json(f.target),
-            "matrix": matrix_to_json(f.matrix, f.source.ring)}
+    return module_map(src, tgt, _parse_map_matrix(data, "matrix", src, tgt, loc))
 
 
 def parse_ses(data, loc="/ses"):
     a = parse_module(_want(data, "a", loc), loc + "/a")
     b = parse_module(_want(data, "b", loc), loc + "/b", ring=a.ring)
     c = parse_module(_want(data, "c", loc), loc + "/c", ring=a.ring)
-    inj = parse_matrix(_want(data, "inject", loc, list), a.ring, b.gens, loc + "/inject")
-    sur = parse_matrix(_want(data, "surject", loc, list), a.ring, c.gens, loc + "/surject")
+    inj = _parse_map_matrix(data, "inject", a, b, loc)
+    sur = _parse_map_matrix(data, "surject", b, c, loc)
     from .modules import build_ses
 
     return build_ses(a, b, c, inj, sur)
@@ -225,7 +250,7 @@ def parse_filtered_complex(data, loc="/complex"):
     modules = {}
     for k, mj in enumerate(mods_json):
         modules[lo + k] = parse_module(mj, f"{loc}/modules/{k}", ring=ring)
-    diffs_json = data.get("differentials", [])
+    diffs_json = _want(data, "differentials", loc, list) if "differentials" in data else []
     if len(diffs_json) != max(0, hi - lo):
         raise SchemaError(f"need {max(0, hi - lo)} differentials", loc + "/differentials")
     dmats = {}
@@ -237,7 +262,8 @@ def parse_filtered_complex(data, loc="/complex"):
             raise SchemaError(f"differential {i} needs {modules[i].gens} rows",
                               f"{loc}/differentials/{k}")
     fil_data = {}
-    for k, fj in enumerate(data.get("filtration", [])):
+    fil_json = _want(data, "filtration", loc, list) if "filtration" in data else []
+    for k, fj in enumerate(fil_json):
         floc = f"{loc}/filtration/{k}"
         i = _want(fj, "degree", floc, int)
         if i not in modules:
@@ -256,7 +282,8 @@ def parse_bk_module(data, loc="/bk"):
     mod = parse_module(_want(data, "module", loc), loc + "/module")
     if not isinstance(mod.ring, TruncatedBK):
         raise SchemaError("BK modules need a TruncatedBK ring", loc + "/module/ring")
-    window = data.get("height_window", [0, 1])
+    window = (_int_list(data["height_window"], loc + "/height_window", 2)
+              if "height_window" in data else [0, 1])
     phi_rows = _want(data, "phi", loc, list)
     # the phi matrix maps the twisted presentation (same generator count)
     phi = parse_matrix(phi_rows, mod.ring, mod.gens, loc + "/phi")
@@ -278,11 +305,8 @@ def parse_tower(data, loc="/tower"):
         raise SchemaError(f"unknown tower kind '{kind}'", loc)
     sub = parse_tower(_want(data, "sub", loc), loc + "/sub")
     quot = parse_tower(_want(data, "quot", loc), loc + "/quot")
-    ring = bk.ring
-    inc = parse_matrix(_want(data, "incl", loc, list), ring,
-                       bk.module.gens, loc + "/incl")
-    prj = parse_matrix(_want(data, "proj", loc, list), ring,
-                       quot.bk.module.gens, loc + "/proj")
+    inc = _parse_map_matrix(data, "incl", sub.bk.module, bk.module, loc)
+    prj = _parse_map_matrix(data, "proj", bk.module, quot.bk.module, loc)
     incl = module_map(sub.bk.module, bk.module, inc)
     proj = module_map(bk.module, quot.bk.module, prj)
     return extension_node(bk, sub, incl, quot, proj)
@@ -291,14 +315,27 @@ def parse_tower(data, loc="/tower"):
 def parse_cw(data, loc="/cw"):
     from .cw import make_cw
 
-    cells = _want(data, "cells", loc, list)
-    boundaries = data.get("boundaries", [])
+    cells = _int_list(_want(data, "cells", loc), loc + "/cells")
+    boundaries = _want(data, "boundaries", loc, list) if "boundaries" in data else []
+    for k, rows in enumerate(boundaries):
+        if not isinstance(rows, list):
+            raise SchemaError("must be a list of rows", f"{loc}/boundaries/{k}")
+        for i, row in enumerate(rows):
+            _int_list(row, f"{loc}/boundaries/{k}/{i}")
     return make_cw(cells, boundaries)
 
 
-def cw_to_json(x):
-    return {"cells": list(x.cells),
-            "boundaries": [[[int(v) for v in row] for row in b.data] for b in x.boundaries]}
+def parse_base_change_spec(data, loc):
+    """A base-change spec: `unit`, `ell` (a prime) and `precision_n` are
+    optional integers; the completions need `ell`."""
+    fields = {k: _want(data, k, loc, int) for k in ("unit", "ell", "precision_n")
+              if data.get(k) is not None}
+    if "ell" in fields and not isprime(fields["ell"]):
+        raise SchemaError(f"{fields['ell']} is not a prime", loc + "/ell")
+    kind = data.get("kind")
+    if kind in ("lambda_completion", "localized_completion") and "ell" not in fields:
+        raise SchemaError("missing field 'ell'", loc)
+    return BaseChangeSpec(kind, **fields)
 
 
 def jsonable(x):

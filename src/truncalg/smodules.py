@@ -17,12 +17,11 @@ from .linalg import Mat, invert, kernel_left_parts, solve_left, solve_left_mod
 from .modules import (
     ElementaryDecomposition,
     PresentedModule,
-    cokernel,
     compose,
     decompose_elementary,
     identity_map,
-    is_zero_module,
-    kernel,
+    is_injective,
+    is_surjective,
     maps_equal,
     module_from_divisors,
     module_map,
@@ -172,12 +171,10 @@ def decompose_over_s(m, _trace=None):
     eta_mat = Mat.from_rows(gens_rows, m.gens) if gens_rows else Mat(0, m.gens, [])
     eta = module_map(canonical, m, eta_mat)
 
-    cmod, _ = cokernel(eta)
-    if not is_zero_module(cmod):
+    if not is_surjective(eta):
         raise InternalInconsistencyError(
             "assembled elementary map is not surjective (reported, never silently accepted)")
-    kmod, kincl = kernel(eta)
-    if not rows_are_zero_classes(canonical, kincl.matrix):
+    if not is_injective(eta):
         raise InternalInconsistencyError("assembled elementary map has a kernel")
     inv = solve_left_mod(eta.matrix, Mat.identity(m.gens, ring), m.relations, ring)
     if inv is None:

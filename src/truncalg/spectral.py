@@ -31,20 +31,16 @@ from .errors import (
 )
 from .linalg import Mat, kernel_left_parts, solve_left_mod
 from .modules import (
-    BaseChangeSpec,
-    ModuleMap,
     PresentedModule,
-    base_change,
     cokernel,
     compose,
     decompose_elementary,
     identity_map,
+    is_injective,
     is_zero_map,
-    is_zero_module,
     kernel,
     module_map,
     retraction_test,
-    rows_are_zero_classes,
     submodule_from_rows,
     subquotient_presentation,
     torsion_divisor_profile,
@@ -135,8 +131,7 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
                 incl = module_map(sub, modules[i], inc_mat)
             except Exception as exc:
                 raise SchemaError(f"filtration inclusion ({i},{n}) not well defined: {exc}")
-            kmod, kincl = kernel(incl)
-            if not rows_are_zero_classes(sub, kincl.matrix):
+            if not is_injective(incl):
                 raise SchemaError(f"filtration map ({i},{n}) is not injective")
             fil[(i, n)] = (sub, incl)
     x = FilteredComplex(ring, lo, hi, wmin, wmax, dict(modules), diffs, fil)
@@ -222,8 +217,7 @@ def homology_filtered(x, i):
         # injectivity of H_i(fil^n) -> H_i as the induced map from sub_h
         indmap = module_map(sub_h, h, coords)
         sub_h_maps[n] = indmap
-        kmod, kincl = kernel(indmap)
-        degenerate_at[n] = rows_are_zero_classes(sub_h, kincl.matrix)
+        degenerate_at[n] = is_injective(indmap)
     gr = {}
     for n in range(x.wmin, x.wmax + 1):
         gr[n] = subquotient_presentation(h, fil_rows[n], fil_rows[n + 1])

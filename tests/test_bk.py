@@ -7,6 +7,9 @@ from truncalg.breuil_kisin import (
     BKModule,
     HeightCertificate,
     HeightFailure,
+    S1Module,
+    S1TowerNode,
+    _make_s1_bk_map,
     bk_kernel_cokernel,
     canonical_decomposition,
     check_height,
@@ -20,6 +23,9 @@ from truncalg.breuil_kisin import (
     make_bk_map,
     make_bk_module,
     make_bk_ses,
+    phi_twist,
+    s1_closure_check,
+    s1_leaf,
     structure_check,
     twist,
     untwist,
@@ -27,8 +33,14 @@ from truncalg.breuil_kisin import (
 )
 from truncalg.errors import HypothesisUnmetError, PrecisionError
 from truncalg.linalg import Mat
-from truncalg.modules import PresentedModule, direct_sum, is_zero_module
-from truncalg.rings import TruncatedBK
+from truncalg.modules import (
+    PresentedModule,
+    decompose_elementary,
+    direct_sum,
+    is_zero_module,
+    module_map,
+)
+from truncalg.rings import TruncatedBK, TruncatedPowerSeries
 from truncalg.smodules import NotElementary, gr_p
 
 BK = TruncatedBK(3, 3, 4)
@@ -271,3 +283,29 @@ def test_frobenius_compat_of_connecting_maps_random():
     bb = make_bk_module(mid, Mat(1, 1, [[bk2.one]]), (0, 1))
     ses = make_bk_ses(ba, bb, ba, Mat(1, 1, [[bk2.from_int(2)]]), Mat(1, 1, [[bk2.one]]))
     assert len(connecting_maps(ses)) == 3
+
+
+def test_s1_closure_check_split_extension():
+    """The extension branch of s1_closure_check on a split two-layer tower:
+    S1^2 with phi = 1 over its coordinate lines, mapped by the identity."""
+    s1 = TruncatedPowerSeries(2, 3)
+
+    def obj(rank):
+        m = PresentedModule.free(s1, rank)
+        return S1Module(m, module_map(phi_twist(m), m, Mat.identity(rank, s1)))
+
+    whole, line = obj(2), obj(1)
+    tower = S1TowerNode(
+        whole, "extension",
+        sub=s1_leaf(line), incl=module_map(line.module, whole.module,
+                                           Mat(1, 2, [[s1.one, s1.zero]])),
+        quot=s1_leaf(line), proj=module_map(whole.module, line.module,
+                                            Mat(2, 1, [[s1.zero], [s1.one]])))
+    f = _make_s1_bk_map(whole, whole, Mat.identity(2, s1))
+    im_tower, cok_tower, _ = s1_closure_check(f, tower, 1)
+    assert im_tower.kind == "extension" and cok_tower.kind == "extension"
+    dec = decompose_elementary(im_tower.obj.module)
+    assert dec.free_rank == 2 and not dec.torsion_divisors
+    assert is_zero_module(cok_tower.obj.module)
+    assert is_zero_module(cok_tower.sub.obj.module)
+    assert is_zero_module(cok_tower.quot.obj.module)

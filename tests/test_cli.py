@@ -108,8 +108,8 @@ def test_cli_process_end_to_end(tmp_path):
 
 
 def test_cli_batch_mode(tmp_path):
-    """The whole corpus on two worker threads, which share the SNF memo,
-    reproduces every frozen report byte for byte with its exit code."""
+    """The whole corpus in one batch reproduces every frozen report byte for
+    byte with its exit code."""
     import shutil
 
     names = sorted(n for n in os.listdir(CORPUS)
@@ -118,8 +118,7 @@ def test_cli_batch_mode(tmp_path):
     for name in names:
         shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
     proc = subprocess.run(
-        [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path),
-         "--workers", "2"],
+        [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
         capture_output=True, text=True)
     codes = {}
     for name in names:
@@ -251,35 +250,151 @@ def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     assert report["error"].startswith(pointer + ":"), report["error"]
 
 
-# Z/p^N whose modulus has ~900k digits: formatting it raises ValueError
-# (Python's int-to-str digit limit) while the non-canonical -1 is rejected
-HUGE_MODULUS_JOB = {
+# Over Z (no inverted primes) the second divisor of this matrix of 4000-digit
+# integers has about 8000 digits, beyond Python's int-to-str limit: the SNF
+# computes and the report cannot be printed
+BIG_INTEGER_SNF_JOB = {
     "command": "snf",
-    "input": {"ring": {"family": "TruncatedPadic", "p": 1000000007, "N": 100000},
-              "matrix": [[-1]]},
+    "input": {"ring": {"family": "LocalizedIntegers", "inverted_primes": []},
+              "matrix": [[10**3999 + 7, 10**3999 + 9], [3 * 10**3999 + 1, 10**3999 - 11]]},
     "options": {}}
 
 
-def test_unexpected_exception_is_an_internal_error_report(tmp_path):
+def test_unexpected_exception_is_an_internal_error_report(tmp_path, monkeypatch):
     """An exception outside the error taxonomy becomes an exit-4 report that
     names its type, and in batch mode the other jobs still get theirs."""
     import shutil
 
-    report, code = run_job(HUGE_MODULUS_JOB)
+    import truncalg.cli
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    job = load("snf_2468.json")
+    with monkeypatch.context() as patch:
+        patch.setattr(truncalg.cli, "smith_normal_form", boom)
+        report, code = run_job(job)
     assert code == 4 and report["error_kind"] == "internal_error"
     assert "ValueError" in report["error"]
-    assert report["job"] == HUGE_MODULUS_JOB
+    assert report["job"] == job
 
-    (tmp_path / "snf_huge_modulus.json").write_text(json.dumps(HUGE_MODULUS_JOB))
+    (tmp_path / "snf_big_integers.json").write_text(json.dumps(BIG_INTEGER_SNF_JOB))
     shutil.copy(os.path.join(CORPUS, "snf_2468.json"), tmp_path / "snf_2468.json")
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout.splitlines() == ["snf_2468.json: exit 0",
-                                        "snf_huge_modulus.json: exit 4"]
+                                        "snf_big_integers.json: exit 4"]
     with open(os.path.join(CORPUS, "snf_2468.report.json")) as fh:
         assert (tmp_path / "snf_2468.report.json").read_text() == fh.read()
-    huge = json.loads((tmp_path / "snf_huge_modulus.report.json").read_text())
-    assert huge["exit_code"] == 4 and huge["error_kind"] == "internal_error"
-    assert "ValueError" in huge["error"]
+    big = json.loads((tmp_path / "snf_big_integers.report.json").read_text())
+    assert big["exit_code"] == 4 and big["error_kind"] == "internal_error"
+    assert "ValueError" in big["error"]
+
+
+def test_batch_reports_every_job_file(tmp_path):
+    """A job file that is not an object, one that is not JSON and one whose
+    report cannot be printed each get a report; the others are unchanged."""
+    import shutil
+
+    (tmp_path / "a_array.json").write_text("[1, 2]")
+    (tmp_path / "b_broken.json").write_text('{"command": "snf",')
+    (tmp_path / "c_big_integers.json").write_text(json.dumps(BIG_INTEGER_SNF_JOB))
+    shutil.copy(os.path.join(CORPUS, "snf_2468.json"), tmp_path / "snf_2468.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines() == ["a_array.json: exit 1", "b_broken.json: exit 1",
+                                        "c_big_integers.json: exit 4", "snf_2468.json: exit 0"]
+    assert proc.returncode == 4, proc.stderr
+    reports = {name: json.loads((tmp_path / (name + ".report.json")).read_text())
+               for name in ("a_array", "b_broken", "c_big_integers")}
+    assert reports["a_array"]["error_kind"] == "schema"
+    assert reports["a_array"]["error"] == "a job must be a JSON object"
+    assert reports["a_array"]["job"] == [1, 2]
+    assert reports["b_broken"]["error_kind"] == "schema"
+    assert "JSONDecodeError" in reports["b_broken"]["error"]
+    assert reports["c_big_integers"]["error_kind"] == "internal_error"
+    assert "ValueError" in reports["c_big_integers"]["error"]
+    with open(os.path.join(CORPUS, "snf_2468.report.json")) as fh:
+        assert (tmp_path / "snf_2468.report.json").read_text() == fh.read()
+    # single-job mode takes the same path
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncalg.cli", "snf",
+         "--input", str(tmp_path / "c_big_integers.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["error_kind"] == "internal_error"
+
+
+@pytest.mark.parametrize("ring, pointer", [
+    ({"family": "TruncatedPadic", "p": 1000000007, "N": 100000}, "/input/ring/N"),
+    ({"family": "TruncatedPadic", "p": 2, "N": 13288}, "/input/ring/N"),
+    ({"family": "TruncatedBK", "p": 3, "N": 10000, "M": 2}, "/input/ring/N"),
+])
+def test_huge_modulus_refused_at_parse_time(ring, pointer):
+    """p^N with more than 4000 decimal digits is refused before it is built."""
+    report, code = run_job({"command": "snf", "input": {"ring": ring, "matrix": [[0]]}})
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(pointer + ":"), report["error"]
+
+
+def test_largest_modulus_accepted():
+    # 2^13287 has 4000 decimal digits
+    report, code = run_job({"command": "snf", "input": {
+        "ring": {"family": "TruncatedPadic", "p": 2, "N": 13287}, "matrix": [[2]]}})
+    assert code == 0, report.get("error")
+
+
+@pytest.mark.parametrize("key", ["prime_bound", "precision_n", "precision_m",
+                                 "precision_n_local"])
+@pytest.mark.parametrize("value", ["a", 2.5, True, [], {}])
+def test_malformed_option_rejected(key, value):
+    job = dict(load("snf_2468.json"), options={key: value})
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(f"/options/{key}:"), report["error"]
+
+
+@pytest.mark.parametrize("value", [[], 0, "", {}])
+def test_malformed_tower_rejected(value):
+    """A tower that is present must parse; it used to be dropped silently."""
+    report, code = run_job(_mutant("bk_structure_tower.json", "/input/tower", value))
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith("/input/tower:"), report["error"]
+
+
+def _field_paths(node, pointer):
+    """(pointer, value) of every field below node, the first two entries of
+    each list included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, value in items:
+        yield f"{pointer}/{key}", value
+        yield from _field_paths(value, f"{pointer}/{key}")
+
+
+def test_corpus_type_mutants_are_schema_errors():
+    """Every input field of every corpus job, set to a value of the wrong
+    type, yields a report without an internal error; a float or a boolean in
+    an integer field exits 1 as a schema error."""
+    import contextlib
+    import io
+
+    names = sorted(n for n in os.listdir(CORPUS)
+                   if n.endswith(".json") and not n.endswith(".report.json"))
+    count = 0
+    for name in names:
+        job = load(name)
+        for pointer, old in list(_field_paths(job["input"], "/input")):
+            integer = type(old) is int
+            for value in ["a", [], {}, None, 2.5] + ([float(old), True] if integer else []):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    report, code = run_job(_mutant(name, pointer, value))
+                count += 1
+                where = (name, pointer, value, report.get("error"))
+                assert report.get("error_kind") != "internal_error", where
+                if integer and type(value) in (float, bool):
+                    assert code == 1 and report["error_kind"] == "schema", where
+    assert count > 3000

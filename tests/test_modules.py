@@ -5,20 +5,25 @@ import pytest
 
 from truncalg.bruteforce import FiniteModule
 from truncalg.errors import NotWellDefinedError, UnsupportedRingError
-from truncalg.linalg import Mat
+from truncalg.linalg import Mat, kernel_left_parts
 from truncalg.modules import (
     BaseChangeSpec,
     PresentedModule,
     base_change,
     build_ses,
+    cokernel,
     decompose_elementary,
     direct_sum,
     free_rank,
     glue_splitting,
+    is_injective,
+    is_surjective,
     is_zero_module,
+    kernel,
     module_from_divisors,
     module_map,
     retraction_test,
+    rows_are_zero_classes,
     split_test,
     subquotient,
     support_primes,
@@ -33,6 +38,7 @@ from truncalg.rings import (
     TruncatedBK,
     TruncatedLambda,
     TruncatedPadic,
+    TruncatedPowerSeries,
 )
 
 ZP3 = TruncatedPadic(2, 3)
@@ -362,3 +368,41 @@ def test_torsion_vs_decompose_agreement():
         dec = decompose_elementary(m)
         t, _, _ = torsion_part(m)
         assert torsion_divisor_profile(t) == tuple(sorted(dec.exponents()))
+
+
+def _random_element(ring, rng):
+    if rng.random() < 0.4:
+        return ring.zero
+    if isinstance(ring, TruncatedPadic):
+        return ring.from_int(rng.randrange(ring.modulus))
+    if isinstance(ring, LocalizedIntegers):
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2]))
+    if isinstance(ring, TruncatedLambda):
+        return ring.from_coeffs([Fraction(rng.randint(-3, 3)) for _ in range(ring.mlen)])
+    return ring.from_coeffs([rng.randrange(ring.scalar.modulus) for _ in range(ring.mlen)])
+
+
+@pytest.mark.parametrize("ring", [
+    TruncatedPadic(2, 3), TruncatedPadic(3, 2), TruncatedPowerSeries(3, 3),
+    LocalizedIntegers((2,)), TruncatedBK(2, 2, 3), TruncatedLambda((2,), 2)])
+def test_injective_surjective_match_kernel_route(ring):
+    """is_injective and is_surjective give the verdicts of the pruned kernel
+    and of the cokernel presentation.  The source relations are a random
+    subset of the map's kernel rows, so both verdicts occur."""
+    rng = random.Random(515)
+    seen = set()
+    for _ in range(14):
+        gs, gt = rng.randint(1, 3), rng.randint(1, 2)
+        trel = [[_random_element(ring, rng) for _ in range(gt)] for _ in range(rng.randint(0, 2))]
+        target = PresentedModule(ring, gt, Mat(len(trel), gt, trel))
+        mat = Mat(gs, gt, [[_random_element(ring, rng) for _ in range(gt)] for _ in range(gs)])
+        krows = kernel_left_parts([mat, target.relations], ring)[0]
+        srel = [row for row in krows.data if rng.random() < 0.5]
+        f = module_map(PresentedModule(ring, gs, Mat(len(srel), gs, srel)), target, mat)
+        injective = rows_are_zero_classes(f.source, kernel(f)[1].matrix)
+        surjective = is_zero_module(cokernel(f)[0])
+        assert is_injective(f) == injective
+        assert is_surjective(f) == surjective
+        seen.add(("injective", injective))
+        seen.add(("surjective", surjective))
+    assert len(seen) == 4, seen
