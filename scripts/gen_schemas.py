@@ -125,8 +125,9 @@ filtered_complex = {
                                                 "inclusion": {}},
                                  "required": ["degree", "weight", "module",
                                               "inclusion"]},
-                       "description": "entries for weights wmin+1..wmax; weight "
-                                      "wmin is the whole module, wmax+1 is zero"}},
+                       "description": "one entry per degree lo..hi and weight "
+                                      "wmin+1..wmax; weight wmin is the whole "
+                                      "module, wmax+1 is zero"}},
     "required": ["ring", "lo", "hi", "wmin", "wmax", "modules"],
 }
 

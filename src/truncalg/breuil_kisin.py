@@ -1,8 +1,11 @@
-"""Frobenius-semilinear module structures over the truncated W[[z]].
+"""Frobenius-semilinear module structures over the truncated W[[z]] and S1.
 
 The semilinear structure map is stored as a genuine linear map out of the
 Frobenius-twist base change, so that every membership and equivariance
-question is an ordinary linear solve.  Height certificates, the canonical
+question is an ordinary linear solve.  One object type, one map type, one
+tower node and one extension-closure induction serve both the Breuil-Kisin
+ring and S1 = F_p[z]/(z^M), where the gr_p slices live; what differs is
+chosen by the object's ring.  Height certificates, the canonical
 torsion/free decomposition, kernels and cokernels in the p-killed category,
 the extension-closure transfer of gr_p certificates, and the low-ramification
 structure checker all live here.
@@ -69,14 +72,26 @@ def max_z_degree(mat, ring):
 
 @dataclass
 class BKModule:
+    """A module with its structure map.  Over TruncatedBK it carries its
+    height window and Eisenstein spec; over S1 both are None."""
     module: PresentedModule
     phi: ModuleMap               # phi_twist(module) -> module
-    height_window: tuple         # (s, r), s >= 0
+    height_window: tuple = None  # (s, r), s >= 0
     eisenstein: object = None
 
     @property
     def ring(self):
         return self.module.ring
+
+
+def _with_phi(mod, phi_matrix, r=None):
+    """mod with the structure map phi_matrix, of height window (0, r) over
+    TruncatedBK."""
+    ring = mod.ring
+    phi = module_map(phi_twist(mod), mod, phi_matrix)
+    if isinstance(ring, TruncatedBK):
+        return BKModule(mod, phi, (0, r), ring.eisenstein)
+    return BKModule(mod, phi)
 
 
 def make_bk_module(module, phi_matrix, height_window=(0, 1)):
@@ -257,16 +272,30 @@ class BKMap:
 
 
 def make_bk_map(source, target, matrix):
+    """A map commuting with the structure maps: exactly over TruncatedBK,
+    below the Frobenius trusted z-precision over S1."""
     f = module_map(source.module, target.module, matrix)
     ring = source.ring
-    tw = frob_matrix(matrix, ring)
-    lhs = module_map(phi_twist(source.module), target.module,
-                     tw.mul(target.phi.matrix, ring), check=False)
-    rhs = module_map(phi_twist(source.module), target.module,
-                     source.phi.matrix.mul(matrix, ring), check=False)
-    if not maps_equal(lhs, rhs):
+    phi_then_f = source.phi.matrix.mul(matrix, ring)
+    f_then_phi = frob_matrix(matrix, ring).mul(target.phi.matrix, ring)
+    if isinstance(ring, TruncatedBK):
+        tw = phi_twist(source.module)
+        equal = maps_equal(module_map(tw, target.module, f_then_phi, check=False),
+                           module_map(tw, target.module, phi_then_f, check=False))
+    else:
+        equal = _equal_at_z_precision(target.module, phi_then_f, f_then_phi,
+                                      ring.frobenius_trusted_precision)
+    if not equal:
         raise HypothesisUnmetError("map does not commute with the Frobenius structures")
     return BKMap(source, target, f)
+
+
+def _equal_at_z_precision(target_module, m1, m2, zprec):
+    ring = target_module.ring
+    diff = m1.sub(m2, ring)
+    zmat = Mat.identity(target_module.gens, ring).scale(ring.var_power(zprec), ring)
+    sol = solve_left_mod(zmat, diff, target_module.relations, ring)
+    return sol is not None
 
 
 def _induced_phi_on_submodule(b, incl):
@@ -279,28 +308,40 @@ def _induced_phi_on_submodule(b, incl):
     return sol[0]
 
 
-def bk_kernel_cokernel(f, r, exploration=None):
-    """Kernel and cokernel in the p-killed category with height recertification.
+def _image(f, r):
+    imod, iincl, _ = image(f.map)
+    return _with_phi(imod, f.source.phi.matrix, r), iincl
 
-    Under e*r < p-1 failures are theorem-contradicting; otherwise the
-    hypothesis violation is flagged and failures are reported, not raised."""
+
+def _cokernel(f, r):
+    return _with_phi(cokernel(f.map)[0], f.target.phi.matrix, r)
+
+
+def _kernel_cokernel(f, r):
+    """ker(f) with its inclusion, coker(f), and notes.
+
+    Over TruncatedBK both are formed in the p-killed free category with
+    height recertification: under e*r < p-1 failures are
+    theorem-contradicting; otherwise the hypothesis violation is flagged and
+    failures are reported, not raised.  Over S1 they are taken as built."""
     src, tgt = f.source, f.target
     ring = src.ring
-    e = ring.eisenstein.ramification_e
-    hypothesis_met = e * r < ring.p - 1
+    over_bk = isinstance(ring, TruncatedBK)
     notes = []
-    if not hypothesis_met:
-        notes.append(f"exploration mode: e*r = {e * r} >= p-1 = {ring.p - 1}")
-    for name, b in (("source", src), ("target", tgt)):
-        ok, why = check_mod_s1(b, r)
-        if not ok:
-            raise HypothesisUnmetError(f"{name} not in the p-killed free category: {why}")
+    if over_bk:
+        e = ring.eisenstein.ramification_e
+        hypothesis_met = e * r < ring.p - 1
+        if not hypothesis_met:
+            notes.append(f"exploration mode: e*r = {e * r} >= p-1 = {ring.p - 1}")
+        for name, b in (("source", src), ("target", tgt)):
+            ok, why = check_mod_s1(b, r)
+            if not ok:
+                raise HypothesisUnmetError(f"{name} not in the p-killed free category: {why}")
     kmod, kincl = kernel(f.map)
-    phi_k = _induced_phi_on_submodule(src, kincl)
-    kbk = BKModule(kmod, module_map(phi_twist(kmod), kmod, phi_k), (0, r), ring.eisenstein)
-    cmod, cproj = cokernel(f.map)
-    phi_c = module_map(phi_twist(cmod), cmod, tgt.phi.matrix)
-    cbk = BKModule(cmod, phi_c, (0, r), ring.eisenstein)
+    kbk = _with_phi(kmod, _induced_phi_on_submodule(src, kincl), r)
+    cbk = _cokernel(f, r)
+    if not over_bk:
+        return kbk, kincl, cbk, notes
     bad = []
     for nm, piece in (("kernel", kbk), ("cokernel", cbk)):
         try:
@@ -317,6 +358,15 @@ def bk_kernel_cokernel(f, r, exploration=None):
             f"height recertification failed for {bad} under e*r < p-1")
     if bad:
         notes.append(f"height recertification failed for {bad} (hypothesis unmet)")
+    return kbk, kincl, cbk, notes
+
+
+def bk_kernel_cokernel(f, r):
+    """Kernel and cokernel in the p-killed category with height
+    recertification (see _kernel_cokernel)."""
+    if not isinstance(f.source.ring, TruncatedBK):
+        raise UnsupportedRingError("p-killed kernels and cokernels live over TruncatedBK")
+    kbk, _, cbk, notes = _kernel_cokernel(f, r)
     return kbk, cbk, notes
 
 
@@ -346,7 +396,7 @@ def extension_node(bk, sub, incl, quot, proj):
     return TowerNode(bk, "extension", sub=sub, incl=incl, quot=quot, proj=proj)
 
 
-def verify_tower(node, r, bar=False, p_killed_only=False):
+def verify_tower(node, r, bar=False):
     """Check every layer's membership and every extension's exactness."""
     if node.kind == "mod_s1":
         ok, why = check_mod_s1(node.bk, r)
@@ -380,53 +430,41 @@ def closure_check(f, n_tower, r):
 
     f: BKMap from an object of the p-killed free category into the object
     carried by n_tower; the recursion follows the snake-lemma induction on
-    the tower length."""
+    the tower length.  Over TruncatedBK the kernels and cokernels are
+    certified (see _kernel_cokernel) and a leaf's image must be mod-S1; over
+    S1 the objects are taken as built."""
     ring = f.source.ring
+    over_bk = isinstance(ring, TruncatedBK)
     if n_tower.kind != "extension":
-        kbk, cbk, _ = bk_kernel_cokernel(f, r)
-        imod, iincl, _ = image(f.map)
-        phi_i = module_map(phi_twist(imod), imod, f.source.phi.matrix)
-        ibk = BKModule(imod, phi_i, (0, r), ring.eisenstein)
-        ok, why = check_mod_s1(ibk, r)
-        if not ok:
-            raise InternalInconsistencyError(f"image left the category: {why}")
+        cbk = _kernel_cokernel(f, r)[2] if over_bk else _cokernel(f, r)
+        ibk, iincl = _image(f, r)
+        if over_bk:
+            ok, why = check_mod_s1(ibk, r)
+            if not ok:
+                raise InternalInconsistencyError(f"image left the category: {why}")
         return leaf(ibk), leaf(cbk), {"image_inclusion": iincl}
-    nprime = n_tower.sub
-    qnode = n_tower.quot
     g_mat = f.map.matrix.mul(n_tower.proj.matrix, ring)
-    g = make_bk_map(f.source, qnode.bk, g_mat)
-    kbk, cok_g_bk, _ = bk_kernel_cokernel(g, r)
-    kmod, kincl = kernel(g.map)
-    phi_k = _induced_phi_on_submodule(f.source, kincl)
-    kbk2 = BKModule(kmod, module_map(phi_twist(kmod), kmod, phi_k), (0, r), ring.eisenstein)
+    g = make_bk_map(f.source, n_tower.quot.bk, g_mat)
+    kbk, kincl, cok_g_bk, _ = _kernel_cokernel(g, r)
     # f restricted to ker(g) lands in N'
     rows = kincl.matrix.mul(f.map.matrix, ring)
     sol = solve_left_mod(n_tower.incl.matrix, rows, n_tower.bk.module.relations, ring)
     if sol is None:
         raise InternalInconsistencyError("kernel image fails to factor through the sub-object")
-    fprime = make_bk_map(kbk2, nprime.bk, sol[0])
-    im_sub_tower, cok_sub_tower, _ = closure_check(fprime, nprime, r)
-    # image of f and cokernel of f with their structure maps
-    imod, iincl, _ = image(f.map)
-    phi_i = module_map(phi_twist(imod), imod, f.source.phi.matrix)
-    ibk = BKModule(imod, phi_i, (0, r), ring.eisenstein)
-    cmod, cproj = cokernel(f.map)
-    phi_c = module_map(phi_twist(cmod), cmod, n_tower.bk.phi.matrix)
-    cbk = BKModule(cmod, phi_c, (0, r), ring.eisenstein)
+    fprime = make_bk_map(kbk, n_tower.sub.bk, sol[0])
+    im_sub_tower, cok_sub_tower, _ = closure_check(fprime, n_tower.sub, r)
+    ibk, _ = _image(f, r)
+    cbk = _cokernel(f, r)
     # image tower: 0 -> Im(f') -> Im(f) -> Im(g) -> 0
     # Im(f') generators are ker(g) generators pushed through f; inside Im(f)
     # (generated by all source generators) the coordinates are kincl's rows.
-    img_sub = im_sub_tower.bk
-    sub_incl = module_map(img_sub.module, ibk.module, kincl.matrix)
-    im_g_mod, _, _ = image(g.map)
-    phi_img = module_map(phi_twist(im_g_mod), im_g_mod, f.source.phi.matrix)
-    img_bk = BKModule(im_g_mod, phi_img, (0, r), ring.eisenstein)
+    sub_incl = module_map(im_sub_tower.bk.module, ibk.module, kincl.matrix)
+    img_bk, _ = _image(g, r)
     sub_proj = module_map(ibk.module, img_bk.module,
                           Mat.identity(f.source.module.gens, ring))
     im_tower = extension_node(ibk, im_sub_tower, sub_incl, leaf(img_bk), sub_proj)
     # cokernel tower: 0 -> Coker(f') -> Coker(f) -> Coker(g) -> 0
-    cok_sub = cok_sub_tower.bk
-    c_incl = module_map(cok_sub.module, cbk.module, n_tower.incl.matrix)
+    c_incl = module_map(cok_sub_tower.bk.module, cbk.module, n_tower.incl.matrix)
     c_proj = module_map(cbk.module, cok_g_bk.module, n_tower.proj.matrix)
     cok_tower = extension_node(cbk, cok_sub_tower, c_incl, leaf(cok_g_bk), c_proj)
     for name, node in (("image", im_tower), ("cokernel", cok_tower)):
@@ -476,38 +514,27 @@ def _express_through(incl, rows, ring):
 
 
 def connecting_maps(ses):
-    """The maps c_j: Q -> gr_p^j A (lift, multiply by p, project), verified
-    Frobenius-compatible at the trusted z-precision."""
+    """The maps c_j: Q -> gr_p^j A (lift, multiply by p, project) as S1 maps,
+    verified Frobenius-compatible at the trusted z-precision, each with its
+    slice gr_p^j A."""
     ring = ses.b.ring
     q = ses.c
     lifts = _lift_rows(ses.surject, Mat.identity(q.module.gens, ring), ring)
     p_lifts = lifts.scale(ring.from_int(ring.p), ring)
     a_rows = _express_through(ses.inject, p_lifts, ring)
     q_obj = _s1_object(s1_presentation(q.module), q)
-    s1 = q_obj.module.ring
-    cj_mat = _reduce_mod_p(a_rows, s1)
-    trusted = ring.frobenius_trusted_precision
+    cj_mat = _reduce_mod_p(a_rows, q_obj.ring)
     out = []
     for j in range(ring.precision_n):
         sl = gr_p(ses.a.module, j)
-        cj = module_map(q_obj.module, sl.module, cj_mat)
-        # Frobenius compatibility: c_j . phi(gr A) = phi(Q) . c_j after twisting
         a_obj = _s1_object(sl.module, ses.a)
-        lhs = q_obj.phi.matrix.mul(cj.matrix, s1)
-        rhs = frob_matrix(cj.matrix, s1).mul(a_obj.phi.matrix, s1)
-        if not _equal_at_z_precision(sl.module, lhs, rhs, trusted):
+        try:
+            cj = make_bk_map(q_obj, a_obj, cj_mat)
+        except HypothesisUnmetError:
             raise InternalInconsistencyError(
                 f"connecting map c_{j} is not Frobenius-compatible at trusted precision")
         out.append((cj, sl))
     return out
-
-
-def _equal_at_z_precision(target_module, m1, m2, zprec):
-    s1 = target_module.ring
-    diff = m1.sub(m2, s1)
-    zmat = Mat.identity(target_module.gens, s1).scale(s1.uniformizer_power(zprec), s1)
-    sol = solve_left_mod(zmat, diff, target_module.relations, s1)
-    return sol is not None
 
 
 def gr_extension_transfer(ses, quotient_kind, sub_gr_towers, r):
@@ -537,125 +564,30 @@ def gr_extension_transfer(ses, quotient_kind, sub_gr_towers, r):
                       "quot": "free reduction of the quotient"}
         return out
     cjs = connecting_maps(ses)
-    q_obj = _s1_object(q_s1, ses.c)
     # gr_j B -> gr_{j-1} A by p^j b |-> p^{j-1} (p b)
     pb_rows = Mat.identity(ses.b.module.gens, ring).scale(ring.from_int(ring.p), ring)
     down_s1 = _reduce_mod_p(_express_through(ses.inject, pb_rows, ring), s1)
     for j in range(n):
-        cj, sla = cjs[j]
-        fmap = _make_s1_bk_map(q_obj, _s1_object(sla.module, ses.a), cj.matrix)
-        im_tower, cok_tower, _ = s1_closure_check(fmap, sub_gr_towers[j], r)
+        cj = cjs[j][0]
+        im_tower, cok_tower, _ = closure_check(cj, sub_gr_towers[j], r)
         slb = gr_p(ses.b.module, j)
         if j == 0:
             tail = module_map(slb.module, q_s1, surject_s1)
         else:
             tail = module_map(slb.module, cjs[j - 1][1].module, down_s1)
-        out[j] = {"connecting": cj, "image_tower": im_tower,
+        out[j] = {"connecting": cj.map, "image_tower": im_tower,
                   "cokernel_tower": cok_tower, "tail": tail}
     return out
 
 
-# S1-level BK-like structures (p-killed objects live over S1 with their own
-# Frobenius-twisted structure maps)
-
-
-@dataclass
-class S1Module:
-    module: PresentedModule
-    phi: ModuleMap
-
-
 def _s1_object(m_s1, bk):
     """An S1-presented module carrying bk's structure map reduced mod p."""
-    phi = _reduce_mod_p(bk.phi.matrix, m_s1.ring)
-    return S1Module(m_s1, module_map(phi_twist(m_s1), m_s1, phi))
-
-
-@dataclass
-class S1Map:
-    source: S1Module
-    target: S1Module
-    map: ModuleMap
-
-
-def _make_s1_bk_map(src, tgt, matrix):
-    f = module_map(src.module, tgt.module, matrix)
-    s1 = src.module.ring
-    lhs = src.phi.matrix.mul(matrix, s1)
-    rhs = frob_matrix(matrix, s1).mul(tgt.phi.matrix, s1)
-    trusted = (s1.mlen + s1.p - 1) // s1.p
-    if not _equal_at_z_precision(tgt.module, lhs, rhs, trusted):
-        raise HypothesisUnmetError("S1 map fails Frobenius equivariance at trusted precision")
-    return S1Map(src, tgt, f)
-
-
-@dataclass
-class S1TowerNode:
-    obj: S1Module
-    kind: str
-    sub: "S1TowerNode" = None
-    incl: ModuleMap = None
-    quot: "S1TowerNode" = None
-    proj: ModuleMap = None
-
-
-def s1_leaf(obj):
-    return S1TowerNode(obj, "mod_s1")
+    return _with_phi(m_s1, _reduce_mod_p(bk.phi.matrix, m_s1.ring))
 
 
 def gr_tower_leaf(bk, j):
     """Leaf certificate for gr_p^j of a module whose slice is S1-free."""
-    return s1_leaf(_s1_object(gr_p(bk.module, j).module, bk))
-
-
-def s1_closure_check(f, n_tower, r):
-    """Extension-closure induction entirely over S1 (p-killed objects)."""
-    s1 = f.source.module.ring
-    if n_tower.kind != "extension":
-        imod, iincl, _ = image(f.map)
-        phi_i = module_map(phi_twist(imod), imod, f.source.phi.matrix)
-        cmod, _ = cokernel(f.map)
-        phi_c = module_map(phi_twist(cmod), cmod, n_tower.obj.phi.matrix)
-        return s1_leaf(S1Module(imod, phi_i)), s1_leaf(S1Module(cmod, phi_c)), {}
-    gmat = f.map.matrix.mul(n_tower.proj.matrix, s1)
-    g = _make_s1_bk_map(f.source, n_tower.quot.obj, gmat)
-    kmod, kincl = kernel(g.map)
-    comp = frob_matrix(kincl.matrix, s1).mul(f.source.phi.matrix, s1)
-    sol = solve_left_mod(kincl.matrix, comp, f.source.module.relations, s1)
-    if sol is None:
-        raise InternalInconsistencyError("S1 kernel is not phi-stable")
-    kobj = S1Module(kmod, module_map(phi_twist(kmod), kmod, sol[0]))
-    rows = kincl.matrix.mul(f.map.matrix, s1)
-    sol2 = solve_left_mod(n_tower.incl.matrix, rows, n_tower.obj.module.relations, s1)
-    if sol2 is None:
-        raise InternalInconsistencyError("S1 kernel image fails to factor")
-    fprime = _make_s1_bk_map(kobj, n_tower.sub.obj, sol2[0])
-    im_sub, cok_sub, _ = s1_closure_check(fprime, n_tower.sub, r)
-    imod, iincl, _ = image(f.map)
-    phi_i = module_map(phi_twist(imod), imod, f.source.phi.matrix)
-    iobj = S1Module(imod, phi_i)
-    cmod, _ = cokernel(f.map)
-    phi_c = module_map(phi_twist(cmod), cmod, n_tower.obj.phi.matrix)
-    cobj = S1Module(cmod, phi_c)
-    img_g, _, _ = image(g.map)
-    phi_img = module_map(phi_twist(img_g), img_g, f.source.phi.matrix)
-    im_node = S1TowerNode(iobj, "extension",
-                          sub=im_sub,
-                          incl=module_map(im_sub.obj.module, imod, kincl.matrix),
-                          quot=s1_leaf(S1Module(img_g, phi_img)),
-                          proj=module_map(imod, img_g,
-                                          Mat.identity(f.source.module.gens, s1)))
-    cok_g, _ = cokernel(g.map)
-    phi_cg = module_map(phi_twist(cok_g), cok_g, n_tower.quot.obj.phi.matrix)
-    cok_node = S1TowerNode(cobj, "extension",
-                           sub=cok_sub,
-                           incl=module_map(cok_sub.obj.module, cmod, n_tower.incl.matrix),
-                           quot=s1_leaf(S1Module(cok_g, phi_cg)),
-                           proj=module_map(cmod, cok_g, n_tower.proj.matrix))
-    for name, node in (("image", im_node), ("cokernel", cok_node)):
-        if not verify_exact_at(node.incl, node.proj):
-            raise InternalInconsistencyError(f"S1 snake {name} failed exactness")
-    return im_node, cok_node, {}
+    return leaf(_s1_object(gr_p(bk.module, j).module, bk))
 
 
 # ---------------------------------------------------------------------------

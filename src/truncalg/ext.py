@@ -148,10 +148,12 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True, cancel=None):
     """Classify extensions of S/p^a by S/p^b by explicit enumeration.
 
     Every extension class is realized by the value v = p^a . (lift of the
-    cyclic generator) in A; splitness of the class is decided by exhausting
-    the section candidates (parametrized by correction elements of A).  The
-    split set is verified to be exactly the coboundary set p^a A, and the
-    quotient's abelian exponent profile and ring-cyclicity are reported.
+    cyclic generator) in A; the class splits exactly when a section exists,
+    that is when v + p^a . alpha = 0 for some alpha in A, i.e. -v lies in
+    p^a A.  The split set therefore equals the coboundary set p^a A by
+    construction; the independent content is the sampled check against the
+    production split test (ses_sample_check).  The quotient's abelian
+    exponent profile and ring-cyclicity are reported.
     """
     if isinstance(ring, TruncatedBK):
         p, n, mlen = ring.p, ring.precision_n, ring.mlen
@@ -176,13 +178,13 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True, cancel=None):
     def closure(gens):
         return _grow_submodule(zero, gens, lambda x: {smul(c, x) for c in range(pb)}, add)
 
+    coboundaries = {smul(pa, x) for x in avals}
     split_set = set()
     for v in avals:
         if cancel is not None and cancel():
             raise UnsupportedRingError("oracle cancelled")
-        if any(add(v, smul(pa, alpha)) == zero for alpha in avals):
+        if smul(-1, v) in coboundaries:
             split_set.add(v)
-    coboundaries = {smul(pa, x) for x in avals}
     split_is_cob = split_set == coboundaries
     dsub = closure(split_set)
 

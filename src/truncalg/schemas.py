@@ -269,10 +269,12 @@ def parse_filtered_complex(data, loc="/complex"):
         if i not in modules:
             raise SchemaError(f"degree {i} is outside {lo}..{hi}", floc + "/degree")
         n = _want(fj, "weight", floc, int)
+        if not wmin < n <= wmax:
+            raise SchemaError(f"weight {n} is outside {wmin + 1}..{wmax}", floc + "/weight")
+        if (i, n) in fil_data:
+            raise SchemaError(f"a second entry for degree {i} weight {n}", floc)
         sub = parse_module(_want(fj, "module", floc), floc + "/module", ring=ring)
-        inc = parse_matrix(_want(fj, "inclusion", floc, list), ring,
-                           modules[i].gens, floc + "/inclusion")
-        fil_data[(i, n)] = (sub, inc)
+        fil_data[(i, n)] = (sub, _parse_map_matrix(fj, "inclusion", sub, modules[i], floc))
     return validate(ring, lo, hi, wmin, wmax, modules, dmats, fil_data)
 
 

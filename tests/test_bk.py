@@ -7,9 +7,7 @@ from truncalg.breuil_kisin import (
     BKModule,
     HeightCertificate,
     HeightFailure,
-    S1Module,
-    S1TowerNode,
-    _make_s1_bk_map,
+    TowerNode,
     bk_kernel_cokernel,
     canonical_decomposition,
     check_height,
@@ -24,14 +22,12 @@ from truncalg.breuil_kisin import (
     make_bk_module,
     make_bk_ses,
     phi_twist,
-    s1_closure_check,
-    s1_leaf,
     structure_check,
     twist,
     untwist,
     verify_tower,
 )
-from truncalg.errors import HypothesisUnmetError, PrecisionError
+from truncalg.errors import HypothesisUnmetError, PrecisionError, UnsupportedRingError
 from truncalg.linalg import Mat
 from truncalg.modules import (
     PresentedModule,
@@ -151,6 +147,15 @@ def test_bk_kernel_cokernel_basic():
     assert is_zero_module(k2.module) and is_zero_module(c2.module)
 
 
+def test_bk_kernel_cokernel_refuses_s1():
+    """Over S1 nothing would be certified, so the p-killed construction refuses."""
+    s1 = TruncatedPowerSeries(3, 2)
+    m = PresentedModule.free(s1, 1)
+    obj = BKModule(m, module_map(phi_twist(m), m, Mat.identity(1, s1)))
+    with pytest.raises(UnsupportedRingError):
+        bk_kernel_cokernel(make_bk_map(obj, obj, Mat.identity(1, s1)), 1)
+
+
 def test_bk_kernel_cokernel_z_mult_exploration():
     # equivariant z-multiplication forces heights beyond p-1: exploration mode
     bk = TruncatedBK(2, 2, 5)
@@ -184,12 +189,12 @@ def test_connecting_maps_nonsplit_and_split():
     cjs = connecting_maps(ses)
     from truncalg.modules import is_zero_map
 
-    assert not is_zero_map(cjs[0][0])
+    assert not is_zero_map(cjs[0][0].map)
     ds = direct_sum([a, q])
     bds = make_bk_module(ds, Mat.identity(2, bk2), (0, 1))
     ses2 = make_bk_ses(ba, bds, bc, Mat(1, 2, [[bk2.one, bk2.zero]]),
                        Mat(2, 1, [[bk2.zero], [bk2.one]]))
-    assert all(is_zero_map(cj) for cj, _ in connecting_maps(ses2))
+    assert all(is_zero_map(cj.map) for cj, _ in connecting_maps(ses2))
 
 
 def test_gr_extension_transfer_both_kinds():
@@ -286,26 +291,26 @@ def test_frobenius_compat_of_connecting_maps_random():
 
 
 def test_s1_closure_check_split_extension():
-    """The extension branch of s1_closure_check on a split two-layer tower:
+    """The extension branch of closure_check over S1 on a split two-layer tower:
     S1^2 with phi = 1 over its coordinate lines, mapped by the identity."""
     s1 = TruncatedPowerSeries(2, 3)
 
     def obj(rank):
         m = PresentedModule.free(s1, rank)
-        return S1Module(m, module_map(phi_twist(m), m, Mat.identity(rank, s1)))
+        return BKModule(m, module_map(phi_twist(m), m, Mat.identity(rank, s1)))
 
     whole, line = obj(2), obj(1)
-    tower = S1TowerNode(
+    tower = TowerNode(
         whole, "extension",
-        sub=s1_leaf(line), incl=module_map(line.module, whole.module,
-                                           Mat(1, 2, [[s1.one, s1.zero]])),
-        quot=s1_leaf(line), proj=module_map(whole.module, line.module,
-                                            Mat(2, 1, [[s1.zero], [s1.one]])))
-    f = _make_s1_bk_map(whole, whole, Mat.identity(2, s1))
-    im_tower, cok_tower, _ = s1_closure_check(f, tower, 1)
+        sub=leaf(line), incl=module_map(line.module, whole.module,
+                                        Mat(1, 2, [[s1.one, s1.zero]])),
+        quot=leaf(line), proj=module_map(whole.module, line.module,
+                                         Mat(2, 1, [[s1.zero], [s1.one]])))
+    f = make_bk_map(whole, whole, Mat.identity(2, s1))
+    im_tower, cok_tower, _ = closure_check(f, tower, 1)
     assert im_tower.kind == "extension" and cok_tower.kind == "extension"
-    dec = decompose_elementary(im_tower.obj.module)
+    dec = decompose_elementary(im_tower.bk.module)
     assert dec.free_rank == 2 and not dec.torsion_divisors
-    assert is_zero_module(cok_tower.obj.module)
-    assert is_zero_module(cok_tower.sub.obj.module)
-    assert is_zero_module(cok_tower.quot.obj.module)
+    assert is_zero_module(cok_tower.bk.module)
+    assert is_zero_module(cok_tower.sub.bk.module)
+    assert is_zero_module(cok_tower.quot.bk.module)

@@ -234,6 +234,18 @@ _CHILD_RUN_JOB = (
     ("snf_2468.json", "/input", {"ring": Z64, "matrix": [], "cols": "a"}, "/input/cols"),
     ("snf_2468.json", "/input", {"ring": Z64, "matrix": [], "cols": -1}, "/input/cols"),
     ("ss_basechange_identity.json", "/input/spec", 5, "/input/spec"),
+    ("ss_golden_trichotomy.json", "/input/complex/filtration",
+     [{"degree": 0, "weight": 1, "module": {"generators": 1, "relations": [[3]]},
+       "inclusion": [[3]]},
+      {"degree": 0, "weight": 1, "module": {"generators": 0, "relations": []},
+       "inclusion": []}],
+     "/input/complex/filtration/1"),
+    ("ss_golden_trichotomy.json", "/input/complex/filtration/0/weight", 0,
+     "/input/complex/filtration/0/weight"),
+    ("ss_golden_trichotomy.json", "/input/complex/filtration/0/weight", 2,
+     "/input/complex/filtration/0/weight"),
+    ("ss_golden_trichotomy.json", "/input/complex/filtration/0/inclusion", [],
+     "/input/complex/filtration/0/inclusion"),
 ])
 def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     """Each mutant once raised, hung or was silently truncated; now it exits 1

@@ -1,6 +1,9 @@
-"""Every name a truncalg module imports is read somewhere in that module."""
+"""Import hygiene: every name a truncalg module imports is read somewhere in
+that module, and every truncalg name the benchmark uses exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "truncalg"
@@ -24,3 +27,43 @@ def unused_imports(path):
 def test_no_unused_imports():
     unused = [u for path in sorted(SRC.glob("*.py")) for u in unused_imports(path)]
     assert not unused, unused
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _module_assignment(path, name):
+    """The literal value assigned to `name` at the top level of path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_perfbench_imports_resolve():
+    """Every truncalg name the benchmark imports, and every breuil_kisin and
+    smodules function its tracer groups by name, exists; perfbench is only
+    read, never imported."""
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "truncalg"):
+                continue
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(mod, alias.name) and importlib.util.find_spec(
+                        f"{node.module}.{alias.name}") is None:
+                    missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+    groups = _module_assignment(PERFBENCH / "tracer.py", "SELF_TIME_GROUPS")
+    for spans in groups.values():
+        for span in spans:
+            modname, _, func = span.partition(".")
+            if modname in ("breuil_kisin", "smodules"):
+                mod = importlib.import_module(f"truncalg.{modname}")
+                if not callable(getattr(mod, func, None)):
+                    missing.append(f"tracer.SELF_TIME_GROUPS {span}")
+    assert not missing, missing

@@ -306,8 +306,8 @@ def test_snf_memo_evicts_and_stays_correct():
 
 
 def test_snf_memo_shared_by_threads():
-    """Threads sharing the memo (as --corpus-dir workers do), with eviction
-    and a short switch interval, all get the single-threaded results."""
+    """Threads sharing the memo (the memo is documented as thread-safe), with
+    eviction and a short switch interval, all get the single-threaded results."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
