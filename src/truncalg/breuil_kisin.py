@@ -498,18 +498,13 @@ def make_bk_ses(a, b, c, inject_matrix, surject_matrix):
     return BKSes(a, b, c, inj.map, sur.map)
 
 
-def _lift_rows(surject, targets, ring):
-    """Rows of the middle lifting the given target rows through a surjection."""
-    sol = solve_left_mod(surject.matrix, targets, surject.target.relations, ring)
+def _preimage_rows(f, rows, ring):
+    """Source rows that f sends to the given target rows: lifts through the
+    verified surjection, or the factorization through the verified
+    injection."""
+    sol = solve_left_mod(f.matrix, rows, f.target.relations, ring)
     if sol is None:
-        raise InternalInconsistencyError("lift through a verified surjection failed")
-    return sol[0]
-
-
-def _express_through(incl, rows, ring):
-    sol = solve_left_mod(incl.matrix, rows, incl.target.relations, ring)
-    if sol is None:
-        raise InternalInconsistencyError("element fails to factor through the submodule")
+        raise InternalInconsistencyError("rows fail to factor through a verified map")
     return sol[0]
 
 
@@ -519,9 +514,9 @@ def connecting_maps(ses):
     slice gr_p^j A."""
     ring = ses.b.ring
     q = ses.c
-    lifts = _lift_rows(ses.surject, Mat.identity(q.module.gens, ring), ring)
+    lifts = _preimage_rows(ses.surject, Mat.identity(q.module.gens, ring), ring)
     p_lifts = lifts.scale(ring.from_int(ring.p), ring)
-    a_rows = _express_through(ses.inject, p_lifts, ring)
+    a_rows = _preimage_rows(ses.inject, p_lifts, ring)
     q_obj = _s1_object(s1_presentation(q.module), q)
     cj_mat = _reduce_mod_p(a_rows, q_obj.ring)
     out = []
@@ -566,7 +561,7 @@ def gr_extension_transfer(ses, quotient_kind, sub_gr_towers, r):
     cjs = connecting_maps(ses)
     # gr_j B -> gr_{j-1} A by p^j b |-> p^{j-1} (p b)
     pb_rows = Mat.identity(ses.b.module.gens, ring).scale(ring.from_int(ring.p), ring)
-    down_s1 = _reduce_mod_p(_express_through(ses.inject, pb_rows, ring), s1)
+    down_s1 = _reduce_mod_p(_preimage_rows(ses.inject, pb_rows, ring), s1)
     for j in range(n):
         cj = cjs[j][0]
         im_tower, cok_tower, _ = closure_check(cj, sub_gr_towers[j], r)

@@ -68,7 +68,7 @@ def span_subgroup(ring, rows, gens):
 class FiniteModule:
     """All cosets of span(relations) in R^gens, with canonical minimal reps."""
 
-    def __init__(self, presented, cancel=None):
+    def __init__(self, presented):
         ring = presented.ring
         g = presented.gens
         if ring_size(ring) ** g > ORACLE_ELEMENT_BOUND:
@@ -82,8 +82,6 @@ class FiniteModule:
         scalars = enumerate_ring(ring)
         space = [tuple(v) for v in product(scalars, repeat=g)] if g else [()]
         for x in space:
-            if cancel is not None and cancel():
-                raise UnsupportedRingError("oracle cancelled")
             if x in self._rep:
                 continue
             coset = sorted(_vec_add(ring, x, h) for h in self.sub)

@@ -144,7 +144,7 @@ def _a_elements(p, b, mlen):
     return [tuple(v) for v in product(range(p ** b), repeat=mlen)]
 
 
-def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True, cancel=None):
+def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
     """Classify extensions of S/p^a by S/p^b by explicit enumeration.
 
     Every extension class is realized by the value v = p^a . (lift of the
@@ -179,12 +179,7 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True, cancel=None):
         return _grow_submodule(zero, gens, lambda x: {smul(c, x) for c in range(pb)}, add)
 
     coboundaries = {smul(pa, x) for x in avals}
-    split_set = set()
-    for v in avals:
-        if cancel is not None and cancel():
-            raise UnsupportedRingError("oracle cancelled")
-        if smul(-1, v) in coboundaries:
-            split_set.add(v)
+    split_set = {v for v in avals if smul(-1, v) in coboundaries}
     split_is_cob = split_set == coboundaries
     dsub = closure(split_set)
 

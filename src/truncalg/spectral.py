@@ -648,13 +648,20 @@ def base_change_report(x, spec):
 # Exhaustive element-level oracle
 
 
-def oracle(x, cancel=None):
+def oracle(x):
     """Recompute the three verdict tiers (and the rational-degeneration
-    surrogate) by exhaustive element enumeration. Ground truth in tests."""
+    surrogate) by exhaustive element enumeration. Ground truth in tests.
+
+    The split tier asks, for every degree i and weight n, whether
+    A = (Z_i meet fil^n) + B_i has a complement over B_i in Z_i, i.e. whether
+    fil^n H_i is a direct summand of H_i = Z_i/B_i.  It does not enumerate
+    submodules of H_i: `_has_complement` tries the lifts g + a of
+    generators g of Z_i/A by elements a of A, one generator at a time, and
+    accepts a span of lifts of the right size."""
     ring = x.ring
     if not isinstance(ring, (TruncatedPadic, TruncatedPowerSeries)):
         raise UnsupportedRingError("oracle needs a finite chain ring")
-    fms = {i: FiniteModule(x.module(i), cancel=cancel) for i in range(x.lo, x.hi + 1)}
+    fms = {i: FiniteModule(x.module(i)) for i in range(x.lo, x.hi + 1)}
     prec = ring.precision
 
     def fm(i):
@@ -733,28 +740,9 @@ def oracle(x, cancel=None):
 
     split = degenerate
     if degenerate:
-        for i in range(x.lo, x.hi + 1):
-            if not split:
-                break
-            f = fms[i]
-            submods = _all_submodules_of_quotient(f, ker[i], bnd[i])
-            bsize = len(bnd[i])
-            hsize = len(ker[i]) // bsize
-            for n in range(x.wmin + 1, x.wmax + 1):
-                a_set = a_sets[i][n]
-                asize = len(a_set) // bsize
-                found = False
-                for b_set in submods:
-                    inter = a_set & b_set
-                    if len(inter) == bsize:
-                        ssum = f.subgroup(a_set | b_set)
-                        if len(ssum) // bsize == hsize and \
-                                (len(b_set) // bsize) * asize == hsize:
-                            found = True
-                            break
-                if not found:
-                    split = False
-                    break
+        split = all(_has_complement(fms[i], ker[i], bnd[i], a_sets[i][n])
+                    for i in range(x.lo, x.hi + 1)
+                    for n in range(x.wmin + 1, x.wmax + 1))
 
     # rational degeneration surrogate at element level
     rationally = True
@@ -807,20 +795,40 @@ def _oracle_boundary(x, fms, fil_set, d_of, n, i, r):
     return f.subgroup(seeds)
 
 
-def _all_submodules_of_quotient(f, big, small):
-    """All submodules of big/small, represented as saturated subsets of big;
-    big and small are submodules of f."""
-    subs = {frozenset(small)}
-    frontier = [frozenset(small)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for e in big:
-                if e in s:
-                    continue
-                grown = frozenset(f.subgroup(set(s) | {e}))
-                if grown not in subs:
-                    subs.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    return [set(s) for s in subs]
+def _has_complement(f, big, small, a_set):
+    """Whether a_set/small has a complement in big/small; big, small and
+    a_set are submodules of f with small <= a_set <= big.
+
+    A complement C (small <= C <= big, C meet a_set = small, C + a_set = big)
+    maps isomorphically onto big/a_set, so it is spanned over small by lifts
+    g + a of generators g of big/a_set (found greedily), with a running over
+    coset representatives of a_set/small.  A span S of lifts of g_1..g_j has
+    S + a_set = a_set + R.g_1 + ... + R.g_j, so S meets a_set in small exactly
+    when |S| = |small| * |S + a_set| / |a_set|; at j = k that makes S a
+    complement.  Lifts are tried one generator at a time, and a prefix
+    failing the size test is abandoned, since every span containing it
+    fails too.  Only f.subgroup and f.add are used: no SNF, no solver."""
+    gens, sizes = [], []
+    cur = a_set
+    for z in sorted(big):
+        if z not in cur:
+            cur = f.subgroup(cur | {z})
+            gens.append(z)
+            sizes.append(len(small) * len(cur) // len(a_set))
+    reps, seen = [], set()
+    for a in sorted(a_set):
+        if a not in seen:
+            reps.append(a)
+            seen.update(f.add(a, b) for b in small)
+    lines = [[f.subgroup([f.add(g, a)]) for a in reps] for g in gens]
+
+    def extend(span, j):
+        if j == len(gens):
+            return True
+        for line in lines[j]:
+            nxt = {f.add(s, m) for s in span for m in line}
+            if len(nxt) == sizes[j] and extend(nxt, j + 1):
+                return True
+        return False
+
+    return extend(small, 0)

@@ -2,8 +2,10 @@
 
 import random
 
+from truncalg.bruteforce import enumerate_ring
 from truncalg.linalg import Mat, invert
 from truncalg.modules import PresentedModule, direct_sum, module_map, submodule_from_rows
+from truncalg.rings import TruncatedPowerSeries
 from truncalg.spectral import validate
 from truncalg.errors import SchemaError
 
@@ -11,28 +13,35 @@ from truncalg.errors import SchemaError
 def random_filtered_complex(ring, rng, max_gens=2, weights=2, degrees=2):
     """A random valid filtered complex: modules, a well-defined differential,
     and descending filtrations built compatibly (fil of the target absorbs
-    the differential images)."""
+    the differential images).  Entries over F_p[z]/z^M are drawn from the
+    enumerated ring; over Z/p^N they are drawn as integers below p^N."""
+    if isinstance(ring, TruncatedPowerSeries):
+        elements = enumerate_ring(ring)
+
+        def rand_elt():
+            return rng.choice(elements)
+    else:
+        def rand_elt():
+            return ring.from_int(rng.randint(0, ring.modulus - 1))
+
     def rand_mod():
         g = rng.randint(0, max_gens)
-        rows = [[ring.from_int(rng.randint(0, ring.modulus - 1)) for _ in range(g)]
-                for _ in range(rng.randint(0, 2))]
+        rows = [[rand_elt() for _ in range(g)] for _ in range(rng.randint(0, 2))]
         return PresentedModule(ring, g, Mat(len(rows), g, rows))
 
     mods = {i: rand_mod() for i in range(degrees)}
     dmats = {}
-    ok = True
     for i in range(1, degrees):
         for _ in range(60):
             d = Mat(mods[i].gens, mods[i - 1].gens,
-                    [[ring.from_int(rng.randint(0, ring.modulus - 1))
-                      for _ in range(mods[i - 1].gens)] for _ in range(mods[i].gens)])
+                    [[rand_elt() for _ in range(mods[i - 1].gens)]
+                     for _ in range(mods[i].gens)])
             try:
                 dm = module_map(mods[i], mods[i - 1], d)
             except Exception:
                 continue
             if i >= 2 and not d.mul(dmats[i - 1], ring).is_zero(ring):
                 # require d o d = 0 on the nose for chains longer than 2
-                composed = dmats[i - 1]
                 try:
                     from truncalg.modules import compose, is_zero_map
 
@@ -53,8 +62,7 @@ def random_filtered_complex(ring, rng, max_gens=2, weights=2, degrees=2):
         for i in range(degrees - 1, -1, -1):
             rows = []
             for _ in range(rng.randint(0, 2)):
-                c = [ring.from_int(rng.randint(0, ring.modulus - 1))
-                     for _ in range(len(prev_rows[i]))]
+                c = [rand_elt() for _ in range(len(prev_rows[i]))]
                 rows.append([ring.sum(ring.mul(ci, prev_rows[i][k][j])
                                       for k, ci in enumerate(c))
                              for j in range(mods[i].gens)])

@@ -1,8 +1,11 @@
-"""The element-level closures against a naive pairwise-sum closure.
+"""The element-level closures and the oracle's split test against naive
+references.
 
 `FiniteModule.subgroup` and `span_subgroup` grow a submodule one generator
 at a time.  The reference below is the breadth-first closure under all
-pairwise sums that they replaced: slower, but obviously right.
+pairwise sums that they replaced: slower, but obviously right.  Likewise
+`spectral._has_complement` tries lifts of generators, and its reference is
+the enumeration of every intermediate submodule that it replaced.
 """
 
 import importlib
@@ -23,6 +26,7 @@ from truncalg.bruteforce import (
 from truncalg.linalg import Mat
 from truncalg.modules import PresentedModule
 from truncalg.rings import TruncatedPadic, TruncatedPowerSeries
+from truncalg.spectral import _has_complement
 
 # (ring, largest generator count), each within ORACLE_ELEMENT_BOUND
 RINGS = [
@@ -124,9 +128,68 @@ def test_subgroup_is_closed_and_canonical(k):
         assert fm.subgroup([]) == {fm.zero}
 
 
+def reference_submodules(fm, big, small):
+    """Every submodule between small and big, grown breadth-first from small
+    one element at a time: exponential in the size of big/small."""
+    subs = {frozenset(small)}
+    frontier = [frozenset(small)]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for e in big:
+                if e in s:
+                    continue
+                grown = frozenset(fm.subgroup(set(s) | {e}))
+                if grown not in subs:
+                    subs.add(grown)
+                    nxt.append(grown)
+        frontier = nxt
+    return subs
+
+
+def reference_has_complement(fm, big, small, a_set):
+    return any(a_set & c == small and fm.subgroup(a_set | c) == big
+               for c in reference_submodules(fm, big, small))
+
+
+# (ring index in RINGS, seed): Z/4, Z/8, Z/9 and F_2[z]/z^2
+COMPLEMENT_CASES = [(0, 51), (1, 52), (2, 61), (3, 54)]
+COMPLEMENT_ELEMENT_BOUND = 32   # big stays small enough to enumerate
+
+
+def random_triples(k, seed):
+    """Seeded (big, small, a_set) with small < a_set < big, submodules of the
+    modules of MODULES[k]; big is spanned by two random vectors."""
+    rng = random.Random(seed)
+    for pm in MODULES[k]:
+        fm = FiniteModule(pm)
+        for _ in range(10):
+            big = fm.subgroup(random_vectors(pm.ring, pm.gens, 2, rng))
+            if len(big) > COMPLEMENT_ELEMENT_BOUND:
+                continue
+            pool = sorted(big)
+            small = fm.subgroup([rng.choice(pool) for _ in range(rng.randint(0, 1))])
+            a_set = fm.subgroup(small | {rng.choice(pool)})
+            if small < a_set < big:
+                yield fm, big, small, a_set
+
+
+@pytest.mark.parametrize("k,seed", COMPLEMENT_CASES)
+def test_has_complement_matches_enumeration(k, seed):
+    """Lifting generators finds a complement exactly when one of the
+    enumerated submodules is a complement, and both answers occur."""
+    seen = set()
+    for fm, big, small, a_set in random_triples(k, seed):
+        want = reference_has_complement(fm, big, small, a_set)
+        assert _has_complement(fm, big, small, a_set) == want, \
+            (fm.presented, sorted(big), sorted(small), sorted(a_set))
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_closures_use_no_solver(monkeypatch):
-    """The oracle's closures stand apart from the SNF and the solvers: with
-    both patched to raise in every namespace, they still run."""
+    """The oracle's closures and split test stand apart from the SNF and the
+    solvers: with both patched to raise in every namespace, they still run."""
     built = [(pm, random_vectors(pm.ring, pm.gens, 3, random.Random(k)))
              for k, mods in MODULES.items() for pm in mods[:2]]
 
@@ -144,3 +207,6 @@ def test_closures_use_no_solver(monkeypatch):
         assert sub == reference_subgroup(fm, vecs)
         assert span_subgroup(pm.ring, vecs, pm.gens) == reference_span(pm.ring, vecs, pm.gens)
         quotient_exponent_multiset(fm, fm.elements, sub)
+    for k, seed in COMPLEMENT_CASES:
+        for fm, big, small, a_set in random_triples(k, seed):
+            _has_complement(fm, big, small, a_set)

@@ -107,6 +107,32 @@ def test_cli_process_end_to_end(tmp_path):
     assert data["verdicts"]["k0"] == {"rank": 0, "torsion": [2]}
 
 
+def test_cli_oracle_three_generators_z9(tmp_path):
+    """`ss-report --oracle` on (Z/9)^3 (729 elements, within
+    ORACLE_ELEMENT_BOUND) filtered by 3Z/9 + Z/9: the oracle's split tier
+    finishes and agrees with the checker."""
+    job = {"command": "ss-report",
+           "input": {"complex": {
+               "ring": {"family": "TruncatedPadic", "p": 3, "N": 2},
+               "lo": 0, "hi": 0, "wmin": 0, "wmax": 1,
+               "modules": [{"generators": 3, "relations": []}],
+               "differentials": [],
+               "filtration": [{"degree": 0, "weight": 1,
+                               "module": {"generators": 2, "relations": [[3, 0]]},
+                               "inclusion": [[3, 0, 0], [0, 1, 0]]}]}}}
+    src = tmp_path / "z9_three.json"
+    src.write_text(json.dumps(job))
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncalg.cli", "ss-report", "--oracle",
+         "--input", str(src), "--output", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    v = json.loads(out.read_text())["verdicts"]
+    assert v["oracle_agrees"] is True
+    assert (v["degenerate"], v["split"]) == (True, False)
+
+
 def test_cli_batch_mode(tmp_path):
     """The whole corpus in one batch reproduces every frozen report byte for
     byte with its exit code."""

@@ -11,7 +11,7 @@ from truncalg.modules import (
     direct_sum,
     torsion_divisor_profile,
 )
-from truncalg.rings import LocalizedIntegers, TruncatedPadic
+from truncalg.rings import LocalizedIntegers, TruncatedPadic, TruncatedPowerSeries
 from truncalg.spectral import (
     base_change_report,
     degeneration_report,
@@ -263,19 +263,18 @@ def test_oracle_agreement_at_higher_precision():
     assert (True, False) in hist  # the saturated-but-not-split tier appears
 
 
-def test_oracle_agreement_two_generators_z8():
-    """Two-generator complexes over Z/2^3 (up to 64 elements per degree):
-    checker and oracle agree on all four tiers, over more than one tier
-    class."""
-    rng = random.Random(71)
-    ring = TruncatedPadic(2, 3)
+def _agreement_classes(ring, seed, count, max_gens, keep=None):
+    """Draw random complexes until `count` of them pass `keep`, assert that
+    checker and oracle agree on all four tiers of each, and return how often
+    each tier class occurred."""
+    rng = random.Random(seed)
     hist = {}
     done = 0
     for _ in range(600):
-        if done >= 20:
+        if done >= count:
             break
-        x = random_filtered_complex(ring, rng, max_gens=2, weights=rng.choice([2, 3]))
-        if x is None:
+        x = random_filtered_complex(ring, rng, max_gens=max_gens, weights=rng.choice([2, 3]))
+        if x is None or (keep is not None and not keep(x)):
             continue
         orc = oracle(x)
         rep = degeneration_report(x)
@@ -286,7 +285,34 @@ def test_oracle_agreement_two_generators_z8():
         tiers = tuple(got[k] for k in sorted(got))
         hist[tiers] = hist.get(tiers, 0) + 1
         done += 1
-    assert done == 20
+    assert done == count
+    return hist
+
+
+def test_oracle_agreement_two_generators_z8():
+    """Two-generator complexes over Z/2^3 (up to 64 elements per degree):
+    checker and oracle agree on all four tiers, over more than one tier
+    class."""
+    hist = _agreement_classes(TruncatedPadic(2, 3), 71, 20, 2)
+    assert len(hist) >= 2, hist
+
+
+def test_oracle_agreement_three_generators_z9():
+    """Complexes over Z/3^2 with a three-generator module (up to 729
+    elements in that degree), which the oracle's split tier could not reach
+    while it enumerated submodules: checker and oracle agree on all four
+    tiers, over more than one tier class."""
+    def has_three(x):
+        return max(x.module(i).gens for i in range(x.lo, x.hi + 1)) == 3
+
+    hist = _agreement_classes(TruncatedPadic(3, 2), 82, 30, 3, keep=has_three)
+    assert len(hist) >= 2, hist
+
+
+def test_oracle_agreement_power_series():
+    """Complexes over F_2[z]/z^3 with up to two generators: checker and
+    oracle agree on all four tiers, over more than one tier class."""
+    hist = _agreement_classes(TruncatedPowerSeries(2, 3), 92, 20, 2)
     assert len(hist) >= 2, hist
 
 
