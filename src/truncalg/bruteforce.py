@@ -41,14 +41,15 @@ def _vec_scale(ring, c, x):
     return tuple(ring.mul(c, a) for a in x)
 
 
-def _grow_submodule(zero, elems, multiples, add):
-    """Submodule generated by elems, grown one generator at a time.
+def _grow_submodule(closed, elems, multiples, add):
+    """The submodule `closed` plus the span of elems, grown one generator at
+    a time.
 
-    S starts as {zero}; each x not yet in S replaces S by
-    {s + m : s in S, m in multiples(x)}.  S and multiples(x) = R.x are
-    submodules, so their sum is too, and the last S is the closure of elems
-    under addition and scalars."""
-    closed = {zero}
+    Each x not yet in S replaces S by {s + m : s in S, m in multiples(x)}.
+    S and multiples(x) = R.x are submodules, so their sum is too, and the
+    last S is the closure of closed and elems under addition and scalars.
+    `closed` (e.g. {zero}) must be a submodule; it is not modified, and it
+    is returned itself when elems add nothing."""
     for x in elems:
         if x not in closed:
             mx = multiples(x)
@@ -60,7 +61,7 @@ def span_subgroup(ring, rows, gens):
     """Additive closure of all ring multiples of the given rows in R^gens."""
     scalars = enumerate_ring(ring)
     return _grow_submodule(
-        (ring.zero,) * gens, (tuple(r) for r in rows),
+        {(ring.zero,) * gens}, (tuple(r) for r in rows),
         lambda x: {_vec_scale(ring, c, x) for c in scalars},
         lambda x, y: _vec_add(ring, x, y))
 
@@ -116,9 +117,13 @@ class FiniteModule:
 
     def subgroup(self, elems):
         """Closure of the given classes under addition and scalars."""
+        return self.extend_subgroup({self.zero}, elems)
+
+    def extend_subgroup(self, sub, elems):
+        """Closure of the submodule sub and the given classes, grown from sub."""
         scalars = enumerate_ring(self.ring)
         return _grow_submodule(
-            self.zero, (self.rep(x) for x in elems),
+            sub, (self.rep(x) for x in elems),
             lambda x: {self.scale(c, x) for c in scalars}, self.add)
 
 
@@ -144,7 +149,7 @@ def quotient_exponent_multiset(fm, big, small):
     sizes = []
     cur = set(big)
     for _ in range(prec + 1):
-        joined = fm.subgroup(cur | small_sub)
+        joined = fm.extend_subgroup(small_sub, cur)
         sizes.append(_log_size(len(joined) // len(small_sub), p))
         cur = {fm.scale(u, x) for x in cur}
     counts = [sizes[j] - sizes[j + 1] for j in range(prec)]

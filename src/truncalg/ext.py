@@ -176,7 +176,7 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
     zero = (0,) * mlen
 
     def closure(gens):
-        return _grow_submodule(zero, gens, lambda x: {smul(c, x) for c in range(pb)}, add)
+        return _grow_submodule({zero}, gens, lambda x: {smul(c, x) for c in range(pb)}, add)
 
     coboundaries = {smul(pa, x) for x in avals}
     split_set = {v for v in avals if smul(-1, v) in coboundaries}

@@ -57,19 +57,22 @@ class Mat:
         return self.data[i]
 
     def mul(self, other, ring):
+        """Row by row: output row i sums a[i][k] * (row k of other) over the
+        nonzero a[i][k]."""
         assert self.cols == other.rows, f"shape mismatch {self.cols} != {other.rows}"
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        zero_row = (ring.zero,) * other.cols
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if ring.is_zero(a):
-                        continue
-                    acc = ring.add(acc, ring.mul(a, other.data[k][j]))
-                row.append(acc)
-            out.append(row)
+        for arow in self.data:
+            acc = None
+            for a, orow in zip(arow, other.data):
+                if is_zero(a):
+                    continue
+                if acc is None:
+                    acc = [mul(a, y) for y in orow]
+                else:
+                    acc = [add(x, mul(a, y)) for x, y in zip(acc, orow)]
+            out.append(zero_row if acc is None else acc)
         return Mat(self.rows, other.cols, out)
 
     def vstack(self, other):
@@ -116,12 +119,14 @@ class Mat:
 
 @dataclass
 class SNFResult:
-    """left . mat . right = diag(divisors); witnesses invertible by construction."""
+    """left . mat . right = diag(divisors) with left and right invertible.
+
+    No inverse of a witness is stored: `verify` computes the inverses it
+    checks, and `modules.decompose_elementary` inverts `right` itself.
+    """
 
     left: Mat
-    left_inv: Mat
     right: Mat
-    right_inv: Mat
     divisors: list
 
     def diagonal(self, rows, cols, ring):
@@ -134,16 +139,12 @@ class SNFResult:
         lhs = self.left.mul(mat, ring).mul(self.right, ring)
         if lhs != self.diagonal(mat.rows, mat.cols, ring):
             return False
-        n = self.left.rows
-        m = self.right.rows
-        return (self.left.mul(self.left_inv, ring) == Mat.identity(n, ring)
-                and self.left_inv.mul(self.left, ring) == Mat.identity(n, ring)
-                and self.right.mul(self.right_inv, ring) == Mat.identity(m, ring)
-                and self.right_inv.mul(self.right, ring) == Mat.identity(m, ring))
+        return invert(self.left, ring) is not None and invert(self.right, ring) is not None
 
 
 class _Worker:
-    """Mutable state for SNF: applies elementary ops, tracking witnesses."""
+    """Mutable state for SNF: applies elementary ops to the matrix and to the
+    witnesses left and right."""
 
     def __init__(self, mat, ring):
         self.ring = ring
@@ -156,17 +157,13 @@ class _Worker:
             return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
         self.l = identity(mat.rows)
-        self.linv = identity(mat.rows)
         self.r = identity(mat.cols)
-        self.rinv = identity(mat.cols)
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.a[i], self.a[j] = self.a[j], self.a[i]
         self.l[i], self.l[j] = self.l[j], self.l[i]
-        for row in self.linv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(self, i, j):
         if i == j:
@@ -175,70 +172,49 @@ class _Worker:
             row[i], row[j] = row[j], row[i]
         for row in self.r:
             row[i], row[j] = row[j], row[i]
-        self.rinv[i], self.rinv[j] = self.rinv[j], self.rinv[i]
 
-    def scale_row(self, i, u, uinv):
+    def scale_row(self, i, u):
+        """row_i *= u, u a unit"""
         rg = self.ring
         self.a[i] = [rg.mul(u, x) for x in self.a[i]]
         self.l[i] = [rg.mul(u, x) for x in self.l[i]]
-        for row in self.linv:
-            row[i] = rg.mul(row[i], uinv)
 
     def add_row(self, dst, src, c):
-        """row_dst += c * row_src"""
-        rg = self.ring
-        self.a[dst] = [rg.add(x, rg.mul(c, y)) for x, y in zip(self.a[dst], self.a[src])]
-        self.l[dst] = [rg.add(x, rg.mul(c, y)) for x, y in zip(self.l[dst], self.l[src])]
-        nc = rg.neg(c)
-        for row in self.linv:
-            row[src] = rg.add(row[src], rg.mul(nc, row[dst]))
+        """row_dst += c * row_src, skipping the zero entries of row_src."""
+        add, mul, is_zero = self.ring.add, self.ring.mul, self.ring.is_zero
+        for rows in (self.a, self.l):
+            rows[dst] = [x if is_zero(y) else add(x, mul(c, y))
+                         for x, y in zip(rows[dst], rows[src])]
 
     def add_col(self, dst, src, c):
-        """col_dst += c * col_src"""
-        rg = self.ring
-        for row in self.a:
-            row[dst] = rg.add(row[dst], rg.mul(c, row[src]))
-        for row in self.r:
-            row[dst] = rg.add(row[dst], rg.mul(c, row[src]))
-        nc = rg.neg(c)
-        self.rinv[src] = [rg.add(x, rg.mul(nc, y)) for x, y in zip(self.rinv[src], self.rinv[dst])]
+        """col_dst += c * col_src, skipping the zero entries of col_src."""
+        add, mul, is_zero = self.ring.add, self.ring.mul, self.ring.is_zero
+        for row in self.a + self.r:
+            y = row[src]
+            if not is_zero(y):
+                row[dst] = add(row[dst], mul(c, y))
 
-    def two_row_transform(self, i1, i2, m11, m12, m21, m22, n11, n12, n21, n22):
-        """rows (i1,i2) <- M . rows; (n..) is M^{-1}. Used for Bezout steps."""
+    def two_row_transform(self, i1, i2, m11, m12, m21, m22):
+        """rows (i1,i2) <- M . rows, M invertible. Used for Bezout steps."""
         rg = self.ring
-        r1, r2 = self.a[i1], self.a[i2]
-        self.a[i1] = [rg.add(rg.mul(m11, x), rg.mul(m12, y)) for x, y in zip(r1, r2)]
-        self.a[i2] = [rg.add(rg.mul(m21, x), rg.mul(m22, y)) for x, y in zip(r1, r2)]
-        l1, l2 = self.l[i1], self.l[i2]
-        self.l[i1] = [rg.add(rg.mul(m11, x), rg.mul(m12, y)) for x, y in zip(l1, l2)]
-        self.l[i2] = [rg.add(rg.mul(m21, x), rg.mul(m22, y)) for x, y in zip(l1, l2)]
-        for row in self.linv:
-            x, y = row[i1], row[i2]
-            row[i1] = rg.add(rg.mul(x, n11), rg.mul(y, n21))
-            row[i2] = rg.add(rg.mul(x, n12), rg.mul(y, n22))
+        for rows in (self.a, self.l):
+            r1, r2 = rows[i1], rows[i2]
+            rows[i1] = [rg.add(rg.mul(m11, x), rg.mul(m12, y)) for x, y in zip(r1, r2)]
+            rows[i2] = [rg.add(rg.mul(m21, x), rg.mul(m22, y)) for x, y in zip(r1, r2)]
 
-    def two_col_transform(self, j1, j2, m11, m12, m21, m22, n11, n12, n21, n22):
-        """cols (j1,j2) <- cols . M; (n..) is M^{-1}."""
+    def two_col_transform(self, j1, j2, m11, m12, m21, m22):
+        """cols (j1,j2) <- cols . M, M invertible."""
         rg = self.ring
-        for row in self.a:
+        for row in self.a + self.r:
             x, y = row[j1], row[j2]
             row[j1] = rg.add(rg.mul(x, m11), rg.mul(y, m21))
             row[j2] = rg.add(rg.mul(x, m12), rg.mul(y, m22))
-        for row in self.r:
-            x, y = row[j1], row[j2]
-            row[j1] = rg.add(rg.mul(x, m11), rg.mul(y, m21))
-            row[j2] = rg.add(rg.mul(x, m12), rg.mul(y, m22))
-        ri1, ri2 = self.rinv[j1], self.rinv[j2]
-        self.rinv[j1] = [rg.add(rg.mul(n11, x), rg.mul(n12, y)) for x, y in zip(ri1, ri2)]
-        self.rinv[j2] = [rg.add(rg.mul(n21, x), rg.mul(n22, y)) for x, y in zip(ri1, ri2)]
 
     def result(self):
         k = min(self.rows, self.cols)
         return SNFResult(
             left=Mat(self.rows, self.rows, self.l),
-            left_inv=Mat(self.rows, self.rows, self.linv),
             right=Mat(self.cols, self.cols, self.r),
-            right_inv=Mat(self.cols, self.cols, self.rinv),
             divisors=[self.a[i][i] for i in range(k)],
         )
 
@@ -262,7 +238,8 @@ def _snf_chain(mat, ring):
         w.swap_rows(k, bi)
         w.swap_cols(k, bj)
         unit = ring.unit_part(w.a[k][k])
-        w.scale_row(k, ring.inv(unit), unit)
+        if unit != ring.one:
+            w.scale_row(k, ring.inv(unit))
         pivot = w.a[k][k]
         for i in range(k + 1, w.rows):
             if not ring.is_zero(w.a[i][k]):
@@ -295,7 +272,7 @@ def _snf_localized(mat, ring):
         for x in w.a[i]:
             den = lcm(den, x.denominator)
         if den != 1:
-            w.scale_row(i, Fraction(den), Fraction(1, den))
+            w.scale_row(i, Fraction(den))
 
     def entry(i, j):
         return int(w.a[i][j])
@@ -326,8 +303,7 @@ def _snf_localized(mat, ring):
                     g, x, y = _xgcd(a, b)
                     w.two_row_transform(
                         k, i,
-                        Fraction(x), Fraction(y), Fraction(-(b // g)), Fraction(a // g),
-                        Fraction(a // g), Fraction(-y), Fraction(b // g), Fraction(x))
+                        Fraction(x), Fraction(y), Fraction(-(b // g)), Fraction(a // g))
             if any(entry(k, j) for j in range(k + 1, w.cols)):
                 for j in range(k + 1, w.cols):
                     b = entry(k, j)
@@ -340,8 +316,7 @@ def _snf_localized(mat, ring):
                         g, x, y = _xgcd(a, b)
                         w.two_col_transform(
                             k, j,
-                            Fraction(x), Fraction(-(b // g)), Fraction(y), Fraction(a // g),
-                            Fraction(a // g), Fraction(b // g), Fraction(-y), Fraction(x))
+                            Fraction(x), Fraction(-(b // g)), Fraction(y), Fraction(a // g))
                 continue
             if any(entry(i, k) for i in range(k + 1, w.rows)):
                 continue
@@ -359,7 +334,7 @@ def _snf_localized(mat, ring):
                 break
             w.add_row(k, bad, Fraction(1))
         if entry(k, k) < 0:
-            w.scale_row(k, Fraction(-1), Fraction(-1))
+            w.scale_row(k, Fraction(-1))
 
     for k in range(min(w.rows, w.cols)):
         d = int(w.a[k][k])
@@ -367,17 +342,19 @@ def _snf_localized(mat, ring):
             continue
         stripped = ring.strip_s(d)
         if stripped != d:
-            u = Fraction(stripped, d)
-            w.scale_row(k, u, 1 / u)
+            w.scale_row(k, Fraction(stripped, d))
     return w.result()
 
 
 def smith_normal_form(mat, ring):
-    """SNF with witnesses; divisors ordered by non-decreasing valuation.
+    """SNF left . mat . right = diag(divisors) with invertible witnesses left
+    and right; divisors ordered by non-decreasing valuation.
 
+    The witnesses' inverses are not computed: `SNFResult.verify` checks
+    invertibility through `invert`, as callers needing an inverse do.
     Raises UnsupportedRing for TruncatedBK and TruncatedLambda: use the
-    restriction-of-scalars solvers instead.  Results are memoized per process
-    by (ring, matrix); each call returns its own SNFResult.
+    restriction-of-scalars solvers instead.  Results are memoized per
+    process by (ring, matrix); each call returns its own SNFResult.
     """
     if isinstance(ring, (TruncatedBK, TruncatedLambda)):
         raise UnsupportedRingError(
@@ -393,8 +370,12 @@ def smith_normal_form(mat, ring):
 # random tower check makes about 110 SNF calls on about 20 distinct inputs.
 # With 32 entries the misses equal the distinct inputs on every corpus job
 # (at most 37, ext_golden_p2) and every tower; filtered complexes with up to
-# 61 distinct inputs miss 1 to 3 more.  lru_cache is thread-safe, so an
-# embedding program may run jobs on several threads.
+# 61 distinct inputs miss 1 to 3 more.  `invert` of an SNF witness (in
+# `decompose_elementary` and `SNFResult.verify`) goes through the memo too:
+# on the 48 towers of tower_check seed 601 that adds 93 distinct inputs
+# (938 -> 1031 misses), and the misses still equal the distinct inputs.
+# lru_cache is thread-safe, so an embedding program may run jobs on several
+# threads.
 @lru_cache(maxsize=32)
 def _snf_memo(ring, mat):
     if isinstance(ring, LocalizedIntegers):

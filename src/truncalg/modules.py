@@ -316,7 +316,8 @@ def decompose_elementary(m):
             rel_rows.append(row)
     canonical = PresentedModule(ring, len(kept), Mat(len(rel_rows), len(kept), rel_rows))
     to_can = module_map(m, canonical, snf.right.take_cols(kept), check=False)
-    from_can = module_map(canonical, m, snf.right_inv.take_rows(kept), check=False)
+    from_can = module_map(canonical, m, linalg.invert(snf.right, ring).take_rows(kept),
+                          check=False)
     dec = ElementaryDecomposition(free_rank, torsion, to_can, from_can, canonical)
     if not dec.verify():
         raise InternalInconsistencyError("elementary decomposition witness failed to verify")

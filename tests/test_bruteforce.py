@@ -5,10 +5,13 @@ references.
 at a time.  The reference below is the breadth-first closure under all
 pairwise sums that they replaced: slower, but obviously right.  Likewise
 `spectral._has_complement` tries lifts of generators, and its reference is
-the enumeration of every intermediate submodule that it replaced.
+the enumeration of every intermediate submodule that it replaced, and
+`quotient_exponent_multiset` grows each closure from the smaller subgroup,
+where its reference regrows every closure from zero.
 """
 
 import importlib
+import math
 import pkgutil
 import random
 
@@ -185,6 +188,45 @@ def test_has_complement_matches_enumeration(k, seed):
             (fm.presented, sorted(big), sorted(small), sorted(a_set))
         seen.add(want)
     assert seen == {True, False}
+
+
+def reference_quotient_exponent_multiset(fm, big, small):
+    """The quotient's exponents with every closure big' + small regrown from
+    zero, as quotient_exponent_multiset computed them before it grew each
+    closure from the smaller subgroup."""
+    ring = fm.ring
+    prec = ring.precision
+    u = ring.uniformizer_power(1)
+    small_sub = fm.subgroup(small) if small else {fm.zero}
+    sizes = []
+    cur = set(big)
+    for _ in range(prec + 1):
+        quotient = len(fm.subgroup(cur | small_sub)) // len(small_sub)
+        sizes.append(round(math.log(quotient, ring.p)))
+        cur = {fm.scale(u, x) for x in cur}
+    counts = [sizes[j] - sizes[j + 1] for j in range(prec)]
+    multiset = [j for j in range(1, prec) for _ in range(counts[j - 1] - counts[j])]
+    return sorted(multiset + [prec] * counts[prec - 1])
+
+
+@pytest.mark.parametrize("k,seed", [(0, 71), (2, 72), (3, 73)])
+def test_quotient_exponents_match_regrowth(k, seed):
+    """Z/4, Z/9 and F_2[z]/z^2: seeded pairs small <= big of subgroups, and
+    the whole module over each of them."""
+    rng = random.Random(seed)
+    pairs = 0
+    for pm in MODULES[k]:
+        fm = FiniteModule(pm)
+        for _ in range(4):
+            big = fm.subgroup(random_vectors(pm.ring, pm.gens, rng.randint(1, 3), rng))
+            pool = sorted(big)
+            small = fm.subgroup([rng.choice(pool) for _ in range(rng.randint(0, 2))])
+            for b in (big, set(fm.elements)):
+                want = reference_quotient_exponent_multiset(fm, b, small)
+                assert quotient_exponent_multiset(fm, b, small) == want, \
+                    (pm, sorted(b), sorted(small))
+                pairs += 1
+    assert pairs == 8 * len(MODULES[k])
 
 
 def test_closures_use_no_solver(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from truncalg.errors import UnsupportedRingError
 from truncalg.linalg import (
     Mat,
+    SNFResult,
     _snf_memo,
     expand_matrix,
     expand_rows,
@@ -16,6 +17,7 @@ from truncalg.linalg import (
     solve_left,
     solve_left_mod,
 )
+from truncalg.modules import PresentedModule, decompose_elementary
 from truncalg.rings import (
     LocalizedIntegers,
     TruncatedBK,
@@ -143,6 +145,91 @@ def test_snf_random_verified(ring):
             else:
                 vals.append(ring.val(d))
         assert vals == sorted(vals)
+
+
+def sparse_matrix(ring, rng, rows, cols, zero_share):
+    m = random_matrix(ring, rng, rows, cols)
+    return Mat(rows, cols, [[ring.zero if rng.random() < zero_share else x for x in r]
+                            for r in m.data])
+
+
+def naive_product(a, b, ring):
+    """Entry (i, j) summed over k in one pass, the textbook triple loop."""
+    return Mat(a.rows, b.cols,
+               [[ring.sum(ring.mul(a.data[i][k], b.data[k][j]) for k in range(a.cols))
+                 for j in range(b.cols)] for i in range(a.rows)])
+
+
+@pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)
+def test_mat_mul_matches_triple_loop(ring):
+    """Row-by-row products against the triple loop: empty shapes (no rows,
+    no columns, no inner dimension), dense and mostly zero factors."""
+    rng = random.Random(43)
+    shapes = [(0, 2, 3), (2, 3, 0), (3, 0, 2), (0, 0, 0), (1, 1, 1), (2, 3, 4), (4, 2, 3)]
+    shapes += [(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(6)]
+    for rows, inner, cols in shapes:
+        for zero_share in (0.0, 0.8, 1.0):
+            a = sparse_matrix(ring, rng, rows, inner, zero_share)
+            b = sparse_matrix(ring, rng, inner, cols, rng.choice((0.0, 0.8)))
+            got = a.mul(b, ring)
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got == naive_product(a, b, ring), (a, b)
+
+
+def witness_shapes(rng):
+    """(rows, cols, rank deficient): tall (rows >= 3 cols) and wide, then
+    rank-deficient square and tall."""
+    for cols in (1, 2, 3):
+        yield 3 * cols + rng.randint(0, 2), cols, False
+        yield rng.randint(1, cols), cols + rng.randint(1, 3), False
+        yield cols + 1, cols + 1, True
+        yield 3 * cols, cols, True
+
+
+def shaped_matrix(ring, rng, rows, cols, deficient):
+    """A seeded matrix; when deficient, its first row is zero and its last
+    row a combination of the others."""
+    m = sparse_matrix(ring, rng, rows, cols, rng.choice((0.0, 0.5)))
+    data = [list(r) for r in m.data]
+    if deficient:
+        data[0] = [ring.zero] * cols
+        c = [random_matrix(ring, rng, 1, 1).data[0][0] for _ in range(rows - 1)]
+        data[-1] = [ring.sum(ring.mul(ci, data[i][j]) for i, ci in enumerate(c))
+                    for j in range(cols)]
+    return Mat(rows, cols, data)
+
+
+@pytest.mark.parametrize("ring", [Z2_6, Z3_4, S1, ZL2], ids=lambda r: type(r).__name__)
+def test_snf_witnesses_on_every_shape(ring):
+    """verify passes on tall, wide and rank-deficient inputs, and the
+    elementary decomposition's from_canonical is the kept rows of the
+    inverse of the SNF's right witness."""
+    rng = random.Random(47)
+    for _ in range(3):
+        for rows, cols, deficient in witness_shapes(rng):
+            m = shaped_matrix(ring, rng, rows, cols, deficient)
+            res = smith_normal_form(m, ring)
+            assert res.verify(m, ring), m
+            assert len(res.divisors) == min(rows, cols)
+            divisors = res.divisors + [ring.zero] * (cols - len(res.divisors))
+            kept = [j for j, d in enumerate(divisors) if not ring.is_unit(d)]
+            kept.sort(key=lambda j: ring.is_zero(divisors[j]))
+            right_inv = invert(res.right, ring)
+            assert right_inv is not None
+            dec = decompose_elementary(PresentedModule(ring, cols, m))
+            assert dec.from_canonical.matrix == right_inv.take_rows(kept), m
+            assert dec.to_canonical.matrix == res.right.take_cols(kept), m
+
+
+@pytest.mark.parametrize("ring", [Z2_6, S1, ZL2], ids=lambda r: type(r).__name__)
+def test_verify_checks_witness_invertibility(ring):
+    """For the zero matrix, L . A . R = D holds with left = 0 or right = 0,
+    but such witnesses are not invertible and verify says so."""
+    m = Mat.zero(2, 3, ring)
+    zeros = [ring.zero, ring.zero]
+    assert SNFResult(Mat.identity(2, ring), Mat.identity(3, ring), zeros).verify(m, ring)
+    assert not SNFResult(Mat.zero(2, 2, ring), Mat.identity(3, ring), zeros).verify(m, ring)
+    assert not SNFResult(Mat.identity(2, ring), Mat.zero(3, 3, ring), zeros).verify(m, ring)
 
 
 @pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)
