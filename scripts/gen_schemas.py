@@ -131,6 +131,21 @@ filtered_complex = {
     "required": ["ring", "lo", "hi", "wmin", "wmax", "modules"],
 }
 
+base_change_spec = {
+    "$id": "truncalg/base_change_spec",
+    "schema_version": SCHEMA_VERSION,
+    "type": "object",
+    "description": "ss-basechange's spec; its report covers the identity and "
+                   "localized_completion kinds",
+    "properties": {
+        "kind": {"enum": ["identity", "z_to_zero", "z_to_unit", "frobenius_twist",
+                          "lambda_completion", "localized_completion"]},
+        "unit": {"type": "integer"},
+        "ell": {"type": "integer", "description": "a prime; the completions need it"},
+        "precision_n": {"type": "integer", "minimum": 1}},
+    "required": ["kind"],
+}
+
 bk_module = {
     "$id": "truncalg/bk_module",
     "schema_version": SCHEMA_VERSION,
@@ -187,10 +202,11 @@ job = {
         "input": {"type": "object", "description": "command-specific payload"},
         "options": {"type": "object",
                     "properties": {"oracle": {"type": "boolean"},
-                                   "prime_bound": {"type": "integer"},
-                                   "precision_n": {"type": "integer"},
-                                   "precision_m": {"type": "integer"},
-                                   "precision_n_local": {"type": "integer"}}}},
+                                   "prime_bound": {"type": "integer", "minimum": 0},
+                                   "precision_n": {"type": "integer", "minimum": 1},
+                                   "precision_m": {"type": "integer", "minimum": 1},
+                                   "precision_n_local": {"type": "integer",
+                                                         "minimum": 1}}}},
     "required": ["command", "input"],
     "exit_codes": {"0": "completed", "1": "schema/input error (never dispatched)",
                    "2": "hypothesis gate unmet", "3": "precision-limited",
@@ -228,7 +244,8 @@ def main():
     os.makedirs(DOCS, exist_ok=True)
     for name, doc in [("ring_spec", ring_spec), ("presented_module", presented_module),
                       ("module_map", module_map), ("ses", ses),
-                      ("filtered_complex", filtered_complex), ("bk_module", bk_module),
+                      ("filtered_complex", filtered_complex),
+                      ("base_change_spec", base_change_spec), ("bk_module", bk_module),
                       ("tower", tower), ("cw_complex", cw_complex),
                       ("job", job), ("report", report)]:
         path = os.path.join(DOCS, f"{name}.schema.json")

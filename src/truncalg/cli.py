@@ -21,6 +21,7 @@ import time
 import traceback
 
 from . import VERSION_STAMP
+from . import modules as mods
 from .errors import (
     InternalInconsistencyError,
     SchemaError,
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .linalg import smith_normal_form
-from .rings import primerange
+from .rings import TruncatedBK, primerange
 from .schemas import (
     _want,
     jsonable,
@@ -74,15 +75,8 @@ def _apply_precision_overrides(data, options):
 
 
 def run_command(command, input_data, options):
-    """Dispatch to the owning module; returns the verdict payload."""
-    from . import breuil_kisin as bkm
-    from . import cw as cwm
-    from . import ext as extm
-    from . import local_global as lgm
-    from . import modules as mods
-    from . import spectral as spec
-    from .smodules import NotElementary, decompose_over_s
-
+    """Dispatch to the owning module; returns the verdict payload.  Each
+    branch imports the modules it uses, so a job loads no other command's."""
     oracle_on = bool(options.get("oracle"))
 
     if command == "snf":
@@ -106,7 +100,7 @@ def run_command(command, input_data, options):
                 "ledgers": {}}
 
     if command == "decompose":
-        from .rings import TruncatedBK
+        from .smodules import NotElementary, decompose_over_s
 
         m = parse_module(_want(input_data, "module", "/input"), "/input/module")
         if isinstance(m.ring, TruncatedBK):
@@ -127,6 +121,8 @@ def run_command(command, input_data, options):
                 "ledgers": {}}
 
     if command == "ext1":
+        from . import ext as extm
+
         c = parse_module(_want(input_data, "c", "/input"), "/input/c")
         a = parse_module(_want(input_data, "a", "/input"), "/input/a", ring=c.ring)
         exps, free = extm.ext1_divisor_exponents(c, a)
@@ -156,6 +152,8 @@ def run_command(command, input_data, options):
         return out
 
     if command in ("ss-report", "oracle"):
+        from . import spectral as spec
+
         x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
         if command == "oracle":
             verdicts = spec.oracle(x)
@@ -177,6 +175,8 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "ss-basechange":
+        from . import spectral as spec
+
         x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
         bspec = parse_base_change_spec(_want(input_data, "spec", "/input", dict), "/input/spec")
         rep, descent = spec.base_change_report(x, bspec)
@@ -194,6 +194,8 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "bk-height":
+        from . import breuil_kisin as bkm
+
         b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
         s, r = _want(input_data, "s", "/input", int), _want(input_data, "r", "/input", int)
         trail = [f"frobenius trusted z-precision: {b.ring.frobenius_trusted_precision}"]
@@ -208,6 +210,8 @@ def run_command(command, input_data, options):
                 "ledgers": {}, "precision_trail": trail}
 
     if command == "bk-structure":
+        from . import breuil_kisin as bkm
+
         b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
         r = (_want(input_data, "r", "/input", int) if "r" in input_data
              else b.height_window[1])
@@ -230,6 +234,8 @@ def run_command(command, input_data, options):
                 "hypothesis_flag": not res.hypothesis_met}
 
     if command == "cw-ktheory":
+        from . import cw as cwm
+
         x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
         k = cwm.ktheory(x)
         return {"verdicts": {
@@ -244,6 +250,8 @@ def run_command(command, input_data, options):
                     for j, g in cwm.reduced_cohomology(x, k.inverted).items()}}}
 
     if command == "cw-verify":
+        from . import cw as cwm
+
         x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
         trace = cwm.skeletal_verification(x)
         all_exact = all(n["exact"] for step in trace for n in step["nodes"])
@@ -252,6 +260,8 @@ def run_command(command, input_data, options):
                 "witnesses": {"trace": jsonable(trace)}, "ledgers": {}}
 
     if command == "lambda-survey":
+        from . import local_global as lgm
+
         ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
         ls = lgm.LambdaSES(ses)
         primes = input_data.get("primes")
@@ -276,6 +286,8 @@ def run_command(command, input_data, options):
         return payload
 
     if command == "lambda-zero":
+        from . import local_global as lgm
+
         f = parse_map(_want(input_data, "map", "/input"), "/input/map")
         rep = lgm.zero_local_global(f)
         return {"verdicts": {"is_zero": rep.direct_zero,
@@ -368,13 +380,15 @@ def run_job(job, timing=False):
 
 
 def _parse_options(job):
-    """The job's options; the integer ones must be JSON integers."""
+    """The job's options; the integer ones must be JSON integers, each
+    precision at least 1 and `prime_bound` at least 0."""
     options = job.get("options", {}) or {}
     if not isinstance(options, dict):
         raise SchemaError("options must be an object", "/options")
-    for key in ("prime_bound", "precision_n", "precision_m", "precision_n_local"):
-        if options.get(key) is not None:
-            _want(options, key, "/options", int)
+    for key, least in (("prime_bound", 0), ("precision_n", 1), ("precision_m", 1),
+                       ("precision_n_local", 1)):
+        if options.get(key) is not None and _want(options, key, "/options", int) < least:
+            raise SchemaError(f"field '{key}' must be >= {least}", f"/options/{key}")
     return options
 
 

@@ -328,10 +328,12 @@ def parse_cw(data, loc="/cw"):
 
 
 def parse_base_change_spec(data, loc):
-    """A base-change spec: `unit`, `ell` (a prime) and `precision_n` are
-    optional integers; the completions need `ell`."""
+    """A base-change spec: `unit`, `ell` (a prime) and `precision_n` (at
+    least 1) are optional integers; the completions need `ell`."""
     fields = {k: _want(data, k, loc, int) for k in ("unit", "ell", "precision_n")
               if data.get(k) is not None}
+    if fields.get("precision_n", 1) < 1:
+        raise SchemaError("field 'precision_n' must be >= 1", loc + "/precision_n")
     if "ell" in fields and not isprime(fields["ell"]):
         raise SchemaError(f"{fields['ell']} is not a prime", loc + "/ell")
     kind = data.get("kind")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from truncalg.cli import emit, run_job
+from truncalg.cli import COMMANDS, emit, run_job
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -221,6 +221,48 @@ def test_runtime_import_graph_has_no_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+# the truncalg modules every CLI job loads, and those each command adds
+_BASE_MODULES = {"errors", "rings", "linalg", "modules", "schemas", "cli"}
+_COMMAND_MODULES = {
+    "snf": set(), "split": set(), "decompose": {"smodules"},
+    "ext1": {"ext", "bruteforce", "smodules"},
+    "ss-report": {"spectral", "bruteforce"}, "ss-basechange": {"spectral", "bruteforce"},
+    "oracle": {"spectral", "bruteforce"},
+    "bk-height": {"breuil_kisin", "smodules"}, "bk-structure": {"breuil_kisin", "smodules"},
+    "cw-ktheory": {"cw"}, "cw-verify": {"cw"},
+    "lambda-survey": {"local_global"}, "lambda-zero": {"local_global"},
+}
+
+_CHILD_MAIN = (
+    "import json, sys\n"
+    "from truncalg.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m[len('truncalg.'):] for m in sys.modules\n"
+    "                        if m.startswith('truncalg.'))))\n"
+    "sys.exit(code)\n")
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """A fresh interpreter running one corpus job writes the golden report
+    byte for byte and loads only the base modules and its command's."""
+    assert set(_COMMAND_MODULES) == set(COMMANDS)
+    names = sorted(n for n in os.listdir(CORPUS)
+                   if n.endswith(".json") and not n.endswith(".report.json"))
+    out = tmp_path / "report.json"
+    for name in names:
+        command = load(name)["command"]
+        with open(os.path.join(CORPUS, name[:-5] + ".report.json")) as fh:
+            golden = fh.read()
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD_MAIN, command,
+             "--input", os.path.join(CORPUS, name), "--output", str(out)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == json.loads(golden)["exit_code"], (name, proc.stderr)
+        assert out.read_text() == golden, name
+        loaded = set(json.loads(proc.stdout))
+        assert loaded == _BASE_MODULES | _COMMAND_MODULES[command], (name, sorted(loaded))
+
+
 def _mutant(name, pointer, value):
     """Corpus job `name` with the field at JSON pointer `pointer` set to value."""
     job = load(name)
@@ -260,6 +302,8 @@ _CHILD_RUN_JOB = (
     ("snf_2468.json", "/input", {"ring": Z64, "matrix": [], "cols": "a"}, "/input/cols"),
     ("snf_2468.json", "/input", {"ring": Z64, "matrix": [], "cols": -1}, "/input/cols"),
     ("ss_basechange_identity.json", "/input/spec", 5, "/input/spec"),
+    ("ss_basechange_identity.json", "/input/spec/precision_n", 0, "/input/spec/precision_n"),
+    ("ss_basechange_identity.json", "/input/spec/precision_n", -1, "/input/spec/precision_n"),
     ("ss_golden_trichotomy.json", "/input/complex/filtration",
      [{"degree": 0, "weight": 1, "module": {"generators": 1, "relations": [[3]]},
        "inclusion": [[3]]},
@@ -387,10 +431,15 @@ def test_largest_modulus_accepted():
 
 @pytest.mark.parametrize("key", ["prime_bound", "precision_n", "precision_m",
                                  "precision_n_local"])
-@pytest.mark.parametrize("value", ["a", 2.5, True, [], {}])
+@pytest.mark.parametrize("value", ["a", 2.5, True, [], {}, 0, -1])
 def test_malformed_option_rejected(key, value):
+    """Integer options must be JSON integers, each precision at least 1 and
+    `prime_bound` at least 0; a value out of range is never read as unset."""
     job = dict(load("snf_2468.json"), options={key: value})
     report, code = run_job(job)
+    if key == "prime_bound" and value == 0:
+        assert code == 0, report.get("error")
+        return
     assert code == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"].startswith(f"/options/{key}:"), report["error"]
 
