@@ -9,7 +9,9 @@ valuation pivoting, deterministic row-major tie-break) and over Z[1/S]
 divisors).  TruncatedBK and TruncatedLambda matrices are expanded by
 restriction of scalars to their base ring: a T-linear map is base-linear, and
 solutions/kernels reassemble because the coordinate identification
-T^g = base^(g*M) is a base-module isomorphism.
+T^g = base^(g*M) is a base-module isomorphism.  One 32-entry memo, keyed by
+the caller's (ring, matrix), holds the SNFs; a BK or Lambda matrix is
+expanded only when its key misses.
 """
 
 from __future__ import annotations
@@ -219,24 +221,34 @@ class _Worker:
         )
 
 
+def _chain_pivot(a, k, ring):
+    """(i, j) of the first entry of least valuation in a[k:][k:], scanning
+    row-major, or None if that block is zero.  A unit ends the scan: nothing
+    can beat valuation 0, and a later unit would lose the strict `<` tie."""
+    best = None
+    for i in range(k, len(a)):
+        row = a[i]
+        for j in range(k, len(row)):
+            x = row[j]
+            if ring.is_zero(x):
+                continue
+            v = ring.val(x)
+            if v == 0:
+                return i, j
+            if best is None or v < best[0]:
+                best = (v, i, j)
+    return None if best is None else best[1:]
+
+
 def _snf_chain(mat, ring):
     """SNF over a chain ring: a minimal-valuation pivot divides everything."""
     w = _Worker(mat, ring)
     for k in range(min(mat.rows, mat.cols)):
-        best = None
-        for i in range(k, w.rows):
-            for j in range(k, w.cols):
-                x = w.a[i][j]
-                if ring.is_zero(x):
-                    continue
-                v = ring.val(x)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
+        at = _chain_pivot(w.a, k, ring)
+        if at is None:
             break
-        _, bi, bj = best
-        w.swap_rows(k, bi)
-        w.swap_cols(k, bj)
+        w.swap_rows(k, at[0])
+        w.swap_cols(k, at[1])
         unit = ring.unit_part(w.a[k][k])
         if unit != ring.one:
             w.scale_row(k, ring.inv(unit))
@@ -367,36 +379,42 @@ def smith_normal_form(mat, ring):
 
 
 # Solvers and kernels repeat the same (ring, matrix) inputs within a job: a
-# random tower check makes about 110 SNF calls on about 20 distinct inputs.
-# With 32 entries the misses equal the distinct inputs on every corpus job
-# (at most 37, ext_golden_p2) and every tower; filtered complexes with up to
-# 61 distinct inputs miss 1 to 3 more.  `invert` of an SNF witness (in
-# `decompose_elementary` and `SNFResult.verify`) goes through the memo too:
-# on the 48 towers of tower_check seed 601 that adds 93 distinct inputs
-# (938 -> 1031 misses), and the misses still equal the distinct inputs.
-# lru_cache is thread-safe, so an embedding program may run jobs on several
-# threads.
+# random tower check makes about 70 SNF lookups on about 20 distinct inputs.
+# The key is the caller's (ring, matrix), so a TruncatedBK or TruncatedLambda
+# matrix is expanded to its base ring (`expand_matrix`) only on a miss, and
+# its entry holds the SNF of the expansion.  With 32 entries the misses equal
+# the distinct inputs on every corpus job (at most 37, ext_golden_p2) and
+# every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
+# more.  `invert` of an SNF witness (in `decompose_elementary` and
+# `SNFResult.verify`) goes through the memo too.  On the 48 towers of
+# tower_check seed 601, memo cleared per tower: 3274 lookups, 965 misses (as
+# many as distinct inputs) and 546 expansions.  lru_cache is thread-safe, so
+# an embedding program may run jobs on several threads.
 @lru_cache(maxsize=32)
 def _snf_memo(ring, mat):
+    if is_expansion_ring(ring):
+        mat, ring = expand_matrix(mat, ring), base_ring_of(ring)
     if isinstance(ring, LocalizedIntegers):
         return _snf_localized(mat, ring)
     return _snf_chain(mat, ring)
 
 
-def _solve_snf(snf, mat, b, ring, failures=None):
+def _solve_snf(snf, b, ring, failures=None):
     """X with X . mat = b given mat's SNF, or None. b a Mat of row targets.
+    mat's shape is that of the witnesses: rows of `left`, columns of `right`.
 
     When a list is passed as `failures`, unsolvable diagonal equations are
     appended as (row, position, divisor, residue) and the scan continues, so
     callers get a complete obstruction record.
     """
+    rows, cols = snf.left.rows, snf.right.rows
     c = b.mul(snf.right, ring)
     ys = []
     ndiv = len(snf.divisors)
     ok_all = True
     for i in range(b.rows):
-        y = [ring.zero] * mat.rows
-        for j in range(mat.cols):
+        y = [ring.zero] * rows
+        for j in range(cols):
             cj = c.data[i][j]
             if j < ndiv:
                 q = ring.divide(cj, snf.divisors[j])
@@ -415,11 +433,12 @@ def _solve_snf(snf, mat, b, ring, failures=None):
         ys.append(y)
     if not ok_all:
         return None
-    return Mat(b.rows, mat.rows, ys).mul(snf.left, ring)
+    return Mat(b.rows, rows, ys).mul(snf.left, ring)
 
 
-def _kernel_snf(snf, mat, ring):
-    """Rows spanning {x : x . mat = 0}."""
+def _kernel_snf(snf, ring):
+    """Rows spanning {x : x . mat = 0} given mat's SNF."""
+    rows = snf.left.rows
     gens = []
     for j, d in enumerate(snf.divisors):
         a = ring.ann_gen(d)
@@ -428,9 +447,9 @@ def _kernel_snf(snf, mat, ring):
         row = [ring.mul(a, x) for x in snf.left.data[j]]
         if any(not ring.is_zero(x) for x in row):
             gens.append(row)
-    for j in range(len(snf.divisors), mat.rows):
+    for j in range(len(snf.divisors), rows):
         gens.append(list(snf.left.data[j]))
-    return Mat.from_rows(gens, mat.rows)
+    return Mat.from_rows(gens, rows)
 
 
 def expand_matrix(mat, ring):
@@ -486,16 +505,11 @@ def solve_left_info(mat, b, ring):
         return None, bad
     if mat.cols == 0:
         return Mat.zero(b.rows, mat.rows, ring), []
-    if is_expansion_ring(ring):
-        base = base_ring_of(ring)
-        xb, fails = solve_left_info(expand_matrix(mat, ring), expand_rows(b, ring), base)
-        if xb is None:
-            return None, fails
-        return reassemble_rows(xb, ring, mat.rows), []
-    snf = smith_normal_form(mat, ring)
     failures = []
-    sol = _solve_snf(snf, mat, b, ring, failures)
-    return sol, failures
+    if is_expansion_ring(ring):
+        xb = _solve_snf(_snf_memo(ring, mat), expand_rows(b, ring), base_ring_of(ring), failures)
+        return (None if xb is None else reassemble_rows(xb, ring, mat.rows)), failures
+    return _solve_snf(smith_normal_form(mat, ring), b, ring, failures), failures
 
 
 def kernel_left(mat, ring):
@@ -505,11 +519,9 @@ def kernel_left(mat, ring):
     if mat.cols == 0:
         return Mat.identity(mat.rows, ring)
     if is_expansion_ring(ring):
-        base = base_ring_of(ring)
-        kb = kernel_left(expand_matrix(mat, ring), base)
+        kb = _kernel_snf(_snf_memo(ring, mat), base_ring_of(ring))
         return reassemble_rows(kb, ring, mat.rows)
-    snf = smith_normal_form(mat, ring)
-    return _kernel_snf(snf, mat, ring)
+    return _kernel_snf(smith_normal_form(mat, ring), ring)
 
 
 def solve_left_mod(mat, b, rel, ring):

@@ -164,11 +164,19 @@ def prune_spanning_rows(rows, extra, ring):
     return Mat(len(kept), rows.cols, kept)
 
 
+def _kernel_rows(f):
+    """Rows of R^(source gens) whose classes span ker f: the first block of
+    the kernel of [f.matrix; target relations], unpruned.  A yes/no test may
+    read them in place of `kernel`'s pruned rows: a row pruning drops lies in
+    the span of the kept rows and the source relations, so the verdict is
+    the same."""
+    return kernel_left_parts([f.matrix, f.target.relations], f.source.ring)[0]
+
+
 def kernel(f):
     """(kernel module, inclusion into source). Redundant generators pruned."""
     ring = f.source.ring
-    parts = kernel_left_parts([f.matrix, f.target.relations], ring)
-    krows = prune_spanning_rows(parts[0], f.source.relations, ring)
+    krows = prune_spanning_rows(_kernel_rows(f), f.source.relations, ring)
     relparts = kernel_left_parts([krows, f.source.relations], ring) if krows.rows else [Mat(0, 0, [])]
     kmod = PresentedModule(ring, krows.rows, relparts[0])
     incl = module_map(kmod, f.source, krows, check=False)
@@ -178,8 +186,7 @@ def kernel(f):
 def image(f):
     """(image module, inclusion into target, projection from source)."""
     ring = f.source.ring
-    relrows = kernel_left_parts([f.matrix, f.target.relations], ring)[0]
-    imod = PresentedModule(ring, f.source.gens, relrows)
+    imod = PresentedModule(ring, f.source.gens, _kernel_rows(f))
     incl = module_map(imod, f.target, f.matrix, check=False)
     proj = module_map(f.source, imod, Mat.identity(f.source.gens, ring), check=False)
     return imod, incl, proj
@@ -194,11 +201,8 @@ def cokernel(f):
 
 
 def is_injective(f):
-    """Every kernel row of f is a zero class of the source.  The rows come
-    unpruned: a row pruning would drop lies in the span of the kept rows and
-    the relations, so the verdict is the one the pruned kernel gives."""
-    rows = kernel_left_parts([f.matrix, f.target.relations], f.source.ring)[0]
-    return rows_are_zero_classes(f.source, rows)
+    """Every kernel row of f is a zero class of the source."""
+    return rows_are_zero_classes(f.source, _kernel_rows(f))
 
 
 def is_surjective(f):
@@ -217,13 +221,14 @@ class Subquotient:
 
 
 def verify_exact_at(incl, proj):
-    """im(incl) == ker(proj) inside the shared middle module."""
+    """im(incl) == ker(proj) inside the shared middle module: every kernel
+    row of proj lies in im(incl) + relations."""
     if not is_zero_map(compose(incl, proj)):
         return False
-    kmod, kincl = kernel(proj)
-    if kincl.matrix.rows == 0:
+    krows = _kernel_rows(proj)
+    if krows.rows == 0:
         return True
-    sol = solve_left_mod(incl.matrix, kincl.matrix, incl.target.relations, incl.source.ring)
+    sol = solve_left_mod(incl.matrix, krows, incl.target.relations, incl.source.ring)
     return sol is not None
 
 
@@ -551,9 +556,13 @@ def glue_splitting(ses, torsion_section, free_witness):
 # Base change
 
 
+BASE_CHANGE_KINDS = ("identity", "z_to_zero", "z_to_unit", "frobenius_twist",
+                     "lambda_completion", "localized_completion")
+
+
 @dataclass(frozen=True)
 class BaseChangeSpec:
-    kind: str  # z_to_zero | z_to_unit | frobenius_twist | lambda_completion | localized_completion | identity
+    kind: str  # one of BASE_CHANGE_KINDS
     unit: int = None
     ell: int = None
     precision_n: int = None

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .linalg import Mat
-from .modules import BaseChangeSpec, PresentedModule, module_map
+from .modules import BASE_CHANGE_KINDS, BaseChangeSpec, PresentedModule, module_map
 from .rings import (
     EisensteinSpec,
     LocalizedIntegers,
@@ -328,15 +328,19 @@ def parse_cw(data, loc="/cw"):
 
 
 def parse_base_change_spec(data, loc):
-    """A base-change spec: `unit`, `ell` (a prime) and `precision_n` (at
-    least 1) are optional integers; the completions need `ell`."""
+    """A base-change spec: `kind` is one of BASE_CHANGE_KINDS; `unit`, `ell`
+    (a prime) and `precision_n` (at least 1) are optional integers; the
+    completions need `ell`."""
+    kind = data.get("kind")
+    if kind not in BASE_CHANGE_KINDS:
+        raise SchemaError("field 'kind' must be one of " + ", ".join(BASE_CHANGE_KINDS),
+                          loc + "/kind")
     fields = {k: _want(data, k, loc, int) for k in ("unit", "ell", "precision_n")
               if data.get(k) is not None}
     if fields.get("precision_n", 1) < 1:
         raise SchemaError("field 'precision_n' must be >= 1", loc + "/precision_n")
     if "ell" in fields and not isprime(fields["ell"]):
         raise SchemaError(f"{fields['ell']} is not a prime", loc + "/ell")
-    kind = data.get("kind")
     if kind in ("lambda_completion", "localized_completion") and "ell" not in fields:
         raise SchemaError("missing field 'ell'", loc)
     return BaseChangeSpec(kind, **fields)

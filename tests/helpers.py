@@ -3,8 +3,16 @@
 import random
 
 from truncalg.bruteforce import enumerate_ring
-from truncalg.linalg import Mat, invert
-from truncalg.modules import PresentedModule, direct_sum, module_map, submodule_from_rows
+from truncalg.linalg import Mat, invert, solve_left_mod
+from truncalg.modules import (
+    PresentedModule,
+    compose,
+    direct_sum,
+    is_zero_map,
+    kernel,
+    module_map,
+    submodule_from_rows,
+)
 from truncalg.rings import TruncatedPowerSeries
 from truncalg.spectral import validate
 from truncalg.errors import SchemaError
@@ -43,8 +51,6 @@ def random_filtered_complex(ring, rng, max_gens=2, weights=2, degrees=2):
             if i >= 2 and not d.mul(dmats[i - 1], ring).is_zero(ring):
                 # require d o d = 0 on the nose for chains longer than 2
                 try:
-                    from truncalg.modules import compose, is_zero_map
-
                     if not is_zero_map(compose(dm, module_map(mods[i - 1], mods[i - 2],
                                                               dmats[i - 1]))):
                         continue
@@ -136,3 +142,16 @@ def random_lambda_map(lam, rng):
         except Exception:
             continue
     return None
+
+
+def reference_verify_exact_at(incl, proj):
+    """im(incl) == ker(proj) through the pruned, presented `kernel(proj)`,
+    as `modules.verify_exact_at` decided it before it read the unpruned
+    kernel rows."""
+    if not is_zero_map(compose(incl, proj)):
+        return False
+    _, kincl = kernel(proj)
+    if kincl.matrix.rows == 0:
+        return True
+    return solve_left_mod(incl.matrix, kincl.matrix, incl.target.relations,
+                          incl.source.ring) is not None

@@ -316,6 +316,9 @@ _CHILD_RUN_JOB = (
      "/input/complex/filtration/0/weight"),
     ("ss_golden_trichotomy.json", "/input/complex/filtration/0/inclusion", [],
      "/input/complex/filtration/0/inclusion"),
+    ("ss_basechange_identity.json", "/input/spec", {}, "/input/spec/kind"),
+    ("ss_basechange_identity.json", "/input/spec/kind", "bogus", "/input/spec/kind"),
+    ("ss_basechange_identity.json", "/input/spec/kind", 5, "/input/spec/kind"),
 ])
 def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     """Each mutant once raised, hung or was silently truncated; now it exits 1
@@ -330,6 +333,14 @@ def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     report = out["report"]
     assert out["code"] == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"].startswith(pointer + ":"), report["error"]
+
+
+@pytest.mark.parametrize("kind", ["z_to_zero", "z_to_unit", "frobenius_twist"])
+def test_unsupported_base_change_kind_is_a_gate(kind):
+    """A known kind the report does not cover parses and exits 2; only an
+    unknown kind is a schema error."""
+    report, code = run_job(_mutant("ss_basechange_identity.json", "/input/spec/kind", kind))
+    assert code == 2 and report["error_kind"] == "hypothesis_gate", report.get("error")
 
 
 # Over Z (no inverted primes) the second divisor of this matrix of 4000-digit

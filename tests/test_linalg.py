@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from truncalg.errors import UnsupportedRingError
+import truncalg.linalg as linalg
 from truncalg.linalg import (
     Mat,
     SNFResult,
+    _snf_chain,
     _snf_memo,
+    _Worker,
     expand_matrix,
     expand_rows,
     invert,
@@ -158,6 +161,67 @@ def naive_product(a, b, ring):
     return Mat(a.rows, b.cols,
                [[ring.sum(ring.mul(a.data[i][k], b.data[k][j]) for k in range(a.cols))
                  for j in range(b.cols)] for i in range(a.rows)])
+
+
+def reference_snf_chain(mat, ring):
+    """`_snf_chain` as it was before its pivot scan stopped at a unit: every
+    entry of the remaining block is scanned for the least valuation."""
+    w = _Worker(mat, ring)
+    for k in range(min(mat.rows, mat.cols)):
+        best = None
+        for i in range(k, w.rows):
+            for j in range(k, w.cols):
+                x = w.a[i][j]
+                if ring.is_zero(x):
+                    continue
+                v = ring.val(x)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        w.swap_rows(k, bi)
+        w.swap_cols(k, bj)
+        unit = ring.unit_part(w.a[k][k])
+        if unit != ring.one:
+            w.scale_row(k, ring.inv(unit))
+        pivot = w.a[k][k]
+        for i in range(k + 1, w.rows):
+            if not ring.is_zero(w.a[i][k]):
+                q = ring.divide(w.a[i][k], pivot)
+                w.add_row(i, k, ring.neg(q))
+        for j in range(k + 1, w.cols):
+            if not ring.is_zero(w.a[k][j]):
+                q = ring.divide(w.a[k][j], pivot)
+                w.add_col(j, k, ring.neg(q))
+    return w.result()
+
+
+@pytest.mark.parametrize("ring", [Z2_6, Z3_4, TruncatedPadic(5, 3), S1,
+                                  TruncatedPowerSeries(2, 4)], ids=repr)
+def test_snf_chain_pivot_matches_full_scan(ring):
+    """Stopping the pivot scan at the first unit picks the pivot the full
+    scan picks: left, right and divisors are equal, not just valid.  The
+    inputs include zero matrices, matrices with no unit entry (every entry
+    times a power of the uniformizer) and matrices whose units sit in a
+    late row only."""
+    rng = random.Random(37)
+    for style in ("dense", "no_unit", "late_unit", "zero") * 20:
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = random_matrix(ring, rng, rows, cols)
+        if style == "zero":
+            m = Mat.zero(rows, cols, ring)
+        elif style in ("no_unit", "late_unit"):
+            keep = rows - 1 if style == "late_unit" else rows
+            m = Mat(rows, cols, [[ring.mul(ring.uniformizer_power(rng.randint(1, 2)), x)
+                                  if i < keep else x for x in row]
+                                 for i, row in enumerate(m.data)])
+        if style == "no_unit":
+            assert all(ring.is_zero(x) or ring.val(x) > 0 for row in m.data for x in row)
+        fast, full = _snf_chain(m, ring), reference_snf_chain(m, ring)
+        assert fast.left == full.left and fast.right == full.right
+        assert fast.divisors == full.divisors
+        assert fast.verify(m, ring)
 
 
 @pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)
@@ -350,8 +414,16 @@ def test_snf_memo_cold_equals_warm(ring):
 
 
 @pytest.mark.parametrize("ring", [BK, LAM], ids=lambda r: type(r).__name__)
-def test_expansion_solve_memo_cold_equals_warm(ring):
-    """BK and Lambda solves reach the memo through expand_matrix."""
+def test_expansion_solve_memo_cold_equals_warm(ring, monkeypatch):
+    """BK and Lambda solves and kernels share the memo, keyed by the caller's
+    matrix: a warm call returns the cold result and expands nothing."""
+    expansions = []
+
+    def counting_expand(mat, r):
+        expansions.append(mat)
+        return expand_matrix(mat, r)
+
+    monkeypatch.setattr(linalg, "expand_matrix", counting_expand)
     rng = random.Random(29)
     for _ in range(8):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
@@ -359,10 +431,16 @@ def test_expansion_solve_memo_cold_equals_warm(ring):
         b = random_matrix(ring, rng, 2, rows).mul(a, ring)
         _snf_memo.cache_clear()
         cold = solve_left(a, b, ring)
+        cold_kernel = kernel_left(a, ring)
+        assert len(expansions) == 1
         hits = _snf_memo.cache_info().hits
         warm = solve_left(a, b, ring)
-        assert _snf_memo.cache_info().hits > hits
+        warm_kernel = kernel_left(a, ring)
+        assert _snf_memo.cache_info().hits == hits + 2
+        assert len(expansions) == 1
         assert warm == cold and cold.mul(a, ring) == b
+        assert warm_kernel == cold_kernel and cold_kernel.mul(a, ring).is_zero(ring)
+        expansions.clear()
 
 
 def test_snf_memo_result_is_the_callers_own():

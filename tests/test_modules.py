@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_verify_exact_at
 from truncalg.bruteforce import FiniteModule
 from truncalg.errors import NotWellDefinedError, UnsupportedRingError
 from truncalg.linalg import Mat, kernel_left_parts
@@ -12,12 +13,14 @@ from truncalg.modules import (
     base_change,
     build_ses,
     cokernel,
+    compose,
     decompose_elementary,
     direct_sum,
     free_rank,
     glue_splitting,
     is_injective,
     is_surjective,
+    is_zero_map,
     is_zero_module,
     kernel,
     module_from_divisors,
@@ -30,6 +33,7 @@ from truncalg.modules import (
     torsion_divisor_profile,
     torsion_length,
     torsion_part,
+    verify_exact_at,
     zero_detect,
     zero_map,
 )
@@ -406,3 +410,42 @@ def test_injective_surjective_match_kernel_route(ring):
         seen.add(("injective", injective))
         seen.add(("surjective", surjective))
     assert len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("ring", [
+    TruncatedPadic(2, 3), TruncatedPadic(3, 2), TruncatedBK(2, 2, 3),
+    TruncatedLambda((2,), 2)])
+def test_verify_exact_at_matches_pruned_kernel(ring):
+    """verify_exact_at, which reads the unpruned kernel rows of proj, gives
+    the verdict of the pruned `kernel(proj)` route kept in helpers.  incl
+    sends a free module onto kernel rows of proj: all of them, a random
+    subset, or all of them times a non-unit (which tends to leave
+    ker(proj) strictly larger than im(incl)), sometimes with a row outside
+    the kernel added."""
+    rng = random.Random(616)
+    non_unit = ring.from_int(3 if isinstance(ring, TruncatedLambda) else ring.p)
+    seen = set()
+    for _ in range(24):
+        gb, gc = rng.randint(1, 3), rng.randint(1, 2)
+        crel = [[_random_element(ring, rng) for _ in range(gc)] for _ in range(rng.randint(0, 2))]
+        c = PresentedModule(ring, gc, Mat(len(crel), gc, crel))
+        pmat = Mat(gb, gc, [[_random_element(ring, rng) for _ in range(gc)] for _ in range(gb)])
+        pker = kernel_left_parts([pmat, c.relations], ring)[0]
+        brel = [row for row in pker.data if rng.random() < 0.5]
+        proj = module_map(PresentedModule(ring, gb, Mat(len(brel), gb, brel)), c, pmat)
+        krows = [list(row) for row in pker.data]
+        style = rng.choice(["all", "subset", "scaled"])
+        if style == "subset":
+            krows = [row for row in krows if rng.random() < 0.5]
+        elif style == "scaled":
+            krows = [[ring.mul(non_unit, x) for x in row] for row in krows]
+        if rng.random() < 0.2:
+            krows.append([_random_element(ring, rng) for _ in range(gb)])
+        incl = module_map(PresentedModule.free(ring, len(krows)), proj.source,
+                          Mat(len(krows), gb, krows))
+        exact = reference_verify_exact_at(incl, proj)
+        assert verify_exact_at(incl, proj) == exact
+        composes_to_zero = is_zero_map(compose(incl, proj))
+        seen.add((exact, composes_to_zero))
+    # exact, and ker(proj) strictly larger than im(incl), both occur
+    assert {(True, True), (False, True)} <= seen, seen
