@@ -15,7 +15,7 @@ from .breuil_kisin import (
     make_bk_module,
 )
 from .linalg import Mat, invert, solve_left_mod
-from .modules import PresentedModule, module_map
+from .modules import PresentedModule, is_injective, module_map
 from .rings import TruncatedBK
 
 
@@ -130,6 +130,10 @@ def extend_by_mod_s1(base_node, q_leaf, rng, attempts=8):
             incl = module_map(b.module, mod, Mat(ga, ga + gq, inc_rows))
             proj = module_map(mod, q.module, Mat(ga + gq, gq, prj_rows))
         except Exception:
+            continue
+        # combinations of the new relations rows can kill base elements when
+        # the mixing block is nonzero; the last attempt's zero block cannot
+        if not is_injective(incl):
             continue
         return extension_node(bk, base_node, incl, q_leaf, proj)
     raise RuntimeError("extension construction failed to converge")

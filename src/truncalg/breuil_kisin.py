@@ -22,29 +22,28 @@ from dataclasses import dataclass
 from .errors import (
     HypothesisUnmetError,
     InternalInconsistencyError,
-    NotElementaryError,
     PrecisionError,
     UnsupportedRingError,
 )
 from .linalg import Mat, solve_left_mod
 from .modules import (
     ModuleMap,
+    NotElementary,
     PresentedModule,
     cokernel,
-    compose,
     decompose_elementary,
     image,
     is_injective,
     is_surjective,
-    is_zero_map,
     kernel,
     maps_equal,
     module_map,
     rows_are_zero_classes,
+    torsion_part,
     verify_exact_at,
 )
 from .rings import TruncatedBK
-from .smodules import NotElementary, _reduce_mod_p, _s1_of, decompose_over_s, gr_p
+from .smodules import _reduce_mod_p, _s1_of, decompose_over_s, gr_p
 
 
 def phi_twist(m):
@@ -197,29 +196,16 @@ def canonical_decomposition(b):
     """The four-term sequence M_tors -> M -> M_free -> Mbar with Mbar = 0,
     available exactly in the elementary case."""
     ring = b.ring
-    dec = decompose_over_s(b.module)
-    if isinstance(dec, NotElementary):
-        raise NotElementaryError(
-            f"canonical decomposition needs an elementary module (gr slice {dec.failing_j})")
-    tcount = len(dec.torsion_divisors)
-    trows = dec.from_canonical.matrix.take_rows(list(range(tcount)))
-    tors_mod = PresentedModule(
-        ring, tcount,
-        dec.canonical_module.relations.take_rows(list(range(tcount))).take_cols(
-            list(range(tcount))))
-    incl = module_map(tors_mod, b.module, trows)
+    tors_mod, incl, free_mod = torsion_part(b.module)
     # phi restricts to the torsion part
     comp = frob_matrix(incl.matrix, ring).mul(b.phi.matrix, ring)
     sol = solve_left_mod(incl.matrix, comp, b.module.relations, ring)
     if sol is None:
         raise HypothesisUnmetError("phi fails to restrict to the torsion part at precision")
-    phi_t = sol[0]
-    tors_bk = make_bk_module(tors_mod, phi_t, b.height_window)
-    free_mod, proj = cokernel(incl)
+    tors_bk = make_bk_module(tors_mod, sol[0], b.height_window)
+    proj = module_map(b.module, free_mod, Mat.identity(b.module.gens, ring), check=False)
     phi_f = module_map(phi_twist(free_mod), free_mod, b.phi.matrix)
     free_bk = BKModule(free_mod, phi_f, b.height_window, ring.eisenstein)
-    if not is_zero_map(compose(incl, proj)):
-        raise InternalInconsistencyError("torsion part fails to die in the free quotient")
     return CanonicalDecomposition(tors_bk, incl, free_bk, proj, True)
 
 
@@ -611,9 +597,8 @@ def structure_check(b, r, tower=None):
         if not ok:
             raise HypothesisUnmetError(f"supplied tower fails verification: {why}")
         notes.append(f"tower of depth {tower.depth()} verified")
-    trace = []
-    dec = decompose_over_s(b.module, _trace=trace)
-    ranks = [t[2] for t in trace if t[0] == "gr_rank"]
+    ranks = []
+    dec = decompose_over_s(b.module, _trace=ranks)
     if isinstance(dec, NotElementary):
         if hypothesis_met and tower is not None:
             raise InternalInconsistencyError(

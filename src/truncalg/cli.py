@@ -29,9 +29,10 @@ from .errors import (
     UnsupportedRingError,
 )
 from .linalg import smith_normal_form
-from .rings import TruncatedBK, primerange
+from .rings import primerange
 from .schemas import (
     _want,
+    element_to_json,
     jsonable,
     matrix_to_json,
     module_to_json,
@@ -94,26 +95,21 @@ def run_command(command, input_data, options):
         res = smith_normal_form(mat, ring)
         if not res.verify(mat, ring):
             raise InternalInconsistencyError("SNF witnesses failed to verify")
-        return {"verdicts": {"divisors": [jsonable_elt(d, ring) for d in res.divisors]},
+        return {"verdicts": {"divisors": [element_to_json(d, ring) for d in res.divisors]},
                 "witnesses": {"left": matrix_to_json(res.left, ring),
                               "right": matrix_to_json(res.right, ring)},
                 "ledgers": {}}
 
     if command == "decompose":
-        from .smodules import NotElementary, decompose_over_s
-
         m = parse_module(_want(input_data, "module", "/input"), "/input/module")
-        if isinstance(m.ring, TruncatedBK):
-            dec = decompose_over_s(m)
-            if isinstance(dec, NotElementary):
-                return {"verdicts": {"elementary": False,
-                                     "failing_gr_slice": dec.failing_j},
-                        "witnesses": {"certificate": jsonable(dec.certificate)},
-                        "ledgers": {}}
-        else:
-            dec = mods.decompose_elementary(m)
+        dec = mods.decompose(m)
+        if isinstance(dec, mods.NotElementary):
+            return {"verdicts": {"elementary": False,
+                                 "failing_gr_slice": dec.failing_j},
+                    "witnesses": {"certificate": jsonable(dec.certificate)},
+                    "ledgers": {}}
         return {"verdicts": {"elementary": True, "free_rank": dec.free_rank,
-                             "torsion_divisors": [jsonable_elt(d, m.ring)
+                             "torsion_divisors": [element_to_json(d, m.ring)
                                                   for d in dec.torsion_divisors]},
                 "witnesses": {"to_canonical": matrix_to_json(dec.to_canonical.matrix, m.ring),
                               "from_canonical": matrix_to_json(dec.from_canonical.matrix, m.ring),
@@ -225,8 +221,7 @@ def run_command(command, input_data, options):
         witnesses = {"notes": res.notes}
         if res.elementary is not None:
             verdicts["free_rank"] = res.elementary.free_rank
-            verdicts["torsion_exponents"] = sorted(
-                b.ring.p_valuation(d) for d in res.elementary.torsion_divisors)
+            verdicts["torsion_exponents"] = res.elementary.exponents()
         else:
             witnesses["counterexample"] = jsonable(res.counterexample.certificate)
             verdicts["failing_gr_slice"] = res.counterexample.failing_j
@@ -299,12 +294,6 @@ def run_command(command, input_data, options):
                 "ledgers": {}}
 
     raise SchemaError(f"unknown command '{command}'")
-
-
-def jsonable_elt(x, ring):
-    from .schemas import element_to_json
-
-    return element_to_json(x, ring)
 
 
 def report_payload(rep):

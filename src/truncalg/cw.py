@@ -23,6 +23,7 @@ from .modules import (
     is_injective,
     is_surjective,
     module_map,
+    subquotient_coordinates,
     verify_exact_at,
 )
 from .rings import LocalizedIntegers, factorint, primerange
@@ -233,7 +234,6 @@ class KTheoryResult:
     k1: LocalizedAbelianGroup
     even: LocalizedAbelianGroup
     odd: LocalizedAbelianGroup
-    skeletal_trace: list
 
     def __post_init__(self):
         assert self.k0 == self.even and self.k1 == self.odd
@@ -249,29 +249,17 @@ def _parity_sum(groups, parity):
     return LocalizedAbelianGroup(rank, chain_form(divisors))
 
 
-def ktheory(x, with_trace=False):
+def ktheory(x):
     d = x.dimension
     m, mfact, inverted = denominator_bound(d)
     groups = reduced_cohomology(x, inverted)
     even = _parity_sum(groups, 0)
     odd = _parity_sum(groups, 1)
-    trace = skeletal_verification(x) if with_trace else []
-    return KTheoryResult(d, m, mfact, inverted, even, odd, even, odd, trace)
+    return KTheoryResult(d, m, mfact, inverted, even, odd, even, odd)
 
 
 # ---------------------------------------------------------------------------
 # Skeletal verification: the two-periodic six-term sequence of each pair
-
-
-def _express_cocycles(target_zrows, target_brows, rows):
-    """Coordinates of cocycle rows in a cohomology presentation."""
-    if rows.rows == 0 or target_zrows.rows == 0:
-        return Mat(rows.rows, target_zrows.rows,
-                   [[Fraction(0)] * target_zrows.rows for _ in range(rows.rows)])
-    sol = solve_left_mod(target_zrows, rows, target_brows, ZRING)
-    if sol is None:
-        raise InternalInconsistencyError("cocycle fails to express in target cohomology")
-    return sol[0]
 
 
 def skeletal_verification(x):
@@ -340,9 +328,6 @@ def _verify_pair_les(x, k, inverted):
         hk[j], zk[j] = _cohomology_with_reduction(xk, j, inverted)
         hk1[j], zk1[j] = _cohomology_with_reduction(xk1, j, inverted)
 
-    def frac_mat(mat):
-        return Mat(mat.rows, mat.cols, [[Fraction(v) for v in row] for row in mat.data])
-
     results = []
     # restriction maps H^j(X^k) -> H^j(X^{k-1}): identity on cochains for j < k
     restr = {}
@@ -351,22 +336,21 @@ def _verify_pair_les(x, k, inverted):
             restr[j] = module_map(hk[j], hk1[j],
                                   Mat.zero(hk[j].gens, hk1[j].gens, ring), check=False)
             continue
-        coords = _express_cocycles(frac_mat(zk1[j]), frac_mat(x.boundary(j).transpose())
-                                   if j >= 1 else Mat(0, xk1.cell_count(j), []),
-                                   frac_mat(zk[j]))
+        coords = subquotient_coordinates(zk1[j], x.boundary(j).transpose()
+                                         if j >= 1 else Mat(0, xk1.cell_count(j), []),
+                                         zk[j], ZRING)
         restr[j] = module_map(hk[j], hk1[j], coords)
     # relative module at degree k: free on the k-cells (q-map into H^k(X^k))
     rel = PresentedModule(ring, ck, Mat(0, ck, []))
     if hk[k].gens:
-        qcoords = _express_cocycles(frac_mat(zk[k]),
-                                    frac_mat(x.boundary(k).transpose()),
-                                    Mat.identity(ck, ring))
+        qcoords = subquotient_coordinates(zk[k], x.boundary(k).transpose(),
+                                          Mat.identity(ck, ring), ZRING)
         qmap = module_map(rel, hk[k], qcoords)
     else:
         qmap = module_map(rel, hk[k], Mat.zero(ck, 0, ring), check=False)
     # connecting map H^{k-1}(X^{k-1}) -> rel: cochain-level coboundary
     if hk1[k - 1].gens:
-        delta = frac_mat(zk1[k - 1]).mul(frac_mat(x.boundary(k).transpose()), ring)
+        delta = zk1[k - 1].mul(x.boundary(k).transpose(), ring)
         dmap = module_map(hk1[k - 1], rel, delta)
     else:
         dmap = module_map(hk1[k - 1], rel, Mat.zero(0, ck, ring), check=False)

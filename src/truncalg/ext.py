@@ -17,39 +17,24 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bruteforce import _grow_submodule
-from .errors import (InternalInconsistencyError, NotElementaryError,
-                     PrecisionError, UnsupportedRingError)
+from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
 from .linalg import Mat
 from .modules import (
     PresentedModule,
     build_ses,
-    decompose_elementary,
     direct_sum,
+    require_elementary,
     split_test,
 )
 from .rings import TruncatedBK, TruncatedPadic
-from .smodules import NotElementary, decompose_over_s
-
-
-def _p_exponent(ring, d):
-    if isinstance(ring, TruncatedBK):
-        return ring.p_valuation(d)
-    return ring.val(d)
 
 
 def _elementary_exponents(m):
     """Torsion p-exponents and free rank of an elementary module."""
-    ring = m.ring
-    if isinstance(ring, TruncatedPadic):
-        dec = decompose_elementary(m)
-    elif isinstance(ring, TruncatedBK):
-        dec = decompose_over_s(m)
-        if isinstance(dec, NotElementary):
-            raise NotElementaryError(
-                f"module is not a sum of cyclic p-power pieces (gr slice {dec.failing_j})")
-    else:
+    if not isinstance(m.ring, (TruncatedBK, TruncatedPadic)):
         raise UnsupportedRingError("ext1 supports TruncatedBK and TruncatedPadic")
-    return sorted(_p_exponent(ring, d) for d in dec.torsion_divisors), dec.free_rank
+    dec = require_elementary(m)
+    return dec.exponents(), dec.free_rank
 
 
 def ext1(c, a):
@@ -73,15 +58,7 @@ def ext1(c, a):
 
 def ext1_divisor_exponents(c, a):
     """p-exponent multiset of Ext^1(C, A) via its own decomposition."""
-    e = ext1(c, a)
-    ring = e.ring
-    if isinstance(ring, TruncatedPadic):
-        dec = decompose_elementary(e)
-    else:
-        dec = decompose_over_s(e)
-        if isinstance(dec, NotElementary):
-            raise NotElementaryError("Ext module unexpectedly non-elementary")
-    return sorted(_p_exponent(ring, d) for d in dec.torsion_divisors), dec.free_rank
+    return _elementary_exponents(ext1(c, a))
 
 
 @dataclass
@@ -108,11 +85,11 @@ def ext1_base_change_inject(c, a, spec):
     if spec.kind not in ("z_to_unit", "z_to_zero"):
         raise UnsupportedRingError("target must evaluate z")
     ext_s = ext1(c, a)
-    src_exps, src_free = ext1_divisor_exponents(c, a)
+    src_exps, src_free = _elementary_exponents(ext_s)
     cw, _ = base_change(c, spec)
     aw, _ = base_change(a, spec)
     ext_w = ext1(cw, aw)
-    tgt_exps, tgt_free = ext1_divisor_exponents(cw, aw)
+    tgt_exps, tgt_free = _elementary_exponents(ext_w)
     injective = (src_exps == tgt_exps and src_free == tgt_free == 0)
     if src_free or tgt_free:
         raise InternalInconsistencyError(

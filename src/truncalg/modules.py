@@ -20,6 +20,7 @@ from math import prod
 from .errors import (
     HypothesisUnmetError,
     InternalInconsistencyError,
+    NotElementaryError,
     NotWellDefinedError,
     SchemaError,
     UnsupportedRingError,
@@ -267,8 +268,28 @@ def subquotient_presentation(ambient, gens_rows, killer_rows):
     return PresentedModule(ring, gens_rows.rows, rel)
 
 
+def subquotient_coordinates(gens_rows, killer_rows, rows, ring):
+    """Coordinates X with rows = X . gens_rows modulo the killer rows: the
+    classes of rows in span(gens)/span(killers); zero without generators."""
+    if rows.rows == 0 or gens_rows.rows == 0:
+        return Mat.zero(rows.rows, gens_rows.rows, ring)
+    sol = solve_left_mod(gens_rows, rows, killer_rows, ring)
+    if sol is None:
+        raise InternalInconsistencyError("rows fail to express in the subquotient")
+    return sol[0]
+
+
 # ---------------------------------------------------------------------------
 # Smith-normal-form backed structure operations
+
+
+@dataclass
+class NotElementary:
+    """A TruncatedBK module that is not a sum of cyclic p-power pieces: the
+    first gr_p slice that is not free over S1, with its certificate."""
+
+    failing_j: int
+    certificate: dict
 
 
 @dataclass
@@ -282,8 +303,11 @@ class ElementaryDecomposition:
     canonical_module: PresentedModule
 
     def exponents(self):
-        """Uniformizer exponents of the torsion divisors (chain-ring families)."""
+        """Sorted exponents of the torsion divisors: valuations over the chain
+        rings, p-valuations over TruncatedBK."""
         ring = self.canonical_module.ring
+        if isinstance(ring, TruncatedBK):
+            return sorted(ring.p_valuation(d) for d in self.torsion_divisors)
         return sorted(ring.val(d) for d in self.torsion_divisors)
 
     def verify(self):
@@ -329,17 +353,24 @@ def decompose_elementary(m):
     return dec
 
 
-def _decompose_any(m):
-    if is_snf_capable(m.ring):
-        return decompose_elementary(m)
+def decompose(m):
+    """The structure theorem over any ring that has one: an
+    ElementaryDecomposition, or over TruncatedBK a NotElementary when a gr_p
+    slice is not S1-free."""
     if isinstance(m.ring, TruncatedBK):
         from .smodules import decompose_over_s
 
-        res = decompose_over_s(m)
-        if isinstance(res, ElementaryDecomposition):
-            return res
-        raise UnsupportedRingError("module over truncated BK ring is not elementary")
-    raise UnsupportedRingError(f"no decomposition over {type(m.ring).__name__}")
+        return decompose_over_s(m)
+    return decompose_elementary(m)
+
+
+def require_elementary(m):
+    """decompose(m), raising NotElementaryError in place of a NotElementary."""
+    dec = decompose(m)
+    if isinstance(dec, NotElementary):
+        raise NotElementaryError(
+            f"module is not a sum of cyclic p-power pieces (gr slice {dec.failing_j})")
+    return dec
 
 
 def torsion_part(m):
@@ -351,15 +382,14 @@ def torsion_part(m):
     """
     if isinstance(m.ring, TruncatedLambda):
         raise UnsupportedRingError("torsion_part over the Lambda family is not supported")
-    dec = _decompose_any(m)
+    dec = require_elementary(m)
     ring = m.ring
     tcount = len(dec.torsion_divisors)
     rows = dec.from_canonical.matrix.take_rows(list(range(tcount)))
     tors = module_from_divisors(ring, dec.torsion_divisors, 0)
     incl = module_map(tors, m, rows, check=False)
-    quot, _ = cokernel(incl)
-    comp = compose(incl, module_map(m, quot, Mat.identity(m.gens, ring), check=False))
-    if not is_zero_map(comp):
+    quot, proj = cokernel(incl)
+    if not is_zero_map(compose(incl, proj)):
         raise InternalInconsistencyError("torsion part does not die in the quotient")
     return tors, incl, quot
 
@@ -370,31 +400,27 @@ def torsion_length(m):
     if not is_snf_capable(ring):
         raise UnsupportedRingError("torsion_length needs an SNF-capable ring")
     dec = decompose_elementary(m)
-    total = 0
-    for d in dec.torsion_divisors:
-        if isinstance(ring, LocalizedIntegers):
-            total += sum(factorint(abs(int(Fraction(d)))).values())
-        else:
-            total += ring.val(d)
-    return total
+    if isinstance(ring, LocalizedIntegers):
+        return sum(sum(factorint(abs(int(Fraction(d)))).values())
+                   for d in dec.torsion_divisors)
+    return sum(dec.exponents())
 
 
 def torsion_divisor_profile(m):
-    """Canonical multiset describing torsion: chain rings give exponent
-    tuples, LocalizedIntegers gives prime-power tuples."""
-    ring = m.ring
-    dec = _decompose_any(m)
-    if isinstance(ring, LocalizedIntegers):
+    """Canonical multiset describing torsion: chain rings and TruncatedBK
+    give exponent tuples, LocalizedIntegers gives prime-power tuples."""
+    dec = require_elementary(m)
+    if isinstance(m.ring, LocalizedIntegers):
         out = []
         for d in dec.torsion_divisors:
             for q, e in sorted(factorint(abs(int(Fraction(d)))).items()):
                 out.append((q, e))
         return tuple(sorted(out))
-    return tuple(sorted(ring.val(d) for d in dec.torsion_divisors))
+    return tuple(dec.exponents())
 
 
 def free_rank(m):
-    return _decompose_any(m).free_rank
+    return require_elementary(m).free_rank
 
 
 # ---------------------------------------------------------------------------

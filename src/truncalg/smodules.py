@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
-from .linalg import Mat, invert, kernel_left_parts, solve_left, solve_left_mod
+from .linalg import (Mat, invert, kernel_left_parts, smith_normal_form, solve_left,
+                     solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
+    NotElementary,
     PresentedModule,
     compose,
     decompose_elementary,
@@ -34,16 +36,7 @@ from .rings import TruncatedBK, TruncatedPowerSeries
 class GrSlice:
     j: int
     module: PresentedModule  # over S1
-    free: bool
-    rank: int
-    divisors: list
-    decomposition: ElementaryDecomposition = None
-
-
-@dataclass
-class NotElementary:
-    failing_j: int
-    certificate: dict
+    decomposition: ElementaryDecomposition  # free exactly when it has no torsion
 
 
 def _s1_of(ring):
@@ -65,7 +58,8 @@ def _lift_to_t(rows_s1, ring):
 
 
 def gr_p(m, j):
-    """p^j M / p^{j+1} M as a presented module over S1, with a freeness flag."""
+    """p^j M / p^{j+1} M as a presented module over S1, with its S1
+    decomposition."""
     ring = m.ring
     if not isinstance(ring, TruncatedBK):
         raise UnsupportedRingError("gr_p needs a TruncatedBK module")
@@ -76,16 +70,13 @@ def gr_p(m, j):
     g = m.gens
     if g == 0:
         mod = PresentedModule.zero(s1)
-        return GrSlice(j, mod, True, 0, [], decompose_elementary(mod))
+        return GrSlice(j, mod, decompose_elementary(mod))
     pj = Mat.identity(g, ring).scale(ring.from_int(ring.p ** j), ring)
     pj1 = Mat.identity(g, ring).scale(ring.from_int(ring.p ** (j + 1)), ring)
     parts = kernel_left_parts([pj, m.relations, pj1], ring)
     rel_s1 = _reduce_mod_p(parts[0], s1)
     mod = PresentedModule(s1, g, rel_s1)
-    dec = decompose_elementary(mod)
-    bad = [d for d in dec.torsion_divisors]
-    free = not bad
-    return GrSlice(j, mod, free, dec.free_rank, list(dec.torsion_divisors), dec)
+    return GrSlice(j, mod, decompose_elementary(mod))
 
 
 def decompose_over_s(m, _trace=None):
@@ -93,25 +84,27 @@ def decompose_over_s(m, _trace=None):
 
     Returns an ElementaryDecomposition (torsion generators first in the
     canonical module, matching torsion_part's convention) or NotElementary
-    with the first failing gr_p slice.
+    with the first failing gr_p slice.  A _trace list receives the S1 rank
+    of each free slice, as measured.
     """
     ring = m.ring
     if not isinstance(ring, TruncatedBK):
         raise UnsupportedRingError("decompose_over_s needs a TruncatedBK module")
     n = ring.precision_n
     s1 = _s1_of(ring)
-    slices = []
+    decs = []  # the S1 decompositions of the slices
     for j in range(n):
         sl = gr_p(m, j)
-        if not sl.free:
+        if sl.decomposition.torsion_divisors:
             return NotElementary(j, {
-                "z_torsion_divisors": [s1.element_str(d) for d in sl.divisors],
+                "z_torsion_divisors": [s1.element_str(d)
+                                       for d in sl.decomposition.torsion_divisors],
                 "gr_relations": sl.module.relations.tolist(),
             })
-        slices.append(sl)
+        decs.append(sl.decomposition)
         if _trace is not None:
-            _trace.append(("gr_rank", j, sl.rank))
-    ranks = [sl.rank for sl in slices]
+            _trace.append(sl.decomposition.free_rank)
+    ranks = [dec.free_rank for dec in decs]
     for j in range(n - 1):
         if ranks[j] < ranks[j + 1]:
             raise InternalInconsistencyError("gr ranks increased along multiplication by p")
@@ -119,8 +112,7 @@ def decompose_over_s(m, _trace=None):
     # mu_j in the canonical coordinates of consecutive slices
     mu = []
     for j in range(n - 1):
-        a = slices[j].decomposition.from_canonical.matrix.mul(
-            slices[j + 1].decomposition.to_canonical.matrix, s1)
+        a = decs[j].from_canonical.matrix.mul(decs[j + 1].to_canonical.matrix, s1)
         mu.append(a)
 
     # adapted basis, top level downwards; tags record the chain length
@@ -148,7 +140,7 @@ def decompose_over_s(m, _trace=None):
         tags = tags + [j + 1] * len(comp)
 
     # back to generator coordinates of gr_0 = M/pM, then lift to the ring
-    rows_s1 = basis.mul(slices[0].decomposition.from_canonical.matrix, s1) \
+    rows_s1 = basis.mul(decs[0].from_canonical.matrix, s1) \
         if basis.rows else Mat(0, m.gens, [])
     rows_t = _lift_to_t(rows_s1, ring)
 
@@ -189,8 +181,6 @@ def decompose_over_s(m, _trace=None):
     if expected != ranks:
         raise InternalInconsistencyError(
             f"gr ranks {ranks} disagree with recovered exponents {sorted(exps)} + free {free_count}")
-    if _trace is not None:
-        _trace.append(("recovered", free_count, sorted(exps)))
     return ElementaryDecomposition(free_count, divisors, to_can, eta, canonical)
 
 
@@ -199,8 +189,6 @@ def _rows_unimodular(mat, s1):
     induced map onto S1^rows via SNF unit-divisors."""
     if mat.rows == 0:
         return True
-    from .linalg import smith_normal_form
-
     snf = smith_normal_form(mat, s1)
     units = sum(1 for d in snf.divisors if not s1.is_zero(d) and s1.is_unit(d))
     return units == mat.rows

@@ -42,6 +42,7 @@ from .modules import (
     module_map,
     retraction_test,
     submodule_from_rows,
+    subquotient_coordinates,
     subquotient_presentation,
     torsion_divisor_profile,
     torsion_length,
@@ -194,6 +195,7 @@ def homology_filtered(x, i):
     zrows = _cycles(x, i)
     brows = _boundaries(x, i)
     h = subquotient_presentation(ci, zrows, brows)
+    killers = brows.vstack(ci.relations)
     fil_rows = {}
     fil_modules = {}
     fil_incls = {}
@@ -209,7 +211,7 @@ def homology_filtered(x, i):
         sub_h = subquotient_presentation(subn, zn, x.fil_diff(i + 1, n).matrix)
         # rows of H-coordinates for the image of H_i(fil^n)
         amb_rows = zn.mul(incn.matrix, ring) if zn.rows else Mat(0, ci.gens, [])
-        coords = _express_in_h(h, zrows, brows, ci, amb_rows)
+        coords = subquotient_coordinates(zrows, killers, amb_rows, ring)
         fil_rows[n] = coords
         fmod, fincl = submodule_from_rows(h, coords)
         fil_modules[n] = fmod
@@ -223,17 +225,6 @@ def homology_filtered(x, i):
         gr[n] = subquotient_presentation(h, fil_rows[n], fil_rows[n + 1])
     return FilteredHomology(i, h, zrows, fil_rows, fil_modules, fil_incls, gr,
                             degenerate_at, sub_h_maps)
-
-
-def _express_in_h(h, zrows, brows, ci, amb_rows):
-    """Coordinates of cycle rows of C_i in the homology presentation."""
-    ring = ci.ring
-    if amb_rows.rows == 0 or h.gens == 0:
-        return Mat(amb_rows.rows, h.gens, [[ring.zero] * h.gens for _ in range(amb_rows.rows)])
-    sol = solve_left_mod(zrows, amb_rows, brows.vstack(ci.relations), ring)
-    if sol is None:
-        raise InternalInconsistencyError("cycle rows failed to express in homology")
-    return sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +348,7 @@ def _free_block_vanishes(dmap):
             == decompose_elementary(dmap.target).free_rank)
 
 
-def degeneration_report(x, include_pages=True):
+def degeneration_report(x):
     ring = x.ring
     if not is_snf_capable(ring):
         raise UnsupportedRingError("degeneration_report needs an SNF-capable ring")
@@ -501,14 +492,10 @@ def lenfil_check(x, n, report=None):
 
 def _reduction_length(m, n):
     """len(M / u^n M) = sum min(val d, n) + free_rank * n."""
-    dec = decompose_elementary(m)
-    ring = m.ring
-    if isinstance(ring, LocalizedIntegers):
+    if isinstance(m.ring, LocalizedIntegers):
         raise UnsupportedRingError("reduction lengths need a single uniformizer")
-    total = dec.free_rank * n
-    for d in dec.torsion_divisors:
-        total += min(ring.val(d), n)
-    return total
+    dec = decompose_elementary(m)
+    return dec.free_rank * n + sum(min(v, n) for v in dec.exponents())
 
 
 # ---------------------------------------------------------------------------

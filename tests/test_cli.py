@@ -8,6 +8,11 @@ import pytest
 from truncalg.cli import COMMANDS, emit, run_job
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+# a child interpreter imports the truncalg of this checkout, whatever the
+# environment's PYTHONPATH or installed copy
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def load(name):
@@ -101,7 +106,7 @@ def test_cli_process_end_to_end(tmp_path):
         [sys.executable, "-m", "truncalg.cli", "cw-ktheory",
          "--input", os.path.join(CORPUS, "cw_rp2.json"),
          "--output", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert data["verdicts"]["k0"] == {"rank": 0, "torsion": [2]}
@@ -126,7 +131,7 @@ def test_cli_oracle_three_generators_z9(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "ss-report", "--oracle",
          "--input", str(src), "--output", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     v = json.loads(out.read_text())["verdicts"]
     assert v["oracle_agrees"] is True
@@ -145,7 +150,7 @@ def test_cli_batch_mode(tmp_path):
         shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     codes = {}
     for name in names:
         report = name[:-5] + ".report.json"
@@ -217,7 +222,8 @@ def test_runtime_import_graph_has_no_sympy():
         "        assert run_job(json.load(fh))[1] == 0, path\n"
         "assert 'sympy' not in sys.modules\n")
     jobs = [os.path.join(CORPUS, n) for n in ("cw_rp2.json", "lambda_zero_qminus1.json")]
-    proc = subprocess.run([sys.executable, "-c", child] + jobs, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", child] + jobs,
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -256,7 +262,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", _CHILD_MAIN, command,
              "--input", os.path.join(CORPUS, name), "--output", str(out)],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, env=CHILD_ENV, timeout=120)
         assert proc.returncode == json.loads(golden)["exit_code"], (name, proc.stderr)
         assert out.read_text() == golden, name
         loaded = set(json.loads(proc.stdout))
@@ -327,7 +333,7 @@ def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     in prime_valuation) fails instead of stalling the suite."""
     proc = subprocess.run([sys.executable, "-c", _CHILD_RUN_JOB],
                           input=json.dumps(_mutant(name, field, value)),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     report = out["report"]
@@ -375,7 +381,7 @@ def test_unexpected_exception_is_an_internal_error_report(tmp_path, monkeypatch)
     shutil.copy(os.path.join(CORPUS, "snf_2468.json"), tmp_path / "snf_2468.json")
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120)
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout.splitlines() == ["snf_2468.json: exit 0",
                                         "snf_big_integers.json: exit 4"]
@@ -397,7 +403,7 @@ def test_batch_reports_every_job_file(tmp_path):
     shutil.copy(os.path.join(CORPUS, "snf_2468.json"), tmp_path / "snf_2468.json")
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "--corpus-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120)
     assert proc.stdout.splitlines() == ["a_array.json: exit 1", "b_broken.json: exit 1",
                                         "c_big_integers.json: exit 4", "snf_2468.json: exit 0"]
     assert proc.returncode == 4, proc.stderr
@@ -416,7 +422,7 @@ def test_batch_reports_every_job_file(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "truncalg.cli", "snf",
          "--input", str(tmp_path / "c_big_integers.json")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120)
     assert proc.returncode == 4
     assert json.loads(proc.stdout)["error_kind"] == "internal_error"
 

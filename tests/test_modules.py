@@ -5,15 +5,18 @@ import pytest
 
 from helpers import reference_verify_exact_at
 from truncalg.bruteforce import FiniteModule
-from truncalg.errors import NotWellDefinedError, UnsupportedRingError
+from truncalg.bkrandom import scrambled_elementary
+from truncalg.errors import NotElementaryError, NotWellDefinedError, UnsupportedRingError
 from truncalg.linalg import Mat, kernel_left_parts
 from truncalg.modules import (
     BaseChangeSpec,
+    NotElementary,
     PresentedModule,
     base_change,
     build_ses,
     cokernel,
     compose,
+    decompose,
     decompose_elementary,
     direct_sum,
     free_rank,
@@ -359,6 +362,32 @@ def test_zero_detect_examples():
     f2 = module_map(free, free, Mat(1, 1, [[lam.from_int(2)]]))
     r2 = zero_detect(f2)
     assert not r2.is_zero and r2.witness_prime == 3
+
+
+def test_decompose_over_bk_reads_p_exponents():
+    """modules.decompose over TruncatedBK recovers a scrambled elementary
+    module's hidden free rank and p-exponents, and torsion_divisor_profile
+    reads the same exponents."""
+    ring = TruncatedBK(3, 3, 2)
+    rng = random.Random(5)
+    for _ in range(8):
+        m, rank, exps = scrambled_elementary(ring, rng)
+        dec = decompose(m)
+        assert (dec.free_rank, dec.exponents()) == (rank, exps)
+        assert torsion_divisor_profile(m) == tuple(exps)
+
+
+def test_decompose_over_bk_not_elementary():
+    """S/(p, z) is not elementary: decompose returns the failing slice, and
+    the helpers that need a decomposition raise NotElementaryError."""
+    ring = TruncatedBK(3, 3, 2)
+    spz = PresentedModule.from_relation_rows(
+        ring, 1, [[ring.from_int(3)], [ring.var_power(1)]])
+    res = decompose(spz)
+    assert isinstance(res, NotElementary) and res.failing_j == 0
+    for helper in (torsion_part, free_rank, torsion_divisor_profile):
+        with pytest.raises(NotElementaryError):
+            helper(spz)
 
 
 def test_torsion_vs_decompose_agreement():

@@ -14,16 +14,16 @@ BK = TruncatedBK(3, 3, 2)
 
 def test_gr_slices_of_cyclic():
     sp2 = PresentedModule.cyclic(BK, BK.from_int(9))
-    assert gr_p(sp2, 0).free and gr_p(sp2, 0).rank == 1
-    assert gr_p(sp2, 1).rank == 1
-    assert gr_p(sp2, 2).rank == 0
+    dec0 = gr_p(sp2, 0).decomposition
+    assert not dec0.torsion_divisors and dec0.free_rank == 1
+    assert gr_p(sp2, 1).decomposition.free_rank == 1
+    assert gr_p(sp2, 2).decomposition.free_rank == 0
 
 
 def test_gr_slice_not_free():
     spz = PresentedModule.from_relation_rows(BK, 1, [[BK.from_int(3)], [BK.var_power(1)]])
     sl = gr_p(spz, 0)
-    assert not sl.free
-    assert sl.divisors  # z-torsion certificate
+    assert sl.decomposition.torsion_divisors  # not free: z-torsion certificate
 
 
 def test_gr_needs_bk_ring():
