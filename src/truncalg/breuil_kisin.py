@@ -197,12 +197,8 @@ def canonical_decomposition(b):
     available exactly in the elementary case."""
     ring = b.ring
     tors_mod, incl, free_mod = torsion_part(b.module)
-    # phi restricts to the torsion part
-    comp = frob_matrix(incl.matrix, ring).mul(b.phi.matrix, ring)
-    sol = solve_left_mod(incl.matrix, comp, b.module.relations, ring)
-    if sol is None:
-        raise HypothesisUnmetError("phi fails to restrict to the torsion part at precision")
-    tors_bk = make_bk_module(tors_mod, sol[0], b.height_window)
+    # p^a phi(x) = phi(p^a x) = 0: phi restricts to the torsion part
+    tors_bk = make_bk_module(tors_mod, _induced_phi_on_submodule(b, incl), b.height_window)
     proj = module_map(b.module, free_mod, Mat.identity(b.module.gens, ring), check=False)
     phi_f = module_map(phi_twist(free_mod), free_mod, b.phi.matrix)
     free_bk = BKModule(free_mod, phi_f, b.height_window, ring.eisenstein)

@@ -121,9 +121,10 @@ def run_command(command, input_data, options):
 
         c = parse_module(_want(input_data, "c", "/input"), "/input/c")
         a = parse_module(_want(input_data, "a", "/input"), "/input/a", ring=c.ring)
-        exps, free = extm.ext1_divisor_exponents(c, a)
+        e = extm.ext1(c, a)
+        exps, free = extm._elementary_exponents(e)
         payload = {"verdicts": {"torsion_exponents": exps, "free_rank": free},
-                   "witnesses": {"module": module_to_json(extm.ext1(c, a))},
+                   "witnesses": {"module": module_to_json(e)},
                    "ledgers": {}}
         if oracle_on:
             cexp, cfree = extm._elementary_exponents(c)

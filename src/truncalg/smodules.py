@@ -6,6 +6,12 @@ and the decomposition is recovered constructively: an adapted basis of the
 gr_p chain is built top-down through the multiplication-by-p surjections,
 lifted, corrected so p^a kills the torsion generators exactly, and the
 assembled map is verified to be an isomorphism slice-by-slice and globally.
+
+`decompose_over_s` reads all its slices off one SNF of the expanded
+relations (`_gr_slices`).  `gr_p` keeps the defining presentation, the
+kernel of [p^j; R; p^{j+1}], one slice at a time: it presents the
+`NotElementary` certificate, serves the lemma checks in `breuil_kisin`, and
+is the reference the tests hold the SNF reader to.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
-from .linalg import (Mat, invert, kernel_left_parts, smith_normal_form, solve_left,
-                     solve_left_mod)
+from .linalg import (Mat, expand_matrix, invert, kernel_left_parts, smith_normal_form,
+                     solve_left, solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
     NotElementary,
@@ -59,7 +65,12 @@ def _lift_to_t(rows_s1, ring):
 
 def gr_p(m, j):
     """p^j M / p^{j+1} M as a presented module over S1, with its S1
-    decomposition."""
+    decomposition.
+
+    The relations are the kernel of [p^j; R; p^{j+1}] reduced mod p: the
+    definition itself, one kernel per slice.  `decompose_over_s` reads its
+    slices through `_gr_slices` instead and comes back here only for the
+    certificate of a slice that is not free."""
     ring = m.ring
     if not isinstance(ring, TruncatedBK):
         raise UnsupportedRingError("gr_p needs a TruncatedBK module")
@@ -79,6 +90,35 @@ def gr_p(m, j):
     return GrSlice(j, mod, decompose_elementary(mod))
 
 
+def _gr_slices(m):
+    """gr_p^0 M, ..., gr_p^{N-1} M, read off one SNF L . R_exp . U = D of the
+    expanded relations over Z/p^N, and decomposed one at a time on demand.
+
+    p^j y lies in rowspan(R_exp) + p^{j+1} exactly when (yU)_k is 0 mod p for
+    every k with v_k = val(d_k) > j (zero and missing divisors count as N).
+    Row k of L . R_exp is d_k times row k of U^-1, so dividing it by p^{v_k}
+    gives that row mod p up to a unit; slice j's relations are the rows with
+    v_k <= j.  Their F_p span is closed under z, as the expanded span is, so
+    it is their S1 span."""
+    ring = m.ring
+    s1 = _s1_of(ring)
+    g, mlen, p = m.gens, ring.mlen, ring.p
+    scalar = ring.scalar
+    r_exp = expand_matrix(m.relations, ring)
+    snf = smith_normal_form(r_exp, scalar)
+    ks = [k for k, d in enumerate(snf.divisors) if not scalar.is_zero(d)]
+    lr = snf.left.take_rows(ks).mul(r_exp, scalar)
+    rows = []  # (v_k, row k of U^-1 mod p as g entries of S1)
+    for k, row in zip(ks, lr.data):
+        v = scalar.val(snf.divisors[k])
+        pv = p ** v
+        flat = [(x // pv) % p for x in row]
+        rows.append((v, [tuple(flat[i * mlen:(i + 1) * mlen]) for i in range(g)]))
+    for j in range(ring.precision_n):
+        mod = PresentedModule(s1, g, Mat.from_rows([r for v, r in rows if v <= j], g))
+        yield GrSlice(j, mod, decompose_elementary(mod))
+
+
 def decompose_over_s(m, _trace=None):
     """Constructive elementary decomposition over truncated W[[z]].
 
@@ -93,13 +133,17 @@ def decompose_over_s(m, _trace=None):
     n = ring.precision_n
     s1 = _s1_of(ring)
     decs = []  # the S1 decompositions of the slices
-    for j in range(n):
-        sl = gr_p(m, j)
+    for sl in _gr_slices(m):
         if sl.decomposition.torsion_divisors:
-            return NotElementary(j, {
+            # the certificate presents the slice by its definition
+            ref = gr_p(m, sl.j)
+            if ref.decomposition.torsion_divisors != sl.decomposition.torsion_divisors:
+                raise InternalInconsistencyError(
+                    f"gr_p slice {sl.j} has two sets of z-torsion divisors")
+            return NotElementary(sl.j, {
                 "z_torsion_divisors": [s1.element_str(d)
-                                       for d in sl.decomposition.torsion_divisors],
-                "gr_relations": sl.module.relations.tolist(),
+                                       for d in ref.decomposition.torsion_divisors],
+                "gr_relations": ref.module.relations.tolist(),
             })
         decs.append(sl.decomposition)
         if _trace is not None:

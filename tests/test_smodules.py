@@ -1,13 +1,19 @@
+import json
+import os
 import random
 
 import pytest
 
-from truncalg.bkrandom import scrambled_elementary
+from truncalg import smodules
+from truncalg.bkrandom import random_tower, scrambled_elementary
 from truncalg.errors import UnsupportedRingError
 from truncalg.linalg import Mat
-from truncalg.modules import PresentedModule, module_from_divisors
+from truncalg.modules import PresentedModule, module_from_divisors, rows_are_zero_classes
 from truncalg.rings import TruncatedBK, TruncatedPadic
-from truncalg.smodules import NotElementary, decompose_over_s, gr_p
+from truncalg.schemas import parse_module
+from truncalg.smodules import NotElementary, _gr_slices, decompose_over_s, gr_p
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 BK = TruncatedBK(3, 3, 2)
 
@@ -77,3 +83,88 @@ def test_scramble_round_trip(p):
         got = sorted(ring.p_valuation(d) for d in dec.torsion_divisors)
         assert (dec.free_rank, got) == (m, exps)
         assert dec.verify()
+
+
+def _tower_modules(node):
+    yield node.bk.module
+    if node.kind == "extension":
+        yield from _tower_modules(node.sub)
+        yield from _tower_modules(node.quot)
+
+
+def _random_bk_module(ring, rng):
+    """Random relations: any number of rows (zero included), g = 0 included;
+    mostly not elementary."""
+    def rand_elt():
+        coeffs = [rng.choice([0, 0, 1, ring.p, rng.randrange(ring.scalar.modulus)])
+                  for _ in range(ring.mlen)]
+        return ring.from_coeffs([ring.scalar.from_int(c) for c in coeffs])
+
+    g = rng.randint(0, 3)
+    rows = [[rand_elt() for _ in range(g)] for _ in range(rng.randint(0, 3))]
+    return PresentedModule(ring, g, Mat(len(rows), g, rows))
+
+
+def _slice_modules():
+    rng = random.Random(1207)
+    for p in (3, 5):
+        for _ in range(4):
+            yield from _tower_modules(random_tower(p, rng, depth=rng.randint(1, 3), n=2, r=1))
+    for ring in (TruncatedBK(3, 3, 3), TruncatedBK(5, 3, 2)):
+        for _ in range(8):
+            yield scrambled_elementary(ring, rng)[0]
+    for _ in range(40):
+        ring = TruncatedBK(rng.choice([3, 5]), rng.randint(1, 3), rng.randint(1, 3))
+        yield _random_bk_module(ring, rng)
+
+
+def test_gr_slices_match_the_kernel_presentation():
+    """The SNF reader presents every slice with the row span of gr_p's
+    kernel presentation, hence the same S1 invariants."""
+    free = not_free = 0
+    for m in _slice_modules():
+        slices = list(_gr_slices(m))
+        assert [sl.j for sl in slices] == list(range(m.ring.precision_n))
+        for sl in slices:
+            ref = gr_p(m, sl.j)
+            assert sl.module.gens == ref.module.gens == m.gens
+            assert rows_are_zero_classes(ref.module, sl.module.relations)
+            assert rows_are_zero_classes(sl.module, ref.module.relations)
+            assert sl.decomposition.free_rank == ref.decomposition.free_rank
+            assert sl.decomposition.torsion_divisors == ref.decomposition.torsion_divisors
+            if sl.decomposition.torsion_divisors:
+                not_free += 1
+            else:
+                free += 1
+    assert free and not_free
+
+
+def test_decompose_reads_slices_without_gr_p(monkeypatch):
+    def refuse(m, j):
+        raise AssertionError("gr_p reached on an elementary module")
+
+    monkeypatch.setattr(smodules, "gr_p", refuse)
+    rng = random.Random(1208)
+    ring = TruncatedBK(3, 3, 3)
+    for _ in range(8):
+        mod, m, exps = scrambled_elementary(ring, rng)
+        dec = decompose_over_s(mod)
+        got = sorted(ring.p_valuation(d) for d in dec.torsion_divisors)
+        assert (dec.free_rank, got) == (m, exps)
+
+
+def _certificate_from_gr_p(m, j):
+    sl = gr_p(m, j)
+    s1 = sl.module.ring
+    return {"z_torsion_divisors": [s1.element_str(d) for d in sl.decomposition.torsion_divisors],
+            "gr_relations": sl.module.relations.tolist()}
+
+
+def test_not_elementary_certificate_is_gr_p_slice():
+    with open(os.path.join(CORPUS, "decompose_spz.json")) as fh:
+        spz_job = parse_module(json.load(fh)["input"]["module"])
+    spz = PresentedModule.from_relation_rows(BK, 1, [[BK.from_int(3)], [BK.var_power(1)]])
+    for m in (spz, spz_job):
+        res = decompose_over_s(m)
+        assert isinstance(res, NotElementary)
+        assert res.certificate == _certificate_from_gr_p(m, res.failing_j)
