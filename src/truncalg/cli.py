@@ -121,13 +121,13 @@ def run_command(command, input_data, options):
 
         c = parse_module(_want(input_data, "c", "/input"), "/input/c")
         a = parse_module(_want(input_data, "a", "/input"), "/input/a", ring=c.ring)
-        e = extm.ext1(c, a)
+        cexp, cfree = extm._elementary_exponents(c)
+        e = extm._ext1_of_exponents(cexp, a)
         exps, free = extm._elementary_exponents(e)
         payload = {"verdicts": {"torsion_exponents": exps, "free_rank": free},
                    "witnesses": {"module": module_to_json(e)},
                    "ledgers": {}}
         if oracle_on:
-            cexp, cfree = extm._elementary_exponents(c)
             aexp, afree = extm._elementary_exponents(a)
             if len(cexp) == 1 and len(aexp) == 1 and not cfree and not afree:
                 orc = extm.ext1_cocycle_oracle(cexp[0], aexp[0], c.ring)

@@ -39,10 +39,14 @@ def _elementary_exponents(m):
 
 def ext1(c, a):
     """Ext^1(C, A) as a presented module over the shared ring."""
-    ring = c.ring
-    if a.ring != ring:
+    if a.ring != c.ring:
         raise UnsupportedRingError("ext1 arguments must share a ring")
-    exps, _free = _elementary_exponents(c)
+    return _ext1_of_exponents(_elementary_exponents(c)[0], a)
+
+
+def _ext1_of_exponents(exps, a):
+    """Ext^1(C, A) from C's torsion exponents: (+)_i A / p^{a_i} A."""
+    ring = a.ring
     n = ring.precision_n
     if any(e >= n for e in exps):
         raise PrecisionError("torsion exponent reaches the working p-precision")

@@ -3,9 +3,11 @@
 gr_p slices are modules over S1 = F_p[z]/(z^M); their simultaneous freeness
 characterizes the elementary modules (finite sums of S/p^a and free parts),
 and the decomposition is recovered constructively: an adapted basis of the
-gr_p chain is built top-down through the multiplication-by-p surjections,
-lifted, corrected so p^a kills the torsion generators exactly, and the
-assembled map is verified to be an isomorphism slice-by-slice and globally.
+gr_p chain is built top-down through the multiplication-by-p surjections
+mu_j (lifts of the basis one level up, completed by the kernel rows of
+mu_j), lifted to the ring, corrected so p^a kills the torsion generators
+exactly, and the assembled witness is checked once, by
+`ElementaryDecomposition.verify`.
 
 `decompose_over_s` reads all its slices off one SNF of the expanded
 relations (`_gr_slices`).  `gr_p` keeps the defining presentation, the
@@ -19,18 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
-from .linalg import (Mat, expand_matrix, invert, kernel_left_parts, smith_normal_form,
-                     solve_left, solve_left_mod)
+from .linalg import (Mat, expand_matrix, invert, kernel_left, kernel_left_parts,
+                     smith_normal_form, solve_left, solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
     NotElementary,
     PresentedModule,
-    compose,
     decompose_elementary,
-    identity_map,
-    is_injective,
-    is_surjective,
-    maps_equal,
     module_from_divisors,
     module_map,
     rows_are_zero_classes,
@@ -126,6 +123,13 @@ def decompose_over_s(m, _trace=None):
     canonical module, matching torsion_part's convention) or NotElementary
     with the first failing gr_p slice.  A _trace list receives the S1 rank
     of each free slice, as measured.
+
+    Level j of the adapted basis is the lifts of level j+1 through mu_j
+    followed by the kernel rows of mu_j: mu_j is onto a free S1-module, so
+    its SNF divisors are units and those rows are a basis of its kernel.
+    The inverse of the assembled map exists exactly when it is onto, and
+    `ElementaryDecomposition.verify` checks that both composites are the
+    identity; that single check makes it an isomorphism.
     """
     ring = m.ring
     if not isinstance(ring, TruncatedBK):
@@ -167,15 +171,7 @@ def decompose_over_s(m, _trace=None):
         lifts = solve_left(a, basis, s1) if basis.rows else Mat(0, ranks[j], [])
         if lifts is None:
             raise InternalInconsistencyError("multiplication-by-p failed to be surjective")
-        parts = kernel_left_parts([a], s1)
-        krows = [row for row in parts[0].data
-                 if any(not s1.is_zero(x) for x in row)]
-        comp = []
-        for row in krows:
-            cand = Mat.from_rows([list(r) for r in lifts.data] + [list(r) for r in comp] + [list(row)],
-                                 ranks[j])
-            if cand.rows <= ranks[j] and _rows_unimodular(cand, s1):
-                comp.append(list(row))
+        comp = [list(row) for row in kernel_left(a, s1).data]
         if lifts.rows + len(comp) != ranks[j]:
             raise InternalInconsistencyError("adapted basis has wrong size")
         basis = Mat.from_rows([list(r) for r in lifts.data] + comp, ranks[j])
@@ -206,36 +202,20 @@ def decompose_over_s(m, _trace=None):
     canonical = module_from_divisors(ring, divisors, free_count)
     eta_mat = Mat.from_rows(gens_rows, m.gens) if gens_rows else Mat(0, m.gens, [])
     eta = module_map(canonical, m, eta_mat)
-
-    if not is_surjective(eta):
-        raise InternalInconsistencyError(
-            "assembled elementary map is not surjective (reported, never silently accepted)")
-    if not is_injective(eta):
-        raise InternalInconsistencyError("assembled elementary map has a kernel")
+    # inv . eta = 1 modulo m's relations is solvable exactly when eta is onto
     inv = solve_left_mod(eta.matrix, Mat.identity(m.gens, ring), m.relations, ring)
     if inv is None:
-        raise InternalInconsistencyError("surjective elementary map failed to invert")
-    to_can = module_map(m, canonical, inv[0])
-    if not maps_equal(compose(eta, to_can), identity_map(canonical)):
-        raise InternalInconsistencyError("elementary witness does not compose to identity")
-    if not maps_equal(compose(to_can, eta), identity_map(m)):
+        raise InternalInconsistencyError("assembled elementary map is not surjective")
+    dec = ElementaryDecomposition(free_count, divisors, module_map(m, canonical, inv[0]),
+                                  eta, canonical)
+    if not dec.verify():
         raise InternalInconsistencyError("elementary witness does not compose to identity")
 
     expected = [free_count + sum(1 for a in exps if a > j) for j in range(n)]
     if expected != ranks:
         raise InternalInconsistencyError(
             f"gr ranks {ranks} disagree with recovered exponents {sorted(exps)} + free {free_count}")
-    return ElementaryDecomposition(free_count, divisors, to_can, eta, canonical)
-
-
-def _rows_unimodular(mat, s1):
-    """Do the rows extend to/(form part of) a basis? Check surjectivity of the
-    induced map onto S1^rows via SNF unit-divisors."""
-    if mat.rows == 0:
-        return True
-    snf = smith_normal_form(mat, s1)
-    units = sum(1 for d in snf.divisors if not s1.is_zero(d) and s1.is_unit(d))
-    return units == mat.rows
+    return dec
 
 
 def _correct_torsion_generator(m, row, a):

@@ -68,7 +68,6 @@ class FilteredComplex:
     diffs: dict            # i -> ModuleMap C_i -> C_{i-1}, for lo < i <= hi
     fil: dict              # (i, n) -> (PresentedModule, inclusion) for wmin < n <= wmax
     induced_diffs: dict = field(default_factory=dict)   # (i, n) -> ModuleMap on fil
-    nestings: dict = field(default_factory=dict)        # (i, n) -> fil^{n+1} -> fil^n
 
     def module(self, i):
         if self.lo <= i <= self.hi:
@@ -138,12 +137,10 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
     x = FilteredComplex(ring, lo, hi, wmin, wmax, dict(modules), diffs, fil)
     for i in range(lo, hi + 1):
         for n in range(wmin + 1, wmax + 1):
-            subn, incn = x.fil_pair(i, n)
-            subn1, incn1 = x.fil_pair(i, n + 1)
-            sol = solve_left_mod(incn.matrix, incn1.matrix, modules[i].relations, ring)
-            if sol is None:
+            incn = x.fil_pair(i, n)[1]
+            incn1 = x.fil_pair(i, n + 1)[1]
+            if solve_left_mod(incn.matrix, incn1.matrix, modules[i].relations, ring) is None:
                 raise SchemaError(f"filtration not nested at degree {i} weight {n + 1}")
-            x.nestings[(i, n)] = module_map(subn1, subn, sol[0])
     for i in range(lo + 1, hi + 1):
         for n in range(wmin + 1, wmax + 1):
             subn, incn = x.fil_pair(i, n)
@@ -164,9 +161,6 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
 class FilteredHomology:
     i: int
     h: PresentedModule
-    cycle_rows: Mat                  # generators of H as rows of C_i
-    fil_rows_in_h: dict              # n -> Mat of H-coordinates of im(H(fil^n))
-    fil_modules: dict                # n -> PresentedModule (image submodule of H)
     fil_inclusions: dict             # n -> ModuleMap into h
     gr_modules: dict                 # n -> PresentedModule
     degenerate_at: dict              # n -> bool (H(fil^n) -> H injective)
@@ -182,22 +176,15 @@ def _cycles(x, i):
     return parts[0]
 
 
-def _boundaries(x, i):
-    """Rows of C_i spanning im(d_{i+1})."""
-    d = x.diff(i + 1)
-    return d.matrix
-
-
 def homology_filtered(x, i):
     """H_i with the induced filtration F^n H_i = im(H_i(fil^n) -> H_i)."""
     ring = x.ring
     ci = x.module(i)
     zrows = _cycles(x, i)
-    brows = _boundaries(x, i)
+    brows = x.diff(i + 1).matrix  # rows of C_i spanning im(d_{i+1})
     h = subquotient_presentation(ci, zrows, brows)
     killers = brows.vstack(ci.relations)
     fil_rows = {}
-    fil_modules = {}
     fil_incls = {}
     degenerate_at = {}
     sub_h_maps = {}
@@ -213,9 +200,7 @@ def homology_filtered(x, i):
         amb_rows = zn.mul(incn.matrix, ring) if zn.rows else Mat(0, ci.gens, [])
         coords = subquotient_coordinates(zrows, killers, amb_rows, ring)
         fil_rows[n] = coords
-        fmod, fincl = submodule_from_rows(h, coords)
-        fil_modules[n] = fmod
-        fil_incls[n] = fincl
+        fil_incls[n] = submodule_from_rows(h, coords)[1]
         # injectivity of H_i(fil^n) -> H_i as the induced map from sub_h
         indmap = module_map(sub_h, h, coords)
         sub_h_maps[n] = indmap
@@ -223,8 +208,7 @@ def homology_filtered(x, i):
     gr = {}
     for n in range(x.wmin, x.wmax + 1):
         gr[n] = subquotient_presentation(h, fil_rows[n], fil_rows[n + 1])
-    return FilteredHomology(i, h, zrows, fil_rows, fil_modules, fil_incls, gr,
-                            degenerate_at, sub_h_maps)
+    return FilteredHomology(i, h, fil_incls, gr, degenerate_at, sub_h_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +274,12 @@ def page(x, r):
         if tgt is None:
             continue
         d = x.diff(i)
-        ring_ = ring
         if ent.module.gens == 0 or tgt.module.gens == 0:
             diffs[(n, i)] = zero_map(ent.module, tgt.module)
             continue
-        pushed = ent.rep_rows.mul(d.matrix, ring_)
+        pushed = ent.rep_rows.mul(d.matrix, ring)
         sol = solve_left_mod(tgt.rep_rows, pushed,
-                             tgt.killer_rows.vstack(x.module(i - 1).relations), ring_)
+                             tgt.killer_rows.vstack(x.module(i - 1).relations), ring)
         if sol is None:
             raise InternalInconsistencyError(f"d_{r} image escapes the target entry at {(n, i)}")
         diffs[(n, i)] = module_map(ent.module, tgt.module, sol[0])

@@ -93,6 +93,29 @@ def test_precision_override_option():
     assert report["job"]["options"]["precision_n"] == 5
 
 
+def test_ext1_oracle_decomposes_each_module_once(monkeypatch):
+    """c, Ext^1(c, a) and a are decomposed once each; c's exponents feed
+    both Ext^1 and the oracle's single-exponent gate."""
+    from truncalg import modules
+
+    real = modules.decompose
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(modules, "decompose", counting)
+    job = load("ext_golden_p2.json")
+    report, code = run_job(job)
+    assert code == 0 and report["verdicts"]["oracle_agrees"]
+    assert len(seen) == 3
+    c = seen[0]
+    assert (c.gens, c.relations.tolist()) == (1, [[(4, 0, 0)]])
+    with open(os.path.join(CORPUS, "ext_golden_p2.report.json")) as fh:
+        assert emit(report, "json") == fh.read()
+
+
 def test_text_format_renders_ledger():
     report, _ = run_job(load("ss_golden_trichotomy.json"))
     text = emit(report, "text")

@@ -179,6 +179,17 @@ def test_decompose_localized_integers():
     assert sorted(int(d) for d in dec.torsion_divisors) == [15]
 
 
+def test_exponents_refused_over_localized_integers():
+    """Z[1/S] has no single uniformizer: exponents() refuses and names the
+    prime-power reader instead of failing on a missing valuation."""
+    zl = LocalizedIntegers((2,))
+    m = PresentedModule.cyclic(zl, Fraction(9))
+    dec = decompose_elementary(m)
+    with pytest.raises(UnsupportedRingError, match="torsion_divisor_profile"):
+        dec.exponents()
+    assert torsion_divisor_profile(m) == ((3, 2),)
+
+
 def test_split_tests():
     a = PresentedModule.cyclic(ZP3, 2)
     b = PresentedModule.cyclic(ZP3, 4)

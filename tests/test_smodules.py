@@ -6,9 +6,16 @@ import pytest
 
 from truncalg import smodules
 from truncalg.bkrandom import random_tower, scrambled_elementary
-from truncalg.errors import UnsupportedRingError
+from truncalg.errors import InternalInconsistencyError, UnsupportedRingError
 from truncalg.linalg import Mat
-from truncalg.modules import PresentedModule, module_from_divisors, rows_are_zero_classes
+from truncalg.modules import (
+    ElementaryDecomposition,
+    PresentedModule,
+    is_injective,
+    is_surjective,
+    module_from_divisors,
+    rows_are_zero_classes,
+)
 from truncalg.rings import TruncatedBK, TruncatedPadic
 from truncalg.schemas import parse_module
 from truncalg.smodules import NotElementary, _gr_slices, decompose_over_s, gr_p
@@ -168,3 +175,37 @@ def test_not_elementary_certificate_is_gr_p_slice():
         res = decompose_over_s(m)
         assert isinstance(res, NotElementary)
         assert res.certificate == _certificate_from_gr_p(m, res.failing_j)
+
+
+def test_decompose_witness_is_a_checked_isomorphism():
+    """Both witness maps carry their well-definedness certificate, and
+    from_canonical is injective and surjective: the checks the single
+    `verify` call implies, recomputed here as the reference."""
+    elementary = 0
+    for m in _slice_modules():
+        dec = decompose_over_s(m)
+        if isinstance(dec, NotElementary):
+            continue
+        elementary += 1
+        assert dec.to_canonical.certificate is not None
+        assert dec.from_canonical.certificate is not None
+        assert is_injective(dec.from_canonical)
+        assert is_surjective(dec.from_canonical)
+        assert dec.verify()
+    assert elementary >= 40
+
+
+def test_decompose_raises_when_the_witness_fails_to_verify(monkeypatch):
+    real = ElementaryDecomposition.verify
+
+    def refuse_bk(dec):
+        # the S1 slice decompositions still verify; only the assembled
+        # TruncatedBK witness is refused
+        if isinstance(dec.canonical_module.ring, TruncatedBK):
+            return False
+        return real(dec)
+
+    monkeypatch.setattr(ElementaryDecomposition, "verify", refuse_bk)
+    mod = scrambled_elementary(TruncatedBK(3, 3, 3), random.Random(1209))[0]
+    with pytest.raises(InternalInconsistencyError, match="compose to identity"):
+        decompose_over_s(mod)
