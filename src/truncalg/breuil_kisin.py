@@ -31,7 +31,7 @@ from .modules import (
     NotElementary,
     PresentedModule,
     cokernel,
-    decompose_elementary,
+    elementary_divisors,
     image,
     is_injective,
     is_surjective,
@@ -222,8 +222,7 @@ def s1_presentation(m):
 
 
 def is_s1_free(m):
-    dec = decompose_elementary(s1_presentation(m))
-    return not dec.torsion_divisors
+    return not elementary_divisors(s1_presentation(m)).torsion_divisors
 
 
 def check_mod_s1(b, r):

@@ -19,7 +19,7 @@ from .errors import InternalInconsistencyError, SchemaError
 from .linalg import Mat, kernel_left_parts, smith_normal_form, solve_left_mod
 from .modules import (
     PresentedModule,
-    decompose_elementary,
+    elementary_divisors,
     is_injective,
     is_surjective,
     module_map,
@@ -200,14 +200,14 @@ def _cohomology_presentation(x, j):
 
 
 def _group_of(m, inverted):
-    dec = decompose_elementary(m)
+    divs = elementary_divisors(m)
     strip_s = LocalizedIntegers(tuple(inverted)).strip_s
     divisors = []
-    for d in dec.torsion_divisors:
+    for d in divs.torsion_divisors:
         s = strip_s(d)
         if s > 1:
             divisors.append(s)
-    return LocalizedAbelianGroup(dec.free_rank, chain_form(divisors))
+    return LocalizedAbelianGroup(divs.free_rank, chain_form(divisors))
 
 
 def reduced_cohomology(x, inverted=()):

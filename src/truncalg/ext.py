@@ -23,8 +23,8 @@ from .modules import (
     PresentedModule,
     build_ses,
     direct_sum,
-    require_elementary,
     split_test,
+    structure_divisors,
 )
 from .rings import TruncatedBK, TruncatedPadic
 
@@ -33,8 +33,8 @@ def _elementary_exponents(m):
     """Torsion p-exponents and free rank of an elementary module."""
     if not isinstance(m.ring, (TruncatedBK, TruncatedPadic)):
         raise UnsupportedRingError("ext1 supports TruncatedBK and TruncatedPadic")
-    dec = require_elementary(m)
-    return dec.exponents(), dec.free_rank
+    divs = structure_divisors(m)
+    return divs.exponents(), divs.free_rank
 
 
 def ext1(c, a):

@@ -16,7 +16,7 @@ expanded only when its key misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -125,6 +125,8 @@ class SNFResult:
 
     No inverse of a witness is stored: `verify` computes the inverses it
     checks, and `modules.decompose_elementary` inverts `right` itself.
+    `diagonalizes` is the exact identity alone, which certifies a divisor
+    read (`modules.elementary_divisors`) without any inverse.
     """
 
     left: Mat
@@ -137,11 +139,14 @@ class SNFResult:
             d[i][i] = x
         return Mat(rows, cols, d)
 
-    def verify(self, mat, ring):
+    def diagonalizes(self, mat, ring):
+        """left . mat . right == diag(divisors), exactly."""
         lhs = self.left.mul(mat, ring).mul(self.right, ring)
-        if lhs != self.diagonal(mat.rows, mat.cols, ring):
-            return False
-        return invert(self.left, ring) is not None and invert(self.right, ring) is not None
+        return lhs == self.diagonal(mat.rows, mat.cols, ring)
+
+    def verify(self, mat, ring):
+        return (self.diagonalizes(mat, ring) and invert(self.left, ring) is not None
+                and invert(self.right, ring) is not None)
 
 
 class _Worker:
@@ -375,7 +380,7 @@ def smith_normal_form(mat, ring):
         raise UnsupportedRingError(f"no SNF over {type(ring).__name__}")
     snf = _snf_memo(ring, mat)
     # the witnesses are immutable Mats; the divisors list is the caller's own
-    return replace(snf, divisors=list(snf.divisors))
+    return SNFResult(snf.left, snf.right, list(snf.divisors))
 
 
 # Solvers and kernels repeat the same (ring, matrix) inputs within a job: a
@@ -385,9 +390,11 @@ def smith_normal_form(mat, ring):
 # its entry holds the SNF of the expansion.  With 32 entries the misses equal
 # the distinct inputs on every corpus job (at most 37, ext_golden_p2) and
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
-# more.  `invert` of an SNF witness (in `decompose_elementary` and
-# `SNFResult.verify`) goes through the memo too.  On the 48 towers of
-# tower_check seed 601, memo cleared per tower: 3107 lookups, 902 misses (as
+# more.  `invert` of an SNF witness goes through the memo too: in
+# `SNFResult.verify`, and in `decompose_elementary`, which only callers of
+# a decomposition witness reach; a divisor read
+# (`modules.elementary_divisors`) inverts nothing.  On the 48 towers of
+# tower_check seed 601, memo cleared per tower: 2473 lookups, 787 misses (as
 # many as distinct inputs) and 435 expansions, plus the 72 that
 # `smodules._gr_slices` makes before its own lookup.  lru_cache is
 # thread-safe, so an embedding program may run jobs on several threads.

@@ -290,6 +290,32 @@ class NotElementary:
     certificate: dict
 
 
+def _divisor_exponents(ring, divisors):
+    """Sorted exponents of torsion divisors: valuations over the chain rings,
+    p-valuations over TruncatedBK."""
+    if isinstance(ring, LocalizedIntegers):
+        raise UnsupportedRingError(
+            "exponents() needs a chain ring or TruncatedBK; over Z[1/S] read the "
+            "prime-power profile with torsion_divisor_profile")
+    if isinstance(ring, TruncatedBK):
+        return sorted(ring.p_valuation(d) for d in divisors)
+    return sorted(ring.val(d) for d in divisors)
+
+
+@dataclass
+class ElementaryDivisors:
+    """M = R^free_rank (+) sum of R/(d), read off the SNF of the relations
+    with no witness."""
+
+    ring: object
+    free_rank: int
+    torsion_divisors: list
+
+    def exponents(self):
+        """Sorted exponents of the torsion divisors (`_divisor_exponents`)."""
+        return _divisor_exponents(self.ring, self.torsion_divisors)
+
+
 @dataclass
 class ElementaryDecomposition:
     """M = R^free_rank (+) sum of R/(d) with a two-sided invertible witness."""
@@ -301,31 +327,32 @@ class ElementaryDecomposition:
     canonical_module: PresentedModule
 
     def exponents(self):
-        """Sorted exponents of the torsion divisors: valuations over the chain
-        rings, p-valuations over TruncatedBK."""
-        ring = self.canonical_module.ring
-        if isinstance(ring, LocalizedIntegers):
-            raise UnsupportedRingError(
-                "exponents() needs a chain ring or TruncatedBK; over Z[1/S] read the "
-                "prime-power profile with torsion_divisor_profile")
-        if isinstance(ring, TruncatedBK):
-            return sorted(ring.p_valuation(d) for d in self.torsion_divisors)
-        return sorted(ring.val(d) for d in self.torsion_divisors)
+        """Sorted exponents of the torsion divisors (`_divisor_exponents`)."""
+        return _divisor_exponents(self.canonical_module.ring, self.torsion_divisors)
 
     def verify(self):
+        """Both maps are well defined (a map's certificate already shows it)
+        and both composites are the identity."""
         m = self.to_canonical.source
-        return (maps_equal(compose(self.to_canonical, self.from_canonical), identity_map(m))
+        return (all(f.certificate is not None or rows_are_zero_classes(
+                        f.target, f.source.relations.mul(f.matrix, m.ring))
+                    for f in (self.to_canonical, self.from_canonical))
+                and maps_equal(compose(self.to_canonical, self.from_canonical), identity_map(m))
                 and maps_equal(compose(self.from_canonical, self.to_canonical),
                                identity_map(self.canonical_module)))
 
 
-def decompose_elementary(m):
-    """Structure theorem over an SNF-capable ring, with verified witness."""
+def _read_snf(m):
+    """(ElementaryDivisors, kept, right) from the SNF L . A . R = D of m's
+    relations A, certified by that exact identity.  kept lists the positions
+    of the torsion, then the free, summands among R's columns."""
     ring = m.ring
     if not is_snf_capable(ring):
         raise UnsupportedRingError(
-            f"decompose_elementary needs an SNF-capable ring, got {type(ring).__name__}")
+            f"elementary divisors need an SNF-capable ring, got {type(ring).__name__}")
     snf = linalg.smith_normal_form(m.relations, ring)
+    if not snf.diagonalizes(m.relations, ring):
+        raise InternalInconsistencyError("Smith normal form fails L . A . R = D")
     torsion_at, torsion, free_at = [], [], []
     for j in range(m.gens):
         d = snf.divisors[j] if j < len(snf.divisors) else ring.zero
@@ -334,13 +361,25 @@ def decompose_elementary(m):
         elif not ring.is_unit(d):
             torsion_at.append(j)
             torsion.append(d)
-    kept = torsion_at + free_at
-    free_rank = len(free_at)
-    canonical = module_from_divisors(ring, torsion, free_rank)
-    to_can = module_map(m, canonical, snf.right.take_cols(kept), check=False)
-    from_can = module_map(canonical, m, linalg.invert(snf.right, ring).take_rows(kept),
+    return ElementaryDivisors(ring, len(free_at), torsion), torsion_at + free_at, snf.right
+
+
+def elementary_divisors(m):
+    """Free rank and torsion divisors over an SNF-capable ring, with no
+    witness: the reader for callers that never touch the maps."""
+    return _read_snf(m)[0]
+
+
+def decompose_elementary(m):
+    """Structure theorem over an SNF-capable ring, with verified witness."""
+    divs, kept, right = _read_snf(m)
+    ring = m.ring
+    canonical = module_from_divisors(ring, divs.torsion_divisors, divs.free_rank)
+    to_can = module_map(m, canonical, right.take_cols(kept), check=False)
+    from_can = module_map(canonical, m, linalg.invert(right, ring).take_rows(kept),
                           check=False)
-    dec = ElementaryDecomposition(free_rank, torsion, to_can, from_can, canonical)
+    dec = ElementaryDecomposition(divs.free_rank, divs.torsion_divisors, to_can, from_can,
+                                  canonical)
     if not dec.verify():
         raise InternalInconsistencyError("elementary decomposition witness failed to verify")
     return dec
@@ -387,33 +426,38 @@ def torsion_part(m):
     return tors, incl, quot
 
 
+def structure_divisors(m):
+    """Free rank and torsion divisors over any ring with a structure theorem:
+    the SNF reader, or over TruncatedBK `require_elementary`."""
+    if isinstance(m.ring, TruncatedBK):
+        return require_elementary(m)
+    return elementary_divisors(m)
+
+
 def torsion_length(m):
     """Sum of valuations (resp. prime multiplicities) of torsion divisors."""
-    ring = m.ring
-    if not is_snf_capable(ring):
-        raise UnsupportedRingError("torsion_length needs an SNF-capable ring")
-    dec = decompose_elementary(m)
-    if isinstance(ring, LocalizedIntegers):
+    divs = elementary_divisors(m)
+    if isinstance(m.ring, LocalizedIntegers):
         return sum(sum(factorint(abs(int(Fraction(d)))).values())
-                   for d in dec.torsion_divisors)
-    return sum(dec.exponents())
+                   for d in divs.torsion_divisors)
+    return sum(divs.exponents())
 
 
 def torsion_divisor_profile(m):
     """Canonical multiset describing torsion: chain rings and TruncatedBK
     give exponent tuples, LocalizedIntegers gives prime-power tuples."""
-    dec = require_elementary(m)
+    divs = structure_divisors(m)
     if isinstance(m.ring, LocalizedIntegers):
         out = []
-        for d in dec.torsion_divisors:
+        for d in divs.torsion_divisors:
             for q, e in sorted(factorint(abs(int(Fraction(d)))).items()):
                 out.append((q, e))
         return tuple(sorted(out))
-    return tuple(dec.exponents())
+    return tuple(divs.exponents())
 
 
 def free_rank(m):
-    return require_elementary(m).free_rank
+    return structure_divisors(m).free_rank
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .modules import (
     PresentedModule,
     cokernel,
     compose,
-    decompose_elementary,
+    elementary_divisors,
     identity_map,
     is_injective,
     is_zero_map,
@@ -327,8 +327,8 @@ def _entry_val_ge_one(x, ent, dmap):
 def _free_block_vanishes(dmap):
     """free_rank(coker d) == free_rank(target): the exact d (x) K = 0 test."""
     cmod, _ = cokernel(dmap)
-    return (decompose_elementary(cmod).free_rank
-            == decompose_elementary(dmap.target).free_rank)
+    return (elementary_divisors(cmod).free_rank
+            == elementary_divisors(dmap.target).free_rank)
 
 
 def degeneration_report(x):
@@ -427,8 +427,8 @@ def degeneration_report(x):
 
     precision_limited = False
     if not isinstance(ring, LocalizedIntegers) and any_nonzero_d:
-        frees = [decompose_elementary(homologies[i].h).free_rank for i in homologies]
-        frees += [decompose_elementary(e1.entries[(n, i)].module).free_rank
+        frees = [elementary_divisors(homologies[i].h).free_rank for i in homologies]
+        frees += [elementary_divisors(e1.entries[(n, i)].module).free_rank
                   for n in range(x.wmin, x.wmax + 1) for i in range(x.lo, x.hi + 1)]
         precision_limited = any(f > 0 for f in frees)
         if precision_limited:
@@ -477,8 +477,8 @@ def _reduction_length(m, n):
     """len(M / u^n M) = sum min(val d, n) + free_rank * n."""
     if isinstance(m.ring, LocalizedIntegers):
         raise UnsupportedRingError("reduction lengths need a single uniformizer")
-    dec = decompose_elementary(m)
-    return dec.free_rank * n + sum(min(v, n) for v in dec.exponents())
+    divs = elementary_divisors(m)
+    return divs.free_rank * n + sum(min(v, n) for v in divs.exponents())
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +494,10 @@ def _tensored_kernel_vanishes(f, ell):
     """ker(f (x) Z_ell) = 0, decided exactly: flatness gives
     ker(f) (x) Z_ell, which vanishes iff ker(f) is prime-to-ell torsion."""
     kmod, _ = kernel(f)
-    dec = decompose_elementary(kmod)
-    if dec.free_rank:
+    divs = elementary_divisors(kmod)
+    if divs.free_rank:
         return False
-    return all(prime_valuation(d.numerator, ell) == 0 for d in dec.torsion_divisors)
+    return all(prime_valuation(d.numerator, ell) == 0 for d in divs.torsion_divisors)
 
 
 def _retraction_solves_at(f, ell):
@@ -523,15 +523,13 @@ def _retraction_solves_at(f, ell):
 
 def _ell_profile(m, ell):
     """Torsion exponents at ell of the tensored module, exactly."""
-    dec = decompose_elementary(m)
-    out = [prime_valuation(d.numerator, ell) for d in dec.torsion_divisors]
+    out = [prime_valuation(d.numerator, ell) for d in elementary_divisors(m).torsion_divisors]
     return tuple(sorted(v for v in out if v > 0))
 
 
 def _entry_injects_into_completion(m, ell):
     """M -> M (x) Z_ell is injective iff the torsion is pure ell-power."""
-    dec = decompose_elementary(m)
-    for d in dec.torsion_divisors:
+    for d in elementary_divisors(m).torsion_divisors:
         n = abs(int(d.numerator))
         if n != ell ** prime_valuation(n, ell):
             return False, f"torsion divisor {n} has primes other than {ell}"

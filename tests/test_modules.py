@@ -6,10 +6,17 @@ import pytest
 from helpers import reference_verify_exact_at
 from truncalg.bruteforce import FiniteModule
 from truncalg.bkrandom import scrambled_elementary
-from truncalg.errors import NotElementaryError, NotWellDefinedError, UnsupportedRingError
-from truncalg.linalg import Mat, kernel_left_parts
+from truncalg import linalg
+from truncalg.errors import (
+    InternalInconsistencyError,
+    NotElementaryError,
+    NotWellDefinedError,
+    UnsupportedRingError,
+)
+from truncalg.linalg import Mat, SNFResult, kernel_left_parts
 from truncalg.modules import (
     BaseChangeSpec,
+    ElementaryDecomposition,
     NotElementary,
     PresentedModule,
     base_change,
@@ -19,13 +26,16 @@ from truncalg.modules import (
     decompose,
     decompose_elementary,
     direct_sum,
+    elementary_divisors,
     free_rank,
     glue_splitting,
+    identity_map,
     is_injective,
     is_surjective,
     is_zero_map,
     is_zero_module,
     kernel,
+    maps_equal,
     module_from_divisors,
     module_map,
     retraction_test,
@@ -168,6 +178,69 @@ def test_decompose_elementary_examples():
     dec3 = decompose_elementary(PresentedModule(ZP26, 2, Mat(2, 2, [[2, 4], [6, 8]])))
     assert dec3.exponents() == [1, 2] and dec3.free_rank == 0
     assert dec3.verify()
+
+
+def test_verify_rejects_a_witness_that_is_not_well_defined():
+    """Z/3 against the canonical Z/9 over Z/27, both witnesses [[1]]: both
+    composites are the identity, but 1: Z/3 -> Z/9 does not send the
+    relation 3 into (9), so the pair certifies no isomorphism."""
+    ring = TruncatedPadic(3, 3)
+    z3 = PresentedModule.cyclic(ring, ring.from_int(3))
+    z9 = PresentedModule.cyclic(ring, ring.from_int(9))
+    one = Mat(1, 1, [[ring.one]])
+    dec = ElementaryDecomposition(0, [ring.from_int(9)], module_map(z3, z9, one, check=False),
+                                  module_map(z9, z3, one, check=False), z9)
+    assert maps_equal(compose(dec.to_canonical, dec.from_canonical), identity_map(z3))
+    assert maps_equal(compose(dec.from_canonical, dec.to_canonical), identity_map(z9))
+    assert not dec.verify()
+    good = decompose_elementary(z3)
+    assert good.verify() and good.exponents() == [1]
+
+
+@pytest.mark.parametrize("ring", [
+    TruncatedPadic(2, 3), TruncatedPadic(3, 2), TruncatedPowerSeries(3, 3),
+    LocalizedIntegers((2,))])
+def test_elementary_divisors_agree_with_decompose_elementary(ring):
+    """The witness-free reader gives decompose_elementary's free rank,
+    divisors and exponents, on 0-generator, free and random modules."""
+    rng = random.Random(1414)
+    seen = set()
+    for k in range(24):
+        g = k % 4
+        nrel = 0 if k % 3 == 1 else rng.randint(1, 3)
+        rows = [[_random_element(ring, rng) for _ in range(g)] for _ in range(nrel)]
+        m = PresentedModule(ring, g, Mat(nrel, g, rows))
+        divs = elementary_divisors(m)
+        dec = decompose_elementary(m)
+        assert (divs.free_rank, divs.torsion_divisors) == (dec.free_rank, dec.torsion_divisors)
+        if isinstance(ring, LocalizedIntegers):
+            for reading in (divs, dec):
+                with pytest.raises(UnsupportedRingError):
+                    reading.exponents()
+        else:
+            assert divs.exponents() == dec.exponents()
+        seen.add("no generators" if g == 0 else "free" if nrel == 0
+                 else "torsion" if divs.torsion_divisors else "other")
+    assert {"no generators", "free", "torsion"} <= seen, seen
+
+
+def test_elementary_divisors_check_the_snf(monkeypatch):
+    """A memoised SNF with one wrong divisor fails L . A . R = D: the reader
+    refuses it instead of reading Z/4 + Z/4 off Z/2 + Z/4."""
+    m = PresentedModule(ZP26, 2, Mat(2, 2, [[2, 4], [6, 8]]))
+    assert elementary_divisors(m).exponents() == [1, 2]
+    memo = linalg._snf_memo
+
+    def corrupted(ring, mat):
+        snf = memo(ring, mat)
+        return SNFResult(snf.left, snf.right,
+                         [ring.mul(ring.from_int(2), snf.divisors[0])] + snf.divisors[1:])
+
+    monkeypatch.setattr(linalg, "_snf_memo", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="L . A . R = D"):
+        elementary_divisors(m)
+    with pytest.raises(InternalInconsistencyError):
+        decompose_elementary(m)
 
 
 def test_decompose_localized_integers():

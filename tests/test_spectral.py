@@ -1,12 +1,18 @@
+import json
+import os
 import random
+import sys
 
 import pytest
 
 from helpers import random_filtered_complex
+from truncalg import linalg
+from truncalg.cli import emit, run_job
 from truncalg.errors import HypothesisUnmetError, SchemaError, UnsupportedRingError
 from truncalg.linalg import Mat
 from truncalg.modules import (
     BaseChangeSpec,
+    ElementaryDecomposition,
     PresentedModule,
     direct_sum,
     torsion_divisor_profile,
@@ -97,6 +103,57 @@ def test_degeneration_direct_sum_split():
     rep = degeneration_report(x)
     assert rep.split and rep.saturated and rep.degenerate
     assert rep.witnesses["sections"]
+
+
+def _count_witness_work(monkeypatch):
+    """Count linalg.invert calls, under every name a truncalg module binds
+    it to, and ElementaryDecomposition.verify calls."""
+    counts = {"invert": 0, "verify": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    invert = linalg.invert
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("truncalg") and getattr(mod, "invert", None) is invert:
+            monkeypatch.setattr(mod, "invert", counting("invert", invert))
+    monkeypatch.setattr(ElementaryDecomposition, "verify",
+                        counting("verify", ElementaryDecomposition.verify))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["ss_golden_trichotomy", "ss_direct_sum_split"])
+def test_degeneration_reads_divisors_without_a_witness(monkeypatch, name):
+    """The degeneration criteria read divisors only: an ss-report job
+    inverts no SNF witness and verifies no decomposition, and its report is
+    the frozen one."""
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    with open(os.path.join(corpus, name + ".json")) as fh:
+        job = json.load(fh)
+    with open(os.path.join(corpus, name + ".report.json")) as fh:
+        frozen = fh.read()
+    linalg._snf_memo.cache_clear()
+    counts = _count_witness_work(monkeypatch)
+    report, _ = run_job(job)
+    assert counts == {"invert": 0, "verify": 0}
+    assert emit(report, "json") == frozen
+
+
+def test_degeneration_report_on_z3_z9_builds_no_witness(monkeypatch):
+    ring = TruncatedPadic(3, 3)
+    m = direct_sum([PresentedModule.cyclic(ring, ring.from_int(3)),
+                    PresentedModule.cyclic(ring, ring.from_int(9))])
+    sub = PresentedModule.cyclic(ring, ring.from_int(9))
+    x = validate(ring, 0, 0, 0, 1, {0: m}, {}, {(0, 1): (sub, Mat(1, 2, [[1, 1]]))})
+    linalg._snf_memo.cache_clear()
+    counts = _count_witness_work(monkeypatch)
+    rep = degeneration_report(x)
+    assert counts == {"invert": 0, "verify": 0}
+    assert rep.length_ledger[0] == (3, [1, 2])
+    assert rep.h_torsion_profiles[0] == (1, 2)
 
 
 def test_degeneration_depf_gate():
