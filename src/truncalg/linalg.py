@@ -124,7 +124,8 @@ class SNFResult:
     """left . mat . right = diag(divisors) with left and right invertible.
 
     No inverse of a witness is stored: `verify` computes the inverses it
-    checks, and `modules.decompose_elementary` inverts `right` itself.
+    checks, and `modules.decompose_elementary` and `smodules._read_slice`
+    invert `right` themselves.
     `diagonalizes` is the exact identity alone, which certifies a divisor
     read (`modules.elementary_divisors`) without any inverse.
     """
@@ -391,10 +392,11 @@ def smith_normal_form(mat, ring):
 # the distinct inputs on every corpus job (at most 37, ext_golden_p2) and
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
 # more.  `invert` of an SNF witness goes through the memo too: in
-# `SNFResult.verify`, and in `decompose_elementary`, which only callers of
-# a decomposition witness reach; a divisor read
-# (`modules.elementary_divisors`) inverts nothing.  On the 48 towers of
-# tower_check seed 601, memo cleared per tower: 2473 lookups, 787 misses (as
+# `SNFResult.verify`, in `decompose_elementary`, which only callers of a
+# decomposition witness reach, and in `smodules._read_slice`, once per free
+# gr_p slice whose from-canonical rows `decompose_over_s` reads; a divisor
+# read (`modules.elementary_divisors`) inverts nothing.  On the 48 towers of
+# tower_check seed 601, memo cleared per tower: 2282 lookups, 750 misses (as
 # many as distinct inputs) and 435 expansions, plus the 72 that
 # `smodules._gr_slices` makes before its own lookup.  lru_cache is
 # thread-safe, so an embedding program may run jobs on several threads.

@@ -342,7 +342,7 @@ class ElementaryDecomposition:
                                identity_map(self.canonical_module)))
 
 
-def _read_snf(m):
+def read_snf(m):
     """(ElementaryDivisors, kept, right) from the SNF L . A . R = D of m's
     relations A, certified by that exact identity.  kept lists the positions
     of the torsion, then the free, summands among R's columns."""
@@ -367,12 +367,12 @@ def _read_snf(m):
 def elementary_divisors(m):
     """Free rank and torsion divisors over an SNF-capable ring, with no
     witness: the reader for callers that never touch the maps."""
-    return _read_snf(m)[0]
+    return read_snf(m)[0]
 
 
 def decompose_elementary(m):
     """Structure theorem over an SNF-capable ring, with verified witness."""
-    divs, kept, right = _read_snf(m)
+    divs, kept, right = read_snf(m)
     ring = m.ring
     canonical = module_from_divisors(ring, divs.torsion_divisors, divs.free_rank)
     to_can = module_map(m, canonical, right.take_cols(kept), check=False)

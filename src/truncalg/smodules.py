@@ -10,10 +10,14 @@ exactly, and the assembled witness is checked once, by
 `ElementaryDecomposition.verify`.
 
 `decompose_over_s` reads all its slices off one SNF of the expanded
-relations (`_gr_slices`).  `gr_p` keeps the defining presentation, the
-kernel of [p^j; R; p^{j+1}], one slice at a time: it presents the
-`NotElementary` certificate, serves the lemma checks in `breuil_kisin`, and
-is the reference the tests hold the SNF reader to.
+relations (`_gr_slices`), and each slice witness-free (`_read_slice`): its
+divisors, certified by L . A . R = D, and the columns of R and rows of R^-1
+that the mu_j products and the lift read.  No slice builds or verifies a
+witness of its own; the final check of the assembled map certifies them.
+`gr_p` keeps the defining presentation, the kernel of [p^j; R; p^{j+1}],
+one slice at a time: it presents the `NotElementary` certificate, serves
+the lemma checks in `breuil_kisin`, and is the reference the tests hold the
+SNF reader to.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from .linalg import (Mat, expand_matrix, invert, kernel_left, kernel_left_parts,
                      smith_normal_form, solve_left, solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
+    ElementaryDivisors,
     NotElementary,
     PresentedModule,
-    decompose_elementary,
+    elementary_divisors,
     module_from_divisors,
     module_map,
+    read_snf,
     rows_are_zero_classes,
 )
 from .rings import TruncatedBK, TruncatedPowerSeries
@@ -39,7 +45,7 @@ from .rings import TruncatedBK, TruncatedPowerSeries
 class GrSlice:
     j: int
     module: PresentedModule  # over S1
-    decomposition: ElementaryDecomposition  # free exactly when it has no torsion
+    divisors: ElementaryDivisors  # free exactly when it has no torsion
 
 
 def _s1_of(ring):
@@ -62,7 +68,7 @@ def _lift_to_t(rows_s1, ring):
 
 def gr_p(m, j):
     """p^j M / p^{j+1} M as a presented module over S1, with its S1
-    decomposition.
+    divisors.
 
     The relations are the kernel of [p^j; R; p^{j+1}] reduced mod p: the
     definition itself, one kernel per slice.  `decompose_over_s` reads its
@@ -78,18 +84,18 @@ def gr_p(m, j):
     g = m.gens
     if g == 0:
         mod = PresentedModule.zero(s1)
-        return GrSlice(j, mod, decompose_elementary(mod))
+        return GrSlice(j, mod, elementary_divisors(mod))
     pj = Mat.identity(g, ring).scale(ring.from_int(ring.p ** j), ring)
     pj1 = Mat.identity(g, ring).scale(ring.from_int(ring.p ** (j + 1)), ring)
     parts = kernel_left_parts([pj, m.relations, pj1], ring)
     rel_s1 = _reduce_mod_p(parts[0], s1)
     mod = PresentedModule(s1, g, rel_s1)
-    return GrSlice(j, mod, decompose_elementary(mod))
+    return GrSlice(j, mod, elementary_divisors(mod))
 
 
 def _gr_slices(m):
-    """gr_p^0 M, ..., gr_p^{N-1} M, read off one SNF L . R_exp . U = D of the
-    expanded relations over Z/p^N, and decomposed one at a time on demand.
+    """The S1 modules gr_p^0 M, ..., gr_p^{N-1} M, read off one SNF
+    L . R_exp . U = D of the expanded relations over Z/p^N.
 
     p^j y lies in rowspan(R_exp) + p^{j+1} exactly when (yU)_k is 0 mod p for
     every k with v_k = val(d_k) > j (zero and missing divisors count as N).
@@ -112,8 +118,29 @@ def _gr_slices(m):
         flat = [(x // pv) % p for x in row]
         rows.append((v, [tuple(flat[i * mlen:(i + 1) * mlen]) for i in range(g)]))
     for j in range(ring.precision_n):
-        mod = PresentedModule(s1, g, Mat.from_rows([r for v, r in rows if v <= j], g))
-        yield GrSlice(j, mod, decompose_elementary(mod))
+        yield PresentedModule(s1, g, Mat.from_rows([r for v, r in rows if v <= j], g))
+
+
+def _read_slice(mod, j, n):
+    """(divisors, to_canonical, from_canonical) of gr_p slice j of n, read
+    off the SNF L . A . R = D of its relations with no witness check.
+
+    A free slice's to_canonical is R[:, kept], read for j >= 1 (mu_{j-1});
+    its from_canonical is R^-1[kept], read for j <= n-2 (mu_j) and for j = 0
+    (the lift to generator coordinates).  A matrix that is not read is None,
+    and both are None on a slice with torsion.  `decompose_over_s`
+    certifies what it builds from them by its final check."""
+    divs, kept, right = read_snf(mod)
+    if divs.torsion_divisors:
+        return divs, None, None
+    to_can = right.take_cols(kept) if j >= 1 else None
+    from_can = None
+    if j <= n - 2 or j == 0:
+        inv = invert(right, mod.ring)
+        if inv is None:
+            raise InternalInconsistencyError(f"SNF witness of gr_p slice {j} is not invertible")
+        from_can = inv.take_rows(kept)
+    return divs, to_can, from_can
 
 
 def decompose_over_s(m, _trace=None):
@@ -127,41 +154,42 @@ def decompose_over_s(m, _trace=None):
     Level j of the adapted basis is the lifts of level j+1 through mu_j
     followed by the kernel rows of mu_j: mu_j is onto a free S1-module, so
     its SNF divisors are units and those rows are a basis of its kernel.
-    The inverse of the assembled map exists exactly when it is onto, and
+    The slices are read without witnesses (`_read_slice`).  The inverse of
+    the assembled map exists exactly when it is onto, and
     `ElementaryDecomposition.verify` checks that both composites are the
-    identity; that single check makes it an isomorphism.
+    identity; that single check makes it an isomorphism, whatever the slice
+    matrices it was built from.
     """
     ring = m.ring
     if not isinstance(ring, TruncatedBK):
         raise UnsupportedRingError("decompose_over_s needs a TruncatedBK module")
     n = ring.precision_n
     s1 = _s1_of(ring)
-    decs = []  # the S1 decompositions of the slices
-    for sl in _gr_slices(m):
-        if sl.decomposition.torsion_divisors:
+    ranks, to_can, from_can = [], [], []
+    for j, mod in enumerate(_gr_slices(m)):
+        divs, to_j, from_j = _read_slice(mod, j, n)
+        if divs.torsion_divisors:
             # the certificate presents the slice by its definition
-            ref = gr_p(m, sl.j)
-            if ref.decomposition.torsion_divisors != sl.decomposition.torsion_divisors:
+            ref = gr_p(m, j)
+            if ref.divisors.torsion_divisors != divs.torsion_divisors:
                 raise InternalInconsistencyError(
-                    f"gr_p slice {sl.j} has two sets of z-torsion divisors")
-            return NotElementary(sl.j, {
+                    f"gr_p slice {j} has two sets of z-torsion divisors")
+            return NotElementary(j, {
                 "z_torsion_divisors": [s1.element_str(d)
-                                       for d in ref.decomposition.torsion_divisors],
+                                       for d in ref.divisors.torsion_divisors],
                 "gr_relations": ref.module.relations.tolist(),
             })
-        decs.append(sl.decomposition)
+        ranks.append(divs.free_rank)
+        to_can.append(to_j)
+        from_can.append(from_j)
         if _trace is not None:
-            _trace.append(sl.decomposition.free_rank)
-    ranks = [dec.free_rank for dec in decs]
+            _trace.append(divs.free_rank)
     for j in range(n - 1):
         if ranks[j] < ranks[j + 1]:
             raise InternalInconsistencyError("gr ranks increased along multiplication by p")
 
     # mu_j in the canonical coordinates of consecutive slices
-    mu = []
-    for j in range(n - 1):
-        a = decs[j].from_canonical.matrix.mul(decs[j + 1].to_canonical.matrix, s1)
-        mu.append(a)
+    mu = [from_can[j].mul(to_can[j + 1], s1) for j in range(n - 1)]
 
     # adapted basis, top level downwards; tags record the chain length
     basis = Mat.identity(ranks[n - 1], s1)
@@ -180,23 +208,19 @@ def decompose_over_s(m, _trace=None):
         tags = tags + [j + 1] * len(comp)
 
     # back to generator coordinates of gr_0 = M/pM, then lift to the ring
-    rows_s1 = basis.mul(decs[0].from_canonical.matrix, s1) \
-        if basis.rows else Mat(0, m.gens, [])
+    rows_s1 = basis.mul(from_can[0], s1) if basis.rows else Mat(0, m.gens, [])
     rows_t = _lift_to_t(rows_s1, ring)
 
-    order = sorted(range(len(tags)), key=lambda t: (tags[t] == n, tags[t]))
+    # torsion generators by exponent, then the free ones
     gens_rows = []
     exps = []
-    free_count = 0
-    for t in order:
-        row = list(rows_t.data[t])
-        a = tags[t]
-        if a == n:
-            free_count += 1
-        else:
-            row = _correct_torsion_generator(m, row, a)
-            exps.append(a)
-        gens_rows.append(row)
+    for a in sorted(set(tags)):
+        group = [list(rows_t.data[t]) for t in range(len(tags)) if tags[t] == a]
+        if a < n:
+            group = _correct_torsion_generators(m, group, a)
+            exps += [a] * len(group)
+        gens_rows += group
+    free_count = tags.count(n)
 
     divisors = [ring.from_int(ring.p ** a) for a in exps]
     canonical = module_from_divisors(ring, divisors, free_count)
@@ -218,25 +242,25 @@ def decompose_over_s(m, _trace=None):
     return dec
 
 
-def _correct_torsion_generator(m, row, a):
-    """Adjust row by p*y so that p^a . row = 0 holds exactly in m."""
+def _correct_torsion_generators(m, rows, a):
+    """Adjust each row by p*y so that p^a . row = 0 holds exactly in m: one
+    solve for all rows of exponent a (each row is solved on its own)."""
     ring = m.ring
     p = ring.p
     pa = ring.from_int(p ** a)
-    target = Mat(1, m.gens, [[ring.mul(pa, x) for x in row]])
+    targets = Mat.from_rows(rows, m.gens).scale(pa, ring)
     if a + 1 >= ring.precision_n:
-        if not rows_are_zero_classes(m, target):
+        if not rows_are_zero_classes(m, targets):
             raise PrecisionError(
                 "torsion correction impossible: exponent reaches the p-precision")
-        return row
+        return rows
     pa1 = Mat.identity(m.gens, ring).scale(ring.from_int(p ** (a + 1)), ring)
-    sol = solve_left_mod(pa1, target, m.relations, ring)
+    sol = solve_left_mod(pa1, targets, m.relations, ring)
     if sol is None:
         raise PrecisionError("torsion correction system unsolvable at working precision")
-    y = sol[0]
     pelt = ring.from_int(p)
-    corrected = [ring.sub(x, ring.mul(pelt, y.data[0][i])) for i, x in enumerate(row)]
-    check = Mat(1, m.gens, [[ring.mul(pa, x) for x in corrected]])
-    if not rows_are_zero_classes(m, check):
+    corrected = [[ring.sub(x, ring.mul(pelt, yx)) for x, yx in zip(row, y)]
+                 for row, y in zip(rows, sol[0].data)]
+    if not rows_are_zero_classes(m, Mat.from_rows(corrected, m.gens).scale(pa, ring)):
         raise InternalInconsistencyError("torsion correction failed to kill the generator")
     return corrected

@@ -166,8 +166,8 @@ def test_bk_kernel_cokernel_z_mult_exploration():
     k, c, notes = bk_kernel_cokernel(f, 2)
     assert any("exploration" in n for n in notes)
     # z-torsion: the kernel is S/(p, z)
-    assert gr_p(k.module, 0).decomposition.torsion_divisors
-    assert gr_p(c.module, 0).decomposition.torsion_divisors
+    assert gr_p(k.module, 0).divisors.torsion_divisors
+    assert gr_p(c.module, 0).divisors.torsion_divisors
 
 
 def test_phi_equivariance_checked():
@@ -222,7 +222,7 @@ def test_gr_extension_transfer_both_kinds():
     for j in range(3):
         slb = gr_p(bdsf.module, j)
         sla = gr_p(ba.module, j)
-        assert slb.decomposition.free_rank == sla.decomposition.free_rank + 1
+        assert slb.divisors.free_rank == sla.divisors.free_rank + 1
 
 
 def test_closure_check_tower_length_two():

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from truncalg import smodules
+from truncalg import modules, smodules
 from truncalg.bkrandom import random_tower, scrambled_elementary
 from truncalg.errors import InternalInconsistencyError, UnsupportedRingError
-from truncalg.linalg import Mat
+from truncalg.linalg import Mat, invert
 from truncalg.modules import (
     ElementaryDecomposition,
     PresentedModule,
+    elementary_divisors,
     is_injective,
     is_surjective,
     module_from_divisors,
@@ -27,16 +28,16 @@ BK = TruncatedBK(3, 3, 2)
 
 def test_gr_slices_of_cyclic():
     sp2 = PresentedModule.cyclic(BK, BK.from_int(9))
-    dec0 = gr_p(sp2, 0).decomposition
-    assert not dec0.torsion_divisors and dec0.free_rank == 1
-    assert gr_p(sp2, 1).decomposition.free_rank == 1
-    assert gr_p(sp2, 2).decomposition.free_rank == 0
+    divs0 = gr_p(sp2, 0).divisors
+    assert not divs0.torsion_divisors and divs0.free_rank == 1
+    assert gr_p(sp2, 1).divisors.free_rank == 1
+    assert gr_p(sp2, 2).divisors.free_rank == 0
 
 
 def test_gr_slice_not_free():
     spz = PresentedModule.from_relation_rows(BK, 1, [[BK.from_int(3)], [BK.var_power(1)]])
     sl = gr_p(spz, 0)
-    assert sl.decomposition.torsion_divisors  # not free: z-torsion certificate
+    assert sl.divisors.torsion_divisors  # not free: z-torsion certificate
 
 
 def test_gr_needs_bk_ring():
@@ -131,15 +132,16 @@ def test_gr_slices_match_the_kernel_presentation():
     free = not_free = 0
     for m in _slice_modules():
         slices = list(_gr_slices(m))
-        assert [sl.j for sl in slices] == list(range(m.ring.precision_n))
-        for sl in slices:
-            ref = gr_p(m, sl.j)
-            assert sl.module.gens == ref.module.gens == m.gens
-            assert rows_are_zero_classes(ref.module, sl.module.relations)
-            assert rows_are_zero_classes(sl.module, ref.module.relations)
-            assert sl.decomposition.free_rank == ref.decomposition.free_rank
-            assert sl.decomposition.torsion_divisors == ref.decomposition.torsion_divisors
-            if sl.decomposition.torsion_divisors:
+        assert len(slices) == m.ring.precision_n
+        for j, mod in enumerate(slices):
+            ref = gr_p(m, j)
+            assert mod.gens == ref.module.gens == m.gens
+            assert rows_are_zero_classes(ref.module, mod.relations)
+            assert rows_are_zero_classes(mod, ref.module.relations)
+            divs = elementary_divisors(mod)
+            assert divs.free_rank == ref.divisors.free_rank
+            assert divs.torsion_divisors == ref.divisors.torsion_divisors
+            if divs.torsion_divisors:
                 not_free += 1
             else:
                 free += 1
@@ -163,7 +165,7 @@ def test_decompose_reads_slices_without_gr_p(monkeypatch):
 def _certificate_from_gr_p(m, j):
     sl = gr_p(m, j)
     s1 = sl.module.ring
-    return {"z_torsion_divisors": [s1.element_str(d) for d in sl.decomposition.torsion_divisors],
+    return {"z_torsion_divisors": [s1.element_str(d) for d in sl.divisors.torsion_divisors],
             "gr_relations": sl.module.relations.tolist()}
 
 
@@ -196,16 +198,105 @@ def test_decompose_witness_is_a_checked_isomorphism():
 
 
 def test_decompose_raises_when_the_witness_fails_to_verify(monkeypatch):
-    real = ElementaryDecomposition.verify
-
-    def refuse_bk(dec):
-        # the S1 slice decompositions still verify; only the assembled
-        # TruncatedBK witness is refused
-        if isinstance(dec.canonical_module.ring, TruncatedBK):
-            return False
-        return real(dec)
-
-    monkeypatch.setattr(ElementaryDecomposition, "verify", refuse_bk)
+    # the slices build no witness, so the assembled one is the only verify
+    monkeypatch.setattr(ElementaryDecomposition, "verify", lambda dec: False)
     mod = scrambled_elementary(TruncatedBK(3, 3, 3), random.Random(1209))[0]
     with pytest.raises(InternalInconsistencyError, match="compose to identity"):
         decompose_over_s(mod)
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("ring,max_torsion", [
+    (TruncatedBK(3, 3, 3), 2), (TruncatedBK(5, 3, 2), 2), (TruncatedBK(3, 1, 2), 0)])
+def test_decompose_reads_slices_without_witnesses(monkeypatch, ring, max_torsion):
+    """No slice builds or verifies a witness: one verify, of the assembled
+    map, and only its two module_maps per decomposition."""
+    calls = {}
+    _counting(monkeypatch, modules, "decompose_elementary", calls)
+    _counting(monkeypatch, ElementaryDecomposition, "verify", calls)
+    _counting(monkeypatch, smodules, "module_map", calls)
+    rng = random.Random(1501)
+    for _ in range(10):
+        mod, m, exps = scrambled_elementary(ring, rng, max_torsion=max_torsion)
+        calls.clear()
+        dec = decompose_over_s(mod)
+        got = sorted(ring.p_valuation(d) for d in dec.torsion_divisors)
+        assert (dec.free_rank, got) == (m, exps)
+        assert calls == {"verify": 1, "module_map": 2}
+
+
+def _corrupting_reader(real, s1, hits):
+    def reader(mod, j, n):
+        divs, to_can, from_can = real(mod, j, n)
+        if j == 0:
+            rows = from_can.tolist()
+            rows[1] = [s1.mul(s1.var_power(1), x) for x in rows[1]]
+            from_can = Mat.from_rows(rows, from_can.cols)
+            hits.append(j)
+        return divs, to_can, from_can
+    return reader
+
+
+@pytest.mark.parametrize("ring,free,exps", [
+    (TruncatedBK(3, 3, 2), 1, [1, 2]), (TruncatedBK(5, 2, 2), 2, []),
+    (TruncatedBK(3, 1, 2), 2, [])])
+def test_decompose_raises_on_a_corrupted_slice(monkeypatch, ring, free, exps):
+    """A free slice's from-canonical matrix with one row multiplied by z is
+    caught by the checks on the assembled map: nothing is returned."""
+    mod = _scrambled(ring, exps, free, random.Random(1502))
+    assert gr_p(mod, 0).divisors.free_rank >= 2
+    hits = []
+    s1 = smodules._s1_of(ring)
+    monkeypatch.setattr(smodules, "_read_slice",
+                        _corrupting_reader(smodules._read_slice, s1, hits))
+    with pytest.raises(InternalInconsistencyError):
+        decompose_over_s(mod)
+    assert hits == [0]
+
+
+def _scrambled(ring, exps, free, rng):
+    """sum of S/p^a over exps plus S^free, generators scrambled by an
+    invertible matrix with entries drawn from rng."""
+    g = len(exps) + free
+    rel = Mat(len(exps), g, [[ring.from_int(ring.p ** a) if i == k else ring.zero
+                              for i in range(g)] for k, a in enumerate(exps)])
+    while True:
+        w = Mat(g, g, [[ring.from_coeffs([ring.scalar.from_int(rng.randrange(ring.p ** 2))
+                                          for _ in range(ring.mlen)])
+                        for _ in range(g)] for _ in range(g)])
+        if invert(w, ring) is not None:
+            return PresentedModule(ring, g, rel.mul(w, ring))
+
+
+def test_torsion_corrections_are_batched_by_exponent(monkeypatch):
+    """Two generators of exponent 1 share one correction solve and one
+    check; exponent 2 = N - 1 takes the no-correction branch.  The batch
+    gives each row what a solve of its own gives."""
+    ring = TruncatedBK(3, 3, 2)
+    mod = _scrambled(ring, [1, 1, 2], 1, random.Random(1503))
+    calls = {}
+    _counting(monkeypatch, smodules, "solve_left_mod", calls)
+    _counting(monkeypatch, smodules, "rows_are_zero_classes", calls)
+    dec = decompose_over_s(mod)
+    # one correction solve plus the inverse solve; the a = 1 check and the
+    # a = 2 no-correction check
+    assert calls == {"solve_left_mod": 2, "rows_are_zero_classes": 2}
+    assert dec.exponents() == [1, 1, 2] and dec.free_rank == 1
+    rows = dec.from_canonical.matrix.data
+    for row, a in zip(rows, dec.exponents()):
+        pa = ring.from_int(ring.p ** a)
+        assert rows_are_zero_classes(mod, Mat(1, mod.gens, [[ring.mul(pa, x) for x in row]]))
+    # moved off their corrected values by p, the two rows need a correction
+    shifted = [[ring.add(x, ring.from_int(ring.p)) for x in r] for r in rows[:2]]
+    batch = smodules._correct_torsion_generators(mod, shifted, 1)
+    assert batch != shifted
+    assert batch == [smodules._correct_torsion_generators(mod, [r], 1)[0] for r in shifted]
