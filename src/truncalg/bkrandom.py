@@ -179,10 +179,11 @@ def random_tower(p, rng, depth=2, n=2, r=1, allow_free=True):
 
 def scrambled_elementary(ring, rng, max_rank=2, max_torsion=2):
     """A hidden elementary module scrambled by invertible generator changes
-    and redundant relation rows; returns (module, hidden free rank, exps)."""
+    and redundant relation rows; returns (module, hidden free rank, exps).
+    At n = 1 there is no exponent 1 <= a <= n - 1, so no torsion is drawn."""
     n = ring.precision_n
     m_rank = rng.randint(0, max_rank)
-    tcount = rng.randint(0, max_torsion)
+    tcount = rng.randint(0, max_torsion) if n > 1 else 0
     exps = sorted(rng.randint(1, n - 1) for _ in range(tcount))
     g = m_rank + tcount
     if g == 0:

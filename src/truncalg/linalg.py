@@ -5,21 +5,24 @@ matrix A acting by x |-> x . A.
 
 Smith normal forms are computed directly over the chain rings (minimal
 valuation pivoting, deterministic row-major tie-break) and over Z[1/S]
-(integer reduction with Bezout steps, S-unit factors stripped from the
-divisors).  TruncatedBK and TruncatedLambda matrices are expanded by
-restriction of scalars to their base ring: a T-linear map is base-linear, and
-solutions/kernels reassemble because the coordinate identification
-T^g = base^(g*M) is a base-module isomorphism.  One 32-entry memo, keyed by
+(integer reduction with Bezout steps on Python ints, S-unit factors stripped
+from the divisors; Fractions are built only in the result, so the result is
+as exact as a Fraction elimination's).  TruncatedBK and TruncatedLambda
+matrices are expanded by restriction of scalars to their base ring: a
+T-linear map is base-linear, and solutions/kernels reassemble because the
+coordinate identification T^g = base^(g*M) is a base-module isomorphism.  One 32-entry memo, keyed by
 the caller's (ring, matrix), holds the SNFs; a BK or Lambda matrix is
 expanded only when its key misses.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import SimpleNamespace
 
 from .errors import UnsupportedRingError
 from .rings import (
@@ -282,25 +285,34 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def _snf_localized(mat, ring):
-    """SNF over Z[1/S]: scale rows to integers, integer-reduce, strip S-units."""
-    w = _Worker(mat, ring)
-    for i in range(w.rows):
-        den = 1
-        for x in w.a[i]:
-            den = lcm(den, x.denominator)
-        if den != 1:
-            w.scale_row(i, Fraction(den))
+# The integers as a ring for `_Worker`: after its row scaling, the Z[1/S]
+# elimination multiplies and adds integers only.
+_INTEGERS = SimpleNamespace(zero=0, one=1, add=operator.add, mul=operator.mul,
+                            is_zero=operator.not_)
 
-    def entry(i, j):
-        return int(w.a[i][j])
+
+def _snf_localized(mat, ring):
+    """SNF over Z[1/S]: scale rows to integers, integer-reduce, strip S-units.
+
+    The elimination runs on Python ints: each row of the input is scaled by
+    the lcm of its denominators (recorded in `left`), and every later
+    multiplier is an integer.  Fractions are built only in the result: the
+    witnesses, the divisors, and row k of `left` times stripped/d when the
+    S-unit factors are stripped from the divisor d.
+    """
+    w = _Worker(mat, _INTEGERS)
+    for i, row in enumerate(w.a):
+        den = lcm(*(x.denominator for x in row))
+        w.a[i] = [x.numerator * (den // x.denominator) for x in row]
+        w.l[i][i] = den
+    a = w.a
 
     for k in range(min(w.rows, w.cols)):
         while True:
             best = None
             for i in range(k, w.rows):
                 for j in range(k, w.cols):
-                    x = entry(i, j)
+                    x = a[i][j]
                     if x == 0:
                         continue
                     if best is None or abs(x) < best[0]:
@@ -311,57 +323,56 @@ def _snf_localized(mat, ring):
             w.swap_rows(k, bi)
             w.swap_cols(k, bj)
             for i in range(k + 1, w.rows):
-                b = entry(i, k)
+                b = a[i][k]
                 if b == 0:
                     continue
-                a = entry(k, k)
-                if b % a == 0:
-                    w.add_row(i, k, Fraction(-(b // a)))
+                piv = a[k][k]
+                if b % piv == 0:
+                    w.add_row(i, k, -(b // piv))
                 else:
-                    g, x, y = _xgcd(a, b)
-                    w.two_row_transform(
-                        k, i,
-                        Fraction(x), Fraction(y), Fraction(-(b // g)), Fraction(a // g))
-            if any(entry(k, j) for j in range(k + 1, w.cols)):
+                    g, x, y = _xgcd(piv, b)
+                    w.two_row_transform(k, i, x, y, -(b // g), piv // g)
+            if any(a[k][j] for j in range(k + 1, w.cols)):
                 for j in range(k + 1, w.cols):
-                    b = entry(k, j)
+                    b = a[k][j]
                     if b == 0:
                         continue
-                    a = entry(k, k)
-                    if b % a == 0:
-                        w.add_col(j, k, Fraction(-(b // a)))
+                    piv = a[k][k]
+                    if b % piv == 0:
+                        w.add_col(j, k, -(b // piv))
                     else:
-                        g, x, y = _xgcd(a, b)
-                        w.two_col_transform(
-                            k, j,
-                            Fraction(x), Fraction(-(b // g)), Fraction(y), Fraction(a // g))
+                        g, x, y = _xgcd(piv, b)
+                        w.two_col_transform(k, j, x, -(b // g), y, piv // g)
                 continue
-            if any(entry(i, k) for i in range(k + 1, w.rows)):
+            if any(a[i][k] for i in range(k + 1, w.rows)):
                 continue
-            a = entry(k, k)
+            piv = a[k][k]
             bad = None
-            if a != 0:
+            if piv != 0:
                 for i in range(k + 1, w.rows):
                     for j in range(k + 1, w.cols):
-                        if entry(i, j) % a != 0:
+                        if a[i][j] % piv != 0:
                             bad = i
                             break
                     if bad is not None:
                         break
             if bad is None:
                 break
-            w.add_row(k, bad, Fraction(1))
-        if entry(k, k) < 0:
-            w.scale_row(k, Fraction(-1))
+            w.add_row(k, bad, 1)
+        if a[k][k] < 0:
+            w.scale_row(k, -1)
 
+    left = [[Fraction(x) for x in row] for row in w.l]
+    divisors = []
     for k in range(min(w.rows, w.cols)):
-        d = int(w.a[k][k])
-        if d == 0:
-            continue
-        stripped = ring.strip_s(d)
+        d = a[k][k]
+        stripped = ring.strip_s(d) if d else d
         if stripped != d:
-            w.scale_row(k, Fraction(stripped, d))
-    return w.result()
+            left[k] = [Fraction(x * stripped, d) for x in w.l[k]]
+        divisors.append(Fraction(stripped))
+    return SNFResult(left=Mat(w.rows, w.rows, left),
+                     right=Mat(w.cols, w.cols, [[Fraction(x) for x in row] for row in w.r]),
+                     divisors=divisors)
 
 
 def smith_normal_form(mat, ring):

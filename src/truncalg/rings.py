@@ -309,16 +309,15 @@ class LocalizedIntegers(RingBase):
     def __post_init__(self):
         object.__setattr__(self, "inverted_primes", _check_primes(self.inverted_primes))
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # shared by every access and every instance: Fractions are immutable
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
+
+    def is_zero(self, x):
+        return not x
 
     def add(self, x, y):
         return x + y

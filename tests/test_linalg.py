@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,6 +12,7 @@ from truncalg.linalg import (
     _snf_chain,
     _snf_memo,
     _Worker,
+    _xgcd,
     expand_matrix,
     expand_rows,
     invert,
@@ -32,6 +34,7 @@ from truncalg.rings import (
 Z2_6 = TruncatedPadic(2, 6)
 Z3_4 = TruncatedPadic(3, 4)
 S1 = TruncatedPowerSeries(3, 3)
+Z = LocalizedIntegers(())
 ZL2 = LocalizedIntegers((2,))
 BK = TruncatedBK(3, 2, 2)
 LAM = TruncatedLambda((2,), 2)
@@ -222,6 +225,187 @@ def test_snf_chain_pivot_matches_full_scan(ring):
         assert fast.left == full.left and fast.right == full.right
         assert fast.divisors == full.divisors
         assert fast.verify(m, ring)
+
+
+def reference_snf_localized(mat, ring):
+    """`_snf_localized` as it was when every step ran on Fractions: the rows
+    are scaled by Fraction(den) and each multiplier is a Fraction."""
+    w = _Worker(mat, ring)
+    for i in range(w.rows):
+        den = 1
+        for x in w.a[i]:
+            den = lcm(den, x.denominator)
+        if den != 1:
+            w.scale_row(i, Fraction(den))
+
+    def entry(i, j):
+        return int(w.a[i][j])
+
+    for k in range(min(w.rows, w.cols)):
+        while True:
+            best = None
+            for i in range(k, w.rows):
+                for j in range(k, w.cols):
+                    x = entry(i, j)
+                    if x == 0:
+                        continue
+                    if best is None or abs(x) < best[0]:
+                        best = (abs(x), i, j)
+            if best is None:
+                break
+            _, bi, bj = best
+            w.swap_rows(k, bi)
+            w.swap_cols(k, bj)
+            for i in range(k + 1, w.rows):
+                b = entry(i, k)
+                if b == 0:
+                    continue
+                a = entry(k, k)
+                if b % a == 0:
+                    w.add_row(i, k, Fraction(-(b // a)))
+                else:
+                    g, x, y = _xgcd(a, b)
+                    w.two_row_transform(
+                        k, i,
+                        Fraction(x), Fraction(y), Fraction(-(b // g)), Fraction(a // g))
+            if any(entry(k, j) for j in range(k + 1, w.cols)):
+                for j in range(k + 1, w.cols):
+                    b = entry(k, j)
+                    if b == 0:
+                        continue
+                    a = entry(k, k)
+                    if b % a == 0:
+                        w.add_col(j, k, Fraction(-(b // a)))
+                    else:
+                        g, x, y = _xgcd(a, b)
+                        w.two_col_transform(
+                            k, j,
+                            Fraction(x), Fraction(-(b // g)), Fraction(y), Fraction(a // g))
+                continue
+            if any(entry(i, k) for i in range(k + 1, w.rows)):
+                continue
+            a = entry(k, k)
+            bad = None
+            if a != 0:
+                for i in range(k + 1, w.rows):
+                    for j in range(k + 1, w.cols):
+                        if entry(i, j) % a != 0:
+                            bad = i
+                            break
+                    if bad is not None:
+                        break
+            if bad is None:
+                break
+            w.add_row(k, bad, Fraction(1))
+        if entry(k, k) < 0:
+            w.scale_row(k, Fraction(-1))
+
+    for k in range(min(w.rows, w.cols)):
+        d = int(w.a[k][k])
+        if d == 0:
+            continue
+        stripped = ring.strip_s(d)
+        if stripped != d:
+            w.scale_row(k, Fraction(stripped, d))
+    return w.result()
+
+
+def assert_same_snf(m, ring):
+    got, ref = smith_normal_form(m, ring), reference_snf_localized(m, ring)
+    assert got.left == ref.left and got.right == ref.right, m
+    assert got.divisors == ref.divisors, m
+    assert got.verify(m, ring), m
+
+
+def localized_matrix(ring, rng, rows, cols):
+    """Seeded entries up to 10^6 in size over denominators up to 2^3 * 3^2
+    (as far as S allows); a random row and column may be zero."""
+    caps = {2: 3, 3: 2}
+    size = rng.choice((10, 1000, 10 ** 6))
+
+    def rand_elt():
+        den = 1
+        for q in ring.inverted_primes:
+            den *= q ** rng.randint(0, caps[q])
+        return Fraction(rng.randint(-size, size), den)
+
+    data = [[rand_elt() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        data[rng.randrange(rows)] = [ring.zero] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = ring.zero
+    return Mat(rows, cols, data)
+
+
+@pytest.mark.parametrize("ring", [Z, ZL2, LocalizedIntegers((2, 3))], ids=repr)
+def test_snf_localized_matches_fraction_reference(ring):
+    """The integer elimination returns the Fraction route's left, right and
+    divisors exactly, on dense, sparse, zero-row, zero-column and empty
+    shapes."""
+    rng = random.Random(53)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
+    for rows, cols in shapes:
+        assert_same_snf(localized_matrix(ring, rng, rows, cols), ring)
+
+
+def test_snf_localized_matches_fraction_reference_on_lambda_expansions():
+    """The Z[1/2] SNF of expanded TruncatedLambda((2,), 3) matrices equals
+    the Fraction route's, and so does the memo's entry for the Lambda key."""
+    lam = TruncatedLambda((2,), 3)
+    base = lam.scalar
+    rng = random.Random(59)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        m = Mat(rows, cols, [[lam.from_coeffs(
+            [Fraction(rng.randint(-50, 50), 2 ** rng.randint(0, 3)) for _ in range(lam.mlen)])
+            for _ in range(cols)] for _ in range(rows)])
+        expanded = expand_matrix(m, lam)
+        assert_same_snf(expanded, base)
+        memo = _snf_memo(lam, m)
+        ref = reference_snf_localized(expanded, base)
+        assert (memo.left, memo.right, memo.divisors) == (ref.left, ref.right, ref.divisors)
+
+
+@pytest.mark.parametrize("ring, rows, step, divisors, left", [
+    (Z, [[2], [4]], ("add_row", (1, 0, -2)), [2], None),
+    (Z, [[4], [6]], ("two_row_transform", (0, 1, -1, 1, -3, 2)), [2], None),
+    (Z, [[4, 6]], ("two_col_transform", (0, 1, -1, -3, 1, 2)), [2], None),
+    (Z, [[2, 0], [0, 3]], ("add_row", (0, 1, 1)), [1, 6], None),
+    (Z, [[-3]], ("scale_row", (0, -1)), [3], [[-1]]),
+    (ZL2, [[12]], None, [3], [[Fraction(1, 4)]]),
+], ids=["divisible_row", "bezout_row", "bezout_col", "bad_entry", "sign_flip", "s_strip"])
+def test_snf_localized_branches(monkeypatch, ring, rows, step, divisors, left):
+    """Each input takes one branch of the integer elimination.  Every
+    multiplier the worker sees is an int, and every divisor and witness entry
+    the caller gets is a Fraction."""
+    calls = []
+    for name in ("add_row", "add_col", "scale_row", "two_row_transform", "two_col_transform"):
+        def spy(w, *args, _name=name, _real=getattr(_Worker, name)):
+            calls.append((_name, args))
+            return _real(w, *args)
+        monkeypatch.setattr(_Worker, name, spy)
+    m = mk(ring, rows)
+    res = linalg._snf_localized(m, ring)
+    if step is not None:
+        assert step in calls
+    assert all(type(c) is int for _, args in calls for c in args), calls
+    assert res.divisors == divisors
+    if left is not None:
+        assert res.left.tolist() == left
+    assert res.verify(m, ring)
+    entries = res.divisors + [x for w in (res.left, res.right) for row in w.data for x in row]
+    assert all(type(x) is Fraction for x in entries), entries
+
+
+def test_localized_zero_one_shared_and_is_zero():
+    values = [Fraction(0), Fraction(5), Fraction(-3), Fraction(1, 2), Fraction(-7, 4), 0, 2]
+    for ring in (Z, ZL2):
+        assert [ring.is_zero(x) for x in values] == [x == 0 for x in values]
+        assert ring.zero is Z.zero and ring.one is Z.one
+        assert type(ring.zero) is Fraction and (ring.zero, ring.one) == (0, 1)
 
 
 @pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)

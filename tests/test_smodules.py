@@ -93,6 +93,21 @@ def test_scramble_round_trip(p):
         assert dec.verify()
 
 
+def test_scramble_at_precision_one_draws_no_torsion():
+    """At n = 1 no exponent 1 <= a <= n - 1 exists: the module is free of
+    the returned rank."""
+    ring = TruncatedBK(3, 1, 2)
+    mod, m, exps = scrambled_elementary(ring, random.Random(3))
+    assert exps == []
+    dec = decompose_over_s(mod)
+    assert (dec.free_rank, dec.torsion_divisors) == (m, [])
+    for seed in range(4, 12):
+        mod, m, exps = scrambled_elementary(ring, random.Random(seed))
+        dec = decompose_over_s(mod)
+        assert (dec.free_rank, dec.torsion_divisors, exps) == (m, [], [])
+        assert dec.verify()
+
+
 def _tower_modules(node):
     yield node.bk.module
     if node.kind == "extension":
