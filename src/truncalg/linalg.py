@@ -10,9 +10,9 @@ from the divisors; Fractions are built only in the result, so the result is
 as exact as a Fraction elimination's).  TruncatedBK and TruncatedLambda
 matrices are expanded by restriction of scalars to their base ring: a
 T-linear map is base-linear, and solutions/kernels reassemble because the
-coordinate identification T^g = base^(g*M) is a base-module isomorphism.  One 32-entry memo, keyed by
-the caller's (ring, matrix), holds the SNFs; a BK or Lambda matrix is
-expanded only when its key misses.
+coordinate identification T^g = base^(g*M) is a base-module isomorphism.
+One 32-entry memo, keyed by the caller's (ring, matrix), holds the SNFs; a
+BK or Lambda matrix is expanded only when its key misses.
 """
 
 from __future__ import annotations

@@ -400,12 +400,12 @@ def test_snf_localized_branches(monkeypatch, ring, rows, step, divisors, left):
     assert all(type(x) is Fraction for x in entries), entries
 
 
-def test_localized_zero_one_shared_and_is_zero():
+def test_localized_zero_one_and_is_zero():
     values = [Fraction(0), Fraction(5), Fraction(-3), Fraction(1, 2), Fraction(-7, 4), 0, 2]
     for ring in (Z, ZL2):
         assert [ring.is_zero(x) for x in values] == [x == 0 for x in values]
-        assert ring.zero is Z.zero and ring.one is Z.one
-        assert type(ring.zero) is Fraction and (ring.zero, ring.one) == (0, 1)
+        assert type(ring.zero) is Fraction and type(ring.one) is Fraction
+        assert (ring.zero, ring.one) == (0, 1)
 
 
 @pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)
