@@ -141,7 +141,9 @@ base_change_spec = {
         "kind": {"enum": ["identity", "z_to_zero", "z_to_unit", "frobenius_twist",
                           "lambda_completion", "localized_completion"]},
         "unit": {"type": "integer"},
-        "ell": {"type": "integer", "description": "a prime; the completions need it"},
+        "ell": {"type": "integer", "description": "a prime; the completions need it, "
+                                                  "and it must not be inverted in "
+                                                  "the complex's ring"},
         "precision_n": {"type": "integer", "minimum": 1}},
     "required": ["kind"],
 }

@@ -46,13 +46,9 @@ class CWComplex:
 
     def boundary(self, k):
         """Boundary matrix from k-cells to (k-1)-cells."""
-        if 1 <= k < len(self.cells) and k - 1 < len(self.boundaries) + 1:
-            if k - 1 < len(self.boundaries):
-                return self.boundaries[k - 1]
-        return Mat(self.cells[k] if k < len(self.cells) else 0,
-                   self.cells[k - 1] if 0 <= k - 1 < len(self.cells) else 0,
-                   [[Fraction(0)] * (self.cells[k - 1] if 0 <= k - 1 < len(self.cells) else 0)
-                    for _ in range(self.cells[k] if k < len(self.cells) else 0)])
+        if 1 <= k <= len(self.boundaries):
+            return self.boundaries[k - 1]
+        return Mat.zero(self.cell_count(k), self.cell_count(k - 1), ZRING)
 
     def cell_count(self, k):
         return self.cells[k] if 0 <= k < len(self.cells) else 0
@@ -72,12 +68,10 @@ def make_cw(cells, boundary_lists):
         if len(rows) != r or any(len(row) != c for row in rows):
             raise SchemaError(
                 f"boundary {k + 1} has the wrong shape (want {r} rows of length {c})")
-        mat = Mat(r, c, [[Fraction(int(v)) for v in row] for row in rows]) if r else Mat(0, c, [])
-        bmats.append(mat)
-    while len(bmats) < max(0, len(cells) - 1):
+        bmats.append(Mat(r, c, [[Fraction(int(v)) for v in row] for row in rows]))
+    while len(bmats) < len(cells) - 1:
         k = len(bmats)
-        bmats.append(Mat(cells[k + 1], cells[k],
-                         [[Fraction(0)] * cells[k] for _ in range(cells[k + 1])]))
+        bmats.append(Mat.zero(cells[k + 1], cells[k], ZRING))
     x = CWComplex(cells, tuple(bmats))
     for k in range(2, len(cells)):
         prod = x.boundary(k).mul(x.boundary(k - 1), ZRING)
@@ -103,9 +97,7 @@ def skeleton(x, k):
 def sphere(d):
     if d == 0:
         return make_cw([2], [])
-    cells = [1] + [0] * (d - 1) + [1]
-    return make_cw(cells, [[[0] * (cells[j]) for _ in range(cells[j + 1])]
-                           for j in range(d)])
+    return make_cw([1] + [0] * (d - 1) + [1], [])
 
 
 def wedge(x, y):
@@ -273,10 +265,7 @@ def skeletal_verification(x):
     for k in range(1, d + 1):
         ck = x.cell_count(k)
         # cofiber model: wedge of ck k-spheres
-        cof = make_cw([1] + [0] * (k - 1) + [ck],
-                      [[[0] * ([1] + [0] * (k - 1) + [ck])[j]
-                        for _ in range(([1] + [0] * (k - 1) + [ck])[j + 1])]
-                       for j in range(k)]) if ck else make_cw([1], [])
+        cof = make_cw([1] + [0] * (k - 1) + [ck], [])
         kcof = ktheory(cof)
         want_rank = ck
         got = kcof.k0 if k % 2 == 0 else kcof.k1

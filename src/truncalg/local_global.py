@@ -10,7 +10,6 @@ lemma are tested; disagreement is raised as an internal inconsistency."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     HypothesisUnmetError,
@@ -20,16 +19,19 @@ from .errors import (
 from .modules import (
     BaseChangeSpec,
     ShortExactSequence,
-    base_change,
-    base_change_map,
+    base_change_maps,
     build_ses,
+    failure_primes,
     is_zero_map,
     image,
     split_test,
     support_primes,
-    zero_detect,
 )
-from .rings import TruncatedLambda, factorint, prime_valuation, primerange
+from .rings import TruncatedLambda, primerange
+
+# a map whose image is supported at every prime is tested at this many of
+# the smallest primes outside S
+EVERYWHERE_TEST_PRIMES = 3
 
 
 @dataclass
@@ -54,43 +56,10 @@ def complete_ses(ls, ell, precision_n=None):
     if key in ls.completions:
         return ls.completions[key]
     spec = BaseChangeSpec("lambda_completion", ell=ell, precision_n=precision_n)
-    inj, _ = base_change_map(ls.ses.inject, spec)
-    # reuse the precision the map resolved to, so all three modules agree
-    resolved_n = inj.target.ring.precision_n
-    spec = BaseChangeSpec("lambda_completion", ell=ell, precision_n=resolved_n)
-    a, _ = base_change(ls.ses.a, spec)
-    b, _ = base_change(ls.ses.b, spec)
-    c, _ = base_change(ls.ses.c, spec)
-    inj, _ = base_change_map(ls.ses.inject, spec)
-    sur, _ = base_change_map(ls.ses.surject, spec)
-    out = ShortExactSequence(a, b, c, inj, sur)
+    (inj, sur), _ = base_change_maps([ls.ses.inject, ls.ses.surject], spec)
+    out = ShortExactSequence(inj.source, inj.target, sur.target, inj, sur)
     ls.completions[key] = out
     return out
-
-
-def _failure_primes(obstruction, sset):
-    """Primes outside S at which the diagonalized system's divisibility fails.
-
-    Entries are (row, position, divisor, residue) over the integer base; a
-    zero divisor with nonzero residue obstructs at every prime, witnessed by
-    the smallest one."""
-    primes = set()
-    everywhere = False
-    for _, _, d, c in obstruction:
-        d, c = Fraction(d), Fraction(c)
-        if d == 0:
-            # the equation y . 0 = c with c != 0 fails at every prime
-            everywhere = True
-            continue
-        if c == 0:
-            continue
-        for q, e in factorint(abs(d.numerator)).items():
-            if q not in sset and prime_valuation(c.numerator, q) < e:
-                primes.add(q)
-    if everywhere:
-        smallest = next(q for q in primerange(2, 1000) if q not in sset)
-        primes.add(smallest)
-    return sorted(primes), everywhere
 
 
 @dataclass
@@ -110,7 +79,7 @@ def certified_obstruction_data(ls):
     sset = set(ls.ring.inverted_primes)
     if verdict.split:
         return True, verdict.section, [], False
-    primes, everywhere = _failure_primes(verdict.obstruction or [], sset)
+    primes, everywhere = failure_primes(verdict.obstruction, sset)
     if not primes and not everywhere:
         raise InternalInconsistencyError(
             "non-split sequence with no obstruction primes contradicts the local lemma")
@@ -165,40 +134,31 @@ class ZeroLocalGlobalReport:
     agreement: bool
 
 
-def zero_local_global(f, bound_for_everywhere=3):
+def zero_local_global(f):
     """Evaluate both sides of the prime-local zero-detection lemma."""
     ring = f.source.ring
     if not isinstance(ring, TruncatedLambda):
         raise UnsupportedRingError("zero_local_global needs a TruncatedLambda map")
-    direct = is_zero_map(f)
-    if direct:
+    if is_zero_map(f):
         return ZeroLocalGlobalReport(True, [], False, {}, None, True)
     imod, _, _ = image(f)
     supp = support_primes(imod)
     sset = set(ring.inverted_primes)
     if supp.everywhere:
-        test_primes = [q for q in primerange(2, 100) if q not in sset][:bound_for_everywhere]
+        test_primes = [q for q in primerange(2, 100) if q not in sset][:EVERYWHERE_TEST_PRIMES]
     else:
         test_primes = supp.primes
+    if not test_primes:
+        raise InternalInconsistencyError(
+            "nonzero map with empty certified support contradicts prime-local detection")
     local = {}
     for ell in test_primes:
-        floc, _ = base_change_map(f, BaseChangeSpec("lambda_completion", ell=ell))
+        (floc,), _ = base_change_maps([f], BaseChangeSpec("lambda_completion", ell=ell))
         local[ell] = is_zero_map(floc)
-    all_local_zero = all(local.values()) and not supp.everywhere and not supp.primes
-    agreement = (direct == all_local_zero)
-    if not agreement:
+    # every support prime is a witness: the completed map is nonzero there
+    witness = test_primes[0]
+    if local[witness]:
         raise InternalInconsistencyError(
-            "direct zero test disagrees with the certified per-prime tests")
-    witness = None
-    for ell in test_primes:
-        if not local[ell]:
-            witness = ell
-            break
-    if witness is None:
-        raise InternalInconsistencyError(
-            "nonzero map vanished at every certified support prime")
-    det = zero_detect(f)
-    if det.is_zero:
-        raise InternalInconsistencyError("zero_detect disagrees with the direct test")
+            f"nonzero map vanished at its certified support prime {witness}")
     return ZeroLocalGlobalReport(False, supp.primes, supp.everywhere, local,
-                                 witness, agreement)
+                                 witness, True)

@@ -13,7 +13,7 @@ carried by the coefficient-vector representation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import prod
 
@@ -473,14 +473,13 @@ class ShortExactSequence:
     surject: ModuleMap
 
 
-def build_ses(a, b, c, inject_matrix, surject_matrix, verify=True):
+def build_ses(a, b, c, inject_matrix, surject_matrix):
     inj = module_map(a, b, inject_matrix)
     sur = module_map(b, c, surject_matrix)
     ses = ShortExactSequence(a, b, c, inj, sur)
-    if verify:
-        err = validate_ses(ses)
-        if err:
-            raise SchemaError(f"not a short exact sequence: {err}")
+    err = validate_ses(ses)
+    if err:
+        raise SchemaError(f"not a short exact sequence: {err}")
     return ses
 
 
@@ -586,6 +585,30 @@ def retraction_test(incl):
     return SplitVerdict(True, section=rho)
 
 
+def failure_primes(obstruction, sset=()):
+    """(primes outside sset at which a diagonalized system over the integer
+    base fails to solve, whether it fails at every prime).
+
+    Obstruction records are (row, position, divisor, residue): y . d = c
+    fails at q when c has smaller q-valuation than d.  A zero divisor
+    obstructs at every prime, witnessed in the list by the smallest prime
+    outside sset."""
+    primes = set()
+    everywhere = False
+    for _, _, d, c in obstruction:
+        # the solver records only the equations it cannot solve: c != 0
+        d, c = Fraction(d), Fraction(c)
+        if d == 0:
+            everywhere = True
+            continue
+        for q, e in factorint(abs(d.numerator)).items():
+            if q not in sset and prime_valuation(c.numerator, q) < e:
+                primes.add(q)
+    if everywhere:
+        primes.add(next(q for q in primerange(2, 1000) if q not in sset))
+    return sorted(primes), everywhere
+
+
 def glue_splitting(ses, torsion_section, free_witness):
     """Assemble a section of surject from a torsion section and a free lift.
 
@@ -619,8 +642,8 @@ def glue_splitting(ses, torsion_section, free_witness):
 # Base change
 
 
-BASE_CHANGE_KINDS = ("identity", "z_to_zero", "z_to_unit", "frobenius_twist",
-                     "lambda_completion", "localized_completion")
+COMPLETION_KINDS = ("lambda_completion", "localized_completion")
+BASE_CHANGE_KINDS = ("identity", "z_to_zero", "z_to_unit", "frobenius_twist") + COMPLETION_KINDS
 
 
 @dataclass(frozen=True)
@@ -631,18 +654,24 @@ class BaseChangeSpec:
     precision_n: int = None
 
 
-def _adaptive_matrix_precision(mat, ell):
+def adaptive_precision(ell, *mats):
+    """Working p-precision of a completion at ell: two above the largest
+    ell-valuation of any coefficient of the matrices, and at least 4."""
     worst = 0
-    for row in mat.data:
-        for x in row:
-            vals = x if isinstance(x, tuple) else (x,)
-            for c in vals:
-                worst = max(worst, prime_valuation(Fraction(c).numerator, ell))
+    for mat in mats:
+        for row in mat.data:
+            for x in row:
+                for c in (x if isinstance(x, tuple) else (x,)):
+                    worst = max(worst, prime_valuation(Fraction(c).numerator, ell))
     return max(4, worst + 2)
 
 
-def _adaptive_precision(m, ell):
-    return _adaptive_matrix_precision(m.relations, ell)
+def check_completion_prime(ring, ell, loc=""):
+    """A completion at ell needs ell not inverted in the ring (Z[1/S]
+    tensored with Z_ell is Q_ell when ell is in S); rings that invert no
+    prime pass."""
+    if ell in getattr(ring, "inverted_primes", ()):
+        raise SchemaError(f"{ell} is inverted in the base ring", loc)
 
 
 def base_change_rings(m, spec):
@@ -681,9 +710,8 @@ def base_change_rings(m, spec):
     if spec.kind == "lambda_completion":
         if not isinstance(ring, TruncatedLambda):
             raise UnsupportedRingError("lambda_completion needs a TruncatedLambda source")
-        if spec.ell in ring.inverted_primes:
-            raise SchemaError(f"{spec.ell} is inverted in the base ring")
-        n = spec.precision_n or _adaptive_precision(m, spec.ell)
+        check_completion_prime(ring, spec.ell)
+        n = spec.precision_n or adaptive_precision(spec.ell, m.relations)
         tgt = TruncatedBK(spec.ell, n, ring.precision_m, default_eisenstein(spec.ell))
         base = tgt.scalar
 
@@ -700,9 +728,8 @@ def base_change_rings(m, spec):
     if spec.kind == "localized_completion":
         if not isinstance(ring, LocalizedIntegers):
             raise UnsupportedRingError("localized_completion needs a LocalizedIntegers source")
-        if spec.ell in ring.inverted_primes:
-            raise SchemaError(f"{spec.ell} is inverted in the base ring")
-        n = spec.precision_n or _adaptive_precision(m, spec.ell)
+        check_completion_prime(ring, spec.ell)
+        n = spec.precision_n or adaptive_precision(spec.ell, m.relations)
         tgt = TruncatedPadic(spec.ell, n)
 
         def entry(x):
@@ -714,28 +741,36 @@ def base_change_rings(m, spec):
     raise SchemaError(f"unknown base change kind {spec.kind}")
 
 
+def _push(mat, entry):
+    return Mat(mat.rows, mat.cols, [[entry(x) for x in row] for row in mat.data])
+
+
 def base_change(m, spec):
     """Push the presentation through the ring map; tensoring is right exact."""
     tgt_ring, entry, trail = base_change_rings(m, spec)
-    rows = [[entry(x) for x in row] for row in m.relations.data]
-    return PresentedModule(tgt_ring, m.gens, Mat(m.relations.rows, m.gens, rows)), trail
+    return PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)), trail
 
 
-def base_change_map(f, spec):
-    if spec.precision_n is None and spec.kind in ("lambda_completion", "localized_completion"):
-        n = max(_adaptive_matrix_precision(mx, spec.ell)
-                for mx in (f.source.relations, f.target.relations, f.matrix))
-        spec = BaseChangeSpec(spec.kind, unit=spec.unit, ell=spec.ell, precision_n=n)
-    src, _ = base_change(f.source, spec)
-    tgt, trail = base_change(f.target, spec)
-    _, entry, _ = base_change_rings(f.source, spec)
-    mat = Mat(f.matrix.rows, f.matrix.cols,
-              [[entry(x) for x in row] for row in f.matrix.data])
-    return module_map(src, tgt, mat), trail
+def base_change_maps(maps, spec):
+    """Push a chain of composable maps M_0 -> M_1 -> ... -> M_k through one
+    ring map: the target ring is built once and every module and matrix is
+    pushed once.  A completion without a precision gets one, read off every
+    module and matrix of the chain, so all pushed pieces share one ring.
+    Returns (the pushed maps, each checked well defined, trail)."""
+    assert all(f.target == g.source for f, g in zip(maps, maps[1:]))
+    mods = [maps[0].source] + [f.target for f in maps]
+    if spec.precision_n is None and spec.kind in COMPLETION_KINDS:
+        n = adaptive_precision(spec.ell, *(m.relations for m in mods),
+                               *(f.matrix for f in maps))
+        spec = replace(spec, precision_n=n)
+    tgt_ring, entry, trail = base_change_rings(mods[0], spec)
+    pushed = [PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)) for m in mods]
+    return [module_map(src, tgt, _push(f.matrix, entry))
+            for src, tgt, f in zip(pushed, pushed[1:], maps)], trail
 
 
 # ---------------------------------------------------------------------------
-# Lambda-family support and zero detection
+# Lambda-family support
 
 
 @dataclass
@@ -781,34 +816,3 @@ def support_primes(m, bound=None):
         primes = [q for q in primes if q <= bound]
     return SupportResult(False, primes, content,
                          {"content": content, "factorization": dict(sorted(fact.items()))})
-
-
-@dataclass
-class ZeroDetectResult:
-    is_zero: bool
-    witness_prime: int = None
-    local_nonzero_verified: bool = False
-
-
-def zero_detect(f, completion_precision=None):
-    """Direct zero test over Lambda plus a certified witness prime when nonzero."""
-    ring = f.source.ring
-    if not isinstance(ring, TruncatedLambda):
-        raise UnsupportedRingError("zero_detect needs a TruncatedLambda map")
-    if is_zero_map(f):
-        return ZeroDetectResult(True)
-    imod, _, _ = image(f)
-    supp = support_primes(imod)
-    if supp.everywhere:
-        witness = next(q for q in primerange(2, 1000) if q not in ring.inverted_primes)
-    else:
-        if not supp.primes:
-            raise InternalInconsistencyError(
-                "nonzero map with empty certified support contradicts prime-local detection")
-        witness = supp.primes[0]
-    spec = BaseChangeSpec("lambda_completion", ell=witness, precision_n=completion_precision)
-    floc, _ = base_change_map(f, spec)
-    if is_zero_map(floc):
-        raise InternalInconsistencyError(
-            f"support analysis produced {witness} but the completed map vanishes")
-    return ZeroDetectResult(False, witness_prime=witness, local_nonzero_verified=True)

@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .linalg import Mat
-from .modules import BASE_CHANGE_KINDS, BaseChangeSpec, PresentedModule, module_map
+from .modules import (
+    BASE_CHANGE_KINDS,
+    COMPLETION_KINDS,
+    BaseChangeSpec,
+    PresentedModule,
+    check_completion_prime,
+    module_map,
+)
 from .rings import (
     EisensteinSpec,
     LocalizedIntegers,
@@ -327,10 +334,10 @@ def parse_cw(data, loc="/cw"):
     return make_cw(cells, boundaries)
 
 
-def parse_base_change_spec(data, loc):
+def parse_base_change_spec(data, loc, ring):
     """A base-change spec: `kind` is one of BASE_CHANGE_KINDS; `unit`, `ell`
     (a prime) and `precision_n` (at least 1) are optional integers; the
-    completions need `ell`."""
+    completions need `ell`, which `ring` must not invert."""
     kind = data.get("kind")
     if kind not in BASE_CHANGE_KINDS:
         raise SchemaError("field 'kind' must be one of " + ", ".join(BASE_CHANGE_KINDS),
@@ -341,8 +348,10 @@ def parse_base_change_spec(data, loc):
         raise SchemaError("field 'precision_n' must be >= 1", loc + "/precision_n")
     if "ell" in fields and not isprime(fields["ell"]):
         raise SchemaError(f"{fields['ell']} is not a prime", loc + "/ell")
-    if kind in ("lambda_completion", "localized_completion") and "ell" not in fields:
-        raise SchemaError("missing field 'ell'", loc)
+    if kind in COMPLETION_KINDS:
+        if "ell" not in fields:
+            raise SchemaError("missing field 'ell'", loc)
+        check_completion_prime(ring, fields["ell"], loc + "/ell")
     return BaseChangeSpec(kind, **fields)
 
 

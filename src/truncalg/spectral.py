@@ -32,9 +32,11 @@ from .errors import (
 from .linalg import Mat, kernel_left_parts, solve_left_mod
 from .modules import (
     PresentedModule,
+    check_completion_prime,
     cokernel,
     compose,
     elementary_divisors,
+    failure_primes,
     identity_map,
     is_injective,
     is_zero_map,
@@ -506,19 +508,8 @@ def _retraction_solves_at(f, ell):
     verdict = retraction_test(f)
     if verdict.split:
         return True
-    for _, _, d, c in verdict.obstruction or []:
-        from fractions import Fraction
-
-        d, c = Fraction(d), Fraction(c)
-        if d == 0:
-            if c != 0:
-                return False
-            continue
-        if c == 0:
-            continue
-        if prime_valuation(c.numerator, ell) < prime_valuation(d.numerator, ell):
-            return False
-    return True
+    primes, everywhere = failure_primes(verdict.obstruction)
+    return not everywhere and ell not in primes
 
 
 def _ell_profile(m, ell):
@@ -563,6 +554,7 @@ def base_change_report(x, spec):
     if not isinstance(x.ring, LocalizedIntegers):
         raise UnsupportedRingError("completion descent starts over LocalizedIntegers")
     ell = spec.ell
+    check_completion_prime(x.ring, ell)
     notes = []
     homologies = {i: homology_filtered(x, i) for i in range(x.lo, x.hi + 1)}
     e1 = page(x, 1)

@@ -202,6 +202,14 @@ def test_tower_job():
 Z8 = {"family": "TruncatedPadic", "p": 2, "N": 3}
 Z64 = {"family": "TruncatedPadic", "p": 2, "N": 6}
 Z27 = {"family": "TruncatedPadic", "p": 3, "N": 3}
+# a completion at 3 over Z[1/3]: Z[1/3] tensored with Z_3 is Q_3
+INVERTED_ELL_BASECHANGE = {
+    "complex": {"ring": {"family": "LocalizedIntegers", "inverted_primes": [3]},
+                "lo": 0, "hi": 0, "wmin": 0, "wmax": 1,
+                "modules": [{"generators": 1, "relations": []}],
+                "filtration": [{"degree": 0, "weight": 1, "inclusion": [[1]],
+                                "module": {"generators": 1, "relations": []}}]},
+    "spec": {"kind": "localized_completion", "ell": 3}}
 
 
 def _cyclic(ring, d):
@@ -348,6 +356,7 @@ _CHILD_RUN_JOB = (
     ("ss_basechange_identity.json", "/input/spec", {}, "/input/spec/kind"),
     ("ss_basechange_identity.json", "/input/spec/kind", "bogus", "/input/spec/kind"),
     ("ss_basechange_identity.json", "/input/spec/kind", 5, "/input/spec/kind"),
+    ("ss_basechange_identity.json", "/input", INVERTED_ELL_BASECHANGE, "/input/spec/ell"),
 ])
 def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     """Each mutant once raised, hung or was silently truncated; now it exits 1

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from helpers import random_lambda_map, scrambled_split_lambda_ses
-from truncalg.errors import HypothesisUnmetError
+from truncalg import local_global, modules
+from truncalg.errors import HypothesisUnmetError, InternalInconsistencyError
 from truncalg.linalg import Mat
 from truncalg.local_global import (
     LambdaSES,
@@ -16,6 +17,7 @@ from truncalg.local_global import (
 )
 from truncalg.modules import (
     PresentedModule,
+    adaptive_precision,
     direct_sum,
     is_zero_map,
     module_map,
@@ -92,7 +94,8 @@ def test_survey_rejects_inverted_prime():
 
 def test_zero_local_global_examples():
     fr = PresentedModule.free(LAM, 1)
-    assert zero_local_global(zero_map(fr, fr)).agreement
+    rep0 = zero_local_global(zero_map(fr, fr))
+    assert rep0.direct_zero and rep0.agreement and rep0.witness_prime is None
     f2 = module_map(fr, fr, Mat(1, 1, [[LAM.from_int(2)]]))
     rep = zero_local_global(f2)
     assert not rep.direct_zero and rep.witness_prime == 3 and rep.agreement
@@ -101,6 +104,63 @@ def test_zero_local_global_examples():
     fq = module_map(mq, mq, Mat(1, 1, [[lam3.q_minus_one()]]))
     rep2 = zero_local_global(fq)
     assert not rep2.direct_zero and rep2.support_everywhere and rep2.agreement
+    assert rep2.witness_prime == 3 and not rep2.local_zero[3]
+
+
+def _count_base_change_rings(monkeypatch):
+    calls = []
+    real = modules.base_change_rings
+
+    def counted(m, spec):
+        calls.append(spec.ell)
+        return real(m, spec)
+
+    monkeypatch.setattr(modules, "base_change_rings", counted)
+    return calls
+
+
+def test_completion_builds_one_ring(monkeypatch):
+    """One complete_ses, and each prime zero_local_global tests, builds the
+    completed ring once; the five completed pieces share it."""
+    calls = _count_base_change_rings(monkeypatch)
+    comp = complete_ses(nonsplit_nine(), 3)
+    assert calls == [3]
+    ring = comp.a.ring
+    assert comp.b.ring is ring and comp.c.ring is ring
+    assert (comp.inject.source, comp.inject.target) == (comp.a, comp.b)
+    assert (comp.surject.source, comp.surject.target) == (comp.b, comp.c)
+    del calls[:]
+    fr = PresentedModule.free(LAM, 1)
+    rep = zero_local_global(module_map(fr, fr, Mat(1, 1, [[LAM.from_int(2)]])))
+    assert calls == sorted(rep.local_zero) == [3, 5, 7]
+
+
+def test_complete_ses_precision_reads_the_quotient():
+    """The quotient's presentation carries the largest 3-valuation (a
+    redundant relation 3^6), and the completed precision is read off it."""
+    a = PresentedModule.free(LAM, 1)
+    b = PresentedModule.free(LAM, 1)
+    c = PresentedModule.from_relation_rows(LAM, 1, [[LAM.from_int(3)], [LAM.from_int(3 ** 6)]])
+    ls = make_lambda_ses(a, b, c, Mat(1, 1, [[LAM.from_int(3)]]), Mat(1, 1, [[LAM.one]]))
+    n = complete_ses(ls, 3).c.ring.precision_n
+    assert n == adaptive_precision(3, c.relations) == 8
+    assert n > adaptive_precision(3, a.relations, b.relations, ls.ses.inject.matrix)
+
+
+def test_vanishing_completion_at_first_support_prime_is_inconsistent(monkeypatch):
+    """Every support prime is a witness: a completion that vanishes at the
+    first one is an internal inconsistency, even when a later prime sees
+    the map."""
+    real = local_global.base_change_maps
+
+    def vanishing_at_3(maps, spec):
+        (g,), trail = real(maps, spec)
+        return [zero_map(g.source, g.target) if spec.ell == 3 else g], trail
+
+    monkeypatch.setattr(local_global, "base_change_maps", vanishing_at_3)
+    fr = PresentedModule.free(LAM, 1)
+    with pytest.raises(InternalInconsistencyError, match="support prime 3"):
+        zero_local_global(module_map(fr, fr, Mat(1, 1, [[LAM.from_int(2)]])))
 
 
 def test_zero_local_global_fuzz():

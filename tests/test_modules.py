@@ -47,7 +47,6 @@ from truncalg.modules import (
     torsion_length,
     torsion_part,
     verify_exact_at,
-    zero_detect,
     zero_map,
 )
 from truncalg.rings import (
@@ -432,20 +431,6 @@ def test_support_primes_match_fibres_at_small_primes():
                      for row in rows]
             nonzero = not is_zero_module(PresentedModule(fp, g, Mat(len(fibre), g, fibre)))
             assert (ell in res.primes) == nonzero, (ell, res.primes)
-
-
-def test_zero_detect_examples():
-    lam = LAM
-    free = PresentedModule.free(lam, 1)
-    assert zero_detect(zero_map(free, free)).is_zero
-    lam3 = TruncatedLambda((2,), 3)
-    mq = PresentedModule.cyclic(lam3, lam3.mul(lam3.q_minus_one(), lam3.q_minus_one()))
-    f = module_map(mq, mq, Mat(1, 1, [[lam3.q_minus_one()]]))
-    r = zero_detect(f)
-    assert not r.is_zero and r.witness_prime == 3 and r.local_nonzero_verified
-    f2 = module_map(free, free, Mat(1, 1, [[lam.from_int(2)]]))
-    r2 = zero_detect(f2)
-    assert not r2.is_zero and r2.witness_prime == 3
 
 
 def test_decompose_over_bk_reads_p_exponents():

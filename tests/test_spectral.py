@@ -2,6 +2,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -268,8 +269,6 @@ def test_base_change_report_identity():
 
 def test_base_change_descent_from_localized():
     zl = LocalizedIntegers((2,))
-    from fractions import Fraction
-
     # torsion-free E1: free modules, zero differential; fil = 3 Z[1/2]
     m = PresentedModule.free(zl, 1)
     sub = PresentedModule.free(zl, 1)
@@ -286,6 +285,16 @@ def test_base_change_descent_from_localized():
                   {(0, 1): (PresentedModule.zero(zl), Mat(0, 1, []))})
     with pytest.raises(HypothesisUnmetError):
         base_change_report(x2, BaseChangeSpec("localized_completion", ell=3))
+
+
+def test_base_change_report_refuses_inverted_completion_prime():
+    """Z[1/3] tensored with Z_3 is Q_3, not a completion: the report refuses
+    it rather than returning verdicts for it."""
+    zl = LocalizedIntegers((3,))
+    x = validate(zl, 0, 0, 0, 1, {0: PresentedModule.free(zl, 1)}, {},
+                 {(0, 1): (PresentedModule.free(zl, 1), Mat(1, 1, [[Fraction(1)]]))})
+    with pytest.raises(SchemaError, match="3 is inverted"):
+        base_change_report(x, BaseChangeSpec("localized_completion", ell=3))
 
 
 def test_oracle_agreement_at_higher_precision():
