@@ -40,6 +40,7 @@ from .modules import (
     module_map,
     rows_are_zero_classes,
     torsion_part,
+    validate_ses,
     verify_exact_at,
 )
 from .rings import TruncatedBK
@@ -72,11 +73,10 @@ def max_z_degree(mat, ring):
 @dataclass
 class BKModule:
     """A module with its structure map.  Over TruncatedBK it carries its
-    height window and Eisenstein spec; over S1 both are None."""
+    height window; over S1 that is None."""
     module: PresentedModule
     phi: ModuleMap               # phi_twist(module) -> module
     height_window: tuple = None  # (s, r), s >= 0
-    eisenstein: object = None
 
     @property
     def ring(self):
@@ -86,11 +86,8 @@ class BKModule:
 def _with_phi(mod, phi_matrix, r=None):
     """mod with the structure map phi_matrix, of height window (0, r) over
     TruncatedBK."""
-    ring = mod.ring
     phi = module_map(phi_twist(mod), mod, phi_matrix)
-    if isinstance(ring, TruncatedBK):
-        return BKModule(mod, phi, (0, r), ring.eisenstein)
-    return BKModule(mod, phi)
+    return BKModule(mod, phi, (0, r) if isinstance(mod.ring, TruncatedBK) else None)
 
 
 def make_bk_module(module, phi_matrix, height_window=(0, 1)):
@@ -102,7 +99,7 @@ def make_bk_module(module, phi_matrix, height_window=(0, 1)):
         raise HypothesisUnmetError("height window needs 0 <= s <= r")
     tw = phi_twist(module)
     phi = module_map(tw, module, phi_matrix)
-    return BKModule(module, phi, (s, r), ring.eisenstein)
+    return BKModule(module, phi, (s, r))
 
 
 def _trusted_gate(b):
@@ -201,7 +198,7 @@ def canonical_decomposition(b):
     tors_bk = make_bk_module(tors_mod, _induced_phi_on_submodule(b, incl), b.height_window)
     proj = module_map(b.module, free_mod, Mat.identity(b.module.gens, ring), check=False)
     phi_f = module_map(phi_twist(free_mod), free_mod, b.phi.matrix)
-    free_bk = BKModule(free_mod, phi_f, b.height_window, ring.eisenstein)
+    free_bk = BKModule(free_mod, phi_f, b.height_window)
     return CanonicalDecomposition(tors_bk, incl, free_bk, proj, True)
 
 
@@ -470,13 +467,11 @@ class BKSes:
 def make_bk_ses(a, b, c, inject_matrix, surject_matrix):
     inj = make_bk_map(a, b, inject_matrix)
     sur = make_bk_map(b, c, surject_matrix)
-    if not is_injective(inj.map):
-        raise HypothesisUnmetError("BK inject has a kernel")
-    if not is_surjective(sur.map):
-        raise HypothesisUnmetError("BK surject has a cokernel")
-    if not verify_exact_at(inj.map, sur.map):
-        raise HypothesisUnmetError("BK sequence not exact in the middle")
-    return BKSes(a, b, c, inj.map, sur.map)
+    ses = BKSes(a, b, c, inj.map, sur.map)
+    err = validate_ses(ses)
+    if err:
+        raise HypothesisUnmetError(f"not a BK short exact sequence: {err}")
+    return ses
 
 
 def _preimage_rows(f, rows, ring):

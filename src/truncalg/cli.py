@@ -260,7 +260,6 @@ def run_command(command, input_data, options):
         from . import local_global as lgm
 
         ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
-        ls = lgm.LambdaSES(ses)
         primes = input_data.get("primes")
         if primes is not None:
             primes = parse_primes(primes, "/input/primes")
@@ -268,7 +267,7 @@ def run_command(command, input_data, options):
         if primes is None and bound is not None:
             primes = [q for q in primerange(2, bound + 1)
                       if q not in ses.a.ring.inverted_primes]
-        survey = lgm.local_split_survey(ls, primes=primes,
+        survey = lgm.local_split_survey(ses, primes=primes,
                                         precision_n=options.get("precision_n_local"))
         payload = {"verdicts": {"per_prime": {str(k): v for k, v in survey.verdicts.items()},
                                 "globally_split": survey.globally_split,
@@ -277,7 +276,7 @@ def run_command(command, input_data, options):
                    "witnesses": {}, "ledgers": {}}
         if survey.globally_split and survey.covered and \
                 all(survey.verdicts.get(q, True) for q in survey.obstruction_primes):
-            section = lgm.global_split_conclude(ls, survey)
+            section = lgm.global_split_conclude(ses, survey)
             payload["witnesses"]["global_section"] = matrix_to_json(
                 section.matrix, ses.a.ring)
         return payload

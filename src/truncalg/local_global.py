@@ -9,7 +9,7 @@ lemma are tested; disagreement is raised as an internal inconsistency."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     HypothesisUnmetError,
@@ -34,32 +34,18 @@ from .rings import TruncatedLambda, primerange
 EVERYWHERE_TEST_PRIMES = 3
 
 
-@dataclass
-class LambdaSES:
-    ses: ShortExactSequence
-    completions: dict = field(default_factory=dict)
-
-    @property
-    def ring(self):
-        return self.ses.a.ring
-
-
 def make_lambda_ses(a, b, c, inject_matrix, surject_matrix):
+    """The validated short exact sequence of TruncatedLambda modules."""
     if not isinstance(a.ring, TruncatedLambda):
-        raise UnsupportedRingError("LambdaSES needs TruncatedLambda modules")
-    return LambdaSES(build_ses(a, b, c, inject_matrix, surject_matrix))
+        raise UnsupportedRingError("Lambda sequences need TruncatedLambda modules")
+    return build_ses(a, b, c, inject_matrix, surject_matrix)
 
 
-def complete_ses(ls, ell, precision_n=None):
+def complete_ses(ses, ell, precision_n=None):
     """The sequence base-changed along the (ell, q-1)-completion surrogate."""
-    key = (ell, precision_n)
-    if key in ls.completions:
-        return ls.completions[key]
     spec = BaseChangeSpec("lambda_completion", ell=ell, precision_n=precision_n)
-    (inj, sur), _ = base_change_maps([ls.ses.inject, ls.ses.surject], spec)
-    out = ShortExactSequence(inj.source, inj.target, sur.target, inj, sur)
-    ls.completions[key] = out
-    return out
+    (inj, sur), _ = base_change_maps([ses.inject, ses.surject], spec)
+    return ShortExactSequence(inj.source, inj.target, sur.target, inj, sur)
 
 
 @dataclass
@@ -73,10 +59,10 @@ class SurveyResult:
     covered: bool
 
 
-def certified_obstruction_data(ls):
+def certified_obstruction_data(ses):
     """(globally_split, section_or_None, certified prime set, everywhere)."""
-    verdict = split_test(ls.ses)
-    sset = set(ls.ring.inverted_primes)
+    verdict = split_test(ses)
+    sset = set(ses.a.ring.inverted_primes)
     if verdict.split:
         return True, verdict.section, [], False
     primes, everywhere = failure_primes(verdict.obstruction, sset)
@@ -86,11 +72,11 @@ def certified_obstruction_data(ls):
     return False, None, primes, everywhere
 
 
-def local_split_survey(ls, primes=None, precision_n=None):
+def local_split_survey(ses, primes=None, precision_n=None):
     """Per-prime split verdicts; with primes=None the content-derived
     certified-complete set is used."""
-    sset = set(ls.ring.inverted_primes)
-    glob, section, obst, everywhere = certified_obstruction_data(ls)
+    sset = set(ses.a.ring.inverted_primes)
+    glob, section, obst, everywhere = certified_obstruction_data(ses)
     if primes is None:
         survey_set = obst
     else:
@@ -101,7 +87,7 @@ def local_split_survey(ls, primes=None, precision_n=None):
     verdicts = {}
     sections = {}
     for ell in survey_set:
-        comp = complete_ses(ls, ell, precision_n)
+        comp = complete_ses(ses, ell, precision_n)
         v = split_test(comp)
         verdicts[ell] = v.split
         if v.split:
@@ -110,7 +96,7 @@ def local_split_survey(ls, primes=None, precision_n=None):
     return SurveyResult(verdicts, sections, obst, everywhere, glob, section, covered)
 
 
-def global_split_conclude(ls, survey):
+def global_split_conclude(ses, survey):
     """Assert global splitness from an all-split survey over a certified set
     and construct the section by solving over Lambda directly."""
     if not survey.covered:

@@ -290,18 +290,6 @@ class NotElementary:
     certificate: dict
 
 
-def _divisor_exponents(ring, divisors):
-    """Sorted exponents of torsion divisors: valuations over the chain rings,
-    p-valuations over TruncatedBK."""
-    if isinstance(ring, LocalizedIntegers):
-        raise UnsupportedRingError(
-            "exponents() needs a chain ring or TruncatedBK; over Z[1/S] read the "
-            "prime-power profile with torsion_divisor_profile")
-    if isinstance(ring, TruncatedBK):
-        return sorted(ring.p_valuation(d) for d in divisors)
-    return sorted(ring.val(d) for d in divisors)
-
-
 @dataclass
 class ElementaryDivisors:
     """M = R^free_rank (+) sum of R/(d), read off the SNF of the relations
@@ -312,8 +300,30 @@ class ElementaryDivisors:
     torsion_divisors: list
 
     def exponents(self):
-        """Sorted exponents of the torsion divisors (`_divisor_exponents`)."""
-        return _divisor_exponents(self.ring, self.torsion_divisors)
+        """Sorted exponents of the torsion divisors: valuations over the chain
+        rings, p-valuations over TruncatedBK."""
+        ring = self.ring
+        if isinstance(ring, LocalizedIntegers):
+            raise UnsupportedRingError(
+                "exponents() needs a chain ring or TruncatedBK; over Z[1/S] read the "
+                "prime-power profile with torsion_divisor_profile")
+        if isinstance(ring, TruncatedBK):
+            return sorted(ring.p_valuation(d) for d in self.torsion_divisors)
+        return sorted(ring.val(d) for d in self.torsion_divisors)
+
+    def profile(self):
+        """Canonical multiset describing torsion: chain rings and TruncatedBK
+        give exponent tuples, LocalizedIntegers gives prime-power tuples."""
+        if isinstance(self.ring, LocalizedIntegers):
+            return tuple(sorted((q, e) for d in self.torsion_divisors
+                                for q, e in factorint(abs(int(Fraction(d)))).items()))
+        return tuple(self.exponents())
+
+    def length(self):
+        """Sum of valuations (resp. prime multiplicities) of the torsion divisors."""
+        if isinstance(self.ring, LocalizedIntegers):
+            return sum(e for _, e in self.profile())
+        return sum(self.exponents())
 
 
 @dataclass
@@ -326,9 +336,14 @@ class ElementaryDecomposition:
     from_canonical: ModuleMap
     canonical_module: PresentedModule
 
+    @property
+    def divisors(self):
+        return ElementaryDivisors(self.canonical_module.ring, self.free_rank,
+                                  self.torsion_divisors)
+
     def exponents(self):
-        """Sorted exponents of the torsion divisors (`_divisor_exponents`)."""
-        return _divisor_exponents(self.canonical_module.ring, self.torsion_divisors)
+        """Sorted exponents of the torsion divisors."""
+        return self.divisors.exponents()
 
     def verify(self):
         """Both maps are well defined (a map's certificate already shows it)
@@ -430,30 +445,18 @@ def structure_divisors(m):
     """Free rank and torsion divisors over any ring with a structure theorem:
     the SNF reader, or over TruncatedBK `require_elementary`."""
     if isinstance(m.ring, TruncatedBK):
-        return require_elementary(m)
+        return require_elementary(m).divisors
     return elementary_divisors(m)
 
 
 def torsion_length(m):
     """Sum of valuations (resp. prime multiplicities) of torsion divisors."""
-    divs = elementary_divisors(m)
-    if isinstance(m.ring, LocalizedIntegers):
-        return sum(sum(factorint(abs(int(Fraction(d)))).values())
-                   for d in divs.torsion_divisors)
-    return sum(divs.exponents())
+    return elementary_divisors(m).length()
 
 
 def torsion_divisor_profile(m):
-    """Canonical multiset describing torsion: chain rings and TruncatedBK
-    give exponent tuples, LocalizedIntegers gives prime-power tuples."""
-    divs = structure_divisors(m)
-    if isinstance(m.ring, LocalizedIntegers):
-        out = []
-        for d in divs.torsion_divisors:
-            for q, e in sorted(factorint(abs(int(Fraction(d)))).items()):
-                out.append((q, e))
-        return tuple(sorted(out))
-    return tuple(divs.exponents())
+    """`ElementaryDivisors.profile` of m's structure divisors."""
+    return structure_divisors(m).profile()
 
 
 def free_rank(m):
@@ -666,6 +669,25 @@ def adaptive_precision(ell, *mats):
     return max(4, worst + 2)
 
 
+def completion_precision(ell, mods, mats=()):
+    """Working p-precision of a completion at ell of the modules `mods`
+    and the maps `mats` between them: the coefficient bound of
+    `adaptive_precision`, raised to two above the ell-valuation of each
+    module's content.
+
+    The content is the product of the nonzero Z[1/S] divisors of the
+    module's constant-term relations (`_constant_term_divisors`).  Its
+    ell-valuation is the length of the ell-power torsion of M/(q-1)M, so it
+    bounds that torsion's exponent where the coefficients may not:
+    Lambda/(3^6), presented by [[27, 1], [0, 27]], has no coefficient of
+    3-valuation above 3.  Torsion that only the (q-1)-adic extensions
+    deepen is not covered: Lambda/(q-1+27) over (q-1)^2 is Z/3^6 at 3, and
+    this bound gives 5."""
+    depth = max((sum(prime_valuation(d, ell) for d in _constant_term_divisors(m))
+                 for m in mods), default=0)
+    return max(adaptive_precision(ell, *(m.relations for m in mods), *mats), depth + 2)
+
+
 def check_completion_prime(ring, ell, loc=""):
     """A completion at ell needs ell not inverted in the ring (Z[1/S]
     tensored with Z_ell is Q_ell when ell is in S); rings that invert no
@@ -707,37 +729,26 @@ def base_change_rings(m, spec):
             raise UnsupportedRingError("frobenius_twist needs a TruncatedBK source")
         trail.append(f"frobenius twist: trusted z-precision {ring.frobenius_trusted_precision}")
         return ring, ring.frobenius, trail
-    if spec.kind == "lambda_completion":
-        if not isinstance(ring, TruncatedLambda):
-            raise UnsupportedRingError("lambda_completion needs a TruncatedLambda source")
+    if spec.kind in COMPLETION_KINDS:
+        lam = spec.kind == "lambda_completion"
+        family = TruncatedLambda if lam else LocalizedIntegers
+        if not isinstance(ring, family):
+            raise UnsupportedRingError(f"{spec.kind} needs a {family.__name__} source")
         check_completion_prime(ring, spec.ell)
-        n = spec.precision_n or adaptive_precision(spec.ell, m.relations)
-        tgt = TruncatedBK(spec.ell, n, ring.precision_m, default_eisenstein(spec.ell))
-        base = tgt.scalar
+        n = spec.precision_n or completion_precision(spec.ell, [m])
+        if lam:
+            tgt = TruncatedBK(spec.ell, n, ring.precision_m, default_eisenstein(spec.ell))
+            trail.append(f"lambda completion at {spec.ell} modeled at p-precision {n}")
+        else:
+            tgt = TruncatedPadic(spec.ell, n)
+            trail.append(f"completion at {spec.ell} modeled at precision {n}")
+        base = tgt.scalar if lam else tgt
 
-        def entry(x):
-            out = []
-            for c in x:
-                fr = Fraction(c)
-                out.append(base.mul(base.from_int(fr.numerator),
-                                    base.inv(base.from_int(fr.denominator))))
-            return tuple(out)
+        def scalar(c):
+            fr = Fraction(c)
+            return base.mul(base.from_int(fr.numerator), base.inv(base.from_int(fr.denominator)))
 
-        trail.append(f"lambda completion at {spec.ell} modeled at p-precision {n}")
-        return tgt, entry, trail
-    if spec.kind == "localized_completion":
-        if not isinstance(ring, LocalizedIntegers):
-            raise UnsupportedRingError("localized_completion needs a LocalizedIntegers source")
-        check_completion_prime(ring, spec.ell)
-        n = spec.precision_n or adaptive_precision(spec.ell, m.relations)
-        tgt = TruncatedPadic(spec.ell, n)
-
-        def entry(x):
-            fr = Fraction(x)
-            return tgt.mul(tgt.from_int(fr.numerator), tgt.inv(tgt.from_int(fr.denominator)))
-
-        trail.append(f"completion at {spec.ell} modeled at precision {n}")
-        return tgt, entry, trail
+        return tgt, (lambda x: tuple(map(scalar, x))) if lam else scalar, trail
     raise SchemaError(f"unknown base change kind {spec.kind}")
 
 
@@ -760,8 +771,7 @@ def base_change_maps(maps, spec):
     assert all(f.target == g.source for f, g in zip(maps, maps[1:]))
     mods = [maps[0].source] + [f.target for f in maps]
     if spec.precision_n is None and spec.kind in COMPLETION_KINDS:
-        n = adaptive_precision(spec.ell, *(m.relations for m in mods),
-                               *(f.matrix for f in maps))
+        n = completion_precision(spec.ell, mods, [f.matrix for f in maps])
         spec = replace(spec, precision_n=n)
     tgt_ring, entry, trail = base_change_rings(mods[0], spec)
     pushed = [PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)) for m in mods]
@@ -771,6 +781,16 @@ def base_change_maps(maps, spec):
 
 # ---------------------------------------------------------------------------
 # Lambda-family support
+
+
+def _constant_term_divisors(m):
+    """The nonzero Z[1/S] SNF divisors of m's relations, read at q = 1 over
+    TruncatedLambda, as integers."""
+    rel, ring = m.relations, m.ring
+    if isinstance(ring, TruncatedLambda):
+        rel = Mat(rel.rows, m.gens, [[Fraction(x[0]) for x in row] for row in rel.data])
+        ring = ring.scalar
+    return [int(d) for d in linalg.smith_normal_form(rel, ring).divisors if d]
 
 
 @dataclass
@@ -799,9 +819,7 @@ def support_primes(m, bound=None):
         raise SchemaError("prime bound must be >= 2")
     if m.gens == 0:
         return SupportResult(False, [], 1, {"reason": "zero module"})
-    constant = Mat(m.relations.rows, m.gens,
-                   [[Fraction(x[0]) for x in row] for row in m.relations.data])
-    divisors = [int(d) for d in linalg.smith_normal_form(constant, ring.scalar).divisors if d]
+    divisors = _constant_term_divisors(m)
     if len(divisors) < m.gens:
         primes = [q for q in primerange(2, (bound or 2) + 1) if q not in sset] if bound else []
         return SupportResult(True, primes, 0,

@@ -46,8 +46,6 @@ from .modules import (
     submodule_from_rows,
     subquotient_coordinates,
     subquotient_presentation,
-    torsion_divisor_profile,
-    torsion_length,
     zero_map,
 )
 from .rings import (
@@ -169,20 +167,21 @@ class FilteredHomology:
     sub_h_maps: dict = field(default_factory=dict)   # n -> ModuleMap H(fil^n) -> H
 
 
-def _cycles(x, i):
-    """Rows of C_i generating ker(d_i)."""
-    d = x.diff(i)
+def _fil_cycles(x, i, n):
+    """Rows of fil^n C_i generating the cycles of fil^n C_i, in its own
+    coordinates; at n = wmin these are the cycles of C_i."""
+    sub = x.fil_pair(i, n)[0]
+    d = x.fil_diff(i, n)
     if d.target.gens == 0:
-        return Mat.identity(x.module(i).gens, x.ring) if x.module(i).gens else Mat(0, 0, [])
-    parts = kernel_left_parts([d.matrix, d.target.relations], x.ring)
-    return parts[0]
+        return Mat.identity(sub.gens, x.ring) if sub.gens else Mat(0, 0, [])
+    return kernel_left_parts([d.matrix, d.target.relations], x.ring)[0]
 
 
 def homology_filtered(x, i):
     """H_i with the induced filtration F^n H_i = im(H_i(fil^n) -> H_i)."""
     ring = x.ring
     ci = x.module(i)
-    zrows = _cycles(x, i)
+    zrows = _fil_cycles(x, i, x.wmin)
     brows = x.diff(i + 1).matrix  # rows of C_i spanning im(d_{i+1})
     h = subquotient_presentation(ci, zrows, brows)
     killers = brows.vstack(ci.relations)
@@ -192,11 +191,7 @@ def homology_filtered(x, i):
     sub_h_maps = {}
     for n in range(x.wmin, x.wmax + 2):
         subn, incn = x.fil_pair(i, n)
-        dsub = x.fil_diff(i, n)
-        if dsub.target.gens == 0:
-            zn = Mat.identity(subn.gens, ring) if subn.gens else Mat(0, 0, [])
-        else:
-            zn = kernel_left_parts([dsub.matrix, dsub.target.relations], ring)[0]
+        zn = zrows if n == x.wmin else _fil_cycles(x, i, n)
         sub_h = subquotient_presentation(subn, zn, x.fil_diff(i + 1, n).matrix)
         # rows of H-coordinates for the image of H_i(fil^n)
         amb_rows = zn.mul(incn.matrix, ring) if zn.rows else Mat(0, ci.gens, [])
@@ -310,9 +305,13 @@ class DegenerationReport:
     e1_torsion_profiles: dict    # i -> combined multiset over weights
     witnesses: dict
     notes: list
+    # the pass's own reads, kept for base_change_report and lenfil_check
+    homologies: dict = field(repr=False)    # i -> FilteredHomology
+    h_divisors: dict = field(repr=False)    # i -> ElementaryDivisors of H_i
+    e1_divisors: dict = field(repr=False)   # (n, i) -> ElementaryDivisors of the E1 entry
 
 
-def _entry_val_ge_one(x, ent, dmap):
+def _entry_val_ge_one(x, dmap):
     """im(d_r) inside uniformizer * target entry (canonical membership)."""
     ring = x.ring
     if isinstance(ring, LocalizedIntegers):
@@ -326,14 +325,18 @@ def _entry_val_ge_one(x, ent, dmap):
     return sol is not None
 
 
-def _free_block_vanishes(dmap):
-    """free_rank(coker d) == free_rank(target): the exact d (x) K = 0 test."""
-    cmod, _ = cokernel(dmap)
-    return (elementary_divisors(cmod).free_rank
-            == elementary_divisors(dmap.target).free_rank)
+def _free_block_vanishes(dmap, target_free_rank):
+    """free_rank(coker d) == free_rank(target): the exact d (x) K = 0 test.
+    A zero d passes by definition, its cokernel being the target."""
+    return elementary_divisors(cokernel(dmap)[0]).free_rank == target_free_rank
 
 
 def degeneration_report(x):
+    """The three verdicts by their definitions, cross-checked against the
+    E1 torsion-length and divisor-multiset criteria.  The pass builds every
+    page and the filtered homology, and reads the divisors of each H_i,
+    gr_n H_i and E1 entry at most once; the report keeps the homology and
+    the H_i and E1 reads for base_change_report and lenfil_check."""
     ring = x.ring
     if not is_snf_capable(ring):
         raise UnsupportedRingError("degeneration_report needs an SNF-capable ring")
@@ -341,24 +344,25 @@ def degeneration_report(x):
     witnesses = {"sections": {}, "obstructions": {}, "injectivity": {},
                  "divisor_mismatch": None}
 
-    pages = []
     rationally = True
     any_nonzero_d = False
-    max_r = max(1, x.width)
-    for r in range(1, max_r + 1):
-        pg = page(x, r)
-        pages.append(pg)
-        for key, dmap in pg.diffs.items():
-            if not is_zero_map(dmap):
-                any_nonzero_d = True
-                if not _entry_val_ge_one(x, pg.entries[key], dmap):
-                    rationally = False
-                elif not _free_block_vanishes(dmap):
-                    rationally = False
-            elif not _free_block_vanishes(dmap):
+    pages = [page(x, r) for r in range(1, max(1, x.width) + 1)]
+    e1_div = {key: elementary_divisors(ent.module) for key, ent in pages[0].entries.items()}
+    for r, pg in enumerate(pages, 1):
+        for (n, i), dmap in pg.diffs.items():
+            if is_zero_map(dmap):
+                continue
+            any_nonzero_d = True
+            if not _entry_val_ge_one(x, dmap):
+                rationally = False
+                continue
+            tgt = e1_div[(n + 1, i - 1)] if r == 1 else elementary_divisors(dmap.target)
+            if not _free_block_vanishes(dmap, tgt.free_rank):
                 rationally = False
 
     homologies = {i: homology_filtered(x, i) for i in range(x.lo, x.hi + 1)}
+    h_div = {i: elementary_divisors(hdata.h) for i, hdata in homologies.items()}
+    weights = range(x.wmin, x.wmax + 1)
 
     degenerate = True
     for i, hdata in homologies.items():
@@ -368,15 +372,10 @@ def degeneration_report(x):
                 degenerate = False
 
     # direct saturation: length bookkeeping on the induced filtration of H_i
-    saturated_direct = degenerate
-    for i, hdata in homologies.items():
-        if not degenerate:
-            break
-        lt = torsion_length(hdata.h)
-        gr_sum = sum(torsion_length(hdata.gr_modules[n])
-                     for n in range(x.wmin, x.wmax + 1))
-        if lt != gr_sum:
-            saturated_direct = False
+    saturated_direct = degenerate and all(
+        h_div[i].length() == sum(elementary_divisors(hdata.gr_modules[n]).length()
+                                 for n in weights)
+        for i, hdata in homologies.items())
 
     # direct splitness: retractions for every inclusion im(H(fil^n)) into H_i
     split_direct = degenerate
@@ -390,19 +389,11 @@ def degeneration_report(x):
                     witnesses["obstructions"][(i, n)] = verdict.obstruction
                     split_direct = False
 
-    e1 = pages[0]
-    ledger = {}
-    h_prof = {}
-    e1_prof = {}
-    for i in range(x.lo, x.hi + 1):
-        per_weight = [torsion_length(e1.entries[(n, i)].module)
-                      for n in range(x.wmin, x.wmax + 1)]
-        ledger[i] = (torsion_length(homologies[i].h), per_weight)
-        h_prof[i] = torsion_divisor_profile(homologies[i].h)
-        combined = []
-        for n in range(x.wmin, x.wmax + 1):
-            combined.extend(torsion_divisor_profile(e1.entries[(n, i)].module))
-        e1_prof[i] = tuple(sorted(combined))
+    ledger = {i: (h_div[i].length(), [e1_div[(n, i)].length() for n in weights])
+              for i in homologies}
+    h_prof = {i: h_div[i].profile() for i in homologies}
+    e1_prof = {i: tuple(sorted(v for n in weights for v in e1_div[(n, i)].profile()))
+               for i in homologies}
 
     sscrit_applicable = rationally
     if sscrit_applicable:
@@ -427,15 +418,12 @@ def degeneration_report(x):
     if saturated_direct and not degenerate:
         raise InternalInconsistencyError("saturated verdict without degenerate verdict")
 
-    precision_limited = False
-    if not isinstance(ring, LocalizedIntegers) and any_nonzero_d:
-        frees = [elementary_divisors(homologies[i].h).free_rank for i in homologies]
-        frees += [elementary_divisors(e1.entries[(n, i)].module).free_rank
-                  for n in range(x.wmin, x.wmax + 1) for i in range(x.lo, x.hi + 1)]
-        precision_limited = any(f > 0 for f in frees)
-        if precision_limited:
-            notes.append("free-at-truncation factors coexist with nonzero differentials; "
-                         "verdicts hold at the working precision")
+    precision_limited = (not isinstance(ring, LocalizedIntegers) and any_nonzero_d
+                         and any(d.free_rank > 0
+                                 for d in (*h_div.values(), *e1_div.values())))
+    if precision_limited:
+        notes.append("free-at-truncation factors coexist with nonzero differentials; "
+                     "verdicts hold at the working precision")
 
     return DegenerationReport(
         rationally_degenerate=rationally,
@@ -449,24 +437,25 @@ def degeneration_report(x):
         e1_torsion_profiles=e1_prof,
         witnesses=witnesses,
         notes=notes,
+        homologies=homologies,
+        h_divisors=h_div,
+        e1_divisors=e1_div,
     )
 
 
 def lenfil_check(x, n, report=None):
-    """Reduction-length inequality per degree, under the saturated hypothesis."""
+    """Reduction-length inequality per degree, under the saturated
+    hypothesis, read off the report's divisors of H_i and the E1 entries."""
     if n <= 0:
         raise SchemaError("reduction exponent must be positive")
     if report is None:
         report = degeneration_report(x)
     if not report.saturated:
         raise HypothesisUnmetError("lenfil needs the saturated verdict established")
-    ring = x.ring
-    e1 = page(x, 1)
     out = {}
     for i in range(x.lo, x.hi + 1):
-        h = homology_filtered(x, i).h
-        lhs = _reduction_length(h, n)
-        rhs = sum(_reduction_length(e1.entries[(w, i)].module, n)
+        lhs = _reduction_length(report.h_divisors[i], n)
+        rhs = sum(_reduction_length(report.e1_divisors[(w, i)], n)
                   for w in range(x.wmin, x.wmax + 1))
         if lhs > rhs:
             raise InternalInconsistencyError(
@@ -475,11 +464,10 @@ def lenfil_check(x, n, report=None):
     return out
 
 
-def _reduction_length(m, n):
-    """len(M / u^n M) = sum min(val d, n) + free_rank * n."""
-    if isinstance(m.ring, LocalizedIntegers):
+def _reduction_length(divs, n):
+    """len(M / u^n M) = sum min(val d, n) + free_rank * n, from M's divisors."""
+    if isinstance(divs.ring, LocalizedIntegers):
         raise UnsupportedRingError("reduction lengths need a single uniformizer")
-    divs = elementary_divisors(m)
     return divs.free_rank * n + sum(min(v, n) for v in divs.exponents())
 
 
@@ -512,15 +500,16 @@ def _retraction_solves_at(f, ell):
     return not everywhere and ell not in primes
 
 
-def _ell_profile(m, ell):
-    """Torsion exponents at ell of the tensored module, exactly."""
-    out = [prime_valuation(d.numerator, ell) for d in elementary_divisors(m).torsion_divisors]
+def _ell_profile(divs, ell):
+    """Torsion exponents at ell of the tensored module, exactly, from the
+    module's divisors."""
+    out = [prime_valuation(d.numerator, ell) for d in divs.torsion_divisors]
     return tuple(sorted(v for v in out if v > 0))
 
 
-def _entry_injects_into_completion(m, ell):
+def _entry_injects_into_completion(divs, ell):
     """M -> M (x) Z_ell is injective iff the torsion is pure ell-power."""
-    for d in elementary_divisors(m).torsion_divisors:
+    for d in divs.torsion_divisors:
         n = abs(int(d.numerator))
         if n != ell ** prime_valuation(n, ell):
             return False, f"torsion divisor {n} has primes other than {ell}"
@@ -535,7 +524,6 @@ class TensoredReport:
     h_profiles: dict            # i -> ell-torsion profile of H_i (x) Z_ell
     e1_profiles: dict           # i -> combined tensored E1 torsion profile
     sscritflat_checked: bool
-    notes: list
 
 
 def base_change_report(x, spec):
@@ -555,13 +543,11 @@ def base_change_report(x, spec):
         raise UnsupportedRingError("completion descent starts over LocalizedIntegers")
     ell = spec.ell
     check_completion_prime(x.ring, ell)
-    notes = []
-    homologies = {i: homology_filtered(x, i) for i in range(x.lo, x.hi + 1)}
-    e1 = page(x, 1)
+    rep_r = degeneration_report(x)
     per_entry = {}
     degenerate = True
     split = True
-    for i, hdata in homologies.items():
+    for i, hdata in rep_r.homologies.items():
         for n in range(x.wmin + 1, x.wmax + 1):
             f = hdata.sub_h_maps[n]
             inj = _tensored_kernel_vanishes(f, ell)
@@ -569,15 +555,10 @@ def base_change_report(x, spec):
             per_entry[(i, n)] = {"injective": inj, "split": sp}
             degenerate = degenerate and inj
             split = split and sp
-    h_prof = {}
-    e1_prof = {}
-    for i in range(x.lo, x.hi + 1):
-        h_prof[i] = _ell_profile(homologies[i].h, ell)
-        combined = []
-        for n in range(x.wmin, x.wmax + 1):
-            combined.extend(_ell_profile(e1.entries[(n, i)].module, ell))
-        e1_prof[i] = tuple(sorted(combined))
-    rep_r = degeneration_report(x)
+    h_prof = {i: _ell_profile(divs, ell) for i, divs in rep_r.h_divisors.items()}
+    e1_prof = {i: tuple(sorted(v for n in range(x.wmin, x.wmax + 1)
+                               for v in _ell_profile(rep_r.e1_divisors[(n, i)], ell)))
+               for i in h_prof}
     checked = False
     if rep_r.rationally_degenerate:
         multisets_equal = all(h_prof[i] == e1_prof[i] for i in h_prof)
@@ -585,11 +566,10 @@ def base_change_report(x, spec):
             raise InternalInconsistencyError(
                 "tensored divisor-multiset criterion disagrees with split solves")
         checked = True
-    tensored = TensoredReport(degenerate, split, per_entry, h_prof, e1_prof,
-                              checked, notes)
+    tensored = TensoredReport(degenerate, split, per_entry, h_prof, e1_prof, checked)
     # Lemma degdetect: certified E1 injectivity + tensored degeneration
-    for (n, i), ent in e1.entries.items():
-        ok, why = _entry_injects_into_completion(ent.module, ell)
+    for (n, i), divs in rep_r.e1_divisors.items():
+        ok, why = _entry_injects_into_completion(divs, ell)
         if not ok:
             raise HypothesisUnmetError(
                 f"E1 entry at weight {n} degree {i} fails injectivity: {why}")

@@ -4,10 +4,10 @@ import pytest
 
 from helpers import random_lambda_map, scrambled_split_lambda_ses
 from truncalg import local_global, modules
+from truncalg.cli import run_job
 from truncalg.errors import HypothesisUnmetError, InternalInconsistencyError
 from truncalg.linalg import Mat
 from truncalg.local_global import (
-    LambdaSES,
     certified_obstruction_data,
     complete_ses,
     global_split_conclude,
@@ -144,7 +144,28 @@ def test_complete_ses_precision_reads_the_quotient():
     ls = make_lambda_ses(a, b, c, Mat(1, 1, [[LAM.from_int(3)]]), Mat(1, 1, [[LAM.one]]))
     n = complete_ses(ls, 3).c.ring.precision_n
     assert n == adaptive_precision(3, c.relations) == 8
-    assert n > adaptive_precision(3, a.relations, b.relations, ls.ses.inject.matrix)
+    assert n > adaptive_precision(3, a.relations, b.relations, ls.inject.matrix)
+
+
+def test_completion_precision_reads_torsion():
+    """Lambda/(3^6), presented by [[27, 1], [0, 27]], shows no coefficient
+    of 3-valuation above 3; its content 3^6 sets the completed precision,
+    so the nonzero endomorphism 3^5 times a generator stays nonzero at 3."""
+    m = PresentedModule(LAM, 2, Mat(2, 2, [[LAM.from_int(27), LAM.one],
+                                          [LAM.zero, LAM.from_int(27)]]))
+    f = module_map(m, m, Mat(2, 2, [[LAM.zero, LAM.from_int(-9)], [LAM.zero, LAM.zero]]))
+    (g,), _ = modules.base_change_maps([f], modules.BaseChangeSpec("lambda_completion", ell=3))
+    assert g.source.ring.precision_n == 8
+    assert modules.base_change(m, modules.BaseChangeSpec("lambda_completion", ell=3))[0].ring \
+        == g.source.ring
+    rep = zero_local_global(f)
+    assert not rep.direct_zero and rep.witness_prime == 3 and not rep.local_zero[3]
+    ring = {"family": "TruncatedLambda", "inverted_primes": [2], "M": 2}
+    mod = {"ring": ring, "generators": 2, "relations": [[[27, 0], [1, 0]], [[0, 0], [27, 0]]]}
+    report, code = run_job({"command": "lambda-zero", "input": {"map": {
+        "source": mod, "target": mod, "matrix": [[[0, 0], [-9, 0]], [[0, 0], [0, 0]]]}}})
+    assert code == 0
+    assert report["verdicts"]["is_zero"] is False and report["verdicts"]["witness_prime"] == 3
 
 
 def test_vanishing_completion_at_first_support_prime_is_inconsistent(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_filtered_complex
-from truncalg import linalg
+from truncalg import linalg, modules, spectral
 from truncalg.cli import emit, run_job
 from truncalg.errors import HypothesisUnmetError, SchemaError, UnsupportedRingError
 from truncalg.linalg import Mat
@@ -155,6 +155,61 @@ def test_degeneration_report_on_z3_z9_builds_no_witness(monkeypatch):
     assert counts == {"invert": 0, "verify": 0}
     assert rep.length_ledger[0] == (3, [1, 2])
     assert rep.h_torsion_profiles[0] == (1, 2)
+
+
+def test_degeneration_report_reads_each_homology_once(monkeypatch):
+    """One divisor read of H_0 serves the length ledger, the profile, the
+    saturation sum and the precision check."""
+    ring = TruncatedPadic(3, 3)
+    m = direct_sum([PresentedModule.cyclic(ring, ring.from_int(3)),
+                    PresentedModule.cyclic(ring, ring.from_int(9))])
+    sub = PresentedModule.cyclic(ring, ring.from_int(9))
+    x = validate(ring, 0, 0, 0, 1, {0: m}, {}, {(0, 1): (sub, Mat(1, 2, [[1, 1]]))})
+    h = homology_filtered(x, 0).h
+    read = []
+    real = modules.read_snf
+    monkeypatch.setattr(modules, "read_snf", lambda mod: read.append(mod) or real(mod))
+    rep = degeneration_report(x)
+    assert rep.saturated and rep.length_ledger[0] == (3, [1, 2])
+    assert sum(mod == h for mod in read) == 1
+
+
+def _record_calls(monkeypatch, name, key):
+    """Record key(args) for every call of spectral.<name>."""
+    calls = []
+    real = getattr(spectral, name)
+
+    def recorded(*args):
+        calls.append(key(args))
+        return real(*args)
+
+    monkeypatch.setattr(spectral, name, recorded)
+    return calls
+
+
+def test_localized_base_change_report_builds_each_piece_once(monkeypatch):
+    """The completion route reads the filtered homology, the pages and the
+    divisors off the one degeneration pass."""
+    zl = LocalizedIntegers((2,))
+    fr = PresentedModule.free(zl, 1)
+    x = validate(zl, 0, 1, 0, 1, {0: fr, 1: fr}, {1: Mat(1, 1, [[Fraction(9)]])},
+                 {(0, 1): (fr, Mat(1, 1, [[Fraction(3)]])),
+                  (1, 1): (fr, Mat(1, 1, [[Fraction(1)]]))})
+    degrees = _record_calls(monkeypatch, "homology_filtered", lambda a: a[1])
+    pages = _record_calls(monkeypatch, "page", lambda a: a[1])
+    rep, descent = base_change_report(x, BaseChangeSpec("localized_completion", ell=3))
+    assert sorted(degrees) == [0, 1]
+    assert sorted(pages) == [1, 2]
+    assert rep.degenerate and not rep.split and descent["re_verified"]
+
+
+def test_lenfil_check_reads_the_report(monkeypatch):
+    x = golden_complex()
+    rep = degeneration_report(x)
+    degrees = _record_calls(monkeypatch, "homology_filtered", lambda a: a[1])
+    pages = _record_calls(monkeypatch, "page", lambda a: a[1])
+    assert lenfil_check(x, 1, rep)[0] == (1, 2)
+    assert degrees == pages == []
 
 
 def test_degeneration_depf_gate():
