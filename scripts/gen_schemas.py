@@ -242,14 +242,18 @@ report = {
 }
 
 
+# (name, document): main() writes each to docs/schemas/<name>.schema.json
+DOCUMENTS = [("ring_spec", ring_spec), ("presented_module", presented_module),
+             ("module_map", module_map), ("ses", ses),
+             ("filtered_complex", filtered_complex),
+             ("base_change_spec", base_change_spec), ("bk_module", bk_module),
+             ("tower", tower), ("cw_complex", cw_complex),
+             ("job", job), ("report", report)]
+
+
 def main():
     os.makedirs(DOCS, exist_ok=True)
-    for name, doc in [("ring_spec", ring_spec), ("presented_module", presented_module),
-                      ("module_map", module_map), ("ses", ses),
-                      ("filtered_complex", filtered_complex),
-                      ("base_change_spec", base_change_spec), ("bk_module", bk_module),
-                      ("tower", tower), ("cw_complex", cw_complex),
-                      ("job", job), ("report", report)]:
+    for name, doc in DOCUMENTS:
         path = os.path.join(DOCS, f"{name}.schema.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

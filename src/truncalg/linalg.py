@@ -11,8 +11,8 @@ as exact as a Fraction elimination's).  TruncatedBK and TruncatedLambda
 matrices are expanded by restriction of scalars to their base ring: a
 T-linear map is base-linear, and solutions/kernels reassemble because the
 coordinate identification T^g = base^(g*M) is a base-module isomorphism.
-One 32-entry memo, keyed by the caller's (ring, matrix), holds the SNFs; a
-BK or Lambda matrix is expanded only when its key misses.
+One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
+the SNFs; a BK or Lambda matrix is expanded only when its key misses.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from math import lcm
 from types import SimpleNamespace
 
 from .errors import UnsupportedRingError
-from .rings import (
-    LocalizedIntegers,
-    TruncatedBK,
-    TruncatedLambda,
-    base_ring_of,
-    is_expansion_ring,
-    is_snf_capable,
-)
+from .rings import LocalizedIntegers, base_ring_of, is_expansion_ring
 
 
 class Mat:
@@ -382,37 +375,39 @@ def smith_normal_form(mat, ring):
     The witnesses' inverses are not computed: `SNFResult.verify` checks
     invertibility through `invert`, as callers needing an inverse do.
     Raises UnsupportedRing for TruncatedBK and TruncatedLambda: use the
-    restriction-of-scalars solvers instead.  Results are memoized per
-    process by (ring, matrix); each call returns its own SNFResult.
+    restriction-of-scalars solvers, or `base_snf` for the SNF of the
+    expansion.  Results come from the `base_snf` memo; each call returns
+    its own SNFResult.
     """
-    if isinstance(ring, (TruncatedBK, TruncatedLambda)):
+    if is_expansion_ring(ring):
         raise UnsupportedRingError(
             f"{type(ring).__name__} admits no Smith normal form; use restriction of scalars")
-    if not is_snf_capable(ring):
-        raise UnsupportedRingError(f"no SNF over {type(ring).__name__}")
-    snf = _snf_memo(ring, mat)
+    snf = base_snf(mat, ring)
     # the witnesses are immutable Mats; the divisors list is the caller's own
     return SNFResult(snf.left, snf.right, list(snf.divisors))
 
 
-# Solvers and kernels repeat the same (ring, matrix) inputs within a job: a
+# Solvers and kernels repeat the same (matrix, ring) inputs within a job: a
 # random tower check makes about 70 SNF lookups on about 20 distinct inputs.
-# The key is the caller's (ring, matrix), so a TruncatedBK or TruncatedLambda
+# The key is the caller's (matrix, ring), so a TruncatedBK or TruncatedLambda
 # matrix is expanded to its base ring (`expand_matrix`) only on a miss, and
 # its entry holds the SNF of the expansion.  With 32 entries the misses equal
-# the distinct inputs on every corpus job (at most 37, ext_golden_p2) and
+# the distinct inputs on every corpus job (at most 22, ext_golden_p2) and
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
 # more.  `invert` of an SNF witness goes through the memo too: in
 # `SNFResult.verify`, in `decompose_elementary`, which only callers of a
 # decomposition witness reach, and in `smodules._read_slice`, once per free
 # gr_p slice whose from-canonical rows `decompose_over_s` reads; a divisor
 # read (`modules.elementary_divisors`) inverts nothing.  On the 48 towers of
-# tower_check seed 601, memo cleared per tower: 2282 lookups, 750 misses (as
-# many as distinct inputs) and 435 expansions, plus the 72 that
-# `smodules._gr_slices` makes before its own lookup.  lru_cache is
-# thread-safe, so an embedding program may run jobs on several threads.
+# tower_check seed 601, memo cleared per tower: 2282 lookups, 702 misses (as
+# many as distinct inputs) and 447 expansions.  lru_cache is thread-safe, so
+# an embedding program may run jobs on several threads.
 @lru_cache(maxsize=32)
-def _snf_memo(ring, mat):
+def base_snf(mat, ring):
+    """The SNF of `mat` over its base ring, memoized: the SNF of `mat` over
+    Z/p^N, F_p[z]/z^M and Z[1/S], and of `expand_matrix(mat, ring)` over
+    `ring.scalar` for TruncatedBK and TruncatedLambda.  The result is
+    shared by every caller and must not be mutated."""
     if is_expansion_ring(ring):
         mat, ring = expand_matrix(mat, ring), base_ring_of(ring)
     if isinstance(ring, LocalizedIntegers):
@@ -528,9 +523,9 @@ def solve_left_info(mat, b, ring):
         return Mat.zero(b.rows, mat.rows, ring), []
     failures = []
     if is_expansion_ring(ring):
-        xb = _solve_snf(_snf_memo(ring, mat), expand_rows(b, ring), base_ring_of(ring), failures)
+        xb = _solve_snf(base_snf(mat, ring), expand_rows(b, ring), base_ring_of(ring), failures)
         return (None if xb is None else reassemble_rows(xb, ring, mat.rows)), failures
-    return _solve_snf(smith_normal_form(mat, ring), b, ring, failures), failures
+    return _solve_snf(base_snf(mat, ring), b, ring, failures), failures
 
 
 def kernel_left(mat, ring):
@@ -540,9 +535,9 @@ def kernel_left(mat, ring):
     if mat.cols == 0:
         return Mat.identity(mat.rows, ring)
     if is_expansion_ring(ring):
-        kb = _kernel_snf(_snf_memo(ring, mat), base_ring_of(ring))
+        kb = _kernel_snf(base_snf(mat, ring), base_ring_of(ring))
         return reassemble_rows(kb, ring, mat.rows)
-    return _kernel_snf(smith_normal_form(mat, ring), ring)
+    return _kernel_snf(base_snf(mat, ring), ring)
 
 
 def solve_left_mod(mat, b, rel, ring):

@@ -672,19 +672,15 @@ def adaptive_precision(ell, *mats):
 def completion_precision(ell, mods, mats=()):
     """Working p-precision of a completion at ell of the modules `mods`
     and the maps `mats` between them: the coefficient bound of
-    `adaptive_precision`, raised to two above the ell-valuation of each
-    module's content.
+    `adaptive_precision`, raised to two above the exponent of each
+    module's ell-power torsion.
 
-    The content is the product of the nonzero Z[1/S] divisors of the
-    module's constant-term relations (`_constant_term_divisors`).  Its
-    ell-valuation is the length of the ell-power torsion of M/(q-1)M, so it
-    bounds that torsion's exponent where the coefficients may not:
-    Lambda/(3^6), presented by [[27, 1], [0, 27]], has no coefficient of
-    3-valuation above 3.  Torsion that only the (q-1)-adic extensions
-    deepen is not covered: Lambda/(q-1+27) over (q-1)^2 is Z/3^6 at 3, and
-    this bound gives 5."""
-    depth = max((sum(prime_valuation(d, ell) for d in _constant_term_divisors(m))
-                 for m in mods), default=0)
+    That exponent is the largest ell-valuation among the divisors of the
+    module's relations over its base ring (`linalg.base_snf`: over Z[1/S],
+    or expanded from TruncatedLambda to Z[1/S]), so the completion keeps
+    every ell-power torsion summand nonzero."""
+    depth = max((prime_valuation(d, ell) for m in mods
+                 for d in linalg.base_snf(m.relations, m.ring).divisors), default=0)
     return max(adaptive_precision(ell, *(m.relations for m in mods), *mats), depth + 2)
 
 
@@ -735,7 +731,7 @@ def base_change_rings(m, spec):
         if not isinstance(ring, family):
             raise UnsupportedRingError(f"{spec.kind} needs a {family.__name__} source")
         check_completion_prime(ring, spec.ell)
-        n = spec.precision_n or completion_precision(spec.ell, [m])
+        n = spec.precision_n
         if lam:
             tgt = TruncatedBK(spec.ell, n, ring.precision_m, default_eisenstein(spec.ell))
             trail.append(f"lambda completion at {spec.ell} modeled at p-precision {n}")
@@ -758,8 +754,8 @@ def _push(mat, entry):
 
 def base_change(m, spec):
     """Push the presentation through the ring map; tensoring is right exact."""
-    tgt_ring, entry, trail = base_change_rings(m, spec)
-    return PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)), trail
+    (f,), trail = base_change_maps([identity_map(m)], spec)
+    return f.source, trail
 
 
 def base_change_maps(maps, spec):

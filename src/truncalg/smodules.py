@@ -10,10 +10,12 @@ exactly, and the assembled witness is checked once, by
 `ElementaryDecomposition.verify`.
 
 `decompose_over_s` reads all its slices off one SNF of the expanded
-relations (`_gr_slices`), and each slice witness-free (`_read_slice`): its
-divisors, certified by L . A . R = D, and the columns of R and rows of R^-1
-that the mu_j products and the lift read.  No slice builds or verifies a
-witness of its own; the final check of the assembled map certifies them.
+relations (`_gr_slices`), taken from `linalg.base_snf`, the memo entry
+that its solves against the relations read as well; it reads each slice
+witness-free (`_read_slice`): its divisors, certified by L . A . R = D,
+and the columns of R and rows of R^-1 that the mu_j products and the lift
+read.  No slice builds or verifies a witness of its own; the final check
+of the assembled map certifies them.
 `gr_p` keeps the defining presentation, the kernel of [p^j; R; p^{j+1}],
 one slice at a time: it presents the `NotElementary` certificate, serves
 the lemma checks in `breuil_kisin`, and is the reference the tests hold the
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
-from .linalg import (Mat, expand_matrix, invert, kernel_left, kernel_left_parts,
-                     smith_normal_form, solve_left, solve_left_mod)
+from .linalg import (Mat, base_snf, expand_matrix, invert, kernel_left, kernel_left_parts,
+                     solve_left, solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
     ElementaryDivisors,
@@ -107,8 +109,8 @@ def _gr_slices(m):
     s1 = _s1_of(ring)
     g, mlen, p = m.gens, ring.mlen, ring.p
     scalar = ring.scalar
+    snf = base_snf(m.relations, ring)
     r_exp = expand_matrix(m.relations, ring)
-    snf = smith_normal_form(r_exp, scalar)
     ks = [k for k, d in enumerate(snf.divisors) if not scalar.is_zero(d)]
     lr = snf.left.take_rows(ks).mul(r_exp, scalar)
     rows = []  # (v_k, row k of U^-1 mod p as g entries of S1)

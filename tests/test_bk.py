@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from truncalg.bkrandom import random_mod_s1_leaf, random_tower, scramble_node
+from truncalg.bkrandom import (
+    extend_by_mod_s1,
+    random_mod_s1_leaf,
+    random_tower,
+    scramble_node,
+)
 from truncalg.breuil_kisin import (
     BKModule,
     HeightCertificate,
@@ -27,6 +32,7 @@ from truncalg.breuil_kisin import (
     untwist,
     verify_tower,
 )
+from truncalg.cli import run_job
 from truncalg.errors import HypothesisUnmetError, PrecisionError, UnsupportedRingError
 from truncalg.linalg import Mat
 from truncalg.modules import (
@@ -36,7 +42,8 @@ from truncalg.modules import (
     is_zero_module,
     module_map,
 )
-from truncalg.rings import TruncatedBK, TruncatedPowerSeries
+from truncalg.rings import EisensteinSpec, TruncatedBK, TruncatedPowerSeries
+from truncalg.schemas import matrix_to_json, module_to_json
 from truncalg.smodules import NotElementary, gr_p
 
 BK = TruncatedBK(3, 3, 4)
@@ -269,14 +276,81 @@ def test_structure_theorem_random_towers(p):
         assert ok, why
         res = structure_check(tw.bk, 1, tower=tw)
         assert res.hypothesis_met
-        assert res.elementary is not None
-        pred_free = res.gr_ranks[-1]
-        exps = []
-        for j in range(1, len(res.gr_ranks)):
-            exps.extend([j] * (res.gr_ranks[j - 1] - res.gr_ranks[j]))
-        got = sorted(tw.bk.ring.p_valuation(d) for d in res.elementary.torsion_divisors)
-        assert got == sorted(exps)
-        assert res.elementary.free_rank == pred_free
+        _assert_exponents_match_gr_ranks(tw, res)
+
+
+def _assert_exponents_match_gr_ranks(tw, res):
+    """The decomposition's torsion exponents and free rank are the ones the
+    gr_p ranks predict: gr rank drops from j-1 to j count exponent j."""
+    assert res.elementary is not None
+    exps = []
+    for j in range(1, len(res.gr_ranks)):
+        exps.extend([j] * (res.gr_ranks[j - 1] - res.gr_ranks[j]))
+    got = sorted(tw.bk.ring.p_valuation(d) for d in res.elementary.torsion_divisors)
+    assert got == sorted(exps)
+    assert res.elementary.free_rank == res.gr_ranks[-1]
+
+
+def _ramified_tower(p, coeffs, r, rng, m=None):
+    """A scrambled depth-2 tower of p-killed layers over TruncatedBK(p, 2, M)
+    with Eisenstein polynomial coeffs (constant term first), M = e*r*p + 1
+    unless given: phi entries E^t with t <= r have z-degree at most e*r,
+    below the Frobenius trusted precision ceil(M/p) = e*r + 1."""
+    e = len(coeffs) - 1
+    ring = TruncatedBK(p, 2, m or e * r * p + 1, EisensteinSpec(coeffs, e))
+    node = random_mod_s1_leaf(ring, rng, r=r)
+    node = extend_by_mod_s1(node, random_mod_s1_leaf(ring, rng, r=r), rng)
+    return scramble_node(node, rng)
+
+
+def _bk_json(bk):
+    return {"module": module_to_json(bk.module), "phi": matrix_to_json(bk.phi.matrix, bk.ring),
+            "height_window": list(bk.height_window)}
+
+
+def _tower_json(node):
+    out = {"kind": node.kind, "bk": _bk_json(node.bk)}
+    if node.kind == "extension":
+        out.update(sub=_tower_json(node.sub), quot=_tower_json(node.quot),
+                   incl=matrix_to_json(node.incl.matrix, node.bk.ring),
+                   proj=matrix_to_json(node.proj.matrix, node.bk.ring))
+    return out
+
+
+# The gate is e*r < p-1, in `structure_check` and `_kernel_cokernel`.  The
+# paper's ramified hypothesis reads 2e*dim < p-1; how the height r relates
+# to dim is left to the paper (compare Bhatt-Morrow-Scholze, "Integral
+# p-adic Hodge theory", 2018), so these towers test the gate as coded.
+@pytest.mark.parametrize("p,coeffs,count", [
+    (5, (-5, 5, 1), 4),      # E = z^2 + 5z - 5, e = 2, M = 11
+    (7, (-7, 0, 0, 1), 3),   # E = z^3 - 7, e = 3, M = 22
+], ids=["p5_e2", "p7_e3"])
+def test_ramified_towers_meeting_the_gate_decompose(p, coeffs, count):
+    rng = random.Random(2024)
+    for _ in range(count):
+        tw = _ramified_tower(p, coeffs, 1, rng)
+        res = structure_check(tw.bk, 1, tower=tw)
+        assert res.hypothesis_met
+        _assert_exponents_match_gr_ranks(tw, res)
+
+
+def test_ramified_towers_beyond_the_gate_are_exploration():
+    """p = 5, e = 2, r = 2: e*r = p-1, so the hypothesis is not met."""
+    rng = random.Random(2024)
+    for _ in range(2):
+        tw = _ramified_tower(5, (-5, 5, 1), 2, rng)
+        assert not structure_check(tw.bk, 2, tower=tw).hypothesis_met
+
+
+def test_ramified_tower_below_the_trusted_precision_is_refused():
+    """E = z^3 - 11 at M = 23 < e*r*p + 1: phi's z-degree 3 reaches the
+    trusted precision ceil(23/11) = 3, and the CLI exits 3."""
+    tw = _ramified_tower(11, (-11, 0, 0, 1), 1, random.Random(2024), m=23)
+    with pytest.raises(PrecisionError, match="z-degree 3 .* trusted precision 3"):
+        structure_check(tw.bk, 1, tower=tw)
+    report, code = run_job({"command": "bk-structure", "input": {
+        "bk": _bk_json(tw.bk), "r": 1, "tower": _tower_json(tw)}})
+    assert code == 3 and report["exit_code"] == 3
 
 
 def test_random_tower_inclusions_are_injective():

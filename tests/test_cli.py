@@ -534,3 +534,24 @@ def test_corpus_type_mutants_are_schema_errors():
                 if integer and type(value) in (float, bool):
                     assert code == 1 and report["error_kind"] == "schema", where
     assert count > 3000
+
+
+def test_schema_documents_match_the_generator():
+    """docs/schemas is what scripts/gen_schemas.py writes, and the
+    base-change spec lists exactly the kinds the library dispatches on."""
+    import importlib.util
+
+    from truncalg.modules import BASE_CHANGE_KINDS
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    spec = importlib.util.spec_from_file_location(
+        "gen_schemas", os.path.join(root, "scripts", "gen_schemas.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs_dir = os.path.join(root, "docs", "schemas")
+    assert sorted(os.listdir(docs_dir)) == sorted(f"{n}.schema.json" for n, _ in gen.DOCUMENTS)
+    for name, doc in gen.DOCUMENTS:
+        with open(os.path.join(docs_dir, f"{name}.schema.json")) as fh:
+            assert fh.read() == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
+    docs = dict(gen.DOCUMENTS)
+    assert docs["base_change_spec"]["properties"]["kind"]["enum"] == list(BASE_CHANGE_KINDS)

@@ -10,9 +10,9 @@ from truncalg.linalg import (
     Mat,
     SNFResult,
     _snf_chain,
-    _snf_memo,
     _Worker,
     _xgcd,
+    base_snf,
     expand_matrix,
     expand_rows,
     invert,
@@ -364,7 +364,7 @@ def test_snf_localized_matches_fraction_reference_on_lambda_expansions():
             for _ in range(cols)] for _ in range(rows)])
         expanded = expand_matrix(m, lam)
         assert_same_snf(expanded, base)
-        memo = _snf_memo(lam, m)
+        memo = base_snf(m, lam)
         ref = reference_snf_localized(expanded, base)
         assert (memo.left, memo.right, memo.divisors) == (ref.left, ref.right, ref.divisors)
 
@@ -584,15 +584,15 @@ def test_zero_dimension_edges():
 
 
 @pytest.mark.parametrize("ring", [Z2_6, Z3_4, S1, ZL2], ids=lambda r: type(r).__name__)
-def test_snf_memo_cold_equals_warm(ring):
+def testbase_snf_cold_equals_warm(ring):
     rng = random.Random(23)
     for _ in range(10):
         m = random_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4))
-        _snf_memo.cache_clear()
+        base_snf.cache_clear()
         cold = smith_normal_form(m, ring)
-        hits = _snf_memo.cache_info().hits
+        hits = base_snf.cache_info().hits
         warm = smith_normal_form(m, ring)
-        assert _snf_memo.cache_info().hits == hits + 1
+        assert base_snf.cache_info().hits == hits + 1
         assert warm == cold
         assert cold.verify(m, ring) and warm.verify(m, ring)
 
@@ -613,21 +613,21 @@ def test_expansion_solve_memo_cold_equals_warm(ring, monkeypatch):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         a = random_matrix(ring, rng, rows, cols)
         b = random_matrix(ring, rng, 2, rows).mul(a, ring)
-        _snf_memo.cache_clear()
+        base_snf.cache_clear()
         cold = solve_left(a, b, ring)
         cold_kernel = kernel_left(a, ring)
         assert len(expansions) == 1
-        hits = _snf_memo.cache_info().hits
+        hits = base_snf.cache_info().hits
         warm = solve_left(a, b, ring)
         warm_kernel = kernel_left(a, ring)
-        assert _snf_memo.cache_info().hits == hits + 2
+        assert base_snf.cache_info().hits == hits + 2
         assert len(expansions) == 1
         assert warm == cold and cold.mul(a, ring) == b
         assert warm_kernel == cold_kernel and cold_kernel.mul(a, ring).is_zero(ring)
         expansions.clear()
 
 
-def test_snf_memo_result_is_the_callers_own():
+def testbase_snf_result_is_the_callers_own():
     ring = TruncatedPadic(2, 5)
     m = mk(ring, [[4, 2], [6, 8]])
     first = smith_normal_form(m, ring)
@@ -640,21 +640,21 @@ def test_snf_memo_result_is_the_callers_own():
     assert again.verify(m, ring)
 
 
-def test_snf_memo_evicts_and_stays_correct():
+def testbase_snf_evicts_and_stays_correct():
     """More distinct inputs than the memo holds: evicted entries are
     recomputed with the same result."""
     rng = random.Random(31)
     mats = [random_matrix(Z2_6, rng, 3, 3) for _ in range(40)]
     assert len(set(mats)) == 40
-    _snf_memo.cache_clear()
+    base_snf.cache_clear()
     first = [smith_normal_form(m, Z2_6) for m in mats]
-    assert _snf_memo.cache_info().currsize < 40
+    assert base_snf.cache_info().currsize < 40
     for m, res in zip(mats, first):
         again = smith_normal_form(m, Z2_6)
         assert again == res and again.verify(m, Z2_6)
 
 
-def test_snf_memo_shared_by_threads():
+def testbase_snf_shared_by_threads():
     """Threads sharing the memo (the memo is documented as thread-safe), with
     eviction and a short switch interval, all get the single-threaded results."""
     import sys
@@ -662,7 +662,7 @@ def test_snf_memo_shared_by_threads():
 
     rng = random.Random(37)
     mats = [random_matrix(Z3_4, rng, 3, 3) for _ in range(40)]
-    _snf_memo.cache_clear()
+    base_snf.cache_clear()
     expected = [smith_normal_form(m, Z3_4) for m in mats]
 
     def work(seed):

@@ -18,6 +18,7 @@ from truncalg.local_global import (
 from truncalg.modules import (
     PresentedModule,
     adaptive_precision,
+    completion_precision,
     direct_sum,
     is_zero_map,
     module_map,
@@ -149,8 +150,9 @@ def test_complete_ses_precision_reads_the_quotient():
 
 def test_completion_precision_reads_torsion():
     """Lambda/(3^6), presented by [[27, 1], [0, 27]], shows no coefficient
-    of 3-valuation above 3; its content 3^6 sets the completed precision,
-    so the nonzero endomorphism 3^5 times a generator stays nonzero at 3."""
+    of 3-valuation above 3; its torsion exponent 6 sets the completed
+    precision, so the nonzero endomorphism 3^5 times a generator stays
+    nonzero at 3."""
     m = PresentedModule(LAM, 2, Mat(2, 2, [[LAM.from_int(27), LAM.one],
                                           [LAM.zero, LAM.from_int(27)]]))
     f = module_map(m, m, Mat(2, 2, [[LAM.zero, LAM.from_int(-9)], [LAM.zero, LAM.zero]]))
@@ -166,6 +168,24 @@ def test_completion_precision_reads_torsion():
         "source": mod, "target": mod, "matrix": [[[0, 0], [-9, 0]], [[0, 0], [0, 0]]]}}})
     assert code == 0
     assert report["verdicts"]["is_zero"] is False and report["verdicts"]["witness_prime"] == 3
+
+
+def test_completion_precision_reads_torsion_deepened_by_q_minus_one():
+    """Lambda/(q-1+27) over (q-1)^2 is Z/3^6 at 3 (q-1 acts as -27), though
+    no coefficient and no constant-term divisor has 3-valuation above 3;
+    the expanded relations' divisor 3^6 sets the precision, so 9(q-1),
+    which is -3^5 there, stays nonzero at 3."""
+    m = PresentedModule.cyclic(LAM, LAM.add(LAM.q_minus_one(), LAM.from_int(27)))
+    nine_q = LAM.mul(LAM.from_int(9), LAM.q_minus_one())
+    f = module_map(m, m, Mat(1, 1, [[nine_q]]))
+    assert completion_precision(3, [m], [f.matrix]) == 8
+    rep = zero_local_global(f)
+    assert rep.witness_prime == 3 and not rep.local_zero[3]
+    mod = {"ring": {"family": "TruncatedLambda", "inverted_primes": [2], "M": 2},
+           "generators": 1, "relations": [[[27, 1]]]}
+    report, code = run_job({"command": "lambda-zero", "input": {"map": {
+        "source": mod, "target": mod, "matrix": [[[0, 9]]]}}})
+    assert code == 0 and report["verdicts"]["witness_prime"] == 3
 
 
 def test_vanishing_completion_at_first_support_prime_is_inconsistent(monkeypatch):

@@ -228,14 +228,14 @@ def test_elementary_divisors_check_the_snf(monkeypatch):
     refuses it instead of reading Z/4 + Z/4 off Z/2 + Z/4."""
     m = PresentedModule(ZP26, 2, Mat(2, 2, [[2, 4], [6, 8]]))
     assert elementary_divisors(m).exponents() == [1, 2]
-    memo = linalg._snf_memo
+    memo = linalg.base_snf
 
-    def corrupted(ring, mat):
-        snf = memo(ring, mat)
+    def corrupted(mat, ring):
+        snf = memo(mat, ring)
         return SNFResult(snf.left, snf.right,
                          [ring.mul(ring.from_int(2), snf.divisors[0])] + snf.divisors[1:])
 
-    monkeypatch.setattr(linalg, "_snf_memo", corrupted)
+    monkeypatch.setattr(linalg, "base_snf", corrupted)
     with pytest.raises(InternalInconsistencyError, match="L . A . R = D"):
         elementary_divisors(m)
     with pytest.raises(InternalInconsistencyError):

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from truncalg import modules, smodules
+from truncalg import linalg, modules, smodules
 from truncalg.bkrandom import random_tower, scrambled_elementary
 from truncalg.errors import InternalInconsistencyError, UnsupportedRingError
-from truncalg.linalg import Mat, invert
+from truncalg.linalg import Mat, expand_matrix, invert
 from truncalg.modules import (
     ElementaryDecomposition,
     PresentedModule,
@@ -247,6 +247,29 @@ def test_decompose_reads_slices_without_witnesses(monkeypatch, ring, max_torsion
         got = sorted(ring.p_valuation(d) for d in dec.torsion_divisors)
         assert (dec.free_rank, got) == (m, exps)
         assert calls == {"verify": 1, "module_map": 2}
+
+
+def test_decompose_factors_the_expanded_relations_once(monkeypatch):
+    """The gr_p slices and the later solves against the relations read one
+    memo entry: the expansion of the relations is factored once, and no
+    SNF input repeats."""
+    inputs = []
+    real = linalg._snf_chain
+
+    def recording(mat, ring):
+        inputs.append(mat)
+        return real(mat, ring)
+
+    monkeypatch.setattr(linalg, "_snf_chain", recording)
+    ring = TruncatedBK(3, 2, 4)
+    rng = random.Random(5)
+    for _ in range(3):
+        mod = scrambled_elementary(ring, rng)[0]
+        linalg.base_snf.cache_clear()
+        inputs.clear()
+        decompose_over_s(mod)
+        assert inputs.count(expand_matrix(mod.relations, ring)) == 1
+        assert len(set(inputs)) == len(inputs)
 
 
 def _corrupting_reader(real, s1, hits):
