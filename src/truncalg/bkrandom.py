@@ -14,6 +14,7 @@ from .breuil_kisin import (
     leaf,
     make_bk_module,
 )
+from .errors import NotWellDefinedError
 from .linalg import Mat, invert, solve_left_mod
 from .modules import PresentedModule, is_injective, module_map
 from .rings import TruncatedBK
@@ -94,42 +95,25 @@ def extend_by_mod_s1(base_node, q_leaf, rng, attempts=8):
             else:
                 cmat = Mat(gq, ga, [[ring.from_int(rng.randrange(ring.scalar.modulus))
                                      for _ in range(ga)] for _ in range(gq)])
-        rel_rows = []
-        for row in b.module.relations.data:
-            rel_rows.append(list(row) + [ring.zero] * gq)
-        for i in range(gq):
-            qrel = [ring.zero] * gq
-            qrel[i] = ring.from_int(p)
-            rel_rows.append(list(cmat.data[i]) + qrel)
-        mod = PresentedModule(ring, ga + gq, Mat(len(rel_rows), ga + gq, rel_rows))
+        rel = Mat.block([[b.module.relations, Mat.zero(b.module.relations.rows, gq, ring)],
+                         [cmat, Mat.identity(gq, ring).scale(ring.from_int(p), ring)]])
+        mod = PresentedModule(ring, ga + gq, rel)
         # phi block [[phi_b, 0], [X, phi_q]] with X solved for well-definedness:
         # p X = phi_q . C - frob(C) . phi_b  modulo the base relations
         rhs = q.phi.matrix.mul(cmat, ring).sub(
             frob_matrix(cmat, ring).mul(b.phi.matrix, ring), ring)
         pid = Mat.identity(ga, ring).scale(ring.from_int(p), ring)
-        extra = b.module.relations
-        sol = solve_left_mod(pid, rhs, extra, ring)
+        sol = solve_left_mod(pid, rhs, b.module.relations, ring)
         if sol is None:
             continue
-        x = sol[0]
-        phi_rows = []
-        for i in range(ga):
-            phi_rows.append(list(b.phi.matrix.data[i]) + [ring.zero] * gq)
-        for i in range(gq):
-            phi_rows.append(list(x.data[i]) + list(q.phi.matrix.data[i]))
+        phi = Mat.block([[b.phi.matrix, Mat.zero(ga, gq, ring)], [sol[0], q.phi.matrix]])
         try:
-            bk = make_bk_module(mod, Mat(ga + gq, ga + gq, phi_rows), b.height_window)
-        except Exception:
-            continue
-        inc_rows = [[ring.one if j == i else ring.zero for j in range(ga + gq)]
-                    for i in range(ga)]
-        prj_rows = [[ring.zero] * gq for _ in range(ga)] + \
-                   [[ring.one if j == i else ring.zero for j in range(gq)]
-                    for i in range(gq)]
-        try:
-            incl = module_map(b.module, mod, Mat(ga, ga + gq, inc_rows))
-            proj = module_map(mod, q.module, Mat(ga + gq, gq, prj_rows))
-        except Exception:
+            bk = make_bk_module(mod, phi, b.height_window)
+            incl = module_map(b.module, mod, Mat.block(
+                [[Mat.identity(ga, ring), Mat.zero(ga, gq, ring)]]))
+            proj = module_map(mod, q.module, Mat.block(
+                [[Mat.zero(ga, gq, ring)], [Mat.identity(gq, ring)]]))
+        except NotWellDefinedError:
             continue
         # combinations of the new relations rows can kill base elements when
         # the mixing block is nonzero; the last attempt's zero block cannot
@@ -145,20 +129,13 @@ def extend_by_free(base_node, f_leaf, rng):
     f = f_leaf.bk
     ring = b.ring
     ga, gf = b.module.gens, f.module.gens
-    rel_rows = [list(row) + [ring.zero] * gf for row in b.module.relations.data]
-    mod = PresentedModule(ring, ga + gf, Mat(len(rel_rows), ga + gf, rel_rows))
-    phi_rows = [list(b.phi.matrix.data[i]) + [ring.zero] * gf for i in range(ga)]
-    phi_rows += [[ring.zero] * ga + list(f.phi.matrix.data[i]) for i in range(gf)]
-    bk = make_bk_module(mod, Mat(ga + gf, ga + gf, phi_rows), b.height_window)
-    incl = module_map(b.module, mod,
-                      Mat(ga, ga + gf,
-                          [[ring.one if j == i else ring.zero for j in range(ga + gf)]
-                           for i in range(ga)]))
-    proj = module_map(mod, f.module,
-                      Mat(ga + gf, gf,
-                          [[ring.zero] * gf for _ in range(ga)] +
-                          [[ring.one if j == i else ring.zero for j in range(gf)]
-                           for i in range(gf)]))
+    rel = b.module.relations
+    mod = PresentedModule(ring, ga + gf, Mat.block([[rel, Mat.zero(rel.rows, gf, ring)]]))
+    phi = Mat.block([[b.phi.matrix, Mat.zero(ga, gf, ring)],
+                     [Mat.zero(gf, ga, ring), f.phi.matrix]])
+    bk = make_bk_module(mod, phi, b.height_window)
+    incl = module_map(b.module, mod, Mat.block([[Mat.identity(ga, ring), Mat.zero(ga, gf, ring)]]))
+    proj = module_map(mod, f.module, Mat.block([[Mat.zero(ga, gf, ring)], [Mat.identity(gf, ring)]]))
     return extension_node(bk, base_node, incl, f_leaf, proj)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InternalInconsistencyError, SchemaError
-from .linalg import Mat, kernel_left_parts, smith_normal_form, solve_left_mod
+from .linalg import Mat, kernel_left, smith_normal_form, solve_left_mod
 from .modules import (
     PresentedModule,
     elementary_divisors,
@@ -24,6 +24,7 @@ from .modules import (
     is_surjective,
     module_map,
     subquotient_coordinates,
+    subquotient_presentation,
     verify_exact_at,
 )
 from .rings import LocalizedIntegers, factorint, primerange
@@ -106,20 +107,11 @@ def wedge(x, y):
         raise SchemaError("wedge needs single-0-cell complexes")
     top = max(len(x.cells), len(y.cells))
     cells = [1] + [x.cell_count(k) + y.cell_count(k) for k in range(1, top)]
-    bmats = []
-    for k in range(1, top):
-        tgt_x = x.cell_count(k - 1) if k >= 2 else 1
-        tgt_y = y.cell_count(k - 1) if k >= 2 else 0
-        rows = []
-        for i in range(x.cell_count(k)):
-            base = [0] if k == 1 else [int(v) for v in x.boundary(k).data[i]]
-            rows.append(base + [0] * (tgt_y if k >= 2 else 0))
-        for i in range(y.cell_count(k)):
-            if k == 1:
-                rows.append([0])
-            else:
-                rows.append([0] * tgt_x + [int(v) for v in y.boundary(k).data[i]])
-        bmats.append(rows)
+    bmats = [[[0]] * cells[1]] if top > 1 else []   # every 1-cell bounds the 0-cell
+    for k in range(2, top):
+        bx, by = x.boundary(k), y.boundary(k)
+        bmats.append(Mat.block([[bx, Mat.zero(bx.rows, by.cols, ZRING)],
+                                [Mat.zero(by.rows, bx.cols, ZRING), by]]).tolist())
     return make_cw(cells, bmats)
 
 
@@ -175,20 +167,9 @@ def denominator_bound(d):
 
 def _cohomology_presentation(x, j):
     """(presentation of H^j over Z, cocycle generator rows in C^j coords)."""
-    cj = x.cell_count(j)
-    delta_j = x.boundary(j + 1).transpose()      # C^j -> C^{j+1}
-    delta_prev = x.boundary(j).transpose()       # C^{j-1} -> C^j
-    if cj == 0:
-        return PresentedModule.zero(ZRING), Mat(0, 0, [])
-    if delta_j.cols == 0:
-        zrows = Mat.identity(cj, ZRING)
-    else:
-        zrows = kernel_left_parts([delta_j], ZRING)[0]
-    brows = delta_prev if delta_prev.rows else Mat(0, cj, [])
-    if zrows.rows == 0:
-        return PresentedModule.zero(ZRING), Mat(0, cj, [])
-    rel = kernel_left_parts([zrows, brows], ZRING)[0]
-    return PresentedModule(ZRING, zrows.rows, rel), zrows
+    zrows = kernel_left(x.boundary(j + 1).transpose(), ZRING)     # ker C^j -> C^{j+1}
+    cochains = PresentedModule.free(ZRING, x.cell_count(j))
+    return subquotient_presentation(cochains, zrows, x.boundary(j).transpose()), zrows
 
 
 def _group_of(m, inverted):
@@ -293,9 +274,7 @@ def _cohomology_with_reduction(xk, j, inverted):
 def _localize_presentation(m, inverted):
     if not inverted:
         return m
-    ring = LocalizedIntegers(tuple(inverted))
-    rows = [[Fraction(v) for v in row] for row in m.relations.data]
-    return PresentedModule(ring, m.gens, Mat(m.relations.rows, m.gens, rows))
+    return PresentedModule(LocalizedIntegers(tuple(inverted)), m.gens, m.relations)
 
 
 def _verify_pair_les(x, k, inverted):

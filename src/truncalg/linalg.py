@@ -77,6 +77,27 @@ class Mat:
         assert self.cols == other.cols
         return Mat(self.rows + other.rows, self.cols, self.data + other.data)
 
+    @staticmethod
+    def block(grid):
+        """Concatenate a grid of Mats (zero blocks given as `Mat.zero`): the
+        blocks of a grid row share a row count, those of a grid column a
+        column count."""
+        widths = [m.cols for m in grid[0]]
+        data = []
+        for brow in grid:
+            height = brow[0].rows
+            assert [m.cols for m in brow] == widths and all(m.rows == height for m in brow)
+            data.extend(sum((m.data[i] for m in brow), ()) for i in range(height))
+        return Mat(len(data), sum(widths), data)
+
+    def kron(self, other, ring):
+        """Kronecker product: a_ij * o_kl at (i * other.rows + k, j * other.cols + l)."""
+        mul, is_zero = ring.mul, ring.is_zero
+        zero_row = (ring.zero,) * other.cols
+        data = [[x for a in arow for x in (zero_row if is_zero(a) else [mul(a, o) for o in orow])]
+                for arow in self.data for orow in other.data]
+        return Mat(self.rows * other.rows, self.cols * other.cols, data)
+
     def transpose(self):
         return Mat(self.cols, self.rows,
                    [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -415,19 +436,18 @@ def base_snf(mat, ring):
     return _snf_chain(mat, ring)
 
 
-def _solve_snf(snf, b, ring, failures=None):
+def _solve_snf(snf, b, ring, failures):
     """X with X . mat = b given mat's SNF, or None. b a Mat of row targets.
     mat's shape is that of the witnesses: rows of `left`, columns of `right`.
 
-    When a list is passed as `failures`, unsolvable diagonal equations are
-    appended as (row, position, divisor, residue) and the scan continues, so
-    callers get a complete obstruction record.
+    Unsolvable diagonal equations are appended to the (empty) list
+    `failures` as (row, position, divisor, residue) and the scan continues,
+    so callers get a complete obstruction record.
     """
     rows, cols = snf.left.rows, snf.right.rows
     c = b.mul(snf.right, ring)
     ys = []
     ndiv = len(snf.divisors)
-    ok_all = True
     for i in range(b.rows):
         y = [ring.zero] * rows
         for j in range(cols):
@@ -435,19 +455,13 @@ def _solve_snf(snf, b, ring, failures=None):
             if j < ndiv:
                 q = ring.divide(cj, snf.divisors[j])
                 if q is None:
-                    ok_all = False
-                    if failures is None:
-                        return None
                     failures.append((i, j, snf.divisors[j], cj))
                 else:
                     y[j] = q
             elif not ring.is_zero(cj):
-                ok_all = False
-                if failures is None:
-                    return None
                 failures.append((i, j, ring.zero, cj))
         ys.append(y)
-    if not ok_all:
+    if failures:
         return None
     return Mat(b.rows, rows, ys).mul(snf.left, ring)
 

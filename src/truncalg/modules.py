@@ -68,14 +68,9 @@ class PresentedModule:
 
 def direct_sum(mods):
     ring = mods[0].ring
-    gens = sum(m.gens for m in mods)
-    rows = []
-    at = 0
-    for m in mods:
-        for r in m.relations.data:
-            rows.append([ring.zero] * at + list(r) + [ring.zero] * (gens - at - m.gens))
-        at += m.gens
-    return PresentedModule(ring, gens, Mat(len(rows), gens, rows))
+    rel = Mat.block([[m.relations if i == j else Mat.zero(m.relations.rows, n.gens, ring)
+                      for j, n in enumerate(mods)] for i, m in enumerate(mods)])
+    return PresentedModule(ring, rel.cols, rel)
 
 
 def module_from_divisors(ring, torsion_divisors, free_rank):
@@ -176,12 +171,8 @@ def _kernel_rows(f):
 
 def kernel(f):
     """(kernel module, inclusion into source). Redundant generators pruned."""
-    ring = f.source.ring
-    krows = prune_spanning_rows(_kernel_rows(f), f.source.relations, ring)
-    relparts = kernel_left_parts([krows, f.source.relations], ring) if krows.rows else [Mat(0, 0, [])]
-    kmod = PresentedModule(ring, krows.rows, relparts[0])
-    incl = module_map(kmod, f.source, krows, check=False)
-    return kmod, incl
+    krows = prune_spanning_rows(_kernel_rows(f), f.source.relations, f.source.ring)
+    return submodule_from_rows(f.source, krows)
 
 
 def image(f):
@@ -503,70 +494,37 @@ class SplitVerdict:
     obstruction: list = None
 
 
-def _hom_solve(source, target, post=None, pre=None):
-    """Find X: source -> target with
-         Rel_source . X = 0        in target      (well-definedness)
-         X . P = Q                 in module U    (post, optional)
-         P2 . X = Q2               in target      (pre, optional)
-    Returns (Mat | None, failures)."""
+def _hom_solve(source, target, left, right, urel):
+    """Find a well-defined X: source -> target with left . X . right = 1
+    modulo the rows of `urel`.  Returns (Mat | None, failures).
+
+    The unknowns are X row by row, then Y1 and Y2 in
+    Rel_source . X = Y1 . Rel_target and left . X . right - 1 = Y2 . urel;
+    by vec(L . X . R) = vec(X) . (L^T kron R) each equation block is a
+    Kronecker product."""
     ring = source.ring
     gs, gt = source.gens, target.gens
-    nvars = gs * gt
-    cols = []
-    rhs = []
-
-    def block(left, right, q, urel):
-        """Equations (left . X . right)[a][c] - (Y . urel)[a][c] = q[a][c]
-        in a fresh auxiliary unknown Y."""
-        nonlocal nvars
-        aux, ku = nvars, urel.rows
-        nvars += left.rows * ku
-        for a in range(left.rows):
-            for c in range(right.cols):
-                col = {}
-                for i, lc in enumerate(left.data[a]):
-                    if ring.is_zero(lc):
-                        continue
-                    for j in range(gt):
-                        rc = right.data[j][c]
-                        if not ring.is_zero(rc):
-                            col[i * gt + j] = ring.mul(lc, rc)
-                for s in range(ku):
-                    coeff = ring.neg(urel.data[s][c])
-                    if not ring.is_zero(coeff):
-                        col[aux + a * ku + s] = coeff
-                cols.append(col)
-                rhs.append(q.data[a][c])
-
-    ident_s, ident_t = Mat.identity(gs, ring), Mat.identity(gt, ring)
-    block(source.relations, ident_t, Mat.zero(source.relations.rows, gt, ring),
-          target.relations)
-    if post is not None:
-        pmat, qmat, umod = post
-        block(ident_s, pmat, qmat, umod.relations)
-    if pre is not None:
-        p2, q2 = pre
-        block(p2, ident_t, q2, target.relations)
-
-    neq = len(cols)
-    big = [[ring.zero] * neq for _ in range(nvars)]
-    for e, col in enumerate(cols):
-        for v, coeff in col.items():
-            big[v][e] = coeff
-    bigmat = Mat(nvars, neq, big)
-    bvec = Mat(1, neq, [rhs])
+    rs, rt, n, k = source.relations.rows, target.relations.rows, left.rows, right.cols
+    neg_one = ring.neg(ring.one)
+    bigmat = Mat.block([
+        [source.relations.transpose().kron(Mat.identity(gt, ring), ring),
+         left.transpose().kron(right, ring)],
+        [Mat.identity(rs, ring).kron(target.relations.scale(neg_one, ring), ring),
+         Mat.zero(rs * rt, n * k, ring)],
+        [Mat.zero(n * urel.rows, rs * gt, ring),
+         Mat.identity(n, ring).kron(urel.scale(neg_one, ring), ring)]])
+    bvec = Mat(1, bigmat.cols, [(ring.zero,) * (rs * gt) + sum(Mat.identity(n, ring).data, ())])
     sol, failures = solve_left_info(bigmat, bvec, ring)
     if sol is None:
         return None, failures
-    xmat = Mat(gs, gt, [sol.data[0][i * gt:(i + 1) * gt] for i in range(gs)])
-    return xmat, []
+    return Mat(gs, gt, [sol.data[0][i * gt:(i + 1) * gt] for i in range(gs)]), []
 
 
 def split_test(ses):
     """Section sigma with sigma . surject = id_C, or the obstruction record."""
-    xmat, failures = _hom_solve(
-        ses.c, ses.b,
-        post=(ses.surject.matrix, Mat.identity(ses.c.gens, ses.c.ring), ses.c))
+    c = ses.c
+    xmat, failures = _hom_solve(c, ses.b, Mat.identity(c.gens, c.ring), ses.surject.matrix,
+                                c.relations)
     if xmat is None:
         return SplitVerdict(False, obstruction=failures)
     section = module_map(ses.c, ses.b, xmat)
@@ -577,9 +535,9 @@ def split_test(ses):
 
 def retraction_test(incl):
     """Retraction rho with incl . rho = id on the submodule, or obstruction."""
-    xmat, failures = _hom_solve(
-        incl.target, incl.source,
-        pre=(incl.matrix, Mat.identity(incl.source.gens, incl.source.ring)))
+    a = incl.source
+    xmat, failures = _hom_solve(incl.target, a, incl.matrix, Mat.identity(a.gens, a.ring),
+                                a.relations)
     if xmat is None:
         return SplitVerdict(False, obstruction=failures)
     rho = module_map(incl.target, incl.source, xmat)

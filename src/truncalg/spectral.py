@@ -761,14 +761,16 @@ def _has_complement(f, big, small, a_set):
             reps.append(a)
             seen.update(f.add(a, b) for b in small)
     lines = [[f.subgroup([f.add(g, a)]) for a in reps] for g in gens]
+    return _extend_lifts(f, lines, sizes, small, 0)
 
-    def extend(span, j):
-        if j == len(gens):
+
+def _extend_lifts(f, lines, sizes, span, j):
+    """Whether span extends by one line per generator j, j + 1, ... with the
+    running span of size sizes[j] after generator j (see `_has_complement`)."""
+    if j == len(lines):
+        return True
+    for line in lines[j]:
+        nxt = {f.add(s, m) for s in span for m in line}
+        if len(nxt) == sizes[j] and _extend_lifts(f, lines, sizes, nxt, j + 1):
             return True
-        for line in lines[j]:
-            nxt = {f.add(s, m) for s in span for m in line}
-            if len(nxt) == sizes[j] and extend(nxt, j + 1):
-                return True
-        return False
-
-    return extend(small, 0)
+    return False

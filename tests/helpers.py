@@ -1,6 +1,9 @@
 """Shared random-instance generators for the test suite."""
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 from truncalg.bruteforce import enumerate_ring
 from truncalg.linalg import Mat, invert, solve_left_mod
@@ -155,3 +158,15 @@ def reference_verify_exact_at(incl, proj):
         return True
     return solve_left_mod(incl.matrix, kincl.matrix, incl.target.relations,
                           incl.source.ring) is not None
+
+
+def matrices_digest(mats):
+    """sha256 of a canonical JSON of the matrices' shapes and entries:
+    Fractions as strings, ring tuples as lists."""
+    def enc(x):
+        if isinstance(x, (tuple, list)):
+            return [enc(v) for v in x]
+        return str(x) if isinstance(x, Fraction) else x
+
+    payload = [[m.rows, m.cols, enc(m.data)] for m in mats]
+    return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()

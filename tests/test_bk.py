@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import matrices_digest
+from truncalg import bkrandom
 from truncalg.bkrandom import (
     extend_by_mod_s1,
     random_mod_s1_leaf,
@@ -361,6 +363,49 @@ def test_random_tower_inclusions_are_injective():
     tw = random_tower(p, rng, depth=depth, n=2, r=1)
     ok, why = verify_tower(tw, 1, bar=True)
     assert ok, why
+
+
+def _tower_matrices(node):
+    out = [node.bk.module.relations, node.bk.phi.matrix]
+    if node.kind == "extension":
+        out += [node.incl.matrix, node.proj.matrix]
+        out += _tower_matrices(node.sub) + _tower_matrices(node.quot)
+    return out
+
+
+# sha256 of every node matrix of random_tower(p, Random(s), depth=3): the
+# generator feeds the benchmark's tower_check pools, so a refactor of the
+# extension steps must leave the drawn towers as they are
+TOWER_DIGESTS = {
+    (3, 0): "035230e3eb2b8425e954d8a6e408f5e6433d9cb656e100ded2ef6db627e65fa6",
+    (3, 1): "55179ef977cb659c9e2b7549569a7eecf49298ae124a9630e11a1a995f55f093",
+    (3, 2): "8f21e71c9c784e71549fca980c96384791eaa3f7a2b2ffb1526bed7e0561368d",
+    (3, 3): "4df2dd66f05acebda1bcf9ec28cb87e100a206056eed8f0c2a7304d2b90843fa",
+    (5, 0): "528e090f886a1cca585efd3d1dee5ebde0765cc1268507852e3ce7241ee73a32",
+    (5, 1): "e941189e1a29d1ca39a60cc272badfd76fcf5cb54f3a392dadbd2b7846d28b1e",
+    (5, 2): "b6b88b553cc449897d5e5c81623c53142a2a18830e8c898c8327972367103ccc",
+    (5, 3): "50240d66f1631b89ab1c3abc9120b7698a1657dc26e53d83ab1d9a1a1808b7bc",
+}
+
+
+@pytest.mark.parametrize("p,seed", sorted(TOWER_DIGESTS))
+def test_random_tower_matrices_are_pinned(p, seed):
+    tw = random_tower(p, random.Random(seed), depth=3)
+    assert matrices_digest(_tower_matrices(tw)) == TOWER_DIGESTS[p, seed]
+
+
+def test_extend_by_mod_s1_raises_programming_errors(monkeypatch):
+    """Only a not-well-defined candidate costs an attempt: any other error
+    in the extension step propagates instead of changing the drawn tower."""
+    def broken(*args):
+        raise AssertionError("mis-shaped block")
+
+    rng = random.Random(5)
+    ring = TruncatedBK(3, 2, 4)
+    base, top = random_mod_s1_leaf(ring, rng), random_mod_s1_leaf(ring, rng)
+    monkeypatch.setattr(bkrandom, "make_bk_module", broken)
+    with pytest.raises(AssertionError, match="mis-shaped"):
+        extend_by_mod_s1(base, top, rng)
 
 
 def test_frobenius_compat_of_connecting_maps_random():

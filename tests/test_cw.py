@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import matrices_digest
 from truncalg.cw import (
     LocalizedAbelianGroup,
     chain_form,
@@ -165,3 +166,15 @@ def test_random_wedges_of_spheres():
         assert k.k0.rank == even and k.k1.rank == odd
         trace = skeletal_verification(x)
         assert all(n["exact"] for step in trace for n in step["nodes"])
+
+
+def test_wedge_boundaries_are_pinned():
+    """sha256 of the boundaries of every pairwise wedge of S^1, S^2, S^3,
+    RP^2, CP^2 and their suspensions: the wedges feed the benchmark's
+    lambda_cw pools, so a refactor of wedge must leave them as they are."""
+    base = [sphere(1), sphere(2), sphere(3), rp2(), cp2()]
+    spaces = base + [suspension(x) for x in base]
+    mats = [b for x in spaces for y in spaces for b in wedge(x, y).boundaries]
+    assert len(mats) == 353
+    assert matrices_digest(mats) == \
+        "820b48d707f4fe370d944277875946f1418c1056425ec2d9a8d1779ca2446980"

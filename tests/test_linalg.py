@@ -542,6 +542,46 @@ def test_invert():
     assert invert(mk(Z2_6, [[2]]), Z2_6) is None
 
 
+def test_block_concatenates_and_keeps_empty_blocks():
+    a, b = mk(Z2_6, [[1, 2]]), mk(Z2_6, [[3]])
+    c, d = Mat.zero(2, 2, Z2_6), mk(Z2_6, [[4], [5]])
+    assert Mat.block([[a, b], [c, d]]) == mk(Z2_6, [[1, 2, 3], [0, 0, 4], [0, 0, 5]])
+    # a 0-row grid row adds no rows; a 0-column grid column adds no columns
+    assert Mat.block([[a, b], [Mat.zero(0, 2, Z2_6), Mat.zero(0, 1, Z2_6)]]) == mk(Z2_6, [[1, 2, 3]])
+    got = Mat.block([[a, Mat.zero(1, 0, Z2_6)], [Mat.zero(2, 2, Z2_6), Mat.zero(2, 0, Z2_6)]])
+    assert got == mk(Z2_6, [[1, 2], [0, 0], [0, 0]])
+    empty = Mat.block([[Mat.zero(0, 0, Z2_6), Mat.zero(0, 3, Z2_6)]])
+    assert (empty.rows, empty.cols) == (0, 3)
+
+
+def test_block_refuses_mismatched_blocks():
+    a, b = mk(Z2_6, [[1, 2]]), mk(Z2_6, [[3], [4]])
+    with pytest.raises(AssertionError):
+        Mat.block([[a, b]])          # one grid row, different row counts
+    with pytest.raises(AssertionError):
+        Mat.block([[a], [b]])        # one grid column, different column counts
+
+
+@pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)
+def test_kron_index_law(ring):
+    rng = random.Random(41)
+    for ar, ac, orows, ocols in [(2, 3, 2, 1), (1, 1, 3, 2), (0, 2, 2, 2), (2, 0, 1, 3),
+                                 (2, 2, 0, 1), (3, 1, 2, 0)]:
+        a, o = random_matrix(ring, rng, ar, ac), random_matrix(ring, rng, orows, ocols)
+        k = a.kron(o, ring)
+        assert (k.rows, k.cols) == (ar * orows, ac * ocols)
+        for i in range(ar):
+            for j in range(ac):
+                for r in range(orows):
+                    for c in range(ocols):
+                        assert k.data[i * orows + r][j * ocols + c] == \
+                            ring.mul(a.data[i][j], o.data[r][c])
+    # the Kronecker product with an identity is block diagonal
+    a = random_matrix(ring, rng, 2, 2)
+    zero = Mat.zero(2, 2, ring)
+    assert Mat.identity(2, ring).kron(a, ring) == Mat.block([[a, zero], [zero, a]])
+
+
 from hypothesis import given, settings, strategies as st
 
 

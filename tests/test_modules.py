@@ -6,7 +6,7 @@ import pytest
 from helpers import reference_verify_exact_at
 from truncalg.bruteforce import FiniteModule
 from truncalg.bkrandom import scrambled_elementary
-from truncalg import linalg
+from truncalg import linalg, modules
 from truncalg.errors import (
     InternalInconsistencyError,
     NotElementaryError,
@@ -328,6 +328,102 @@ def test_retraction_test():
     big = PresentedModule.cyclic(ring, 4)
     incl2 = module_map(PresentedModule.cyclic(ring, 2), big, Mat(1, 1, [[2]]))
     assert not retraction_test(incl2).split
+
+
+def reference_hom_system(source, target, post=None, pre=None):
+    """The Hom system as the column-by-column assembly built it before the
+    Kronecker form: (matrix, right-hand side), unknowns X row by row, then
+    one auxiliary block per equation block."""
+    ring = source.ring
+    gs, gt = source.gens, target.gens
+    nvars = gs * gt
+    cols, rhs = [], []
+
+    def block(left, right, q, urel, nvars):
+        aux, ku = nvars, urel.rows
+        for a in range(left.rows):
+            for c in range(right.cols):
+                col = {}
+                for i, lc in enumerate(left.data[a]):
+                    if ring.is_zero(lc):
+                        continue
+                    for j in range(gt):
+                        rc = right.data[j][c]
+                        if not ring.is_zero(rc):
+                            col[i * gt + j] = ring.mul(lc, rc)
+                for s in range(ku):
+                    coeff = ring.neg(urel.data[s][c])
+                    if not ring.is_zero(coeff):
+                        col[aux + a * ku + s] = coeff
+                cols.append(col)
+                rhs.append(q.data[a][c])
+        return nvars + left.rows * ku
+
+    nvars = block(source.relations, Mat.identity(gt, ring),
+                  Mat.zero(source.relations.rows, gt, ring), target.relations, nvars)
+    if post is not None:
+        pmat, qmat, umod = post
+        nvars = block(Mat.identity(gs, ring), pmat, qmat, umod.relations, nvars)
+    if pre is not None:
+        p2, q2 = pre
+        nvars = block(p2, Mat.identity(gt, ring), q2, target.relations, nvars)
+    big = [[ring.zero] * len(cols) for _ in range(nvars)]
+    for e, col in enumerate(cols):
+        for v, coeff in col.items():
+            big[v][e] = coeff
+    return Mat(nvars, len(cols), big), Mat(1, len(cols), [rhs])
+
+
+def _random_elt(ring, rng):
+    if isinstance(ring, LocalizedIntegers):
+        return Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), 2 ** rng.randint(0, 2))
+    if isinstance(ring, TruncatedPadic):
+        return ring.from_int(rng.choice([0, rng.randrange(ring.modulus)]))
+    s = ring.scalar
+    if isinstance(ring, TruncatedLambda):
+        return ring.from_coeffs([Fraction(rng.choice([0, rng.randint(-6, 6)]))
+                                 for _ in range(ring.mlen)])
+    return ring.from_coeffs([s.from_int(rng.choice([0, rng.randrange(s.modulus)]))
+                             for _ in range(ring.mlen)])
+
+
+def _random_module(ring, rng):
+    g = rng.randint(0, 2)
+    rows = [[_random_elt(ring, rng) for _ in range(g)] for _ in range(rng.randint(0, 2))]
+    return PresentedModule(ring, g, Mat(len(rows), g, rows))
+
+
+@pytest.mark.parametrize("ring", [ZP26, TruncatedPowerSeries(3, 2), TruncatedBK(3, 2, 2),
+                                  LocalizedIntegers((2,)), LAM], ids=lambda r: type(r).__name__)
+def test_hom_system_matches_column_assembly(monkeypatch, ring):
+    """`_hom_solve` hands the solver the matrix and right-hand side of the
+    column-by-column assembly, entry for entry, on split-shaped
+    (1_C, beta, Rel_C) and retraction-shaped (iota, 1_A, Rel_A) inputs,
+    including 0-generator modules and 0-row relations."""
+    seen = []
+
+    def record(mat, b, ring):
+        seen.append((mat, b))
+        return None, []
+
+    monkeypatch.setattr(modules, "solve_left_info", record)
+    rng = random.Random(53)
+    shapes = set()
+    for _ in range(40):
+        a, b = _random_module(ring, rng), _random_module(ring, rng)
+        f = Mat(a.gens, b.gens, [[_random_elt(ring, rng) for _ in range(b.gens)]
+                                 for _ in range(a.gens)])
+        # split-shaped: C = a, B = b, beta = a b.gens x a.gens matrix
+        beta = f.transpose()
+        assert modules._hom_solve(a, b, Mat.identity(a.gens, ring), beta, a.relations) == (None, [])
+        want = reference_hom_system(a, b, post=(beta, Mat.identity(a.gens, ring), a))
+        assert seen.pop() == want
+        # retraction-shaped: iota = f from A = a into B = b, solving B -> A
+        assert modules._hom_solve(b, a, f, Mat.identity(a.gens, ring), a.relations) == (None, [])
+        want = reference_hom_system(b, a, pre=(f, Mat.identity(a.gens, ring)))
+        assert seen.pop() == want
+        shapes.add((a.gens, a.relations.rows, b.gens, b.relations.rows))
+    assert any(0 in s[::2] for s in shapes) and any(0 in s[1::2] for s in shapes)
 
 
 def test_glue_splitting():
