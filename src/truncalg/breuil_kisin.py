@@ -470,7 +470,7 @@ def make_bk_ses(a, b, c, inject_matrix, surject_matrix):
     ses = BKSes(a, b, c, inj.map, sur.map)
     err = validate_ses(ses)
     if err:
-        raise HypothesisUnmetError(f"not a BK short exact sequence: {err}")
+        raise HypothesisUnmetError(f"not a BK short exact sequence: {err[1]}")
     return ses
 
 
@@ -577,7 +577,11 @@ class StructureResult:
 def structure_check(b, r, tower=None):
     """Run the structure pipeline: certify gr slices (when a tower is given),
     then decompose.  Under e*r < p-1 a decomposition failure is
-    theorem-contradicting and raised; otherwise it is reported."""
+    theorem-contradicting and raised; otherwise it is reported.
+
+    The gate is e*r < p-1 as coded; the paper's ramified hypothesis reads
+    2e*dim < p-1, and how the height r relates to dim is left to the paper
+    (compare Bhatt-Morrow-Scholze, "Integral p-adic Hodge theory", 2018)."""
     ring = b.ring
     e = ring.eisenstein.ramification_e
     hypothesis_met = e * r < ring.p - 1

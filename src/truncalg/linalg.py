@@ -3,14 +3,22 @@
 Everything is row-convention: vectors are rows, a map R^g -> R^h is a g x h
 matrix A acting by x |-> x . A.
 
-Smith normal forms are computed directly over the chain rings (minimal
-valuation pivoting, deterministic row-major tie-break) and over Z[1/S]
-(integer reduction with Bezout steps on Python ints, S-unit factors stripped
-from the divisors; Fractions are built only in the result, so the result is
-as exact as a Fraction elimination's).  TruncatedBK and TruncatedLambda
-matrices are expanded by restriction of scalars to their base ring: a
-T-linear map is base-linear, and solutions/kernels reassemble because the
-coordinate identification T^g = base^(g*M) is a base-module isomorphism.
+There is one Smith normal form kernel per base ring:
+
+  Z/p^N        `_snf_padic`, on Python ints: minimal-valuation pivoting with
+               a deterministic row-major tie-break, each step x + c*y mod p^N;
+  F_p[z]/z^M   `_snf_chain`, the same pivoting through the chain worker's
+               ring calls;
+  Z[1/S]       `_snf_localized`, on Python ints: integer reduction with
+               Bezout steps, S-unit factors stripped from the divisors;
+               Fractions are built only in the result, so the result is as
+               exact as a Fraction elimination's.
+
+Over Z/p^N, `Mat.mul` and the solve's division by a divisor p^v run on ints
+as well.  TruncatedBK and TruncatedLambda matrices are expanded by
+restriction of scalars to their base ring: a T-linear map is base-linear,
+and solutions/kernels reassemble because the coordinate identification
+T^g = base^(g*M) is a base-module isomorphism.
 One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
 the SNFs; a BK or Lambda matrix is expanded only when its key misses.
 """
@@ -25,7 +33,7 @@ from math import lcm
 from types import SimpleNamespace
 
 from .errors import UnsupportedRingError
-from .rings import LocalizedIntegers, base_ring_of, is_expansion_ring
+from .rings import LocalizedIntegers, TruncatedPadic, base_ring_of, is_expansion_ring
 
 
 class Mat:
@@ -56,11 +64,22 @@ class Mat:
 
     def mul(self, other, ring):
         """Row by row: output row i sums a[i][k] * (row k of other) over the
-        nonzero a[i][k]."""
+        nonzero a[i][k].  Over Z/p^N the sums are of raw int products, and
+        each output entry is reduced once."""
         assert self.cols == other.rows, f"shape mismatch {self.cols} != {other.rows}"
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
         zero_row = (ring.zero,) * other.cols
         out = []
+        if isinstance(ring, TruncatedPadic):
+            q = ring.modulus
+            for arow in self.data:
+                acc = None
+                for a, orow in zip(arow, other.data):
+                    if a:
+                        acc = ([a * y for y in orow] if acc is None
+                               else [x + a * y for x, y in zip(acc, orow)])
+                out.append(zero_row if acc is None else [x % q for x in acc])
+            return Mat(self.rows, other.cols, out)
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
         for arow in self.data:
             acc = None
             for a, orow in zip(arow, other.data):
@@ -264,7 +283,8 @@ def _chain_pivot(a, k, ring):
 
 
 def _snf_chain(mat, ring):
-    """SNF over a chain ring: a minimal-valuation pivot divides everything."""
+    """SNF over a chain ring: a minimal-valuation pivot divides everything.
+    Serves F_p[z]/z^M; Z/p^N has its integer twin, `_snf_padic`."""
     w = _Worker(mat, ring)
     for k in range(min(mat.rows, mat.cols)):
         at = _chain_pivot(w.a, k, ring)
@@ -285,6 +305,70 @@ def _snf_chain(mat, ring):
                 q = ring.divide(w.a[k][j], pivot)
                 w.add_col(j, k, ring.neg(q))
     return w.result()
+
+
+def _snf_padic(mat, ring):
+    """SNF over Z/p^N on Python ints: `_snf_chain`'s pivots and steps in its
+    order, so left, right and divisors equal its result exactly.
+
+    The pivot is the first entry of least valuation in the remaining block,
+    row-major, and a unit ends the scan.  Its unit part is scaled away, which
+    leaves the pivot p^v; every row and column step is then x + c*y mod q,
+    one list comprehension per row.
+    """
+    p, q = ring.p, ring.modulus
+    nrows, ncols = mat.rows, mat.cols
+    a = [list(r) for r in mat.data]
+    left = [[0] * nrows for _ in range(nrows)]
+    right = [[0] * ncols for _ in range(ncols)]
+    for w in (left, right):
+        for i, row in enumerate(w):
+            row[i] = 1
+    for k in range(min(nrows, ncols)):
+        # x % bound is nonzero exactly when x is nonzero and of valuation
+        # below the best so far (q: nothing found yet)
+        bound, at = q, None
+        for i in range(k, nrows):
+            for j, x in enumerate(a[i][k:], k):
+                if x % bound:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    bound, at = p ** v, (i, j)
+                    if v == 0:
+                        break
+            if bound == 1:
+                break
+        if at is None:
+            break
+        i, j = at
+        a[k], a[i] = a[i], a[k]
+        left[k], left[i] = left[i], left[k]
+        if j != k:
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            for row in right:
+                row[k], row[j] = row[j], row[k]
+        unit = a[k][k] // bound
+        if unit != 1:
+            u = pow(unit, -1, q)
+            a[k] = [u * x % q for x in a[k]]
+            left[k] = [u * x % q for x in left[k]]
+        ak, lk = a[k], left[k]
+        for i in range(k + 1, nrows):
+            if a[i][k]:
+                c = -(a[i][k] // bound) % q
+                a[i] = [(x + c * y) % q for x, y in zip(a[i], ak)]
+                left[i] = [(x + c * y) % q for x, y in zip(left[i], lk)]
+        cs = [-(x // bound) % q for x in ak[k + 1:]]
+        if any(cs):
+            for row in a + right:
+                y = row[k]
+                if y:
+                    row[k + 1:] = [(x + c * y) % q for x, c in zip(row[k + 1:], cs)]
+    return SNFResult(left=Mat(nrows, nrows, left), right=Mat(ncols, ncols, right),
+                     divisors=[a[i][i] for i in range(min(nrows, ncols))])
 
 
 def _xgcd(a, b):
@@ -431,6 +515,8 @@ def base_snf(mat, ring):
     shared by every caller and must not be mutated."""
     if is_expansion_ring(ring):
         mat, ring = expand_matrix(mat, ring), base_ring_of(ring)
+    if isinstance(ring, TruncatedPadic):
+        return _snf_padic(mat, ring)
     if isinstance(ring, LocalizedIntegers):
         return _snf_localized(mat, ring)
     return _snf_chain(mat, ring)
@@ -444,22 +530,25 @@ def _solve_snf(snf, b, ring, failures):
     `failures` as (row, position, divisor, residue) and the scan continues,
     so callers get a complete obstruction record.
     """
-    rows, cols = snf.left.rows, snf.right.rows
-    c = b.mul(snf.right, ring)
-    ys = []
+    rows = snf.left.rows
     ndiv = len(snf.divisors)
-    for i in range(b.rows):
+    padic = isinstance(ring, TruncatedPadic)
+    ys = []
+    for i, ci in enumerate(b.mul(snf.right, ring).data):
         y = [ring.zero] * rows
-        for j in range(cols):
-            cj = c.data[i][j]
-            if j < ndiv:
-                q = ring.divide(cj, snf.divisors[j])
-                if q is None:
-                    failures.append((i, j, snf.divisors[j], cj))
-                else:
-                    y[j] = q
-            elif not ring.is_zero(cj):
-                failures.append((i, j, ring.zero, cj))
+        for j, (cj, d) in enumerate(zip(ci, snf.divisors)):
+            if padic:
+                # a Z/p^N divisor is p^v or 0: dividing by it is integer division
+                q = cj // d if d and cj % d == 0 else None if cj else 0
+            else:
+                q = ring.divide(cj, d)
+            if q is None:
+                failures.append((i, j, d, cj))
+            else:
+                y[j] = q
+        for j in range(ndiv, len(ci)):
+            if not ring.is_zero(ci[j]):
+                failures.append((i, j, ring.zero, ci[j]))
         ys.append(y)
     if failures:
         return None

@@ -467,23 +467,30 @@ class ShortExactSequence:
     surject: ModuleMap
 
 
-def build_ses(a, b, c, inject_matrix, surject_matrix):
+def build_ses(a, b, c, inject_matrix, surject_matrix, loc=""):
+    """The validated sequence; a refusal names the field at fault below the
+    input's JSON pointer `loc`: loc/inject, loc/surject, or loc itself when
+    the two maps fail to be exact at b."""
     inj = module_map(a, b, inject_matrix)
     sur = module_map(b, c, surject_matrix)
     ses = ShortExactSequence(a, b, c, inj, sur)
     err = validate_ses(ses)
     if err:
-        raise SchemaError(f"not a short exact sequence: {err}")
+        field, why = err
+        raise SchemaError(f"not a short exact sequence: {why}",
+                          f"{loc}/{field}" if loc and field else loc)
     return ses
 
 
 def validate_ses(ses):
+    """None for a short exact sequence, else (the failing field: "inject",
+    "surject" or "" for exactness at b, the reason)."""
     if not is_injective(ses.inject):
-        return "inject has nonzero kernel"
+        return "inject", "inject has nonzero kernel"
     if not is_surjective(ses.surject):
-        return "surject has nonzero cokernel"
+        return "surject", "surject has nonzero cokernel"
     if not verify_exact_at(ses.inject, ses.surject):
-        return "image(inject) != kernel(surject)"
+        return "", "image(inject) != kernel(surject)"
     return None
 
 
@@ -710,24 +717,29 @@ def _push(mat, entry):
     return Mat(mat.rows, mat.cols, [[entry(x) for x in row] for row in mat.data])
 
 
+def _pushing(mods, mats, spec):
+    """(target ring, entry map, trail) shared by the modules `mods` and the
+    matrices `mats`: a completion without a precision gets one, read off
+    all of them, so every pushed piece lands in one ring."""
+    if spec.precision_n is None and spec.kind in COMPLETION_KINDS:
+        spec = replace(spec, precision_n=completion_precision(spec.ell, mods, mats))
+    return base_change_rings(mods[0], spec)
+
+
 def base_change(m, spec):
     """Push the presentation through the ring map; tensoring is right exact."""
-    (f,), trail = base_change_maps([identity_map(m)], spec)
-    return f.source, trail
+    tgt_ring, entry, trail = _pushing([m], (), spec)
+    return PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)), trail
 
 
 def base_change_maps(maps, spec):
     """Push a chain of composable maps M_0 -> M_1 -> ... -> M_k through one
     ring map: the target ring is built once and every module and matrix is
-    pushed once.  A completion without a precision gets one, read off every
-    module and matrix of the chain, so all pushed pieces share one ring.
-    Returns (the pushed maps, each checked well defined, trail)."""
+    pushed once.  Returns (the pushed maps, each checked well defined,
+    trail)."""
     assert all(f.target == g.source for f, g in zip(maps, maps[1:]))
     mods = [maps[0].source] + [f.target for f in maps]
-    if spec.precision_n is None and spec.kind in COMPLETION_KINDS:
-        n = completion_precision(spec.ell, mods, [f.matrix for f in maps])
-        spec = replace(spec, precision_n=n)
-    tgt_ring, entry, trail = base_change_rings(mods[0], spec)
+    tgt_ring, entry, trail = _pushing(mods, [f.matrix for f in maps], spec)
     pushed = [PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)) for m in mods]
     return [module_map(src, tgt, _push(f.matrix, entry))
             for src, tgt, f in zip(pushed, pushed[1:], maps)], trail

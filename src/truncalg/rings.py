@@ -571,7 +571,21 @@ class _PolyTruncMixin:
 
 
 class _ZFamilyMixin(_PolyTruncMixin):
-    """The z-families over W/p^N with k = F_p: the Frobenius z |-> z^p."""
+    """The z-families over W/p^N with k = F_p: the Frobenius z |-> z^p, and
+    the product on raw ints (the coefficients are ints mod p^N)."""
+
+    def mul(self, x, y):
+        """Schoolbook product truncated at z^mlen: int sums of products, one
+        reduction by the scalar modulus (p^N, or p for F_p[z]/z^M) per
+        coefficient."""
+        m = self.mlen
+        out = [0] * m
+        for i, a in enumerate(x):
+            if a:
+                for j in range(m - i):
+                    out[i + j] += a * y[j]
+        q = self.scalar.modulus
+        return tuple([c % q for c in out])
 
     def frobenius(self, x):
         """z |-> z^p; identity on the W-coefficients."""

@@ -239,7 +239,7 @@ def parse_ses(data, loc="/ses"):
     sur = _parse_map_matrix(data, "surject", b, c, loc)
     from .modules import build_ses
 
-    return build_ses(a, b, c, inj, sur)
+    return build_ses(a, b, c, inj, sur, loc)
 
 
 def parse_filtered_complex(data, loc="/complex"):

@@ -373,6 +373,31 @@ def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     assert report["error"].startswith(pointer + ":"), report["error"]
 
 
+def _inexact_split_job():
+    """split_nonsplit_zp2 with b = Z/8 free and inject 1 |-> 4: inject is
+    injective and surject onto Z/2 surjective, but 4Z/8 is not the kernel 2Z/8."""
+    job = _mutant("split_nonsplit_zp2.json", "/input/ses/b/relations", [])
+    job["input"]["ses"]["inject"] = [[4]]
+    return job
+
+
+@pytest.mark.parametrize("job, pointer", [
+    (_mutant("split_nonsplit_zp2.json", "/input/ses/inject", [[0]]), "/input/ses/inject"),
+    (_mutant("lambda_survey_nonsplit9.json", "/input/ses/inject", [[[0, 0]]]),
+     "/input/ses/inject"),
+    (_mutant("split_nonsplit_zp2.json", "/input/ses/surject", [[0]]), "/input/ses/surject"),
+    (_mutant("lambda_survey_nonsplit9.json", "/input/ses/surject", [[[3, 0]]]),
+     "/input/ses/surject"),
+    (_inexact_split_job(), "/input/ses"),
+], ids=["split_inject", "survey_inject", "split_surject", "survey_surject", "split_exactness"])
+def test_ses_refusal_names_the_failing_map(job, pointer):
+    """A sequence that is not short exact exits 1 with a schema error at the
+    map at fault, or at the sequence when only exactness at b fails."""
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(pointer + ": not a short exact sequence"), report["error"]
+
+
 @pytest.mark.parametrize("kind", ["z_to_zero", "z_to_unit", "frobenius_twist"])
 def test_unsupported_base_change_kind_is_a_gate(kind):
     """A known kind the report does not cover parses and exits 2; only an

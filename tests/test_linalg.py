@@ -29,6 +29,7 @@ from truncalg.rings import (
     TruncatedLambda,
     TruncatedPadic,
     TruncatedPowerSeries,
+    _PolyTruncMixin,
 )
 
 Z2_6 = TruncatedPadic(2, 6)
@@ -225,6 +226,106 @@ def test_snf_chain_pivot_matches_full_scan(ring):
         assert fast.left == full.left and fast.right == full.right
         assert fast.divisors == full.divisors
         assert fast.verify(m, ring)
+
+
+PADIC_RINGS = [TruncatedPadic(p, k) for p in (2, 3, 5) for k in (1, 2, 3, 4)]
+
+
+def padic_cases(ring, rng):
+    """Seeded Z/p^k matrices: empty shapes, zero rows and columns, unit and
+    non-unit pivots, and all-zero blocks (a nonzero corner in an otherwise
+    zero matrix, and rank-deficient stacks that leave a zero block)."""
+    p = ring.p
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        yield Mat.zero(rows, cols, ring)
+    for _ in range(12):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        yield sparse_matrix(ring, rng, rows, cols, rng.choice((0.0, 0.5)))
+        m = random_matrix(ring, rng, rows, cols)
+        data = [list(r) for r in m.data]
+        data[rng.randrange(rows)] = [0] * cols
+        for row in data:
+            row[rng.randrange(cols)] = 0
+        yield Mat(rows, cols, data)
+        yield Mat(rows, cols, [[ring.mul(p ** rng.randint(1, 2) % ring.modulus, x) for x in r]
+                               for r in m.data])
+        yield Mat(rows, cols, [[x if i == rows - 1 else p * x % ring.modulus for x in r]
+                               for i, r in enumerate(m.data)])
+        corner = Mat.zero(rows, cols, ring).tolist()
+        corner[-1][-1] = ring.from_int(p ** rng.randint(0, ring.precision_n - 1))
+        yield Mat(rows, cols, corner)
+        top = random_matrix(ring, rng, 2, cols)
+        yield top.vstack(Mat(rows, 2, [[rng.randrange(ring.modulus) for _ in range(2)]
+                                       for _ in range(rows)]).mul(top, ring))
+
+
+def reference_solve_snf(snf, b, ring, failures):
+    """`_solve_snf` with a ring call on every entry: `ring.divide` and the
+    triple-loop products."""
+    rows, cols = snf.left.rows, snf.right.rows
+    c = naive_product(b, snf.right, ring)
+    ys = []
+    for i in range(b.rows):
+        y = [ring.zero] * rows
+        for j in range(cols):
+            cj = c.data[i][j]
+            if j < len(snf.divisors):
+                q = ring.divide(cj, snf.divisors[j])
+                if q is None:
+                    failures.append((i, j, snf.divisors[j], cj))
+                else:
+                    y[j] = q
+            elif not ring.is_zero(cj):
+                failures.append((i, j, ring.zero, cj))
+        ys.append(y)
+    return None if failures else naive_product(Mat(b.rows, rows, ys), snf.left, ring)
+
+
+@pytest.mark.parametrize("ring", PADIC_RINGS, ids=repr)
+def test_snf_padic_equals_chain_kernel(ring):
+    """The integer kernel returns `_snf_chain`'s left, right and divisors
+    exactly, and `base_snf` serves Z/p^N from it.  On the same inputs the
+    integer products and the integer solve equal the ring-call routes:
+    solutions and failure records alike."""
+    rng = random.Random(2100 + 10 * ring.p + ring.precision_n)
+    for m in padic_cases(ring, rng):
+        fast, chain = linalg._snf_padic(m, ring), _snf_chain(m, ring)
+        assert (fast.left, fast.right, fast.divisors) == (chain.left, chain.right, chain.divisors)
+        assert all(type(d) is int for d in fast.divisors)
+        base_snf.cache_clear()
+        assert base_snf(m, ring) == fast
+        for a, b in ((fast.left, m), (m, fast.right), (fast.left, fast.left)):
+            assert a.mul(b, ring) == naive_product(a, b, ring)
+        xs = random_matrix(ring, rng, 2, m.rows)
+        targets = [xs.mul(m, ring), random_matrix(ring, rng, 3, m.cols),
+                   sparse_matrix(ring, rng, 2, m.cols, 0.7)]
+        for b in targets:
+            got, want = [], []
+            sol = linalg._solve_snf(fast, b, ring, got)
+            assert sol == reference_solve_snf(fast, b, ring, want)
+            assert got == want
+        if m.rows:
+            assert linalg._solve_snf(fast, targets[0], ring, []) is not None
+
+
+Z_FAMILY_RINGS = ([TruncatedBK(p, k, m) for p, k, m in ((2, 3, 3), (3, 2, 4), (5, 4, 6))]
+                  + [TruncatedPowerSeries(p, m) for p, m in ((2, 3), (3, 4), (5, 6))])
+
+
+@pytest.mark.parametrize("ring", Z_FAMILY_RINGS, ids=repr)
+def test_z_family_mul_equals_ring_calls(ring):
+    """The integer product of the z-families equals the coefficient-by-
+    coefficient ring-call product, on zero, unit and non-unit factors."""
+    rng = random.Random(2101)
+    q = ring.scalar.modulus
+    elems = [ring.zero, ring.one, ring.var_power(1), ring.var_power(ring.mlen - 1)]
+    elems += [ring.from_coeffs([rng.randrange(q) if rng.random() < share else 0
+                                for _ in range(ring.mlen)])
+              for share in (1.0, 0.5, 0.2) for _ in range(8)]
+    elems += [ring.mul(ring.from_int(ring.p), x) for x in elems[4:12]]
+    for x in elems:
+        for y in elems:
+            assert ring.mul(x, y) == _PolyTruncMixin.mul(ring, x, y)
 
 
 def reference_snf_localized(mat, ring):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_verify_exact_at
+from helpers import random_lambda_map, reference_verify_exact_at
 from truncalg.bruteforce import FiniteModule
 from truncalg.bkrandom import scrambled_elementary
 from truncalg import linalg, modules
@@ -468,6 +468,50 @@ def test_base_change_examples():
     assert torsion_divisor_profile(out3) == (1,)
     with pytest.raises(Exception):
         base_change(m3, BaseChangeSpec("localized_completion", ell=2))
+
+
+def _base_change_cases(kind, rng):
+    """Seeded (module, spec) pairs for one base-change kind: scrambled BK
+    modules for the z-specializations, Lambda and Z[1/2] presentations for
+    the completions at 3, with and without a given precision."""
+    for k in range(6):
+        if kind in ("z_to_unit", "z_to_zero"):
+            m = scrambled_elementary(TruncatedBK(3, 3, 4), rng)[0]
+            yield m, BaseChangeSpec(kind, unit=rng.choice([1, 2, 4, 5, 7, 8]),
+                                    precision_n=rng.choice([None, 2]))
+            continue
+        if kind == "lambda_completion":
+            f = None
+            while f is None:
+                f = random_lambda_map(LAM, rng)
+            m = f.target
+        else:
+            zl = LocalizedIntegers((2,))
+            g = rng.randint(1, 3)
+            m = PresentedModule(zl, g, Mat(g, g, [
+                [Fraction(rng.randint(-30, 30), 2 ** rng.randint(0, 2)) for _ in range(g)]
+                for _ in range(g)]))
+        yield m, BaseChangeSpec(kind, ell=3, precision_n=None if k % 3 else 5)
+
+
+@pytest.mark.parametrize("kind", ["z_to_unit", "z_to_zero", "lambda_completion",
+                                  "localized_completion"])
+def test_base_change_pushes_the_module_once(monkeypatch, kind):
+    """`base_change` equals the pushed identity's source with the same
+    trail, the route it took through `base_change_maps`, while it pushes
+    the relations once and builds no map."""
+    rng = random.Random(2103)
+    for m, spec in _base_change_cases(kind, rng):
+        (f,), want_trail = modules.base_change_maps([identity_map(m)], spec)
+        calls = []
+        with monkeypatch.context() as mp:
+            for name in ("_push", "module_map"):
+                real = getattr(modules, name)
+                mp.setattr(modules, name,
+                           lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+            got, trail = base_change(m, spec)
+        assert (got, trail) == (f.source, want_trail)
+        assert calls == ["_push"]
 
 
 def test_support_primes_examples():

@@ -252,15 +252,18 @@ def test_decompose_reads_slices_without_witnesses(monkeypatch, ring, max_torsion
 def test_decompose_factors_the_expanded_relations_once(monkeypatch):
     """The gr_p slices and the later solves against the relations read one
     memo entry: the expansion of the relations is factored once, and no
-    SNF input repeats."""
+    SNF input repeats.  The expansion is factored over Z/p^N by
+    `_snf_padic`, the gr_p slices over F_p[z]/z^M by `_snf_chain`."""
     inputs = []
-    real = linalg._snf_chain
 
-    def recording(mat, ring):
-        inputs.append(mat)
-        return real(mat, ring)
+    def recording(real):
+        def kernel(mat, ring):
+            inputs.append(mat)
+            return real(mat, ring)
+        return kernel
 
-    monkeypatch.setattr(linalg, "_snf_chain", recording)
+    for name in ("_snf_padic", "_snf_chain"):
+        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
     ring = TruncatedBK(3, 2, 4)
     rng = random.Random(5)
     for _ in range(3):

@@ -174,6 +174,59 @@ def test_degeneration_report_reads_each_homology_once(monkeypatch):
     assert sum(mod == h for mod in read) == 1
 
 
+def _direct_sum_split_job():
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    with open(os.path.join(corpus, "ss_direct_sum_split.json")) as fh:
+        return json.load(fh)
+
+
+def test_flipped_retraction_verdict_is_an_internal_inconsistency(monkeypatch):
+    """ss_direct_sum_split splits and its divisor multisets agree: a
+    retraction search that reports no retraction contradicts the multiset
+    criterion, and the job exits 4."""
+    real = spectral.retraction_test
+    flipped = []
+
+    def flip(inclusion):
+        verdict = real(inclusion)
+        assert verdict.split
+        flipped.append(inclusion)
+        return modules.SplitVerdict(False, obstruction=[])
+
+    monkeypatch.setattr(spectral, "retraction_test", flip)
+    linalg.base_snf.cache_clear()
+    report, code = run_job(_direct_sum_split_job())
+    assert flipped
+    assert (code, report["error_kind"]) == (4, "internal_inconsistency"), report.get("error")
+    assert "divisor-multiset criterion disagrees" in report["error"]
+
+
+def test_one_wrong_divisor_read_is_an_internal_inconsistency(monkeypatch):
+    """One E1 divisor read raised by a factor p unbalances the torsion-length
+    ledger while the saturation checks, which read gr_n H, still pass: the
+    job exits 4 at the ledger cross-check."""
+    real = spectral.elementary_divisors
+    wrong = []
+
+    def read(mod):
+        divs = real(mod)
+        ring = divs.ring
+        if not wrong and divs.torsion_divisors:
+            d = divs.torsion_divisors[0]
+            wrong.append(d)
+            assert ring.val(d) + 1 < ring.precision
+            return modules.ElementaryDivisors(ring, divs.free_rank,
+                                              [ring.mul(d, ring.p)] + divs.torsion_divisors[1:])
+        return divs
+
+    monkeypatch.setattr(spectral, "elementary_divisors", read)
+    linalg.base_snf.cache_clear()
+    report, code = run_job(_direct_sum_split_job())
+    assert wrong
+    assert (code, report["error_kind"]) == (4, "internal_inconsistency"), report.get("error")
+    assert "torsion-length criterion disagrees" in report["error"]
+
+
 def _record_calls(monkeypatch, name, key):
     """Record key(args) for every call of spectral.<name>."""
     calls = []
