@@ -106,7 +106,7 @@ def extend_by_mod_s1(base_node, q_leaf, rng, attempts=8):
         sol = solve_left_mod(pid, rhs, b.module.relations, ring)
         if sol is None:
             continue
-        phi = Mat.block([[b.phi.matrix, Mat.zero(ga, gq, ring)], [sol[0], q.phi.matrix]])
+        phi = Mat.block([[b.phi.matrix, Mat.zero(ga, gq, ring)], [sol, q.phi.matrix]])
         try:
             bk = make_bk_module(mod, phi, b.height_window)
             incl = module_map(b.module, mod, Mat.block(

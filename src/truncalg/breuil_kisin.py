@@ -25,7 +25,7 @@ from .errors import (
     PrecisionError,
     UnsupportedRingError,
 )
-from .linalg import Mat, solve_left_mod
+from .linalg import Mat, in_row_span, solve_left_mod
 from .modules import (
     ModuleMap,
     NotElementary,
@@ -135,15 +135,13 @@ def check_height(b, s, r):
     er = ring.pow(ring.eisenstein_element(), r)
     es = ring.pow(ring.eisenstein_element(), s)
     target = Mat.identity(m.gens, ring).scale(er, ring)
-    sol = solve_left_mod(b.phi.matrix, target, m.relations, ring)
-    if sol is None:
+    upper = solve_left_mod(b.phi.matrix, target, m.relations, ring)
+    if upper is None:
         return HeightFailure("upper", ["E^r of some generator escapes Im(phi)"])
-    upper = sol[0]
     esmat = Mat.identity(m.gens, ring).scale(es, ring)
-    sol2 = solve_left_mod(esmat, b.phi.matrix, m.relations, ring)
-    if sol2 is None:
+    lower = solve_left_mod(esmat, b.phi.matrix, m.relations, ring)
+    if lower is None:
         return HeightFailure("lower", ["Im(phi) escapes E^s volume"])
-    lower = sol2[0]
     got = upper.mul(b.phi.matrix, ring)
     want = target
     if not rows_are_zero_classes(m, got.sub(want, ring)):
@@ -173,7 +171,7 @@ def untwist(b, t):
     if sol is None:
         raise HypothesisUnmetError("phi image witnesses are not divisible by E^t")
     s, r = b.height_window
-    return make_bk_module(b.module, sol[0], (max(0, s - t), max(0, r - t)))
+    return make_bk_module(b.module, sol, (max(0, s - t), max(0, r - t)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +270,7 @@ def _equal_at_z_precision(target_module, m1, m2, zprec):
     ring = target_module.ring
     diff = m1.sub(m2, ring)
     zmat = Mat.identity(target_module.gens, ring).scale(ring.var_power(zprec), ring)
-    sol = solve_left_mod(zmat, diff, target_module.relations, ring)
-    return sol is not None
+    return in_row_span(zmat.vstack(target_module.relations), diff, ring)
 
 
 def _induced_phi_on_submodule(b, incl):
@@ -283,7 +280,7 @@ def _induced_phi_on_submodule(b, incl):
     sol = solve_left_mod(incl.matrix, comp, b.module.relations, ring)
     if sol is None:
         raise InternalInconsistencyError("phi fails to restrict along a stable inclusion")
-    return sol[0]
+    return sol
 
 
 def _image(f, r):
@@ -429,7 +426,7 @@ def closure_check(f, n_tower, r):
     sol = solve_left_mod(n_tower.incl.matrix, rows, n_tower.bk.module.relations, ring)
     if sol is None:
         raise InternalInconsistencyError("kernel image fails to factor through the sub-object")
-    fprime = make_bk_map(kbk, n_tower.sub.bk, sol[0])
+    fprime = make_bk_map(kbk, n_tower.sub.bk, sol)
     im_sub_tower, cok_sub_tower, _ = closure_check(fprime, n_tower.sub, r)
     ibk, _ = _image(f, r)
     cbk = _cokernel(f, r)
@@ -481,7 +478,7 @@ def _preimage_rows(f, rows, ring):
     sol = solve_left_mod(f.matrix, rows, f.target.relations, ring)
     if sol is None:
         raise InternalInconsistencyError("rows fail to factor through a verified map")
-    return sol[0]
+    return sol
 
 
 def connecting_maps(ses):

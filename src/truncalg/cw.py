@@ -266,7 +266,7 @@ def _cohomology_with_reduction(xk, j, inverted):
     if j == 0 and m.gens:
         const = Mat(1, xk.cell_count(0), [[Fraction(1)] * xk.cell_count(0)])
         sol = solve_left_mod(zrows, const, Mat(0, xk.cell_count(0), []), ZRING)
-        m = PresentedModule(ZRING, m.gens, m.relations.vstack(sol[0]))
+        m = PresentedModule(ZRING, m.gens, m.relations.vstack(sol))
     m = _localize_presentation(m, inverted)
     return m, zrows
 

@@ -21,6 +21,12 @@ and solutions/kernels reassemble because the coordinate identification
 T^g = base^(g*M) is a base-module isomorphism.
 One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
 the SNFs; a BK or Lambda matrix is expanded only when its key misses.
+
+Solves and kernels back-multiply only the unknowns the caller reads: X of
+X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
+(`solve_left_info`) or kernel columns (`kernel_left`).  A membership test
+(`in_row_span`) stops after b . right and the divisibility check against
+the divisors: it builds no solution.
 """
 
 from __future__ import annotations
@@ -499,14 +505,16 @@ def smith_normal_form(mat, ring):
 # its entry holds the SNF of the expansion.  With 32 entries the misses equal
 # the distinct inputs on every corpus job (at most 22, ext_golden_p2) and
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
-# more.  `invert` of an SNF witness goes through the memo too: in
+# more.  A membership test makes the lookup of the solve it stands for.
+# `invert` of an SNF witness goes through the memo too: in
 # `SNFResult.verify`, in `decompose_elementary`, which only callers of a
 # decomposition witness reach, and in `smodules._read_slice`, once per free
 # gr_p slice whose from-canonical rows `decompose_over_s` reads; a divisor
 # read (`modules.elementary_divisors`) inverts nothing.  On the 48 towers of
 # tower_check seed 601, memo cleared per tower: 2282 lookups, 702 misses (as
-# many as distinct inputs) and 447 expansions.  lru_cache is thread-safe, so
-# an embedding program may run jobs on several threads.
+# many as distinct inputs) and 447 expansions; on the 128 complexes of
+# oracle_fuzz seed 7, 10041 lookups and 4483 misses.  lru_cache is
+# thread-safe, so an embedding program may run jobs on several threads.
 @lru_cache(maxsize=32)
 def base_snf(mat, ring):
     """The SNF of `mat` over its base ring, memoized: the SNF of `mat` over
@@ -522,13 +530,16 @@ def base_snf(mat, ring):
     return _snf_chain(mat, ring)
 
 
-def _solve_snf(snf, b, ring, failures):
-    """X with X . mat = b given mat's SNF, or None. b a Mat of row targets.
-    mat's shape is that of the witnesses: rows of `left`, columns of `right`.
+def _solve_snf(snf, b, ring, failures, lead=None):
+    """The first `lead` columns (all by default) of X with X . mat = b
+    given mat's SNF, or None.  b a Mat of row targets; mat's shape is that
+    of the witnesses: rows of `left`, columns of `right`.
 
-    Unsolvable diagonal equations are appended to the (empty) list
-    `failures` as (row, position, divisor, residue) and the scan continues,
-    so callers get a complete obstruction record.
+    X = Y . left with Y read off the diagonal, so only the first `lead`
+    columns of `left` are multiplied.  Unsolvable diagonal equations are
+    appended to the (empty) list `failures` as (row, position, divisor,
+    residue) and the scan continues, so callers get a complete obstruction
+    record.
     """
     rows = snf.left.rows
     ndiv = len(snf.divisors)
@@ -552,23 +563,43 @@ def _solve_snf(snf, b, ring, failures):
         ys.append(y)
     if failures:
         return None
-    return Mat(b.rows, rows, ys).mul(snf.left, ring)
+    left = snf.left if lead in (None, rows) else Mat(rows, lead, [r[:lead] for r in snf.left.data])
+    return Mat(b.rows, rows, ys).mul(left, ring)
 
 
-def _kernel_snf(snf, ring):
-    """Rows spanning {x : x . mat = 0} given mat's SNF."""
+def _in_span_snf(snf, b, ring):
+    """Is b . right divisible by the divisors, entry by entry?  The verdict
+    of `_solve_snf` without its quotients, ending at the first failure."""
+    divisors = snf.divisors
+    ndiv = len(divisors)
+    padic = isinstance(ring, TruncatedPadic)
+    for ci in b.mul(snf.right, ring).data:
+        if padic:
+            # a Z/p^N divisor is p^v or 0
+            if any(cj and (not d or cj % d) for cj, d in zip(ci, divisors)) or any(ci[ndiv:]):
+                return False
+        elif (any(ring.divide(cj, d) is None for cj, d in zip(ci, divisors))
+              or not all(ring.is_zero(c) for c in ci[ndiv:])):
+            return False
+    return True
+
+
+def _kernel_snf(snf, ring, lead):
+    """The first `lead` columns of rows spanning {x : x . mat = 0} given
+    mat's SNF.  A row a . left[j] is kept when it is nonzero as a whole, so
+    a kept row may read zero in its first `lead` columns."""
     rows = snf.left.rows
+    mul, is_zero = ring.mul, ring.is_zero
     gens = []
     for j, d in enumerate(snf.divisors):
         a = ring.ann_gen(d)
         if a is None:
             continue
-        row = [ring.mul(a, x) for x in snf.left.data[j]]
-        if any(not ring.is_zero(x) for x in row):
-            gens.append(row)
-    for j in range(len(snf.divisors), rows):
-        gens.append(list(snf.left.data[j]))
-    return Mat.from_rows(gens, rows)
+        row = snf.left.data[j]
+        if any(not is_zero(mul(a, x)) for x in row):
+            gens.append([mul(a, x) for x in row[:lead]])
+    gens.extend(snf.left.data[j][:lead] for j in range(len(snf.divisors), rows))
+    return Mat.from_rows(gens, lead)
 
 
 def expand_matrix(mat, ring):
@@ -613,9 +644,12 @@ def solve_left(mat, b, ring):
     return sol
 
 
-def solve_left_info(mat, b, ring):
+def solve_left_info(mat, b, ring, lead=None):
     """Like solve_left but also returns the unsolvable-equation record:
-    a list of (rhs_row, diag_position, divisor, residue) over the base ring."""
+    a list of (rhs_row, diag_position, divisor, residue) over the base ring.
+    With `lead`, the solution holds only the first `lead` unknowns of each
+    row, the columns X[:, :lead] of a full solution."""
+    lead = mat.rows if lead is None else lead
     if mat.rows == 0:
         if b.is_zero(ring):
             return Mat(b.rows, 0, [[] for _ in range(b.rows)]), []
@@ -623,47 +657,50 @@ def solve_left_info(mat, b, ring):
                for j in range(b.cols) if not ring.is_zero(b.data[i][j])]
         return None, bad
     if mat.cols == 0:
-        return Mat.zero(b.rows, mat.rows, ring), []
+        return Mat.zero(b.rows, lead, ring), []
     failures = []
     if is_expansion_ring(ring):
-        xb = _solve_snf(base_snf(mat, ring), expand_rows(b, ring), base_ring_of(ring), failures)
-        return (None if xb is None else reassemble_rows(xb, ring, mat.rows)), failures
-    return _solve_snf(base_snf(mat, ring), b, ring, failures), failures
+        xb = _solve_snf(base_snf(mat, ring), expand_rows(b, ring), base_ring_of(ring), failures,
+                        lead * ring.mlen)
+        return (None if xb is None else reassemble_rows(xb, ring, lead)), failures
+    return _solve_snf(base_snf(mat, ring), b, ring, failures, lead), failures
 
 
-def kernel_left(mat, ring):
-    """Rows spanning {x : x . mat = 0} over any family."""
+def in_row_span(mat, b, ring):
+    """Does every row of b lie in the row span of mat?  The verdict of
+    `solve_left(mat, b, ring) is not None`, from the same SNF and the same
+    divisor check, which ends at the first row that fails; no solution is
+    built.  TruncatedBK and TruncatedLambda rows are checked expanded."""
+    if b.rows == 0 or mat.cols == 0:
+        return True
+    if mat.rows == 0:
+        return b.is_zero(ring)
+    snf = base_snf(mat, ring)
+    if is_expansion_ring(ring):
+        return _in_span_snf(snf, expand_rows(b, ring), base_ring_of(ring))
+    return _in_span_snf(snf, b, ring)
+
+
+def kernel_left(mat, ring, lead=None):
+    """Rows spanning {x : x . mat = 0} over any family.  With `lead`, only
+    their first `lead` columns: for mat = [A; Rel] and lead = A.rows, rows
+    spanning {x : x . A in the row span of Rel}.  A row is kept when its
+    full kernel row is nonzero."""
+    lead = mat.rows if lead is None else lead
     if mat.rows == 0:
         return Mat(0, 0, [])
     if mat.cols == 0:
-        return Mat.identity(mat.rows, ring)
+        return Mat.identity(mat.rows, ring).take_cols(range(lead))
     if is_expansion_ring(ring):
-        kb = _kernel_snf(base_snf(mat, ring), base_ring_of(ring))
-        return reassemble_rows(kb, ring, mat.rows)
-    return _kernel_snf(base_snf(mat, ring), ring)
+        kb = _kernel_snf(base_snf(mat, ring), base_ring_of(ring), lead * ring.mlen)
+        return reassemble_rows(kb, ring, lead)
+    return _kernel_snf(base_snf(mat, ring), ring, lead)
 
 
 def solve_left_mod(mat, b, rel, ring):
-    """(X, Y) with X . mat + Y . rel = b, or None. rel may have 0 rows."""
-    stacked = mat.vstack(rel)
-    sol = solve_left(stacked, b, ring)
-    if sol is None:
-        return None
-    return sol.take_cols(list(range(mat.rows))), sol.take_cols(list(range(mat.rows, stacked.rows)))
-
-
-def kernel_left_parts(mats, ring):
-    """Kernel of the vertical stack, returned as per-block column slices."""
-    stacked = mats[0]
-    for mextra in mats[1:]:
-        stacked = stacked.vstack(mextra)
-    ker = kernel_left(stacked, ring)
-    parts = []
-    at = 0
-    for mpart in mats:
-        parts.append(ker.take_cols(list(range(at, at + mpart.rows))))
-        at += mpart.rows
-    return parts
+    """X with X . mat + Y . rel = b for some Y, or None. rel may have 0 rows."""
+    sol, _ = solve_left_info(mat.vstack(rel), b, ring, mat.rows)
+    return sol
 
 
 def invert(mat, ring):

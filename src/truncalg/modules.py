@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     UnsupportedRingError,
 )
-from .linalg import Mat, kernel_left_parts, solve_left, solve_left_info, solve_left_mod
+from .linalg import Mat, in_row_span, kernel_left, solve_left, solve_left_info, solve_left_mod
 from .rings import (
     LocalizedIntegers,
     TruncatedBK,
@@ -83,14 +83,12 @@ def module_from_divisors(ring, torsion_divisors, free_rank):
 def is_zero_module(m):
     if m.gens == 0:
         return True
-    return solve_left(m.relations, Mat.identity(m.gens, m.ring), m.ring) is not None
+    return in_row_span(m.relations, Mat.identity(m.gens, m.ring), m.ring)
 
 
 def rows_are_zero_classes(m, rows):
     """Do the given rows of R^gens all lie in the relation span?"""
-    if rows.rows == 0:
-        return True
-    return solve_left(m.relations, rows, m.ring) is not None
+    return in_row_span(m.relations, rows, m.ring)
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def prune_spanning_rows(rows, extra, ring):
         base_rows = kept + [list(e) for e in extra.data]
         if base_rows:
             base = Mat(len(base_rows), rows.cols, base_rows)
-            if solve_left(base, rm, ring) is not None:
+            if in_row_span(base, rm, ring):
                 continue
         kept.append(list(r))
     return Mat(len(kept), rows.cols, kept)
@@ -166,7 +164,7 @@ def _kernel_rows(f):
     read them in place of `kernel`'s pruned rows: a row pruning drops lies in
     the span of the kept rows and the source relations, so the verdict is
     the same."""
-    return kernel_left_parts([f.matrix, f.target.relations], f.source.ring)[0]
+    return kernel_left(f.matrix.vstack(f.target.relations), f.source.ring, f.matrix.rows)
 
 
 def kernel(f):
@@ -217,11 +215,8 @@ def verify_exact_at(incl, proj):
     row of proj lies in im(incl) + relations."""
     if not is_zero_map(compose(incl, proj)):
         return False
-    krows = _kernel_rows(proj)
-    if krows.rows == 0:
-        return True
-    sol = solve_left_mod(incl.matrix, krows, incl.target.relations, incl.source.ring)
-    return sol is not None
+    return in_row_span(incl.matrix.vstack(incl.target.relations), _kernel_rows(proj),
+                       incl.source.ring)
 
 
 def subquotient(f):
@@ -242,7 +237,8 @@ def submodule_from_rows(ambient, rows):
     """(module generated by the given classes, inclusion into ambient)."""
     ring = ambient.ring
     mat = rows if isinstance(rows, Mat) else Mat.from_rows(rows, ambient.gens)
-    relrows = kernel_left_parts([mat, ambient.relations], ring)[0] if mat.rows else Mat(0, 0, [])
+    relrows = kernel_left(mat.vstack(ambient.relations), ring, mat.rows) if mat.rows \
+        else Mat(0, 0, [])
     smod = PresentedModule(ring, mat.rows, relrows)
     return smod, module_map(smod, ambient, mat, check=False)
 
@@ -253,7 +249,8 @@ def subquotient_presentation(ambient, gens_rows, killer_rows):
     ring = ambient.ring
     if gens_rows.rows == 0:
         return PresentedModule.zero(ring)
-    rel = kernel_left_parts([gens_rows, killer_rows, ambient.relations], ring)[0]
+    rel = kernel_left(gens_rows.vstack(killer_rows).vstack(ambient.relations), ring,
+                      gens_rows.rows)
     return PresentedModule(ring, gens_rows.rows, rel)
 
 
@@ -265,7 +262,7 @@ def subquotient_coordinates(gens_rows, killer_rows, rows, ring):
     sol = solve_left_mod(gens_rows, rows, killer_rows, ring)
     if sol is None:
         raise InternalInconsistencyError("rows fail to express in the subquotient")
-    return sol[0]
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +518,7 @@ def _hom_solve(source, target, left, right, urel):
         [Mat.zero(n * urel.rows, rs * gt, ring),
          Mat.identity(n, ring).kron(urel.scale(neg_one, ring), ring)]])
     bvec = Mat(1, bigmat.cols, [(ring.zero,) * (rs * gt) + sum(Mat.identity(n, ring).data, ())])
-    sol, failures = solve_left_info(bigmat, bvec, ring)
+    sol, failures = solve_left_info(bigmat, bvec, ring, gs * gt)
     if sol is None:
         return None, failures
     return Mat(gs, gt, [sol.data[0][i * gt:(i + 1) * gt] for i in range(gs)]), []
@@ -597,8 +594,7 @@ def glue_splitting(ses, torsion_section, free_witness):
     lift = solve_left_mod(ses.surject.matrix, free_rows, ses.c.relations, ring)
     if lift is None:
         raise InternalInconsistencyError("free rows fail to lift through a verified surjection")
-    lift_rows = lift[0]
-    stacked = torsion_section.matrix.vstack(lift_rows)
+    stacked = torsion_section.matrix.vstack(lift)
     smat = dec.to_canonical.matrix.mul(stacked, ring)
     section = module_map(ses.c, ses.b, smat)
     if not maps_equal(compose(section, ses.surject), identity_map(ses.c)):

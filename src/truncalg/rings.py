@@ -572,7 +572,26 @@ class _PolyTruncMixin:
 
 class _ZFamilyMixin(_PolyTruncMixin):
     """The z-families over W/p^N with k = F_p: the Frobenius z |-> z^p, and
-    the product on raw ints (the coefficients are ints mod p^N)."""
+    the arithmetic on raw ints (the coefficients are ints mod p^N), one
+    reduction by the scalar modulus per coefficient."""
+
+    def add(self, x, y):
+        q = self.scalar.modulus
+        return tuple([(a + b) % q for a, b in zip(x, y)])
+
+    def neg(self, x):
+        q = self.scalar.modulus
+        return tuple([-a % q for a in x])
+
+    def inv(self, x):
+        """Inverse of a unit: invert the constant term, then lift order by
+        order."""
+        q = self.scalar.modulus
+        c0inv = pow(x[0], -1, q)
+        out = [c0inv]
+        for k in range(1, self.mlen):
+            out.append(-c0inv * sum(x[i] * out[k - i] for i in range(1, k + 1)) % q)
+        return tuple(out)
 
     def mul(self, x, y):
         """Schoolbook product truncated at z^mlen: int sums of products, one

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
-from .linalg import (Mat, base_snf, expand_matrix, invert, kernel_left, kernel_left_parts,
+from .linalg import (Mat, base_snf, expand_matrix, invert, kernel_left,
                      solve_left, solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
@@ -89,8 +89,7 @@ def gr_p(m, j):
         return GrSlice(j, mod, elementary_divisors(mod))
     pj = Mat.identity(g, ring).scale(ring.from_int(ring.p ** j), ring)
     pj1 = Mat.identity(g, ring).scale(ring.from_int(ring.p ** (j + 1)), ring)
-    parts = kernel_left_parts([pj, m.relations, pj1], ring)
-    rel_s1 = _reduce_mod_p(parts[0], s1)
+    rel_s1 = _reduce_mod_p(kernel_left(pj.vstack(m.relations).vstack(pj1), ring, g), s1)
     mod = PresentedModule(s1, g, rel_s1)
     return GrSlice(j, mod, elementary_divisors(mod))
 
@@ -232,7 +231,7 @@ def decompose_over_s(m, _trace=None):
     inv = solve_left_mod(eta.matrix, Mat.identity(m.gens, ring), m.relations, ring)
     if inv is None:
         raise InternalInconsistencyError("assembled elementary map is not surjective")
-    dec = ElementaryDecomposition(free_count, divisors, module_map(m, canonical, inv[0]),
+    dec = ElementaryDecomposition(free_count, divisors, module_map(m, canonical, inv),
                                   eta, canonical)
     if not dec.verify():
         raise InternalInconsistencyError("elementary witness does not compose to identity")
@@ -262,7 +261,7 @@ def _correct_torsion_generators(m, rows, a):
         raise PrecisionError("torsion correction system unsolvable at working precision")
     pelt = ring.from_int(p)
     corrected = [[ring.sub(x, ring.mul(pelt, yx)) for x, yx in zip(row, y)]
-                 for row, y in zip(rows, sol[0].data)]
+                 for row, y in zip(rows, sol.data)]
     if not rows_are_zero_classes(m, Mat.from_rows(corrected, m.gens).scale(pa, ring)):
         raise InternalInconsistencyError("torsion correction failed to kill the generator")
     return corrected

@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
     UnsupportedRingError,
 )
-from .linalg import Mat, kernel_left_parts, solve_left_mod
+from .linalg import Mat, in_row_span, kernel_left, solve_left_mod
 from .modules import (
     PresentedModule,
     check_completion_prime,
@@ -68,27 +68,39 @@ class FilteredComplex:
     diffs: dict            # i -> ModuleMap C_i -> C_{i-1}, for lo < i <= hi
     fil: dict              # (i, n) -> (PresentedModule, inclusion) for wmin < n <= wmax
     induced_diffs: dict = field(default_factory=dict)   # (i, n) -> ModuleMap on fil
+    # the zero modules, identities and zero maps outside the ranges, built
+    # once per complex (all immutable): key -> value
+    _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _once(self, key, build):
+        got = self._fixed.get(key)
+        if got is None:
+            got = self._fixed[key] = build()
+        return got
+
+    @property
+    def _zero(self):
+        return self._once("zero", lambda: PresentedModule.zero(self.ring))
 
     def module(self, i):
         if self.lo <= i <= self.hi:
             return self.modules[i]
-        return PresentedModule.zero(self.ring)
+        return self._zero
 
     def fil_pair(self, i, n):
         """(submodule, inclusion into C_i), with weight clamping."""
-        mod = self.module(i)
         if n <= self.wmin:
-            return mod, identity_map(mod)
+            return self._once(("whole", i), lambda: (self.module(i), identity_map(self.module(i))))
         if n > self.wmax or not (self.lo <= i <= self.hi):
-            z = PresentedModule.zero(self.ring)
-            return z, module_map(z, mod, Mat(0, mod.gens, []), check=False)
+            return self._once(("zero_sub", i), lambda: (self._zero, module_map(
+                self._zero, self.module(i), Mat(0, self.module(i).gens, []), check=False)))
         return self.fil[(i, n)]
 
     def diff(self, i):
         """d_i: C_i -> C_{i-1} (zero map outside the range)."""
         if self.lo < i <= self.hi:
             return self.diffs[i]
-        return zero_map(self.module(i), self.module(i - 1))
+        return self._once(("zero_diff", i), lambda: zero_map(self.module(i), self.module(i - 1)))
 
     def fil_diff(self, i, n):
         if n <= self.wmin:
@@ -139,7 +151,7 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
         for n in range(wmin + 1, wmax + 1):
             incn = x.fil_pair(i, n)[1]
             incn1 = x.fil_pair(i, n + 1)[1]
-            if solve_left_mod(incn.matrix, incn1.matrix, modules[i].relations, ring) is None:
+            if not in_row_span(incn.matrix.vstack(modules[i].relations), incn1.matrix, ring):
                 raise SchemaError(f"filtration not nested at degree {i} weight {n + 1}")
     for i in range(lo + 1, hi + 1):
         for n in range(wmin + 1, wmax + 1):
@@ -149,7 +161,7 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
             sol = solve_left_mod(tinc.matrix, pushed, modules[i - 1].relations, ring)
             if sol is None:
                 raise SchemaError(f"differential violates the filtration at degree {i} weight {n}")
-            x.induced_diffs[(i, n)] = module_map(subn, tgt, sol[0])
+            x.induced_diffs[(i, n)] = module_map(subn, tgt, sol)
     return x
 
 
@@ -174,7 +186,7 @@ def _fil_cycles(x, i, n):
     d = x.fil_diff(i, n)
     if d.target.gens == 0:
         return Mat.identity(sub.gens, x.ring) if sub.gens else Mat(0, 0, [])
-    return kernel_left_parts([d.matrix, d.target.relations], x.ring)[0]
+    return kernel_left(d.matrix.vstack(d.target.relations), x.ring, d.matrix.rows)
 
 
 def homology_filtered(x, i):
@@ -241,9 +253,8 @@ def _approx_cycles(x, n, i, r):
     if d.target.gens == 0:
         return incn.matrix
     pushed = incn.matrix.mul(d.matrix, ring)
-    parts = kernel_left_parts(
-        [pushed, tgt_inc.matrix, d.target.relations], ring)
-    arows = parts[0]
+    arows = kernel_left(pushed.vstack(tgt_inc.matrix).vstack(d.target.relations), ring,
+                        pushed.rows)
     zr = arows.mul(incn.matrix, ring) if arows.rows else Mat(0, x.module(i).gens, [])
     return zr
 
@@ -279,7 +290,7 @@ def page(x, r):
                              tgt.killer_rows.vstack(x.module(i - 1).relations), ring)
         if sol is None:
             raise InternalInconsistencyError(f"d_{r} image escapes the target entry at {(n, i)}")
-        diffs[(n, i)] = module_map(ent.module, tgt.module, sol[0])
+        diffs[(n, i)] = module_map(ent.module, tgt.module, sol)
     pg = SpectralPage(r, entries, diffs)
     for (n, i), dmap in diffs.items():
         nxt = diffs.get((n + r, i - 1))
@@ -321,8 +332,7 @@ def _entry_val_ge_one(x, dmap):
         return True
     u = ring.uniformizer_power(1)
     umat = Mat.identity(tgt.gens, ring).scale(u, ring)
-    sol = solve_left_mod(umat, dmap.matrix, tgt.relations, ring)
-    return sol is not None
+    return in_row_span(umat.vstack(tgt.relations), dmap.matrix, ring)
 
 
 def _free_block_vanishes(dmap, target_free_rank):

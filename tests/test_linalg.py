@@ -15,11 +15,13 @@ from truncalg.linalg import (
     base_snf,
     expand_matrix,
     expand_rows,
+    in_row_span,
     invert,
     kernel_left,
     reassemble_rows,
     smith_normal_form,
     solve_left,
+    solve_left_info,
     solve_left_mod,
 )
 from truncalg.modules import PresentedModule, decompose_elementary
@@ -328,6 +330,29 @@ def test_z_family_mul_equals_ring_calls(ring):
             assert ring.mul(x, y) == _PolyTruncMixin.mul(ring, x, y)
 
 
+@pytest.mark.parametrize("ring", Z_FAMILY_RINGS, ids=repr)
+def test_z_family_add_neg_inv_equal_ring_calls(ring):
+    """The integer sum, negation and unit inverse of the z-families equal
+    the coefficient-by-coefficient scalar-ring-call routes."""
+    rng = random.Random(2201)
+    q = ring.scalar.modulus
+    elems = [ring.zero, ring.one, ring.var_power(1), ring.var_power(ring.mlen - 1)]
+    elems += [ring.from_coeffs([rng.randrange(q) if rng.random() < share else 0
+                                for _ in range(ring.mlen)])
+              for share in (1.0, 0.5, 0.2) for _ in range(8)]
+    units = [ring.add(ring.one, ring.mul(ring.from_int(ring.p), x)) for x in elems]
+    units += [x for x in elems if ring.is_unit(x)]
+    for x in elems:
+        assert ring.neg(x) == _PolyTruncMixin.neg(ring, x)
+        for y in elems:
+            assert ring.add(x, y) == _PolyTruncMixin.add(ring, x, y)
+    for u in units:
+        assert ring.inv(u) == _PolyTruncMixin.inv(ring, u)
+        assert ring.mul(u, ring.inv(u)) == ring.one
+    with pytest.raises(ValueError):
+        ring.inv(ring.var_power(1))
+
+
 def reference_snf_localized(mat, ring):
     """`_snf_localized` as it was when every step ran on Fractions: the rows
     are scaled by Fraction(den) and each multiplier is a Fraction."""
@@ -628,11 +653,135 @@ def test_solve_left_mod():
     a = mk(ring, [[2]])
     rel = mk(ring, [[8]])
     b = mk(ring, [[10]])
-    xy = solve_left_mod(a, b, rel, ring)
-    assert xy is not None
-    x, y = xy
-    got = x.mul(a, ring).add(y.mul(rel, ring), ring)
-    assert got == b
+    x = solve_left_mod(a, b, rel, ring)
+    assert x is not None
+    # b - X . a lies in the row span of rel: some Y has Y . rel = b - X . a
+    rest = b.sub(x.mul(a, ring), ring)
+    y = solve_left(rel, rest, ring)
+    assert y is not None and y.mul(rel, ring) == rest
+
+
+SPAN_RINGS = [Z2_6, Z3_4, S1, ZL2, BK, LAM]
+
+
+def reference_kernel_left_parts(mats, ring):
+    """The kernel of the vertical stack of `mats`, every block's columns
+    sliced out: the route that kept all the blocks."""
+    stacked = mats[0]
+    for m in mats[1:]:
+        stacked = stacked.vstack(m)
+    ker = kernel_left(stacked, ring)
+    parts, at = [], 0
+    for m in mats:
+        parts.append(ker.take_cols(list(range(at, at + m.rows))))
+        at += m.rows
+    return parts
+
+
+def reference_solve_left_mod(mat, b, rel, ring):
+    """(X, Y) with X . mat + Y . rel = b from the full solve of the stack,
+    or None: the route that back-multiplied every unknown."""
+    sol = solve_left(mat.vstack(rel), b, ring)
+    if sol is None:
+        return None
+    return (sol.take_cols(list(range(mat.rows))),
+            sol.take_cols(list(range(mat.rows, mat.rows + rel.rows))))
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: type(r).__name__)
+def test_leading_blocks_and_membership_match_full_routes(ring):
+    """On seeded systems [A; Rel] with A the first k rows: the membership
+    test gives the full solve's verdict, the leading-block solve gives the
+    full solution's first k columns and the same failure record, and the
+    leading-block kernel gives the full kernel's first k columns, row for
+    row (zero leading rows included)."""
+    rng = random.Random(2202)
+    verdicts = set()
+    for _ in range(3):
+        for rows, cols, deficient in witness_shapes(rng):
+            a = shaped_matrix(ring, rng, rows, cols, deficient)
+            k = rng.randint(0, rows)
+            top, rel = a.take_rows(list(range(k))), a.take_rows(list(range(k, rows)))
+            full_ker = kernel_left(a, ring)
+            assert kernel_left(a, ring, k) == full_ker.take_cols(range(k))
+            assert kernel_left(a, ring, k) == reference_kernel_left_parts([top, rel], ring)[0]
+            targets = [random_matrix(ring, rng, 2, rows).mul(a, ring),
+                       random_matrix(ring, rng, 2, cols), sparse_matrix(ring, rng, 3, cols, 0.6)]
+            for b in targets:
+                full, full_failures = solve_left_info(a, b, ring)
+                lead, lead_failures = solve_left_info(a, b, ring, k)
+                assert lead_failures == full_failures
+                assert lead == (None if full is None else full.take_cols(range(k)))
+                assert in_row_span(a, b, ring) == (full is not None)
+                verdicts.add(full is not None)
+                ref = reference_solve_left_mod(top, b, rel, ring)
+                assert solve_left_mod(top, b, rel, ring) == (None if ref is None else ref[0])
+    assert verdicts == {True, False}
+    # empty shapes: no rows to span with, no columns to check
+    b = random_matrix(ring, rng, 2, 2)
+    assert in_row_span(Mat(0, 2, []), Mat.zero(2, 2, ring), ring)
+    assert in_row_span(Mat(0, 2, []), b, ring) == b.is_zero(ring)
+    assert in_row_span(Mat(3, 0, [[]] * 3), Mat(2, 0, [[]] * 2), ring)
+    assert in_row_span(b, Mat(0, 2, []), ring)
+    assert kernel_left(Mat(3, 0, [[]] * 3), ring, 2) == Mat.identity(3, ring).take_cols(range(2))
+
+
+def unimodular(ring, rng, n):
+    """A seeded invertible n x n matrix: the identity after row additions."""
+    m = [list(r) for r in Mat.identity(n, ring).data]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = random_matrix(ring, rng, 1, 1).data[0][0]
+        m[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(m[i], m[j])]
+    return Mat(n, n, m)
+
+
+# a non-unit of each family: p, z, or a prime outside S
+NON_UNITS = {Z2_6: 2, Z3_4: 3, S1: S1.var_power(1), ZL2: 3, BK: 3, LAM: 3}
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: type(r).__name__)
+def test_membership_fails_on_the_last_row(ring):
+    """mat = P . diag(pi, 1, 1) . Q spans pi*q1, q2, q3 (q_i the rows of Q,
+    pi a non-unit), so q1 lies outside it.  With q1 as the last row of b
+    after two rows inside the span, the membership test reads False; with
+    pi*q1 there it reads True.  A test that reads only the first row, or
+    always says yes, fails here."""
+    rng = random.Random(2203)
+    pi = NON_UNITS[ring]
+    pi = ring.from_int(pi) if isinstance(pi, int) else pi
+    for _ in range(4):
+        p_mat, q_mat = unimodular(ring, rng, 3), unimodular(ring, rng, 3)
+        d = Mat(3, 3, [[pi if i == j == 0 else ring.one if i == j else ring.zero
+                        for j in range(3)] for i in range(3)])
+        mat = p_mat.mul(d, ring).mul(q_mat, ring)
+        inside = random_matrix(ring, rng, 2, 3).mul(mat, ring)
+        q1 = q_mat.take_rows([0])
+        assert not in_row_span(mat, inside.vstack(q1), ring)
+        assert solve_left(mat, inside.vstack(q1), ring) is None
+        assert in_row_span(mat, inside.vstack(q1.scale(pi, ring)), ring)
+        assert in_row_span(mat, inside, ring)
+
+
+def test_membership_fails_on_a_zero_divisor():
+    """Over Z[1/S]: mat = P . [[3, 0], [0, 0], [0, 0]] . Q (divisors 3 and
+    0) and mat = [[3, 0]] . Q (one divisor, a column past it) span the
+    multiples of 3*q1 (q_i the rows of Q).  3*q2 lies outside, obstructed
+    by a zero divisor alone (its coordinates are multiples of 3).  As the
+    last row of b it makes the membership test read False."""
+    ring = ZL2
+    rng = random.Random(2204)
+    for rows in (3, 3, 1, 1):
+        p_mat = unimodular(ring, rng, 3) if rows == 3 else Mat.identity(1, ring)
+        q_mat = unimodular(ring, rng, 2)
+        d = mk(ring, [[3, 0]] + [[0, 0]] * (rows - 1))
+        mat = p_mat.mul(d, ring).mul(q_mat, ring)
+        b = random_matrix(ring, rng, 2, rows).mul(mat, ring).vstack(
+            q_mat.take_rows([1]).scale(ring.from_int(3), ring))
+        assert not in_row_span(mat, b, ring)
+        sol, failures = solve_left_info(mat, b, ring)
+        assert sol is None and failures
+        assert all(row == 2 and d == 0 for row, _, d, _ in failures)
 
 
 def test_invert():
