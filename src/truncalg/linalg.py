@@ -25,8 +25,8 @@ the SNFs; a BK or Lambda matrix is expanded only when its key misses.
 Solves and kernels back-multiply only the unknowns the caller reads: X of
 X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
 (`solve_left_info`) or kernel columns (`kernel_left`).  A membership test
-(`in_row_span`) stops after b . right and the divisibility check against
-the divisors: it builds no solution.
+(`in_row_span`) is a solve that reads none: b . right and the divisibility
+check against the divisors decide it, and no unknown is multiplied back.
 """
 
 from __future__ import annotations
@@ -530,9 +530,9 @@ def base_snf(mat, ring):
     return _snf_chain(mat, ring)
 
 
-def _solve_snf(snf, b, ring, failures, lead=None):
-    """The first `lead` columns (all by default) of X with X . mat = b
-    given mat's SNF, or None.  b a Mat of row targets; mat's shape is that
+def _solve_snf(snf, b, ring, failures, lead):
+    """The first `lead` columns of X with X . mat = b given mat's SNF, or
+    None.  b a Mat of row targets; mat's shape is that
     of the witnesses: rows of `left`, columns of `right`.
 
     X = Y . left with Y read off the diagonal, so only the first `lead`
@@ -563,25 +563,8 @@ def _solve_snf(snf, b, ring, failures, lead=None):
         ys.append(y)
     if failures:
         return None
-    left = snf.left if lead in (None, rows) else Mat(rows, lead, [r[:lead] for r in snf.left.data])
+    left = snf.left if lead == rows else Mat(rows, lead, [r[:lead] for r in snf.left.data])
     return Mat(b.rows, rows, ys).mul(left, ring)
-
-
-def _in_span_snf(snf, b, ring):
-    """Is b . right divisible by the divisors, entry by entry?  The verdict
-    of `_solve_snf` without its quotients, ending at the first failure."""
-    divisors = snf.divisors
-    ndiv = len(divisors)
-    padic = isinstance(ring, TruncatedPadic)
-    for ci in b.mul(snf.right, ring).data:
-        if padic:
-            # a Z/p^N divisor is p^v or 0
-            if any(cj and (not d or cj % d) for cj, d in zip(ci, divisors)) or any(ci[ndiv:]):
-                return False
-        elif (any(ring.divide(cj, d) is None for cj, d in zip(ci, divisors))
-              or not all(ring.is_zero(c) for c in ci[ndiv:])):
-            return False
-    return True
 
 
 def _kernel_snf(snf, ring, lead):
@@ -668,17 +651,9 @@ def solve_left_info(mat, b, ring, lead=None):
 
 def in_row_span(mat, b, ring):
     """Does every row of b lie in the row span of mat?  The verdict of
-    `solve_left(mat, b, ring) is not None`, from the same SNF and the same
-    divisor check, which ends at the first row that fails; no solution is
-    built.  TruncatedBK and TruncatedLambda rows are checked expanded."""
-    if b.rows == 0 or mat.cols == 0:
-        return True
-    if mat.rows == 0:
-        return b.is_zero(ring)
-    snf = base_snf(mat, ring)
-    if is_expansion_ring(ring):
-        return _in_span_snf(snf, expand_rows(b, ring), base_ring_of(ring))
-    return _in_span_snf(snf, b, ring)
+    `solve_left(mat, b, ring) is not None`: the same SNF and divisor check,
+    with no unknown multiplied back."""
+    return solve_left_info(mat, b, ring, 0)[0] is not None
 
 
 def kernel_left(mat, ring, lead=None):

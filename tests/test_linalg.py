@@ -303,11 +303,11 @@ def test_snf_padic_equals_chain_kernel(ring):
                    sparse_matrix(ring, rng, 2, m.cols, 0.7)]
         for b in targets:
             got, want = [], []
-            sol = linalg._solve_snf(fast, b, ring, got)
+            sol = linalg._solve_snf(fast, b, ring, got, fast.left.rows)
             assert sol == reference_solve_snf(fast, b, ring, want)
             assert got == want
         if m.rows:
-            assert linalg._solve_snf(fast, targets[0], ring, []) is not None
+            assert linalg._solve_snf(fast, targets[0], ring, [], fast.left.rows) is not None
 
 
 Z_FAMILY_RINGS = ([TruncatedBK(p, k, m) for p, k, m in ((2, 3, 3), (3, 2, 4), (5, 4, 6))]
