@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Source-mutant gate: every certifying check fails its tests when removed.
+
+Each entry of MUTANTS names a file of the checkout, a text that occurs in it
+exactly once, the text that replaces it (the mutant: a check removed or
+weakened) and the tests that should fail on the mutant.  The script copies
+the checkout to a temporary directory, runs the union of the named tests
+there unmutated (they must pass), then applies each mutant in turn and runs
+only that mutant's tests (they must fail).  The checkout is never written.
+
+    python3 scripts/check_mutants.py             # every mutant
+    python3 scripts/check_mutants.py NAME ...    # the named mutants
+
+Exit status: 0 when every mutant is killed; 1 when a mutant survives, its
+tests end in a pytest error, or the unmutated tests fail; 2 when an entry's
+old text does not occur exactly once (the entry is stale) or a name is
+unknown.  It is kept out of tier-1: each mutant costs one pytest run.  A
+change that adds or edits a check adds its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+MUTANTS = [
+    {
+        "name": "padic-divisor-rule-without-zero-divisor",
+        "file": "src/truncalg/linalg.py",
+        "old": "if cj and (not d or cj % d))",
+        "new": "if cj and d and cj % d)",
+        "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
+                  "tests/test_linalg.py::test_snf_padic_equals_chain_kernel"],
+    },
+    {
+        "name": "solve-without-tail-check",
+        "file": "src/truncalg/linalg.py",
+        "old": "        if ndiv < len(ci):\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
+                  "tests/test_linalg.py::test_leading_blocks_and_membership_match_full_routes"],
+    },
+    {
+        "name": "module-map-without-raise",
+        "file": "src/truncalg/modules.py",
+        "old": ("        raise NotWellDefinedError(\n"
+                "            \"matrix does not send source relations into target relations\")\n"),
+        "new": "        pass\n",
+        "tests": ["tests/test_modules.py::test_module_map_checks_well_definedness",
+                  "tests/test_modules.py::test_module_map_check_is_a_membership_test"],
+    },
+    {
+        "name": "mat-without-shape-assertion",
+        "file": "src/truncalg/linalg.py",
+        "old": "        assert len(data) == rows and set(map(len, data)) <= {cols}\n",
+        "new": "",
+        "tests": ["tests/test_linalg.py::test_mat_constructor_contract"],
+    },
+    {
+        "name": "decomposition-verify-without-well-definedness",
+        "file": "src/truncalg/modules.py",
+        "old": "        return (all(f.checked or rows_are_zero_classes(",
+        "new": "        return (all(True or rows_are_zero_classes(",
+        "tests": ["tests/test_modules.py::test_verify_rejects_a_witness_that_is_not_well_defined"],
+    },
+]
+
+
+def run_tests(copy, tests):
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv):
+    known = {m["name"]: m for m in MUTANTS}
+    unknown = [n for n in argv if n not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[n] for n in argv] if argv else MUTANTS
+    sources = {}
+    for m in chosen:
+        if m["file"] not in sources:
+            with open(os.path.join(ROOT, m["file"]), encoding="utf-8") as fh:
+                sources[m["file"]] = fh.read()
+        if sources[m["file"]].count(m["old"]) != 1:
+            print(f"{m['name']}: old text does not occur exactly once in {m['file']}",
+                  file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="truncalg-mutants-") as tmp:
+        copy = os.path.join(tmp, "checkout")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench_out", ".hypothesis"))
+        every_test = sorted({t for m in chosen for t in m["tests"]})
+        code = run_tests(copy, every_test)
+        if code != 0:
+            print(f"unmutated: the named tests do not pass (pytest exit {code})")
+            return 1
+        survivors = 0
+        for m in chosen:
+            path = os.path.join(copy, m["file"])
+            original = sources[m["file"]]
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(original.replace(m["old"], m["new"]))
+            try:
+                code = run_tests(copy, m["tests"])
+            finally:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(original)
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
+            survivors += code != 1
+            print(f"{m['name']}: {verdict}")
+        print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

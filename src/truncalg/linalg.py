@@ -24,9 +24,11 @@ the SNFs; a BK or Lambda matrix is expanded only when its key misses.
 
 Solves and kernels back-multiply only the unknowns the caller reads: X of
 X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
-(`solve_left_info`) or kernel columns (`kernel_left`).  A membership test
-(`in_row_span`) is a solve that reads none: b . right and the divisibility
-check against the divisors decide it, and no unknown is multiplied back.
+(`solve_left_info`) or kernel columns (`kernel_left`).  `_solve_snf` states
+each family's divisor rule once and builds the failure record from it.  A
+membership test (`in_row_span`) is a solve with lead 0 that stops at that
+check: b . right and the divisor rule decide it, no quotient row is formed
+and nothing is multiplied back.  `modules.module_map` checks a map this way.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class Mat:
     def __init__(self, rows, cols, data):
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(r) for r in data)
-        assert len(self.data) == rows and all(len(r) == cols for r in self.data)
+        self.data = data = tuple(map(tuple, data))
+        assert len(data) == rows and set(map(len, data)) <= {cols}
 
     @staticmethod
     def from_rows(rows_list, cols):
@@ -124,8 +126,7 @@ class Mat:
         return Mat(self.rows * other.rows, self.cols * other.cols, data)
 
     def transpose(self):
-        return Mat(self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Mat(self.cols, self.rows, zip(*self.data) if self.rows else [()] * self.cols)
 
     def scale(self, c, ring):
         return Mat(self.rows, self.cols, [[ring.mul(c, x) for x in r] for r in self.data])
@@ -535,36 +536,44 @@ def _solve_snf(snf, b, ring, failures, lead):
     None.  b a Mat of row targets; mat's shape is that
     of the witnesses: rows of `left`, columns of `right`.
 
-    X = Y . left with Y read off the diagonal, so only the first `lead`
-    columns of `left` are multiplied.  Unsolvable diagonal equations are
-    appended to the (empty) list `failures` as (row, position, divisor,
-    residue) and the scan continues, so callers get a complete obstruction
-    record.
+    With c = b . right, X = Y . left solves it iff Y . diag(divisors) = c.
+    Each family states once when a divisor d divides an entry cj of c, and
+    every unsolvable equation is appended to the (empty) list `failures` as
+    (row, position, divisor, residue), past the divisors with divisor zero,
+    so callers get a complete obstruction record.  The quotients Y and the
+    product with the first `lead` columns of `left` are built only when the
+    check passes and `lead` > 0: with lead 0 the check is the answer.
     """
     rows = snf.left.rows
-    ndiv = len(snf.divisors)
+    divisors = snf.divisors
+    ndiv = len(divisors)
     padic = isinstance(ring, TruncatedPadic)
+    divide, is_zero, zero = ring.divide, ring.is_zero, ring.zero
     ys = []
-    for i, ci in enumerate(b.mul(snf.right, ring).data):
-        y = [ring.zero] * rows
-        for j, (cj, d) in enumerate(zip(ci, snf.divisors)):
-            if padic:
-                # a Z/p^N divisor is p^v or 0: dividing by it is integer division
-                q = cj // d if d and cj % d == 0 else None if cj else 0
-            else:
-                q = ring.divide(cj, d)
-            if q is None:
-                failures.append((i, j, d, cj))
-            else:
-                y[j] = q
-        for j in range(ndiv, len(ci)):
-            if not ring.is_zero(ci[j]):
-                failures.append((i, j, ring.zero, ci[j]))
-        ys.append(y)
+    c = b.mul(snf.right, ring).data
+    for i, ci in enumerate(c):
+        if padic:
+            # a Z/p^N divisor is p^v or 0: d divides cj iff cj is 0, or d is
+            # nonzero and divides cj as an integer
+            failures.extend((i, j, d, cj) for j, (cj, d) in enumerate(zip(ci, divisors))
+                            if cj and (not d or cj % d))
+        else:
+            y = [divide(cj, d) for cj, d in zip(ci, divisors)]
+            failures.extend((i, j, d, cj) for j, (q, cj, d) in enumerate(zip(y, ci, divisors))
+                            if q is None)
+            ys.append(y)
+        if ndiv < len(ci):
+            failures.extend((i, j, zero, cj) for j, cj in enumerate(ci[ndiv:], ndiv)
+                            if not is_zero(cj))
     if failures:
         return None
+    if not lead:
+        return Mat(b.rows, 0, [()] * b.rows)
+    if padic:
+        ys = [[cj // d if cj else 0 for cj, d in zip(ci, divisors)] for ci in c]
+    pad = [zero] * (rows - ndiv)
     left = snf.left if lead == rows else Mat(rows, lead, [r[:lead] for r in snf.left.data])
-    return Mat(b.rows, rows, ys).mul(left, ring)
+    return Mat(b.rows, rows, [y + pad for y in ys]).mul(left, ring)
 
 
 def _kernel_snf(snf, ring, lead):
@@ -645,14 +654,14 @@ def solve_left_info(mat, b, ring, lead=None):
     if is_expansion_ring(ring):
         xb = _solve_snf(base_snf(mat, ring), expand_rows(b, ring), base_ring_of(ring), failures,
                         lead * ring.mlen)
-        return (None if xb is None else reassemble_rows(xb, ring, lead)), failures
+        return (xb if xb is None or not lead else reassemble_rows(xb, ring, lead)), failures
     return _solve_snf(base_snf(mat, ring), b, ring, failures, lead), failures
 
 
 def in_row_span(mat, b, ring):
     """Does every row of b lie in the row span of mat?  The verdict of
     `solve_left(mat, b, ring) is not None`: the same SNF and divisor check,
-    with no unknown multiplied back."""
+    with no quotient formed and no unknown multiplied back."""
     return solve_left_info(mat, b, ring, 0)[0] is not None
 
 

@@ -1,10 +1,10 @@
 """Finitely presented modules and morphisms over the coefficient rings.
 
 A PresentedModule is R^g modulo the row span of a relation matrix; module
-maps act on generators from the right (x |-> x . matrix) and carry a
-certificate matrix expressing the image of every source relation as a
-combination of target relations, so well-definedness is checked rather than
-assumed.
+maps act on generators from the right (x |-> x . matrix).  `module_map`
+checks that the image of every source relation lies in the row span of the
+target relations (a membership test) and records that it did, so
+well-definedness is checked rather than assumed.
 
 Over TruncatedBK and TruncatedLambda all solving happens by restriction of
 scalars to the base chain ring (see linalg); the extra variable's action is
@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     UnsupportedRingError,
 )
-from .linalg import Mat, in_row_span, kernel_left, solve_left, solve_left_info, solve_left_mod
+from .linalg import Mat, in_row_span, kernel_left, solve_left_info, solve_left_mod
 from .rings import (
     LocalizedIntegers,
     TruncatedBK,
@@ -96,7 +96,7 @@ class ModuleMap:
     source: PresentedModule
     target: PresentedModule
     matrix: Mat
-    certificate: Mat = field(compare=False, default=None)
+    checked: bool = field(compare=False, default=False)
 
     def __post_init__(self):
         assert self.matrix.rows == self.source.gens
@@ -107,22 +107,19 @@ def module_map(source, target, matrix, check=True):
     """Build a verified ModuleMap; raises NotWellDefined if relations break."""
     if source.ring is not target.ring and source.ring != target.ring:
         raise SchemaError("module map endpoints live over different rings")
-    cert = None
-    if check:
-        pushed = source.relations.mul(matrix, source.ring)
-        cert = solve_left(target.relations, pushed, source.ring)
-        if cert is None:
-            raise NotWellDefinedError(
-                "matrix does not send source relations into target relations")
-    return ModuleMap(source, target, matrix, cert)
+    if check and not in_row_span(target.relations, source.relations.mul(matrix, source.ring),
+                                 source.ring):
+        raise NotWellDefinedError(
+            "matrix does not send source relations into target relations")
+    return ModuleMap(source, target, matrix, check)
 
 
 def identity_map(m):
-    return ModuleMap(m, m, Mat.identity(m.gens, m.ring), None)
+    return ModuleMap(m, m, Mat.identity(m.gens, m.ring))
 
 
 def zero_map(source, target):
-    return ModuleMap(source, target, Mat.zero(source.gens, target.gens, source.ring), None)
+    return ModuleMap(source, target, Mat.zero(source.gens, target.gens, source.ring))
 
 
 def compose(f, g):
@@ -334,10 +331,10 @@ class ElementaryDecomposition:
         return self.divisors.exponents()
 
     def verify(self):
-        """Both maps are well defined (a map's certificate already shows it)
-        and both composites are the identity."""
+        """Both maps are well defined (a checked map already is) and both
+        composites are the identity."""
         m = self.to_canonical.source
-        return (all(f.certificate is not None or rows_are_zero_classes(
+        return (all(f.checked or rows_are_zero_classes(
                         f.target, f.source.relations.mul(f.matrix, m.ring))
                     for f in (self.to_canonical, self.from_canonical))
                 and maps_equal(compose(self.to_canonical, self.from_canonical), identity_map(m))

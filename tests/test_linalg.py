@@ -32,6 +32,8 @@ from truncalg.rings import (
     TruncatedPadic,
     TruncatedPowerSeries,
     _PolyTruncMixin,
+    base_ring_of,
+    is_expansion_ring,
 )
 
 Z2_6 = TruncatedPadic(2, 6)
@@ -726,6 +728,38 @@ def test_leading_blocks_and_membership_match_full_routes(ring):
     assert kernel_left(Mat(3, 0, [[]] * 3), ring, 2) == Mat.identity(3, ring).take_cols(range(2))
 
 
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: type(r).__name__)
+def test_solve_snf_matches_reference_at_every_lead(ring):
+    """`_solve_snf` on a matrix's base SNF (expanded rows over TruncatedBK
+    and TruncatedLambda) equals the per-entry reference at lead 0, a middle
+    lead and the full width: the reference solution's leading columns, and
+    the reference failure record at every lead, lead 0 included."""
+    rng = random.Random(2301)
+    expand = is_expansion_ring(ring)
+    base = base_ring_of(ring) if expand else ring
+    outcomes, leads = set(), set()
+    for _ in range(2):
+        for rows, cols, deficient in witness_shapes(rng):
+            a = shaped_matrix(ring, rng, rows, cols, deficient)
+            snf = base_snf(a, ring)
+            full = snf.left.rows
+            targets = [random_matrix(ring, rng, 2, rows).mul(a, ring),
+                       random_matrix(ring, rng, 2, cols), sparse_matrix(ring, rng, 3, cols, 0.6)]
+            for b in targets:
+                eb = expand_rows(b, ring) if expand else b
+                want = []
+                ref = reference_solve_snf(snf, eb, base, want)
+                outcomes.add(ref is not None)
+                for lead in (0, rng.randint(1, full - 1) if full > 1 else full, full):
+                    leads.add(0 if not lead else "full" if lead == full else "k")
+                    got = []
+                    sol = linalg._solve_snf(snf, eb, base, got, lead)
+                    assert got == want
+                    assert sol == (None if ref is None else ref.take_cols(range(lead)))
+    assert outcomes == {True, False}
+    assert leads == {0, "k", "full"}
+
+
 def unimodular(ring, rng, n):
     """A seeded invertible n x n matrix: the identity after row additions."""
     m = [list(r) for r in Mat.identity(n, ring).data]
@@ -782,6 +816,45 @@ def test_membership_fails_on_a_zero_divisor():
         sol, failures = solve_left_info(mat, b, ring)
         assert sol is None and failures
         assert all(row == 2 and d == 0 for row, _, d, _ in failures)
+
+
+def reference_transpose(m):
+    """The double-index transpose."""
+    return Mat(m.cols, m.rows, [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)])
+
+
+def test_mat_constructor_contract():
+    """Rows given as lists, tuples or generators build equal Mats of tuple
+    rows; ragged rows and a wrong row count raise; 0 x n and n x 0 build."""
+    rows = [[1, 2, 3], [4, 5, 6]]
+    want = Mat(2, 3, rows)
+    assert want.data == ((1, 2, 3), (4, 5, 6))
+    assert Mat(2, 3, [tuple(r) for r in rows]) == want
+    assert Mat(2, 3, tuple(map(tuple, rows))) == want
+    assert Mat(2, 3, (list(r) for r in rows)) == want
+    assert Mat(2, 3, [(x for x in r) for r in rows]) == want
+    for bad_rows, bad in ((2, [[1, 2, 3], [4, 5]]), (2, [[1, 2], [4, 5, 6]]), (2, [[1, 2], [4, 5]]),
+                          (3, rows), (1, rows), (0, rows), (2, [])):
+        with pytest.raises(AssertionError):
+            Mat(bad_rows, 3, bad)
+    for r, c in ((0, 0), (0, 4), (3, 0)):
+        m = Mat(r, c, [[]] * r)
+        assert (m.rows, m.cols, m.data) == (r, c, ((),) * r)
+    with pytest.raises(AssertionError):
+        Mat(3, 0, [[], [1], []])
+    with pytest.raises(AssertionError):
+        Mat(3, 1, [[]] * 3)
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: type(r).__name__)
+def test_transpose_matches_double_index(ring):
+    rng = random.Random(2302)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3)):
+        m = random_matrix(ring, rng, rows, cols)
+        t = m.transpose()
+        assert t == reference_transpose(m)
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.transpose() == m
 
 
 def test_invert():

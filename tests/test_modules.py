@@ -63,7 +63,7 @@ ZP34 = TruncatedPadic(3, 4)
 LAM = TruncatedLambda((2,), 2)
 
 
-def test_module_map_certificate_checked():
+def test_module_map_checks_well_definedness():
     m = PresentedModule.cyclic(ZP3, 2)
     n = PresentedModule.cyclic(ZP3, 4)
     # 1: Z/2 -> Z/4 is not well defined
@@ -71,7 +71,34 @@ def test_module_map_certificate_checked():
         module_map(m, n, Mat(1, 1, [[1]]))
     # 2: Z/2 -> Z/4 is
     f = module_map(m, n, Mat(1, 1, [[2]]))
-    assert f.certificate is not None
+    assert f.checked
+    assert rows_are_zero_classes(n, m.relations.mul(f.matrix, ZP3))
+    assert not module_map(m, n, Mat(1, 1, [[1]]), check=False).checked
+
+
+def test_module_map_check_is_a_membership_test(monkeypatch):
+    """module_map(check=True) decides well-definedness by a membership
+    test: every solve it makes has lead 0, so no unknown is formed, and the
+    ill-defined Z/2 -> Z/4 by 1 still raises."""
+    leads = []
+    solve = linalg._solve_snf
+
+    def recording(snf, b, ring, failures, lead):
+        leads.append(lead)
+        return solve(snf, b, ring, failures, lead)
+
+    monkeypatch.setattr(linalg, "_solve_snf", recording)
+    m, n = PresentedModule.cyclic(ZP3, 2), PresentedModule.cyclic(ZP3, 4)
+    with pytest.raises(NotWellDefinedError):
+        module_map(m, n, Mat(1, 1, [[1]]))
+    assert module_map(m, n, Mat(1, 1, [[2]])).checked
+    bk = TruncatedBK(3, 2, 2)
+    src = PresentedModule.cyclic(bk, bk.from_int(3))
+    tgt = PresentedModule.cyclic(bk, bk.from_int(9))
+    assert module_map(src, tgt, Mat(1, 1, [[bk.from_int(3)]])).checked
+    with pytest.raises(NotWellDefinedError):
+        module_map(src, tgt, Mat(1, 1, [[bk.one]]))
+    assert leads == [0, 0, 0, 0]
 
 
 def test_subquotient_mult_p():

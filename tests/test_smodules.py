@@ -195,7 +195,7 @@ def test_not_elementary_certificate_is_gr_p_slice():
 
 
 def test_decompose_witness_is_a_checked_isomorphism():
-    """Both witness maps carry their well-definedness certificate, and
+    """Both witness maps were checked to be well defined, and
     from_canonical is injective and surjective: the checks the single
     `verify` call implies, recomputed here as the reference."""
     elementary = 0
@@ -204,8 +204,9 @@ def test_decompose_witness_is_a_checked_isomorphism():
         if isinstance(dec, NotElementary):
             continue
         elementary += 1
-        assert dec.to_canonical.certificate is not None
-        assert dec.from_canonical.certificate is not None
+        for f in (dec.to_canonical, dec.from_canonical):
+            assert f.checked
+            assert rows_are_zero_classes(f.target, f.source.relations.mul(f.matrix, m.ring))
         assert is_injective(dec.from_canonical)
         assert is_surjective(dec.from_canonical)
         assert dec.verify()
