@@ -30,20 +30,43 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MUTANTS = [
     {
-        "name": "padic-divisor-rule-without-zero-divisor",
+        "name": "integer-divisor-rule-without-zero-divisor",
         "file": "src/truncalg/linalg.py",
         "old": "if cj and (not d or cj % d))",
         "new": "if cj and d and cj % d)",
         "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
-                  "tests/test_linalg.py::test_snf_padic_equals_chain_kernel"],
+                  "tests/test_linalg.py::test_snf_padic_equals_chain_kernel",
+                  "tests/test_linalg.py::test_integer_rule_matches_reference_over_localized_integers"],
     },
     {
         "name": "solve-without-tail-check",
         "file": "src/truncalg/linalg.py",
-        "old": "        if ndiv < len(ci):\n",
-        "new": "        if False:\n",
+        "old": "    divisors = snf.divisors + [ring.zero] * (snf.right.cols - ndiv)\n",
+        "new": "    divisors = snf.divisors\n",
         "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
                   "tests/test_linalg.py::test_leading_blocks_and_membership_match_full_routes"],
+    },
+    {
+        "name": "localized-rows-without-denominator-scaling",
+        "file": "src/truncalg/linalg.py",
+        "old": "        yield den, [x.numerator * (den // x.denominator) for x in row]\n",
+        "new": "        yield den, [x.numerator for x in row]\n",
+        "tests": ["tests/test_linalg.py::test_integer_rule_matches_reference_over_localized_integers",
+                  "tests/test_linalg.py::test_snf_localized_matches_fraction_reference"],
+    },
+    {
+        "name": "localized-solve-without-s-unit-assertion",
+        "file": "src/truncalg/linalg.py",
+        "old": "    assert all(ring.strip_s(den) == 1 for den in dens), \"a denominator outside S\"\n",
+        "new": "",
+        "tests": ["tests/test_linalg.py::test_solve_refuses_a_denominator_outside_s"],
+    },
+    {
+        "name": "valuation-rule-without-zero-divisor",
+        "file": "src/truncalg/linalg.py",
+        "old": "vals = [ring.mlen if v is None else v",
+        "new": "vals = [0 if v is None else v",
+        "tests": ["tests/test_linalg.py::test_valuation_rule_matches_reference_over_power_series"],
     },
     {
         "name": "module-map-without-raise",
@@ -53,6 +76,36 @@ MUTANTS = [
         "new": "        pass\n",
         "tests": ["tests/test_modules.py::test_module_map_checks_well_definedness",
                   "tests/test_modules.py::test_module_map_check_is_a_membership_test"],
+    },
+    {
+        "name": "skeleton-memo-keyed-by-degree-alone",
+        "file": "src/truncalg/cw.py",
+        "old": "        key = (s, j)\n",
+        "new": "        key = j\n",
+        "tests": ["tests/test_cw.py::test_skeletal_verification_computes_each_skeleton_once"],
+    },
+    {
+        "name": "pair-les-without-top-surjectivity-raise",
+        "file": "src/truncalg/cw.py",
+        "old": "        raise InternalInconsistencyError(\"six-term sequence fails surjectivity at the top\")\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_cw.py::test_skeletal_verification_raises_on_each_failed_node[top]"],
+    },
+    {
+        "name": "pair-les-without-connecting-map-raise",
+        "file": "src/truncalg/cw.py",
+        "old": ("        raise InternalInconsistencyError(\"six-term sequence fails exactness at the "
+                "connecting map\")\n"),
+        "new": "        pass\n",
+        "tests": ["tests/test_cw.py::test_skeletal_verification_raises_on_each_failed_node[connecting]"],
+    },
+    {
+        "name": "pair-les-without-isomorphism-raise",
+        "file": "src/truncalg/cw.py",
+        "old": ("            raise InternalInconsistencyError(\n"
+                "                f\"restriction fails to be an isomorphism in degree {j} below the pair\")\n"),
+        "new": "            pass\n",
+        "tests": ["tests/test_cw.py::test_skeletal_verification_raises_on_each_failed_node[below]"],
     },
     {
         "name": "mat-without-shape-assertion",

@@ -242,6 +242,16 @@ def skeletal_verification(x):
         raise SchemaError("skeletal verification needs a connected complex")
     d = x.dimension
     _, _, inverted = denominator_bound(d)
+    memo = {}
+
+    def cohomology(s, j):
+        """(H^j(X^s) localized, its cocycle rows), computed once: pair k
+        reads X^k and X^(k-1)."""
+        key = (s, j)
+        if key not in memo:
+            memo[key] = _cohomology_with_reduction(skeleton(x, s), j, inverted)
+        return memo[key]
+
     trace = []
     for k in range(1, d + 1):
         ck = x.cell_count(k)
@@ -255,7 +265,7 @@ def skeletal_verification(x):
                     and other.rank == 0 and not other.torsion_divisors)
         if not wedge_ok:
             raise InternalInconsistencyError(f"cofiber wedge K-values wrong at skeleton {k}")
-        node_results = _verify_pair_les(x, k, inverted)
+        node_results = _verify_pair_les(x, k, inverted, cohomology)
         trace.append({"skeleton": k, "cofiber_spheres": ck,
                       "wedge_values_ok": wedge_ok, "nodes": node_results})
     return trace
@@ -277,24 +287,24 @@ def _localize_presentation(m, inverted):
     return PresentedModule(LocalizedIntegers(tuple(inverted)), m.gens, m.relations)
 
 
-def _verify_pair_les(x, k, inverted):
+def _verify_pair_les(x, k, inverted, cohomology):
     """Exactness of the folded sequence for the pair (X^k, X^{k-1}).
 
     Nodes checked per degree j:
       rel^j -> H^j(X^k) -> H^j(X^{k-1}) -> rel^{j+1} -> H^{j+1}(X^k) ...
-    where rel^j is nonzero only at j = k (the wedge cohomology)."""
+    where rel^j is nonzero only at j = k (the wedge cohomology).
+    `cohomology(s, j)` gives `_cohomology_with_reduction` of the skeleton
+    X^s in degree j; the pair reads degrees 0 to k."""
     ring = LocalizedIntegers(tuple(inverted))
-    xk = skeleton(x, k)
-    xk1 = skeleton(x, k - 1)
     ck = x.cell_count(k)
 
     hk = {}
     zk = {}
     hk1 = {}
     zk1 = {}
-    for j in range(0, k + 2):
-        hk[j], zk[j] = _cohomology_with_reduction(xk, j, inverted)
-        hk1[j], zk1[j] = _cohomology_with_reduction(xk1, j, inverted)
+    for j in range(0, k + 1):
+        hk[j], zk[j] = cohomology(k, j)
+        hk1[j], zk1[j] = cohomology(k - 1, j)
 
     results = []
     # restriction maps H^j(X^k) -> H^j(X^{k-1}): identity on cochains for j < k
@@ -305,7 +315,7 @@ def _verify_pair_les(x, k, inverted):
                                   Mat.zero(hk[j].gens, hk1[j].gens, ring), check=False)
             continue
         coords = subquotient_coordinates(zk1[j], x.boundary(j).transpose()
-                                         if j >= 1 else Mat(0, xk1.cell_count(j), []),
+                                         if j >= 1 else Mat(0, x.cell_count(j), []),
                                          zk[j], ZRING)
         restr[j] = module_map(hk[j], hk1[j], coords)
     # relative module at degree k: free on the k-cells (q-map into H^k(X^k))

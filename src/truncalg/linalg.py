@@ -14,18 +14,21 @@ There is one Smith normal form kernel per base ring:
                Fractions are built only in the result, so the result is as
                exact as a Fraction elimination's.
 
-Over Z/p^N, `Mat.mul` and the solve's division by a divisor p^v run on ints
-as well.  TruncatedBK and TruncatedLambda matrices are expanded by
-restriction of scalars to their base ring: a T-linear map is base-linear,
-and solutions/kernels reassemble because the coordinate identification
-T^g = base^(g*M) is a base-module isomorphism.
+Over Z/p^N, `Mat.mul` and the solve run on ints as well.  Z/p^N and Z[1/S]
+share one integer divisor rule in the solve: over Z[1/S] each target row is
+scaled by the lcm of its denominators, an S-unit, and b . right is formed on
+ints (right is integral); only the product with `left` stays on Fractions.
+F_p[z]/z^M has the valuation rule.  TruncatedBK and TruncatedLambda
+matrices are expanded by restriction of scalars to their base ring: a
+T-linear map is base-linear, and solutions/kernels reassemble because the
+coordinate identification T^g = base^(g*M) is a base-module isomorphism.
 One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
 the SNFs; a BK or Lambda matrix is expanded only when its key misses.
 
 Solves and kernels back-multiply only the unknowns the caller reads: X of
 X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
 (`solve_left_info`) or kernel columns (`kernel_left`).  `_solve_snf` states
-each family's divisor rule once and builds the failure record from it.  A
+each divisor rule once and builds the failure record from it.  A
 membership test (`in_row_span`) is a solve with lead 0 that stops at that
 check: b . right and the divisor rule decide it, no quotient row is formed
 and nothing is multiplied back.  `modules.module_map` checks a map this way.
@@ -41,7 +44,25 @@ from math import lcm
 from types import SimpleNamespace
 
 from .errors import UnsupportedRingError
-from .rings import LocalizedIntegers, TruncatedPadic, base_ring_of, is_expansion_ring
+from .rings import (
+    LocalizedIntegers,
+    TruncatedPadic,
+    TruncatedPowerSeries,
+    base_ring_of,
+    is_expansion_ring,
+)
+
+
+def _int_products(arows, brows):
+    """Row by row, the unreduced integer sums of a[i][k] * (row k of b) over
+    the nonzero a[i][k]; None for a row with no nonzero entry."""
+    for arow in arows:
+        acc = None
+        for a, brow in zip(arow, brows):
+            if a:
+                acc = ([a * y for y in brow] if acc is None
+                       else [x + a * y for x, y in zip(acc, brow)])
+        yield acc
 
 
 class Mat:
@@ -76,18 +97,13 @@ class Mat:
         each output entry is reduced once."""
         assert self.cols == other.rows, f"shape mismatch {self.cols} != {other.rows}"
         zero_row = (ring.zero,) * other.cols
-        out = []
         if isinstance(ring, TruncatedPadic):
             q = ring.modulus
-            for arow in self.data:
-                acc = None
-                for a, orow in zip(arow, other.data):
-                    if a:
-                        acc = ([a * y for y in orow] if acc is None
-                               else [x + a * y for x, y in zip(acc, orow)])
-                out.append(zero_row if acc is None else [x % q for x in acc])
-            return Mat(self.rows, other.cols, out)
+            return Mat(self.rows, other.cols,
+                       [zero_row if acc is None else [x % q for x in acc]
+                        for acc in _int_products(self.data, other.data)])
         add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        out = []
         for arow in self.data:
             acc = None
             for a, orow in zip(arow, other.data):
@@ -396,6 +412,14 @@ _INTEGERS = SimpleNamespace(zero=0, one=1, add=operator.add, mul=operator.mul,
                             is_zero=operator.not_)
 
 
+def _integer_rows(rows):
+    """(D, D . row) for each row of Fractions: D the lcm of the row's
+    denominators, D . row as ints."""
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        yield den, [x.numerator * (den // x.denominator) for x in row]
+
+
 def _snf_localized(mat, ring):
     """SNF over Z[1/S]: scale rows to integers, integer-reduce, strip S-units.
 
@@ -406,9 +430,8 @@ def _snf_localized(mat, ring):
     S-unit factors are stripped from the divisor d.
     """
     w = _Worker(mat, _INTEGERS)
-    for i, row in enumerate(w.a):
-        den = lcm(*(x.denominator for x in row))
-        w.a[i] = [x.numerator * (den // x.denominator) for x in row]
+    for i, (den, row) in enumerate(_integer_rows(mat.data)):
+        w.a[i] = row
         w.l[i][i] = den
     a = w.a
 
@@ -531,47 +554,72 @@ def base_snf(mat, ring):
     return _snf_chain(mat, ring)
 
 
+def _scaled_product(b, right, ring):
+    """(dens, c) over Z[1/S]: per row of b the lcm D of its denominators,
+    and the integer rows c = (D . b) . right.  D is an S-unit for every
+    element of Z[1/S], and right is integral: `_snf_localized` builds it
+    from integer column steps."""
+    scaled = list(_integer_rows(b.data))
+    dens = [den for den, _ in scaled]
+    assert all(ring.strip_s(den) == 1 for den in dens), "a denominator outside S"
+    rint = [[x.numerator for x in row] for row in right.data]
+    c = _int_products((row for _, row in scaled), rint)
+    return dens, [[0] * right.cols if acc is None else acc for acc in c]
+
+
 def _solve_snf(snf, b, ring, failures, lead):
     """The first `lead` columns of X with X . mat = b given mat's SNF, or
     None.  b a Mat of row targets; mat's shape is that
     of the witnesses: rows of `left`, columns of `right`.
 
-    With c = b . right, X = Y . left solves it iff Y . diag(divisors) = c.
-    Each family states once when a divisor d divides an entry cj of c, and
-    every unsolvable equation is appended to the (empty) list `failures` as
-    (row, position, divisor, residue), past the divisors with divisor zero,
+    With c = b . right, X = Y . left solves it iff Y . diag(divisors) = c,
+    a divisor past the diagonal being zero.  There are two divisor rules:
+
+      integers (Z/p^N, Z[1/S])  a divisor d is 0, p^v or a positive S-free
+          integer (`_snf_localized` strips the S-units), and c is read as
+          integer rows cj/D, D an S-unit (1 over Z/p^N).  So d divides
+          cj/D iff cj is 0, or d is nonzero and divides cj as an integer;
+          the quotient is (cj // d)/D;
+      valuation (F_p[z]/z^M)  a divisor is 0 or exactly z^v, its unit part
+          scaled away, so d divides cj iff the first v coefficients of cj
+          vanish (v = M for 0); the quotient is cj shifted down by v.
+
+    Every unsolvable equation is appended to the (empty) list `failures` as
+    (row, position, divisor, residue), the residue the entry of b . right,
     so callers get a complete obstruction record.  The quotients Y and the
     product with the first `lead` columns of `left` are built only when the
     check passes and `lead` > 0: with lead 0 the check is the answer.
     """
-    rows = snf.left.rows
-    divisors = snf.divisors
-    ndiv = len(divisors)
-    padic = isinstance(ring, TruncatedPadic)
-    divide, is_zero, zero = ring.divide, ring.is_zero, ring.zero
-    ys = []
-    c = b.mul(snf.right, ring).data
-    for i, ci in enumerate(c):
-        if padic:
-            # a Z/p^N divisor is p^v or 0: d divides cj iff cj is 0, or d is
-            # nonzero and divides cj as an integer
-            failures.extend((i, j, d, cj) for j, (cj, d) in enumerate(zip(ci, divisors))
+    rows, ndiv = snf.left.rows, len(snf.divisors)
+    divisors = snf.divisors + [ring.zero] * (snf.right.cols - ndiv)
+    dens = None
+    if isinstance(ring, LocalizedIntegers):
+        dens, c = _scaled_product(b, snf.right, ring)
+    else:
+        c = b.mul(snf.right, ring).data
+    if isinstance(ring, TruncatedPowerSeries):
+        vals = [ring.mlen if v is None else v for v in map(ring.var_valuation, divisors)]
+        for i, ci in enumerate(c):
+            failures.extend((i, j, divisors[j], cj) for j, (cj, v) in enumerate(zip(ci, vals))
+                            if any(cj[:v]))
+    else:
+        ints = [d.numerator for d in divisors]
+        for i, ci in enumerate(c):
+            failures.extend((i, j, divisors[j], cj if dens is None else Fraction(cj, dens[i]))
+                            for j, (cj, d) in enumerate(zip(ci, ints))
                             if cj and (not d or cj % d))
-        else:
-            y = [divide(cj, d) for cj, d in zip(ci, divisors)]
-            failures.extend((i, j, d, cj) for j, (q, cj, d) in enumerate(zip(y, ci, divisors))
-                            if q is None)
-            ys.append(y)
-        if ndiv < len(ci):
-            failures.extend((i, j, zero, cj) for j, cj in enumerate(ci[ndiv:], ndiv)
-                            if not is_zero(cj))
     if failures:
         return None
     if not lead:
         return Mat(b.rows, 0, [()] * b.rows)
-    if padic:
-        ys = [[cj // d if cj else 0 for cj, d in zip(ci, divisors)] for ci in c]
-    pad = [zero] * (rows - ndiv)
+    if isinstance(ring, TruncatedPowerSeries):
+        ys = [[ring.shift_down(cj, v) for cj, v in zip(ci, vals[:ndiv])] for ci in c]
+    elif dens is None:
+        ys = [[cj // d if cj else 0 for cj, d in zip(ci, ints[:ndiv])] for ci in c]
+    else:
+        ys = [[Fraction(cj // d, den) if cj else ring.zero for cj, d in zip(ci, ints[:ndiv])]
+              for ci, den in zip(c, dens)]
+    pad = [ring.zero] * (rows - ndiv)
     left = snf.left if lead == rows else Mat(rows, lead, [r[:lead] for r in snf.left.data])
     return Mat(b.rows, rows, [y + pad for y in ys]).mul(left, ring)
 

@@ -1,8 +1,12 @@
+import glob
+import json
+import os
 import random
 
 import pytest
 
 from helpers import matrices_digest
+import truncalg.cw as cw
 from truncalg.cw import (
     LocalizedAbelianGroup,
     chain_form,
@@ -11,11 +15,13 @@ from truncalg.cw import (
     make_cw,
     reduced_cohomology,
     skeletal_verification,
+    skeleton,
     sphere,
     suspension,
     wedge,
 )
-from truncalg.errors import SchemaError
+from truncalg.errors import InternalInconsistencyError, SchemaError
+from truncalg.schemas import parse_cw
 
 
 def rp2():
@@ -178,3 +184,88 @@ def test_wedge_boundaries_are_pinned():
     assert len(mats) == 353
     assert matrices_digest(mats) == \
         "820b48d707f4fe370d944277875946f1418c1056425ec2d9a8d1779ca2446980"
+
+
+def corpus_complexes():
+    """The CW complexes of the corpus jobs."""
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    out = []
+    for path in sorted(glob.glob(os.path.join(corpus, "cw_*.json"))):
+        if not path.endswith(".report.json"):
+            with open(path, encoding="utf-8") as fh:
+                out.append(parse_cw(json.load(fh)["input"]["cw"], "/input/cw"))
+    return out
+
+
+def seeded_wedges(seed, count):
+    """Wedges of two or three pieces drawn from S^1, S^2, S^3, RP^2, CP^2
+    and the suspensions of RP^2 and CP^2."""
+    rng = random.Random(seed)
+    pieces = [sphere(1), sphere(2), sphere(3), rp2(), cp2()]
+    pieces += [suspension(x) for x in pieces[3:]]
+    out = []
+    for _ in range(count):
+        x = rng.choice(pieces)
+        for _ in range(rng.randint(1, 2)):
+            x = wedge(x, rng.choice(pieces))
+        out.append(x)
+    return out
+
+
+def reference_skeletal_trace(x):
+    """`skeletal_verification` with no cohomology shared between pairs: each
+    pair computes both of its skeleta in degrees 0 to k + 1 itself."""
+    _, _, inverted = denominator_bound(x.dimension)
+    trace = []
+    for k in range(1, x.dimension + 1):
+        ck = x.cell_count(k)
+        kcof = ktheory(make_cw([1] + [0] * (k - 1) + [ck], []))
+        got, other = (kcof.k0, kcof.k1) if k % 2 == 0 else (kcof.k1, kcof.k0)
+        wedge_ok = (got.rank == ck and not got.torsion_divisors
+                    and other.rank == 0 and not other.torsion_divisors)
+        pair = {(s, j): cw._cohomology_with_reduction(skeleton(x, s), j, inverted)
+                for s in (k, k - 1) for j in range(k + 2)}
+        nodes = cw._verify_pair_les(x, k, inverted, lambda s, j: pair[s, j])
+        trace.append({"skeleton": k, "cofiber_spheres": ck,
+                      "wedge_values_ok": wedge_ok, "nodes": nodes})
+    return trace
+
+
+@pytest.mark.parametrize("source", ["corpus", "wedges"])
+def test_skeletal_verification_computes_each_skeleton_once(monkeypatch, source):
+    """Each (skeleton, degree) cohomology is computed once, every degree a
+    pair reads is computed (X^s in degrees 0 to s + 1, the top skeleton to
+    its dimension), and the trace equals the per-pair recomputation's."""
+    spaces = corpus_complexes() if source == "corpus" else seeded_wedges(2401, 6)
+    assert spaces
+    real = cw._cohomology_with_reduction
+    for x in spaces:
+        want = reference_skeletal_trace(x)
+        calls = []
+
+        def counted(xk, j, inverted):
+            calls.append((len(xk.cells) - 1, j))
+            return real(xk, j, inverted)
+
+        monkeypatch.setattr(cw, "_cohomology_with_reduction", counted)
+        trace = skeletal_verification(x)
+        monkeypatch.setattr(cw, "_cohomology_with_reduction", real)
+        d = x.dimension
+        assert sorted(calls) == [(s, j) for s in range(d + 1) for j in range(min(s + 1, d) + 1)]
+        assert trace == want
+        assert [step["skeleton"] for step in trace] == list(range(1, d + 1))
+        assert all(n["exact"] for step in trace for n in step["nodes"])
+
+
+@pytest.mark.parametrize("check, message", [
+    ("is_surjective", "fails surjectivity at the top"),
+    ("verify_exact_at", "fails exactness at the connecting map"),
+    ("is_injective", "fails to be an isomorphism in degree 0"),
+], ids=["top", "connecting", "below"])
+def test_skeletal_verification_raises_on_each_failed_node(monkeypatch, check, message):
+    """A node whose exactness check reads False stops the verification with
+    that node's error: the top surjectivity, the two nodes at the connecting
+    map, and the isomorphisms below the pair (pair 2 of RP^2, degree 0)."""
+    monkeypatch.setattr(cw, check, lambda *args: False)
+    with pytest.raises(InternalInconsistencyError, match=message):
+        skeletal_verification(rp2())

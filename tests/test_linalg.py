@@ -24,7 +24,8 @@ from truncalg.linalg import (
     solve_left_info,
     solve_left_mod,
 )
-from truncalg.modules import PresentedModule, decompose_elementary
+from truncalg.cw import ZRING
+from truncalg.modules import PresentedModule, decompose_elementary, failure_primes
 from truncalg.rings import (
     LocalizedIntegers,
     TruncatedBK,
@@ -728,6 +729,31 @@ def test_leading_blocks_and_membership_match_full_routes(ring):
     assert kernel_left(Mat(3, 0, [[]] * 3), ring, 2) == Mat.identity(3, ring).take_cols(range(2))
 
 
+def assert_solve_matches_reference(snf, b, ring, rng):
+    """`_solve_snf` at lead 0, a middle lead and the full width against the
+    per-entry reference: the reference solution's leading columns (entry
+    types included) and the same failure record, residue types and failure
+    primes included.  Returns the reference's (solution, record) and the
+    kinds of lead run: 0, "k" (a middle one) and "full"."""
+    want = []
+    ref = reference_solve_snf(snf, b, ring, want)
+    full = snf.left.rows
+    kinds = set()
+    for lead in (0, rng.randint(1, full - 1) if full > 1 else full, full):
+        kinds.add(0 if not lead else "full" if lead == full else "k")
+        got = []
+        sol = linalg._solve_snf(snf, b, ring, got, lead)
+        assert got == want
+        assert [type(r) for *_, r in got] == [type(r) for *_, r in want]
+        assert sol == (None if ref is None else ref.take_cols(range(lead)))
+        if sol is not None:
+            assert {type(x) for r in sol.data for x in r} <= {type(ring.zero)}
+        if isinstance(ring, LocalizedIntegers):
+            sset = ring.inverted_primes
+            assert failure_primes(got, sset) == failure_primes(want, sset)
+    return ref, want, kinds
+
+
 @pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: type(r).__name__)
 def test_solve_snf_matches_reference_at_every_lead(ring):
     """`_solve_snf` on a matrix's base SNF (expanded rows over TruncatedBK
@@ -742,20 +768,13 @@ def test_solve_snf_matches_reference_at_every_lead(ring):
         for rows, cols, deficient in witness_shapes(rng):
             a = shaped_matrix(ring, rng, rows, cols, deficient)
             snf = base_snf(a, ring)
-            full = snf.left.rows
             targets = [random_matrix(ring, rng, 2, rows).mul(a, ring),
                        random_matrix(ring, rng, 2, cols), sparse_matrix(ring, rng, 3, cols, 0.6)]
             for b in targets:
-                eb = expand_rows(b, ring) if expand else b
-                want = []
-                ref = reference_solve_snf(snf, eb, base, want)
+                ref, _, kinds = assert_solve_matches_reference(
+                    snf, expand_rows(b, ring) if expand else b, base, rng)
                 outcomes.add(ref is not None)
-                for lead in (0, rng.randint(1, full - 1) if full > 1 else full, full):
-                    leads.add(0 if not lead else "full" if lead == full else "k")
-                    got = []
-                    sol = linalg._solve_snf(snf, eb, base, got, lead)
-                    assert got == want
-                    assert sol == (None if ref is None else ref.take_cols(range(lead)))
+                leads |= kinds
     assert outcomes == {True, False}
     assert leads == {0, "k", "full"}
 
@@ -816,6 +835,110 @@ def test_membership_fails_on_a_zero_divisor():
         sol, failures = solve_left_info(mat, b, ring)
         assert sol is None and failures
         assert all(row == 2 and d == 0 for row, _, d, _ in failures)
+
+
+Z6 = LocalizedIntegers((2, 3))
+
+
+def integer_matrix(rng, rows, cols, deficient):
+    """A seeded integer matrix over Z (as Fractions); when deficient, its
+    first row is zero and its last a combination of the others."""
+    data = [[Fraction(rng.randint(-6, 6)) for _ in range(cols)] for _ in range(rows)]
+    if deficient:
+        data[0] = [Fraction(0)] * cols
+        c = [rng.randint(-3, 3) for _ in range(rows - 1)]
+        data[-1] = [sum(ci * data[i][j] for i, ci in enumerate(c)) for j in range(cols)]
+    return Mat(rows, cols, data)
+
+
+def s_unit_matrix(ring, rng, rows, cols):
+    """Seeded entries with denominators that are products of primes of S."""
+    def den():
+        out = 1
+        for q in ring.inverted_primes:
+            out *= q ** rng.randint(0, 2)
+        return out
+    return Mat(rows, cols, [[Fraction(rng.randint(-20, 20), den()) for _ in range(cols)]
+                            for _ in range(rows)])
+
+
+@pytest.mark.parametrize("ring", [ZL2, Z6, ZRING], ids=repr)
+def test_integer_rule_matches_reference_over_localized_integers(ring):
+    """Over Z[1/2], Z[1/6] and Z (`cw.ZRING`) the integer divisor rule
+    gives the per-entry reference's solutions and failure records at every
+    lead: targets with S-unit denominators, divisors whose S-parts were
+    stripped (60 times an integer matrix), zero divisors and failures past
+    the divisors."""
+    rng = random.Random(2401)
+    seen = set()
+    for _ in range(3):
+        for rows, cols, deficient in witness_shapes(rng):
+            m = integer_matrix(rng, rows, cols, deficient)
+            for a in (m, m.scale(Fraction(60), ring)):
+                snf = base_snf(a, ring)
+                if snf.divisors != base_snf(a, ZRING).divisors:
+                    seen.add("stripped")
+                targets = [s_unit_matrix(ring, rng, 2, rows).mul(a, ring),
+                           s_unit_matrix(ring, rng, 2, rows).mul(m, ring),
+                           s_unit_matrix(ring, rng, 2, cols)]
+                for b in targets:
+                    if any(x.denominator > 1 for r in b.data for x in r):
+                        seen.add("denominators")
+                    ref, want, _ = assert_solve_matches_reference(snf, b, ring, rng)
+                    seen.add("solved" if ref is not None else "failed")
+                    ndiv = len(snf.divisors)
+                    seen.update("zero divisor" if j < ndiv else "past the divisors"
+                                for _, j, d, _ in want if d == 0)
+                    seen.update("nonzero divisor" for _, _, d, _ in want if d != 0)
+    want_seen = {"solved", "failed", "zero divisor", "past the divisors", "nonzero divisor"}
+    if ring.inverted_primes:
+        want_seen |= {"stripped", "denominators"}
+    assert want_seen <= seen
+
+
+@pytest.mark.parametrize("ring, entry", [(ZRING, Fraction(1, 2)), (ZL2, Fraction(1, 3)),
+                                         (Z6, Fraction(5, 84))], ids=repr)
+def test_solve_refuses_a_denominator_outside_s(ring, entry):
+    """A target entry whose denominator has a prime outside S (built
+    directly: `normalize` refuses it on input) is not an element of Z[1/S],
+    and the solve asserts rather than reading it at another scale."""
+    a = mk(ring, [[2, 0], [0, 3]])
+    b = Mat(2, 2, [[ring.one, ring.zero], [ring.zero, entry]])
+    for lead in (0, 1, 2):
+        with pytest.raises(AssertionError, match="outside S"):
+            solve_left_info(a, b, ring, lead)
+    with pytest.raises(AssertionError, match="outside S"):
+        in_row_span(a, b, ring)
+
+
+@pytest.mark.parametrize("ring", [S1, TruncatedPowerSeries(2, 4), TruncatedPowerSeries(5, 4)],
+                         ids=repr)
+def test_valuation_rule_matches_reference_over_power_series(ring):
+    """Over F_p[z]/z^M every SNF divisor is 0 or exactly z^v, and the
+    valuation rule gives `ring.divide`'s quotients and the reference's
+    failure records at every lead, on targets z^k times a seeded row (their
+    first k coefficients vanish) for every k up to M: solved with a nonzero
+    quotient of a divisor z^v, v > 0, and failed with 0 < v(c) < v."""
+    rng = random.Random(2402)
+    seen = set()
+    for _ in range(2):
+        for rows, cols, deficient in witness_shapes(rng):
+            a = shaped_matrix(ring, rng, rows, cols, deficient)
+            a = a.scale(ring.var_power(rng.randint(0, 2)), ring)
+            snf = base_snf(a, ring)
+            assert all(d == ring.zero or d == ring.var_power(ring.val(d)) for d in snf.divisors)
+            for k in range(ring.mlen + 1):
+                b = random_matrix(ring, rng, 2, cols).scale(ring.var_power(k), ring)
+                ref, want, _ = assert_solve_matches_reference(snf, b, ring, rng)
+                seen.add("solved" if ref is not None else "failed")
+                c = b.mul(snf.right, ring)
+                if ref is not None and any(not ring.is_zero(d) and ring.val(d) > 0
+                                           and not ring.is_zero(cj)
+                                           for r in c.data for cj, d in zip(r, snf.divisors)):
+                    seen.add("shifted")
+                seen.update("partly divisible" for _, _, d, c in want
+                            if not ring.is_zero(d) and 0 < ring.val(c) < ring.val(d))
+    assert seen == {"solved", "failed", "shifted", "partly divisible"}
 
 
 def reference_transpose(m):
