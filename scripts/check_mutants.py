@@ -108,6 +108,36 @@ MUTANTS = [
         "tests": ["tests/test_cw.py::test_skeletal_verification_raises_on_each_failed_node[below]"],
     },
     {
+        "name": "make-cw-without-augmentation-check",
+        "file": "src/truncalg/cw.py",
+        "old": "    for k in range(1, len(cells)):\n",
+        "new": "    for k in range(2, len(cells)):\n",
+        "tests": ["tests/test_cw.py::test_make_cw_refusals_name_their_pointer",
+                  "tests/test_cli.py::test_cw_unaugmented_boundary_refused_at_its_pointer"],
+    },
+    {
+        "name": "cw-augmentation-of-zeros",
+        "file": "src/truncalg/cw.py",
+        "old": "[[Fraction(1)]] * self.cell_count(0))",
+        "new": "[[Fraction(0)]] * self.cell_count(0))",
+        "tests": ["tests/test_cw.py::test_augmented_route_matches_the_reduction_reference",
+                  "tests/test_cw.py::test_sphere_ktheory"],
+    },
+    {
+        "name": "chain-form-without-exchange",
+        "file": "src/truncalg/cw.py",
+        "old": "            chain[i], chain[j] = g, chain[i] // g * chain[j]\n",
+        "new": "            pass\n",
+        "tests": ["tests/test_cw.py::test_chain_form_matches_factoring_reference"],
+    },
+    {
+        "name": "skeletal-verification-without-connectivity-refusal",
+        "file": "src/truncalg/cw.py",
+        "old": "    if cohomology(min(d, 1), 0)[1].rows != 1:\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_cw.py::test_skeletal_verification_needs_a_connected_complex"],
+    },
+    {
         "name": "mat-without-shape-assertion",
         "file": "src/truncalg/linalg.py",
         "old": "        assert len(data) == rows and set(map(len, data)) <= {cols}\n",

@@ -188,7 +188,11 @@ cw_complex = {
                   "description": "cell counts per dimension; at least one 0-cell"},
         "boundaries": {"type": "array",
                        "description": "boundaries[k] is the integer matrix from "
-                                      "(k+1)-cells to k-cells, row-major"}},
+                                      "(k+1)-cells to k-cells, row-major; the "
+                                      "complex is augmented (each 0-cell bounds "
+                                      "one (-1)-cell), so the coefficients of each "
+                                      "row of boundaries[0] must sum to zero, and "
+                                      "boundary o boundary = 0 in every degree"}},
     "required": ["cells"],
 }
 

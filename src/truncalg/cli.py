@@ -244,7 +244,7 @@ def run_command(command, input_data, options):
                 "witnesses": {"even_odd_identity": True},
                 "ledgers": {"reduced_cohomology": {
                     str(j): {"rank": g.rank, "torsion": list(g.torsion_divisors)}
-                    for j, g in cwm.reduced_cohomology(x, k.inverted).items()}}}
+                    for j, g in k.groups.items()}}}
 
     if command == "cw-verify":
         from . import cw as cwm

@@ -2,21 +2,23 @@
 K-theory decomposition, with skeletal-induction verification.
 
 Only the integer cellular chain level is stored: boundaries[k] is the matrix
-of the boundary from (k+1)-cells to k-cells in row convention.  K-theory is
-computed through the even/odd cohomology decomposition over Z[1/M!] with
-M = floor((d+1)/2); skeletal_verification independently exercises the proof
-mechanism by building each skeleton pair's two-periodic six-term sequence at
-the cochain level and checking exactness at every node.
+of the boundary from (k+1)-cells to k-cells in row convention.  The complex
+is augmented: every 0-cell bounds the one (-1)-cell, so the cohomology read
+in every degree is the reduced one.  K-theory is computed through the
+even/odd cohomology decomposition over Z[1/M!] with M = floor((d+1)/2);
+skeletal_verification independently exercises the proof mechanism by
+building each skeleton pair's two-periodic six-term sequence at the cochain
+level and checking exactness at every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import InternalInconsistencyError, SchemaError
-from .linalg import Mat, kernel_left, smith_normal_form, solve_left_mod
+from .linalg import Mat, kernel_left
 from .modules import (
     PresentedModule,
     elementary_divisors,
@@ -27,7 +29,7 @@ from .modules import (
     subquotient_presentation,
     verify_exact_at,
 )
-from .rings import LocalizedIntegers, factorint, primerange
+from .rings import LocalizedIntegers, primerange
 
 ZRING = LocalizedIntegers(())
 
@@ -46,7 +48,10 @@ class CWComplex:
         return d
 
     def boundary(self, k):
-        """Boundary matrix from k-cells to (k-1)-cells."""
+        """Boundary matrix from k-cells to (k-1)-cells; boundary(0) is the
+        augmentation, the column of ones onto the one (-1)-cell."""
+        if k == 0:
+            return Mat(self.cell_count(0), 1, [[Fraction(1)]] * self.cell_count(0))
         if 1 <= k <= len(self.boundaries):
             return self.boundaries[k - 1]
         return Mat.zero(self.cell_count(k), self.cell_count(k - 1), ZRING)
@@ -55,39 +60,36 @@ class CWComplex:
         return self.cells[k] if 0 <= k < len(self.cells) else 0
 
 
-def make_cw(cells, boundary_lists):
+def make_cw(cells, boundary_lists, loc=""):
     """Validate and build: boundary_lists[k] is the integer matrix of the
-    boundary from (k+1)-cells to k-cells, row-major."""
+    boundary from (k+1)-cells to k-cells, row-major.  A refusal names the
+    field at fault below the input's JSON pointer `loc`: loc/cells, or
+    loc/boundaries/k for the boundary that fails its shape or d o d = 0."""
     cells = tuple(int(c) for c in cells)
     if not cells or cells[0] < 1:
-        raise SchemaError("a complex needs at least one 0-cell")
+        raise SchemaError("a complex needs at least one 0-cell", f"{loc}/cells")
     if any(c < 0 for c in cells):
-        raise SchemaError("cell counts must be nonnegative")
+        raise SchemaError("cell counts must be nonnegative", f"{loc}/cells")
     bmats = []
     for k, rows in enumerate(boundary_lists):
         r, c = cells[k + 1] if k + 1 < len(cells) else 0, cells[k]
         if len(rows) != r or any(len(row) != c for row in rows):
             raise SchemaError(
-                f"boundary {k + 1} has the wrong shape (want {r} rows of length {c})")
+                f"boundary {k + 1} has the wrong shape (want {r} rows of length {c})",
+                f"{loc}/boundaries/{k}")
         bmats.append(Mat(r, c, [[Fraction(int(v)) for v in row] for row in rows]))
     while len(bmats) < len(cells) - 1:
         k = len(bmats)
         bmats.append(Mat.zero(cells[k + 1], cells[k], ZRING))
     x = CWComplex(cells, tuple(bmats))
-    for k in range(2, len(cells)):
+    for k in range(1, len(cells)):
         prod = x.boundary(k).mul(x.boundary(k - 1), ZRING)
         if not prod.is_zero(ZRING):
-            raise SchemaError(f"boundary o boundary != 0 between dimensions {k} and {k - 2}")
+            raise SchemaError(
+                "the boundary coefficients of each 1-cell must sum to zero" if k == 1
+                else f"boundary o boundary != 0 between dimensions {k} and {k - 2}",
+                f"{loc}/boundaries/{k - 1}")
     return x
-
-
-def is_connected(x):
-    """rank(boundary_1) == c_0 - 1 characterizes connectedness."""
-    if x.cell_count(0) == 1:
-        return True
-    snf = smith_normal_form(x.boundary(1), ZRING)
-    rank = sum(1 for d in snf.divisors if d != 0)
-    return rank == x.cell_count(0) - 1
 
 
 def skeleton(x, k):
@@ -139,23 +141,14 @@ class LocalizedAbelianGroup:
 
 
 def chain_form(divisors):
-    """Canonical dividing-chain form of a multiset of integers > 1."""
-    per_prime = {}
-    for d in divisors:
-        for q, e in factorint(int(d)).items():
-            per_prime.setdefault(q, []).append(e)
-    if not per_prime:
-        return ()
-    depth = max(len(v) for v in per_prime.values())
-    chain = []
-    for pos in range(depth):
-        val = 1
-        for q, exps in per_prime.items():
-            exps_sorted = sorted(exps)
-            idx = pos - (depth - len(exps_sorted))
-            if idx >= 0:
-                val *= q ** exps_sorted[idx]
-        chain.append(val)
+    """Canonical dividing-chain form of a multiset of integers > 1.  Each
+    exchange (a, b) -> (gcd, lcm) sorts every prime's exponents at once, so
+    the pairwise pass leaves each entry dividing the next, unfactored."""
+    chain = [int(d) for d in divisors]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
     return tuple(v for v in chain if v > 1)
 
 
@@ -165,35 +158,25 @@ def denominator_bound(d):
     return m, factorial(m), tuple(primerange(2, m + 1))
 
 
-def _cohomology_presentation(x, j):
-    """(presentation of H^j over Z, cocycle generator rows in C^j coords)."""
+def _cohomology_presentation(x, j, inverted=()):
+    """(presentation of the reduced H^j over Z[1/inverted], cocycle generator
+    rows in C^j coords): the cocycles modulo the coboundaries, which in
+    degree 0 are the constant cochains of the augmentation."""
     zrows = kernel_left(x.boundary(j + 1).transpose(), ZRING)     # ker C^j -> C^{j+1}
     cochains = PresentedModule.free(ZRING, x.cell_count(j))
-    return subquotient_presentation(cochains, zrows, x.boundary(j).transpose()), zrows
-
-
-def _group_of(m, inverted):
-    divs = elementary_divisors(m)
-    strip_s = LocalizedIntegers(tuple(inverted)).strip_s
-    divisors = []
-    for d in divs.torsion_divisors:
-        s = strip_s(d)
-        if s > 1:
-            divisors.append(s)
-    return LocalizedAbelianGroup(divs.free_rank, chain_form(divisors))
+    m = subquotient_presentation(cochains, zrows, x.boundary(j).transpose())
+    ring = LocalizedIntegers(tuple(inverted)) if inverted else ZRING
+    return PresentedModule(ring, m.gens, m.relations), zrows
 
 
 def reduced_cohomology(x, inverted=()):
-    """Reduced integral cohomology localized away from the given primes.
-
-    The basepoint convention removes one free summand in degree 0."""
+    """Reduced integral cohomology localized away from the given primes: the
+    SNF divisors over Z[1/S] are S-free and each divides the next."""
     out = {}
     for j in range(0, x.dimension + 1):
-        m, _ = _cohomology_presentation(x, j)
-        g = _group_of(m, inverted)
-        if j == 0:
-            g = LocalizedAbelianGroup(g.rank - 1, g.torsion_divisors)
-        out[j] = g
+        divs = elementary_divisors(_cohomology_presentation(x, j, inverted)[0])
+        out[j] = LocalizedAbelianGroup(divs.free_rank,
+                                       tuple(int(d) for d in divs.torsion_divisors))
     return out
 
 
@@ -203,13 +186,9 @@ class KTheoryResult:
     m_index: int
     m_factorial: int
     inverted: tuple
-    k0: LocalizedAbelianGroup
-    k1: LocalizedAbelianGroup
-    even: LocalizedAbelianGroup
-    odd: LocalizedAbelianGroup
-
-    def __post_init__(self):
-        assert self.k0 == self.even and self.k1 == self.odd
+    k0: LocalizedAbelianGroup   # the even-degree sum of `groups`
+    k1: LocalizedAbelianGroup   # the odd-degree sum
+    groups: dict                # degree -> localized reduced cohomology
 
 
 def _parity_sum(groups, parity):
@@ -226,9 +205,8 @@ def ktheory(x):
     d = x.dimension
     m, mfact, inverted = denominator_bound(d)
     groups = reduced_cohomology(x, inverted)
-    even = _parity_sum(groups, 0)
-    odd = _parity_sum(groups, 1)
-    return KTheoryResult(d, m, mfact, inverted, even, odd, even, odd)
+    return KTheoryResult(d, m, mfact, inverted, _parity_sum(groups, 0),
+                         _parity_sum(groups, 1), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +216,6 @@ def ktheory(x):
 def skeletal_verification(x):
     """Per skeleton pair, build the localized six-term sequence and verify
     exactness at every node; also confirm the cofiber wedge K-values."""
-    if not is_connected(x):
-        raise SchemaError("skeletal verification needs a connected complex")
     d = x.dimension
     _, _, inverted = denominator_bound(d)
     memo = {}
@@ -249,9 +225,13 @@ def skeletal_verification(x):
         reads X^k and X^(k-1)."""
         key = (s, j)
         if key not in memo:
-            memo[key] = _cohomology_with_reduction(skeleton(x, s), j, inverted)
+            memo[key] = _cohomology_presentation(skeleton(x, s), j, inverted)
         return memo[key]
 
+    # connected: the 0-cocycles (of the 1-skeleton pair 1 reads) have rank
+    # one, so the constants span them and the reduced H^0 is 0
+    if cohomology(min(d, 1), 0)[1].rows != 1:
+        raise SchemaError("skeletal verification needs a connected complex")
     trace = []
     for k in range(1, d + 1):
         ck = x.cell_count(k)
@@ -271,29 +251,13 @@ def skeletal_verification(x):
     return trace
 
 
-def _cohomology_with_reduction(xk, j, inverted):
-    m, zrows = _cohomology_presentation(xk, j)
-    if j == 0 and m.gens:
-        const = Mat(1, xk.cell_count(0), [[Fraction(1)] * xk.cell_count(0)])
-        sol = solve_left_mod(zrows, const, Mat(0, xk.cell_count(0), []), ZRING)
-        m = PresentedModule(ZRING, m.gens, m.relations.vstack(sol))
-    m = _localize_presentation(m, inverted)
-    return m, zrows
-
-
-def _localize_presentation(m, inverted):
-    if not inverted:
-        return m
-    return PresentedModule(LocalizedIntegers(tuple(inverted)), m.gens, m.relations)
-
-
 def _verify_pair_les(x, k, inverted, cohomology):
     """Exactness of the folded sequence for the pair (X^k, X^{k-1}).
 
     Nodes checked per degree j:
       rel^j -> H^j(X^k) -> H^j(X^{k-1}) -> rel^{j+1} -> H^{j+1}(X^k) ...
     where rel^j is nonzero only at j = k (the wedge cohomology).
-    `cohomology(s, j)` gives `_cohomology_with_reduction` of the skeleton
+    `cohomology(s, j)` gives `_cohomology_presentation` of the skeleton
     X^s in degree j; the pair reads degrees 0 to k."""
     ring = LocalizedIntegers(tuple(inverted))
     ck = x.cell_count(k)
@@ -314,9 +278,7 @@ def _verify_pair_les(x, k, inverted, cohomology):
             restr[j] = module_map(hk[j], hk1[j],
                                   Mat.zero(hk[j].gens, hk1[j].gens, ring), check=False)
             continue
-        coords = subquotient_coordinates(zk1[j], x.boundary(j).transpose()
-                                         if j >= 1 else Mat(0, x.cell_count(j), []),
-                                         zk[j], ZRING)
+        coords = subquotient_coordinates(zk1[j], x.boundary(j).transpose(), zk[j], ZRING)
         restr[j] = module_map(hk[j], hk1[j], coords)
     # relative module at degree k: free on the k-cells (q-map into H^k(X^k))
     rel = PresentedModule(ring, ck, Mat(0, ck, []))

@@ -331,7 +331,7 @@ def parse_cw(data, loc="/cw"):
             raise SchemaError("must be a list of rows", f"{loc}/boundaries/{k}")
         for i, row in enumerate(rows):
             _int_list(row, f"{loc}/boundaries/{k}/{i}")
-    return make_cw(cells, boundaries)
+    return make_cw(cells, boundaries, loc)
 
 
 def parse_base_change_spec(data, loc, ring):

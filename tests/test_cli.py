@@ -398,6 +398,45 @@ def test_ses_refusal_names_the_failing_map(job, pointer):
     assert report["error"].startswith(pointer + ": not a short exact sequence"), report["error"]
 
 
+@pytest.mark.parametrize("command", ["cw-ktheory", "cw-verify"])
+@pytest.mark.parametrize("cw", [
+    {"cells": [1, 1], "boundaries": [[[2]]]},
+    {"cells": [2, 1], "boundaries": [[[1, 1]]]},
+], ids=["loop_times_2", "segment_plus_plus"])
+def test_cw_unaugmented_boundary_refused_at_its_pointer(tmp_path, command, cw):
+    """A 1-cell whose boundary coefficients do not sum to zero is refused at
+    its boundary list entry by both cw commands: exit 1, a schema error and
+    nothing on stderr.  Before the augmentation check the loop read a reduced
+    H^0 of rank -1 with exit 0, and cw-verify failed at a map or a traceback."""
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps({"command": command, "input": {"cw": cw}, "options": {}}))
+    proc = subprocess.run([sys.executable, "-m", "truncalg.cli", command, "--input", str(src)],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    report = json.loads(proc.stdout)
+    assert proc.returncode == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"] == ("/input/cw/boundaries/0: the boundary coefficients of "
+                               "each 1-cell must sum to zero")
+    assert proc.stderr == ""
+
+
+def test_cw_ktheory_with_a_large_semiprime_torsion_finishes(tmp_path):
+    """RP^2's cell structure with the 2-cell attached by degree N, a product
+    of two 18-digit primes: the K-groups are read without factoring N, so the
+    job finishes well inside its timeout with torsion [N] in K^0."""
+    n = 10000000000000001600000000000000039
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps({"command": "cw-ktheory", "options": {},
+                               "input": {"cw": {"cells": [1, 1, 1],
+                                                "boundaries": [[[0]], [[n]]]}}}))
+    proc = subprocess.run([sys.executable, "-m", "truncalg.cli", "cw-ktheory",
+                           "--input", str(src)],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(proc.stdout)["verdicts"]
+    assert verdicts["k0"] == {"rank": 0, "torsion": [n]}
+    assert verdicts["k1"] == {"rank": 0, "torsion": []}
+
+
 @pytest.mark.parametrize("kind", ["z_to_zero", "z_to_unit", "frobenius_twist"])
 def test_unsupported_base_change_kind_is_a_gate(kind):
     """A known kind the report does not cover parses and exits 2; only an

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import matrices_digest
 import truncalg.cw as cw
+from truncalg.cli import run_job
 from truncalg.cw import (
     LocalizedAbelianGroup,
     chain_form,
@@ -21,6 +22,9 @@ from truncalg.cw import (
     wedge,
 )
 from truncalg.errors import InternalInconsistencyError, SchemaError
+from truncalg.linalg import Mat, kernel_left
+from truncalg.modules import PresentedModule, elementary_divisors, subquotient_presentation
+from truncalg.rings import LocalizedIntegers, factorint
 from truncalg.schemas import parse_cw
 
 
@@ -41,6 +45,29 @@ def test_denominator_bounds():
 def test_boundary_squared_checked():
     with pytest.raises(SchemaError):
         make_cw([1, 1, 1], [[[1]], [[1]]])
+
+
+@pytest.mark.parametrize("cells, boundaries, pointer, message", [
+    ([], [], "/x/cells", "at least one 0-cell"),
+    ([0, 1], [[]], "/x/cells", "at least one 0-cell"),
+    ([1, -1], [], "/x/cells", "nonnegative"),
+    ([1, 2], [[[0]]], "/x/boundaries/0", "wrong shape"),
+    ([1, 1, 1], [[[0]], [[1], [1]]], "/x/boundaries/1", "wrong shape"),
+    ([1, 1], [[[2]]], "/x/boundaries/0", "each 1-cell must sum to zero"),
+    ([2, 1], [[[1, 1]]], "/x/boundaries/0", "each 1-cell must sum to zero"),
+    ([2, 1, 1], [[[1, -1]], [[1]]], "/x/boundaries/1", "between dimensions 2 and 0"),
+    ([1, 1, 1, 1], [[[0]], [[1]], [[1]]], "/x/boundaries/2", "between dimensions 3 and 1"),
+], ids=["no-cells", "no-0-cell", "negative", "shape-1", "shape-2", "augmentation",
+        "augmentation-two-points", "square-2", "square-3"])
+def test_make_cw_refusals_name_their_pointer(cells, boundaries, pointer, message):
+    """Each refusal names the field at fault below `loc`: the cell counts, or
+    the boundary list entry that fails its shape or d o d = 0, where d o d at
+    dimension 1 is the augmentation check (each 1-cell's coefficients sum to
+    zero)."""
+    with pytest.raises(SchemaError, match=message) as info:
+        make_cw(cells, boundaries, "/x")
+    assert info.value.location == pointer
+    assert "-1" not in str(info.value)
 
 
 def test_reduced_cohomology_examples():
@@ -77,6 +104,18 @@ def test_skeletal_verification_goldens():
         trace = skeletal_verification(x)
         assert all(step["wedge_values_ok"] for step in trace)
         assert all(n["exact"] for step in trace for n in step["nodes"])
+
+
+def test_skeletal_verification_needs_a_connected_complex():
+    """A complex with a nonzero reduced H^0 is refused; two 0-cells joined
+    by a 1-cell are connected and verify."""
+    for x in (sphere(0), make_cw([2, 1], [[[0, 0]]]), make_cw([3, 1], [[[1, -1, 0]]])):
+        with pytest.raises(SchemaError, match="needs a connected complex"):
+            skeletal_verification(x)
+    assert skeletal_verification(make_cw([1], [])) == []
+    trace = skeletal_verification(make_cw([2, 1], [[[1, -1]]]))
+    assert [step["skeleton"] for step in trace] == [1]
+    assert all(n["exact"] for step in trace for n in step["nodes"])
 
 
 def test_rp2_connecting_map_realizes_mult_2():
@@ -135,9 +174,14 @@ def test_dimension_vanishing():
 
 
 def test_parity_identity_structural():
-    # K0/K1 equal the even/odd sums by construction; asserted in the result
-    k = ktheory(cp2())
-    assert k.k0 == k.even and k.k1 == k.odd
+    # K0/K1 are the even/odd sums of the groups the result carries
+    for x in (cp2(), rp2(), wedge(rp2(), sphere(3)), suspension(cp2())):
+        k = ktheory(x)
+        assert k.groups == reduced_cohomology(x, k.inverted)
+        for par, got in ((0, k.k0), (1, k.k1)):
+            part = [g for j, g in k.groups.items() if j % 2 == par]
+            tors = [d for g in part for d in g.torsion_divisors]
+            assert got == LocalizedAbelianGroup(sum(g.rank for g in part), chain_form(tors))
 
 
 from hypothesis import given, settings, strategies as st
@@ -157,6 +201,44 @@ def test_chain_form_properties(divisors):
         cprod *= d
     assert prod == cprod  # group order preserved
     assert chain_form(chain) == chain  # canonical form is idempotent
+
+
+def reference_chain_form(divisors):
+    """The factoring chain form: each prime's exponents sorted and aligned
+    at the top of the chain."""
+    per_prime = {}
+    for d in divisors:
+        for q, e in factorint(int(d)).items():
+            per_prime.setdefault(q, []).append(e)
+    if not per_prime:
+        return ()
+    depth = max(len(v) for v in per_prime.values())
+    chain = []
+    for pos in range(depth):
+        val = 1
+        for q, exps in per_prime.items():
+            exps_sorted = sorted(exps)
+            idx = pos - (depth - len(exps_sorted))
+            if idx >= 0:
+                val *= q ** exps_sorted[idx]
+        chain.append(val)
+    return tuple(v for v in chain if v > 1)
+
+
+def test_chain_form_matches_factoring_reference():
+    """The gcd/lcm exchanges give the factoring chain form on seeded
+    multisets of integers > 1: repeated primes, repeated entries, coprime
+    entries and the empty multiset."""
+    rng = random.Random(2501)
+    cases = [[], [2], [4, 2], [6, 10, 15], [12, 12, 18], [2, 2, 2, 8],
+             [9, 27, 3, 81], [5, 7, 11, 13], [1000000007 * 3, 9]]
+    for _ in range(200):
+        cases.append([rng.choice((2, 3, 5, 7)) ** rng.randint(1, 3)
+                      * rng.choice((1, 2, 3, 5, 7, 11)) ** rng.randint(0, 2)
+                      for _ in range(rng.randint(1, 6))])
+    for divisors in cases:
+        assert chain_form(divisors) == reference_chain_form(divisors), divisors
+        assert chain_form(list(reversed(divisors))) == reference_chain_form(divisors)
 
 
 def test_random_wedges_of_spheres():
@@ -223,7 +305,7 @@ def reference_skeletal_trace(x):
         got, other = (kcof.k0, kcof.k1) if k % 2 == 0 else (kcof.k1, kcof.k0)
         wedge_ok = (got.rank == ck and not got.torsion_divisors
                     and other.rank == 0 and not other.torsion_divisors)
-        pair = {(s, j): cw._cohomology_with_reduction(skeleton(x, s), j, inverted)
+        pair = {(s, j): cw._cohomology_presentation(skeleton(x, s), j, inverted)
                 for s in (k, k - 1) for j in range(k + 2)}
         nodes = cw._verify_pair_les(x, k, inverted, lambda s, j: pair[s, j])
         trace.append({"skeleton": k, "cofiber_spheres": ck,
@@ -235,21 +317,30 @@ def reference_skeletal_trace(x):
 def test_skeletal_verification_computes_each_skeleton_once(monkeypatch, source):
     """Each (skeleton, degree) cohomology is computed once, every degree a
     pair reads is computed (X^s in degrees 0 to s + 1, the top skeleton to
-    its dimension), and the trace equals the per-pair recomputation's."""
+    its dimension), and the trace equals the per-pair recomputation's.  Only
+    calls on skeleta of x count: the cofiber checks' K-theory reads its
+    cohomology through the same function."""
     spaces = corpus_complexes() if source == "corpus" else seeded_wedges(2401, 6)
     assert spaces
-    real = cw._cohomology_with_reduction
+    real, real_skeleton = cw._cohomology_presentation, cw.skeleton
     for x in spaces:
         want = reference_skeletal_trace(x)
-        calls = []
+        calls, skeleta = [], []
 
-        def counted(xk, j, inverted):
-            calls.append((len(xk.cells) - 1, j))
+        def tagged(y, s):
+            skeleta.append(real_skeleton(y, s))
+            return skeleta[-1]
+
+        def counted(xk, j, inverted=()):
+            if any(xk is y for y in skeleta):
+                calls.append((len(xk.cells) - 1, j))
             return real(xk, j, inverted)
 
-        monkeypatch.setattr(cw, "_cohomology_with_reduction", counted)
+        monkeypatch.setattr(cw, "skeleton", tagged)
+        monkeypatch.setattr(cw, "_cohomology_presentation", counted)
         trace = skeletal_verification(x)
-        monkeypatch.setattr(cw, "_cohomology_with_reduction", real)
+        monkeypatch.setattr(cw, "_cohomology_presentation", real)
+        monkeypatch.setattr(cw, "skeleton", real_skeleton)
         d = x.dimension
         assert sorted(calls) == [(s, j) for s in range(d + 1) for j in range(min(s + 1, d) + 1)]
         assert trace == want
@@ -269,3 +360,59 @@ def test_skeletal_verification_raises_on_each_failed_node(monkeypatch, check, me
     monkeypatch.setattr(cw, check, lambda *args: False)
     with pytest.raises(InternalInconsistencyError, match=message):
         skeletal_verification(rp2())
+
+
+ZRING = LocalizedIntegers(())
+
+
+def reference_reduced_cohomology(x, inverted):
+    """Reduced cohomology by the unaugmented route: H^j over Z with no
+    coboundaries in degree 0, divisors stripped of the inverted primes and
+    chained by factoring, and one free summand taken off H^0."""
+    strip_s = LocalizedIntegers(tuple(inverted)).strip_s
+    out = {}
+    for j in range(x.dimension + 1):
+        zrows = kernel_left(x.boundary(j + 1).transpose(), ZRING)
+        killers = x.boundary(j).transpose() if j else Mat(0, x.cell_count(0), [])
+        m = subquotient_presentation(PresentedModule.free(ZRING, x.cell_count(j)),
+                                     zrows, killers)
+        divs = elementary_divisors(m)
+        tors = [strip_s(d) for d in divs.torsion_divisors]
+        out[j] = LocalizedAbelianGroup(divs.free_rank - (j == 0),
+                                       reference_chain_form([t for t in tors if t > 1]))
+    return out
+
+
+def test_augmented_route_matches_the_reduction_reference():
+    """The augmented complex's cohomology equals the unaugmented route with
+    one free summand taken off H^0, over Z and at the denominator bound, on
+    the corpus complexes, seeded wedges, their suspensions, S^0 and two
+    disconnected complexes."""
+    spaces = corpus_complexes() + seeded_wedges(2501, 8)
+    spaces += [suspension(x) for x in spaces]
+    spaces += [sphere(0), make_cw([2, 1], [[[0, 0]]]), make_cw([3, 1], [[[1, -1, 0]]])]
+    for x in spaces:
+        k = ktheory(x)
+        assert k.groups == reference_reduced_cohomology(x, k.inverted)
+        assert reduced_cohomology(x) == reference_reduced_cohomology(x, ())
+        assert all(g.rank >= 0 for g in k.groups.values())
+    assert reduced_cohomology(sphere(0))[0] == LocalizedAbelianGroup(1, ())
+
+
+@pytest.mark.parametrize("name, count", [("cw_cp2", 5), ("cw_rp2", 3), ("cw_s2", 3)])
+def test_cw_ktheory_job_presents_each_degree_once(monkeypatch, name, count):
+    """A cw-ktheory job builds one presentation per degree, 0 to the
+    dimension: the report's ledger reads the groups the K-theory summed."""
+    real = cw._cohomology_presentation
+    calls = []
+
+    def counted(xk, j, inverted=()):
+        calls.append(j)
+        return real(xk, j, inverted)
+
+    monkeypatch.setattr(cw, "_cohomology_presentation", counted)
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    with open(os.path.join(corpus, name + ".json"), encoding="utf-8") as fh:
+        report, code = run_job(json.load(fh))
+    assert code == 0, report.get("error")
+    assert sorted(calls) == list(range(count))
