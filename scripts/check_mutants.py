@@ -55,6 +55,42 @@ MUTANTS = [
                   "tests/test_linalg.py::test_snf_localized_matches_fraction_reference"],
     },
     {
+        "name": "localized-snf-floor-quotient",
+        "file": "src/truncalg/linalg.py",
+        "old": "    return (2 * b + piv) // (2 * piv)\n",
+        "new": "    return b // piv\n",
+        "tests": ["tests/test_linalg.py::test_snf_localized_branches[nearest_row]",
+                  "tests/test_linalg.py::test_snf_localized_branches[nearest_col]",
+                  "tests/test_linalg.py::test_snf_localized_matches_fraction_reference"],
+    },
+    {
+        "name": "localized-snf-without-fix-up",
+        "file": "src/truncalg/linalg.py",
+        "old": ("            if bad is None:\n"
+                "                break\n"
+                "            a[k] = [x + y for x, y in zip(ak, a[bad])]\n"
+                "            left[k] = [x + y for x, y in zip(lk, left[bad])]\n"),
+        "new": "            break\n",
+        "tests": ["tests/test_linalg.py::test_snf_localized_branches[bad_entry]",
+                  "tests/test_linalg.py::test_snf_localized_matches_fraction_reference"],
+    },
+    {
+        "name": "localized-snf-keeps-negative-divisors",
+        "file": "src/truncalg/linalg.py",
+        "old": "        stripped = ring.strip_s(d) if d else d\n",
+        "new": "        stripped = ring.strip_s(d) if d > 0 else d\n",
+        "tests": ["tests/test_linalg.py::test_snf_localized_branches[sign_flip]",
+                  "tests/test_linalg.py::test_snf_localized_matches_fraction_reference"],
+    },
+    {
+        "name": "snf-diagonalizes-always",
+        "file": "src/truncalg/linalg.py",
+        "old": ("        lhs = self.left.mul(mat, ring).mul(self.right, ring)\n"
+                "        return lhs == self.diagonal(mat.rows, mat.cols, ring)\n"),
+        "new": "        return True\n",
+        "tests": ["tests/test_linalg.py::test_diagonalizes_rejects_a_wrong_identity"],
+    },
+    {
         "name": "localized-solve-without-s-unit-assertion",
         "file": "src/truncalg/linalg.py",
         "old": "    assert all(ring.strip_s(den) == 1 for den in dens), \"a denominator outside S\"\n",

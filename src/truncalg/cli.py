@@ -250,7 +250,7 @@ def run_command(command, input_data, options):
         from . import cw as cwm
 
         x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
-        trace = cwm.skeletal_verification(x)
+        trace = cwm.skeletal_verification(x, "/input/cw")
         all_exact = all(n["exact"] for step in trace for n in step["nodes"])
         return {"verdicts": {"all_nodes_exact": all_exact,
                              "steps": len(trace)},

@@ -213,9 +213,10 @@ def ktheory(x):
 # Skeletal verification: the two-periodic six-term sequence of each pair
 
 
-def skeletal_verification(x):
+def skeletal_verification(x, loc=""):
     """Per skeleton pair, build the localized six-term sequence and verify
-    exactness at every node; also confirm the cofiber wedge K-values."""
+    exactness at every node; also confirm the cofiber wedge K-values.  A
+    disconnected complex is refused at the input's JSON pointer `loc`."""
     d = x.dimension
     _, _, inverted = denominator_bound(d)
     memo = {}
@@ -231,7 +232,7 @@ def skeletal_verification(x):
     # connected: the 0-cocycles (of the 1-skeleton pair 1 reads) have rank
     # one, so the constants span them and the reduced H^0 is 0
     if cohomology(min(d, 1), 0)[1].rows != 1:
-        raise SchemaError("skeletal verification needs a connected complex")
+        raise SchemaError("skeletal verification needs a connected complex", loc)
     trace = []
     for k in range(1, d + 1):
         ck = x.cell_count(k)

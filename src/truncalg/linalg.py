@@ -9,10 +9,13 @@ There is one Smith normal form kernel per base ring:
                a deterministic row-major tie-break, each step x + c*y mod p^N;
   F_p[z]/z^M   `_snf_chain`, the same pivoting through the chain worker's
                ring calls;
-  Z[1/S]       `_snf_localized`, on Python ints: integer reduction with
-               Bezout steps, S-unit factors stripped from the divisors;
-               Fractions are built only in the result, so the result is as
-               exact as a Fraction elimination's.
+  Z[1/S]       `_snf_localized`, on Python ints: least-|entry| pivoting,
+               and one step rule, the nearest-integer multiple of the pivot
+               subtracted, so each remainder is at most half the pivot and
+               the least |entry| falls until the pivot divides its block;
+               the sign and S-unit factors stripped from the divisors.
+               Fractions are built only in the result, so it is as exact as
+               a Fraction elimination's.
 
 Over Z/p^N, `Mat.mul` and the solve run on ints as well.  Z/p^N and Z[1/S]
 share one integer divisor rule in the solve: over Z[1/S] each target row is
@@ -36,12 +39,10 @@ and nothing is multiplied back.  `modules.module_map` checks a map this way.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from types import SimpleNamespace
 
 from .errors import UnsupportedRingError
 from .rings import (
@@ -261,22 +262,6 @@ class _Worker:
             if not is_zero(y):
                 row[dst] = add(row[dst], mul(c, y))
 
-    def two_row_transform(self, i1, i2, m11, m12, m21, m22):
-        """rows (i1,i2) <- M . rows, M invertible. Used for Bezout steps."""
-        rg = self.ring
-        for rows in (self.a, self.l):
-            r1, r2 = rows[i1], rows[i2]
-            rows[i1] = [rg.add(rg.mul(m11, x), rg.mul(m12, y)) for x, y in zip(r1, r2)]
-            rows[i2] = [rg.add(rg.mul(m21, x), rg.mul(m22, y)) for x, y in zip(r1, r2)]
-
-    def two_col_transform(self, j1, j2, m11, m12, m21, m22):
-        """cols (j1,j2) <- cols . M, M invertible."""
-        rg = self.ring
-        for row in self.a + self.r:
-            x, y = row[j1], row[j2]
-            row[j1] = rg.add(rg.mul(x, m11), rg.mul(y, m21))
-            row[j2] = rg.add(rg.mul(x, m12), rg.mul(y, m22))
-
     def result(self):
         k = min(self.rows, self.cols)
         return SNFResult(
@@ -394,24 +379,6 @@ def _snf_padic(mat, ring):
                      divisors=[a[i][i] for i in range(min(nrows, ncols))])
 
 
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
-# The integers as a ring for `_Worker`: after its row scaling, the Z[1/S]
-# elimination multiplies and adds integers only.
-_INTEGERS = SimpleNamespace(zero=0, one=1, add=operator.add, mul=operator.mul,
-                            is_zero=operator.not_)
-
-
 def _integer_rows(rows):
     """(D, D . row) for each row of Fractions: D the lcm of the row's
     denominators, D . row as ints."""
@@ -420,86 +387,80 @@ def _integer_rows(rows):
         yield den, [x.numerator * (den // x.denominator) for x in row]
 
 
+def _nearest(b, piv):
+    """The integer q nearest b / piv, ties rounded up: |b - q*piv| <= |piv|/2."""
+    return (2 * b + piv) // (2 * piv)
+
+
 def _snf_localized(mat, ring):
-    """SNF over Z[1/S]: scale rows to integers, integer-reduce, strip S-units.
+    """SNF over Z[1/S] on Python ints: scale rows to integers, reduce with
+    one step rule, strip the sign and S-units.
 
-    The elimination runs on Python ints: each row of the input is scaled by
-    the lcm of its denominators (recorded in `left`), and every later
-    multiplier is an integer.  Fractions are built only in the result: the
-    witnesses, the divisors, and row k of `left` times stripped/d when the
-    S-unit factors are stripped from the divisor d.
+    Each row of the input is scaled by the lcm of its denominators (recorded
+    in `left`), so the block is integral.  The pivot is the first entry of
+    least absolute value in the remaining block, row-major.  Every row and
+    column step subtracts the nearest-integer multiple of the pivot, so a
+    remainder is at most half the pivot in size, and a nonzero one makes the
+    next pivot smaller.  Once row k and column k are clear, a block entry
+    the pivot does not divide has its row added to row k, and the next
+    round's column step leaves a nonzero remainder.  So the least |entry|
+    falls at least every second round, and the loop ends.  Fractions are
+    built only in the result: the witnesses, the divisors, and row k of
+    `left` times the unit s/d, where s = strip_s(d) is the divisor d with its
+    sign and S-unit factors stripped (skipped when s = d).
     """
-    w = _Worker(mat, _INTEGERS)
+    nrows, ncols = mat.rows, mat.cols
+    a, left = [], []
     for i, (den, row) in enumerate(_integer_rows(mat.data)):
-        w.a[i] = row
-        w.l[i][i] = den
-    a = w.a
-
-    for k in range(min(w.rows, w.cols)):
+        a.append(row)
+        left.append([0] * i + [den] + [0] * (nrows - i - 1))
+    right = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for k in range(min(nrows, ncols)):
         while True:
-            best = None
-            for i in range(k, w.rows):
-                for j in range(k, w.cols):
-                    x = a[i][j]
-                    if x == 0:
-                        continue
-                    if best is None or abs(x) < best[0]:
-                        best = (abs(x), i, j)
-            if best is None:
+            least, at = 0, None
+            for i in range(k, nrows):
+                for j, x in enumerate(a[i][k:], k):
+                    if x and (not least or abs(x) < least):
+                        least, at = abs(x), (i, j)
+            if at is None:
                 break
-            _, bi, bj = best
-            w.swap_rows(k, bi)
-            w.swap_cols(k, bj)
-            for i in range(k + 1, w.rows):
-                b = a[i][k]
-                if b == 0:
-                    continue
-                piv = a[k][k]
-                if b % piv == 0:
-                    w.add_row(i, k, -(b // piv))
-                else:
-                    g, x, y = _xgcd(piv, b)
-                    w.two_row_transform(k, i, x, y, -(b // g), piv // g)
-            if any(a[k][j] for j in range(k + 1, w.cols)):
-                for j in range(k + 1, w.cols):
-                    b = a[k][j]
-                    if b == 0:
-                        continue
-                    piv = a[k][k]
-                    if b % piv == 0:
-                        w.add_col(j, k, -(b // piv))
-                    else:
-                        g, x, y = _xgcd(piv, b)
-                        w.two_col_transform(k, j, x, -(b // g), y, piv // g)
+            i, j = at
+            a[k], a[i] = a[i], a[k]
+            left[k], left[i] = left[i], left[k]
+            if j != k:
+                for row in a + right:
+                    row[k], row[j] = row[j], row[k]
+            ak, lk, piv = a[k], left[k], a[k][k]
+            for i in range(k + 1, nrows):
+                if a[i][k]:
+                    c = _nearest(a[i][k], piv)
+                    a[i] = [x - c * y for x, y in zip(a[i], ak)]
+                    left[i] = [x - c * y for x, y in zip(left[i], lk)]
+            cs = [_nearest(x, piv) for x in ak[k + 1:]]
+            if any(cs):
+                for row in a + right:
+                    y = row[k]
+                    if y:
+                        row[k + 1:] = [x - c * y for x, c in zip(row[k + 1:], cs)]
+            if any(ak[k + 1:]) or any(a[i][k] for i in range(k + 1, nrows)):
                 continue
-            if any(a[i][k] for i in range(k + 1, w.rows)):
-                continue
-            piv = a[k][k]
-            bad = None
-            if piv != 0:
-                for i in range(k + 1, w.rows):
-                    for j in range(k + 1, w.cols):
-                        if a[i][j] % piv != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+            bad = next((i for i in range(k + 1, nrows) if any(x % piv for x in a[i][k + 1:])),
+                       None)
             if bad is None:
                 break
-            w.add_row(k, bad, 1)
-        if a[k][k] < 0:
-            w.scale_row(k, -1)
+            a[k] = [x + y for x, y in zip(ak, a[bad])]
+            left[k] = [x + y for x, y in zip(lk, left[bad])]
 
-    left = [[Fraction(x) for x in row] for row in w.l]
+    fleft = [[Fraction(x) for x in row] for row in left]
     divisors = []
-    for k in range(min(w.rows, w.cols)):
+    for k in range(min(nrows, ncols)):
         d = a[k][k]
         stripped = ring.strip_s(d) if d else d
         if stripped != d:
-            left[k] = [Fraction(x * stripped, d) for x in w.l[k]]
+            fleft[k] = [Fraction(x * stripped, d) for x in left[k]]
         divisors.append(Fraction(stripped))
-    return SNFResult(left=Mat(w.rows, w.rows, left),
-                     right=Mat(w.cols, w.cols, [[Fraction(x) for x in row] for row in w.r]),
+    return SNFResult(left=Mat(nrows, nrows, fleft),
+                     right=Mat(ncols, ncols, [[Fraction(x) for x in row] for row in right]),
                      divisors=divisors)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -419,6 +420,21 @@ def test_cw_unaugmented_boundary_refused_at_its_pointer(tmp_path, command, cw):
     assert proc.stderr == ""
 
 
+def test_cw_verify_refuses_a_disconnected_complex_at_its_pointer(tmp_path):
+    """Two 0-cells and a 1-cell with zero boundary: a valid, disconnected
+    complex.  cw-verify refuses it at /input/cw with exit 1, a schema error
+    and nothing on stderr."""
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps({"command": "cw-verify", "options": {},
+                               "input": {"cw": {"cells": [2, 1], "boundaries": [[[0, 0]]]}}}))
+    proc = subprocess.run([sys.executable, "-m", "truncalg.cli", "cw-verify", "--input", str(src)],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    report = json.loads(proc.stdout)
+    assert proc.returncode == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"] == "/input/cw: skeletal verification needs a connected complex"
+    assert proc.stderr == ""
+
+
 def test_cw_ktheory_with_a_large_semiprime_torsion_finishes(tmp_path):
     """RP^2's cell structure with the 2-cell attached by degree N, a product
     of two 18-digit primes: the K-groups are read without factoring N, so the
@@ -435,6 +451,45 @@ def test_cw_ktheory_with_a_large_semiprime_torsion_finishes(tmp_path):
     verdicts = json.loads(proc.stdout)["verdicts"]
     assert verdicts["k0"] == {"rank": 0, "torsion": [n]}
     assert verdicts["k1"] == {"rank": 0, "torsion": []}
+
+
+def lambda_identity_job(seed, n=8, m=4):
+    """lambda-zero on the identity of a TruncatedLambda((2,), 4) module with
+    n generators and n x n relations, coefficients in [-5, 5] from
+    Random(seed)."""
+    rng = random.Random(seed)
+    module = {"ring": {"family": "TruncatedLambda", "inverted_primes": [2], "M": m},
+              "generators": n,
+              "relations": [[[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+                            for _ in range(n)]}
+    identity = [[[int(i == j)] + [0] * (m - 1) for j in range(n)] for i in range(n)]
+    return {"command": "lambda-zero", "options": {},
+            "input": {"map": {"matrix": identity, "source": module, "target": module}}}
+
+
+def z_snf_job(n):
+    """snf over Z of an n x n matrix with entries in [-9, 9] from Random(n)."""
+    rng = random.Random(n)
+    return {"command": "snf", "options": {},
+            "input": {"ring": {"family": "LocalizedIntegers", "inverted_primes": []},
+                      "matrix": [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]}}
+
+
+@pytest.mark.parametrize("job", [lambda_identity_job(1), lambda_identity_job(2), z_snf_job(24)],
+                         ids=["lambda_zero_seed1", "lambda_zero_seed2", "snf_z_24"])
+def test_z_s_snf_jobs_finish(tmp_path, job):
+    """Jobs whose Z[1/S] SNF ran without end under the Bezout steps: each
+    child exits 0 with a report inside a 20 s timeout.  Under those steps
+    the 8 x 8 Lambda SNFs of seeds 1 and 2 built witnesses of hundreds of
+    thousands of bits, and the n = 24 witnesses of snf over Z passed the
+    4300-digit limit of int-to-str."""
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps(job))
+    proc = subprocess.run([sys.executable, "-m", "truncalg.cli", job["command"],
+                           "--input", str(src)],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["exit_code"] == 0
 
 
 @pytest.mark.parametrize("kind", ["z_to_zero", "z_to_unit", "frobenius_twist"])

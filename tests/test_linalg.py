@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 import pytest
 
@@ -11,7 +12,6 @@ from truncalg.linalg import (
     SNFResult,
     _snf_chain,
     _Worker,
-    _xgcd,
     base_snf,
     expand_matrix,
     expand_rows,
@@ -357,8 +357,11 @@ def test_z_family_add_neg_inv_equal_ring_calls(ring):
 
 
 def reference_snf_localized(mat, ring):
-    """`_snf_localized` as it was when every step ran on Fractions: the rows
-    are scaled by Fraction(den) and each multiplier is a Fraction."""
+    """`_snf_localized` transcribed onto Fractions through `_Worker`: rows
+    scaled by Fraction(den), the same pivot order, each step's multiplier the
+    Fraction floor(entry/pivot + 1/2) and the same fix-up.  A negative
+    divisor's row is negated before the S-strip, where the kernel folds the
+    sign into the strip's unit factor."""
     w = _Worker(mat, ring)
     for i in range(w.rows):
         den = 1
@@ -370,59 +373,40 @@ def reference_snf_localized(mat, ring):
     def entry(i, j):
         return int(w.a[i][j])
 
+    def nearest(b, a):
+        return Fraction(floor(Fraction(b, a) + Fraction(1, 2)))
+
     for k in range(min(w.rows, w.cols)):
         while True:
             best = None
             for i in range(k, w.rows):
                 for j in range(k, w.cols):
                     x = entry(i, j)
-                    if x == 0:
-                        continue
-                    if best is None or abs(x) < best[0]:
+                    if x and (best is None or abs(x) < best[0]):
                         best = (abs(x), i, j)
             if best is None:
                 break
             _, bi, bj = best
             w.swap_rows(k, bi)
             w.swap_cols(k, bj)
-            for i in range(k + 1, w.rows):
-                b = entry(i, k)
-                if b == 0:
-                    continue
-                a = entry(k, k)
-                if b % a == 0:
-                    w.add_row(i, k, Fraction(-(b // a)))
-                else:
-                    g, x, y = _xgcd(a, b)
-                    w.two_row_transform(
-                        k, i,
-                        Fraction(x), Fraction(y), Fraction(-(b // g)), Fraction(a // g))
-            if any(entry(k, j) for j in range(k + 1, w.cols)):
-                for j in range(k + 1, w.cols):
-                    b = entry(k, j)
-                    if b == 0:
-                        continue
-                    a = entry(k, k)
-                    if b % a == 0:
-                        w.add_col(j, k, Fraction(-(b // a)))
-                    else:
-                        g, x, y = _xgcd(a, b)
-                        w.two_col_transform(
-                            k, j,
-                            Fraction(x), Fraction(-(b // g)), Fraction(y), Fraction(a // g))
-                continue
-            if any(entry(i, k) for i in range(k + 1, w.rows)):
-                continue
             a = entry(k, k)
+            for i in range(k + 1, w.rows):
+                if entry(i, k):
+                    w.add_row(i, k, -nearest(entry(i, k), a))
+            for j in range(k + 1, w.cols):
+                if entry(k, j):
+                    w.add_col(j, k, -nearest(entry(k, j), a))
+            if (any(entry(k, j) for j in range(k + 1, w.cols))
+                    or any(entry(i, k) for i in range(k + 1, w.rows))):
+                continue
             bad = None
-            if a != 0:
-                for i in range(k + 1, w.rows):
-                    for j in range(k + 1, w.cols):
-                        if entry(i, j) % a != 0:
-                            bad = i
-                            break
-                    if bad is not None:
+            for i in range(k + 1, w.rows):
+                for j in range(k + 1, w.cols):
+                    if entry(i, j) % a != 0:
+                        bad = i
                         break
+                if bad is not None:
+                    break
             if bad is None:
                 break
             w.add_row(k, bad, Fraction(1))
@@ -440,9 +424,16 @@ def reference_snf_localized(mat, ring):
 
 
 def assert_same_snf(m, ring):
+    """The kernel's witnesses and divisors equal the reference's, the
+    divisors are nonnegative S-free integers each dividing the next, and
+    L . m . R = D with invertible witnesses: since the SNF is unique, that
+    certifies the divisors."""
     got, ref = smith_normal_form(m, ring), reference_snf_localized(m, ring)
     assert got.left == ref.left and got.right == ref.right, m
     assert got.divisors == ref.divisors, m
+    ds = [int(d) for d in got.divisors]
+    assert ds == got.divisors and all(d >= 0 and (d == 0 or ring.strip_s(d) == d) for d in ds), m
+    assert all(e == 0 if d == 0 else e % d == 0 for d, e in zip(ds, ds[1:])), m
     assert got.verify(m, ring), m
 
 
@@ -498,35 +489,55 @@ def test_snf_localized_matches_fraction_reference_on_lambda_expansions():
         assert (memo.left, memo.right, memo.divisors) == (ref.left, ref.right, ref.divisors)
 
 
-@pytest.mark.parametrize("ring, rows, step, divisors, left", [
-    (Z, [[2], [4]], ("add_row", (1, 0, -2)), [2], None),
-    (Z, [[4], [6]], ("two_row_transform", (0, 1, -1, 1, -3, 2)), [2], None),
-    (Z, [[4, 6]], ("two_col_transform", (0, 1, -1, -3, 1, 2)), [2], None),
-    (Z, [[2, 0], [0, 3]], ("add_row", (0, 1, 1)), [1, 6], None),
-    (Z, [[-3]], ("scale_row", (0, -1)), [3], [[-1]]),
-    (ZL2, [[12]], None, [3], [[Fraction(1, 4)]]),
-], ids=["divisible_row", "bezout_row", "bezout_col", "bad_entry", "sign_flip", "s_strip"])
-def test_snf_localized_branches(monkeypatch, ring, rows, step, divisors, left):
-    """Each input takes one branch of the integer elimination.  Every
-    multiplier the worker sees is an int, and every divisor and witness entry
-    the caller gets is a Fraction."""
-    calls = []
-    for name in ("add_row", "add_col", "scale_row", "two_row_transform", "two_col_transform"):
-        def spy(w, *args, _name=name, _real=getattr(_Worker, name)):
-            calls.append((_name, args))
-            return _real(w, *args)
-        monkeypatch.setattr(_Worker, name, spy)
+@pytest.mark.parametrize("ring, rows, divisors, left, right", [
+    (Z, [[2], [4]], [2], [[1, 0], [-2, 1]], [[1]]),
+    (Z, [[5], [8]], [1], [[-3, 2], [-8, 5]], [[1]]),
+    (Z, [[5, 8]], [1], [[1]], [[-3, -8], [2, 5]]),
+    (Z, [[2, 0], [0, 3]], [1, 6], [[-1, -1], [3, 4]], [[-2, -3], [1, 2]]),
+    (Z, [[-3]], [3], [[-1]], [[1]]),
+    (ZL2, [[12]], [3], [[Fraction(1, 4)]], [[1]]),
+], ids=["divisible_row", "nearest_row", "nearest_col", "bad_entry", "sign_flip", "s_strip"])
+def test_snf_localized_branches(ring, rows, divisors, left, right):
+    """Each input takes one branch of the integer elimination and gives these
+    exact divisors and witnesses.  8 = 2 * 5 - 2: the nearest quotient is 2,
+    not the floor 1, in the row step of [[5], [8]] and the column step of
+    [[5, 8]].  [[2, 0], [0, 3]] needs the fix-up that adds the row of the
+    entry 2 does not divide to the pivot row.  Every divisor and witness
+    entry the caller gets is a Fraction."""
     m = mk(ring, rows)
     res = linalg._snf_localized(m, ring)
-    if step is not None:
-        assert step in calls
-    assert all(type(c) is int for _, args in calls for c in args), calls
-    assert res.divisors == divisors
-    if left is not None:
-        assert res.left.tolist() == left
+    assert (res.divisors, res.left.tolist(), res.right.tolist()) == (divisors, left, right)
     assert res.verify(m, ring)
     entries = res.divisors + [x for w in (res.left, res.right) for row in w.data for x in row]
     assert all(type(x) is Fraction for x in entries), entries
+
+
+def int_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_snf_over_z_ladder_stays_small():
+    """n x n matrices over Z with entries in [-9, 9] from Random(n): each SNF
+    finishes inside its CPU budget, L . A . R = D holds on the integer
+    witnesses, and no witness entry reaches 4300 decimal digits, Python's
+    int-to-str limit, so a report can print it.  The rungs run in order and
+    the first failing rung ends the test: with the Bezout steps that the
+    nearest-quotient rule replaced, n = 28 took several seconds with
+    million-bit witnesses, and n = 48 did not finish."""
+    budgets = {8: 0.5, 16: 0.5, 28: 1.0, 48: 6.0}
+    for n, budget in budgets.items():
+        rng = random.Random(n)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m = mk(Z, rows)
+        base_snf.cache_clear()
+        start = time.process_time()
+        res = base_snf(m, Z)
+        spent = time.process_time() - start
+        assert spent < budget, (n, spent)
+        assert all(x.denominator == 1 for w in (res.left, res.right) for row in w.data for x in row)
+        left, right = ([[int(x) for x in row] for row in w.data] for w in (res.left, res.right))
+        assert max(abs(x) for w in (left, right) for row in w for x in row) < 10 ** 4299, n
+        assert int_product(int_product(left, rows), right) == res.diagonal(n, n, Z).tolist(), n
 
 
 def test_localized_zero_one_and_is_zero():
@@ -607,6 +618,21 @@ def test_verify_checks_witness_invertibility(ring):
     assert SNFResult(Mat.identity(2, ring), Mat.identity(3, ring), zeros).verify(m, ring)
     assert not SNFResult(Mat.zero(2, 2, ring), Mat.identity(3, ring), zeros).verify(m, ring)
     assert not SNFResult(Mat.identity(2, ring), Mat.zero(3, 3, ring), zeros).verify(m, ring)
+
+
+@pytest.mark.parametrize("ring", [Z2_6, S1, ZL2], ids=lambda r: type(r).__name__)
+def test_diagonalizes_rejects_a_wrong_identity(ring):
+    """Invertible witnesses whose product is not diag(divisors) fail both
+    `diagonalizes` and `verify`: a divisor off by one, or the witnesses of
+    another matrix."""
+    m = mk(ring, [[1, 2], [3, 4]])
+    res = smith_normal_form(m, ring)
+    assert res.diagonalizes(m, ring)
+    wrong = SNFResult(res.left, res.right, [ring.add(res.divisors[0], ring.one)] + res.divisors[1:])
+    other = smith_normal_form(mk(ring, [[1, 0], [0, 1]]), ring)
+    for bad in (wrong, other):
+        assert not bad.diagonalizes(m, ring)
+        assert not bad.verify(m, ring)
 
 
 @pytest.mark.parametrize("ring", [Z2_6, S1, ZL2, BK, LAM], ids=lambda r: type(r).__name__)
