@@ -16,6 +16,11 @@ tests end in a pytest error, or the unmutated tests fail; 2 when an entry's
 old text does not occur exactly once (the entry is stale) or a name is
 unknown.  It is kept out of tier-1: each mutant costs one pytest run.  A
 change that adds or edits a check adds its mutant here.
+
+One check has no entry because removing it is an equivalent mutant:
+`degeneration_report`'s "saturated verdict without degenerate verdict"
+raise can never fire, since `saturated_direct` is built as
+`degenerate and ...`.
 """
 
 from __future__ import annotations
@@ -186,6 +191,83 @@ MUTANTS = [
         "old": "        return (all(f.checked or rows_are_zero_classes(",
         "new": "        return (all(True or rows_are_zero_classes(",
         "tests": ["tests/test_modules.py::test_verify_rejects_a_witness_that_is_not_well_defined"],
+    },
+    {
+        "name": "read-snf-without-identity-check",
+        "file": "src/truncalg/modules.py",
+        "old": "        raise InternalInconsistencyError(\"Smith normal form fails L . A . R = D\")\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_modules.py::test_elementary_divisors_check_the_snf"],
+    },
+    {
+        "name": "validate-ses-without-inject-clause",
+        "file": "src/truncalg/modules.py",
+        "old": "        return \"inject\", \"inject has nonzero kernel\"\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_cli.py::test_ses_refusal_names_the_failing_map[split_inject]",
+                  "tests/test_cli.py::test_ses_refusal_names_the_failing_map[survey_inject]"],
+    },
+    {
+        "name": "verify-exact-at-without-zero-composite",
+        "file": "src/truncalg/modules.py",
+        "old": "    if not is_zero_map(compose(incl, proj)):\n        return False\n",
+        "new": "",
+        "tests": ["tests/test_modules.py::test_verify_exact_at_matches_pruned_kernel"],
+    },
+    {
+        "name": "zero-local-global-without-local-claim",
+        "file": "src/truncalg/local_global.py",
+        "old": ("        raise InternalInconsistencyError(\n"
+                "            f\"nonzero map vanished at its certified support prime {witness}\")\n"),
+        "new": "        pass\n",
+        "tests": ["tests/test_local_global.py::"
+                  "test_vanishing_completion_at_first_support_prime_is_inconsistent"],
+    },
+    {
+        "name": "degeneration-report-without-ledger-cross-check",
+        "file": "src/truncalg/spectral.py",
+        "old": ("            raise InternalInconsistencyError(\n"
+                "                \"torsion-length criterion disagrees with direct saturation checks\")\n"),
+        "new": "            pass\n",
+        "tests": ["tests/test_spectral.py::test_one_wrong_divisor_read_is_an_internal_inconsistency"],
+    },
+    {
+        "name": "degeneration-report-without-multiset-cross-check",
+        "file": "src/truncalg/spectral.py",
+        "old": ("            raise InternalInconsistencyError(\n"
+                "                \"divisor-multiset criterion disagrees with explicit retraction search\")\n"),
+        "new": "            pass\n",
+        "tests": ["tests/test_spectral.py::test_flipped_retraction_verdict_is_an_internal_inconsistency"],
+    },
+    {
+        "name": "verify-tower-without-exactness-clause",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": "    if not verify_exact_at(node.incl, node.proj):\n        return False, \"tower stage not exact\"\n",
+        "new": "",
+        "tests": ["tests/test_bk.py::test_verify_tower_refuses_a_stage_that_is_not_exact"],
+    },
+    {
+        "name": "check-height-without-upper-certificate-check",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": "        raise InternalInconsistencyError(\"height upper certificate fails to verify\")\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_bk.py::test_check_height_refuses_a_wrong_upper_certificate"],
+    },
+    {
+        "name": "structure-check-without-theorem-raise",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": ("            raise InternalInconsistencyError(\n"
+                "                \"structure theorem predicts an elementary module; decomposition failed\")\n"),
+        "new": "            pass\n",
+        "tests": ["tests/test_bk.py::test_structure_check_raises_when_the_theorem_is_contradicted"],
+    },
+    {
+        "name": "parse-cw-without-cell-bound",
+        "file": "src/truncalg/schemas.py",
+        "old": "        if count > MAX_CELLS:\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_cw.py::test_parse_cw_refuses_too_many_cells",
+                  "tests/test_cli.py::test_cw_oversized_cell_count_refused_at_its_pointer"],
     },
 ]
 

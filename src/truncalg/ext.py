@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bruteforce import _grow_submodule
-from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
+from .errors import PrecisionError, UnsupportedRingError
 from .linalg import Mat
 from .modules import (
     PresentedModule,
@@ -37,13 +37,6 @@ def _elementary_exponents(m):
     return divs.exponents(), divs.free_rank
 
 
-def ext1(c, a):
-    """Ext^1(C, A) as a presented module over the shared ring."""
-    if a.ring != c.ring:
-        raise UnsupportedRingError("ext1 arguments must share a ring")
-    return _ext1_of_exponents(_elementary_exponents(c)[0], a)
-
-
 def _ext1_of_exponents(exps, a):
     """Ext^1(C, A) from C's torsion exponents: (+)_i A / p^{a_i} A."""
     ring = a.ring
@@ -58,54 +51,6 @@ def _ext1_of_exponents(exps, a):
     if not blocks:
         return PresentedModule.zero(ring)
     return direct_sum(blocks)
-
-
-def ext1_divisor_exponents(c, a):
-    """p-exponent multiset of Ext^1(C, A) via its own decomposition."""
-    return _elementary_exponents(ext1(c, a))
-
-
-@dataclass
-class Ext1BaseChangeRecord:
-    injective: bool
-    source_exponents: list
-    target_exponents: list
-    source_ext: PresentedModule
-    target_ext: PresentedModule
-    comparison_identity_size: int
-
-
-def ext1_base_change_inject(c, a, spec):
-    """Certify the Ext^1 comparison along z |-> unit by elementary divisors.
-
-    Both sides are computed independently (over the z-ring and over the
-    evaluation target) and their divisor multisets compared; equality is the
-    desk-scale certificate for the injectivity bookkeeping, and the
-    comparison map is blockwise the canonical reduction (identity-sized)."""
-    from .modules import base_change
-
-    if not isinstance(c.ring, TruncatedBK):
-        raise UnsupportedRingError("ext1_base_change_inject starts over TruncatedBK")
-    if spec.kind not in ("z_to_unit", "z_to_zero"):
-        raise UnsupportedRingError("target must evaluate z")
-    ext_s = ext1(c, a)
-    src_exps, src_free = _elementary_exponents(ext_s)
-    cw, _ = base_change(c, spec)
-    aw, _ = base_change(a, spec)
-    ext_w = ext1(cw, aw)
-    tgt_exps, tgt_free = _elementary_exponents(ext_w)
-    injective = (src_exps == tgt_exps and src_free == tgt_free == 0)
-    if src_free or tgt_free:
-        raise InternalInconsistencyError(
-            "Ext of elementary modules acquired a free part")
-    return Ext1BaseChangeRecord(
-        injective=injective,
-        source_exponents=src_exps,
-        target_exponents=tgt_exps,
-        source_ext=ext_s,
-        target_ext=ext_w,
-        comparison_identity_size=sum(src_exps),
-    )
 
 
 # ---------------------------------------------------------------------------

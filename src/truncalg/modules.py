@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import prod
 
 from .errors import (
-    HypothesisUnmetError,
     InternalInconsistencyError,
     NotElementaryError,
     NotWellDefinedError,
@@ -196,17 +195,6 @@ def is_surjective(f):
     return is_zero_module(cokernel(f)[0])
 
 
-@dataclass
-class Subquotient:
-    kernel: PresentedModule
-    kernel_inclusion: ModuleMap
-    image: PresentedModule
-    image_inclusion: ModuleMap
-    image_projection: ModuleMap
-    cokernel: PresentedModule
-    cokernel_projection: ModuleMap
-
-
 def verify_exact_at(incl, proj):
     """im(incl) == ker(proj) inside the shared middle module: every kernel
     row of proj lies in im(incl) + relations."""
@@ -214,20 +202,6 @@ def verify_exact_at(incl, proj):
         return False
     return in_row_span(incl.matrix.vstack(incl.target.relations), _kernel_rows(proj),
                        incl.source.ring)
-
-
-def subquotient(f):
-    """Kernel, image, cokernel with structure maps; exactness is verified."""
-    kmod, kincl = kernel(f)
-    imod, iincl, iproj = image(f)
-    cmod, cproj = cokernel(f)
-    if not is_zero_map(compose(kincl, f)):
-        raise InternalInconsistencyError("kernel fails to die under the map")
-    if not verify_exact_at(iincl, cproj):
-        raise InternalInconsistencyError("image != kernel of cokernel projection")
-    if not maps_equal(compose(iproj, iincl), f):
-        raise InternalInconsistencyError("source->image->target does not recover the map")
-    return Subquotient(kmod, kincl, imod, iincl, iproj, cmod, cproj)
 
 
 def submodule_from_rows(ambient, rows):
@@ -291,7 +265,7 @@ class ElementaryDivisors:
         if isinstance(ring, LocalizedIntegers):
             raise UnsupportedRingError(
                 "exponents() needs a chain ring or TruncatedBK; over Z[1/S] read the "
-                "prime-power profile with torsion_divisor_profile")
+                "prime-power profile with ElementaryDivisors.profile")
         if isinstance(ring, TruncatedBK):
             return sorted(ring.p_valuation(d) for d in self.torsion_divisors)
         return sorted(ring.val(d) for d in self.torsion_divisors)
@@ -405,27 +379,6 @@ def require_elementary(m):
     return dec
 
 
-def torsion_part(m):
-    """(torsion module, inclusion, torsion-free quotient).
-
-    Torsion means: elementary divisors that are nonzero at the working
-    truncation (LocalizedIntegers: nonunit divisors).  The submodule returned
-    is the canonical-witness one; its divisor multiset is witness-free.
-    """
-    if isinstance(m.ring, TruncatedLambda):
-        raise UnsupportedRingError("torsion_part over the Lambda family is not supported")
-    dec = require_elementary(m)
-    ring = m.ring
-    tcount = len(dec.torsion_divisors)
-    rows = dec.from_canonical.matrix.take_rows(list(range(tcount)))
-    tors = module_from_divisors(ring, dec.torsion_divisors, 0)
-    incl = module_map(tors, m, rows, check=False)
-    quot, proj = cokernel(incl)
-    if not is_zero_map(compose(incl, proj)):
-        raise InternalInconsistencyError("torsion part does not die in the quotient")
-    return tors, incl, quot
-
-
 def structure_divisors(m):
     """Free rank and torsion divisors over any ring with a structure theorem:
     the SNF reader, or over TruncatedBK `require_elementary`."""
@@ -434,22 +387,8 @@ def structure_divisors(m):
     return elementary_divisors(m)
 
 
-def torsion_length(m):
-    """Sum of valuations (resp. prime multiplicities) of torsion divisors."""
-    return elementary_divisors(m).length()
-
-
-def torsion_divisor_profile(m):
-    """`ElementaryDivisors.profile` of m's structure divisors."""
-    return structure_divisors(m).profile()
-
-
-def free_rank(m):
-    return structure_divisors(m).free_rank
-
-
 # ---------------------------------------------------------------------------
-# Short exact sequences, splitting, gluing
+# Short exact sequences and splitting
 
 
 @dataclass(frozen=True)
@@ -571,34 +510,6 @@ def failure_primes(obstruction, sset=()):
     return sorted(primes), everywhere
 
 
-def glue_splitting(ses, torsion_section, free_witness):
-    """Assemble a section of surject from a torsion section and a free lift.
-
-    torsion_section: C_tors -> B with (torsion_section ; surject) equal to the
-    torsion inclusion into C.  free_witness: ElementaryDecomposition of C whose
-    free part witnesses C_tf free.  Returns the verified section
-    s(x, y) = s_tors(x) + lift(y) assembled through the witness.
-    """
-    ring = ses.c.ring
-    dec = free_witness
-    tcount = len(dec.torsion_divisors)
-    tors_incl_rows = dec.from_canonical.matrix.take_rows(list(range(tcount)))
-    comp = torsion_section.matrix.mul(ses.surject.matrix, ring)
-    if not rows_are_zero_classes(ses.c, comp.sub(tors_incl_rows, ring)):
-        raise HypothesisUnmetError("torsion_section does not split the torsion rows")
-    free_idx = list(range(tcount, dec.canonical_module.gens))
-    free_rows = dec.from_canonical.matrix.take_rows(free_idx)
-    lift = solve_left_mod(ses.surject.matrix, free_rows, ses.c.relations, ring)
-    if lift is None:
-        raise InternalInconsistencyError("free rows fail to lift through a verified surjection")
-    stacked = torsion_section.matrix.vstack(lift)
-    smat = dec.to_canonical.matrix.mul(stacked, ring)
-    section = module_map(ses.c, ses.b, smat)
-    if not maps_equal(compose(section, ses.surject), identity_map(ses.c)):
-        raise InternalInconsistencyError("glued section fails beta . s = id")
-    return section
-
-
 # ---------------------------------------------------------------------------
 # Base change
 
@@ -717,12 +628,6 @@ def _pushing(mods, mats, spec):
     if spec.precision_n is None and spec.kind in COMPLETION_KINDS:
         spec = replace(spec, precision_n=completion_precision(spec.ell, mods, mats))
     return base_change_rings(mods[0], spec)
-
-
-def base_change(m, spec):
-    """Push the presentation through the ring map; tensoring is right exact."""
-    tgt_ring, entry, trail = _pushing([m], (), spec)
-    return PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)), trail
 
 
 def base_change_maps(maps, spec):

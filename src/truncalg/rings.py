@@ -698,12 +698,6 @@ class TruncatedBK(_ZFamilyMixin, RingBase):
     def eisenstein_element(self):
         return self.from_coeffs([self.scalar.from_int(c) for c in self.eisenstein.coefficients])
 
-    def truncate_z(self, x, k):
-        """Kill all coefficients of z^j with j >= k."""
-        s = self.scalar
-        return tuple(c if j < k else s.zero for j, c in enumerate(x))
-
-
 @dataclass(frozen=True)
 class TruncatedLambda(_PolyTruncMixin, RingBase):
     """Z[1/S][[q-1]] truncated at (q-1)^M. Base ring is the PID Z[1/S]."""
@@ -733,30 +727,6 @@ def normalize(raw, ring):
     return ring.normalize(raw)
 
 
-def valuation(x, uniformizer, ring):
-    """Spec op: largest k with x in (uniformizer^k), or AT_LEAST_PRECISION for 0.
-
-    uniformizer is the string "p" or "z"; legality depends on the family.
-    """
-    if isinstance(ring, TruncatedPadic):
-        if uniformizer != "p":
-            raise UnsupportedRingError("TruncatedPadic only supports the uniformizer p")
-        return ring.valuation_or_marker(x)
-    if isinstance(ring, TruncatedPowerSeries):
-        if uniformizer != "z":
-            raise UnsupportedRingError("TruncatedPowerSeries only supports the uniformizer z")
-        return ring.valuation_or_marker(x)
-    if isinstance(ring, TruncatedBK):
-        if uniformizer == "p":
-            v = ring.p_valuation(x)
-        elif uniformizer == "z":
-            v = ring.z_valuation(x)
-        else:
-            raise UnsupportedRingError("TruncatedBK supports uniformizers p and z")
-        return AT_LEAST_PRECISION if v is None else v
-    raise UnsupportedRingError(f"valuation not defined for {type(ring).__name__}")
-
-
 def frobenius(x, ring):
     """Spec op: phi with phi(z) = z^p, identity on W-coefficients.
 
@@ -766,16 +736,6 @@ def frobenius(x, ring):
     if not isinstance(ring, (TruncatedPowerSeries, TruncatedBK)):
         raise UnsupportedRingError("frobenius needs a z-family ring")
     return ring.frobenius(x)
-
-
-def eisenstein_eval(eisenstein, power, ring):
-    """Spec op: canonical representation of E(z)^power in the truncated ring."""
-    if not isinstance(ring, TruncatedBK):
-        raise UnsupportedRingError("eisenstein_eval needs a TruncatedBK ring")
-    if power < 0:
-        raise SchemaError("power must be >= 0")
-    base = ring.from_coeffs([ring.scalar.from_int(c) for c in eisenstein.coefficients])
-    return ring.pow(base, power)
 
 
 def is_snf_capable(ring):

@@ -67,6 +67,11 @@ def parse_primes(data, loc):
 # Z/p^N coefficients are refused when p^N has more digits than this: the
 # arithmetic would crawl and the report could not print the entries.
 MAX_MODULUS_DIGITS = 4000
+# CW complexes are refused above this many cells in one dimension: the
+# cohomology solves run on matrices of that size, and 48 x 48 is the top rung
+# of the Smith normal form ladder over Z that the tests hold to a CPU budget
+# (test_snf_over_z_ladder_stays_small).
+MAX_CELLS = 48
 
 
 def _p_and_n(data, loc):
@@ -325,6 +330,9 @@ def parse_cw(data, loc="/cw"):
     from .cw import make_cw
 
     cells = _int_list(_want(data, "cells", loc), loc + "/cells")
+    for k, count in enumerate(cells):
+        if count > MAX_CELLS:
+            raise SchemaError(f"more than {MAX_CELLS} cells in one dimension", f"{loc}/cells/{k}")
     boundaries = _want(data, "boundaries", loc, list) if "boundaries" in data else []
     for k, rows in enumerate(boundaries):
         if not isinstance(rows, list):

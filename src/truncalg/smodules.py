@@ -17,9 +17,8 @@ and the columns of R and rows of R^-1 that the mu_j products and the lift
 read.  No slice builds or verifies a witness of its own; the final check
 of the assembled map certifies them.
 `gr_p` keeps the defining presentation, the kernel of [p^j; R; p^{j+1}],
-one slice at a time: it presents the `NotElementary` certificate, serves
-the lemma checks in `breuil_kisin`, and is the reference the tests hold the
-SNF reader to.
+one slice at a time: it presents the `NotElementary` certificate, and
+the tests hold the SNF reader to it and build the gr_p lemma checks on it.
 """
 
 from __future__ import annotations
@@ -148,7 +147,7 @@ def decompose_over_s(m, _trace=None):
     """Constructive elementary decomposition over truncated W[[z]].
 
     Returns an ElementaryDecomposition (torsion generators first in the
-    canonical module, matching torsion_part's convention) or NotElementary
+    canonical module, as `module_from_divisors` builds it) or NotElementary
     with the first failing gr_p slice.  A _trace list receives the S1 rank
     of each free slice, as measured.
 

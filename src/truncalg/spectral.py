@@ -316,7 +316,7 @@ class DegenerationReport:
     e1_torsion_profiles: dict    # i -> combined multiset over weights
     witnesses: dict
     notes: list
-    # the pass's own reads, kept for base_change_report and lenfil_check
+    # the pass's own reads, kept for base_change_report
     homologies: dict = field(repr=False)    # i -> FilteredHomology
     h_divisors: dict = field(repr=False)    # i -> ElementaryDivisors of H_i
     e1_divisors: dict = field(repr=False)   # (n, i) -> ElementaryDivisors of the E1 entry
@@ -346,7 +346,7 @@ def degeneration_report(x):
     E1 torsion-length and divisor-multiset criteria.  The pass builds every
     page and the filtered homology, and reads the divisors of each H_i,
     gr_n H_i and E1 entry at most once; the report keeps the homology and
-    the H_i and E1 reads for base_change_report and lenfil_check."""
+    the H_i and E1 reads for base_change_report."""
     ring = x.ring
     if not is_snf_capable(ring):
         raise UnsupportedRingError("degeneration_report needs an SNF-capable ring")
@@ -451,34 +451,6 @@ def degeneration_report(x):
         h_divisors=h_div,
         e1_divisors=e1_div,
     )
-
-
-def lenfil_check(x, n, report=None):
-    """Reduction-length inequality per degree, under the saturated
-    hypothesis, read off the report's divisors of H_i and the E1 entries."""
-    if n <= 0:
-        raise SchemaError("reduction exponent must be positive")
-    if report is None:
-        report = degeneration_report(x)
-    if not report.saturated:
-        raise HypothesisUnmetError("lenfil needs the saturated verdict established")
-    out = {}
-    for i in range(x.lo, x.hi + 1):
-        lhs = _reduction_length(report.h_divisors[i], n)
-        rhs = sum(_reduction_length(report.e1_divisors[(w, i)], n)
-                  for w in range(x.wmin, x.wmax + 1))
-        if lhs > rhs:
-            raise InternalInconsistencyError(
-                f"reduction-length inequality fails at degree {i}: {lhs} > {rhs}")
-        out[i] = (lhs, rhs)
-    return out
-
-
-def _reduction_length(divs, n):
-    """len(M / u^n M) = sum min(val d, n) + free_rank * n, from M's divisors."""
-    if isinstance(divs.ring, LocalizedIntegers):
-        raise UnsupportedRingError("reduction lengths need a single uniformizer")
-    return divs.free_rank * n + sum(min(v, n) for v in divs.exponents())
 
 
 # ---------------------------------------------------------------------------

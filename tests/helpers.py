@@ -5,6 +5,13 @@ import json
 import random
 from fractions import Fraction
 
+from truncalg.bkrandom import (
+    extend_by_free,
+    extend_by_mod_s1,
+    random_free_leaf,
+    random_mod_s1_leaf,
+    scramble_node,
+)
 from truncalg.bruteforce import enumerate_ring
 from truncalg.linalg import Mat, invert, solve_left_mod
 from truncalg.modules import (
@@ -16,7 +23,7 @@ from truncalg.modules import (
     module_map,
     submodule_from_rows,
 )
-from truncalg.rings import TruncatedPowerSeries
+from truncalg.rings import TruncatedBK, TruncatedPowerSeries
 from truncalg.spectral import validate
 from truncalg.errors import SchemaError
 
@@ -170,3 +177,58 @@ def matrices_digest(mats):
 
     payload = [[m.rows, m.cols, enc(m.data)] for m in mats]
     return hashlib.sha256(json.dumps(payload, separators=(",", ":")).encode()).hexdigest()
+
+
+def random_tower(p, rng, depth=2, n=2, r=1, allow_free=True):
+    """Grow a random bar-tower at ramification e = 1, with M = p + 1 so the
+    Frobenius trusted precision admits degree-one phi entries."""
+    ring = TruncatedBK(p, n, p + 1)
+    node = random_mod_s1_leaf(ring, rng, r=r)
+    for _ in range(depth - 1):
+        if allow_free and rng.random() < 0.25:
+            node = extend_by_free(node, random_free_leaf(ring, rng, r=r), rng)
+        else:
+            node = extend_by_mod_s1(node, random_mod_s1_leaf(ring, rng, r=r), rng)
+        if rng.random() < 0.7:
+            node = scramble_node(node, rng)
+    return node
+
+
+def scrambled_elementary(ring, rng, max_rank=2, max_torsion=2):
+    """A hidden elementary module scrambled by invertible generator changes
+    and redundant relation rows; returns (module, hidden free rank, exps).
+    At n = 1 there is no exponent 1 <= a <= n - 1, so no torsion is drawn."""
+    n = ring.precision_n
+    m_rank = rng.randint(0, max_rank)
+    tcount = rng.randint(0, max_torsion) if n > 1 else 0
+    exps = sorted(rng.randint(1, n - 1) for _ in range(tcount))
+    g = m_rank + tcount
+    if g == 0:
+        return PresentedModule.zero(ring), 0, []
+    rel_rows = []
+    for i, a in enumerate(exps):
+        row = [ring.zero] * g
+        row[i] = ring.from_int(ring.p ** a)
+        rel_rows.append(row)
+    rel = Mat(len(rel_rows), g, rel_rows)
+
+    def rand_elt():
+        return ring.from_coeffs([ring.scalar.from_int(rng.randrange(ring.scalar.modulus))
+                                 for _ in range(ring.mlen)])
+
+    while True:
+        w = Mat(g, g, [[rand_elt() for _ in range(g)] for _ in range(g)])
+        if invert(w, ring) is not None:
+            break
+    scr = rel.mul(w, ring)
+    rows = [list(r) for r in scr.data]
+    for _ in range(rng.randint(0, 2)):
+        if not rows:
+            break
+        combo = [ring.zero] * g
+        for r in rows:
+            c = rand_elt()
+            combo = [ring.add(x, ring.mul(c, y)) for x, y in zip(combo, r)]
+        rows.append(combo)
+    rng.shuffle(rows)
+    return PresentedModule(ring, g, Mat(len(rows), g, rows)), m_rank, exps

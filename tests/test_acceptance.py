@@ -23,7 +23,8 @@ def _line(number, text, started, budget):
 def test_criterion_1_ext_golden_table():
     """ext1(S/p^a, S/p^b) = S/p^min(a,b) for p in {2,3}, a,b in {1,2,3},
     N = 4, M = 3; every p = 2 case also matches the cocycle oracle."""
-    from truncalg.ext import ext1_cocycle_oracle, ext1_divisor_exponents
+    from lemmas import ext1
+    from truncalg.ext import _elementary_exponents, ext1_cocycle_oracle
     from truncalg.modules import PresentedModule
     from truncalg.rings import TruncatedBK
 
@@ -34,7 +35,7 @@ def test_criterion_1_ext_golden_table():
             for b in (1, 2, 3):
                 c = PresentedModule.cyclic(ring, ring.from_int(p ** a))
                 amod = PresentedModule.cyclic(ring, ring.from_int(p ** b))
-                exps, free = ext1_divisor_exponents(c, amod)
+                exps, free = _elementary_exponents(ext1(c, amod))
                 assert exps == [min(a, b)] and free == 0, (p, a, b, exps)
     ring2 = TruncatedBK(2, 4, 3)
     for a in (1, 2, 3):
@@ -111,7 +112,7 @@ def test_criterion_3_sscrit_fuzz():
 def test_criterion_4_decompose_round_trip():
     """>= 100 hidden elementary modules (p in {3,5}, N <= 3, M <= 3, rank <= 2,
     <= 2 torsion factors) recovered exactly; S/(p,z) rejected at slice 0."""
-    from truncalg.bkrandom import scrambled_elementary
+    from helpers import scrambled_elementary
     from truncalg.modules import PresentedModule
     from truncalg.rings import TruncatedBK
     from truncalg.smodules import NotElementary, decompose_over_s
@@ -144,7 +145,7 @@ def test_criterion_4_decompose_round_trip():
 def test_criterion_5_structure_theorem_towers():
     """>= 100 random extension towers at e = 1, r = 1, p in {3,5}:
     structure_check succeeds on every tower; exit code 4 never fires."""
-    from truncalg.bkrandom import random_tower
+    from helpers import random_tower
     from truncalg.breuil_kisin import structure_check, verify_tower
     from truncalg.errors import InternalInconsistencyError
 
@@ -271,7 +272,8 @@ def test_criterion_8_precision_honesty():
         xb = big.from_coeffs([big.scalar.from_int(c) for c in coeffs])
         assert list(frobenius(xs, small)[:t]) == list(frobenius(xb, big)[:t])
     # module level: the frobenius twist truncated to the trusted window agrees
-    from truncalg.modules import BaseChangeSpec, PresentedModule, base_change
+    from lemmas import base_change
+    from truncalg.modules import BaseChangeSpec, PresentedModule
 
     for rel_deg in range(m):
         ms = PresentedModule.from_relation_rows(small, 1, [[small.var_power(rel_deg)]])

@@ -2,12 +2,23 @@ import random
 
 import pytest
 
-from helpers import matrices_digest
-from truncalg import bkrandom
+from helpers import matrices_digest, random_tower
+from lemmas import (
+    bk_kernel_cokernel,
+    canonical_decomposition,
+    closure_check,
+    connecting_maps,
+    gr_extension_transfer,
+    gr_tower_leaf,
+    make_bk_map,
+    make_bk_ses,
+    twist,
+    untwist,
+)
+from truncalg import bkrandom, breuil_kisin
 from truncalg.bkrandom import (
     extend_by_mod_s1,
     random_mod_s1_leaf,
-    random_tower,
     scramble_node,
 )
 from truncalg.breuil_kisin import (
@@ -15,27 +26,22 @@ from truncalg.breuil_kisin import (
     HeightCertificate,
     HeightFailure,
     TowerNode,
-    bk_kernel_cokernel,
-    canonical_decomposition,
     check_height,
     check_mod_s1,
-    closure_check,
-    connecting_maps,
     extension_node,
-    gr_extension_transfer,
-    gr_tower_leaf,
     leaf,
-    make_bk_map,
     make_bk_module,
-    make_bk_ses,
     phi_twist,
     structure_check,
-    twist,
-    untwist,
     verify_tower,
 )
 from truncalg.cli import run_job
-from truncalg.errors import HypothesisUnmetError, PrecisionError, UnsupportedRingError
+from truncalg.errors import (
+    HypothesisUnmetError,
+    InternalInconsistencyError,
+    PrecisionError,
+    UnsupportedRingError,
+)
 from truncalg.linalg import Mat
 from truncalg.modules import (
     PresentedModule,
@@ -254,6 +260,53 @@ def test_closure_check_tower_length_two():
     assert im_t2 is not None and cok_t2 is not None
 
 
+def _p_killed_line():
+    """S/p over BK with phi = 1: p-killed, S1-free, of height window (0, 1)."""
+    return make_bk_module(PresentedModule.cyclic(BK, BK.from_int(3)), Mat(1, 1, [[BK.one]]),
+                          (0, 1))
+
+
+def test_verify_tower_refuses_a_stage_that_is_not_exact():
+    """Both layers are in the category, the inclusion is injective and the
+    projection surjective, but the projection does not kill the included
+    line: the stage is refused as not exact."""
+    a = _p_killed_line()
+    two = make_bk_module(direct_sum([a.module, a.module]), Mat.identity(2, BK), (0, 1))
+    incl = module_map(a.module, two.module, Mat(1, 2, [[BK.one, BK.zero]]))
+    proj = module_map(two.module, a.module, Mat(2, 1, [[BK.one], [BK.zero]]))
+    node = extension_node(two, leaf(a), incl, leaf(a), proj)
+    assert verify_tower(node, 1) == (False, "tower stage not exact")
+
+
+def test_check_height_refuses_a_wrong_upper_certificate(monkeypatch):
+    """A solve that returns a wrong certificate for E^r M inside Im(phi) is
+    caught by the product check, not passed on as a certificate."""
+    b = make_bk_module(PresentedModule.free(BK, 1), Mat(1, 1, [[BK.one]]), (0, 1))
+    real, calls = breuil_kisin.solve_left_mod, []
+
+    def zero_first_solution(*args):
+        sol = real(*args)
+        calls.append(sol)
+        return Mat.zero(sol.rows, sol.cols, BK) if len(calls) == 1 else sol
+
+    monkeypatch.setattr(breuil_kisin, "solve_left_mod", zero_first_solution)
+    with pytest.raises(InternalInconsistencyError, match="height upper certificate"):
+        check_height(b, 0, 1)
+
+
+def test_structure_check_raises_when_the_theorem_is_contradicted(monkeypatch):
+    """Under the ramification gate, with a verified tower, a module that does
+    not decompose contradicts the structure theorem and is raised; without
+    a tower the same failure is reported."""
+    a = _p_killed_line()
+    monkeypatch.setattr(breuil_kisin, "decompose_over_s",
+                        lambda m, _trace=None: NotElementary(0, {}))
+    with pytest.raises(InternalInconsistencyError, match="structure theorem predicts"):
+        structure_check(a, 1, tower=leaf(a))
+    res = structure_check(a, 1)
+    assert res.hypothesis_met and res.counterexample.failing_j == 0
+
+
 def test_structure_check_and_counterexample():
     bk2 = TruncatedBK(2, 3, 2)
     spz = PresentedModule.from_relation_rows(
@@ -319,7 +372,7 @@ def _tower_json(node):
     return out
 
 
-# The gate is e*r < p-1, in `structure_check` and `_kernel_cokernel`.  The
+# The gate is e*r < p-1, in `meets_ramification_gate`.  The
 # paper's ramified hypothesis reads 2e*dim < p-1; how the height r relates
 # to dim is left to the paper (compare Bhatt-Morrow-Scholze, "Integral
 # p-adic Hodge theory", 2018), so these towers test the gate as coded.

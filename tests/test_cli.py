@@ -435,6 +435,24 @@ def test_cw_verify_refuses_a_disconnected_complex_at_its_pointer(tmp_path):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("name", ["cw_s2.json", "cw_cp2.json"])
+def test_cw_oversized_cell_count_refused_at_its_pointer(tmp_path, name):
+    """A corpus CW job with its 0-cell count set to 10**30 exits 1 with a
+    schema error at /input/cw/cells/0 and nothing on stderr; it ended as an
+    internal error (exit 4) when the count reached the augmentation column."""
+    job = load(name)
+    job["input"]["cw"]["cells"][0] = 10 ** 30
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps(job))
+    proc = subprocess.run(
+        [sys.executable, "-m", "truncalg.cli", job["command"], "--input", str(src)],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    report = json.loads(proc.stdout)
+    assert proc.returncode == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"] == "/input/cw/cells/0: more than 48 cells in one dimension"
+    assert proc.stderr == ""
+
+
 def test_cw_ktheory_with_a_large_semiprime_torsion_finishes(tmp_path):
     """RP^2's cell structure with the 2-cell attached by degree N, a product
     of two 18-digit primes: the K-groups are read without factoring N, so the

@@ -25,7 +25,7 @@ from truncalg.errors import InternalInconsistencyError, SchemaError
 from truncalg.linalg import Mat, kernel_left
 from truncalg.modules import PresentedModule, elementary_divisors, subquotient_presentation
 from truncalg.rings import LocalizedIntegers, factorint
-from truncalg.schemas import parse_cw
+from truncalg.schemas import MAX_CELLS, parse_cw
 
 
 def rp2():
@@ -68,6 +68,25 @@ def test_make_cw_refusals_name_their_pointer(cells, boundaries, pointer, message
         make_cw(cells, boundaries, "/x")
     assert info.value.location == pointer
     assert "-1" not in str(info.value)
+
+
+@pytest.mark.parametrize("cells,boundaries,pointer", [
+    ([MAX_CELLS + 1], [], "/input/cw/cells/0"),
+    ([10 ** 30, 0, 1], [[], [[]]], "/input/cw/cells/0"),
+    ([1, 0, 10 ** 30], [], "/input/cw/cells/2"),
+    ([1, 0, 1, 0, MAX_CELLS + 1], [], "/input/cw/cells/4"),
+], ids=["49", "s2_with_1e30_points", "1e30_top_cells", "cp2_with_49_top_cells"])
+def test_parse_cw_refuses_too_many_cells(monkeypatch, cells, boundaries, pointer):
+    """A cell count above MAX_CELLS is refused at its pointer before
+    anything is built: make_cw is never called.  10**30 0-cells once reached
+    the augmentation column and ended as an internal error."""
+    def never(*args):
+        raise AssertionError("make_cw ran on an oversized complex")
+
+    monkeypatch.setattr(cw, "make_cw", never)
+    with pytest.raises(SchemaError, match=f"more than {MAX_CELLS} cells") as info:
+        parse_cw({"cells": cells, "boundaries": boundaries}, "/input/cw")
+    assert info.value.location == pointer
 
 
 def test_reduced_cohomology_examples():

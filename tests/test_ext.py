@@ -1,12 +1,8 @@
 import pytest
 
+from lemmas import ext1, ext1_base_change_inject
 from truncalg.errors import NotElementaryError, PrecisionError
-from truncalg.ext import (
-    ext1,
-    ext1_base_change_inject,
-    ext1_cocycle_oracle,
-    ext1_divisor_exponents,
-)
+from truncalg.ext import _elementary_exponents, ext1_cocycle_oracle
 from truncalg.linalg import Mat
 from truncalg.modules import BaseChangeSpec, PresentedModule, is_zero_module
 from truncalg.rings import TruncatedBK, TruncatedPadic
@@ -23,7 +19,7 @@ def cyc(ring, a):
 def test_ext_golden_table(p, ring):
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            exps, free = ext1_divisor_exponents(cyc(ring, a), cyc(ring, b))
+            exps, free = _elementary_exponents(ext1(cyc(ring, a), cyc(ring, b)))
             assert exps == [min(a, b)] and free == 0
 
 
@@ -34,8 +30,8 @@ def test_ext_free_source_vanishes():
 
 def test_ext_padic_case():
     zp = TruncatedPadic(2, 3)
-    exps, free = ext1_divisor_exponents(PresentedModule.cyclic(zp, 2),
-                                        PresentedModule.cyclic(zp, 2))
+    exps, free = _elementary_exponents(ext1(PresentedModule.cyclic(zp, 2),
+                                            PresentedModule.cyclic(zp, 2)))
     assert exps == [1] and free == 0
 
 

@@ -67,3 +67,33 @@ def test_perfbench_imports_resolve():
                 if not callable(getattr(mod, func, None)):
                     missing.append(f"tracer.SELF_TIME_GROUPS {span}")
     assert not missing, missing
+
+
+def unnamed_definitions(root):
+    """The top-level functions and classes of src/truncalg that no other
+    top-level statement of src/, perfbench/ or scripts/ names, as a variable
+    or as an attribute."""
+    statements = []
+    for part in ("src", "perfbench", "scripts"):
+        for path in sorted((root / part).rglob("*.py")):
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                named = set()
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        named.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        named.add(node.attr)
+                statements.append((path, stmt, named))
+    src = root / "src" / "truncalg"
+    return sorted(
+        f"{path.name}:{stmt.lineno} {stmt.name}" for path, stmt, _ in statements
+        if path.parent == src and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in named for _, other, named in statements if other is not stmt))
+
+
+def test_every_engine_definition_is_named():
+    """The engine keeps only what a command, the benchmark or a script
+    reaches: code that only tests run lives test-side (tests/lemmas.py,
+    tests/helpers.py).  An import alone does not count as a use."""
+    unnamed = unnamed_definitions(SRC.parent.parent)
+    assert not unnamed, unnamed

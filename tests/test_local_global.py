@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import random_lambda_map, scrambled_split_lambda_ses
+from lemmas import base_change
 from truncalg import local_global, modules
 from truncalg.cli import run_job
 from truncalg.errors import HypothesisUnmetError, InternalInconsistencyError
@@ -158,7 +159,7 @@ def test_completion_precision_reads_torsion():
     f = module_map(m, m, Mat(2, 2, [[LAM.zero, LAM.from_int(-9)], [LAM.zero, LAM.zero]]))
     (g,), _ = modules.base_change_maps([f], modules.BaseChangeSpec("lambda_completion", ell=3))
     assert g.source.ring.precision_n == 8
-    assert modules.base_change(m, modules.BaseChangeSpec("lambda_completion", ell=3))[0].ring \
+    assert base_change(m, modules.BaseChangeSpec("lambda_completion", ell=3))[0].ring \
         == g.source.ring
     rep = zero_local_global(f)
     assert not rep.direct_zero and rep.witness_prime == 3 and not rep.local_zero[3]

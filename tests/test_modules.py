@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_lambda_map, reference_verify_exact_at
+from helpers import random_lambda_map, reference_verify_exact_at, scrambled_elementary
+from lemmas import base_change, glue_splitting, subquotient, torsion_part
 from truncalg.bruteforce import FiniteModule
-from truncalg.bkrandom import scrambled_elementary
 from truncalg import linalg, modules
 from truncalg.errors import (
     InternalInconsistencyError,
@@ -19,7 +19,6 @@ from truncalg.modules import (
     ElementaryDecomposition,
     NotElementary,
     PresentedModule,
-    base_change,
     build_ses,
     cokernel,
     compose,
@@ -27,8 +26,6 @@ from truncalg.modules import (
     decompose_elementary,
     direct_sum,
     elementary_divisors,
-    free_rank,
-    glue_splitting,
     identity_map,
     is_injective,
     is_surjective,
@@ -41,11 +38,8 @@ from truncalg.modules import (
     retraction_test,
     rows_are_zero_classes,
     split_test,
-    subquotient,
+    structure_divisors,
     support_primes,
-    torsion_divisor_profile,
-    torsion_length,
-    torsion_part,
     verify_exact_at,
     zero_map,
 )
@@ -105,16 +99,16 @@ def test_subquotient_mult_p():
     m = PresentedModule.cyclic(ZP3, 4)  # Z/p^2 over Z/p^3
     f = module_map(m, m, Mat(1, 1, [[2]]))
     sq = subquotient(f)
-    assert torsion_divisor_profile(sq.kernel) == (1,)
-    assert torsion_divisor_profile(sq.image) == (1,)
-    assert torsion_divisor_profile(sq.cokernel) == (1,)
+    assert structure_divisors(sq.kernel).profile() == (1,)
+    assert structure_divisors(sq.image).profile() == (1,)
+    assert structure_divisors(sq.cokernel).profile() == (1,)
 
 
 def test_subquotient_zero_map():
     m = PresentedModule.cyclic(ZP3, 4)
     sq = subquotient(zero_map(m, m))
-    assert torsion_divisor_profile(sq.kernel) == (2,)
-    assert torsion_divisor_profile(sq.cokernel) == (2,)
+    assert structure_divisors(sq.kernel).profile() == (2,)
+    assert structure_divisors(sq.cokernel).profile() == (2,)
 
 
 def _base_structure(m):
@@ -173,15 +167,15 @@ def test_subquotient_vs_element_enumeration():
 def test_torsion_part_examples():
     m = module_from_divisors(ZP3, [ZP3.from_int(4)], 1)
     t, incl, q = torsion_part(m)
-    assert torsion_divisor_profile(t) == (2,)
-    assert free_rank(q) == 1
+    assert structure_divisors(t).profile() == (2,)
+    assert structure_divisors(q).free_rank == 1
     fr = PresentedModule.free(ZP3, 2)
     t2, _, _ = torsion_part(fr)
     assert is_zero_module(t2)
     m3 = PresentedModule(TruncatedPadic(2, 4), 2,
                          Mat(2, 2, [[2, 1], [0, 4]]))
     t3, _, _ = torsion_part(m3)
-    assert torsion_length(t3) == torsion_length(m3)
+    assert elementary_divisors(t3).length() == elementary_divisors(m3).length()
 
 
 def test_torsion_part_lambda_unsupported():
@@ -190,10 +184,10 @@ def test_torsion_part_lambda_unsupported():
 
 
 def test_torsion_length_examples():
-    assert torsion_length(module_from_divisors(ZP26, [4, 8], 0)) == 5
-    assert torsion_length(PresentedModule.free(ZP26, 3)) == 0
+    assert elementary_divisors(module_from_divisors(ZP26, [4, 8], 0)).length() == 5
+    assert elementary_divisors(PresentedModule.free(ZP26, 3)).length() == 0
     m = PresentedModule(ZP26, 2, Mat(2, 2, [[2, 4], [6, 8]]))
-    assert torsion_length(m) == 3
+    assert elementary_divisors(m).length() == 3
 
 
 def test_decompose_elementary_examples():
@@ -284,9 +278,9 @@ def test_exponents_refused_over_localized_integers():
     zl = LocalizedIntegers((2,))
     m = PresentedModule.cyclic(zl, Fraction(9))
     dec = decompose_elementary(m)
-    with pytest.raises(UnsupportedRingError, match="torsion_divisor_profile"):
+    with pytest.raises(UnsupportedRingError, match="ElementaryDivisors.profile"):
         dec.exponents()
-    assert torsion_divisor_profile(m) == ((3, 2),)
+    assert structure_divisors(m).profile() == ((3, 2),)
 
 
 def test_split_tests():
@@ -492,7 +486,7 @@ def test_base_change_examples():
     zl = LocalizedIntegers((2,))
     m3 = PresentedModule.cyclic(zl, Fraction(3))
     out3, _ = base_change(m3, BaseChangeSpec("localized_completion", ell=3))
-    assert torsion_divisor_profile(out3) == (1,)
+    assert structure_divisors(out3).profile() == (1,)
     with pytest.raises(Exception):
         base_change(m3, BaseChangeSpec("localized_completion", ell=2))
 
@@ -602,7 +596,7 @@ def test_support_primes_match_fibres_at_small_primes():
 
 def test_decompose_over_bk_reads_p_exponents():
     """modules.decompose over TruncatedBK recovers a scrambled elementary
-    module's hidden free rank and p-exponents, and torsion_divisor_profile
+    module's hidden free rank and p-exponents, and its structure divisors' profile
     reads the same exponents."""
     ring = TruncatedBK(3, 3, 2)
     rng = random.Random(5)
@@ -610,7 +604,7 @@ def test_decompose_over_bk_reads_p_exponents():
         m, rank, exps = scrambled_elementary(ring, rng)
         dec = decompose(m)
         assert (dec.free_rank, dec.exponents()) == (rank, exps)
-        assert torsion_divisor_profile(m) == tuple(exps)
+        assert structure_divisors(m).profile() == tuple(exps)
 
 
 def test_decompose_over_bk_not_elementary():
@@ -621,7 +615,8 @@ def test_decompose_over_bk_not_elementary():
         ring, 1, [[ring.from_int(3)], [ring.var_power(1)]])
     res = decompose(spz)
     assert isinstance(res, NotElementary) and res.failing_j == 0
-    for helper in (torsion_part, free_rank, torsion_divisor_profile):
+    for helper in (torsion_part, lambda m: structure_divisors(m).free_rank,
+                   lambda m: structure_divisors(m).profile()):
         with pytest.raises(NotElementaryError):
             helper(spz)
 
@@ -636,7 +631,7 @@ def test_torsion_vs_decompose_agreement():
         m = PresentedModule(ring, g, Mat(len(rows), g, rows))
         dec = decompose_elementary(m)
         t, _, _ = torsion_part(m)
-        assert torsion_divisor_profile(t) == tuple(sorted(dec.exponents()))
+        assert structure_divisors(t).profile() == tuple(sorted(dec.exponents()))
 
 
 def _random_element(ring, rng):

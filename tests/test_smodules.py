@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from helpers import random_tower, scrambled_elementary
 from truncalg import linalg, modules, smodules
-from truncalg.bkrandom import random_tower, scrambled_elementary
 from truncalg.errors import InternalInconsistencyError, UnsupportedRingError
 from truncalg.linalg import Mat, expand_matrix, invert
 from truncalg.modules import (

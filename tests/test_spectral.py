@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_filtered_complex
+from lemmas import lenfil_check
 from truncalg import linalg, modules, spectral
 from truncalg.cli import emit, run_job
 from truncalg.errors import HypothesisUnmetError, SchemaError, UnsupportedRingError
@@ -16,14 +17,14 @@ from truncalg.modules import (
     ElementaryDecomposition,
     PresentedModule,
     direct_sum,
-    torsion_divisor_profile,
+    elementary_divisors,
+    structure_divisors,
 )
 from truncalg.rings import LocalizedIntegers, TruncatedPadic, TruncatedPowerSeries
 from truncalg.spectral import (
     base_change_report,
     degeneration_report,
     homology_filtered,
-    lenfil_check,
     oracle,
     page,
     validate,
@@ -67,9 +68,9 @@ def test_validate_rejections():
 def test_homology_filtered_golden():
     x = golden_complex()
     h = homology_filtered(x, 0)
-    assert torsion_divisor_profile(h.h) == (2,)
-    assert torsion_divisor_profile(h.gr_modules[0]) == (1,)
-    assert torsion_divisor_profile(h.gr_modules[1]) == (1,)
+    assert structure_divisors(h.h).profile() == (2,)
+    assert structure_divisors(h.gr_modules[0]).profile() == (1,)
+    assert structure_divisors(h.gr_modules[1]).profile() == (1,)
 
 
 def test_homology_acyclic():
@@ -299,14 +300,14 @@ def test_page_stabilization_and_e1():
         stable = page(x, w + 1)
         beyond = page(x, w + 2)
         for key in stable.entries:
-            assert (torsion_divisor_profile(stable.entries[key].module)
-                    == torsion_divisor_profile(beyond.entries[key].module))
+            assert (structure_divisors(stable.entries[key].module).profile()
+                    == structure_divisors(beyond.entries[key].module).profile())
         # the stable page equals the graded pieces of filtered homology
         for i in range(x.lo, x.hi + 1):
             h = homology_filtered(x, i)
             for n in range(x.wmin, x.wmax + 1):
-                assert (torsion_divisor_profile(stable.entries[(n, i)].module)
-                        == torsion_divisor_profile(h.gr_modules[n])), (n, i)
+                assert (structure_divisors(stable.entries[(n, i)].module).profile()
+                        == structure_divisors(h.gr_modules[n]).profile()), (n, i)
     assert checked >= 10
 
 
@@ -321,19 +322,15 @@ def test_euler_conservation_on_torsion_complexes():
         if x is None:
             continue
         # only torsion instances: all entries must have free rank 0
-        from truncalg.modules import free_rank
-
         e1 = page(x, 1)
-        if any(free_rank(e.module) for e in e1.entries.values()):
+        if any(structure_divisors(e.module).free_rank for e in e1.entries.values()):
             continue
         totals = []
         for r in range(1, x.width + 2):
             pg = page(x, r)
             total = 0
             for (n, i), ent in pg.entries.items():
-                from truncalg.modules import torsion_length
-
-                total += (-1) ** i * torsion_length(ent.module)
+                total += (-1) ** i * elementary_divisors(ent.module).length()
             totals.append(total)
         assert len(set(totals)) == 1
         checked += 1
