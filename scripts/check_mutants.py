@@ -20,7 +20,10 @@ change that adds or edits a check adds its mutant here.
 One check has no entry because removing it is an equivalent mutant:
 `degeneration_report`'s "saturated verdict without degenerate verdict"
 raise can never fire, since `saturated_direct` is built as
-`degenerate and ...`.
+`degenerate and ...`.  Its "split verdict without saturated verdict" raise
+has an entry: the criterion cross-checks before it fire first wherever
+rational degeneration holds, so its test breaks the injectivity and
+gr_n H reads of a complex where rational degeneration fails.
 """
 
 from __future__ import annotations
@@ -260,6 +263,44 @@ MUTANTS = [
                 "                \"structure theorem predicts an elementary module; decomposition failed\")\n"),
         "new": "            pass\n",
         "tests": ["tests/test_bk.py::test_structure_check_raises_when_the_theorem_is_contradicted"],
+    },
+    {
+        "name": "degeneration-report-without-split-saturated-raise",
+        "file": "src/truncalg/spectral.py",
+        "old": "        raise InternalInconsistencyError(\"split verdict without saturated verdict\")\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_spectral.py::"
+                  "test_split_verdict_without_saturated_verdict_is_an_internal_inconsistency"],
+    },
+    {
+        "name": "support-primes-unchecked-constant-term-snf",
+        "file": "src/truncalg/modules.py",
+        "old": "    return elementary_divisors(PresentedModule(ring, m.gens, rel))\n",
+        "new": ("    nonzero = [d for d in linalg.smith_normal_form(rel, ring).divisors if d]\n"
+                "    return ElementaryDivisors(ring, m.gens - len(nonzero), nonzero)\n"),
+        "tests": ["tests/test_modules.py::test_support_primes_read_a_checked_snf"],
+    },
+    {
+        "name": "support-primes-without-rank-deficiency",
+        "file": "src/truncalg/modules.py",
+        "old": "    if divs.free_rank:\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_modules.py::test_support_primes_examples"],
+    },
+    {
+        "name": "failure-primes-factor-the-whole-divisor",
+        "file": "src/truncalg/modules.py",
+        "old": "factorint(n // gcd(n, c.numerator))",
+        "new": "factorint(n)",
+        "tests": ["tests/test_modules.py::test_failure_primes_match_the_valuation_route"],
+    },
+    {
+        "name": "parse-cw-without-dimension-bound",
+        "file": "src/truncalg/schemas.py",
+        "old": "    if len(cells) > MAX_DIMENSION + 1:\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_cw.py::test_parse_cw_refuses_too_many_dimensions",
+                  "tests/test_cli.py::test_cw_verify_sphere_at_the_dimension_bound_finishes"],
     },
     {
         "name": "parse-cw-without-cell-bound",

@@ -127,12 +127,28 @@ class FiniteModule:
             lambda x: {self.scale(c, x) for c in scalars}, self.add)
 
 
-def _log_size(n, p):
-    k = 0
-    while n > 1:
-        n //= p
-        k += 1
-    return k
+def exponent_multiset(sizes, p):
+    """Divisor exponents of a finite module Q over a chain ring with residue
+    field of size p, from the cardinalities sizes[j] = |u^j Q|, j = 0..prec.
+
+    len(sizes) - 1 = prec is the working precision; exponent prec means free
+    at that truncation.  log_p |u^j Q| - log_p |u^(j+1) Q| counts the cyclic
+    summands of exponent above j, so consecutive differences of those counts
+    give the multiplicity of each exponent."""
+    logs = []
+    for n in sizes:
+        k = 0
+        while n > 1:
+            n //= p
+            k += 1
+        logs.append(k)
+    prec = len(sizes) - 1
+    counts = [logs[j] - logs[j + 1] for j in range(prec)]
+    multiset = []
+    for j in range(1, prec):
+        multiset.extend([j] * (counts[j - 1] - counts[j]))
+    multiset.extend([prec] * counts[prec - 1])
+    return multiset
 
 
 def quotient_exponent_multiset(fm, big, small):
@@ -142,24 +158,14 @@ def quotient_exponent_multiset(fm, big, small):
     cardinality profile of uniformizer-multiples: |u^j (big/small)|.
     """
     ring = fm.ring
-    prec = ring.precision
-    p = ring.p
     u = ring.uniformizer_power(1)
     small_sub = fm.subgroup(small) if small else {fm.zero}
     sizes = []
     cur = set(big)
-    for _ in range(prec + 1):
-        joined = fm.extend_subgroup(small_sub, cur)
-        sizes.append(_log_size(len(joined) // len(small_sub), p))
+    for _ in range(ring.precision + 1):
+        sizes.append(len(fm.extend_subgroup(small_sub, cur)) // len(small_sub))
         cur = {fm.scale(u, x) for x in cur}
-    counts = [sizes[j] - sizes[j + 1] for j in range(prec)]
-    multiset = []
-    for j in range(1, prec):
-        here = counts[j - 1] - counts[j]
-        if here:
-            multiset.extend([j] * here)
-    multiset.extend([prec] * counts[prec - 1])
-    return sorted(multiset)
+    return exponent_multiset(sizes, ring.p)
 
 
 def torsion_length_of_multiset(multiset, prec):

@@ -32,9 +32,7 @@ from .linalg import smith_normal_form
 from .rings import primerange
 from .schemas import (
     _want,
-    element_to_json,
     jsonable,
-    matrix_to_json,
     module_to_json,
     parse_base_change_spec,
     parse_bk_module,
@@ -95,9 +93,8 @@ def run_command(command, input_data, options):
         res = smith_normal_form(mat, ring)
         if not res.verify(mat, ring):
             raise InternalInconsistencyError("SNF witnesses failed to verify")
-        return {"verdicts": {"divisors": [element_to_json(d, ring) for d in res.divisors]},
-                "witnesses": {"left": matrix_to_json(res.left, ring),
-                              "right": matrix_to_json(res.right, ring)},
+        return {"verdicts": {"divisors": jsonable(res.divisors)},
+                "witnesses": {"left": jsonable(res.left), "right": jsonable(res.right)},
                 "ledgers": {}}
 
     if command == "decompose":
@@ -109,10 +106,9 @@ def run_command(command, input_data, options):
                     "witnesses": {"certificate": jsonable(dec.certificate)},
                     "ledgers": {}}
         return {"verdicts": {"elementary": True, "free_rank": dec.free_rank,
-                             "torsion_divisors": [element_to_json(d, m.ring)
-                                                  for d in dec.torsion_divisors]},
-                "witnesses": {"to_canonical": matrix_to_json(dec.to_canonical.matrix, m.ring),
-                              "from_canonical": matrix_to_json(dec.from_canonical.matrix, m.ring),
+                             "torsion_divisors": jsonable(dec.torsion_divisors)},
+                "witnesses": {"to_canonical": jsonable(dec.to_canonical.matrix),
+                              "from_canonical": jsonable(dec.from_canonical.matrix),
                               "witness_verified": dec.verify()},
                 "ledgers": {}}
 
@@ -143,7 +139,7 @@ def run_command(command, input_data, options):
         v = mods.split_test(ses)
         out = {"verdicts": {"split": v.split}, "witnesses": {}, "ledgers": {}}
         if v.split:
-            out["witnesses"]["section"] = matrix_to_json(v.section.matrix, ses.a.ring)
+            out["witnesses"]["section"] = jsonable(v.section.matrix)
         else:
             out["witnesses"]["obstruction"] = jsonable(v.obstruction)
         return out
@@ -203,8 +199,7 @@ def run_command(command, input_data, options):
                     "witnesses": {"failures": jsonable(cert.failures)}, "ledgers": {},
                     "precision_trail": trail}
         return {"verdicts": {"height_in_window": True},
-                "witnesses": {"upper": matrix_to_json(cert.upper, b.ring),
-                              "lower": matrix_to_json(cert.lower, b.ring)},
+                "witnesses": {"upper": jsonable(cert.upper), "lower": jsonable(cert.lower)},
                 "ledgers": {}, "precision_trail": trail}
 
     if command == "bk-structure":
@@ -223,7 +218,7 @@ def run_command(command, input_data, options):
         witnesses = {"notes": res.notes}
         if res.elementary is not None:
             verdicts["free_rank"] = res.elementary.free_rank
-            verdicts["torsion_exponents"] = res.elementary.exponents()
+            verdicts["torsion_exponents"] = res.elementary.divisors.exponents()
         else:
             witnesses["counterexample"] = jsonable(res.counterexample.certificate)
             verdicts["failing_gr_slice"] = res.counterexample.failing_j
@@ -277,8 +272,7 @@ def run_command(command, input_data, options):
         if survey.globally_split and survey.covered and \
                 all(survey.verdicts.get(q, True) for q in survey.obstruction_primes):
             section = lgm.global_split_conclude(ses, survey)
-            payload["witnesses"]["global_section"] = matrix_to_json(
-                section.matrix, ses.a.ring)
+            payload["witnesses"]["global_section"] = jsonable(section.matrix)
         return payload
 
     if command == "lambda-zero":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .bruteforce import _grow_submodule
+from .bruteforce import _grow_submodule, exponent_multiset
 from .errors import PrecisionError, UnsupportedRingError
 from .linalg import Mat
 from .modules import (
@@ -66,11 +66,7 @@ class CocycleOracleResult:
     quotient_cyclic_over_ring: bool
 
 
-def _a_elements(p, b, mlen):
-    return [tuple(v) for v in product(range(p ** b), repeat=mlen)]
-
-
-def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
+def ext1_cocycle_oracle(a_exp, b_exp, ring):
     """Classify extensions of S/p^a by S/p^b by explicit enumeration.
 
     Every extension class is realized by the value v = p^a . (lift of the
@@ -78,8 +74,8 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
     that is when v + p^a . alpha = 0 for some alpha in A, i.e. -v lies in
     p^a A.  The split set therefore equals the coboundary set p^a A by
     construction; the independent content is the sampled check against the
-    production split test (ses_sample_check).  The quotient's abelian
-    exponent profile and ring-cyclicity are reported.
+    production split test.  The quotient's abelian exponent profile and
+    ring-cyclicity are reported.
     """
     if isinstance(ring, TruncatedBK):
         p, n, mlen = ring.p, ring.precision_n, ring.mlen
@@ -91,7 +87,7 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
         raise PrecisionError("oracle exponents must stay below the p-precision")
     pb = p ** b_exp
     pa = p ** a_exp
-    avals = _a_elements(p, b_exp, mlen)
+    avals = list(product(range(pb), repeat=mlen))
 
     def add(x, y):
         return tuple((xi + yi) % pb for xi, yi in zip(x, y))
@@ -110,20 +106,8 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
     dsub = closure(split_set)
 
     # abelian exponent profile of A/D from the sizes |p^j (A/D)|
-    logs = []
-    for j in range(n + 1):
-        members = {smul(p ** j, x) for x in avals}
-        size = len(closure(members | dsub)) // len(dsub)
-        k = 0
-        while size > 1:
-            size //= p
-            k += 1
-        logs.append(k)
-    counts = [logs[j] - logs[j + 1] for j in range(n)]
-    multiset = []
-    for j in range(1, n):
-        multiset.extend([j] * (counts[j - 1] - counts[j]))
-    multiset.extend([n] * counts[n - 1])
+    sizes = [len(closure({smul(p ** j, x) for x in avals} | dsub)) // len(dsub)
+             for j in range(n + 1)]
 
     # ring-cyclicity of A/D: scalar multiples of all shifts of the class of 1
     gen = (1,) + (0,) * (mlen - 1)
@@ -138,14 +122,13 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring, ses_sample_check=True):
         class_count=(pb ** mlen) // len(dsub),
         split_count=len(dsub),
         split_set_is_coboundaries=split_is_cob,
-        abelian_exponent_multiset=sorted(multiset),
+        abelian_exponent_multiset=exponent_multiset(sizes, p),
         quotient_cyclic_over_ring=cyclic,
     )
 
-    if ses_sample_check:
-        for v in (zero, gen, smul(pa, gen)):
-            verdict = _ses_split_verdict(ring, a_exp, b_exp, v, mlen)
-            assert verdict == (v in split_set), f"SES split test disagrees at v={v}"
+    for v in (zero, gen, smul(pa, gen)):
+        verdict = _ses_split_verdict(ring, a_exp, b_exp, v, mlen)
+        assert verdict == (v in split_set), f"SES split test disagrees at v={v}"
     return result
 
 

@@ -50,10 +50,8 @@ def complete_ses(ses, ell, precision_n=None):
 
 @dataclass
 class SurveyResult:
-    verdicts: dict            # ell -> bool (split) with witness sections
-    sections: dict
+    verdicts: dict            # ell -> bool (split)
     obstruction_primes: list  # certified-complete potential-nonsplit set
-    obstruction_everywhere: bool
     globally_split: bool
     global_section: object
     covered: bool
@@ -76,7 +74,7 @@ def local_split_survey(ses, primes=None, precision_n=None):
     """Per-prime split verdicts; with primes=None the content-derived
     certified-complete set is used."""
     sset = set(ses.a.ring.inverted_primes)
-    glob, section, obst, everywhere = certified_obstruction_data(ses)
+    glob, section, obst, _ = certified_obstruction_data(ses)
     if primes is None:
         survey_set = obst
     else:
@@ -84,16 +82,10 @@ def local_split_survey(ses, primes=None, precision_n=None):
         if bad:
             raise HypothesisUnmetError(f"primes {bad} are inverted in the base ring")
         survey_set = sorted(set(primes) | set(obst))
-    verdicts = {}
-    sections = {}
-    for ell in survey_set:
-        comp = complete_ses(ses, ell, precision_n)
-        v = split_test(comp)
-        verdicts[ell] = v.split
-        if v.split:
-            sections[ell] = v.section
+    verdicts = {ell: split_test(complete_ses(ses, ell, precision_n)).split
+                for ell in survey_set}
     covered = set(obst) <= set(survey_set)
-    return SurveyResult(verdicts, sections, obst, everywhere, glob, section, covered)
+    return SurveyResult(verdicts, obst, glob, section, covered)
 
 
 def global_split_conclude(ses, survey):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .errors import (
     InternalInconsistencyError,
@@ -138,35 +138,18 @@ def is_zero_map(f):
     return rows_are_zero_classes(f.target, f.matrix)
 
 
-def prune_spanning_rows(rows, extra, ring):
-    """Drop rows lying in the span of the previously kept rows plus extra."""
-    kept = []
-    for r in rows.data:
-        if all(ring.is_zero(v) for v in r):
-            continue
-        rm = Mat(1, rows.cols, [list(r)])
-        base_rows = kept + [list(e) for e in extra.data]
-        if base_rows:
-            base = Mat(len(base_rows), rows.cols, base_rows)
-            if in_row_span(base, rm, ring):
-                continue
-        kept.append(list(r))
-    return Mat(len(kept), rows.cols, kept)
+def _span_relations(gens_rows, killer_rows, ring):
+    """Relations on the rows of gens_rows presenting their span modulo the
+    span of killer_rows: the first gens_rows.rows columns of the kernel of
+    [gens_rows; killer_rows].  Images, submodules, subquotients and the
+    spectral approximate cycles are all read this way."""
+    return kernel_left(gens_rows.vstack(killer_rows), ring, gens_rows.rows)
 
 
 def _kernel_rows(f):
-    """Rows of R^(source gens) whose classes span ker f: the first block of
-    the kernel of [f.matrix; target relations], unpruned.  A yes/no test may
-    read them in place of `kernel`'s pruned rows: a row pruning drops lies in
-    the span of the kept rows and the source relations, so the verdict is
-    the same."""
-    return kernel_left(f.matrix.vstack(f.target.relations), f.source.ring, f.matrix.rows)
-
-
-def kernel(f):
-    """(kernel module, inclusion into source). Redundant generators pruned."""
-    krows = prune_spanning_rows(_kernel_rows(f), f.source.relations, f.source.ring)
-    return submodule_from_rows(f.source, krows)
+    """Rows of R^(source gens) whose classes span ker f, unpruned: the
+    relations of the image of f."""
+    return _span_relations(f.matrix, f.target.relations, f.source.ring)
 
 
 def image(f):
@@ -208,8 +191,7 @@ def submodule_from_rows(ambient, rows):
     """(module generated by the given classes, inclusion into ambient)."""
     ring = ambient.ring
     mat = rows if isinstance(rows, Mat) else Mat.from_rows(rows, ambient.gens)
-    relrows = kernel_left(mat.vstack(ambient.relations), ring, mat.rows) if mat.rows \
-        else Mat(0, 0, [])
+    relrows = _span_relations(mat, ambient.relations, ring) if mat.rows else Mat(0, 0, [])
     smod = PresentedModule(ring, mat.rows, relrows)
     return smod, module_map(smod, ambient, mat, check=False)
 
@@ -220,8 +202,7 @@ def subquotient_presentation(ambient, gens_rows, killer_rows):
     ring = ambient.ring
     if gens_rows.rows == 0:
         return PresentedModule.zero(ring)
-    rel = kernel_left(gens_rows.vstack(killer_rows).vstack(ambient.relations), ring,
-                      gens_rows.rows)
+    rel = _span_relations(gens_rows, killer_rows.vstack(ambient.relations), ring)
     return PresentedModule(ring, gens_rows.rows, rel)
 
 
@@ -299,10 +280,6 @@ class ElementaryDecomposition:
     def divisors(self):
         return ElementaryDivisors(self.canonical_module.ring, self.free_rank,
                                   self.torsion_divisors)
-
-    def exponents(self):
-        """Sorted exponents of the torsion divisors."""
-        return self.divisors.exponents()
 
     def verify(self):
         """Both maps are well defined (a checked map already is) and both
@@ -497,14 +474,14 @@ def failure_primes(obstruction, sset=()):
     primes = set()
     everywhere = False
     for _, _, d, c in obstruction:
-        # the solver records only the equations it cannot solve: c != 0
+        # the solver records only the equations it cannot solve: c != 0, and
+        # v_q(c) < v_q(d) exactly when q divides d / gcd(d, c)
         d, c = Fraction(d), Fraction(c)
         if d == 0:
             everywhere = True
             continue
-        for q, e in factorint(abs(d.numerator)).items():
-            if q not in sset and prime_valuation(c.numerator, q) < e:
-                primes.add(q)
+        n = abs(d.numerator)
+        primes.update(q for q in factorint(n // gcd(n, c.numerator)) if q not in sset)
     if everywhere:
         primes.add(next(q for q in primerange(2, 1000) if q not in sset))
     return sorted(primes), everywhere
@@ -648,13 +625,12 @@ def base_change_maps(maps, spec):
 
 
 def _constant_term_divisors(m):
-    """The nonzero Z[1/S] SNF divisors of m's relations, read at q = 1 over
-    TruncatedLambda, as integers."""
-    rel, ring = m.relations, m.ring
-    if isinstance(ring, TruncatedLambda):
-        rel = Mat(rel.rows, m.gens, [[Fraction(x[0]) for x in row] for row in rel.data])
-        ring = ring.scalar
-    return [int(d) for d in linalg.smith_normal_form(rel, ring).divisors if d]
+    """The elementary divisors over Z[1/S] of m's relations read at q = 1,
+    off an SNF checked by L . A . R = D."""
+    ring = m.ring.scalar
+    rel = Mat(m.relations.rows, m.gens,
+              [[Fraction(x[0]) for x in row] for row in m.relations.data])
+    return elementary_divisors(PresentedModule(ring, m.gens, rel))
 
 
 @dataclass
@@ -665,7 +641,7 @@ class SupportResult:
     certificate: dict
 
 
-def support_primes(m, bound=None):
+def support_primes(m):
     """Primes ell outside S with M/(ell, q-1)M nonzero.
 
     Complete by Fitting-content factorization of the constant-term relation
@@ -675,26 +651,20 @@ def support_primes(m, bound=None):
     0th Fitting ideal, the gcd of the maximal minors); otherwise the support
     is every non-inverted prime, reported with everywhere=True.
     """
-    ring = m.ring
-    if not isinstance(ring, TruncatedLambda):
+    if not isinstance(m.ring, TruncatedLambda):
         raise UnsupportedRingError("support_primes needs a TruncatedLambda module")
-    sset = ring.inverted_primes
-    if bound is not None and bound < 2:
-        raise SchemaError("prime bound must be >= 2")
     if m.gens == 0:
         return SupportResult(False, [], 1, {"reason": "zero module"})
-    divisors = _constant_term_divisors(m)
-    if len(divisors) < m.gens:
-        primes = [q for q in primerange(2, (bound or 2) + 1) if q not in sset] if bound else []
-        return SupportResult(True, primes, 0,
+    divs = _constant_term_divisors(m)
+    if divs.free_rank:
+        return SupportResult(True, [], 0,
                              {"reason": "constant-term matrix rank-deficient over Q"})
+    divisors = [int(d) for d in divs.torsion_divisors]
     content = prod(divisors)
     fact = {}
     for d in divisors:
         for q, e in factorint(d).items():
             fact[q] = fact.get(q, 0) + e
     primes = sorted(fact)
-    if bound is not None:
-        primes = [q for q in primes if q <= bound]
     return SupportResult(False, primes, content,
                          {"content": content, "factorization": dict(sorted(fact.items()))})

@@ -208,35 +208,6 @@ def prime_valuation(n, q):
     return v
 
 
-class AtLeastPrecision:
-    """Valuation marker for elements that vanish at the working truncation."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "AtLeastPrecision"
-
-    def __ge__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return False
-
-
-AT_LEAST_PRECISION = AtLeastPrecision()
-
-
 def _check_primes(primes):
     primes = tuple(int(q) for q in primes)
     if list(primes) != sorted(set(primes)):
@@ -381,9 +352,6 @@ class ChainRing(RingBase):
     def uniformizer_power(self, k):
         raise NotImplementedError
 
-    def valuation_or_marker(self, x):
-        return AT_LEAST_PRECISION if self.is_zero(x) else self.val(x)
-
     def divide(self, x, y):
         """q with q*y = x when v(x) >= v(y); None otherwise."""
         if self.is_zero(x):
@@ -465,7 +433,7 @@ class TruncatedPadic(ChainRing):
 
     def val(self, x):
         if x == 0:
-            raise ValueError("valuation of zero; use valuation_or_marker")
+            raise ValueError("valuation of zero")
         k = 0
         while x % self.p == 0:
             x //= self.p
@@ -649,7 +617,7 @@ class TruncatedPowerSeries(_ZFamilyMixin, ChainRing):
     def val(self, x):
         v = self.var_valuation(x)
         if v is None:
-            raise ValueError("valuation of zero; use valuation_or_marker")
+            raise ValueError("valuation of zero")
         return v
 
     def uniformizer_power(self, k):
@@ -720,22 +688,6 @@ class TruncatedLambda(_PolyTruncMixin, RingBase):
 
     def q_minus_one(self):
         return self.var_power(1)
-
-
-def normalize(raw, ring):
-    """Spec op: canonicalize raw element data in the declared ring. Idempotent."""
-    return ring.normalize(raw)
-
-
-def frobenius(x, ring):
-    """Spec op: phi with phi(z) = z^p, identity on W-coefficients.
-
-    The result is exact in the truncated ring; its z-precision as a model of
-    the untruncated Frobenius is ring.frobenius_trusted_precision.
-    """
-    if not isinstance(ring, (TruncatedPowerSeries, TruncatedBK)):
-        raise UnsupportedRingError("frobenius needs a z-family ring")
-    return ring.frobenius(x)
 
 
 def is_snf_capable(ring):

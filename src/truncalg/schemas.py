@@ -72,6 +72,13 @@ MAX_MODULUS_DIGITS = 4000
 # of the Smith normal form ladder over Z that the tests hold to a CPU budget
 # (test_snf_over_z_ladder_stays_small).
 MAX_CELLS = 48
+# CW complexes are refused above this dimension (a `cells` list of more than
+# MAX_DIMENSION + 1 entries): skeletal verification reads every skeleton
+# pair, so its cost grows faster than the dimension.  On a 2-vCPU VM,
+# cw-verify with 48 cells and zero boundaries in each dimension took 7.8 s
+# CPU at dimension 16 and 23 s at 32; the sphere [1] + [0]*n + [1] took
+# 8.7 s at n = 400.
+MAX_DIMENSION = 16
 
 
 def _p_and_n(data, loc):
@@ -174,18 +181,6 @@ def parse_element(v, ring, loc):
     raise SchemaError("unknown ring for element", loc)
 
 
-def element_to_json(x, ring):
-    if isinstance(ring, LocalizedIntegers):
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(ring, TruncatedPadic):
-        return int(x)
-    if isinstance(ring, TruncatedLambda):
-        return [element_to_json(c, ring.scalar) for c in x]
-    if isinstance(ring, (TruncatedPowerSeries, TruncatedBK)):
-        return [int(c) for c in x]
-    raise SchemaError("unserializable element")
-
-
 def parse_matrix(rows, ring, cols, loc):
     if not isinstance(rows, list):
         raise SchemaError("expected a row-major array of rows", loc)
@@ -195,10 +190,6 @@ def parse_matrix(rows, ring, cols, loc):
             raise SchemaError(f"row {i} must have length {cols}", f"{loc}/{i}")
         out.append([parse_element(v, ring, f"{loc}/{i}/{j}") for j, v in enumerate(row)])
     return Mat(len(out), cols, out)
-
-
-def matrix_to_json(mat, ring):
-    return [[element_to_json(v, ring) for v in row] for row in mat.data]
 
 
 def parse_module(data, loc="/module", ring=None):
@@ -219,7 +210,7 @@ def parse_module(data, loc="/module", ring=None):
 
 def module_to_json(m):
     return {"ring": ring_to_json(m.ring), "generators": m.gens,
-            "relations": matrix_to_json(m.relations, m.ring)}
+            "relations": jsonable(m.relations)}
 
 
 def _parse_map_matrix(data, key, source, target, loc):
@@ -330,6 +321,8 @@ def parse_cw(data, loc="/cw"):
     from .cw import make_cw
 
     cells = _int_list(_want(data, "cells", loc), loc + "/cells")
+    if len(cells) > MAX_DIMENSION + 1:
+        raise SchemaError(f"cells above dimension {MAX_DIMENSION}", loc + "/cells")
     for k, count in enumerate(cells):
         if count > MAX_CELLS:
             raise SchemaError(f"more than {MAX_CELLS} cells in one dimension", f"{loc}/cells/{k}")

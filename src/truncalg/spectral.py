@@ -29,9 +29,11 @@ from .errors import (
     SchemaError,
     UnsupportedRingError,
 )
-from .linalg import Mat, in_row_span, kernel_left, solve_left_mod
+from .linalg import Mat, in_row_span, solve_left_mod
 from .modules import (
     PresentedModule,
+    _kernel_rows,
+    _span_relations,
     check_completion_prime,
     cokernel,
     compose,
@@ -40,7 +42,6 @@ from .modules import (
     identity_map,
     is_injective,
     is_zero_map,
-    kernel,
     module_map,
     retraction_test,
     submodule_from_rows,
@@ -186,7 +187,7 @@ def _fil_cycles(x, i, n):
     d = x.fil_diff(i, n)
     if d.target.gens == 0:
         return Mat.identity(sub.gens, x.ring) if sub.gens else Mat(0, 0, [])
-    return kernel_left(d.matrix.vstack(d.target.relations), x.ring, d.matrix.rows)
+    return _kernel_rows(d)
 
 
 def homology_filtered(x, i):
@@ -253,10 +254,8 @@ def _approx_cycles(x, n, i, r):
     if d.target.gens == 0:
         return incn.matrix
     pushed = incn.matrix.mul(d.matrix, ring)
-    arows = kernel_left(pushed.vstack(tgt_inc.matrix).vstack(d.target.relations), ring,
-                        pushed.rows)
-    zr = arows.mul(incn.matrix, ring) if arows.rows else Mat(0, x.module(i).gens, [])
-    return zr
+    arows = _span_relations(pushed, tgt_inc.matrix.vstack(d.target.relations), ring)
+    return arows.mul(incn.matrix, ring) if arows.rows else Mat(0, x.module(i).gens, [])
 
 
 def page(x, r):
@@ -464,9 +463,10 @@ def degeneration_report(x):
 
 def _tensored_kernel_vanishes(f, ell):
     """ker(f (x) Z_ell) = 0, decided exactly: flatness gives
-    ker(f) (x) Z_ell, which vanishes iff ker(f) is prime-to-ell torsion."""
-    kmod, _ = kernel(f)
-    divs = elementary_divisors(kmod)
+    ker(f) (x) Z_ell, which vanishes iff ker(f) is prime-to-ell torsion.
+    The divisors are isomorphism invariants, so any presentation of ker f
+    gives them; the unpruned kernel rows are one."""
+    divs = elementary_divisors(submodule_from_rows(f.source, _kernel_rows(f))[0])
     if divs.free_rank:
         return False
     return all(prime_valuation(d.numerator, ell) == 0 for d in divs.torsion_divisors)

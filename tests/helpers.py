@@ -2,9 +2,9 @@
 
 import hashlib
 import json
-import random
 from fractions import Fraction
 
+from lemmas import kernel
 from truncalg.bkrandom import (
     extend_by_free,
     extend_by_mod_s1,
@@ -19,7 +19,6 @@ from truncalg.modules import (
     compose,
     direct_sum,
     is_zero_map,
-    kernel,
     module_map,
     submodule_from_rows,
 )

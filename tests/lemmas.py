@@ -5,9 +5,10 @@ the tests exercise them on top of the engine in `truncalg`.  Most certify
 a lemma the paper's Breuil-Kisin results rest on, each by an exact solve
 or an explicit witness:
 
-- ring and module spec operations: p- and z-valuations, Eisenstein powers,
-  subquotients with verified exactness, the torsion part, glued
-  splittings, base change of a single module;
+- ring and module spec operations: p- and z-valuations with their
+  at-least-precision marker, normalization, Frobenius, Eisenstein powers,
+  the pruned kernel, subquotients with verified exactness, the torsion
+  part, glued splittings, base change of a single module;
 - Ext^1 of elementary modules and its comparison along z |-> unit;
 - the reduction-length inequality on a degeneration report;
 - Frobenius modules: twists, the canonical torsion/free decomposition,
@@ -47,22 +48,22 @@ from truncalg.linalg import Mat, in_row_span, solve_left_mod
 from truncalg.modules import (
     ModuleMap,
     PresentedModule,
+    _kernel_rows,
     cokernel,
     compose,
     identity_map,
     image,
     is_zero_map,
-    kernel,
     maps_equal,
     module_from_divisors,
     module_map,
     require_elementary,
     rows_are_zero_classes,
+    submodule_from_rows,
     validate_ses,
     verify_exact_at,
 )
 from truncalg.rings import (
-    AT_LEAST_PRECISION,
     LocalizedIntegers,
     TruncatedBK,
     TruncatedLambda,
@@ -77,6 +78,56 @@ from truncalg.spectral import degeneration_report
 # Ring spec operations
 
 
+class AtLeastPrecision:
+    """Valuation marker for elements that vanish at the working truncation."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "AtLeastPrecision"
+
+    def __ge__(self, other):
+        return True
+
+    def __gt__(self, other):
+        return True
+
+    def __lt__(self, other):
+        return False
+
+    def __le__(self, other):
+        return False
+
+
+AT_LEAST_PRECISION = AtLeastPrecision()
+
+
+def valuation_or_marker(ring, x):
+    """The valuation of x in a chain ring, or AT_LEAST_PRECISION for 0."""
+    return AT_LEAST_PRECISION if ring.is_zero(x) else ring.val(x)
+
+
+def normalize(raw, ring):
+    """Spec op: canonicalize raw element data in the declared ring. Idempotent."""
+    return ring.normalize(raw)
+
+
+def frobenius(x, ring):
+    """Spec op: phi with phi(z) = z^p, identity on W-coefficients.
+
+    The result is exact in the truncated ring; its z-precision as a model of
+    the untruncated Frobenius is ring.frobenius_trusted_precision.
+    """
+    if not isinstance(ring, (TruncatedPowerSeries, TruncatedBK)):
+        raise UnsupportedRingError("frobenius needs a z-family ring")
+    return ring.frobenius(x)
+
+
 def valuation(x, uniformizer, ring):
     """Spec op: largest k with x in (uniformizer^k), or AT_LEAST_PRECISION for 0.
 
@@ -85,11 +136,11 @@ def valuation(x, uniformizer, ring):
     if isinstance(ring, TruncatedPadic):
         if uniformizer != "p":
             raise UnsupportedRingError("TruncatedPadic only supports the uniformizer p")
-        return ring.valuation_or_marker(x)
+        return valuation_or_marker(ring, x)
     if isinstance(ring, TruncatedPowerSeries):
         if uniformizer != "z":
             raise UnsupportedRingError("TruncatedPowerSeries only supports the uniformizer z")
-        return ring.valuation_or_marker(x)
+        return valuation_or_marker(ring, x)
     if isinstance(ring, TruncatedBK):
         if uniformizer == "p":
             v = ring.p_valuation(x)
@@ -112,7 +163,30 @@ def eisenstein_eval(eisenstein, power, ring):
 
 
 # ---------------------------------------------------------------------------
-# Modules: subquotients, torsion part, glued splittings, base change
+# Modules: pruned kernels, subquotients, torsion part, glued splittings, base
+# change
+
+
+def prune_spanning_rows(rows, extra, ring):
+    """Drop rows lying in the span of the previously kept rows plus extra."""
+    kept = []
+    for r in rows.data:
+        if all(ring.is_zero(v) for v in r):
+            continue
+        rm = Mat(1, rows.cols, [list(r)])
+        base_rows = kept + [list(e) for e in extra.data]
+        if base_rows:
+            base = Mat(len(base_rows), rows.cols, base_rows)
+            if in_row_span(base, rm, ring):
+                continue
+        kept.append(list(r))
+    return Mat(len(kept), rows.cols, kept)
+
+
+def kernel(f):
+    """(kernel module, inclusion into source). Redundant generators pruned."""
+    krows = prune_spanning_rows(_kernel_rows(f), f.source.relations, f.source.ring)
+    return submodule_from_rows(f.source, krows)
 
 
 @dataclass

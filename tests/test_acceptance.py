@@ -7,8 +7,6 @@ import os
 import random
 import time
 
-import pytest
-
 from helpers import random_filtered_complex, random_lambda_map, scrambled_split_lambda_ses
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -206,8 +204,7 @@ def test_criterion_7_local_global():
     """On the Lambda corpus (S = {2}, M = 2): zero_local_global agreement on
     >= 100 fuzzed maps; survey + conclude recover sections on scrambled-split
     instances; the /9 family flags NonSplit exactly at 3."""
-    from truncalg.local_global import (certified_obstruction_data,
-                                       global_split_conclude, local_split_survey,
+    from truncalg.local_global import (global_split_conclude, local_split_survey,
                                        make_lambda_ses)
     from truncalg.linalg import Mat
     from truncalg.modules import PresentedModule, is_zero_map
@@ -248,7 +245,8 @@ def test_criterion_8_precision_honesty():
     """Operations crossing the Frobenius trusted precision exit with code 3 on
     the corpus; metamorphic M-vs-pM comparisons agree below the boundary."""
     from truncalg.cli import run_job
-    from truncalg.rings import TruncatedBK, frobenius
+    from lemmas import frobenius
+    from truncalg.rings import TruncatedBK
 
     started = time.time()
     with open(os.path.join(CORPUS, "bk_height_precision_cross.json")) as fh:

@@ -27,7 +27,6 @@ from truncalg.breuil_kisin import (
     HeightFailure,
     TowerNode,
     check_height,
-    check_mod_s1,
     extension_node,
     leaf,
     make_bk_module,
@@ -51,7 +50,7 @@ from truncalg.modules import (
     module_map,
 )
 from truncalg.rings import EisensteinSpec, TruncatedBK, TruncatedPowerSeries
-from truncalg.schemas import matrix_to_json, module_to_json
+from truncalg.schemas import jsonable, module_to_json
 from truncalg.smodules import NotElementary, gr_p
 
 BK = TruncatedBK(3, 3, 4)
@@ -359,7 +358,7 @@ def _ramified_tower(p, coeffs, r, rng, m=None):
 
 
 def _bk_json(bk):
-    return {"module": module_to_json(bk.module), "phi": matrix_to_json(bk.phi.matrix, bk.ring),
+    return {"module": module_to_json(bk.module), "phi": jsonable(bk.phi.matrix),
             "height_window": list(bk.height_window)}
 
 
@@ -367,8 +366,7 @@ def _tower_json(node):
     out = {"kind": node.kind, "bk": _bk_json(node.bk)}
     if node.kind == "extension":
         out.update(sub=_tower_json(node.sub), quot=_tower_json(node.quot),
-                   incl=matrix_to_json(node.incl.matrix, node.bk.ring),
-                   proj=matrix_to_json(node.proj.matrix, node.bk.ring))
+                   incl=jsonable(node.incl.matrix), proj=jsonable(node.proj.matrix))
     return out
 
 

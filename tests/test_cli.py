@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -451,6 +452,30 @@ def test_cw_oversized_cell_count_refused_at_its_pointer(tmp_path, name):
     assert proc.returncode == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"] == "/input/cw/cells/0: more than 48 cells in one dimension"
     assert proc.stderr == ""
+
+
+def test_cw_verify_sphere_at_the_dimension_bound_finishes(tmp_path):
+    """cw-verify on the sphere [1] + [0]*(MAX_DIMENSION - 1) + [1] exits 0 as
+    a child inside a 5 s CPU budget; one more dimension exits 1 at
+    /input/cw/cells.  Without the bound, n = 400 zeros took 8.7 s CPU and
+    117 MB."""
+    from truncalg.schemas import MAX_DIMENSION
+
+    for cells, code in (([1] + [0] * (MAX_DIMENSION - 1) + [1], 0),
+                        ([1] + [0] * MAX_DIMENSION + [1], 1)):
+        src = tmp_path / "job.json"
+        src.write_text(json.dumps({"command": "cw-verify", "options": {},
+                                   "input": {"cw": {"cells": cells}}}))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run([sys.executable, "-m", "truncalg.cli", "cw-verify",
+                               "--input", str(src)],
+                              capture_output=True, text=True, env=CHILD_ENV, timeout=20)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        spent = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        report = json.loads(proc.stdout)
+        assert proc.returncode == code == report["exit_code"], report.get("error")
+        assert spent < 5.0, spent
+    assert report["error"] == f"/input/cw/cells: cells above dimension {MAX_DIMENSION}"
 
 
 def test_cw_ktheory_with_a_large_semiprime_torsion_finishes(tmp_path):

@@ -25,7 +25,7 @@ from truncalg.errors import InternalInconsistencyError, SchemaError
 from truncalg.linalg import Mat, kernel_left
 from truncalg.modules import PresentedModule, elementary_divisors, subquotient_presentation
 from truncalg.rings import LocalizedIntegers, factorint
-from truncalg.schemas import MAX_CELLS, parse_cw
+from truncalg.schemas import MAX_CELLS, MAX_DIMENSION, parse_cw
 
 
 def rp2():
@@ -87,6 +87,23 @@ def test_parse_cw_refuses_too_many_cells(monkeypatch, cells, boundaries, pointer
     with pytest.raises(SchemaError, match=f"more than {MAX_CELLS} cells") as info:
         parse_cw({"cells": cells, "boundaries": boundaries}, "/input/cw")
     assert info.value.location == pointer
+
+
+def test_parse_cw_refuses_too_many_dimensions(monkeypatch):
+    """A cells list with an entry above dimension MAX_DIMENSION is refused
+    at /input/cw/cells from its length alone: make_cw is never called, also
+    when every count past the bound is 0.  The sphere at the bound parses."""
+    sphere_at_bound = [1] + [0] * (MAX_DIMENSION - 1) + [1]
+    assert parse_cw({"cells": sphere_at_bound}, "/input/cw").dimension == MAX_DIMENSION
+
+    def never(*args):
+        raise AssertionError("make_cw ran on an oversized complex")
+
+    monkeypatch.setattr(cw, "make_cw", never)
+    for cells in ([1] + [0] * MAX_DIMENSION + [1], [1] + [0] * (MAX_DIMENSION + 1)):
+        with pytest.raises(SchemaError, match=f"cells above dimension {MAX_DIMENSION}") as info:
+            parse_cw({"cells": cells}, "/input/cw")
+        assert info.value.location == "/input/cw/cells"
 
 
 def test_reduced_cohomology_examples():

@@ -3,7 +3,6 @@ import pytest
 from lemmas import ext1, ext1_base_change_inject
 from truncalg.errors import NotElementaryError, PrecisionError
 from truncalg.ext import _elementary_exponents, ext1_cocycle_oracle
-from truncalg.linalg import Mat
 from truncalg.modules import BaseChangeSpec, PresentedModule, is_zero_module
 from truncalg.rings import TruncatedBK, TruncatedPadic
 
@@ -54,7 +53,7 @@ def test_cocycle_oracle_full_p2():
 
 def test_cocycle_oracle_p3_reduced():
     ring = TruncatedBK(3, 4, 2)
-    res = ext1_cocycle_oracle(2, 1, ring, ses_sample_check=False)
+    res = ext1_cocycle_oracle(2, 1, ring)
     assert res.abelian_exponent_multiset == [1, 1]
     zp = TruncatedPadic(3, 4)
     res2 = ext1_cocycle_oracle(2, 2, zp)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_lambda_map, reference_verify_exact_at, scrambled_elementary
-from lemmas import base_change, glue_splitting, subquotient, torsion_part
+from lemmas import base_change, glue_splitting, kernel, subquotient, torsion_part
 from truncalg.bruteforce import FiniteModule
 from truncalg import linalg, modules
 from truncalg.errors import (
@@ -25,13 +25,13 @@ from truncalg.modules import (
     decompose,
     decompose_elementary,
     direct_sum,
+    failure_primes,
     elementary_divisors,
     identity_map,
     is_injective,
     is_surjective,
     is_zero_map,
     is_zero_module,
-    kernel,
     maps_equal,
     module_from_divisors,
     module_map,
@@ -49,6 +49,9 @@ from truncalg.rings import (
     TruncatedLambda,
     TruncatedPadic,
     TruncatedPowerSeries,
+    factorint,
+    prime_valuation,
+    primerange,
 )
 
 ZP3 = TruncatedPadic(2, 3)
@@ -119,7 +122,7 @@ def _base_structure(m):
     base = bk.scalar
     rel = expand_matrix(m.relations, bk) if m.relations.rows else Mat(0, m.gens * bk.mlen, [])
     dec = decompose_elementary(PresentedModule(base, m.gens * bk.mlen, rel))
-    return dec.free_rank, dec.exponents()
+    return dec.free_rank, dec.divisors.exponents()
 
 
 def test_subquotient_mult_z_over_bk():
@@ -153,9 +156,7 @@ def test_subquotient_vs_element_enumeration():
         fm1, fm2 = FiniteModule(m1), FiniteModule(m2)
         img = {fm1.apply_matrix(e, f.matrix, fm2) for e in fm1.elements}
         ker = {e for e in fm1.elements if fm1.apply_matrix(e, f.matrix, fm2) == fm2.zero}
-        from truncalg.modules import kernel as kernel_op
-
-        kmod, kincl = kernel_op(f)
+        kmod, kincl = kernel(f)
         kspan = fm1.subgroup([fm1.rep(tuple(r)) for r in kincl.matrix.data]) \
             if kincl.matrix.rows else {fm1.zero}
         assert kspan == ker
@@ -192,11 +193,11 @@ def test_torsion_length_examples():
 
 def test_decompose_elementary_examples():
     dec = decompose_elementary(module_from_divisors(TruncatedPadic(2, 5), [2, 4], 0))
-    assert dec.free_rank == 0 and dec.exponents() == [1, 2]
+    assert dec.free_rank == 0 and dec.divisors.exponents() == [1, 2]
     dec2 = decompose_elementary(PresentedModule.free(ZP26, 2))
     assert dec2.free_rank == 2 and not dec2.torsion_divisors
     dec3 = decompose_elementary(PresentedModule(ZP26, 2, Mat(2, 2, [[2, 4], [6, 8]])))
-    assert dec3.exponents() == [1, 2] and dec3.free_rank == 0
+    assert dec3.divisors.exponents() == [1, 2] and dec3.free_rank == 0
     assert dec3.verify()
 
 
@@ -214,7 +215,7 @@ def test_verify_rejects_a_witness_that_is_not_well_defined():
     assert maps_equal(compose(dec.from_canonical, dec.to_canonical), identity_map(z9))
     assert not dec.verify()
     good = decompose_elementary(z3)
-    assert good.verify() and good.exponents() == [1]
+    assert good.verify() and good.divisors.exponents() == [1]
 
 
 @pytest.mark.parametrize("ring", [
@@ -234,11 +235,11 @@ def test_elementary_divisors_agree_with_decompose_elementary(ring):
         dec = decompose_elementary(m)
         assert (divs.free_rank, divs.torsion_divisors) == (dec.free_rank, dec.torsion_divisors)
         if isinstance(ring, LocalizedIntegers):
-            for reading in (divs, dec):
+            for reading in (divs, dec.divisors):
                 with pytest.raises(UnsupportedRingError):
                     reading.exponents()
         else:
-            assert divs.exponents() == dec.exponents()
+            assert divs.exponents() == dec.divisors.exponents()
         seen.add("no generators" if g == 0 else "free" if nrel == 0
                  else "torsion" if divs.torsion_divisors else "other")
     assert {"no generators", "free", "torsion"} <= seen, seen
@@ -279,7 +280,7 @@ def test_exponents_refused_over_localized_integers():
     m = PresentedModule.cyclic(zl, Fraction(9))
     dec = decompose_elementary(m)
     with pytest.raises(UnsupportedRingError, match="ElementaryDivisors.profile"):
-        dec.exponents()
+        dec.divisors.exponents()
     assert structure_divisors(m).profile() == ((3, 2),)
 
 
@@ -540,11 +541,79 @@ def test_support_primes_examples():
     mq = PresentedModule.from_relation_rows(lam, 1, [[lam.from_int(3)], [lam.q_minus_one()]])
     assert support_primes(mq).primes == [3]
     free = PresentedModule.free(lam, 1)
-    res = support_primes(free, bound=12)
-    assert res.everywhere and res.primes == [3, 5, 7, 11]
+    res = support_primes(free)
+    assert res.everywhere and res.primes == []
     m15 = PresentedModule.cyclic(lam, lam.from_int(15))
     assert support_primes(m15).primes == [3, 5]
     assert support_primes(PresentedModule.zero(lam)).primes == []
+
+
+def test_support_primes_read_a_checked_snf(monkeypatch):
+    """The constant-term divisors that lambda-zero prints as certified primes
+    come off an SNF checked by L . A . R = D: a memoised SNF with one divisor
+    multiplied by 7 is refused, where an unchecked read reported 7 as a
+    support prime."""
+    m15 = PresentedModule.cyclic(LAM, LAM.from_int(15))
+    assert support_primes(m15).primes == [3, 5]
+    memo = linalg.base_snf
+
+    def corrupted(mat, ring):
+        snf = memo(mat, ring)
+        return SNFResult(snf.left, snf.right,
+                         [ring.mul(ring.from_int(7), snf.divisors[0])] + snf.divisors[1:])
+
+    monkeypatch.setattr(linalg, "base_snf", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="L . A . R = D"):
+        support_primes(m15)
+
+
+def reference_failure_primes(obstruction, sset=()):
+    """failure_primes as it read each prime q of d with its valuation before
+    it factored d / gcd(d, c): q fails when v_q(c) < v_q(d)."""
+    primes = set()
+    everywhere = False
+    for _, _, d, c in obstruction:
+        d, c = Fraction(d), Fraction(c)
+        if d == 0:
+            everywhere = True
+            continue
+        for q, e in factorint(abs(d.numerator)).items():
+            if q not in sset and prime_valuation(c.numerator, q) < e:
+                primes.add(q)
+    if everywhere:
+        primes.add(next(q for q in primerange(2, 1000) if q not in sset))
+    return sorted(primes), everywhere
+
+
+def test_failure_primes_match_the_valuation_route():
+    """Seeded obstruction records (row, position, divisor, residue) over
+    Z[1/S]: zero divisors, S primes in both numerators, S denominators and
+    negative numerators.  The primes of d / gcd(d, c) are the valuation
+    route's failure primes."""
+    rng = random.Random(3131)
+    seen = set()
+
+    def number(sset):
+        n = rng.choice([-1, 1])
+        for q in (2, 3, 5, 7, 11):
+            n *= q ** rng.choice([0, 0, 1, 2, 3])
+        den = rng.choice(sset) ** rng.randint(1, 2) if sset and rng.random() < 0.3 else 1
+        return Fraction(n, den)
+
+    for _ in range(300):
+        sset = rng.choice([(), (2,), (3, 5)])
+        records = []
+        for k in range(rng.randint(1, 4)):
+            d, c = Fraction(0) if rng.random() < 0.1 else number(sset), number(sset)
+            records.append((k, k, d, c))
+            if d == 0:
+                seen.add("zero divisor")
+            elif any(d.numerator % q == 0 for q in sset):
+                seen.add("s prime")
+            if min(d, c) < 0:
+                seen.add("negative")
+        assert failure_primes(records, sset) == reference_failure_primes(records, sset), records
+    assert seen == {"zero divisor", "negative", "s prime"}
 
 
 PRIMES_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -603,7 +672,7 @@ def test_decompose_over_bk_reads_p_exponents():
     for _ in range(8):
         m, rank, exps = scrambled_elementary(ring, rng)
         dec = decompose(m)
-        assert (dec.free_rank, dec.exponents()) == (rank, exps)
+        assert (dec.free_rank, dec.divisors.exponents()) == (rank, exps)
         assert structure_divisors(m).profile() == tuple(exps)
 
 
@@ -631,7 +700,7 @@ def test_torsion_vs_decompose_agreement():
         m = PresentedModule(ring, g, Mat(len(rows), g, rows))
         dec = decompose_elementary(m)
         t, _, _ = torsion_part(m)
-        assert structure_divisors(t).profile() == tuple(sorted(dec.exponents()))
+        assert structure_divisors(t).profile() == tuple(sorted(dec.divisors.exponents()))
 
 
 def _random_element(ring, rng):

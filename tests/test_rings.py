@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import eisenstein_eval, valuation
+from lemmas import AT_LEAST_PRECISION, eisenstein_eval, frobenius, normalize, valuation
 from truncalg.errors import SchemaError, UnsupportedRingError
 from truncalg.rings import (
-    AT_LEAST_PRECISION,
     EisensteinSpec,
     LocalizedIntegers,
     TruncatedBK,
@@ -14,8 +13,6 @@ from truncalg.rings import (
     TruncatedPadic,
     TruncatedPowerSeries,
     default_eisenstein,
-    frobenius,
-    normalize,
 )
 
 ZL2 = LocalizedIntegers((2,))

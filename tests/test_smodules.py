@@ -14,7 +14,6 @@ from truncalg.modules import (
     elementary_divisors,
     is_injective,
     is_surjective,
-    module_from_divisors,
     rows_are_zero_classes,
 )
 from truncalg.rings import TruncatedBK, TruncatedPadic
@@ -332,9 +331,9 @@ def test_torsion_corrections_are_batched_by_exponent(monkeypatch):
     # one correction solve plus the inverse solve; the a = 1 check and the
     # a = 2 no-correction check
     assert calls == {"solve_left_mod": 2, "rows_are_zero_classes": 2}
-    assert dec.exponents() == [1, 1, 2] and dec.free_rank == 1
+    assert dec.divisors.exponents() == [1, 1, 2] and dec.free_rank == 1
     rows = dec.from_canonical.matrix.data
-    for row, a in zip(rows, dec.exponents()):
+    for row, a in zip(rows, dec.divisors.exponents()):
         pa = ring.from_int(ring.p ** a)
         assert rows_are_zero_classes(mod, Mat(1, mod.gens, [[ring.mul(pa, x) for x in row]]))
     # moved off their corrected values by p, the two rows need a correction

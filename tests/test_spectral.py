@@ -228,6 +228,53 @@ def test_one_wrong_divisor_read_is_an_internal_inconsistency(monkeypatch):
     assert "torsion-length criterion disagrees" in report["error"]
 
 
+def test_split_verdict_without_saturated_verdict_is_an_internal_inconsistency(monkeypatch):
+    """d = 1 from C_1 = Z/4 in weight 0 to C_0 = Z/4 in weight 1: the E1
+    differential is a unit, so rational degeneration fails and neither
+    criterion is cross-checked.  The homology is zero, so every inclusion
+    splits, and only a wrong injectivity read makes the complex degenerate.
+    With a gr_n H read that reports one torsion summand too many, the
+    saturation check fails while the split verdict stands: the job exits 4."""
+    free = {"generators": 1, "relations": []}
+    job = {"command": "ss-report", "options": {},
+           "input": {"complex": {
+               "ring": {"family": "TruncatedPadic", "p": 2, "N": 2},
+               "lo": 0, "hi": 1, "wmin": 0, "wmax": 1,
+               "modules": [free, free], "differentials": [[[1]]],
+               "filtration": [
+                   {"degree": 0, "weight": 1, "module": free, "inclusion": [[1]]},
+                   {"degree": 1, "weight": 1, "module": {"generators": 0, "relations": []},
+                    "inclusion": []}]}}}
+    real_homology = spectral.homology_filtered
+    gr = []
+
+    def injective(x, i):
+        hdata = real_homology(x, i)
+        hdata.degenerate_at = dict.fromkeys(hdata.degenerate_at, True)
+        gr.extend(hdata.gr_modules.values())
+        return hdata
+
+    real = spectral.elementary_divisors
+
+    def read(mod):
+        divs = real(mod)
+        if any(mod is g for g in gr):
+            return modules.ElementaryDivisors(divs.ring, divs.free_rank,
+                                              divs.torsion_divisors + [2])
+        return divs
+
+    monkeypatch.setattr(spectral, "homology_filtered", injective)
+    report, code = run_job(job)
+    verdicts = report["verdicts"]
+    assert verdicts["degenerate"] and verdicts["saturated"] and verdicts["split"]
+    assert not verdicts["rationally_degenerate"] and code == 3   # precision-limited
+    monkeypatch.setattr(spectral, "elementary_divisors", read)
+    report, code = run_job(job)
+    assert gr
+    assert (code, report["error_kind"]) == (4, "internal_inconsistency"), report.get("error")
+    assert report["error"] == "split verdict without saturated verdict"
+
+
 def _record_calls(monkeypatch, name, key):
     """Record key(args) for every call of spectral.<name>."""
     calls = []
