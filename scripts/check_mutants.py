@@ -295,6 +295,30 @@ MUTANTS = [
         "tests": ["tests/test_modules.py::test_failure_primes_match_the_valuation_route"],
     },
     {
+        "name": "completion-precision-without-torsion-depth",
+        "file": "src/truncalg/local_global.py",
+        "old": "    return max(adaptive_precision(ell, *(m.relations for m in mods), *mats), depth + 2)\n",
+        "new": "    return adaptive_precision(ell, *(m.relations for m in mods), *mats)\n",
+        "tests": ["tests/test_local_global.py::test_completion_precision_reads_torsion"],
+    },
+    {
+        "name": "completion-descent-without-e1-injectivity",
+        "file": "src/truncalg/spectral.py",
+        "old": "    \"\"\"M -> M (x) Z_ell is injective iff the torsion is pure ell-power.\"\"\"\n",
+        "new": "    return True, None\n",
+        "tests": ["tests/test_golden_snapshots.py::"
+                  "test_byte_stable_against_snapshot[golden/ss_basechange_localized_ell5.json]"],
+    },
+    {
+        "name": "primes-outside-one-short",
+        "file": "src/truncalg/rings.py",
+        "old": "count(2) if q not in sset and isprime(q)), k))",
+        "new": "count(2) if q not in sset and isprime(q)), k - 1))",
+        "tests": ["tests/test_local_global.py::"
+                  "test_everywhere_support_is_tested_past_the_inverted_primes",
+                  "tests/test_modules.py::test_failure_primes_witness_past_every_inverted_prime"],
+    },
+    {
         "name": "parse-cw-without-dimension-bound",
         "file": "src/truncalg/schemas.py",
         "old": "    if len(cells) > MAX_DIMENSION + 1:\n",

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped job corpus (corpus/*.json).
+"""Regenerate the shipped job corpus (corpus/*.json) and the golden jobs
+that the benchmark does not run (tests/golden/*.json).
 
-Deterministic: file contents depend only on this script."""
+Deterministic: file contents depend only on this script.  Regenerate the
+reports of either directory with `python3 -m truncalg.cli --corpus-dir DIR`."""
 
 import json
 import os
@@ -9,6 +11,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
+GOLDEN = os.path.join(HERE, "..", "tests", "golden")
 
 
 def bk_ring(p, n, m):
@@ -18,6 +21,10 @@ def bk_ring(p, n, m):
 
 def zp_ring(p, n):
     return {"family": "TruncatedPadic", "p": p, "N": n}
+
+
+def zl_ring(s):
+    return {"family": "LocalizedIntegers", "inverted_primes": s}
 
 
 def lam_ring(s, m):
@@ -185,14 +192,73 @@ def jobs():
     return out
 
 
+def golden_jobs():
+    """Command paths that no corpus job runs; kept out of corpus/ so the
+    benchmark's corpus pool stays fixed."""
+    out = {}
+
+    # completion descent on H = Z[1/2]/9 with fil^1 = 3H = Z/3: at 3 the
+    # E1 torsion is 3-power and the sequence 0 -> Z/3 -> Z/9 stays nonsplit;
+    # at 5 the E1 entries Z/3 die, so the injectivity hypothesis fails
+    cx = {"ring": zl_ring([2]), "lo": 0, "hi": 0, "wmin": 0, "wmax": 1,
+          "modules": [{"generators": 1, "relations": [[9]]}],
+          "differentials": [],
+          "filtration": [{"degree": 0, "weight": 1,
+                          "module": {"generators": 1, "relations": [[3]]},
+                          "inclusion": [[3]]}]}
+    for kind, ell in (("localized_completion", 3), ("localized_completion", 5),
+                      ("lambda_completion", 3)):
+        out[f"ss_basechange_{kind.split('_')[0]}_ell{ell}.json"] = {
+            "command": "ss-basechange",
+            "input": {"complex": cx, "spec": {"kind": kind, "ell": ell}},
+            "options": {}}
+
+    # the element-level oracle on a two-term complex over Z/8:
+    # d = 2 from C_1 = Z/8 to C_0 = Z/8, fil^1 C_1 = C_1, fil^1 C_0 = 2 C_0
+    zp23 = zp_ring(2, 3)
+    free = {"generators": 1, "relations": []}
+    twice = {"generators": 1, "relations": [[4]]}
+    out["oracle_two_term.json"] = {
+        "command": "oracle",
+        "input": {"complex": {
+            "ring": zp23, "lo": 0, "hi": 1, "wmin": 0, "wmax": 1,
+            "modules": [free, free],
+            "differentials": [[[2]]],
+            "filtration": [{"degree": 1, "weight": 1, "module": free, "inclusion": [[1]]},
+                           {"degree": 0, "weight": 1, "module": twice, "inclusion": [[2]]}]}},
+        "options": {}}
+
+    # decompose over Z/3^3: Z/3 + Z/9 + Z/27, scrambled by row and column
+    # operations
+    out["decompose_zp.json"] = {
+        "command": "decompose",
+        "input": {"module": {"ring": zp_ring(3, 3), "generators": 3,
+                             "relations": [[3, 9, 3], [3, 18, 3]]}},
+        "options": {}}
+
+    # snf over Z[1/2] and over F_3[z]/z^3
+    out["snf_localized.json"] = {
+        "command": "snf",
+        "input": {"ring": zl_ring([2]),
+                  "matrix": [[6, "1/2", 10], [4, 10, "3/4"], [18, 0, 12]]},
+        "options": {}}
+    out["snf_power_series.json"] = {
+        "command": "snf",
+        "input": {"ring": {"family": "TruncatedPowerSeries", "p": 3, "M": 3},
+                  "matrix": [[[0, 1, 0], [0, 2, 1]], [[0, 1, 1], [0, 0, 2]]]},
+        "options": {}}
+    return out
+
+
 def main():
-    os.makedirs(CORPUS, exist_ok=True)
-    for name, job in jobs().items():
-        path = os.path.join(CORPUS, name)
-        with open(path, "w") as fh:
-            json.dump(job, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print("wrote", os.path.relpath(path))
+    for folder, batch in ((CORPUS, jobs()), (GOLDEN, golden_jobs())):
+        os.makedirs(folder, exist_ok=True)
+        for name, job in batch.items():
+            path = os.path.join(folder, name)
+            with open(path, "w") as fh:
+                json.dump(job, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print("wrote", os.path.relpath(path))
     return 0
 
 

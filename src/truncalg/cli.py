@@ -171,9 +171,9 @@ def run_command(command, input_data, options):
         from . import spectral as spec
 
         x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
-        bspec = parse_base_change_spec(_want(input_data, "spec", "/input", dict),
-                                       "/input/spec", x.ring)
-        rep, descent = spec.base_change_report(x, bspec)
+        kind, ell = parse_base_change_spec(_want(input_data, "spec", "/input", dict),
+                                           "/input/spec", x.ring)
+        rep, descent = spec.base_change_report(x, kind, ell)
         if isinstance(rep, spec.TensoredReport):
             payload = {"verdicts": {"degenerate_after_tensoring": rep.degenerate,
                                     "split_after_tensoring": rep.split,

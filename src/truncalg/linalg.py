@@ -89,9 +89,6 @@ class Mat:
     def zero(r, c, ring):
         return Mat(r, c, [[ring.zero] * c for _ in range(r)])
 
-    def row(self, i):
-        return self.data[i]
-
     def mul(self, other, ring):
         """Row by row: output row i sums a[i][k] * (row k of other) over the
         nonzero a[i][k].  Over Z/p^N the sums are of raw int products, and

@@ -10,24 +10,34 @@ lemma are tested; disagreement is raised as an internal inconsistency."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
+from . import linalg
 from .errors import (
     HypothesisUnmetError,
     InternalInconsistencyError,
     UnsupportedRingError,
 )
+from .linalg import Mat
 from .modules import (
-    BaseChangeSpec,
+    PresentedModule,
     ShortExactSequence,
-    base_change_maps,
     build_ses,
+    check_completion_prime,
     failure_primes,
     is_zero_map,
     image,
+    module_map,
     split_test,
     support_primes,
 )
-from .rings import TruncatedLambda, primerange
+from .rings import (
+    TruncatedBK,
+    TruncatedLambda,
+    default_eisenstein,
+    prime_valuation,
+    primes_outside,
+)
 
 # a map whose image is supported at every prime is tested at this many of
 # the smallest primes outside S
@@ -41,10 +51,67 @@ def make_lambda_ses(a, b, c, inject_matrix, surject_matrix):
     return build_ses(a, b, c, inject_matrix, surject_matrix)
 
 
+# ---------------------------------------------------------------------------
+# The (ell, q-1)-completion Lambda -> TruncatedBK(ell, n, M)
+
+
+def adaptive_precision(ell, *mats):
+    """Working p-precision of a completion at ell: two above the largest
+    ell-valuation of any coefficient of the matrices, and at least 4."""
+    worst = 0
+    for mat in mats:
+        for row in mat.data:
+            for x in row:
+                for c in (x if isinstance(x, tuple) else (x,)):
+                    worst = max(worst, prime_valuation(Fraction(c).numerator, ell))
+    return max(4, worst + 2)
+
+
+def completion_precision(ell, mods, mats=()):
+    """Working p-precision of a completion at ell of the modules `mods`
+    and the maps `mats` between them: the coefficient bound of
+    `adaptive_precision`, raised to two above the exponent of each
+    module's ell-power torsion.
+
+    That exponent is the largest ell-valuation among the divisors of the
+    module's relations over its base ring (`linalg.base_snf`: over Z[1/S],
+    or expanded from TruncatedLambda to Z[1/S]), so the completion keeps
+    every ell-power torsion summand nonzero."""
+    depth = max((prime_valuation(d, ell) for m in mods
+                 for d in linalg.base_snf(m.relations, m.ring).divisors), default=0)
+    return max(adaptive_precision(ell, *(m.relations for m in mods), *mats), depth + 2)
+
+
+def complete(maps, ell, precision_n=None):
+    """Push a chain of composable Lambda maps M_0 -> M_1 -> ... -> M_k along
+    the (ell, q-1)-completion to TruncatedBK(ell, n, M): the target ring is
+    built once, at `completion_precision` unless n is given, and every
+    module and matrix is pushed once.  Returns the pushed maps, each checked
+    well defined."""
+    assert all(f.target == g.source for f, g in zip(maps, maps[1:]))
+    mods = [maps[0].source] + [f.target for f in maps]
+    ring = mods[0].ring
+    if not isinstance(ring, TruncatedLambda):
+        raise UnsupportedRingError("lambda_completion needs a TruncatedLambda source")
+    check_completion_prime(ring, ell)
+    if precision_n is None:
+        precision_n = completion_precision(ell, mods, [f.matrix for f in maps])
+    tgt = TruncatedBK(ell, precision_n, ring.precision_m, default_eisenstein(ell))
+    base = tgt.scalar
+
+    def push(mat):
+        return Mat(mat.rows, mat.cols, [[tuple(
+            base.mul(base.from_int(c.numerator), base.inv(base.from_int(c.denominator)))
+            for c in map(Fraction, x)) for x in row] for row in mat.data])
+
+    pushed = [PresentedModule(tgt, m.gens, push(m.relations)) for m in mods]
+    return [module_map(src, dst, push(f.matrix))
+            for src, dst, f in zip(pushed, pushed[1:], maps)]
+
+
 def complete_ses(ses, ell, precision_n=None):
     """The sequence base-changed along the (ell, q-1)-completion surrogate."""
-    spec = BaseChangeSpec("lambda_completion", ell=ell, precision_n=precision_n)
-    (inj, sur), _ = base_change_maps([ses.inject, ses.surject], spec)
+    inj, sur = complete([ses.inject, ses.surject], ell, precision_n)
     return ShortExactSequence(inj.source, inj.target, sur.target, inj, sur)
 
 
@@ -123,7 +190,7 @@ def zero_local_global(f):
     supp = support_primes(imod)
     sset = set(ring.inverted_primes)
     if supp.everywhere:
-        test_primes = [q for q in primerange(2, 100) if q not in sset][:EVERYWHERE_TEST_PRIMES]
+        test_primes = primes_outside(sset, EVERYWHERE_TEST_PRIMES)
     else:
         test_primes = supp.primes
     if not test_primes:
@@ -131,7 +198,7 @@ def zero_local_global(f):
             "nonzero map with empty certified support contradicts prime-local detection")
     local = {}
     for ell in test_primes:
-        (floc,), _ = base_change_maps([f], BaseChangeSpec("lambda_completion", ell=ell))
+        (floc,) = complete([f], ell)
         local[ell] = is_zero_map(floc)
     # every support prime is a witness: the completed map is nonzero there
     witness = test_primes[0]

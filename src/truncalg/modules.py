@@ -13,7 +13,7 @@ carried by the coefficient-vector representation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
@@ -29,12 +29,9 @@ from .rings import (
     LocalizedIntegers,
     TruncatedBK,
     TruncatedLambda,
-    TruncatedPadic,
-    default_eisenstein,
     factorint,
     is_snf_capable,
-    prime_valuation,
-    primerange,
+    primes_outside,
 )
 from . import linalg
 
@@ -483,51 +480,8 @@ def failure_primes(obstruction, sset=()):
         n = abs(d.numerator)
         primes.update(q for q in factorint(n // gcd(n, c.numerator)) if q not in sset)
     if everywhere:
-        primes.add(next(q for q in primerange(2, 1000) if q not in sset))
+        primes.update(primes_outside(sset, 1))
     return sorted(primes), everywhere
-
-
-# ---------------------------------------------------------------------------
-# Base change
-
-
-COMPLETION_KINDS = ("lambda_completion", "localized_completion")
-BASE_CHANGE_KINDS = ("identity", "z_to_zero", "z_to_unit", "frobenius_twist") + COMPLETION_KINDS
-
-
-@dataclass(frozen=True)
-class BaseChangeSpec:
-    kind: str  # one of BASE_CHANGE_KINDS
-    unit: int = None
-    ell: int = None
-    precision_n: int = None
-
-
-def adaptive_precision(ell, *mats):
-    """Working p-precision of a completion at ell: two above the largest
-    ell-valuation of any coefficient of the matrices, and at least 4."""
-    worst = 0
-    for mat in mats:
-        for row in mat.data:
-            for x in row:
-                for c in (x if isinstance(x, tuple) else (x,)):
-                    worst = max(worst, prime_valuation(Fraction(c).numerator, ell))
-    return max(4, worst + 2)
-
-
-def completion_precision(ell, mods, mats=()):
-    """Working p-precision of a completion at ell of the modules `mods`
-    and the maps `mats` between them: the coefficient bound of
-    `adaptive_precision`, raised to two above the exponent of each
-    module's ell-power torsion.
-
-    That exponent is the largest ell-valuation among the divisors of the
-    module's relations over its base ring (`linalg.base_snf`: over Z[1/S],
-    or expanded from TruncatedLambda to Z[1/S]), so the completion keeps
-    every ell-power torsion summand nonzero."""
-    depth = max((prime_valuation(d, ell) for m in mods
-                 for d in linalg.base_snf(m.relations, m.ring).divisors), default=0)
-    return max(adaptive_precision(ell, *(m.relations for m in mods), *mats), depth + 2)
 
 
 def check_completion_prime(ring, ell, loc=""):
@@ -536,88 +490,6 @@ def check_completion_prime(ring, ell, loc=""):
     prime pass."""
     if ell in getattr(ring, "inverted_primes", ()):
         raise SchemaError(f"{ell} is inverted in the base ring", loc)
-
-
-def base_change_rings(m, spec):
-    """(target ring, entry map, precision trail) for a base-change spec."""
-    ring = m.ring
-    trail = []
-    if spec.kind == "identity":
-        return ring, (lambda x: x), trail
-    if spec.kind == "z_to_zero":
-        if not isinstance(ring, TruncatedBK):
-            raise UnsupportedRingError("z_to_zero needs a TruncatedBK source")
-        tgt = TruncatedPadic(ring.p, spec.precision_n or ring.precision_n)
-        return tgt, (lambda x: tgt.from_int(x[0])), trail
-    if spec.kind == "z_to_unit":
-        if not isinstance(ring, TruncatedBK):
-            raise UnsupportedRingError("z_to_unit needs a TruncatedBK source")
-        tgt = TruncatedPadic(ring.p, spec.precision_n or ring.precision_n)
-        u = tgt.from_int(spec.unit)
-        if not tgt.is_unit(u):
-            raise SchemaError(f"{spec.unit} is not a unit mod {tgt.modulus}")
-
-        def entry(x):
-            acc = tgt.zero
-            for j in range(len(x) - 1, -1, -1):
-                acc = tgt.add(tgt.mul(acc, u), tgt.from_int(x[j]))
-            return acc
-
-        trail.append("z_to_unit evaluation models the untruncated ring map; "
-                     "faithful on presentations with z-degrees below the truncation")
-        return tgt, entry, trail
-    if spec.kind == "frobenius_twist":
-        if not isinstance(ring, TruncatedBK):
-            raise UnsupportedRingError("frobenius_twist needs a TruncatedBK source")
-        trail.append(f"frobenius twist: trusted z-precision {ring.frobenius_trusted_precision}")
-        return ring, ring.frobenius, trail
-    if spec.kind in COMPLETION_KINDS:
-        lam = spec.kind == "lambda_completion"
-        family = TruncatedLambda if lam else LocalizedIntegers
-        if not isinstance(ring, family):
-            raise UnsupportedRingError(f"{spec.kind} needs a {family.__name__} source")
-        check_completion_prime(ring, spec.ell)
-        n = spec.precision_n
-        if lam:
-            tgt = TruncatedBK(spec.ell, n, ring.precision_m, default_eisenstein(spec.ell))
-            trail.append(f"lambda completion at {spec.ell} modeled at p-precision {n}")
-        else:
-            tgt = TruncatedPadic(spec.ell, n)
-            trail.append(f"completion at {spec.ell} modeled at precision {n}")
-        base = tgt.scalar if lam else tgt
-
-        def scalar(c):
-            fr = Fraction(c)
-            return base.mul(base.from_int(fr.numerator), base.inv(base.from_int(fr.denominator)))
-
-        return tgt, (lambda x: tuple(map(scalar, x))) if lam else scalar, trail
-    raise SchemaError(f"unknown base change kind {spec.kind}")
-
-
-def _push(mat, entry):
-    return Mat(mat.rows, mat.cols, [[entry(x) for x in row] for row in mat.data])
-
-
-def _pushing(mods, mats, spec):
-    """(target ring, entry map, trail) shared by the modules `mods` and the
-    matrices `mats`: a completion without a precision gets one, read off
-    all of them, so every pushed piece lands in one ring."""
-    if spec.precision_n is None and spec.kind in COMPLETION_KINDS:
-        spec = replace(spec, precision_n=completion_precision(spec.ell, mods, mats))
-    return base_change_rings(mods[0], spec)
-
-
-def base_change_maps(maps, spec):
-    """Push a chain of composable maps M_0 -> M_1 -> ... -> M_k through one
-    ring map: the target ring is built once and every module and matrix is
-    pushed once.  Returns (the pushed maps, each checked well defined,
-    trail)."""
-    assert all(f.target == g.source for f, g in zip(maps, maps[1:]))
-    mods = [maps[0].source] + [f.target for f in maps]
-    tgt_ring, entry, trail = _pushing(mods, [f.matrix for f in maps], spec)
-    pushed = [PresentedModule(tgt_ring, m.gens, _push(m.relations, entry)) for m in mods]
-    return [module_map(src, tgt, _push(f.matrix, entry))
-            for src, tgt, f in zip(pushed, pushed[1:], maps)], trail
 
 
 # ---------------------------------------------------------------------------

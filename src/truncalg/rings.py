@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd, isqrt
 
 from .errors import SchemaError, UnsupportedRingError
@@ -142,6 +142,11 @@ def primerange(lo, hi):
     for n in range(max(lo, 2), hi):
         if isprime(n):
             yield n
+
+
+def primes_outside(sset, k):
+    """The k smallest primes not in sset, in increasing order."""
+    return list(islice((q for q in count(2) if q not in sset and isprime(q)), k))
 
 
 def _rho_divisor(n):

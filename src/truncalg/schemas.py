@@ -13,14 +13,7 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .linalg import Mat
-from .modules import (
-    BASE_CHANGE_KINDS,
-    COMPLETION_KINDS,
-    BaseChangeSpec,
-    PresentedModule,
-    check_completion_prime,
-    module_map,
-)
+from .modules import PresentedModule, check_completion_prime, module_map
 from .rings import (
     EisensteinSpec,
     LocalizedIntegers,
@@ -335,10 +328,14 @@ def parse_cw(data, loc="/cw"):
     return make_cw(cells, boundaries, loc)
 
 
+COMPLETION_KINDS = ("lambda_completion", "localized_completion")
+BASE_CHANGE_KINDS = ("identity", "z_to_zero", "z_to_unit", "frobenius_twist") + COMPLETION_KINDS
+
+
 def parse_base_change_spec(data, loc, ring):
-    """A base-change spec: `kind` is one of BASE_CHANGE_KINDS; `unit`, `ell`
-    (a prime) and `precision_n` (at least 1) are optional integers; the
-    completions need `ell`, which `ring` must not invert."""
+    """(kind, ell) of a base-change spec: `kind` is one of BASE_CHANGE_KINDS;
+    `unit`, `ell` (a prime) and `precision_n` (at least 1) are optional
+    integers; the completions need `ell`, which `ring` must not invert."""
     kind = data.get("kind")
     if kind not in BASE_CHANGE_KINDS:
         raise SchemaError("field 'kind' must be one of " + ", ".join(BASE_CHANGE_KINDS),
@@ -353,7 +350,7 @@ def parse_base_change_spec(data, loc, ring):
         if "ell" not in fields:
             raise SchemaError("missing field 'ell'", loc)
         check_completion_prime(ring, fields["ell"], loc + "/ell")
-    return BaseChangeSpec(kind, **fields)
+    return kind, fields.get("ell")
 
 
 def jsonable(x):

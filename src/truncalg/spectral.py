@@ -508,22 +508,22 @@ class TensoredReport:
     sscritflat_checked: bool
 
 
-def base_change_report(x, spec):
-    """Verdicts for X tensored along the spec, plus the descent conclusion.
+def base_change_report(x, kind, ell):
+    """Verdicts for X tensored along the base change `kind` (at the prime
+    `ell` for a completion), plus the descent conclusion.
 
     The completion case is decided exactly over the localized integers:
     flatness of Z[1/S] -> Z_ell turns injectivity into a kernel-divisor
     condition and splitness into ell-adic divisibility of the diagonalized
     retraction system, so no truncated surrogate is involved."""
-    if spec.kind == "identity":
+    if kind == "identity":
         rep = degeneration_report(x)
         return rep, {"applied": True, "reason": "identity base change"}
-    if spec.kind != "localized_completion":
+    if kind != "localized_completion":
         raise UnsupportedRingError(
             "base_change_report supports identity and localized completions")
     if not isinstance(x.ring, LocalizedIntegers):
         raise UnsupportedRingError("completion descent starts over LocalizedIntegers")
-    ell = spec.ell
     check_completion_prime(x.ring, ell)
     rep_r = degeneration_report(x)
     per_entry = {}

@@ -8,8 +8,8 @@ or an explicit witness:
 - ring and module spec operations: p- and z-valuations with their
   at-least-precision marker, normalization, Frobenius, Eisenstein powers,
   the pruned kernel, subquotients with verified exactness, the torsion
-  part, glued splittings, base change of a single module;
-- Ext^1 of elementary modules and its comparison along z |-> unit;
+  part, glued splittings;
+- Ext^1 of elementary modules;
 - the reduction-length inequality on a degeneration report;
 - Frobenius modules: twists, the canonical torsion/free decomposition,
   Frobenius-compatible maps, kernels and cokernels in the p-killed
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from truncalg import modules
 from truncalg.breuil_kisin import (
     BKModule,
     HeightFailure,
@@ -263,16 +262,8 @@ def glue_splitting(ses, torsion_section, free_witness):
     return section
 
 
-def base_change(m, spec):
-    """Push the presentation through the ring map; tensoring is right exact."""
-    # the helpers are read from `modules` at call time, so a test that
-    # patches `modules._push` sees this call
-    tgt_ring, entry, trail = modules._pushing([m], (), spec)
-    return PresentedModule(tgt_ring, m.gens, modules._push(m.relations, entry)), trail
-
-
 # ---------------------------------------------------------------------------
-# Ext^1 and its base change
+# Ext^1
 
 
 def ext1(c, a):
@@ -280,47 +271,6 @@ def ext1(c, a):
     if a.ring != c.ring:
         raise UnsupportedRingError("ext1 arguments must share a ring")
     return _ext1_of_exponents(_elementary_exponents(c)[0], a)
-
-
-@dataclass
-class Ext1BaseChangeRecord:
-    injective: bool
-    source_exponents: list
-    target_exponents: list
-    source_ext: PresentedModule
-    target_ext: PresentedModule
-    comparison_identity_size: int
-
-
-def ext1_base_change_inject(c, a, spec):
-    """Certify the Ext^1 comparison along z |-> unit by elementary divisors.
-
-    Both sides are computed independently (over the z-ring and over the
-    evaluation target) and their divisor multisets compared; equality is the
-    desk-scale certificate for the injectivity bookkeeping, and the
-    comparison map is blockwise the canonical reduction (identity-sized)."""
-    if not isinstance(c.ring, TruncatedBK):
-        raise UnsupportedRingError("ext1_base_change_inject starts over TruncatedBK")
-    if spec.kind not in ("z_to_unit", "z_to_zero"):
-        raise UnsupportedRingError("target must evaluate z")
-    ext_s = ext1(c, a)
-    src_exps, src_free = _elementary_exponents(ext_s)
-    cw, _ = base_change(c, spec)
-    aw, _ = base_change(a, spec)
-    ext_w = ext1(cw, aw)
-    tgt_exps, tgt_free = _elementary_exponents(ext_w)
-    injective = (src_exps == tgt_exps and src_free == tgt_free == 0)
-    if src_free or tgt_free:
-        raise InternalInconsistencyError(
-            "Ext of elementary modules acquired a free part")
-    return Ext1BaseChangeRecord(
-        injective=injective,
-        source_exponents=src_exps,
-        target_exponents=tgt_exps,
-        source_ext=ext_s,
-        target_ext=ext_w,
-        comparison_identity_size=sum(src_exps),
-    )
 
 
 # ---------------------------------------------------------------------------

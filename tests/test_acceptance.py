@@ -270,14 +270,14 @@ def test_criterion_8_precision_honesty():
         xb = big.from_coeffs([big.scalar.from_int(c) for c in coeffs])
         assert list(frobenius(xs, small)[:t]) == list(frobenius(xb, big)[:t])
     # module level: the frobenius twist truncated to the trusted window agrees
-    from lemmas import base_change
-    from truncalg.modules import BaseChangeSpec, PresentedModule
+    from truncalg.breuil_kisin import frob_matrix
+    from truncalg.modules import PresentedModule
 
     for rel_deg in range(m):
         ms = PresentedModule.from_relation_rows(small, 1, [[small.var_power(rel_deg)]])
         mb = PresentedModule.from_relation_rows(big, 1, [[big.var_power(rel_deg)]])
-        tws, _ = base_change(ms, BaseChangeSpec("frobenius_twist"))
-        twb, _ = base_change(mb, BaseChangeSpec("frobenius_twist"))
-        assert list(tws.relations.data[0][0][:t]) == list(twb.relations.data[0][0][:t])
+        tws = frob_matrix(ms.relations, small)
+        twb = frob_matrix(mb.relations, big)
+        assert list(tws.data[0][0][:t]) == list(twb.data[0][0][:t])
     _line(8, "precision honesty: exit-3 on boundary crossing, metamorphic M vs pM",
           started, 60)

@@ -703,7 +703,7 @@ def test_schema_documents_match_the_generator():
     base-change spec lists exactly the kinds the library dispatches on."""
     import importlib.util
 
-    from truncalg.modules import BASE_CHANGE_KINDS
+    from truncalg.schemas import BASE_CHANGE_KINDS
 
     root = os.path.join(os.path.dirname(__file__), "..")
     spec = importlib.util.spec_from_file_location(

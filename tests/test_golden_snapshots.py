@@ -1,7 +1,12 @@
-"""Byte-level golden comparison against the frozen corpus reports.
+"""Byte-level golden comparison against the frozen reports: the corpus
+(corpus/, which the benchmark also runs) and the command paths no corpus job
+reaches (tests/golden/).  The golden verdicts are checked by a route of
+their own below.
 
-Regenerate the frozen snapshots with:
+Regenerate the jobs with `python3 scripts/gen_corpus.py` and the frozen
+snapshots with:
     python3 -m truncalg.cli --corpus-dir corpus
+    python3 -m truncalg.cli --corpus-dir tests/golden
 """
 
 import json
@@ -10,20 +15,101 @@ import os
 import pytest
 
 from truncalg.cli import emit, run_job
+from truncalg.linalg import SNFResult
+from truncalg.modules import ElementaryDecomposition, module_from_divisors, module_map
+from truncalg.schemas import parse_element, parse_matrix, parse_module, parse_ring
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CORPUS = os.path.join(ROOT, "corpus")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
-JOBS = sorted(p for p in os.listdir(CORPUS)
-              if p.endswith(".json") and not p.endswith(".report.json"))
+
+def _jobs(folder):
+    return sorted(p for p in os.listdir(folder)
+                  if p.endswith(".json") and not p.endswith(".report.json"))
 
 
-@pytest.mark.parametrize("name", JOBS)
-def test_byte_stable_against_snapshot(name):
-    with open(os.path.join(CORPUS, name)) as fh:
+JOBS = ([pytest.param(CORPUS, name, id=name) for name in _jobs(CORPUS)]
+        + [pytest.param(GOLDEN, name, id=f"golden/{name}") for name in _jobs(GOLDEN)])
+
+
+@pytest.mark.parametrize("folder,name", JOBS)
+def test_byte_stable_against_snapshot(folder, name):
+    with open(os.path.join(folder, name)) as fh:
         job = json.load(fh)
     report, _ = run_job(job)
-    frozen_path = os.path.join(CORPUS, name[:-5] + ".report.json")
+    frozen_path = os.path.join(folder, name[:-5] + ".report.json")
     assert os.path.exists(frozen_path), "snapshot missing; regenerate the corpus reports"
     with open(frozen_path) as fh:
         frozen = fh.read()
     assert emit(report, "json") == frozen
+
+
+def _golden(name):
+    """(job, frozen report) of tests/golden/<name>.json."""
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        job = json.load(fh)
+    with open(os.path.join(GOLDEN, name + ".report.json")) as fh:
+        return job, json.load(fh)
+
+
+def test_golden_oracle_matches_the_checker():
+    """The `oracle` command's verdicts are those of `ss-report --oracle`,
+    whose checker the oracle agrees with, on the same complex."""
+    job, rep = _golden("oracle_two_term")
+    checked, code = run_job({"command": "ss-report", "input": job["input"],
+                             "options": {"oracle": True}})
+    assert code == 0 and rep["exit_code"] == 0
+    assert checked["verdicts"]["oracle_agrees"] is True
+    assert rep["verdicts"] == {k: checked["verdicts"][k] for k in rep["verdicts"]}
+
+
+def test_golden_decompose_witnesses_verify():
+    """The frozen change-of-basis maps over Z/27 are inverse isomorphisms
+    onto Z/3 + Z/9 + Z/27 (the free summand at the truncation)."""
+    job, rep = _golden("decompose_zp")
+    m = parse_module(job["input"]["module"])
+    verdicts, witnesses = rep["verdicts"], rep["witnesses"]
+    assert verdicts == {"elementary": True, "free_rank": 1, "torsion_divisors": [3, 9]}
+    divisors = [parse_element(d, m.ring, "") for d in verdicts["torsion_divisors"]]
+    canon = module_from_divisors(m.ring, divisors, verdicts["free_rank"])
+    to_c = module_map(m, canon, parse_matrix(witnesses["to_canonical"], m.ring, canon.gens, ""))
+    from_c = module_map(canon, m, parse_matrix(witnesses["from_canonical"], m.ring, m.gens, ""))
+    dec = ElementaryDecomposition(verdicts["free_rank"], divisors, to_c, from_c, canon)
+    assert dec.verify() and witnesses["witness_verified"] is True
+
+
+@pytest.mark.parametrize("name", ["snf_localized", "snf_power_series"])
+def test_golden_snf_witnesses_verify(name):
+    """left . A . right is the frozen diagonal, with both witnesses
+    invertible, over Z[1/2] and over F_3[z]/z^3."""
+    job, rep = _golden(name)
+    ring = parse_ring(job["input"]["ring"])
+    rows = job["input"]["matrix"]
+    mat = parse_matrix(rows, ring, len(rows[0]), "")
+    left = parse_matrix(rep["witnesses"]["left"], ring, mat.rows, "")
+    right = parse_matrix(rep["witnesses"]["right"], ring, mat.cols, "")
+    divisors = [parse_element(d, ring, "") for d in rep["verdicts"]["divisors"]]
+    assert SNFResult(left, right, divisors).verify(mat, ring)
+
+
+def test_golden_completion_verdicts_by_hand():
+    """H = Z[1/2]/9 with fil^1 = 3H = Z/3, so gr^0 = gr^1 = Z/3.
+
+    At 3 nothing is lost: Z/3 -> Z/9 stays injective and is not split (Z/9
+    is not Z/3 + Z/3), H has 3-exponent 2 and the E1 entries 1 and 1.  At 5
+    both E1 entries Z/3 die, so the descent hypothesis (E1 injects into its
+    completion) fails at weight 0 first.  The Lambda completion is not a
+    report the command gives."""
+    _, rep3 = _golden("ss_basechange_localized_ell3")
+    assert rep3["exit_code"] == 0
+    assert rep3["verdicts"]["degenerate_after_tensoring"] is True
+    assert rep3["verdicts"]["split_after_tensoring"] is False
+    assert rep3["witnesses"]["per_entry"] == {"0,1": {"injective": True, "split": False}}
+    assert rep3["ledgers"] == {"tensored_h_profiles": {"0": [2]},
+                               "tensored_e1_profiles": {"0": [1, 1]}}
+    _, rep5 = _golden("ss_basechange_localized_ell5")
+    assert (rep5["exit_code"], rep5["error_kind"]) == (2, "hypothesis_gate")
+    assert rep5["error"].startswith("E1 entry at weight 0 degree 0 fails injectivity")
+    _, replam = _golden("ss_basechange_lambda_ell3")
+    assert (replam["exit_code"], replam["error_kind"]) == (2, "hypothesis_gate")

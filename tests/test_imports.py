@@ -84,13 +84,24 @@ def unnamed_definitions(root):
     """The top-level functions and classes of src/truncalg that no other
     top-level statement of src/, perfbench/ or scripts/ names, as a variable
     or as an attribute read off a truncalg module alias (`mods.decompose`);
-    a method of the same name (`ring.frobenius`) does not count."""
+    a method of the same name (`ring.frobenius`) does not count.  With them,
+    the methods of those classes that nothing there reads, as an attribute
+    (`x.method`) or through a literal `getattr(x, "method")`; dunder methods
+    are exempt."""
     src = root / "src" / "truncalg"
     statements = []
+    attributes = set()
     for part in ("src", "perfbench", "scripts"):
         for path in sorted((root / part).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             aliases = module_aliases(tree, src)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    attributes.add(node.args[1].value)
             for stmt in tree.body:
                 named = set()
                 for node in ast.walk(stmt):
@@ -100,15 +111,23 @@ def unnamed_definitions(root):
                           and node.value.id in aliases):
                         named.add(node.attr)
                 statements.append((path, stmt, named))
-    return sorted(
+    functions = [
         f"{path.name}:{stmt.lineno} {stmt.name}" for path, stmt, _ in statements
         if path.parent == src and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not any(stmt.name in named for _, other, named in statements if other is not stmt))
+        and not any(stmt.name in named for _, other, named in statements if other is not stmt)]
+    methods = [
+        f"{path.name}:{node.lineno} {stmt.name}.{node.name}" for path, stmt, _ in statements
+        if path.parent == src and isinstance(stmt, ast.ClassDef)
+        for node in stmt.body if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes]
+    return sorted(functions + methods)
 
 
 def test_every_engine_definition_is_named():
     """The engine keeps only what a command, the benchmark or a script
     reaches: code that only tests run lives test-side (tests/lemmas.py,
-    tests/helpers.py).  An import alone does not count as a use."""
+    tests/helpers.py).  An import alone does not count as a use, and the
+    rule holds for methods too."""
     unnamed = unnamed_definitions(SRC.parent.parent)
     assert not unnamed, unnamed

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from helpers import random_lambda_map, scrambled_split_lambda_ses
-from lemmas import base_change
-from truncalg import local_global, modules
+from truncalg import local_global
 from truncalg.cli import run_job
 from truncalg.errors import HypothesisUnmetError, InternalInconsistencyError
 from truncalg.linalg import Mat
 from truncalg.local_global import (
+    adaptive_precision,
     certified_obstruction_data,
+    complete,
     complete_ses,
+    completion_precision,
     global_split_conclude,
     local_split_survey,
     make_lambda_ses,
@@ -18,15 +20,14 @@ from truncalg.local_global import (
 )
 from truncalg.modules import (
     PresentedModule,
-    adaptive_precision,
-    completion_precision,
     direct_sum,
+    identity_map,
     is_zero_map,
     module_map,
     split_test,
     zero_map,
 )
-from truncalg.rings import TruncatedLambda
+from truncalg.rings import TruncatedLambda, primerange
 
 LAM = TruncatedLambda((2,), 2)
 
@@ -109,22 +110,42 @@ def test_zero_local_global_examples():
     assert rep2.witness_prime == 3 and not rep2.local_zero[3]
 
 
-def _count_base_change_rings(monkeypatch):
+def _count_completions(monkeypatch):
     calls = []
-    real = modules.base_change_rings
+    real = local_global.complete
 
-    def counted(m, spec):
-        calls.append(spec.ell)
-        return real(m, spec)
+    def counted(maps, ell, precision_n=None):
+        calls.append(ell)
+        return real(maps, ell, precision_n)
 
-    monkeypatch.setattr(modules, "base_change_rings", counted)
+    monkeypatch.setattr(local_global, "complete", counted)
     return calls
+
+
+def test_everywhere_support_is_tested_past_the_inverted_primes():
+    """The identity of Lambda/(q-1) over Z[1/S] is supported at every prime;
+    it is tested at the three smallest primes outside S, however large S
+    is.  With S the 25 primes below 100 those are 101, 103 and 107; with 97
+    not inverted, 97, 101 and 103."""
+    below_100 = tuple(primerange(2, 100))
+    for sset, want in ((below_100, [101, 103, 107]), (below_100[:-1], [97, 101, 103])):
+        lam = TruncatedLambda(sset, 2)
+        m = PresentedModule.cyclic(lam, lam.q_minus_one())
+        rep = zero_local_global(identity_map(m))
+        assert rep.support_everywhere and sorted(rep.local_zero) == want
+        assert rep.witness_prime == want[0] and not any(rep.local_zero.values())
+        mod = {"ring": {"family": "TruncatedLambda", "inverted_primes": list(sset), "M": 2},
+               "generators": 1, "relations": [[[0, 1]]]}
+        report, code = run_job({"command": "lambda-zero", "input": {"map": {
+            "source": mod, "target": mod, "matrix": [[[1, 0]]]}}})
+        assert code == 0, report.get("error")
+        assert report["verdicts"]["witness_prime"] == want[0]
 
 
 def test_completion_builds_one_ring(monkeypatch):
     """One complete_ses, and each prime zero_local_global tests, builds the
     completed ring once; the five completed pieces share it."""
-    calls = _count_base_change_rings(monkeypatch)
+    calls = _count_completions(monkeypatch)
     comp = complete_ses(nonsplit_nine(), 3)
     assert calls == [3]
     ring = comp.a.ring
@@ -157,10 +178,9 @@ def test_completion_precision_reads_torsion():
     m = PresentedModule(LAM, 2, Mat(2, 2, [[LAM.from_int(27), LAM.one],
                                           [LAM.zero, LAM.from_int(27)]]))
     f = module_map(m, m, Mat(2, 2, [[LAM.zero, LAM.from_int(-9)], [LAM.zero, LAM.zero]]))
-    (g,), _ = modules.base_change_maps([f], modules.BaseChangeSpec("lambda_completion", ell=3))
+    (g,) = complete([f], 3)
     assert g.source.ring.precision_n == 8
-    assert base_change(m, modules.BaseChangeSpec("lambda_completion", ell=3))[0].ring \
-        == g.source.ring
+    assert complete([identity_map(m)], 3)[0].source.ring == g.source.ring
     rep = zero_local_global(f)
     assert not rep.direct_zero and rep.witness_prime == 3 and not rep.local_zero[3]
     ring = {"family": "TruncatedLambda", "inverted_primes": [2], "M": 2}
@@ -193,13 +213,13 @@ def test_vanishing_completion_at_first_support_prime_is_inconsistent(monkeypatch
     """Every support prime is a witness: a completion that vanishes at the
     first one is an internal inconsistency, even when a later prime sees
     the map."""
-    real = local_global.base_change_maps
+    real = local_global.complete
 
-    def vanishing_at_3(maps, spec):
-        (g,), trail = real(maps, spec)
-        return [zero_map(g.source, g.target) if spec.ell == 3 else g], trail
+    def vanishing_at_3(maps, ell, precision_n=None):
+        (g,) = real(maps, ell, precision_n)
+        return [zero_map(g.source, g.target) if ell == 3 else g]
 
-    monkeypatch.setattr(local_global, "base_change_maps", vanishing_at_3)
+    monkeypatch.setattr(local_global, "complete", vanishing_at_3)
     fr = PresentedModule.free(LAM, 1)
     with pytest.raises(InternalInconsistencyError, match="support prime 3"):
         zero_local_global(module_map(fr, fr, Mat(1, 1, [[LAM.from_int(2)]])))

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_lambda_map, reference_verify_exact_at, scrambled_elementary
-from lemmas import base_change, glue_splitting, kernel, subquotient, torsion_part
+from helpers import reference_verify_exact_at, scrambled_elementary
+from lemmas import glue_splitting, kernel, subquotient, torsion_part
 from truncalg.bruteforce import FiniteModule
 from truncalg import linalg, modules
 from truncalg.errors import (
@@ -15,7 +15,6 @@ from truncalg.errors import (
 )
 from truncalg.linalg import Mat, SNFResult, kernel_left
 from truncalg.modules import (
-    BaseChangeSpec,
     ElementaryDecomposition,
     NotElementary,
     PresentedModule,
@@ -473,69 +472,6 @@ def test_glue_splitting():
     assert maps_equal(compose(s2, ses2.surject), identity_map(c2))
 
 
-def test_base_change_examples():
-    bk = TruncatedBK(3, 2, 2)
-    sp2 = PresentedModule.cyclic(bk, bk.from_int(9))
-    out, _ = base_change(sp2, BaseChangeSpec("z_to_zero"))
-    assert isinstance(out.ring, TruncatedPadic)
-    assert out.ring.p == 3
-    bk5 = TruncatedBK(2, 2, 5)
-    m = PresentedModule.from_relation_rows(bk5, 1, [[bk5.from_int(2)], [bk5.var_power(2)]])
-    tw, trail = base_change(m, BaseChangeSpec("frobenius_twist"))
-    assert tw.relations.data[1][0] == bk5.var_power(4)
-    assert any("trusted" in t for t in trail)
-    zl = LocalizedIntegers((2,))
-    m3 = PresentedModule.cyclic(zl, Fraction(3))
-    out3, _ = base_change(m3, BaseChangeSpec("localized_completion", ell=3))
-    assert structure_divisors(out3).profile() == (1,)
-    with pytest.raises(Exception):
-        base_change(m3, BaseChangeSpec("localized_completion", ell=2))
-
-
-def _base_change_cases(kind, rng):
-    """Seeded (module, spec) pairs for one base-change kind: scrambled BK
-    modules for the z-specializations, Lambda and Z[1/2] presentations for
-    the completions at 3, with and without a given precision."""
-    for k in range(6):
-        if kind in ("z_to_unit", "z_to_zero"):
-            m = scrambled_elementary(TruncatedBK(3, 3, 4), rng)[0]
-            yield m, BaseChangeSpec(kind, unit=rng.choice([1, 2, 4, 5, 7, 8]),
-                                    precision_n=rng.choice([None, 2]))
-            continue
-        if kind == "lambda_completion":
-            f = None
-            while f is None:
-                f = random_lambda_map(LAM, rng)
-            m = f.target
-        else:
-            zl = LocalizedIntegers((2,))
-            g = rng.randint(1, 3)
-            m = PresentedModule(zl, g, Mat(g, g, [
-                [Fraction(rng.randint(-30, 30), 2 ** rng.randint(0, 2)) for _ in range(g)]
-                for _ in range(g)]))
-        yield m, BaseChangeSpec(kind, ell=3, precision_n=None if k % 3 else 5)
-
-
-@pytest.mark.parametrize("kind", ["z_to_unit", "z_to_zero", "lambda_completion",
-                                  "localized_completion"])
-def test_base_change_pushes_the_module_once(monkeypatch, kind):
-    """`base_change` equals the pushed identity's source with the same
-    trail, the route it took through `base_change_maps`, while it pushes
-    the relations once and builds no map."""
-    rng = random.Random(2103)
-    for m, spec in _base_change_cases(kind, rng):
-        (f,), want_trail = modules.base_change_maps([identity_map(m)], spec)
-        calls = []
-        with monkeypatch.context() as mp:
-            for name in ("_push", "module_map"):
-                real = getattr(modules, name)
-                mp.setattr(modules, name,
-                           lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
-            got, trail = base_change(m, spec)
-        assert (got, trail) == (f.source, want_trail)
-        assert calls == ["_push"]
-
-
 def test_support_primes_examples():
     lam = LAM
     mq = PresentedModule.from_relation_rows(lam, 1, [[lam.from_int(3)], [lam.q_minus_one()]])
@@ -614,6 +550,14 @@ def test_failure_primes_match_the_valuation_route():
                 seen.add("negative")
         assert failure_primes(records, sset) == reference_failure_primes(records, sset), records
     assert seen == {"zero divisor", "negative", "s prime"}
+
+
+def test_failure_primes_witness_past_every_inverted_prime():
+    """A zero divisor obstructs everywhere; its witness is the smallest
+    prime outside S however large S is, here past the 168 primes below
+    1000."""
+    sset = set(primerange(2, 1000))
+    assert failure_primes([(0, 0, 0, 1)], sset) == ([1009], True)
 
 
 PRIMES_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

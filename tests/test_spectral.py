@@ -13,7 +13,6 @@ from truncalg.cli import emit, run_job
 from truncalg.errors import HypothesisUnmetError, SchemaError, UnsupportedRingError
 from truncalg.linalg import Mat
 from truncalg.modules import (
-    BaseChangeSpec,
     ElementaryDecomposition,
     PresentedModule,
     direct_sum,
@@ -298,7 +297,7 @@ def test_localized_base_change_report_builds_each_piece_once(monkeypatch):
                   (1, 1): (fr, Mat(1, 1, [[Fraction(1)]]))})
     degrees = _record_calls(monkeypatch, "homology_filtered", lambda a: a[1])
     pages = _record_calls(monkeypatch, "page", lambda a: a[1])
-    rep, descent = base_change_report(x, BaseChangeSpec("localized_completion", ell=3))
+    rep, descent = base_change_report(x, "localized_completion", 3)
     assert sorted(degrees) == [0, 1]
     assert sorted(pages) == [1, 2]
     assert rep.degenerate and not rep.split and descent["re_verified"]
@@ -415,7 +414,7 @@ def test_oracle_bound():
 
 def test_base_change_report_identity():
     x = golden_complex()
-    rep, descent = base_change_report(x, BaseChangeSpec("identity"))
+    rep, descent = base_change_report(x, "identity", None)
     assert descent["applied"] and rep.saturated and not rep.split
 
 
@@ -426,7 +425,7 @@ def test_base_change_descent_from_localized():
     sub = PresentedModule.free(zl, 1)
     x = validate(zl, 0, 0, 0, 1, {0: m}, {},
                  {(0, 1): (sub, Mat(1, 1, [[Fraction(3)]]))})
-    rep, descent = base_change_report(x, BaseChangeSpec("localized_completion", ell=3))
+    rep, descent = base_change_report(x, "localized_completion", 3)
     assert descent["applied"] and descent.get("re_verified")
     assert rep.degenerate
     # the 3-divisible filtration stage is not split after tensoring at 3
@@ -436,7 +435,7 @@ def test_base_change_descent_from_localized():
     x2 = validate(zl, 0, 0, 0, 1, {0: tors}, {},
                   {(0, 1): (PresentedModule.zero(zl), Mat(0, 1, []))})
     with pytest.raises(HypothesisUnmetError):
-        base_change_report(x2, BaseChangeSpec("localized_completion", ell=3))
+        base_change_report(x2, "localized_completion", 3)
 
 
 def test_base_change_report_refuses_inverted_completion_prime():
@@ -446,7 +445,7 @@ def test_base_change_report_refuses_inverted_completion_prime():
     x = validate(zl, 0, 0, 0, 1, {0: PresentedModule.free(zl, 1)}, {},
                  {(0, 1): (PresentedModule.free(zl, 1), Mat(1, 1, [[Fraction(1)]]))})
     with pytest.raises(SchemaError, match="3 is inverted"):
-        base_change_report(x, BaseChangeSpec("localized_completion", ell=3))
+        base_change_report(x, "localized_completion", 3)
 
 
 def test_oracle_agreement_at_higher_precision():
