@@ -113,6 +113,44 @@ MUTANTS = [
         "tests": ["tests/test_linalg.py::test_valuation_rule_matches_reference_over_power_series"],
     },
     {
+        "name": "invertible-always",
+        "file": "src/truncalg/linalg.py",
+        "old": "    assert mat.rows == mat.cols\n    if isinstance(ring, TruncatedLambda):\n",
+        "new": "    return True\n    if isinstance(ring, TruncatedLambda):\n",
+        "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert",
+                  "tests/test_linalg.py::test_verify_checks_witness_invertibility"],
+    },
+    {
+        "name": "invertible-nonzero-determinant-without-s-unit-test",
+        "file": "src/truncalg/linalg.py",
+        "old": "        return det != 0 and ring.strip_s(det) == 1\n",
+        "new": "        return det != 0\n",
+        "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert"],
+    },
+    {
+        "name": "residue-rank-without-residue-map",
+        "file": "src/truncalg/linalg.py",
+        "old": "        rows = [[x % p for x in row] for row in mat.data]\n",
+        "new": "        rows = [list(row) for row in mat.data]\n",
+        "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert",
+                  "tests/test_modules.py::test_residue_zero_module_matches_membership"],
+    },
+    {
+        "name": "residue-rank-without-constant-term-residue",
+        "file": "src/truncalg/linalg.py",
+        "old": "        rows = [[x[0] % p for x in row] for row in mat.data]\n",
+        "new": "        rows = [[x[0] for x in row] for row in mat.data]\n",
+        "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert",
+                  "tests/test_modules.py::test_residue_zero_module_matches_membership"],
+    },
+    {
+        "name": "zero-module-residue-rank-one-short",
+        "file": "src/truncalg/modules.py",
+        "old": "    return residue_rank(m.relations, m.ring) == m.gens\n",
+        "new": "    return residue_rank(m.relations, m.ring) == m.gens - 1\n",
+        "tests": ["tests/test_modules.py::test_residue_zero_module_matches_membership"],
+    },
+    {
         "name": "module-map-without-raise",
         "file": "src/truncalg/modules.py",
         "old": ("        raise NotWellDefinedError(\n"
@@ -255,6 +293,59 @@ MUTANTS = [
         "old": "        raise InternalInconsistencyError(\"height upper certificate fails to verify\")\n",
         "new": "        pass\n",
         "tests": ["tests/test_bk.py::test_check_height_refuses_a_wrong_upper_certificate"],
+    },
+    {
+        "name": "check-height-without-lower-certificate-check",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": "        raise InternalInconsistencyError(\"height lower certificate fails to verify\")\n",
+        "new": "        pass\n",
+        "tests": ["tests/test_bk.py::test_check_height_refuses_a_wrong_lower_certificate"],
+    },
+    {
+        "name": "check-height-phi-as-lower-certificate-at-every-s",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": "    lower = b.phi.matrix if s == 0 else",
+        "new": "    lower = b.phi.matrix if True else",
+        "tests": ["tests/test_bk.py::test_check_height_refuses_a_wrong_lower_certificate"],
+    },
+    {
+        "name": "verify-tower-without-inclusion-clause",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": "    if not is_injective(node.incl):\n        return False, \"tower inclusion not injective\"\n",
+        "new": "",
+        "tests": ["tests/test_bk.py::test_verify_tower_refuses_an_inclusion_that_is_not_injective"],
+    },
+    {
+        "name": "verify-tower-without-projection-clause",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": ("    if not is_surjective(node.proj):\n"
+                "        return False, \"tower projection not surjective\"\n"),
+        "new": "",
+        "tests": ["tests/test_bk.py::test_verify_tower_refuses_a_projection_that_is_not_surjective"],
+    },
+    {
+        "name": "verify-tower-without-bar-clause",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": ("        if not bar:\n"
+                "            return False, \"free layers only allowed in bar-towers\"\n"),
+        "new": "",
+        "tests": ["tests/test_bk.py::test_verify_tower_free_layer_clauses"],
+    },
+    {
+        "name": "verify-tower-without-free-module-clause",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": ("        if not is_free_module(node.bk.module):\n"
+                "            return False, \"claimed free layer is not free\"\n"),
+        "new": "",
+        "tests": ["tests/test_bk.py::test_verify_tower_free_layer_clauses"],
+    },
+    {
+        "name": "verify-tower-without-free-height-clause",
+        "file": "src/truncalg/breuil_kisin.py",
+        "old": ("        if isinstance(cert, HeightFailure):\n"
+                "            return False, \"free layer height fails\"\n"),
+        "new": "",
+        "tests": ["tests/test_bk.py::test_verify_tower_free_layer_clauses"],
     },
     {
         "name": "structure-check-without-theorem-raise",

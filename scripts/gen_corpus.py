@@ -228,6 +228,40 @@ def golden_jobs():
                            {"degree": 0, "weight": 1, "module": twice, "inclusion": [[2]]}]}},
         "options": {}}
 
+    # ss-report over Z/4 with a nonzero d_1 inside 2 . target, decided by
+    # the free-block test: C_1 = Z/4 in weight 0 only, C_0 = Z/4 in weight 1,
+    # d = 2, so d_1 = 2 : E_1^{0,1} = Z/4 -> E_1^{1,0} = Z/4
+    empty = {"generators": 0, "relations": []}
+    out["ss_report_free_block.json"] = {
+        "command": "ss-report",
+        "input": {"complex": {
+            "ring": zp_ring(2, 2), "lo": 0, "hi": 1, "wmin": 0, "wmax": 1,
+            "modules": [free, free],
+            "differentials": [[[2]]],
+            "filtration": [{"degree": 1, "weight": 1, "module": empty, "inclusion": []},
+                           {"degree": 0, "weight": 1, "module": free, "inclusion": [[1]]}]}},
+        "options": {"oracle": True}}
+
+    # bk-structure in the ramified case, e = 2 inside the gate e*r < p - 1
+    # (p = 5, r = 1): E = z^2 - 5 and M = e*r*p + 1 = 11, S/25 as an
+    # extension of S/5 by S/5, phi = E on every layer
+    bk5 = {"family": "TruncatedBK", "p": 5, "N": 3, "M": 11,
+           "eisenstein": {"coefficients": [-5, 0, 1], "ramification_e": 2}}
+    e5 = vec(11, 120, 0, 1)  # E mod 125
+
+    def line(order):
+        return {"module": {"ring": bk5, "generators": 1, "relations": [[vec(11, order)]]},
+                "phi": [[e5]], "height_window": [0, 1]}
+
+    out["bk_structure_ramified.json"] = {
+        "command": "bk-structure",
+        "input": {"bk": line(25), "r": 1,
+                  "tower": {"kind": "extension", "bk": line(25),
+                            "sub": {"kind": "mod_s1", "bk": line(5)},
+                            "quot": {"kind": "mod_s1", "bk": line(5)},
+                            "incl": [[vec(11, 5)]], "proj": [[vec(11, 1)]]}},
+        "options": {}}
+
     # decompose over Z/3^3: Z/3 + Z/9 + Z/27, scrambled by row and column
     # operations
     out["decompose_zp.json"] = {

@@ -16,7 +16,7 @@ from .breuil_kisin import (
     make_bk_module,
 )
 from .errors import NotWellDefinedError
-from .linalg import Mat, invert, solve_left_mod
+from .linalg import Mat, invert, is_invertible, solve_left_mod
 from .modules import PresentedModule, is_injective, module_map
 
 
@@ -24,7 +24,7 @@ def _rand_constant_invertible(ring, g, rng):
     while True:
         m = Mat(g, g, [[ring.from_int(rng.randrange(ring.scalar.modulus))
                         for _ in range(g)] for _ in range(g)])
-        if invert(m, ring) is not None:
+        if is_invertible(m, ring):
             return m
 
 

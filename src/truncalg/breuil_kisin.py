@@ -115,7 +115,9 @@ class HeightFailure:
 
 
 def check_height(b, s, r):
-    """Decide E^r M inside Im(phi) inside E^s M by linear solves."""
+    """Decide E^r M inside Im(phi) inside E^s M by linear solves.  At s = 0
+    the lower side needs none: E^0 . M = M, so phi's own matrix is its
+    certificate.  Both certificates are checked by their products."""
     if s > r:
         raise HypothesisUnmetError("height window needs s <= r")
     _trusted_gate(b)
@@ -128,7 +130,7 @@ def check_height(b, s, r):
     if upper is None:
         return HeightFailure("upper", ["E^r of some generator escapes Im(phi)"])
     esmat = Mat.identity(m.gens, ring).scale(es, ring)
-    lower = solve_left_mod(esmat, b.phi.matrix, m.relations, ring)
+    lower = b.phi.matrix if s == 0 else solve_left_mod(esmat, b.phi.matrix, m.relations, ring)
     if lower is None:
         return HeightFailure("lower", ["Im(phi) escapes E^s volume"])
     got = upper.mul(b.phi.matrix, ring)

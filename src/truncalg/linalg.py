@@ -28,6 +28,13 @@ coordinate identification T^g = base^(g*M) is a base-module isomorphism.
 One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
 the SNFs; a BK or Lambda matrix is expanded only when its key misses.
 
+Whether a square matrix is invertible is decided by the invariant that
+decides it, by a route that shares no code with the SNF kernels
+(`is_invertible`): the rank over the residue field F_p (`residue_rank`)
+for the local families Z/p^N, F_p[z]/z^M and TruncatedBK, and an S-unit
+Bareiss determinant over Z[1/S], which TruncatedLambda reaches through its
+constant term.  `invert` solves only for callers that read the inverse.
+
 Solves and kernels back-multiply only the unknowns the caller reads: X of
 X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
 (`solve_left_info`) or kernel columns (`kernel_left`).  `_solve_snf` states
@@ -47,6 +54,7 @@ from math import lcm
 from .errors import UnsupportedRingError
 from .rings import (
     LocalizedIntegers,
+    TruncatedLambda,
     TruncatedPadic,
     TruncatedPowerSeries,
     base_ring_of,
@@ -180,9 +188,9 @@ class Mat:
 class SNFResult:
     """left . mat . right = diag(divisors) with left and right invertible.
 
-    No inverse of a witness is stored: `verify` computes the inverses it
-    checks, and `modules.decompose_elementary` and `smodules._read_slice`
-    invert `right` themselves.
+    No inverse of a witness is stored: `verify` decides that both witnesses
+    are invertible by `is_invertible`, and `modules.decompose_elementary`
+    and `smodules._read_slice` invert `right` themselves.
     `diagonalizes` is the exact identity alone, which certifies a divisor
     read (`modules.elementary_divisors`) without any inverse.
     """
@@ -203,8 +211,8 @@ class SNFResult:
         return lhs == self.diagonal(mat.rows, mat.cols, ring)
 
     def verify(self, mat, ring):
-        return (self.diagonalizes(mat, ring) and invert(self.left, ring) is not None
-                and invert(self.right, ring) is not None)
+        return (self.diagonalizes(mat, ring) and is_invertible(self.left, ring)
+                and is_invertible(self.right, ring))
 
 
 class _Worker:
@@ -465,8 +473,8 @@ def smith_normal_form(mat, ring):
     """SNF left . mat . right = diag(divisors) with invertible witnesses left
     and right; divisors ordered by non-decreasing valuation.
 
-    The witnesses' inverses are not computed: `SNFResult.verify` checks
-    invertibility through `invert`, as callers needing an inverse do.
+    The witnesses' inverses are not computed: `SNFResult.verify` decides
+    invertibility by `is_invertible`; callers needing an inverse `invert`.
     Raises UnsupportedRing for TruncatedBK and TruncatedLambda: use the
     restriction-of-scalars solvers, or `base_snf` for the SNF of the
     expansion.  Results come from the `base_snf` memo; each call returns
@@ -489,14 +497,15 @@ def smith_normal_form(mat, ring):
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
 # more.  A membership test makes the lookup of the solve it stands for.
 # `invert` of an SNF witness goes through the memo too: in
-# `SNFResult.verify`, in `decompose_elementary`, which only callers of a
-# decomposition witness reach, and in `smodules._read_slice`, once per free
-# gr_p slice whose from-canonical rows `decompose_over_s` reads; a divisor
-# read (`modules.elementary_divisors`) inverts nothing.  On the 48 towers of
-# tower_check seed 601, memo cleared per tower: 2282 lookups, 702 misses (as
-# many as distinct inputs) and 447 expansions; on the 128 complexes of
-# oracle_fuzz seed 7, 10041 lookups and 4483 misses.  lru_cache is
-# thread-safe, so an embedding program may run jobs on several threads.
+# `decompose_elementary`, which only callers of a decomposition witness
+# reach, and in `smodules._read_slice`, once per free gr_p slice whose
+# from-canonical rows `decompose_over_s` reads; a divisor read
+# (`modules.elementary_divisors`) and `SNFResult.verify` invert nothing.
+# On the 48 towers of tower_check seed 601, memo cleared per tower: 1934
+# lookups, 641 misses (as many as distinct inputs) and 397 expansions; on the
+# 128 complexes of oracle_fuzz seed 7, one memo throughout, 10087 lookups and
+# 4391 misses.  lru_cache is thread-safe, so an embedding program may run
+# jobs on several threads.
 @lru_cache(maxsize=32)
 def base_snf(mat, ring):
     """The SNF of `mat` over its base ring, memoized: the SNF of `mat` over
@@ -694,7 +703,8 @@ def solve_left_mod(mat, b, rel, ring):
 
 
 def invert(mat, ring):
-    """Inverse of a square matrix, or None if not invertible."""
+    """Inverse of a square matrix, or None if not invertible.  A caller that
+    reads only the verdict asks `is_invertible`."""
     assert mat.rows == mat.cols
     inv = solve_left(mat, Mat.identity(mat.rows, ring), ring)
     if inv is None:
@@ -702,3 +712,67 @@ def invert(mat, ring):
     if mat.mul(inv, ring) != Mat.identity(mat.rows, ring):
         return None
     return inv
+
+
+def residue_rank(mat, ring):
+    """Rank over the residue field F_p of a matrix over Z/p^N, F_p[z]/z^M or
+    TruncatedBK, each a local ring with residue field F_p: Gaussian
+    elimination mod p on the residues, x % p over Z/p^N and the constant
+    term x[0] % p over a z-family.  By Nakayama, rows span the free module
+    exactly when their residues span F_p^cols."""
+    p = ring.p
+    if isinstance(ring, TruncatedPadic):
+        rows = [[x % p for x in row] for row in mat.data]
+    else:
+        rows = [[x[0] % p for x in row] for row in mat.data]
+    rank = 0
+    for j in range(mat.cols):
+        at = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        top = rows[rank]
+        u = pow(top[j], -1, p)
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][j] * u % p
+            if c:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _bareiss_det(rows):
+    """Determinant of a square integer matrix, given as int rows, by
+    Bareiss's fraction-free elimination: each division by the previous
+    pivot is exact, and every entry stays a minor of the input."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        at = next((i for i in range(k, n) if a[i][k]), None)
+        if at is None:
+            return 0
+        if at != k:
+            a[k], a[at] = a[at], a[k]
+            sign = -sign
+        ak = a[k]
+        for ai in a[k + 1:]:
+            c = ai[k]
+            ai[k + 1:] = [(ak[k] * x - c * y) // prev for x, y in zip(ai[k + 1:], ak[k + 1:])]
+        prev = ak[k]
+    return sign * prev
+
+
+def is_invertible(mat, ring):
+    """`invert(mat, ring) is not None`, decided with no solve.  A square
+    matrix over a ring with a nilpotent ideal I is invertible exactly when
+    its image over R/I is.  So Z/p^N, F_p[z]/z^M and TruncatedBK ask for
+    full residue rank over F_p, and TruncatedLambda asks about its constant
+    term over Z[1/S].  Over Z[1/S] the rows are scaled to integers by their
+    S-unit denominators, and the Bareiss determinant must be an S-unit."""
+    assert mat.rows == mat.cols
+    if isinstance(ring, TruncatedLambda):
+        mat, ring = Mat(mat.rows, mat.cols, [[x[0] for x in r] for r in mat.data]), ring.scalar
+    if isinstance(ring, LocalizedIntegers):
+        det = _bareiss_det([row for _, row in _integer_rows(mat.data)])
+        return det != 0 and ring.strip_s(det) == 1
+    return residue_rank(mat, ring) == mat.rows

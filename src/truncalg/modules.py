@@ -24,7 +24,8 @@ from .errors import (
     SchemaError,
     UnsupportedRingError,
 )
-from .linalg import Mat, in_row_span, kernel_left, solve_left_info, solve_left_mod
+from .linalg import (Mat, in_row_span, kernel_left, residue_rank, solve_left_info,
+                     solve_left_mod)
 from .rings import (
     LocalizedIntegers,
     TruncatedBK,
@@ -77,9 +78,15 @@ def module_from_divisors(ring, torsion_divisors, free_rank):
 
 
 def is_zero_module(m):
+    """Is R^gens modulo the relations zero?  Over the local families Z/p^N,
+    F_p[z]/z^M and TruncatedBK, by Nakayama: exactly when the relations have
+    full residue rank.  Over Z[1/S] and Lambda, by a membership test of the
+    identity."""
     if m.gens == 0:
         return True
-    return in_row_span(m.relations, Mat.identity(m.gens, m.ring), m.ring)
+    if isinstance(m.ring, (LocalizedIntegers, TruncatedLambda)):
+        return in_row_span(m.relations, Mat.identity(m.gens, m.ring), m.ring)
+    return residue_rank(m.relations, m.ring) == m.gens
 
 
 def rows_are_zero_classes(m, rows):

@@ -15,7 +15,9 @@ that its solves against the relations read as well; it reads each slice
 witness-free (`_read_slice`): its divisors, certified by L . A . R = D,
 and the columns of R and rows of R^-1 that the mu_j products and the lift
 read.  No slice builds or verifies a witness of its own; the final check
-of the assembled map certifies them.
+of the assembled map certifies them.  Each level of the adapted basis is
+checked unimodular by its residue rank over F_p (`linalg.is_invertible`),
+not by a solve.
 `gr_p` keeps the defining presentation, the kernel of [p^j; R; p^{j+1}],
 one slice at a time: it presents the `NotElementary` certificate, and
 the tests hold the SNF reader to it and build the gr_p lemma checks on it.
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
-from .linalg import (Mat, base_snf, expand_matrix, invert, kernel_left,
+from .linalg import (Mat, base_snf, expand_matrix, invert, is_invertible, kernel_left,
                      solve_left, solve_left_mod)
 from .modules import (
     ElementaryDecomposition,
@@ -203,7 +205,7 @@ def decompose_over_s(m, _trace=None):
         if lifts.rows + len(comp) != ranks[j]:
             raise InternalInconsistencyError("adapted basis has wrong size")
         basis = Mat.from_rows([list(r) for r in lifts.data] + comp, ranks[j])
-        if invert(basis, s1) is None:
+        if not is_invertible(basis, s1):
             raise InternalInconsistencyError("adapted basis is not unimodular")
         tags = tags + [j + 1] * len(comp)
 

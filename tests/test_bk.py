@@ -293,6 +293,81 @@ def test_check_height_refuses_a_wrong_upper_certificate(monkeypatch):
         check_height(b, 0, 1)
 
 
+def test_check_height_refuses_a_wrong_lower_certificate(monkeypatch):
+    """At s = 1 the lower certificate is solved; a solve that returns a wrong
+    one is caught by the product check.  Unpatched, phi = E on the free line
+    has height exactly 1, with both certificates the identity."""
+    e = BK.eisenstein_element()
+    b = make_bk_module(PresentedModule.free(BK, 1), Mat(1, 1, [[e]]), (1, 1))
+    cert = check_height(b, 1, 1)
+    assert isinstance(cert, HeightCertificate)
+    assert cert.upper == cert.lower == Mat.identity(1, BK)
+    real, calls = breuil_kisin.solve_left_mod, []
+
+    def zero_second_solution(*args):
+        sol = real(*args)
+        calls.append(sol)
+        return Mat.zero(sol.rows, sol.cols, BK) if len(calls) == 2 else sol
+
+    monkeypatch.setattr(breuil_kisin, "solve_left_mod", zero_second_solution)
+    with pytest.raises(InternalInconsistencyError, match="height lower certificate"):
+        check_height(b, 1, 1)
+
+
+def test_check_height_at_s0_takes_phi_as_the_lower_certificate(monkeypatch):
+    """E^0 . M = M: at s = 0 the lower certificate is phi's own matrix, and
+    only the upper side is solved."""
+    b = _p_killed_line()
+    real, calls = breuil_kisin.solve_left_mod, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(breuil_kisin, "solve_left_mod", counting)
+    cert = check_height(b, 0, 1)
+    assert cert.lower == b.phi.matrix and len(calls) == 1
+
+
+def _two_lines():
+    a = _p_killed_line()
+    return a, make_bk_module(direct_sum([a.module, a.module]), Mat.identity(2, BK), (0, 1))
+
+
+def test_verify_tower_refuses_an_inclusion_that_is_not_injective():
+    """The zero map of a line into two lines is refused at the inclusion,
+    before exactness is asked."""
+    a, two = _two_lines()
+    incl = module_map(a.module, two.module, Mat(1, 2, [[BK.zero, BK.zero]]))
+    proj = module_map(two.module, a.module, Mat(2, 1, [[BK.zero], [BK.one]]))
+    node = extension_node(two, leaf(a), incl, leaf(a), proj)
+    assert verify_tower(node, 1) == (False, "tower inclusion not injective")
+
+
+def test_verify_tower_refuses_a_projection_that_is_not_surjective():
+    """The zero map of two lines onto a line is refused at the projection,
+    before exactness is asked."""
+    a, two = _two_lines()
+    incl = module_map(a.module, two.module, Mat(1, 2, [[BK.one, BK.zero]]))
+    proj = module_map(two.module, a.module, Mat(2, 1, [[BK.zero], [BK.zero]]))
+    node = extension_node(two, leaf(a), incl, leaf(a), proj)
+    assert verify_tower(node, 1) == (False, "tower projection not surjective")
+
+
+def test_verify_tower_free_layer_clauses():
+    """A free layer is refused outside a bar-tower, a p-killed line claimed
+    free is refused as not free, and the free line with phi = p is refused
+    for its height; the free line with phi = 1 passes."""
+    free = PresentedModule.free(BK, 1)
+    unit = make_bk_module(free, Mat(1, 1, [[BK.one]]), (0, 1))
+    by_p = make_bk_module(free, Mat(1, 1, [[BK.from_int(3)]]), (0, 1))
+    assert verify_tower(leaf(unit, "free"), 1) == (False, "free layers only allowed in bar-towers")
+    assert verify_tower(leaf(unit, "free"), 1, bar=True) == (True, None)
+    assert verify_tower(leaf(_p_killed_line(), "free"), 1, bar=True) == (
+        False, "claimed free layer is not free")
+    assert verify_tower(leaf(by_p, "free"), 1, bar=True) == (False, "free layer height fails")
+
+
 def test_structure_check_raises_when_the_theorem_is_contradicted(monkeypatch):
     """Under the ramification gate, with a verified tower, a module that does
     not decompose contradicts the structure theorem and is raised; without

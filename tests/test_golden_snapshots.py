@@ -16,8 +16,11 @@ import pytest
 
 from truncalg.cli import emit, run_job
 from truncalg.linalg import SNFResult
-from truncalg.modules import ElementaryDecomposition, module_from_divisors, module_map
-from truncalg.schemas import parse_element, parse_matrix, parse_module, parse_ring
+from truncalg.modules import (ElementaryDecomposition, is_zero_map, module_from_divisors,
+                              module_map)
+from truncalg.schemas import (parse_element, parse_filtered_complex, parse_matrix,
+                              parse_module, parse_ring)
+from truncalg.spectral import _entry_val_ge_one, _free_block_vanishes, page
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CORPUS = os.path.join(ROOT, "corpus")
@@ -113,3 +116,36 @@ def test_golden_completion_verdicts_by_hand():
     assert rep5["error"].startswith("E1 entry at weight 0 degree 0 fails injectivity")
     _, replam = _golden("ss_basechange_lambda_ell3")
     assert (replam["exit_code"], replam["error_kind"]) == (2, "hypothesis_gate")
+
+
+def test_golden_free_block_report_agrees_with_the_oracle():
+    """Over Z/4 the d_1 of the frozen complex is 2 : Z/4 -> Z/4, nonzero and
+    inside 2 . target, so the free-block test decides rational degeneration:
+    coker d_1 = Z/2 has free rank 0 against the target's 1, and the report
+    reads it as failed.  The report ran with the oracle, which agrees with
+    every verdict; exit 3 marks the free-at-truncation target."""
+    job, rep = _golden("ss_report_free_block")
+    x = parse_filtered_complex(job["input"]["complex"])
+    d1 = page(x, 1).diffs[(0, 1)]
+    assert not is_zero_map(d1) and _entry_val_ge_one(x, d1)
+    assert not _free_block_vanishes(d1, 1)
+    assert rep["exit_code"] == 3 and job["options"] == {"oracle": True}
+    assert rep["verdicts"]["oracle_agrees"] is True
+    assert rep["verdicts"]["rationally_degenerate"] is False
+
+
+def test_golden_ramified_structure_matches_gr_ranks():
+    """The frozen bk-structure report at e = 2 (E = z^2 - 5, inside the gate
+    e*r < p - 1) reads the exponents and free rank that its gr ranks give,
+    by the rule the benchmark's tower check applies: rank drops from gr_p
+    slice j-1 to slice j are the summands of exponent j, and the last rank
+    is the free rank."""
+    job, rep = _golden("bk_structure_ramified")
+    ring = parse_ring(job["input"]["bk"]["module"]["ring"])
+    assert ring.eisenstein.ramification_e == 2 and rep["exit_code"] == 0
+    verdicts = rep["verdicts"]
+    assert verdicts["hypothesis_met"] is True and verdicts["elementary"] is True
+    ranks = verdicts["gr_ranks"]
+    want = [j for j in range(1, len(ranks)) for _ in range(ranks[j - 1] - ranks[j])]
+    assert verdicts["torsion_exponents"] == sorted(want) == [2]
+    assert verdicts["free_rank"] == ranks[-1] == 0

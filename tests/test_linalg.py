@@ -35,6 +35,7 @@ from truncalg.rings import (
     _PolyTruncMixin,
     base_ring_of,
     is_expansion_ring,
+    primes_outside,
 )
 
 Z2_6 = TruncatedPadic(2, 6)
@@ -1012,6 +1013,97 @@ def test_invert():
     assert inv is not None
     assert m.mul(inv, Z2_6) == Mat.identity(2, Z2_6)
     assert invert(mk(Z2_6, [[2]]), Z2_6) is None
+
+
+def det_by_expansion(rows):
+    """The reference determinant: Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det_by_expansion([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def test_bareiss_det_matches_laplace_expansion():
+    """Sign included, on dense, sparse (zero pivots force row swaps) and
+    singular integer matrices up to 5 x 5."""
+    rng = random.Random(3301)
+    for n in range(6):
+        for share in (0.0, 0.6):
+            for _ in range(5):
+                rows = [[0 if rng.random() < share else rng.randint(-9, 9) for _ in range(n)]
+                        for _ in range(n)]
+                if n > 1 and rng.random() < 0.3:
+                    rows[-1] = [2 * x for x in rows[0]]
+                assert linalg._bareiss_det(rows) == det_by_expansion(rows), rows
+
+
+# the five families, two primes each among the local ones, and Z[1/S] with
+# S empty, one prime and two primes
+INVERTIBILITY_RINGS = [Z2_6, Z3_4, S1, TruncatedPowerSeries(2, 3), Z, ZL2,
+                       LocalizedIntegers((2, 3)), BK, TruncatedBK(2, 2, 3), LAM]
+
+
+def square_cases(ring, rng):
+    """Seeded square matrices, n = 0..3: random ones; invertible ones (row
+    additions on the identity); P . diag(pi, 1, ...) . Q with pi a
+    non-unit (p, z, q - 1 or a prime outside S), whose determinant is not
+    a unit; pi times an invertible one, every entry in the maximal ideal;
+    rank-deficient ones; over Z[1/S] and Lambda also P . diag(s, 1, ...) . Q
+    with s in S, whose determinant is an S-unit other than +-1."""
+    def element():
+        if isinstance(ring, LocalizedIntegers):
+            den = 1
+            for q in ring.inverted_primes:
+                den *= q ** rng.randint(0, 1)
+            return Fraction(rng.randint(-6, 6), den)
+        return random_matrix(ring, rng, 1, 1).data[0][0]
+
+    def scalar(c):
+        return ring.from_int(c) if isinstance(c, int) else c
+
+    def invertible(n):
+        return unimodular(ring, rng, n) if n > 1 else Mat.identity(n, ring)
+
+    base = ring.scalar if is_expansion_ring(ring) else ring
+    if isinstance(base, LocalizedIntegers):
+        pis = [primes_outside(base.inverted_primes, 1)[0]]
+        pis += [ring.q_minus_one()] if isinstance(ring, TruncatedLambda) else []
+    else:
+        pis = [base.p] + ([ring.var_power(1)] if hasattr(ring, "var_power") else [])
+    specials = list(getattr(ring, "inverted_primes", ()))
+    for n in range(4):
+        yield Mat(n, n, [[element() for _ in range(n)] for _ in range(n)])
+        yield invertible(n)
+        for c in (pis + specials) if n else ():
+            d = Mat(n, n, [[scalar(c) if i == j == 0 else ring.one if i == j else ring.zero
+                            for j in range(n)] for i in range(n)])
+            right = invertible(n)
+            yield invertible(n).mul(d, ring).mul(right, ring)
+            if c in pis:
+                yield right.scale(scalar(c), ring)
+        if n > 1:
+            yield shaped_matrix(ring, rng, n, n, True)
+
+
+@pytest.mark.parametrize("ring", INVERTIBILITY_RINGS, ids=repr)
+def test_is_invertible_matches_invert(ring):
+    """is_invertible (residue rank, or an S-unit Bareiss determinant) gives
+    the verdict of invert on every case of `square_cases`, both verdicts
+    occurring, and holds every SNF witness invertible."""
+    rng = random.Random(3302)
+    seen = set()
+    for _ in range(3):
+        for m in square_cases(ring, rng):
+            want = invert(m, ring) is not None
+            assert linalg.is_invertible(m, ring) == want, m
+            seen.add(want)
+    assert seen == {True, False}
+    if not is_expansion_ring(ring):
+        for n in range(1, 4):
+            m = random_matrix(ring, rng, n, n + 1) if not isinstance(ring, LocalizedIntegers) \
+                else integer_matrix(rng, n, n + 1, False)
+            res = smith_normal_form(m, ring)
+            assert linalg.is_invertible(res.left, ring) and linalg.is_invertible(res.right, ring)
 
 
 def test_block_concatenates_and_keeps_empty_blocks():

@@ -686,6 +686,39 @@ def test_injective_surjective_match_kernel_route(ring):
 
 
 @pytest.mark.parametrize("ring", [
+    TruncatedPadic(2, 3), TruncatedPadic(3, 2), TruncatedPowerSeries(3, 3),
+    TruncatedPowerSeries(2, 2), TruncatedBK(2, 2, 3), TruncatedBK(3, 2, 2)], ids=repr)
+def test_residue_zero_module_matches_membership(ring):
+    """Over the local families is_zero_module reads the residue rank of the
+    relations (Nakayama), and gives the verdict of the membership test of
+    the identity in the relation span.  Relations are random rows, or the
+    rows of an invertible matrix with one row times a non-unit (p or z),
+    then random rows; both verdicts occur."""
+    rng = random.Random(3303)
+    non_units = [ring.from_int(ring.p)] + (
+        [ring.var_power(1)] if not isinstance(ring, TruncatedPadic) else [])
+    seen = set()
+    for _ in range(40):
+        g = rng.randint(1, 3)
+        rows = []
+        if rng.random() < 0.5:
+            rows = [list(r) for r in Mat.identity(g, ring).data]
+            for _ in range(3 * g):
+                i, j = rng.randrange(g), rng.randrange(g)
+                if i != j:
+                    c = _random_element(ring, rng)
+                    rows[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+            k = rng.randrange(g)
+            rows[k] = [ring.mul(rng.choice(non_units), x) for x in rows[k]]
+        rows += [[_random_element(ring, rng) for _ in range(g)] for _ in range(rng.randint(0, 2))]
+        rel = Mat(len(rows), g, rows)
+        want = linalg.in_row_span(rel, Mat.identity(g, ring), ring)
+        assert is_zero_module(PresentedModule(ring, g, rel)) == want, rows
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("ring", [
     TruncatedPadic(2, 3), TruncatedPadic(3, 2), TruncatedBK(2, 2, 3),
     TruncatedLambda((2,), 2)])
 def test_verify_exact_at_matches_pruned_kernel(ring):
