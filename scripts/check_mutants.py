@@ -113,6 +113,37 @@ MUTANTS = [
         "tests": ["tests/test_linalg.py::test_valuation_rule_matches_reference_over_power_series"],
     },
     {
+        "name": "membership-verdict-keyed-without-target",
+        "file": "src/truncalg/linalg.py",
+        "old": "    return _read(base_snf(mat, ring), b, lambda:",
+        "new": "    return _read(base_snf(mat, ring), None, lambda:",
+        "tests": ["tests/test_linalg.py::test_warm_reads_equal_cold_reads",
+                  "tests/test_linalg.py::test_reads_per_entry_are_capped"],
+    },
+    {
+        "name": "kernel-rows-keyed-without-lead",
+        "file": "src/truncalg/linalg.py",
+        "old": "    return _read(snf, lead, lambda: _kernel_snf(snf, ring, lead))\n",
+        "new": "    return _read(snf, None, lambda: _kernel_snf(snf, ring, lead))\n",
+        "tests": ["tests/test_linalg.py::test_warm_reads_equal_cold_reads",
+                  "tests/test_linalg.py::test_leading_blocks_and_membership_match_full_routes"],
+    },
+    {
+        "name": "membership-zero-shortcut-for-any-target",
+        "file": "src/truncalg/linalg.py",
+        "old": "    if b.is_zero(ring):\n        return True\n    if not mat.rows:\n",
+        "new": "    if True:\n        return True\n    if not mat.rows:\n",
+        "tests": ["tests/test_linalg.py::test_membership_fails_on_the_last_row",
+                  "tests/test_linalg.py::test_leading_blocks_and_membership_match_full_routes"],
+    },
+    {
+        "name": "reads-without-cap",
+        "file": "src/truncalg/linalg.py",
+        "old": "        for old in list(reads)[:-_READS]:\n            reads.pop(old, None)\n",
+        "new": "",
+        "tests": ["tests/test_linalg.py::test_reads_per_entry_are_capped"],
+    },
+    {
         "name": "invertible-always",
         "file": "src/truncalg/linalg.py",
         "old": "    assert mat.rows == mat.cols\n    if isinstance(ring, TruncatedLambda):\n",

@@ -32,7 +32,7 @@ def random_mod_s1_leaf(ring, rng, max_rank=2, r=1):
     """A p-killed S1-free object with phi = U . diag(E^{t_i}), height in [0, r]."""
     g = rng.randint(1, max_rank)
     p = ring.p
-    rel = Mat.identity(g, ring).scale(ring.from_int(p), ring)
+    rel = Mat.scalar(g, ring.from_int(p), ring)
     mod = PresentedModule(ring, g, rel)
     e = ring.eisenstein_element()
     diag = Mat(g, g, [[ring.pow(e, rng.randint(0, r)) if i == j else ring.zero
@@ -96,13 +96,13 @@ def extend_by_mod_s1(base_node, q_leaf, rng, attempts=8):
                 cmat = Mat(gq, ga, [[ring.from_int(rng.randrange(ring.scalar.modulus))
                                      for _ in range(ga)] for _ in range(gq)])
         rel = Mat.block([[b.module.relations, Mat.zero(b.module.relations.rows, gq, ring)],
-                         [cmat, Mat.identity(gq, ring).scale(ring.from_int(p), ring)]])
+                         [cmat, Mat.scalar(gq, ring.from_int(p), ring)]])
         mod = PresentedModule(ring, ga + gq, rel)
         # phi block [[phi_b, 0], [X, phi_q]] with X solved for well-definedness:
         # p X = phi_q . C - frob(C) . phi_b  modulo the base relations
         rhs = q.phi.matrix.mul(cmat, ring).sub(
             frob_matrix(cmat, ring).mul(b.phi.matrix, ring), ring)
-        pid = Mat.identity(ga, ring).scale(ring.from_int(p), ring)
+        pid = Mat.scalar(ga, ring.from_int(p), ring)
         sol = solve_left_mod(pid, rhs, b.module.relations, ring)
         if sol is None:
             continue

@@ -125,11 +125,11 @@ def check_height(b, s, r):
     m = b.module
     er = ring.pow(ring.eisenstein_element(), r)
     es = ring.pow(ring.eisenstein_element(), s)
-    target = Mat.identity(m.gens, ring).scale(er, ring)
+    target = Mat.scalar(m.gens, er, ring)
     upper = solve_left_mod(b.phi.matrix, target, m.relations, ring)
     if upper is None:
         return HeightFailure("upper", ["E^r of some generator escapes Im(phi)"])
-    esmat = Mat.identity(m.gens, ring).scale(es, ring)
+    esmat = Mat.scalar(m.gens, es, ring)
     lower = b.phi.matrix if s == 0 else solve_left_mod(esmat, b.phi.matrix, m.relations, ring)
     if lower is None:
         return HeightFailure("lower", ["Im(phi) escapes E^s volume"])
@@ -149,7 +149,7 @@ def check_height(b, s, r):
 
 def is_killed_by_p(m):
     ring = m.ring
-    rows = Mat.identity(m.gens, ring).scale(ring.from_int(ring.p), ring)
+    rows = Mat.scalar(m.gens, ring.from_int(ring.p), ring)
     return rows_are_zero_classes(m, rows)
 
 

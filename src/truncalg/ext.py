@@ -46,7 +46,7 @@ def _ext1_of_exponents(exps, a):
     blocks = []
     for e in exps:
         pe = ring.from_int(ring.p ** e)
-        rel = a.relations.vstack(Mat.identity(a.gens, ring).scale(pe, ring))
+        rel = a.relations.vstack(Mat.scalar(a.gens, pe, ring))
         blocks.append(PresentedModule(ring, a.gens, rel))
     if not blocks:
         return PresentedModule.zero(ring)

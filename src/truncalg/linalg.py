@@ -26,7 +26,11 @@ matrices are expanded by restriction of scalars to their base ring: a
 T-linear map is base-linear, and solutions/kernels reassemble because the
 coordinate identification T^g = base^(g*M) is a base-module isomorphism.
 One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
-the SNFs; a BK or Lambda matrix is expanded only when its key misses.
+the SNFs; a BK or Lambda matrix is expanded only when its key misses.  Each
+entry also keeps up to 32 reads of its matrix, the oldest dropped first:
+the kernel rows of each `lead` and the membership verdict on each target.
+A kept read is the value the first call computed, checks included, so a
+warm call answers as a cold one does.
 
 Whether a square matrix is invertible is decided by the invariant that
 decides it, by a route that shares no code with the SNF kernels
@@ -41,12 +45,13 @@ X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
 each divisor rule once and builds the failure record from it.  A
 membership test (`in_row_span`) is a solve with lead 0 that stops at that
 check: b . right and the divisor rule decide it, no quotient row is formed
-and nothing is multiplied back.  `modules.module_map` checks a map this way.
+and nothing is multiplied back; a zero target is in every span and takes
+no lookup.  `modules.module_map` checks a map this way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -91,7 +96,12 @@ class Mat:
 
     @staticmethod
     def identity(n, ring):
-        return Mat(n, n, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)])
+        return Mat.scalar(n, ring.one, ring)
+
+    @staticmethod
+    def scalar(n, c, ring):
+        """c times the n x n identity."""
+        return Mat(n, n, [[c if i == j else ring.zero for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(r, c, ring):
@@ -193,11 +203,14 @@ class SNFResult:
     and `smodules._read_slice` invert `right` themselves.
     `diagonalizes` is the exact identity alone, which certifies a divisor
     read (`modules.elementary_divisors`) without any inverse.
+    `reads` holds what `kernel_left` and `in_row_span` derived from a
+    `base_snf` entry (see `_read`); a copy starts with none.
     """
 
     left: Mat
     right: Mat
     divisors: list
+    reads: dict = field(default_factory=dict, compare=False, repr=False)
 
     def diagonal(self, rows, cols, ring):
         d = Mat.zero(rows, cols, ring).tolist()
@@ -488,24 +501,49 @@ def smith_normal_form(mat, ring):
     return SNFResult(snf.left, snf.right, list(snf.divisors))
 
 
+# Each memo entry keeps up to _READS reads of its matrix, the oldest dropped
+# first: a job asks the same question of the same matrix again and again
+# (the exactness nodes of a tower, the skeleta of a CW complex).  Kernel
+# rows are keyed by their `lead` (an int), verdicts by their target (a Mat).
+_READS = 32
+
+
+def _read(snf, key, compute):
+    """The read `key` of the matrix whose `base_snf` entry is `snf`:
+    `compute()` on the first call, the stored value on every later call
+    with an equal key.  Two threads may compute one read or evict one key
+    at once: the value is the same, and `pop(old, None)` cannot raise."""
+    reads = snf.reads
+    value = reads.get(key)
+    if value is None:
+        value = reads[key] = compute()
+        for old in list(reads)[:-_READS]:
+            reads.pop(old, None)
+    return value
+
+
 # Solvers and kernels repeat the same (matrix, ring) inputs within a job: a
-# random tower check makes about 70 SNF lookups on about 20 distinct inputs.
+# random tower check makes about 35 SNF lookups on about 13 distinct inputs.
 # The key is the caller's (matrix, ring), so a TruncatedBK or TruncatedLambda
 # matrix is expanded to its base ring (`expand_matrix`) only on a miss, and
 # its entry holds the SNF of the expansion.  With 32 entries the misses equal
 # the distinct inputs on every corpus job (at most 22, ext_golden_p2) and
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
-# more.  A membership test makes the lookup of the solve it stands for.
+# more.  A membership test with a nonzero target looks its matrix up, and
+# once more through its solve when its verdict is not kept.
 # `invert` of an SNF witness goes through the memo too: in
 # `decompose_elementary`, which only callers of a decomposition witness
 # reach, and in `smodules._read_slice`, once per free gr_p slice whose
 # from-canonical rows `decompose_over_s` reads; a divisor read
 # (`modules.elementary_divisors`) and `SNFResult.verify` invert nothing.
-# On the 48 towers of tower_check seed 601, memo cleared per tower: 1934
-# lookups, 641 misses (as many as distinct inputs) and 397 expansions; on the
-# 128 complexes of oracle_fuzz seed 7, one memo throughout, 10087 lookups and
-# 4391 misses.  lru_cache is thread-safe, so an embedding program may run
-# jobs on several threads.
+# On the 48 towers of tower_check seed 601, memo cleared per tower: 1681
+# lookups, 641 misses (as many as distinct inputs) and 397 expansions, and
+# 357 of 704 kernel and membership reads kept; on the 128 complexes of
+# oracle_fuzz seed 7, one memo throughout, 10610 lookups, 4361 misses and
+# 2481 of 6872 reads kept.  No entry there holds more than 7 reads, so the
+# cap is a bound, not a working size.  lru_cache is thread-safe, and so are
+# the reads (`_read`), so an embedding program may run jobs on several
+# threads.
 @lru_cache(maxsize=32)
 def base_snf(mat, ring):
     """The SNF of `mat` over its base ring, memoized: the SNF of `mat` over
@@ -593,8 +631,13 @@ def _solve_snf(snf, b, ring, failures, lead):
 
 def _kernel_snf(snf, ring, lead):
     """The first `lead` columns of rows spanning {x : x . mat = 0} given
-    mat's SNF.  A row a . left[j] is kept when it is nonzero as a whole, so
-    a kept row may read zero in its first `lead` columns."""
+    mat's SNF, over any family: a TruncatedBK or TruncatedLambda kernel is
+    read over the base ring of `snf` and reassembled.  A row a . left[j] is
+    kept when it is nonzero as a whole, so a kept row may read zero in its
+    first `lead` columns."""
+    if is_expansion_ring(ring):
+        kb = _kernel_snf(snf, base_ring_of(ring), lead * ring.mlen)
+        return reassemble_rows(kb, ring, lead)
     rows = snf.left.rows
     mul, is_zero = ring.mul, ring.is_zero
     gens = []
@@ -676,8 +719,13 @@ def solve_left_info(mat, b, ring, lead=None):
 def in_row_span(mat, b, ring):
     """Does every row of b lie in the row span of mat?  The verdict of
     `solve_left(mat, b, ring) is not None`: the same SNF and divisor check,
-    with no quotient formed and no unknown multiplied back."""
-    return solve_left_info(mat, b, ring, 0)[0] is not None
+    with no quotient formed and no unknown multiplied back.  A zero b lies
+    in every span; any other verdict is kept on mat's `base_snf` entry."""
+    if b.is_zero(ring):
+        return True
+    if not mat.rows:
+        return False
+    return _read(base_snf(mat, ring), b, lambda: solve_left_info(mat, b, ring, 0)[0] is not None)
 
 
 def kernel_left(mat, ring, lead=None):
@@ -690,10 +738,8 @@ def kernel_left(mat, ring, lead=None):
         return Mat(0, 0, [])
     if mat.cols == 0:
         return Mat.identity(mat.rows, ring).take_cols(range(lead))
-    if is_expansion_ring(ring):
-        kb = _kernel_snf(base_snf(mat, ring), base_ring_of(ring), lead * ring.mlen)
-        return reassemble_rows(kb, ring, lead)
-    return _kernel_snf(base_snf(mat, ring), ring, lead)
+    snf = base_snf(mat, ring)
+    return _read(snf, lead, lambda: _kernel_snf(snf, ring, lead))
 
 
 def solve_left_mod(mat, b, rel, ring):

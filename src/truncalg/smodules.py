@@ -88,8 +88,8 @@ def gr_p(m, j):
     if g == 0:
         mod = PresentedModule.zero(s1)
         return GrSlice(j, mod, elementary_divisors(mod))
-    pj = Mat.identity(g, ring).scale(ring.from_int(ring.p ** j), ring)
-    pj1 = Mat.identity(g, ring).scale(ring.from_int(ring.p ** (j + 1)), ring)
+    pj = Mat.scalar(g, ring.from_int(ring.p ** j), ring)
+    pj1 = Mat.scalar(g, ring.from_int(ring.p ** (j + 1)), ring)
     rel_s1 = _reduce_mod_p(kernel_left(pj.vstack(m.relations).vstack(pj1), ring, g), s1)
     mod = PresentedModule(s1, g, rel_s1)
     return GrSlice(j, mod, elementary_divisors(mod))
@@ -256,7 +256,7 @@ def _correct_torsion_generators(m, rows, a):
             raise PrecisionError(
                 "torsion correction impossible: exponent reaches the p-precision")
         return rows
-    pa1 = Mat.identity(m.gens, ring).scale(ring.from_int(p ** (a + 1)), ring)
+    pa1 = Mat.scalar(m.gens, ring.from_int(p ** (a + 1)), ring)
     sol = solve_left_mod(pa1, targets, m.relations, ring)
     if sol is None:
         raise PrecisionError("torsion correction system unsolvable at working precision")

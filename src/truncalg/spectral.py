@@ -330,7 +330,7 @@ def _entry_val_ge_one(x, dmap):
     if tgt.gens == 0 or dmap.matrix.rows == 0:
         return True
     u = ring.uniformizer_power(1)
-    umat = Mat.identity(tgt.gens, ring).scale(u, ring)
+    umat = Mat.scalar(tgt.gens, u, ring)
     return in_row_span(umat.vstack(tgt.relations), dmap.matrix, ring)
 
 

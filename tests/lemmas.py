@@ -324,7 +324,7 @@ def twist(b, t):
 def untwist(b, t):
     """Divide phi by E^t when every image witness is divisible."""
     ring = b.ring
-    et = Mat.identity(b.module.gens, ring).scale(ring.pow(ring.eisenstein_element(), t), ring)
+    et = Mat.scalar(b.module.gens, ring.pow(ring.eisenstein_element(), t), ring)
     sol = solve_left_mod(et, b.phi.matrix, b.module.relations, ring)
     if sol is None:
         raise HypothesisUnmetError("phi image witnesses are not divisible by E^t")
@@ -390,7 +390,7 @@ def make_bk_map(source, target, matrix):
 def _equal_at_z_precision(target_module, m1, m2, zprec):
     ring = target_module.ring
     diff = m1.sub(m2, ring)
-    zmat = Mat.identity(target_module.gens, ring).scale(ring.var_power(zprec), ring)
+    zmat = Mat.scalar(target_module.gens, ring.var_power(zprec), ring)
     return in_row_span(zmat.vstack(target_module.relations), diff, ring)
 
 
@@ -595,7 +595,7 @@ def gr_extension_transfer(ses, quotient_kind, sub_gr_towers, r):
         return out
     cjs = connecting_maps(ses)
     # gr_j B -> gr_{j-1} A by p^j b |-> p^{j-1} (p b)
-    pb_rows = Mat.identity(ses.b.module.gens, ring).scale(ring.from_int(ring.p), ring)
+    pb_rows = Mat.scalar(ses.b.module.gens, ring.from_int(ring.p), ring)
     down_s1 = _reduce_mod_p(_preimage_rows(ses.inject, pb_rows, ring), s1)
     for j in range(n):
         cj = cjs[j][0]

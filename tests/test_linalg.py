@@ -1260,19 +1260,34 @@ def testbase_snf_evicts_and_stays_correct():
 
 def testbase_snf_shared_by_threads():
     """Threads sharing the memo (the memo is documented as thread-safe), with
-    eviction and a short switch interval, all get the single-threaded results."""
+    eviction and a short switch interval, all get the single-threaded
+    results: SNFs, kernel rows at each lead and membership verdicts.  The
+    first matrix is asked more targets than an entry keeps, so reads are
+    evicted under the threads too."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(37)
     mats = [random_matrix(Z3_4, rng, 3, 3) for _ in range(40)]
+    targets = [[random_matrix(Z3_4, rng, 1, 3).mul(m, Z3_4), random_matrix(Z3_4, rng, 1, 3)]
+               for m in mats]
+    targets[0] += [random_matrix(Z3_4, rng, 1, 3) for _ in range(linalg._READS + 8)]
     base_snf.cache_clear()
     expected = [smith_normal_form(m, Z3_4) for m in mats]
+    kernels, verdicts = [], []
+    for m, bs in zip(mats, targets):
+        base_snf.cache_clear()
+        kernels.append([kernel_left(m, Z3_4, lead) for lead in range(4)])
+        verdicts.append([solve_left(m, b, Z3_4) is not None for b in bs])
+    base_snf.cache_clear()
 
     def work(seed):
         order = list(range(len(mats)))
         random.Random(seed).shuffle(order)
-        return all(smith_normal_form(mats[i], Z3_4) == expected[i] for i in order * 3)
+        return all(smith_normal_form(mats[i], Z3_4) == expected[i]
+                   and [kernel_left(mats[i], Z3_4, lead) for lead in range(4)] == kernels[i]
+                   and [in_row_span(mats[i], b, Z3_4) for b in targets[i]] == verdicts[i]
+                   for i in order * 3)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1282,3 +1297,67 @@ def testbase_snf_shared_by_threads():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
+
+
+def equal_copy(m):
+    """An equal Mat built separately: reads are keyed by value."""
+    return Mat(m.rows, m.cols, [list(r) for r in m.data])
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: type(r).__name__)
+def test_warm_reads_equal_cold_reads(ring, monkeypatch):
+    """Kernel rows at each lead and membership verdicts kept on a memo entry
+    equal the cold reads (memo cleared before each), asked with equal
+    targets built separately, and a warm read computes nothing.  Each
+    matrix is asked an in-span target first, so a verdict keyed without its
+    target, or kernel rows keyed without their lead, answer wrongly."""
+    rng = random.Random(3401)
+    verdicts = set()
+    for rows, cols, deficient in witness_shapes(rng):
+        a = shaped_matrix(ring, rng, rows, cols, deficient)
+        targets = [random_matrix(ring, rng, 2, rows).mul(a, ring),
+                   random_matrix(ring, rng, 2, cols), sparse_matrix(ring, rng, 1, cols, 0.5)]
+        cold_kernels, cold_verdicts = [], []
+        for lead in range(rows + 1):
+            base_snf.cache_clear()
+            cold_kernels.append(kernel_left(a, ring, lead))
+        for b in targets:
+            base_snf.cache_clear()
+            cold_verdicts.append(in_row_span(a, b, ring))
+        verdicts.update(cold_verdicts)
+        base_snf.cache_clear()
+        for warm in (False, True):
+            with monkeypatch.context() as mp:
+                if warm:
+                    for name in ("_kernel_snf", "_solve_snf"):
+                        mp.setattr(linalg, name, None)
+                assert [kernel_left(a, ring, lead) for lead in range(rows + 1)] == cold_kernels
+                assert [in_row_span(a, equal_copy(b), ring) for b in targets] == cold_verdicts
+    assert verdicts == {True, False}
+
+
+def test_reads_per_entry_are_capped():
+    """One matrix asked 100 distinct targets keeps at most `_READS` (32)
+    reads, the newest ones, and answers every target as a cold call does,
+    both while filling its entry and after the early reads are evicted."""
+    ring = Z2_6
+    rng = random.Random(3402)
+    a = mk(ring, [[2, 4, 6], [0, 8, 4], [4, 0, 16]])
+    targets = []
+    while len(targets) < 100:
+        b = random_matrix(ring, rng, 1, 3)
+        b = b.mul(a, ring) if len(targets) % 2 else b
+        if not b.is_zero(ring) and b not in targets:
+            targets.append(b)
+    cold = []
+    for b in targets:
+        base_snf.cache_clear()
+        cold.append(in_row_span(a, b, ring))
+    assert set(cold) == {True, False}
+    assert linalg._READS == 32
+    base_snf.cache_clear()
+    for _ in range(2):
+        for b, verdict in zip(targets, cold):
+            assert in_row_span(a, b, ring) == verdict
+            assert len(base_snf(a, ring).reads) <= linalg._READS
+    assert list(base_snf(a, ring).reads) == targets[-linalg._READS:]
