@@ -49,7 +49,7 @@ MUTANTS = [
     {
         "name": "solve-without-tail-check",
         "file": "src/truncalg/linalg.py",
-        "old": "    divisors = snf.divisors + [ring.zero] * (snf.right.cols - ndiv)\n",
+        "old": "    divisors = snf.divisors + [ring.zero] * (snf.cols - ndiv)\n",
         "new": "    divisors = snf.divisors\n",
         "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
                   "tests/test_linalg.py::test_leading_blocks_and_membership_match_full_routes"],
@@ -97,6 +97,47 @@ MUTANTS = [
                 "        return lhs == self.diagonal(mat.rows, mat.cols, ring)\n"),
         "new": "        return True\n",
         "tests": ["tests/test_linalg.py::test_diagonalizes_rejects_a_wrong_identity"],
+    },
+    {
+        "name": "localized-diagonalizes-without-row-scalar",
+        "file": "src/truncalg/linalg.py",
+        "old": "        for k, (s, acc) in enumerate(zip(self.lscale, _int_products(la, self.rrows))):\n",
+        "new": "        for k, (s, acc) in enumerate(zip([self.lden] * self.rows, _int_products(la, self.rrows))):\n",
+        "tests": ["tests/test_linalg.py::test_snf_localized_branches[s_strip]",
+                  "tests/test_linalg.py::test_diagonalizes_rejects_a_wrong_identity[LocalizedIntegers]"],
+    },
+    {
+        "name": "localized-diagonalizes-without-common-denominator",
+        "file": "src/truncalg/linalg.py",
+        "old": "        den = self.lden * aden\n",
+        "new": "        den = self.lden\n",
+        "tests": ["tests/test_linalg.py::test_localized_readers_match_fraction_route",
+                  "tests/test_linalg.py::test_diagonalizes_reads_every_entry[LocalizedIntegers]"],
+    },
+    {
+        "name": "localized-diagonalizes-only-the-diagonal",
+        "file": "src/truncalg/linalg.py",
+        "old": "            if (zero if acc is None else [s * x for x in acc]) != want:\n",
+        "new": "            if k < len(divisors) and (0 if acc is None else s * acc[k]) != want[k]:\n",
+        "tests": ["tests/test_linalg.py::test_diagonalizes_reads_every_entry[LocalizedIntegers]"],
+    },
+    {
+        "name": "localized-solve-product-without-row-scalar",
+        "file": "src/truncalg/linalg.py",
+        "old": "ys = ([cj // d * s if cj else 0 for cj, d, s in zip(ci, ints[:ndiv], snf.lscale)]\n",
+        "new": "ys = ([cj // d * snf.lden if cj else 0 for cj, d, s in zip(ci, ints[:ndiv], snf.lscale)]\n",
+        "tests": ["tests/test_linalg.py::test_localized_readers_match_fraction_route",
+                  "tests/test_linalg.py::test_localized_readers_match_fraction_route_on_lambda_expansions",
+                  "tests/test_linalg.py::test_integer_rule_matches_reference_over_localized_integers"],
+    },
+    {
+        "name": "localized-kernel-keeps-nonzero-divisor-rows",
+        "file": "src/truncalg/linalg.py",
+        "old": "                              if j >= ndiv or not divisors[j]], lead)\n",
+        "new": "                              if True], lead)\n",
+        "tests": ["tests/test_linalg.py::test_localized_readers_match_fraction_route",
+                  "tests/test_linalg.py::test_localized_readers_match_fraction_route_on_lambda_expansions",
+                  "tests/test_linalg.py::test_solve_and_kernel_random"],
     },
     {
         "name": "localized-solve-without-s-unit-assertion",

@@ -14,13 +14,18 @@ There is one Smith normal form kernel per base ring:
                subtracted, so each remainder is at most half the pivot and
                the least |entry| falls until the pivot divides its block;
                the sign and S-unit factors stripped from the divisors.
-               Fractions are built only in the result, so it is as exact as
-               a Fraction elimination's.
+               The witnesses stay on ints (`_LocalizedSNF`): left as integer
+               rows with one S-unit scalar per row, right as integer rows.
 
 Over Z/p^N, `Mat.mul` and the solve run on ints as well.  Z/p^N and Z[1/S]
 share one integer divisor rule in the solve: over Z[1/S] each target row is
-scaled by the lcm of its denominators, an S-unit, and b . right is formed on
-ints (right is integral); only the product with `left` stays on Fractions.
+scaled by the lcm of its denominators, an S-unit, and b . right and the
+product with `left` are formed on ints, one Fraction per nonzero entry of
+the solution.  The kernel and the L . A . R = D check read the integer
+witnesses too, so a Z[1/S] result builds its Fraction `left` and `right`
+only when a caller reads them: the `snf` command prints both, `verify`
+decides their invertibility, and `modules.decompose_elementary` inverts
+`right`.
 F_p[z]/z^M has the valuation rule.  TruncatedBK and TruncatedLambda
 matrices are expanded by restriction of scalars to their base ring: a
 T-linear map is base-linear, and solutions/kernels reassemble because the
@@ -51,7 +56,6 @@ no lookup.  `modules.module_map` checks a map this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -194,9 +198,10 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.data})"
 
 
-@dataclass
 class SNFResult:
-    """left . mat . right = diag(divisors) with left and right invertible.
+    """left . mat . right = diag(divisors) with left and right invertible,
+    for a rows x cols matrix.  A Z[1/S] result of `_snf_localized` is a
+    `_LocalizedSNF`, which holds its witnesses on ints.
 
     No inverse of a witness is stored: `verify` decides that both witnesses
     are invertible by `is_invertible`, and `modules.decompose_elementary`
@@ -207,10 +212,23 @@ class SNFResult:
     `base_snf` entry (see `_read`); a copy starts with none.
     """
 
-    left: Mat
-    right: Mat
-    divisors: list
-    reads: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("left", "right", "divisors", "rows", "cols", "reads")
+
+    def __init__(self, left, right, divisors):
+        self.left, self.right, self.divisors, self.reads = left, right, divisors, {}
+        self.rows, self.cols = left.rows, right.cols
+
+    def __eq__(self, other):
+        return (isinstance(other, SNFResult) and self.divisors == other.divisors
+                and self.left == other.left and self.right == other.right)
+
+    def __repr__(self):
+        return f"SNFResult(left={self.left!r}, right={self.right!r}, divisors={self.divisors!r})"
+
+    def copy(self):
+        """The caller's own result: the same immutable witnesses, its own
+        divisors list and no reads."""
+        return SNFResult(self.left, self.right, list(self.divisors))
 
     def diagonal(self, rows, cols, ring):
         d = Mat.zero(rows, cols, ring).tolist()
@@ -226,6 +244,71 @@ class SNFResult:
     def verify(self, mat, ring):
         return (self.diagonalizes(mat, ring) and is_invertible(self.left, ring)
                 and is_invertible(self.right, ring))
+
+
+class _LocalizedSNF(SNFResult):
+    """A Z[1/S] SNF from `_snf_localized`, its witnesses held on ints.  Row
+    k of left is (lscale[k] / lden) . lrows[k], its row scalar an S-unit:
+    s_k/d_k for a divisor d_k stripped to s_k, else 1; lden is the lcm of
+    the scalars' denominators.  right is rrows, integral.  The solve, the
+    kernel and `diagonalizes` read these.  The Fraction Mats `left` and
+    `right` are built on first read, for the callers that print or invert
+    them, and kept in `built`, which a copy shares."""
+
+    __slots__ = ("lrows", "lscale", "lden", "rrows", "built")
+
+    def __init__(self, divisors, lrows, lscale, lden, rrows, built=None):
+        self.divisors, self.reads, self.built = divisors, {}, {} if built is None else built
+        self.lrows, self.lscale, self.lden, self.rrows = lrows, lscale, lden, rrows
+        self.rows, self.cols = len(lrows), len(rrows)
+
+    @property
+    def left(self):
+        return self._fractions("left")
+
+    @property
+    def right(self):
+        return self._fractions("right")
+
+    def _fractions(self, name):
+        """The Fraction Mat of witness `name`.  Two threads may build it at
+        once: the Mats are equal."""
+        mat = self.built.get(name)
+        if mat is None:
+            if name == "left":
+                rows = [[Fraction(x * s, self.lden) for x in row]
+                        for s, row in zip(self.lscale, self.lrows)]
+            else:
+                rows = [[Fraction(x) for x in row] for row in self.rrows]
+            mat = self.built[name] = Mat(len(rows), len(rows), rows)
+        return mat
+
+    def copy(self):
+        return _LocalizedSNF(list(self.divisors), self.lrows, self.lscale, self.lden,
+                             self.rrows, self.built)
+
+    def diagonalizes(self, mat, ring):
+        """left . mat . right == diag(divisors), exactly, on ints.  With
+        mat = A'/E, A' integral and E the common denominator of its
+        entries, row k of the identity reads
+        lscale[k] . (lrows . A' . rrows)[k] == lden . E . diag(divisors)[k],
+        a divisor n/m read as m . lscale[k] on the left and n on the right."""
+        assert (self.rows, self.cols) == (mat.rows, mat.cols), "shape mismatch"
+        scaled = list(_integer_rows(mat.data))
+        aden = lcm(*(d for d, _ in scaled))
+        den = self.lden * aden
+        zero, divisors = [0] * mat.cols, self.divisors
+        la = [zero if acc is None else acc
+              for acc in _int_products(self.lrows, [[x * (aden // d) for x in row]
+                                                    for d, row in scaled])]
+        for k, (s, acc) in enumerate(zip(self.lscale, _int_products(la, self.rrows))):
+            want = list(zero)
+            if k < len(divisors):
+                s *= divisors[k].denominator
+                want[k] = den * divisors[k].numerator
+            if (zero if acc is None else [s * x for x in acc]) != want:
+                return False
+        return True
 
 
 class _Worker:
@@ -422,10 +505,11 @@ def _snf_localized(mat, ring):
     next pivot smaller.  Once row k and column k are clear, a block entry
     the pivot does not divide has its row added to row k, and the next
     round's column step leaves a nonzero remainder.  So the least |entry|
-    falls at least every second round, and the loop ends.  Fractions are
-    built only in the result: the witnesses, the divisors, and row k of
-    `left` times the unit s/d, where s = strip_s(d) is the divisor d with its
-    sign and S-unit factors stripped (skipped when s = d).
+    falls at least every second round, and the loop ends.  The divisor d is
+    returned as s = strip_s(d), d with its sign and S-unit factors stripped,
+    a Fraction; the witnesses stay on ints (`_LocalizedSNF`), row k of
+    `left` with the row scalar s/d = 1/u, u = d/s, and every other row
+    with the scalar 1.
     """
     nrows, ncols = mat.rows, mat.cols
     a, left = [], []
@@ -469,17 +553,15 @@ def _snf_localized(mat, ring):
             a[k] = [x + y for x, y in zip(ak, a[bad])]
             left[k] = [x + y for x, y in zip(lk, left[bad])]
 
-    fleft = [[Fraction(x) for x in row] for row in left]
-    divisors = []
+    divisors, units = [], []
     for k in range(min(nrows, ncols)):
         d = a[k][k]
         stripped = ring.strip_s(d) if d else d
-        if stripped != d:
-            fleft[k] = [Fraction(x * stripped, d) for x in left[k]]
         divisors.append(Fraction(stripped))
-    return SNFResult(left=Mat(nrows, nrows, fleft),
-                     right=Mat(ncols, ncols, [[Fraction(x) for x in row] for row in right]),
-                     divisors=divisors)
+        units.append(d // stripped if d else 1)
+    lden = lcm(*units)
+    lscale = [lden // u for u in units] + [lden] * (nrows - len(units))
+    return _LocalizedSNF(divisors, left, lscale, lden, right)
 
 
 def smith_normal_form(mat, ring):
@@ -496,9 +578,7 @@ def smith_normal_form(mat, ring):
     if is_expansion_ring(ring):
         raise UnsupportedRingError(
             f"{type(ring).__name__} admits no Smith normal form; use restriction of scalars")
-    snf = base_snf(mat, ring)
-    # the witnesses are immutable Mats; the divisors list is the caller's own
-    return SNFResult(snf.left, snf.right, list(snf.divisors))
+    return base_snf(mat, ring).copy()
 
 
 # Each memo entry keeps up to _READS reads of its matrix, the oldest dropped
@@ -559,17 +639,15 @@ def base_snf(mat, ring):
     return _snf_chain(mat, ring)
 
 
-def _scaled_product(b, right, ring):
+def _scaled_product(b, rrows, ring):
     """(dens, c) over Z[1/S]: per row of b the lcm D of its denominators,
-    and the integer rows c = (D . b) . right.  D is an S-unit for every
-    element of Z[1/S], and right is integral: `_snf_localized` builds it
-    from integer column steps."""
+    and the integer rows c = (D . b) . right, right given as its integer
+    rows `rrows`.  D is an S-unit for every element of Z[1/S]."""
     scaled = list(_integer_rows(b.data))
     dens = [den for den, _ in scaled]
     assert all(ring.strip_s(den) == 1 for den in dens), "a denominator outside S"
-    rint = [[x.numerator for x in row] for row in right.data]
-    c = _int_products((row for _, row in scaled), rint)
-    return dens, [[0] * right.cols if acc is None else acc for acc in c]
+    c = _int_products((row for _, row in scaled), rrows)
+    return dens, [[0] * len(rrows) if acc is None else acc for acc in c]
 
 
 def _solve_snf(snf, b, ring, failures, lead):
@@ -594,12 +672,16 @@ def _solve_snf(snf, b, ring, failures, lead):
     so callers get a complete obstruction record.  The quotients Y and the
     product with the first `lead` columns of `left` are built only when the
     check passes and `lead` > 0: with lead 0 the check is the answer.
+    Over Z[1/S] both products run on the witnesses' ints (`_LocalizedSNF`):
+    the quotient (cj // d)/D times row j's scalar lscale[j]/lden is the
+    integer (cj // d) . lscale[j] over lden . D, so X = Y . left is an
+    integer product with one Fraction per nonzero output entry.
     """
-    rows, ndiv = snf.left.rows, len(snf.divisors)
-    divisors = snf.divisors + [ring.zero] * (snf.right.cols - ndiv)
+    rows, ndiv = snf.rows, len(snf.divisors)
+    divisors = snf.divisors + [ring.zero] * (snf.cols - ndiv)
     dens = None
     if isinstance(ring, LocalizedIntegers):
-        dens, c = _scaled_product(b, snf.right, ring)
+        dens, c = _scaled_product(b, snf.rrows, ring)
     else:
         c = b.mul(snf.right, ring).data
     if isinstance(ring, TruncatedPowerSeries):
@@ -622,8 +704,13 @@ def _solve_snf(snf, b, ring, failures, lead):
     elif dens is None:
         ys = [[cj // d if cj else 0 for cj, d in zip(ci, ints[:ndiv])] for ci in c]
     else:
-        ys = [[Fraction(cj // d, den) if cj else ring.zero for cj, d in zip(ci, ints[:ndiv])]
-              for ci, den in zip(c, dens)]
+        ys = ([cj // d * s if cj else 0 for cj, d, s in zip(ci, ints[:ndiv], snf.lscale)]
+              for ci in c)
+        lrows = snf.lrows if lead == rows else [r[:lead] for r in snf.lrows]
+        zero, lden = ring.zero, snf.lden
+        return Mat(b.rows, lead, [[zero] * lead if acc is None
+                                  else [Fraction(x, lden * den) if x else zero for x in acc]
+                                  for acc, den in zip(_int_products(ys, lrows), dens)])
     pad = [ring.zero] * (rows - ndiv)
     left = snf.left if lead == rows else Mat(rows, lead, [r[:lead] for r in snf.left.data])
     return Mat(b.rows, rows, [y + pad for y in ys]).mul(left, ring)
@@ -634,21 +721,32 @@ def _kernel_snf(snf, ring, lead):
     mat's SNF, over any family: a TruncatedBK or TruncatedLambda kernel is
     read over the base ring of `snf` and reassembled.  A row a . left[j] is
     kept when it is nonzero as a whole, so a kept row may read zero in its
-    first `lead` columns."""
+    first `lead` columns.
+
+    Over Z[1/S] a nonzero divisor annihilates nothing and a zero one is
+    annihilated by 1, so the kernel is spanned by the rows of `left` at a
+    zero divisor or past the divisors: the integer rows of `left` times
+    their row scalars."""
     if is_expansion_ring(ring):
         kb = _kernel_snf(snf, base_ring_of(ring), lead * ring.mlen)
         return reassemble_rows(kb, ring, lead)
-    rows = snf.left.rows
+    divisors = snf.divisors
+    if isinstance(ring, LocalizedIntegers):
+        zero, lden, ndiv = ring.zero, snf.lden, len(divisors)
+        return Mat.from_rows([[Fraction(x * s, lden) if x else zero for x in row[:lead]]
+                              for j, (s, row) in enumerate(zip(snf.lscale, snf.lrows))
+                              if j >= ndiv or not divisors[j]], lead)
     mul, is_zero = ring.mul, ring.is_zero
     gens = []
-    for j, d in enumerate(snf.divisors):
+    for j, d in enumerate(divisors):
         a = ring.ann_gen(d)
         if a is None:
             continue
         row = snf.left.data[j]
-        if any(not is_zero(mul(a, x)) for x in row):
-            gens.append([mul(a, x) for x in row[:lead]])
-    gens.extend(snf.left.data[j][:lead] for j in range(len(snf.divisors), rows))
+        head = [mul(a, x) for x in row[:lead]]
+        if not all(map(is_zero, head)) or any(not is_zero(mul(a, x)) for x in row[lead:]):
+            gens.append(head)
+    gens.extend(snf.left.data[j][:lead] for j in range(len(divisors), snf.rows))
     return Mat.from_rows(gens, lead)
 
 

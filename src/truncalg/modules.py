@@ -298,9 +298,10 @@ class ElementaryDecomposition:
 
 
 def read_snf(m):
-    """(ElementaryDivisors, kept, right) from the SNF L . A . R = D of m's
+    """(ElementaryDivisors, kept, snf) from the SNF L . A . R = D of m's
     relations A, certified by that exact identity.  kept lists the positions
-    of the torsion, then the free, summands among R's columns."""
+    of the torsion, then the free, summands among R's columns; a caller that
+    reads R takes `snf.right` (over Z[1/S] that builds its Fractions)."""
     ring = m.ring
     if not is_snf_capable(ring):
         raise UnsupportedRingError(
@@ -316,7 +317,7 @@ def read_snf(m):
         elif not ring.is_unit(d):
             torsion_at.append(j)
             torsion.append(d)
-    return ElementaryDivisors(ring, len(free_at), torsion), torsion_at + free_at, snf.right
+    return ElementaryDivisors(ring, len(free_at), torsion), torsion_at + free_at, snf
 
 
 def elementary_divisors(m):
@@ -327,8 +328,8 @@ def elementary_divisors(m):
 
 def decompose_elementary(m):
     """Structure theorem over an SNF-capable ring, with verified witness."""
-    divs, kept, right = read_snf(m)
-    ring = m.ring
+    divs, kept, snf = read_snf(m)
+    ring, right = m.ring, snf.right
     canonical = module_from_divisors(ring, divs.torsion_divisors, divs.free_rank)
     to_can = module_map(m, canonical, right.take_cols(kept), check=False)
     from_can = module_map(canonical, m, linalg.invert(right, ring).take_rows(kept),

@@ -339,10 +339,6 @@ class LocalizedIntegers(RingBase):
             return q
         return None
 
-    def ann_gen(self, d):
-        """Generator of the annihilator of (d); None means ann = 0."""
-        return self.one if d == 0 else None
-
 
 class ChainRing(RingBase):
     """Common protocol for Z/p^N and F_p[z]/(z^M): every ideal is (uniformizer^k)."""

@@ -132,9 +132,10 @@ def _read_slice(mod, j, n):
     (the lift to generator coordinates).  A matrix that is not read is None,
     and both are None on a slice with torsion.  `decompose_over_s`
     certifies what it builds from them by its final check."""
-    divs, kept, right = read_snf(mod)
+    divs, kept, snf = read_snf(mod)
     if divs.torsion_divisors:
         return divs, None, None
+    right = snf.right
     to_can = right.take_cols(kept) if j >= 1 else None
     from_can = None
     if j <= n - 2 or j == 0:

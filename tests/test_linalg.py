@@ -25,7 +25,8 @@ from truncalg.linalg import (
     solve_left_mod,
 )
 from truncalg.cw import ZRING
-from truncalg.modules import PresentedModule, decompose_elementary, failure_primes
+from truncalg.modules import (PresentedModule, decompose_elementary, elementary_divisors,
+                              failure_primes)
 from truncalg.rings import (
     LocalizedIntegers,
     TruncatedBK,
@@ -43,6 +44,7 @@ Z3_4 = TruncatedPadic(3, 4)
 S1 = TruncatedPowerSeries(3, 3)
 Z = LocalizedIntegers(())
 ZL2 = LocalizedIntegers((2,))
+Z6 = LocalizedIntegers((2, 3))
 BK = TruncatedBK(3, 2, 2)
 LAM = TruncatedLambda((2,), 2)
 
@@ -424,6 +426,58 @@ def reference_snf_localized(mat, ring):
     return w.result()
 
 
+def reference_solve_localized(snf, b, ring, failures, lead):
+    """`_solve_snf` over Z[1/S] as it read the Fraction witnesses: each row
+    of b scaled by the lcm D of its denominators, times the numerators of
+    right; the integer divisor rule; the quotients Fraction(cj // d, D); and
+    their Fraction product with the first `lead` columns of left."""
+    rows, ndiv = snf.left.rows, len(snf.divisors)
+    divisors = snf.divisors + [ring.zero] * (snf.right.cols - ndiv)
+    rint = [[x.numerator for x in row] for row in snf.right.data]
+    dens, c = [], []
+    for row in b.data:
+        den = lcm(*(x.denominator for x in row))
+        scaled = [x.numerator * (den // x.denominator) for x in row]
+        dens.append(den)
+        c.append([sum(x * y for x, y in zip(scaled, col)) for col in zip(*rint)])
+    for i, ci in enumerate(c):
+        for j, cj in enumerate(ci):
+            d = divisors[j].numerator
+            if cj and (not d or cj % d):
+                failures.append((i, j, divisors[j], Fraction(cj, dens[i])))
+    if failures:
+        return None
+    ys = [[Fraction(cj // d.numerator, den) if cj else ring.zero
+           for cj, d in zip(ci, divisors[:ndiv])] + [ring.zero] * (rows - ndiv)
+          for ci, den in zip(c, dens)]
+    left = Mat(rows, lead, [r[:lead] for r in snf.left.data])
+    return naive_product(Mat(b.rows, rows, ys), left, ring)
+
+
+def reference_kernel_localized(snf, ring, lead):
+    """`_kernel_snf` over Z[1/S] as it read the Fraction witness left: each
+    row of left times the generator of its divisor's annihilator (1 for a
+    zero divisor; a nonzero one annihilates nothing), kept when nonzero,
+    then the rows past the divisors."""
+    gens = []
+    for j, d in enumerate(snf.divisors):
+        a = ring.one if d == 0 else None
+        if a is None:
+            continue
+        row = snf.left.data[j]
+        if any(not ring.is_zero(ring.mul(a, x)) for x in row):
+            gens.append([ring.mul(a, x) for x in row[:lead]])
+    gens.extend(snf.left.data[j][:lead] for j in range(len(snf.divisors), snf.left.rows))
+    return Mat.from_rows(gens, lead)
+
+
+def reference_diagonalizes(snf, mat, ring):
+    """`SNFResult.diagonalizes` as it read the Fraction witnesses: the
+    triple-loop product left . mat . right against diag(divisors)."""
+    lhs = naive_product(naive_product(snf.left, mat, ring), snf.right, ring)
+    return lhs == snf.diagonal(mat.rows, mat.cols, ring)
+
+
 def assert_same_snf(m, ring):
     """The kernel's witnesses and divisors equal the reference's, the
     divisors are nonnegative S-free integers each dividing the next, and
@@ -511,6 +565,148 @@ def test_snf_localized_branches(ring, rows, divisors, left, right):
     assert res.verify(m, ring)
     entries = res.divisors + [x for w in (res.left, res.right) for row in w.data for x in row]
     assert all(type(x) is Fraction for x in entries), entries
+
+
+def assert_readers_match_fraction_route(mat, ring, targets):
+    """On mat's memo entry, at every lead: `_solve_snf` gives the Fraction
+    route's solution (entry types included) and failure record on each
+    target, and `_kernel_snf` its kernel rows; `diagonalizes` agrees with
+    the Fraction product on mat and on mat with its first entry moved.
+    Returns the kinds of case met."""
+    seen = set()
+    snf = base_snf(mat, ring)
+    for lead in range(snf.rows + 1):
+        got = linalg._kernel_snf(snf, ring, lead)
+        want = reference_kernel_localized(snf, ring, lead)
+        assert got == want and got.cols == want.cols, (mat, lead)
+        assert all(type(x) is Fraction for r in got.data for x in r)
+        seen.add("kernel" if got.rows else "no kernel")
+        for b in targets:
+            got_failures, want_failures = [], []
+            sol = linalg._solve_snf(snf, b, ring, got_failures, lead)
+            ref = reference_solve_localized(snf, b, ring, want_failures, lead)
+            assert got_failures == want_failures, (mat, b, lead)
+            assert [type(r) for *_, r in got_failures] == [type(r) for *_, r in want_failures]
+            assert sol == ref, (mat, b, lead)
+            if sol is not None:
+                assert sol.rows == b.rows and sol.cols == lead
+                assert all(type(x) is Fraction for r in sol.data for x in r)
+            seen.add("solved" if sol is not None else "failed")
+    assert snf.diagonalizes(mat, ring) and reference_diagonalizes(snf, mat, ring)
+    if mat.rows and mat.cols:
+        moved = [list(r) for r in mat.data]
+        moved[0][0] += Fraction(1, 2 if 2 in ring.inverted_primes else 1)
+        moved = Mat(mat.rows, mat.cols, moved)
+        assert snf.diagonalizes(moved, ring) == reference_diagonalizes(snf, moved, ring)
+    if any(s != snf.lden for s in snf.lscale):
+        seen.add("stripped")
+    return seen
+
+
+@pytest.mark.parametrize("ring", [Z, ZL2, Z6], ids=repr)
+def test_localized_readers_match_fraction_route(ring):
+    """The integer solve, kernel and L . A . R = D check over Z, Z[1/2] and
+    Z[1/6] equal the Fraction route they replace, entry for entry and at
+    every lead: on seeded matrices with S-unit denominators, zero rows and
+    columns, 60 times rank-deficient integer stacks (divisors with stripped
+    S-factors) and empty shapes, against targets inside and outside the row
+    span and a zero target."""
+    rng = random.Random(3501)
+    base_snf.cache_clear()
+    seen = set()
+    shapes = [(0, 3, False), (3, 0, False), (0, 0, False)]
+    for _ in range(2):
+        shapes += list(witness_shapes(rng))
+    for rows, cols, deficient in shapes:
+        stack = integer_matrix(rng, rows, cols, deficient)
+        for a in (localized_matrix(ring, rng, rows, cols), stack.scale(Fraction(60), ring)):
+            targets = [s_unit_matrix(ring, rng, 2, rows).mul(a, ring),
+                       s_unit_matrix(ring, rng, 2, cols), Mat.zero(1, cols, ring)]
+            seen |= assert_readers_match_fraction_route(a, ring, targets)
+    want = {"kernel", "no kernel", "solved", "failed"}
+    if ring.inverted_primes:
+        want.add("stripped")
+    assert want <= seen, seen
+
+
+def test_localized_readers_match_fraction_route_on_lambda_expansions():
+    """The same on the Z[1/2] memo entries of TruncatedLambda((2,), 3)
+    matrices, keyed by the Lambda matrix, with expanded targets."""
+    lam = TruncatedLambda((2,), 3)
+    base = lam.scalar
+    rng = random.Random(3502)
+    base_snf.cache_clear()
+    seen = set()
+    for _ in range(12):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        m = Mat(rows, cols, [[lam.from_coeffs(
+            [Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 2)) for _ in range(lam.mlen)])
+            for _ in range(cols)] for _ in range(rows)])
+        if rows > 1 and rng.random() < 0.5:
+            m = Mat(rows, cols, m.data[:-1] + (tuple(lam.add(x, y) for x, y in zip(*m.data[:2])),))
+        targets = [random_matrix(lam, rng, 2, rows).mul(m, lam), random_matrix(lam, rng, 1, cols)]
+        snf = base_snf(m, lam)
+        assert snf.rows == rows * lam.mlen and snf.cols == cols * lam.mlen
+        expanded = [expand_rows(b, lam) for b in targets]
+        for lead in range(snf.rows + 1):
+            got = linalg._kernel_snf(snf, base, lead)
+            assert got == reference_kernel_localized(snf, base, lead)
+            for b in expanded:
+                got_failures, want_failures = [], []
+                sol = linalg._solve_snf(snf, b, base, got_failures, lead)
+                assert sol == reference_solve_localized(snf, b, base, want_failures, lead)
+                assert got_failures == want_failures
+                seen.add("solved" if sol is not None else "failed")
+            seen.add("kernel" if got.rows else "no kernel")
+        assert snf.diagonalizes(expand_matrix(m, lam), base)
+    assert seen == {"solved", "failed", "kernel", "no kernel"}, seen
+
+
+def test_localized_witnesses_stay_unbuilt_until_read():
+    """Over Z[1/2] a solve, a kernel, a membership test and a divisor read
+    run on the memo entry's integer witnesses, and its Fraction witnesses
+    stay unbuilt.  A later `.left`/`.right` read builds them once, equal to
+    the Fraction route's; copies of the entry share them."""
+    ring = ZL2
+    m = mk(ring, [[12, 6, Fraction(3, 2)], [4, 10, 8], [16, 16, Fraction(19, 2)]])
+    b = mk(ring, [[1, Fraction(1, 2), 3]]).mul(m, ring)
+    base_snf.cache_clear()
+    assert solve_left(m, b, ring).mul(m, ring) == b
+    assert kernel_left(m, ring).mul(m, ring).is_zero(ring)
+    assert not in_row_span(m, mk(ring, [[1, 0, 0]]), ring)
+    divs = elementary_divisors(PresentedModule(ring, 3, m))
+    assert divs.free_rank == 1 and divs.torsion_divisors
+    entry = base_snf(m, ring)
+    assert base_snf.cache_info().misses == 1
+    assert entry.built == {}
+    assert any(s != entry.lden for s in entry.lscale[:2])
+    ref = reference_snf_localized(m, ring)
+    own = smith_normal_form(m, ring)
+    assert entry.built == {}
+    assert (own.left, own.right) == (ref.left, ref.right)
+    assert entry.built == {"left": ref.left, "right": ref.right}
+    assert entry.left is own.left and entry.right is own.right
+    assert own.verify(m, ring) and entry == ref
+
+
+@pytest.mark.parametrize("ring", [Z2_6, S1, ZL2], ids=lambda r: type(r).__name__)
+def test_diagonalizes_reads_every_entry(ring):
+    """A product left . mat . right that matches diag(divisors) on the
+    diagonal but not off it fails `diagonalizes`: the SNF witnesses of m0
+    against m0 + left^-1 . E . right^-1, E one off-diagonal unit, and
+    identity witnesses against an upper triangular matrix."""
+    half = Fraction(1, 2) if ring is ZL2 else 1
+    m0 = mk(ring, [[half, 3], [5, 7]])
+    res = smith_normal_form(m0, ring)
+    e = mk(ring, [[0, 1], [0, 0]])
+    m = m0.add(invert(res.left, ring).mul(e, ring).mul(invert(res.right, ring), ring), ring)
+    assert res.diagonalizes(m0, ring) and not res.diagonalizes(m, ring)
+    lhs = res.left.mul(m, ring).mul(res.right, ring)
+    assert [lhs.data[i][i] for i in range(2)] == res.divisors
+    tri = mk(ring, [[1, 1], [0, 1]])
+    ident = SNFResult(Mat.identity(2, ring), Mat.identity(2, ring), [ring.one, ring.one])
+    assert not ident.diagonalizes(tri, ring)
+    assert ident.diagonalizes(Mat.identity(2, ring), ring)
 
 
 def int_product(a, b):
@@ -864,8 +1060,6 @@ def test_membership_fails_on_a_zero_divisor():
         assert all(row == 2 and d == 0 for row, _, d, _ in failures)
 
 
-Z6 = LocalizedIntegers((2, 3))
-
 
 def integer_matrix(rng, rows, cols, deficient):
     """A seeded integer matrix over Z (as Fractions); when deficient, its
@@ -1188,7 +1382,7 @@ def test_zero_dimension_edges():
 
 
 @pytest.mark.parametrize("ring", [Z2_6, Z3_4, S1, ZL2], ids=lambda r: type(r).__name__)
-def testbase_snf_cold_equals_warm(ring):
+def test_base_snf_cold_equals_warm(ring):
     rng = random.Random(23)
     for _ in range(10):
         m = random_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4))
@@ -1231,7 +1425,7 @@ def test_expansion_solve_memo_cold_equals_warm(ring, monkeypatch):
         expansions.clear()
 
 
-def testbase_snf_result_is_the_callers_own():
+def test_base_snf_result_is_the_callers_own():
     ring = TruncatedPadic(2, 5)
     m = mk(ring, [[4, 2], [6, 8]])
     first = smith_normal_form(m, ring)
@@ -1244,7 +1438,7 @@ def testbase_snf_result_is_the_callers_own():
     assert again.verify(m, ring)
 
 
-def testbase_snf_evicts_and_stays_correct():
+def test_base_snf_evicts_and_stays_correct():
     """More distinct inputs than the memo holds: evicted entries are
     recomputed with the same result."""
     rng = random.Random(31)
@@ -1258,14 +1452,29 @@ def testbase_snf_evicts_and_stays_correct():
         assert again == res and again.verify(m, Z2_6)
 
 
-def testbase_snf_shared_by_threads():
+def test_base_snf_shared_by_threads():
     """Threads sharing the memo (the memo is documented as thread-safe), with
     eviction and a short switch interval, all get the single-threaded
     results: SNFs, kernel rows at each lead and membership verdicts.  The
     first matrix is asked more targets than an entry keeps, so reads are
-    evicted under the threads too."""
+    evicted under the threads too.  A Z[1/2] pool runs beside it: some
+    threads read the Fraction witnesses of `smith_normal_form` while others
+    solve and take kernels on the same entries' integer witnesses, and
+    every thread sees the single-threaded witnesses and solutions."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
+
+    lrng = random.Random(38)
+    lmats = [integer_matrix(lrng, 3, 3, lrng.random() < 0.3).scale(
+        Fraction(lrng.choice((1, 4, 12)), 2), ZL2) for _ in range(40)]
+    ltargets = [s_unit_matrix(ZL2, lrng, 2, 3).mul(m, ZL2) for m in lmats]
+    lexpected = []
+    for m, b in zip(lmats, ltargets):
+        base_snf.cache_clear()
+        res = smith_normal_form(m, ZL2)
+        base_snf.cache_clear()
+        lexpected.append((res.left, res.right, res.divisors, solve_left(m, b, ZL2),
+                          [kernel_left(m, ZL2, lead) for lead in range(4)]))
 
     rng = random.Random(37)
     mats = [random_matrix(Z3_4, rng, 3, 3) for _ in range(40)]
@@ -1289,11 +1498,28 @@ def testbase_snf_shared_by_threads():
                    and [in_row_span(mats[i], b, Z3_4) for b in targets[i]] == verdicts[i]
                    for i in order * 3)
 
+    def read_witnesses(seed):
+        order = list(range(len(lmats)))
+        random.Random(seed).shuffle(order)
+        for i in order * 2:
+            res = smith_normal_form(lmats[i], ZL2)
+            if (res.left, res.right, res.divisors) != lexpected[i][:3]:
+                return False
+        return True
+
+    def solve_localized(seed):
+        order = list(range(len(lmats)))
+        random.Random(seed).shuffle(order)
+        return all(solve_left(lmats[i], ltargets[i], ZL2) == lexpected[i][3]
+                   and [kernel_left(lmats[i], ZL2, lead) for lead in range(4)] == lexpected[i][4]
+                   for i in order * 2)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(work, seed) for seed in range(8)]
+            futures = [pool.submit(task, seed) for seed in range(8)
+                       for task in (work, read_witnesses if seed % 2 else solve_localized)]
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
