@@ -40,8 +40,8 @@ MUTANTS = [
     {
         "name": "integer-divisor-rule-without-zero-divisor",
         "file": "src/truncalg/linalg.py",
-        "old": "if cj and (not d or cj % d))",
-        "new": "if cj and d and cj % d)",
+        "old": "if cj and (not d or cj % d)]",
+        "new": "if cj and d and cj % d]",
         "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
                   "tests/test_linalg.py::test_snf_padic_equals_chain_kernel",
                   "tests/test_linalg.py::test_integer_rule_matches_reference_over_localized_integers"],
@@ -124,8 +124,8 @@ MUTANTS = [
     {
         "name": "localized-solve-product-without-row-scalar",
         "file": "src/truncalg/linalg.py",
-        "old": "ys = ([cj // d * s if cj else 0 for cj, d, s in zip(ci, ints[:ndiv], snf.lscale)]\n",
-        "new": "ys = ([cj // d * snf.lden if cj else 0 for cj, d, s in zip(ci, ints[:ndiv], snf.lscale)]\n",
+        "old": "ys = ([y * s for y, s in zip(yi, lscale)] for yi in ys)\n",
+        "new": "ys = ([y * lden for y, s in zip(yi, lscale)] for yi in ys)\n",
         "tests": ["tests/test_linalg.py::test_localized_readers_match_fraction_route",
                   "tests/test_linalg.py::test_localized_readers_match_fraction_route_on_lambda_expansions",
                   "tests/test_linalg.py::test_integer_rule_matches_reference_over_localized_integers"],
@@ -133,8 +133,8 @@ MUTANTS = [
     {
         "name": "localized-kernel-keeps-nonzero-divisor-rows",
         "file": "src/truncalg/linalg.py",
-        "old": "                              if j >= ndiv or not divisors[j]], lead)\n",
-        "new": "                              if True], lead)\n",
+        "old": "                          if j >= ndiv or not divisors[j]], lead)\n",
+        "new": "                          if True], lead)\n",
         "tests": ["tests/test_linalg.py::test_localized_readers_match_fraction_route",
                   "tests/test_linalg.py::test_localized_readers_match_fraction_route_on_lambda_expansions",
                   "tests/test_linalg.py::test_solve_and_kernel_random"],
@@ -142,7 +142,7 @@ MUTANTS = [
     {
         "name": "localized-solve-without-s-unit-assertion",
         "file": "src/truncalg/linalg.py",
-        "old": "    assert all(ring.strip_s(den) == 1 for den in dens), \"a denominator outside S\"\n",
+        "old": "        assert all(ring.strip_s(den) == 1 for den in dens), \"a denominator outside S\"\n",
         "new": "",
         "tests": ["tests/test_linalg.py::test_solve_refuses_a_denominator_outside_s"],
     },
@@ -187,33 +187,63 @@ MUTANTS = [
     {
         "name": "invertible-always",
         "file": "src/truncalg/linalg.py",
-        "old": "    assert mat.rows == mat.cols\n    if isinstance(ring, TruncatedLambda):\n",
-        "new": "    return True\n    if isinstance(ring, TruncatedLambda):\n",
+        "old": "    assert mat.rows == mat.cols\n    base = ring.scalar if ring.expands else ring\n",
+        "new": "    return True\n    base = ring.scalar if ring.expands else ring\n",
         "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert",
                   "tests/test_linalg.py::test_verify_checks_witness_invertibility"],
     },
     {
         "name": "invertible-nonzero-determinant-without-s-unit-test",
         "file": "src/truncalg/linalg.py",
-        "old": "        return det != 0 and ring.strip_s(det) == 1\n",
-        "new": "        return det != 0\n",
+        "old": "    return det != 0 and ring.strip_s(det) == 1\n",
+        "new": "    return det != 0\n",
         "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert"],
     },
     {
         "name": "residue-rank-without-residue-map",
-        "file": "src/truncalg/linalg.py",
-        "old": "        rows = [[x % p for x in row] for row in mat.data]\n",
-        "new": "        rows = [list(row) for row in mat.data]\n",
+        "file": "src/truncalg/rings.py",
+        "old": "        return [x % p for x in row]\n",
+        "new": "        return list(row)\n",
         "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert",
                   "tests/test_modules.py::test_residue_zero_module_matches_membership"],
     },
     {
         "name": "residue-rank-without-constant-term-residue",
-        "file": "src/truncalg/linalg.py",
-        "old": "        rows = [[x[0] % p for x in row] for row in mat.data]\n",
-        "new": "        rows = [[x[0] for x in row] for row in mat.data]\n",
+        "file": "src/truncalg/rings.py",
+        "old": "        return [x[0] % p for x in row]\n",
+        "new": "        return [x[0] for x in row]\n",
         "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert",
                   "tests/test_modules.py::test_residue_zero_module_matches_membership"],
+    },
+    {
+        "name": "lambda-residues-read-at-q-equal-2",
+        "file": "src/truncalg/rings.py",
+        "old": "        return [x[0] for x in row]\n",
+        "new": "        return [sum(x) for x in row]\n",
+        "tests": ["tests/test_linalg.py::test_is_invertible_matches_invert"],
+    },
+    {
+        "name": "integer-rule-quotient-undivided",
+        "file": "src/truncalg/linalg.py",
+        "old": "(lambda ci: [cj // d if cj else 0 for cj, d in zip(ci, heads)])",
+        "new": "(lambda ci: [cj if cj else 0 for cj, d in zip(ci, heads)])",
+        "tests": ["tests/test_linalg.py::test_solve_snf_matches_reference_at_every_lead",
+                  "tests/test_linalg.py::test_integer_rule_matches_reference_over_localized_integers"],
+    },
+    {
+        "name": "bk-torsion-exponent-reads-z-valuation",
+        "file": "src/truncalg/rings.py",
+        "old": "    torsion_exponent = p_valuation\n",
+        "new": "    torsion_exponent = z_valuation\n",
+        "tests": ["tests/test_modules.py::test_decompose_over_bk_reads_p_exponents",
+                  "tests/test_ext.py::test_ext_golden_table"],
+    },
+    {
+        "name": "validate-injectivity-refusal-without-pointer",
+        "file": "src/truncalg/spectral.py",
+        "old": "                raise refusal(f\"filtration map ({i},{n}) is not injective\", (i, n))\n",
+        "new": "                raise SchemaError(f\"filtration map ({i},{n}) is not injective\")\n",
+        "tests": ["tests/test_cli.py::test_filtered_complex_refusals_carry_their_pointer"],
     },
     {
         "name": "zero-module-residue-rank-one-short",

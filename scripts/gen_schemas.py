@@ -140,11 +140,11 @@ base_change_spec = {
     "properties": {
         "kind": {"enum": ["identity", "z_to_zero", "z_to_unit", "frobenius_twist",
                           "lambda_completion", "localized_completion"]},
-        "unit": {"type": "integer"},
         "ell": {"type": "integer", "description": "a prime; the completions need it, "
                                                   "and it must not be inverted in "
                                                   "the complex's ring"},
-        "precision_n": {"type": "integer", "minimum": 1}},
+        "unit": {"not": {}, "description": "not read by any base change: refused"},
+        "precision_n": {"not": {}, "description": "not read by any base change: refused"}},
     "required": ["kind"],
 }
 

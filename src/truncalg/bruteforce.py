@@ -12,25 +12,8 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import UnsupportedRingError
-from .rings import TruncatedPadic, TruncatedPowerSeries
 
 ORACLE_ELEMENT_BOUND = 4096
-
-
-def enumerate_ring(ring):
-    if isinstance(ring, TruncatedPadic):
-        return list(range(ring.modulus))
-    if isinstance(ring, TruncatedPowerSeries):
-        return [tuple(c) for c in product(range(ring.p), repeat=ring.mlen)]
-    raise UnsupportedRingError(f"cannot enumerate {type(ring).__name__}")
-
-
-def ring_size(ring):
-    if isinstance(ring, TruncatedPadic):
-        return ring.modulus
-    if isinstance(ring, TruncatedPowerSeries):
-        return ring.p ** ring.mlen
-    raise UnsupportedRingError(f"cannot enumerate {type(ring).__name__}")
 
 
 def _vec_add(ring, x, y):
@@ -59,7 +42,7 @@ def _grow_submodule(closed, elems, multiples, add):
 
 def span_subgroup(ring, rows, gens):
     """Additive closure of all ring multiples of the given rows in R^gens."""
-    scalars = enumerate_ring(ring)
+    scalars = ring.elements()
     return _grow_submodule(
         {(ring.zero,) * gens}, (tuple(r) for r in rows),
         lambda x: {_vec_scale(ring, c, x) for c in scalars},
@@ -72,15 +55,15 @@ class FiniteModule:
     def __init__(self, presented):
         ring = presented.ring
         g = presented.gens
-        if ring_size(ring) ** g > ORACLE_ELEMENT_BOUND:
+        if ring.element_count() ** g > ORACLE_ELEMENT_BOUND:
             raise UnsupportedRingError(
-                f"module too large for element enumeration ({ring_size(ring)}^{g})")
+                f"module too large for element enumeration ({ring.element_count()}^{g})")
         self.ring = ring
         self.gens = g
         self.presented = presented
         self.sub = span_subgroup(ring, presented.relations.data, g)
         self._rep = {}
-        scalars = enumerate_ring(ring)
+        scalars = ring.elements()
         space = [tuple(v) for v in product(scalars, repeat=g)] if g else [()]
         for x in space:
             if x in self._rep:
@@ -121,7 +104,7 @@ class FiniteModule:
 
     def extend_subgroup(self, sub, elems):
         """Closure of the submodule sub and the given classes, grown from sub."""
-        scalars = enumerate_ring(self.ring)
+        scalars = self.ring.elements()
         return _grow_submodule(
             sub, (self.rep(x) for x in elems),
             lambda x: {self.scale(c, x) for c in scalars}, self.add)

@@ -128,7 +128,7 @@ def run_command(command, input_data, options):
             if len(cexp) == 1 and len(aexp) == 1 and not cfree and not afree:
                 orc = extm.ext1_cocycle_oracle(cexp[0], aexp[0], c.ring)
                 agree = (orc.abelian_exponent_multiset
-                         == sorted(exps * getattr(c.ring, "mlen", 1)))
+                         == sorted(exps * c.ring.mlen))
                 payload["verdicts"]["oracle_agrees"] = bool(
                     agree and orc.split_set_is_coboundaries)
                 payload["witnesses"]["oracle"] = jsonable(orc)

@@ -13,7 +13,7 @@ by A explicitly and decides splitness by exhausting section candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .bruteforce import _grow_submodule, exponent_multiset
@@ -77,12 +77,9 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring):
     production split test.  The quotient's abelian exponent profile and
     ring-cyclicity are reported.
     """
-    if isinstance(ring, TruncatedBK):
-        p, n, mlen = ring.p, ring.precision_n, ring.mlen
-    elif isinstance(ring, TruncatedPadic):
-        p, n, mlen = ring.p, ring.precision_n, 1
-    else:
+    if not isinstance(ring, (TruncatedBK, TruncatedPadic)):
         raise UnsupportedRingError("oracle supports TruncatedBK and TruncatedPadic")
+    p, n, mlen = ring.p, ring.precision_n, ring.mlen
     if a_exp >= n or b_exp >= n:
         raise PrecisionError("oracle exponents must stay below the p-precision")
     pb = p ** b_exp
@@ -139,14 +136,8 @@ def _ses_split_verdict(ring, a_exp, b_exp, v, mlen):
     the extension module is only faithful at p-precision >= a+b; the check
     therefore lifts the ring precision while keeping the same arithmetic."""
     if ring.precision_n < a_exp + b_exp:
-        if isinstance(ring, TruncatedPadic):
-            ring = TruncatedPadic(ring.p, a_exp + b_exp)
-        else:
-            ring = TruncatedBK(ring.p, a_exp + b_exp, ring.precision_m, ring.eisenstein)
-    if isinstance(ring, TruncatedPadic):
-        velt = ring.from_int(v[0])
-    else:
-        velt = ring.from_coeffs([ring.scalar.from_int(c) for c in v])
+        ring = replace(ring, precision_n=a_exp + b_exp)
+    velt = ring.normalize(list(v) if ring.expands else v[0])
     pa = ring.from_int(ring.p ** a_exp)
     pb = ring.from_int(ring.p ** b_exp)
     amod = PresentedModule.cyclic(ring, pb)

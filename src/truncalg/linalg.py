@@ -3,72 +3,60 @@
 Everything is row-convention: vectors are rows, a map R^g -> R^h is a g x h
 matrix A acting by x |-> x . A.
 
-There is one Smith normal form kernel per base ring:
+Family facts have two homes.  Each ring class in `rings` is the record of
+its ring-level facts (`expands`, `modulus`, `residues`, ...), and the table
+`_BASE` at the end of this module holds the SNF facts of each base family:
+its Smith normal form kernel, the divisor rule of its solve, its kernel read
+and its invertibility read.  TruncatedBK and TruncatedLambda (`expands`)
+are expanded by restriction of scalars to their `scalar`, whose entry they
+read: a T-linear map is base-linear, and solutions and kernels reassemble
+because T^g = base^(g*M) is a base-module isomorphism.  The kernels:
 
   Z/p^N        `_snf_padic`, on Python ints: minimal-valuation pivoting with
                a deterministic row-major tie-break, each step x + c*y mod p^N;
-  F_p[z]/z^M   `_snf_chain`, the same pivoting through the chain worker's
-               ring calls;
-  Z[1/S]       `_snf_localized`, on Python ints: least-|entry| pivoting,
-               and one step rule, the nearest-integer multiple of the pivot
-               subtracted, so each remainder is at most half the pivot and
-               the least |entry| falls until the pivot divides its block;
-               the sign and S-unit factors stripped from the divisors.
-               The witnesses stay on ints (`_LocalizedSNF`): left as integer
-               rows with one S-unit scalar per row, right as integer rows.
+  F_p[z]/z^M   `_snf_chain`, the same pivoting through the ring's calls;
+  Z[1/S]       `_snf_localized`, on Python ints: least-|entry| pivoting, the
+               nearest-integer multiple of the pivot subtracted, so the least
+               |entry| falls until the pivot divides its block; the sign and
+               S-unit factors stripped from the divisors.  The witnesses stay
+               on ints (`_LocalizedSNF`): left as integer rows with one
+               S-unit scalar per row, right as integer rows.
 
-Over Z/p^N, `Mat.mul` and the solve run on ints as well.  Z/p^N and Z[1/S]
-share one integer divisor rule in the solve: over Z[1/S] each target row is
-scaled by the lcm of its denominators, an S-unit, and b . right and the
-product with `left` are formed on ints, one Fraction per nonzero entry of
-the solution.  The kernel and the L . A . R = D check read the integer
-witnesses too, so a Z[1/S] result builds its Fraction `left` and `right`
-only when a caller reads them: the `snf` command prints both, `verify`
-decides their invertibility, and `modules.decompose_elementary` inverts
-`right`.
-F_p[z]/z^M has the valuation rule.  TruncatedBK and TruncatedLambda
-matrices are expanded by restriction of scalars to their base ring: a
-T-linear map is base-linear, and solutions/kernels reassemble because the
-coordinate identification T^g = base^(g*M) is a base-module isomorphism.
-One 32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds
-the SNFs; a BK or Lambda matrix is expanded only when its key misses.  Each
-entry also keeps up to 32 reads of its matrix, the oldest dropped first:
-the kernel rows of each `lead` and the membership verdict on each target.
-A kept read is the value the first call computed, checks included, so a
-warm call answers as a cold one does.
+Over Z/p^N (`modulus`), `Mat.mul` and the solve run on ints as well.  Z/p^N
+and Z[1/S] share the integer divisor rule, F_p[z]/z^M has the valuation
+rule.  Over Z[1/S] the products with the witnesses, the kernel and the
+L . A . R = D check run on their ints, so a result builds its Fraction
+`left` and `right` only when a caller reads them (the `snf` command,
+`verify`, `modules.decompose_elementary`).  One 32-entry memo, `base_snf`,
+keyed by the caller's (matrix, ring), holds the SNFs; a BK or Lambda matrix
+is expanded only when its key misses.  Each entry also keeps up to 32 reads
+of its matrix, the oldest dropped first: the kernel rows of each `lead` and
+the membership verdict on each target, each the value the first call
+computed, checks included, so a warm call answers as a cold one does.
 
-Whether a square matrix is invertible is decided by the invariant that
-decides it, by a route that shares no code with the SNF kernels
-(`is_invertible`): the rank over the residue field F_p (`residue_rank`)
-for the local families Z/p^N, F_p[z]/z^M and TruncatedBK, and an S-unit
-Bareiss determinant over Z[1/S], which TruncatedLambda reaches through its
-constant term.  `invert` solves only for callers that read the inverse.
+Invertibility (`is_invertible`) is decided by an invariant, by a route
+that shares no code with the SNF kernels: the rank over F_p of the
+residues (`residue_rank`) for the local families, an S-unit Bareiss
+determinant over Z[1/S], which TruncatedLambda reaches through its constant
+terms.  `invert` solves only for callers that read the inverse.
 
 Solves and kernels back-multiply only the unknowns the caller reads: X of
 X . mat + Y . rel = b (`solve_left_mod`), the first `lead` unknowns
-(`solve_left_info`) or kernel columns (`kernel_left`).  `_solve_snf` states
-each divisor rule once and builds the failure record from it.  A
-membership test (`in_row_span`) is a solve with lead 0 that stops at that
-check: b . right and the divisor rule decide it, no quotient row is formed
-and nothing is multiplied back; a zero target is in every span and takes
-no lookup.  `modules.module_map` checks a map this way.
+(`solve_left_info`) or kernel columns (`kernel_left`).  A membership test
+(`in_row_span`) is a solve with lead 0 that stops at the divisor rule: no
+quotient row is formed and nothing is multiplied back; a zero target is in
+every span and takes no lookup.  `modules.module_map` checks a map this way.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .errors import UnsupportedRingError
-from .rings import (
-    LocalizedIntegers,
-    TruncatedLambda,
-    TruncatedPadic,
-    TruncatedPowerSeries,
-    base_ring_of,
-    is_expansion_ring,
-)
+from .rings import LocalizedIntegers, TruncatedPadic, TruncatedPowerSeries
 
 
 def _int_products(arows, brows):
@@ -116,9 +104,8 @@ class Mat:
         nonzero a[i][k].  Over Z/p^N the sums are of raw int products, and
         each output entry is reduced once."""
         assert self.cols == other.rows, f"shape mismatch {self.cols} != {other.rows}"
-        zero_row = (ring.zero,) * other.cols
-        if isinstance(ring, TruncatedPadic):
-            q = ring.modulus
+        zero_row, q = (ring.zero,) * other.cols, ring.modulus
+        if q:
             return Mat(self.rows, other.cols,
                        [zero_row if acc is None else [x % q for x in acc]
                         for acc in _int_products(self.data, other.data)])
@@ -200,17 +187,13 @@ class Mat:
 
 class SNFResult:
     """left . mat . right = diag(divisors) with left and right invertible,
-    for a rows x cols matrix.  A Z[1/S] result of `_snf_localized` is a
-    `_LocalizedSNF`, which holds its witnesses on ints.
-
-    No inverse of a witness is stored: `verify` decides that both witnesses
-    are invertible by `is_invertible`, and `modules.decompose_elementary`
-    and `smodules._read_slice` invert `right` themselves.
-    `diagonalizes` is the exact identity alone, which certifies a divisor
-    read (`modules.elementary_divisors`) without any inverse.
-    `reads` holds what `kernel_left` and `in_row_span` derived from a
-    `base_snf` entry (see `_read`); a copy starts with none.
-    """
+    for a rows x cols matrix; a Z[1/S] result is a `_LocalizedSNF`, its
+    witnesses on ints.  No inverse is stored: `verify` decides invertibility
+    by `is_invertible`, and `diagonalizes`, the exact identity alone,
+    certifies a divisor read.  The solve multiplies by the witnesses through
+    `right_product` and `left_product`.  `reads` holds what `kernel_left`
+    and `in_row_span` derived from a `base_snf` entry (`_read`); a copy
+    starts with none."""
 
     __slots__ = ("left", "right", "divisors", "rows", "cols", "reads")
 
@@ -244,6 +227,16 @@ class SNFResult:
     def verify(self, mat, ring):
         return (self.diagonalizes(mat, ring) and is_invertible(self.left, ring)
                 and is_invertible(self.right, ring))
+
+    def right_product(self, b, ring):
+        return None, b.mul(self.right, ring).data
+
+    def left_product(self, ys, dens, lead, ring):
+        """The first `lead` columns of Y . left, Y's rows `ys` zero-padded."""
+        rows = self.rows
+        pad = [ring.zero] * (rows - len(self.divisors))
+        left = self.left if lead == rows else Mat(rows, lead, [r[:lead] for r in self.left.data])
+        return Mat(len(ys), rows, [y + pad for y in ys]).mul(left, ring)
 
 
 class _LocalizedSNF(SNFResult):
@@ -286,6 +279,26 @@ class _LocalizedSNF(SNFResult):
     def copy(self):
         return _LocalizedSNF(list(self.divisors), self.lrows, self.lscale, self.lden,
                              self.rrows, self.built)
+
+    def right_product(self, b, ring):
+        """(dens, c): per row of b the lcm D of its denominators, an S-unit,
+        and the integer rows c = (D . b) . right."""
+        scaled = list(_integer_rows(b.data))
+        dens = [den for den, _ in scaled]
+        assert all(ring.strip_s(den) == 1 for den in dens), "a denominator outside S"
+        c = _int_products((row for _, row in scaled), self.rrows)
+        return dens, [[0] * self.cols if acc is None else acc for acc in c]
+
+    def left_product(self, ys, dens, lead, ring):
+        """Y . left on ints: the quotient (cj // d)/D times row j's scalar
+        lscale[j]/lden is the integer (cj // d) . lscale[j] over lden . D,
+        so one Fraction per nonzero output entry."""
+        lrows = self.lrows if lead == self.rows else [r[:lead] for r in self.lrows]
+        zero, lden, lscale = ring.zero, self.lden, self.lscale
+        ys = ([y * s for y, s in zip(yi, lscale)] for yi in ys)
+        return Mat(len(dens), lead, [[zero] * lead if acc is None
+                                     else [Fraction(x, lden * den) if x else zero for x in acc]
+                                     for acc, den in zip(_int_products(ys, lrows), dens)])
 
     def diagonalizes(self, mat, ring):
         """left . mat . right == diag(divisors), exactly, on ints.  With
@@ -575,7 +588,7 @@ def smith_normal_form(mat, ring):
     expansion.  Results come from the `base_snf` memo; each call returns
     its own SNFResult.
     """
-    if is_expansion_ring(ring):
+    if ring.expands:
         raise UnsupportedRingError(
             f"{type(ring).__name__} admits no Smith normal form; use restriction of scalars")
     return base_snf(mat, ring).copy()
@@ -610,12 +623,9 @@ def _read(snf, key, compute):
 # the distinct inputs on every corpus job (at most 22, ext_golden_p2) and
 # every tower; filtered complexes with up to 61 distinct inputs miss 1 to 3
 # more.  A membership test with a nonzero target looks its matrix up, and
-# once more through its solve when its verdict is not kept.
-# `invert` of an SNF witness goes through the memo too: in
-# `decompose_elementary`, which only callers of a decomposition witness
-# reach, and in `smodules._read_slice`, once per free gr_p slice whose
-# from-canonical rows `decompose_over_s` reads; a divisor read
-# (`modules.elementary_divisors`) and `SNFResult.verify` invert nothing.
+# once more through its solve when its verdict is not kept.  `invert` of an
+# SNF witness (`decompose_elementary`, `smodules._read_slice`) goes through
+# the memo too; a divisor read and `SNFResult.verify` invert nothing.
 # On the 48 towers of tower_check seed 601, memo cleared per tower: 1681
 # lookups, 641 misses (as many as distinct inputs) and 397 expansions, and
 # 357 of 704 kernel and membership reads kept; on the 128 complexes of
@@ -630,113 +640,84 @@ def base_snf(mat, ring):
     Z/p^N, F_p[z]/z^M and Z[1/S], and of `expand_matrix(mat, ring)` over
     `ring.scalar` for TruncatedBK and TruncatedLambda.  The result is
     shared by every caller and must not be mutated."""
-    if is_expansion_ring(ring):
-        mat, ring = expand_matrix(mat, ring), base_ring_of(ring)
-    if isinstance(ring, TruncatedPadic):
-        return _snf_padic(mat, ring)
-    if isinstance(ring, LocalizedIntegers):
-        return _snf_localized(mat, ring)
-    return _snf_chain(mat, ring)
+    if ring.expands:
+        mat, ring = expand_matrix(mat, ring), ring.scalar
+    return _BASE[type(ring)].snf(mat, ring)
 
 
-def _scaled_product(b, rrows, ring):
-    """(dens, c) over Z[1/S]: per row of b the lcm D of its denominators,
-    and the integer rows c = (D . b) . right, right given as its integer
-    rows `rrows`.  D is an S-unit for every element of Z[1/S]."""
-    scaled = list(_integer_rows(b.data))
-    dens = [den for den, _ in scaled]
-    assert all(ring.strip_s(den) == 1 for den in dens), "a denominator outside S"
-    c = _int_products((row for _, row in scaled), rrows)
-    return dens, [[0] * len(rrows) if acc is None else acc for acc in c]
+def _integer_rule(divisors, ndiv, ring):
+    """The divisor rule of Z/p^N and Z[1/S]: a divisor d is 0, p^v or a
+    positive S-free integer (`_snf_localized` strips the S-units), and an
+    entry c of b . right is read as cj/D, D an S-unit (1 over Z/p^N).  So d
+    divides cj/D iff cj is 0, or d is nonzero and divides cj as an integer;
+    the quotient is (cj // d)/D.  Returns the per-row readers (failing
+    positions, quotients of the first `ndiv` positions)."""
+    ints = [d.numerator for d in divisors]
+    heads = ints[:ndiv]
+    return ((lambda ci: [j for j, (cj, d) in enumerate(zip(ci, ints))
+                         if cj and (not d or cj % d)]),
+            (lambda ci: [cj // d if cj else 0 for cj, d in zip(ci, heads)]))
+
+
+def _valuation_rule(divisors, ndiv, ring):
+    """The divisor rule of F_p[z]/z^M: a divisor is 0 or exactly z^v, its
+    unit part scaled away, so d divides cj iff the first v coefficients of
+    cj vanish (v = M for 0); the quotient is cj shifted down by v."""
+    vals = [ring.mlen if v is None else v for v in map(ring.var_valuation, divisors)]
+    heads, shift = vals[:ndiv], ring.shift_down
+    return ((lambda ci: [j for j, (cj, v) in enumerate(zip(ci, vals)) if any(cj[:v])]),
+            (lambda ci: [shift(cj, v) for cj, v in zip(ci, heads)]))
 
 
 def _solve_snf(snf, b, ring, failures, lead):
     """The first `lead` columns of X with X . mat = b given mat's SNF, or
-    None.  b a Mat of row targets; mat's shape is that
-    of the witnesses: rows of `left`, columns of `right`.
+    None.  b a Mat of row targets; mat's shape is that of the witnesses.
 
     With c = b . right, X = Y . left solves it iff Y . diag(divisors) = c,
-    a divisor past the diagonal being zero.  There are two divisor rules:
-
-      integers (Z/p^N, Z[1/S])  a divisor d is 0, p^v or a positive S-free
-          integer (`_snf_localized` strips the S-units), and c is read as
-          integer rows cj/D, D an S-unit (1 over Z/p^N).  So d divides
-          cj/D iff cj is 0, or d is nonzero and divides cj as an integer;
-          the quotient is (cj // d)/D;
-      valuation (F_p[z]/z^M)  a divisor is 0 or exactly z^v, its unit part
-          scaled away, so d divides cj iff the first v coefficients of cj
-          vanish (v = M for 0); the quotient is cj shifted down by v.
-
-    Every unsolvable equation is appended to the (empty) list `failures` as
-    (row, position, divisor, residue), the residue the entry of b . right,
-    so callers get a complete obstruction record.  The quotients Y and the
-    product with the first `lead` columns of `left` are built only when the
-    check passes and `lead` > 0: with lead 0 the check is the answer.
-    Over Z[1/S] both products run on the witnesses' ints (`_LocalizedSNF`):
-    the quotient (cj // d)/D times row j's scalar lscale[j]/lden is the
-    integer (cj // d) . lscale[j] over lden . D, so X = Y . left is an
-    integer product with one Fraction per nonzero output entry.
-    """
-    rows, ndiv = snf.rows, len(snf.divisors)
+    a divisor past the diagonal being zero: the family's divisor rule
+    (`_BASE`) decides each entry and forms its quotient.  Every unsolvable
+    equation is appended to the (empty) list `failures` as (row, position,
+    divisor, residue), the residue the entry of b . right, so callers get a
+    complete obstruction record.  Y and its product with the first `lead`
+    columns of `left` are built only when the check passes and `lead` > 0:
+    with lead 0 the check is the answer."""
+    ndiv = len(snf.divisors)
     divisors = snf.divisors + [ring.zero] * (snf.cols - ndiv)
-    dens = None
-    if isinstance(ring, LocalizedIntegers):
-        dens, c = _scaled_product(b, snf.rrows, ring)
-    else:
-        c = b.mul(snf.right, ring).data
-    if isinstance(ring, TruncatedPowerSeries):
-        vals = [ring.mlen if v is None else v for v in map(ring.var_valuation, divisors)]
-        for i, ci in enumerate(c):
-            failures.extend((i, j, divisors[j], cj) for j, (cj, v) in enumerate(zip(ci, vals))
-                            if any(cj[:v]))
-    else:
-        ints = [d.numerator for d in divisors]
-        for i, ci in enumerate(c):
-            failures.extend((i, j, divisors[j], cj if dens is None else Fraction(cj, dens[i]))
-                            for j, (cj, d) in enumerate(zip(ci, ints))
-                            if cj and (not d or cj % d))
+    dens, c = snf.right_product(b, ring)
+    failing, quotients = _BASE[type(ring)].rule(divisors, ndiv, ring)
+    for i, ci in enumerate(c):
+        failures.extend((i, j, divisors[j], ci[j] if dens is None else Fraction(ci[j], dens[i]))
+                        for j in failing(ci))
     if failures:
         return None
     if not lead:
         return Mat(b.rows, 0, [()] * b.rows)
-    if isinstance(ring, TruncatedPowerSeries):
-        ys = [[ring.shift_down(cj, v) for cj, v in zip(ci, vals[:ndiv])] for ci in c]
-    elif dens is None:
-        ys = [[cj // d if cj else 0 for cj, d in zip(ci, ints[:ndiv])] for ci in c]
-    else:
-        ys = ([cj // d * s if cj else 0 for cj, d, s in zip(ci, ints[:ndiv], snf.lscale)]
-              for ci in c)
-        lrows = snf.lrows if lead == rows else [r[:lead] for r in snf.lrows]
-        zero, lden = ring.zero, snf.lden
-        return Mat(b.rows, lead, [[zero] * lead if acc is None
-                                  else [Fraction(x, lden * den) if x else zero for x in acc]
-                                  for acc, den in zip(_int_products(ys, lrows), dens)])
-    pad = [ring.zero] * (rows - ndiv)
-    left = snf.left if lead == rows else Mat(rows, lead, [r[:lead] for r in snf.left.data])
-    return Mat(b.rows, rows, [y + pad for y in ys]).mul(left, ring)
+    return snf.left_product([quotients(ci) for ci in c], dens, lead, ring)
 
 
 def _kernel_snf(snf, ring, lead):
     """The first `lead` columns of rows spanning {x : x . mat = 0} given
-    mat's SNF, over any family: a TruncatedBK or TruncatedLambda kernel is
-    read over the base ring of `snf` and reassembled.  A row a . left[j] is
-    kept when it is nonzero as a whole, so a kept row may read zero in its
-    first `lead` columns.
+    mat's SNF: the base family's kernel read (`_BASE`), reassembled for an
+    expanding ring."""
+    if ring.expands:
+        return reassemble_rows(_kernel_snf(snf, ring.scalar, lead * ring.mlen), ring, lead)
+    return _BASE[type(ring)].kernel(snf, ring, lead)
 
-    Over Z[1/S] a nonzero divisor annihilates nothing and a zero one is
-    annihilated by 1, so the kernel is spanned by the rows of `left` at a
-    zero divisor or past the divisors: the integer rows of `left` times
-    their row scalars."""
-    if is_expansion_ring(ring):
-        kb = _kernel_snf(snf, base_ring_of(ring), lead * ring.mlen)
-        return reassemble_rows(kb, ring, lead)
-    divisors = snf.divisors
-    if isinstance(ring, LocalizedIntegers):
-        zero, lden, ndiv = ring.zero, snf.lden, len(divisors)
-        return Mat.from_rows([[Fraction(x * s, lden) if x else zero for x in row[:lead]]
-                              for j, (s, row) in enumerate(zip(snf.lscale, snf.lrows))
-                              if j >= ndiv or not divisors[j]], lead)
-    mul, is_zero = ring.mul, ring.is_zero
+
+def _kernel_localized(snf, ring, lead):
+    """A nonzero divisor annihilates nothing in Z[1/S], so the kernel is
+    spanned by the rows of `left` at a zero divisor or past the divisors."""
+    zero, lden, divisors, ndiv = ring.zero, snf.lden, snf.divisors, len(snf.divisors)
+    return Mat.from_rows([[Fraction(x * s, lden) if x else zero for x in row[:lead]]
+                          for j, (s, row) in enumerate(zip(snf.lscale, snf.lrows))
+                          if j >= ndiv or not divisors[j]], lead)
+
+
+def _kernel_chain(snf, ring, lead):
+    """ann(d) . left[j] for each divisor d with a nonzero annihilator, and
+    the rows of `left` past the divisors.  A row is kept when it is nonzero
+    as a whole, so it may read zero in its first `lead` columns."""
+    mul, is_zero, divisors = ring.mul, ring.is_zero, snf.divisors
     gens = []
     for j, d in enumerate(divisors):
         a = ring.ann_gen(d)
@@ -752,7 +733,7 @@ def _kernel_snf(snf, ring, lead):
 
 def expand_matrix(mat, ring):
     """Base-ring matrix of x |-> x . mat under T^g = base^(g*M)."""
-    base = base_ring_of(ring)
+    base = ring.scalar
     m = ring.mlen
     out = [[base.zero] * (mat.cols * m) for _ in range(mat.rows * m)]
     for i in range(mat.rows):
@@ -807,8 +788,8 @@ def solve_left_info(mat, b, ring, lead=None):
     if mat.cols == 0:
         return Mat.zero(b.rows, lead, ring), []
     failures = []
-    if is_expansion_ring(ring):
-        xb = _solve_snf(base_snf(mat, ring), expand_rows(b, ring), base_ring_of(ring), failures,
+    if ring.expands:
+        xb = _solve_snf(base_snf(mat, ring), expand_rows(b, ring), ring.scalar, failures,
                         lead * ring.mlen)
         return (xb if xb is None or not lead else reassemble_rows(xb, ring, lead)), failures
     return _solve_snf(base_snf(mat, ring), b, ring, failures, lead), failures
@@ -859,18 +840,16 @@ def invert(mat, ring):
 
 
 def residue_rank(mat, ring):
-    """Rank over the residue field F_p of a matrix over Z/p^N, F_p[z]/z^M or
-    TruncatedBK, each a local ring with residue field F_p: Gaussian
-    elimination mod p on the residues, x % p over Z/p^N and the constant
-    term x[0] % p over a z-family.  By Nakayama, rows span the free module
-    exactly when their residues span F_p^cols."""
-    p = ring.p
-    if isinstance(ring, TruncatedPadic):
-        rows = [[x % p for x in row] for row in mat.data]
-    else:
-        rows = [[x[0] % p for x in row] for row in mat.data]
+    """Rank over the residue field F_p of a matrix over a local family
+    (Z/p^N, F_p[z]/z^M, TruncatedBK): Gaussian elimination mod p on the
+    residues of its rows (`ring.residues`).  By Nakayama, rows span the free
+    module exactly when their residues span F_p^cols."""
+    return _rank_mod_p(list(map(ring.residues, mat.data)), ring.p)
+
+
+def _rank_mod_p(rows, p):
     rank = 0
-    for j in range(mat.cols):
+    for j in range(len(rows[0]) if rows else 0):
         at = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if at is None:
             continue
@@ -909,14 +888,32 @@ def _bareiss_det(rows):
 def is_invertible(mat, ring):
     """`invert(mat, ring) is not None`, decided with no solve.  A square
     matrix over a ring with a nilpotent ideal I is invertible exactly when
-    its image over R/I is.  So Z/p^N, F_p[z]/z^M and TruncatedBK ask for
-    full residue rank over F_p, and TruncatedLambda asks about its constant
-    term over Z[1/S].  Over Z[1/S] the rows are scaled to integers by their
-    S-unit denominators, and the Bareiss determinant must be an S-unit."""
+    its image over R/I is, so the family's invertibility read (`_BASE`)
+    takes the residues of the rows (`ring.residues`): full rank over F_p
+    for Z/p^N, F_p[z]/z^M and TruncatedBK; over Z[1/S], and for
+    TruncatedLambda its constant terms, the rows scaled to integers by their
+    S-unit denominators, whose Bareiss determinant must be an S-unit."""
     assert mat.rows == mat.cols
-    if isinstance(ring, TruncatedLambda):
-        mat, ring = Mat(mat.rows, mat.cols, [[x[0] for x in r] for r in mat.data]), ring.scalar
-    if isinstance(ring, LocalizedIntegers):
-        det = _bareiss_det([row for _, row in _integer_rows(mat.data)])
-        return det != 0 and ring.strip_s(det) == 1
-    return residue_rank(mat, ring) == mat.rows
+    base = ring.scalar if ring.expands else ring
+    return _BASE[type(base)].invertible(list(map(ring.residues, mat.data)), base)
+
+
+def _residue_invertible(rows, ring):
+    return _rank_mod_p(rows, ring.p) == len(rows)
+
+
+def _determinant_invertible(rows, ring):
+    det = _bareiss_det([row for _, row in _integer_rows(rows)])
+    return det != 0 and ring.strip_s(det) == 1
+
+
+# The SNF facts of each base family: its Smith normal form kernel, the
+# divisor rule of its solve, its kernel read and its invertibility read.
+# TruncatedBK and TruncatedLambda read the entry of their `scalar`.
+_Base = namedtuple("_Base", "snf rule kernel invertible")
+_BASE = {
+    TruncatedPadic: _Base(_snf_padic, _integer_rule, _kernel_chain, _residue_invertible),
+    TruncatedPowerSeries: _Base(_snf_chain, _valuation_rule, _kernel_chain, _residue_invertible),
+    LocalizedIntegers: _Base(_snf_localized, _integer_rule, _kernel_localized,
+                             _determinant_invertible),
+}

@@ -57,12 +57,12 @@ def make_lambda_ses(a, b, c, inject_matrix, surject_matrix):
 
 def adaptive_precision(ell, *mats):
     """Working p-precision of a completion at ell: two above the largest
-    ell-valuation of any coefficient of the matrices, and at least 4."""
+    ell-valuation of any coefficient of the Lambda matrices, and at least 4."""
     worst = 0
     for mat in mats:
         for row in mat.data:
             for x in row:
-                for c in (x if isinstance(x, tuple) else (x,)):
+                for c in x:
                     worst = max(worst, prime_valuation(Fraction(c).numerator, ell))
     return max(4, worst + 2)
 

@@ -26,14 +26,7 @@ from .errors import (
 )
 from .linalg import (Mat, in_row_span, kernel_left, residue_rank, solve_left_info,
                      solve_left_mod)
-from .rings import (
-    LocalizedIntegers,
-    TruncatedBK,
-    TruncatedLambda,
-    factorint,
-    is_snf_capable,
-    primes_outside,
-)
+from .rings import TruncatedLambda, factorint, primes_outside
 from . import linalg
 
 
@@ -84,7 +77,7 @@ def is_zero_module(m):
     identity."""
     if m.gens == 0:
         return True
-    if isinstance(m.ring, (LocalizedIntegers, TruncatedLambda)):
+    if not m.ring.local:
         return in_row_span(m.relations, Mat.identity(m.gens, m.ring), m.ring)
     return residue_rank(m.relations, m.ring) == m.gens
 
@@ -244,28 +237,26 @@ class ElementaryDivisors:
     torsion_divisors: list
 
     def exponents(self):
-        """Sorted exponents of the torsion divisors: valuations over the chain
-        rings, p-valuations over TruncatedBK."""
+        """Sorted exponents of the torsion divisors (`torsion_exponent`):
+        valuations over the chain rings, p-valuations over TruncatedBK."""
         ring = self.ring
-        if isinstance(ring, LocalizedIntegers):
+        if ring.untruncated:
             raise UnsupportedRingError(
                 "exponents() needs a chain ring or TruncatedBK; over Z[1/S] read the "
                 "prime-power profile with ElementaryDivisors.profile")
-        if isinstance(ring, TruncatedBK):
-            return sorted(ring.p_valuation(d) for d in self.torsion_divisors)
-        return sorted(ring.val(d) for d in self.torsion_divisors)
+        return sorted(map(ring.torsion_exponent, self.torsion_divisors))
 
     def profile(self):
         """Canonical multiset describing torsion: chain rings and TruncatedBK
         give exponent tuples, LocalizedIntegers gives prime-power tuples."""
-        if isinstance(self.ring, LocalizedIntegers):
+        if self.ring.untruncated:
             return tuple(sorted((q, e) for d in self.torsion_divisors
                                 for q, e in factorint(abs(int(Fraction(d)))).items()))
         return tuple(self.exponents())
 
     def length(self):
         """Sum of valuations (resp. prime multiplicities) of the torsion divisors."""
-        if isinstance(self.ring, LocalizedIntegers):
+        if self.ring.untruncated:
             return sum(e for _, e in self.profile())
         return sum(self.exponents())
 
@@ -303,7 +294,7 @@ def read_snf(m):
     of the torsion, then the free, summands among R's columns; a caller that
     reads R takes `snf.right` (over Z[1/S] that builds its Fractions)."""
     ring = m.ring
-    if not is_snf_capable(ring):
+    if ring.expands:
         raise UnsupportedRingError(
             f"elementary divisors need an SNF-capable ring, got {type(ring).__name__}")
     snf = linalg.smith_normal_form(m.relations, ring)
@@ -345,7 +336,7 @@ def decompose(m):
     """The structure theorem over any ring that has one: an
     ElementaryDecomposition, or over TruncatedBK a NotElementary when a gr_p
     slice is not S1-free."""
-    if isinstance(m.ring, TruncatedBK):
+    if m.ring.structure_via_gr_p:
         from .smodules import decompose_over_s
 
         return decompose_over_s(m)
@@ -364,7 +355,7 @@ def require_elementary(m):
 def structure_divisors(m):
     """Free rank and torsion divisors over any ring with a structure theorem:
     the SNF reader, or over TruncatedBK `require_elementary`."""
-    if isinstance(m.ring, TruncatedBK):
+    if m.ring.structure_via_gr_p:
         return require_elementary(m).divisors
     return elementary_divisors(m)
 
@@ -496,7 +487,7 @@ def check_completion_prime(ring, ell, loc=""):
     """A completion at ell needs ell not inverted in the ring (Z[1/S]
     tensored with Z_ell is Q_ell when ell is in S); rings that invert no
     prime pass."""
-    if ell in getattr(ring, "inverted_primes", ()):
+    if ell in ring.inverted_primes:
         raise SchemaError(f"{ell} is inverted in the base ring", loc)
 
 

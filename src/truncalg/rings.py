@@ -8,9 +8,13 @@ Families and raw element representations (always canonical):
   TruncatedBK(p, N, M, E)       tuple of M ints in [0, p^N)        -- bivariate truncation of W[[z]]
   TruncatedLambda(S, M)         tuple of M Fractions               -- truncation of Z[1/S][[q-1]]
 
-The two chain rings and LocalizedIntegers support Smith normal forms directly;
-TruncatedBK and TruncatedLambda are handled by restriction of scalars to their
-base ring (TruncatedPadic resp. LocalizedIntegers), see linalg.expand_matrix.
+Each class is the record of its family's ring-level facts (see RingBase):
+callers read these and never test the family.  The two chain rings and
+LocalizedIntegers support Smith normal forms directly; TruncatedBK and
+TruncatedLambda expand to their `scalar` (TruncatedPadic resp.
+LocalizedIntegers) by restriction of scalars, see linalg.expand_matrix.
+The SNF facts of the three base families live in linalg's table, as this
+module imports nothing of linalg.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, product
 from math import gcd, isqrt
 
 from .errors import SchemaError, UnsupportedRingError
@@ -253,6 +257,29 @@ def default_eisenstein(p):
 
 
 class RingBase:
+    """A family's record of ring-level facts, read by callers in place of a
+    family test.  Defaults below; a family overrides what differs:
+
+      expands             elements are coefficient vectors over `scalar`, over
+                          which the engine solves (TruncatedBK, TruncatedLambda)
+      untruncated         Z[1/S] itself: torsion has a prime-power profile
+      local               residue field F_p, so Nakayama reads spans mod p
+      structure_via_gr_p  the structure theorem goes through gr_p (TruncatedBK)
+      modulus             elements are the ints mod `modulus` (Z/p^N), or None
+      inverted_primes     the primes S inverted; () for the local families
+      residues(row)       the row modulo the nilradical: mod p for the local
+                          families, the constant terms over TruncatedLambda
+      torsion_exponent(d), elements(), element_count(), to_json(),
+      element_from_json(v, loc)"""
+
+    expands = untruncated = local = structure_via_gr_p = False
+    modulus = None
+
+    def elements(self):
+        raise UnsupportedRingError(f"cannot enumerate {type(self).__name__}")
+
+    element_count = elements
+
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
@@ -271,9 +298,6 @@ class RingBase:
             acc = self.mul(acc, x)
         return acc
 
-    def normalize(self, raw):
-        raise NotImplementedError
-
     def element_str(self, x):
         return str(x)
 
@@ -288,6 +312,31 @@ class LocalizedIntegers(RingBase):
     # shared by every access and every instance: Fractions are immutable
     zero = Fraction(0)
     one = Fraction(1)
+    untruncated = True
+
+    def residues(self, row):
+        return row
+
+    def to_json(self):
+        return {"family": "LocalizedIntegers", "inverted_primes": list(self.inverted_primes)}
+
+    def element_from_json(self, v, loc):
+        """An int, or a fraction string in lowest terms; the denominator
+        must be supported on S."""
+        if isinstance(v, bool):
+            raise SchemaError("booleans are not ring elements", loc)
+        if not isinstance(v, (int, str)):
+            raise SchemaError("expected an integer or fraction string", loc)
+        try:
+            fr = Fraction(v)
+        except Exception:
+            raise SchemaError(f"'{v}' is not a fraction string", loc)
+        if isinstance(v, str) and "/" in v and int(v.split("/")[1]) != fr.denominator:
+            raise SchemaError(f"'{v}' is not reduced; write '{fr.numerator}/{fr.denominator}'", loc)
+        if self.strip_s(fr.denominator) != 1:
+            raise SchemaError(
+                f"denominator {fr.denominator} is not supported on the inverted primes", loc)
+        return fr
 
     def from_int(self, n):
         return Fraction(n)
@@ -341,17 +390,13 @@ class LocalizedIntegers(RingBase):
 
 
 class ChainRing(RingBase):
-    """Common protocol for Z/p^N and F_p[z]/(z^M): every ideal is (uniformizer^k)."""
+    """Common protocol for Z/p^N and F_p[z]/(z^M): every ideal is
+    (uniformizer^k).  A chain ring defines `precision`, `val`,
+    `uniformizer_power` and `shift_down` (exact division by
+    uniformizer^k, which requires v(x) >= k)."""
 
-    @property
-    def precision(self):
-        raise NotImplementedError
-
-    def val(self, x):
-        raise NotImplementedError
-
-    def uniformizer_power(self, k):
-        raise NotImplementedError
+    local = True
+    inverted_primes = ()
 
     def divide(self, x, y):
         """q with q*y = x when v(x) >= v(y); None otherwise."""
@@ -376,9 +421,8 @@ class ChainRing(RingBase):
         """u with x = u * uniformizer^v(x)."""
         return self.shift_down(x, self.val(x))
 
-    def shift_down(self, x, k):
-        """Exact division by uniformizer^k (requires v(x) >= k)."""
-        raise NotImplementedError
+    def torsion_exponent(self, d):
+        return self.val(d)
 
 
 @dataclass(frozen=True)
@@ -450,18 +494,35 @@ class TruncatedPadic(ChainRing):
     def normalize(self, raw):
         return self.from_int(raw)
 
+    mlen = 1  # one coefficient per element
+
+    def residues(self, row):
+        p = self.p
+        return [x % p for x in row]
+
+    def elements(self):
+        return list(range(self.modulus))
+
+    def element_count(self):
+        return self.modulus
+
+    def to_json(self):
+        return {"family": "TruncatedPadic", "p": self.p, "N": self.precision_n}
+
+    def element_from_json(self, v, loc):
+        """The canonical int in [0, p^N)."""
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise SchemaError("expected an integer", loc)
+        if not (0 <= v < self.modulus):
+            raise SchemaError(
+                f"{v} is not canonical mod {self.modulus}; write {v % self.modulus}", loc)
+        return v
+
 
 class _PolyTruncMixin:
-    """Coefficient-vector arithmetic truncated at var^mlen over a scalar base."""
-
-    @property
-    def mlen(self):
-        raise NotImplementedError
-
-    @property
-    def scalar(self):
-        """Base coefficient ring object (TruncatedPadic or LocalizedIntegers-like)."""
-        raise NotImplementedError
+    """Coefficient-vector arithmetic truncated at var^mlen over the
+    coefficient ring `scalar` (TruncatedPadic or LocalizedIntegers); a
+    family defines both."""
 
     @cached_property
     def zero(self):
@@ -538,6 +599,14 @@ class _PolyTruncMixin:
     def element_str(self, x):
         return "[" + ", ".join(self.scalar.element_str(c) for c in x) + "]"
 
+    def element_from_json(self, v, loc):
+        """A list of `mlen` coefficients, each an element of `scalar`."""
+        if not isinstance(v, list):
+            raise SchemaError(f"expected a coefficient array of length {self.mlen}", loc)
+        if len(v) != self.mlen:
+            raise SchemaError(f"coefficient array must have exactly length {self.mlen}", loc)
+        return tuple(self.scalar.element_from_json(c, f"{loc}/{i}") for i, c in enumerate(v))
+
 
 class _ZFamilyMixin(_PolyTruncMixin):
     """The z-families over W/p^N with k = F_p: the Frobenius z |-> z^p, and
@@ -574,6 +643,11 @@ class _ZFamilyMixin(_PolyTruncMixin):
                     out[i + j] += a * y[j]
         q = self.scalar.modulus
         return tuple([c % q for c in out])
+
+    def residues(self, row):
+        """The constant terms mod p."""
+        p = self.p
+        return [x[0] % p for x in row]
 
     def frobenius(self, x):
         """z |-> z^p; identity on the W-coefficients."""
@@ -628,6 +702,15 @@ class TruncatedPowerSeries(_ZFamilyMixin, ChainRing):
         s = self.scalar
         return tuple(list(x[k:]) + [s.zero] * k)
 
+    def elements(self):
+        return list(product(range(self.p), repeat=self.mlen))
+
+    def element_count(self):
+        return self.p ** self.mlen
+
+    def to_json(self):
+        return {"family": "TruncatedPowerSeries", "p": self.p, "M": self.precision_m}
+
 
 @dataclass(frozen=True)
 class TruncatedBK(_ZFamilyMixin, RingBase):
@@ -667,6 +750,17 @@ class TruncatedBK(_ZFamilyMixin, RingBase):
     def eisenstein_element(self):
         return self.from_coeffs([self.scalar.from_int(c) for c in self.eisenstein.coefficients])
 
+    expands = local = structure_via_gr_p = True
+    inverted_primes = ()
+    torsion_exponent = p_valuation
+
+    def to_json(self):
+        return {"family": "TruncatedBK", "p": self.p, "N": self.precision_n,
+                "M": self.precision_m,
+                "eisenstein": {"coefficients": list(self.eisenstein.coefficients),
+                               "ramification_e": self.eisenstein.ramification_e}}
+
+
 @dataclass(frozen=True)
 class TruncatedLambda(_PolyTruncMixin, RingBase):
     """Z[1/S][[q-1]] truncated at (q-1)^M. Base ring is the PID Z[1/S]."""
@@ -690,17 +784,12 @@ class TruncatedLambda(_PolyTruncMixin, RingBase):
     def q_minus_one(self):
         return self.var_power(1)
 
+    expands = True
 
-def is_snf_capable(ring):
-    return isinstance(ring, (TruncatedPadic, TruncatedPowerSeries, LocalizedIntegers))
+    def residues(self, row):
+        """The constant terms, the values at q = 1."""
+        return [x[0] for x in row]
 
-
-def is_expansion_ring(ring):
-    return isinstance(ring, (TruncatedBK, TruncatedLambda))
-
-
-def base_ring_of(ring):
-    """The chain/PID base a TruncatedBK or TruncatedLambda expands over."""
-    if isinstance(ring, (TruncatedBK, TruncatedLambda)):
-        return ring.scalar
-    raise UnsupportedRingError(f"{type(ring).__name__} has no expansion base")
+    def to_json(self):
+        return {"family": "TruncatedLambda", "inverted_primes": list(self.inverted_primes),
+                "M": self.precision_m}

@@ -3,8 +3,9 @@
 Element encodings are canonical coefficient data only (no expression
 strings): integers for the p-adic family, reduced fraction strings for the
 localized integers, fixed-length coefficient arrays for the z / (q-1)
-families.  Non-canonical input is rejected with a normalization hint and a
-JSON-pointer-style location."""
+families.  Each ring class reads its elements and writes itself
+(`element_from_json`, `to_json`).  Non-canonical input is rejected with a
+normalization hint and a JSON-pointer-style location."""
 
 from __future__ import annotations
 
@@ -112,68 +113,6 @@ def parse_ring(data, loc="/ring"):
     raise SchemaError(f"unknown ring family '{fam}'", loc)
 
 
-def ring_to_json(ring):
-    if isinstance(ring, LocalizedIntegers):
-        return {"family": "LocalizedIntegers", "inverted_primes": list(ring.inverted_primes)}
-    if isinstance(ring, TruncatedPadic):
-        return {"family": "TruncatedPadic", "p": ring.p, "N": ring.precision_n}
-    if isinstance(ring, TruncatedPowerSeries):
-        return {"family": "TruncatedPowerSeries", "p": ring.p, "M": ring.precision_m}
-    if isinstance(ring, TruncatedBK):
-        return {"family": "TruncatedBK", "p": ring.p, "N": ring.precision_n,
-                "M": ring.precision_m,
-                "eisenstein": {"coefficients": list(ring.eisenstein.coefficients),
-                               "ramification_e": ring.eisenstein.ramification_e}}
-    if isinstance(ring, TruncatedLambda):
-        return {"family": "TruncatedLambda", "inverted_primes": list(ring.inverted_primes),
-                "M": ring.precision_m}
-    raise SchemaError(f"unserializable ring {type(ring).__name__}")
-
-
-def _parse_fraction(v, loc):
-    if isinstance(v, bool):
-        raise SchemaError("booleans are not ring elements", loc)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            fr = Fraction(v)
-        except Exception:
-            raise SchemaError(f"'{v}' is not a fraction string", loc)
-        if "/" in v:
-            num, den = v.split("/")
-            if Fraction(int(num), int(den)) != fr or int(den) <= 0 \
-                    or abs(Fraction(int(num), int(den)).numerator) != abs(int(num)):
-                raise SchemaError(
-                    f"'{v}' is not reduced; write '{fr.numerator}/{fr.denominator}'", loc)
-        return fr
-    raise SchemaError("expected an integer or fraction string", loc)
-
-
-def parse_element(v, ring, loc):
-    if isinstance(ring, LocalizedIntegers):
-        fr = _parse_fraction(v, loc)
-        if ring.strip_s(fr.denominator) != 1:
-            raise SchemaError(
-                f"denominator {fr.denominator} is not supported on the inverted primes", loc)
-        return fr
-    if isinstance(ring, TruncatedPadic):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError("expected an integer", loc)
-        if not (0 <= v < ring.modulus):
-            raise SchemaError(
-                f"{v} is not canonical mod {ring.modulus}; write {v % ring.modulus}", loc)
-        return v
-    if isinstance(ring, (TruncatedPowerSeries, TruncatedBK, TruncatedLambda)):
-        if not isinstance(v, list):
-            raise SchemaError(f"expected a coefficient array of length {ring.mlen}", loc)
-        if len(v) != ring.mlen:
-            raise SchemaError(
-                f"coefficient array must have exactly length {ring.mlen}", loc)
-        return tuple(parse_element(c, ring.scalar, f"{loc}/{i}") for i, c in enumerate(v))
-    raise SchemaError("unknown ring for element", loc)
-
-
 def parse_matrix(rows, ring, cols, loc):
     if not isinstance(rows, list):
         raise SchemaError("expected a row-major array of rows", loc)
@@ -181,7 +120,7 @@ def parse_matrix(rows, ring, cols, loc):
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"row {i} must have length {cols}", f"{loc}/{i}")
-        out.append([parse_element(v, ring, f"{loc}/{i}/{j}") for j, v in enumerate(row)])
+        out.append([ring.element_from_json(v, f"{loc}/{i}/{j}") for j, v in enumerate(row)])
     return Mat(len(out), cols, out)
 
 
@@ -202,7 +141,7 @@ def parse_module(data, loc="/module", ring=None):
 
 
 def module_to_json(m):
-    return {"ring": ring_to_json(m.ring), "generators": m.gens,
+    return {"ring": m.ring.to_json(), "generators": m.gens,
             "relations": jsonable(m.relations)}
 
 
@@ -249,14 +188,13 @@ def parse_filtered_complex(data, loc="/complex"):
     diffs_json = _want(data, "differentials", loc, list) if "differentials" in data else []
     if len(diffs_json) != max(0, hi - lo):
         raise SchemaError(f"need {max(0, hi - lo)} differentials", loc + "/differentials")
-    dmats = {}
+    dmats, pointers = {}, {None: loc}
     for k, rows in enumerate(diffs_json):
         i = lo + k + 1
-        dmats[i] = parse_matrix(rows, ring, modules[i - 1].gens,
-                                f"{loc}/differentials/{k}")
+        pointers[i] = f"{loc}/differentials/{k}"
+        dmats[i] = parse_matrix(rows, ring, modules[i - 1].gens, pointers[i])
         if dmats[i].rows != modules[i].gens:
-            raise SchemaError(f"differential {i} needs {modules[i].gens} rows",
-                              f"{loc}/differentials/{k}")
+            raise SchemaError(f"differential {i} needs {modules[i].gens} rows", pointers[i])
     fil_data = {}
     fil_json = _want(data, "filtration", loc, list) if "filtration" in data else []
     for k, fj in enumerate(fil_json):
@@ -271,7 +209,8 @@ def parse_filtered_complex(data, loc="/complex"):
             raise SchemaError(f"a second entry for degree {i} weight {n}", floc)
         sub = parse_module(_want(fj, "module", floc), floc + "/module", ring=ring)
         fil_data[(i, n)] = (sub, _parse_map_matrix(fj, "inclusion", sub, modules[i], floc))
-    return validate(ring, lo, hi, wmin, wmax, modules, dmats, fil_data)
+        pointers[(i, n)] = floc
+    return validate(ring, lo, hi, wmin, wmax, modules, dmats, fil_data, pointers=pointers)
 
 
 def parse_bk_module(data, loc="/bk"):
@@ -334,23 +273,24 @@ BASE_CHANGE_KINDS = ("identity", "z_to_zero", "z_to_unit", "frobenius_twist") + 
 
 def parse_base_change_spec(data, loc, ring):
     """(kind, ell) of a base-change spec: `kind` is one of BASE_CHANGE_KINDS;
-    `unit`, `ell` (a prime) and `precision_n` (at least 1) are optional
-    integers; the completions need `ell`, which `ring` must not invert."""
+    `ell`, an optional prime, is needed by the completions, and `ring` must
+    not invert it.  `unit` and `precision_n` are refused: nothing reads them."""
     kind = data.get("kind")
     if kind not in BASE_CHANGE_KINDS:
         raise SchemaError("field 'kind' must be one of " + ", ".join(BASE_CHANGE_KINDS),
                           loc + "/kind")
-    fields = {k: _want(data, k, loc, int) for k in ("unit", "ell", "precision_n")
-              if data.get(k) is not None}
-    if fields.get("precision_n", 1) < 1:
-        raise SchemaError("field 'precision_n' must be >= 1", loc + "/precision_n")
-    if "ell" in fields and not isprime(fields["ell"]):
-        raise SchemaError(f"{fields['ell']} is not a prime", loc + "/ell")
+    for k in ("unit", "precision_n"):
+        if k in data:
+            raise SchemaError(f"field '{k}' is not read by any base change; remove it",
+                              f"{loc}/{k}")
+    ell = _want(data, "ell", loc, int) if data.get("ell") is not None else None
+    if ell is not None and not isprime(ell):
+        raise SchemaError(f"{ell} is not a prime", loc + "/ell")
     if kind in COMPLETION_KINDS:
-        if "ell" not in fields:
+        if ell is None:
             raise SchemaError("missing field 'ell'", loc)
-        check_completion_prime(ring, fields["ell"], loc + "/ell")
-    return kind, fields.get("ell")
+        check_completion_prime(ring, ell, loc + "/ell")
+    return kind, ell
 
 
 def jsonable(x):

@@ -49,13 +49,7 @@ from .modules import (
     subquotient_presentation,
     zero_map,
 )
-from .rings import (
-    LocalizedIntegers,
-    TruncatedPadic,
-    TruncatedPowerSeries,
-    is_snf_capable,
-    prime_valuation,
-)
+from .rings import LocalizedIntegers, TruncatedPadic, TruncatedPowerSeries, prime_valuation
 
 
 @dataclass
@@ -115,37 +109,47 @@ class FilteredComplex:
         return self.wmax - self.wmin + 1
 
 
-def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
+def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data, pointers=None):
     """Certify all filtered-complex invariants or reject naming the failure.
 
     modules: {i: PresentedModule}; diff_matrices: {i: Mat} for lo < i <= hi;
     fil_data: {(i, n): (PresentedModule, inclusion Mat)} for wmin < n <= wmax.
+    `pointers` gives each refusal its JSON pointer: the input's pointer of
+    the complex (key None), of the entry of d_i (key i) and of the
+    filtration entry (key (i, n)), whose refusals point at its inclusion.
     """
-    if not is_snf_capable(ring):
+    at = (pointers or {}).get
+
+    def refusal(message, key=None, field="/inclusion"):
+        loc = at(key)
+        return SchemaError(message, "" if loc is None else loc + field)
+
+    if ring.expands:
         raise UnsupportedRingError("filtered complexes need an SNF-capable ring")
     if hi < lo or wmax < wmin:
-        raise SchemaError("empty degree or weight range")
+        raise refusal("empty degree or weight range", field="/hi" if hi < lo else "/wmax")
     diffs = {}
     for i in range(lo + 1, hi + 1):
         try:
             diffs[i] = module_map(modules[i], modules[i - 1], diff_matrices[i])
         except Exception as exc:
-            raise SchemaError(f"differential d_{i} is not well defined: {exc}")
+            raise refusal(f"differential d_{i} is not well defined: {exc}", i, "")
     for i in range(lo + 2, hi + 1):
         if not is_zero_map(compose(diffs[i], diffs[i - 1])):
-            raise SchemaError(f"d o d != 0 at degree {i}")
+            raise refusal(f"d o d != 0 at degree {i}", i, "")
     fil = {}
     for i in range(lo, hi + 1):
         for n in range(wmin + 1, wmax + 1):
             if (i, n) not in fil_data:
-                raise SchemaError(f"missing filtration data at degree {i} weight {n}")
+                raise refusal(f"missing filtration data at degree {i} weight {n}",
+                              field="/filtration")
             sub, inc_mat = fil_data[(i, n)]
             try:
                 incl = module_map(sub, modules[i], inc_mat)
             except Exception as exc:
-                raise SchemaError(f"filtration inclusion ({i},{n}) not well defined: {exc}")
+                raise refusal(f"filtration inclusion ({i},{n}) not well defined: {exc}", (i, n))
             if not is_injective(incl):
-                raise SchemaError(f"filtration map ({i},{n}) is not injective")
+                raise refusal(f"filtration map ({i},{n}) is not injective", (i, n))
             fil[(i, n)] = (sub, incl)
     x = FilteredComplex(ring, lo, hi, wmin, wmax, dict(modules), diffs, fil)
     for i in range(lo, hi + 1):
@@ -153,7 +157,7 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
             incn = x.fil_pair(i, n)[1]
             incn1 = x.fil_pair(i, n + 1)[1]
             if not in_row_span(incn.matrix.vstack(modules[i].relations), incn1.matrix, ring):
-                raise SchemaError(f"filtration not nested at degree {i} weight {n + 1}")
+                raise refusal(f"filtration not nested at degree {i} weight {n + 1}", (i, n + 1))
     for i in range(lo + 1, hi + 1):
         for n in range(wmin + 1, wmax + 1):
             subn, incn = x.fil_pair(i, n)
@@ -161,7 +165,8 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data):
             pushed = incn.matrix.mul(diffs[i].matrix, ring)
             sol = solve_left_mod(tinc.matrix, pushed, modules[i - 1].relations, ring)
             if sol is None:
-                raise SchemaError(f"differential violates the filtration at degree {i} weight {n}")
+                raise refusal(f"differential violates the filtration at degree {i} weight {n}",
+                              (i, n))
             x.induced_diffs[(i, n)] = module_map(subn, tgt, sol)
     return x
 
@@ -324,7 +329,7 @@ class DegenerationReport:
 def _entry_val_ge_one(x, dmap):
     """im(d_r) inside uniformizer * target entry (canonical membership)."""
     ring = x.ring
-    if isinstance(ring, LocalizedIntegers):
+    if ring.untruncated:
         return True  # untruncated domain: the free-hull condition is exact
     tgt = dmap.target
     if tgt.gens == 0 or dmap.matrix.rows == 0:
@@ -347,7 +352,7 @@ def degeneration_report(x):
     gr_n H_i and E1 entry at most once; the report keeps the homology and
     the H_i and E1 reads for base_change_report."""
     ring = x.ring
-    if not is_snf_capable(ring):
+    if ring.expands:
         raise UnsupportedRingError("degeneration_report needs an SNF-capable ring")
     notes = []
     witnesses = {"sections": {}, "obstructions": {}, "injectivity": {},
@@ -427,7 +432,7 @@ def degeneration_report(x):
     if saturated_direct and not degenerate:
         raise InternalInconsistencyError("saturated verdict without degenerate verdict")
 
-    precision_limited = (not isinstance(ring, LocalizedIntegers) and any_nonzero_d
+    precision_limited = (not ring.untruncated and any_nonzero_d
                          and any(d.free_rank > 0
                                  for d in (*h_div.values(), *e1_div.values())))
     if precision_limited:

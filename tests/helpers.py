@@ -12,7 +12,6 @@ from truncalg.bkrandom import (
     random_mod_s1_leaf,
     scramble_node,
 )
-from truncalg.bruteforce import enumerate_ring
 from truncalg.linalg import Mat, invert, solve_left_mod
 from truncalg.modules import (
     PresentedModule,
@@ -33,7 +32,7 @@ def random_filtered_complex(ring, rng, max_gens=2, weights=2, degrees=2):
     the differential images).  Entries over F_p[z]/z^M are drawn from the
     enumerated ring; over Z/p^N they are drawn as integers below p^N."""
     if isinstance(ring, TruncatedPowerSeries):
-        elements = enumerate_ring(ring)
+        elements = ring.elements()
 
         def rand_elt():
             return rng.choice(elements)

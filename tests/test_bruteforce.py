@@ -21,9 +21,7 @@ import truncalg
 from truncalg.bruteforce import (
     ORACLE_ELEMENT_BOUND,
     FiniteModule,
-    enumerate_ring,
     quotient_exponent_multiset,
-    ring_size,
     span_subgroup,
 )
 from truncalg.linalg import Mat
@@ -60,20 +58,20 @@ def pairwise_closure(zero, seeds, add):
 
 
 def reference_subgroup(fm, elems):
-    scalars = enumerate_ring(fm.ring)
+    scalars = fm.ring.elements()
     return pairwise_closure(fm.zero, {fm.scale(c, x) for x in elems for c in scalars},
                             fm.add)
 
 
 def reference_span(ring, rows, gens):
-    scalars = enumerate_ring(ring)
+    scalars = ring.elements()
     seeds = {tuple(ring.mul(c, a) for a in r) for r in rows for c in scalars}
     return pairwise_closure((ring.zero,) * gens, seeds,
                             lambda x, y: tuple(ring.add(a, b) for a, b in zip(x, y)))
 
 
 def random_vectors(ring, gens, count, rng):
-    scalars = enumerate_ring(ring)
+    scalars = ring.elements()
     return [tuple(rng.choice(scalars) for _ in range(gens)) for _ in range(count)]
 
 
@@ -83,7 +81,7 @@ def random_modules(ring, max_gens, seed):
     out = []
     for _ in range(MODULES_PER_RING):
         g = rng.randint(1, max_gens)
-        assert ring_size(ring) ** g <= ORACLE_ELEMENT_BOUND
+        assert ring.element_count() ** g <= ORACLE_ELEMENT_BOUND
         rows = [list(v) for v in random_vectors(ring, g, rng.randint(0, 3), rng)]
         out.append(PresentedModule(ring, g, Mat(len(rows), g, rows)))
     return out

@@ -343,6 +343,8 @@ _CHILD_RUN_JOB = (
     ("ss_basechange_identity.json", "/input/spec", 5, "/input/spec"),
     ("ss_basechange_identity.json", "/input/spec/precision_n", 0, "/input/spec/precision_n"),
     ("ss_basechange_identity.json", "/input/spec/precision_n", -1, "/input/spec/precision_n"),
+    ("ss_basechange_identity.json", "/input/spec/precision_n", 9, "/input/spec/precision_n"),
+    ("ss_basechange_identity.json", "/input/spec/unit", 5, "/input/spec/unit"),
     ("ss_golden_trichotomy.json", "/input/complex/filtration",
      [{"degree": 0, "weight": 1, "module": {"generators": 1, "relations": [[3]]},
        "inclusion": [[3]]},
@@ -398,6 +400,57 @@ def test_ses_refusal_names_the_failing_map(job, pointer):
     report, code = run_job(job)
     assert code == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"].startswith(pointer + ": not a short exact sequence"), report["error"]
+
+
+def _complex_mutant(**fields):
+    """tests/golden/ss_report_free_block.json (Z/4, C_1 = C_0 = R, d_1 = 2,
+    fil^1 C_1 = 0 and fil^1 C_0 = C_0) with the given fields of its complex
+    replaced."""
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "ss_report_free_block.json")) as fh:
+        job = json.load(fh)
+    job["input"]["complex"].update(fields)
+    return job
+
+
+def _fil(degree, weight, relations, inclusion, gens=1):
+    return {"degree": degree, "weight": weight, "inclusion": inclusion,
+            "module": {"generators": gens, "relations": relations}}
+
+
+FREE = {"generators": 1, "relations": []}
+
+
+@pytest.mark.parametrize("job, pointer, message", [
+    (_complex_mutant(hi=-1, modules=[], differentials=[], filtration=[]),
+     "/input/complex/hi", "empty degree or weight range"),
+    (_complex_mutant(modules=[FREE, {"generators": 1, "relations": [[2]]}],
+                     differentials=[[[1]]]),
+     "/input/complex/differentials/0", "differential d_1 is not well defined"),
+    (_complex_mutant(hi=2, modules=[FREE] * 3, differentials=[[[1]], [[1]]],
+                     filtration=[_fil(i, 1, [], [], 0) for i in range(3)]),
+     "/input/complex/differentials/1", "d o d != 0 at degree 2"),
+    (_complex_mutant(filtration=[_fil(1, 1, [], [], 0)]),
+     "/input/complex/filtration", "missing filtration data at degree 0 weight 1"),
+    (_complex_mutant(filtration=[_fil(1, 1, [], [], 0), _fil(0, 1, [[2]], [[1]])]),
+     "/input/complex/filtration/1/inclusion", "filtration inclusion (0,1) not well defined"),
+    (_complex_mutant(filtration=[_fil(1, 1, [], [], 0), _fil(0, 1, [], [[0]])]),
+     "/input/complex/filtration/1/inclusion", "filtration map (0,1) is not injective"),
+    (_complex_mutant(wmax=2, filtration=[_fil(0, 1, [[2]], [[2]]), _fil(0, 2, [], [[1]]),
+                                         _fil(1, 1, [], [], 0), _fil(1, 2, [], [], 0)]),
+     "/input/complex/filtration/1/inclusion", "filtration not nested at degree 0 weight 2"),
+    (_complex_mutant(filtration=[_fil(1, 1, [], [[1]]), _fil(0, 1, [], [], 0)]),
+     "/input/complex/filtration/0/inclusion",
+     "differential violates the filtration at degree 1 weight 1"),
+], ids=["empty_range", "differential_not_well_defined", "d_squared", "missing_entry",
+        "inclusion_not_well_defined", "not_injective", "not_nested", "violates_filtration"])
+def test_filtered_complex_refusals_carry_their_pointer(job, pointer, message):
+    """Each algebraic refusal of `spectral.validate`, one mutant of a golden
+    ss-report job apiece, exits 1 with a schema error that starts with the
+    JSON pointer of the entry at fault."""
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(f"{pointer}: {message}"), report["error"]
 
 
 @pytest.mark.parametrize("command", ["cw-ktheory", "cw-verify"])

@@ -18,7 +18,7 @@ from truncalg.cli import emit, run_job
 from truncalg.linalg import SNFResult
 from truncalg.modules import (ElementaryDecomposition, is_zero_map, module_from_divisors,
                               module_map)
-from truncalg.schemas import (parse_element, parse_filtered_complex, parse_matrix,
+from truncalg.schemas import (parse_filtered_complex, parse_matrix,
                               parse_module, parse_ring)
 from truncalg.spectral import _entry_val_ge_one, _free_block_vanishes, page
 
@@ -74,7 +74,7 @@ def test_golden_decompose_witnesses_verify():
     m = parse_module(job["input"]["module"])
     verdicts, witnesses = rep["verdicts"], rep["witnesses"]
     assert verdicts == {"elementary": True, "free_rank": 1, "torsion_divisors": [3, 9]}
-    divisors = [parse_element(d, m.ring, "") for d in verdicts["torsion_divisors"]]
+    divisors = [m.ring.element_from_json(d, "") for d in verdicts["torsion_divisors"]]
     canon = module_from_divisors(m.ring, divisors, verdicts["free_rank"])
     to_c = module_map(m, canon, parse_matrix(witnesses["to_canonical"], m.ring, canon.gens, ""))
     from_c = module_map(canon, m, parse_matrix(witnesses["from_canonical"], m.ring, m.gens, ""))
@@ -92,7 +92,7 @@ def test_golden_snf_witnesses_verify(name):
     mat = parse_matrix(rows, ring, len(rows[0]), "")
     left = parse_matrix(rep["witnesses"]["left"], ring, mat.rows, "")
     right = parse_matrix(rep["witnesses"]["right"], ring, mat.cols, "")
-    divisors = [parse_element(d, ring, "") for d in rep["verdicts"]["divisors"]]
+    divisors = [ring.element_from_json(d, "") for d in rep["verdicts"]["divisors"]]
     assert SNFResult(left, right, divisors).verify(mat, ring)
 
 

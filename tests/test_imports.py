@@ -131,3 +131,61 @@ def test_every_engine_definition_is_named():
     rule holds for methods too."""
     unnamed = unnamed_definitions(SRC.parent.parent)
     assert not unnamed, unnamed
+
+
+FAMILIES = {"RingBase", "ChainRing", "LocalizedIntegers", "TruncatedPadic",
+            "TruncatedPowerSeries", "TruncatedBK", "TruncatedLambda"}
+
+
+def ring_attributes(rings_path):
+    """Every name a class of rings.py defines: methods, properties, fields
+    and class attributes, the record's facts among them."""
+    names = set()
+    for cls in ast.parse(rings_path.read_text()).body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names.add(node.target.id)
+                elif isinstance(node, ast.Assign):
+                    names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def family_dispatch(src):
+    """The family decisions made at a call site in src/truncalg: an
+    `isinstance` test against a ring-family class that is not the whole
+    test of an `if` whose body only raises (a refusal), a `hasattr` or a
+    defaulted `getattr` of a ring attribute, and an `isinstance(x, tuple)`
+    guess at an element's shape."""
+    attrs = ring_attributes(src / "rings.py")
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        refusals = {id(node.test.operand if isinstance(node.test, ast.UnaryOp) else node.test)
+                    for node in ast.walk(tree) if isinstance(node, ast.If)
+                    and len(node.body) == 1 and isinstance(node.body[0], ast.Raise)
+                    and not node.orelse}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            fn, args, where = node.func.id, node.args, f"{path.name}:{node.lineno}"
+            if fn == "isinstance" and len(args) == 2:
+                kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+                named = {k.id for k in kinds if isinstance(k, ast.Name)}
+                if named & FAMILIES and id(node) not in refusals:
+                    found.append(f"{where} isinstance against {sorted(named & FAMILIES)}")
+                if named == {"tuple"} and not isinstance(args[1], ast.Tuple):
+                    found.append(f"{where} isinstance(..., tuple)")
+            elif (fn == "hasattr" or fn == "getattr" and len(args) == 3) and len(args) > 1 \
+                    and isinstance(args[1], ast.Constant) and args[1].value in attrs:
+                found.append(f"{where} {fn} of ring attribute {args[1].value!r}")
+    return found
+
+
+def test_family_decisions_stay_in_the_record():
+    """Callers read a ring's record (`rings`) or linalg's `_BASE` table: the
+    only family tests left in src/truncalg are refusals, and nothing guesses
+    a family by probing its attributes or its elements' shape."""
+    assert family_dispatch(SRC) == []

@@ -174,3 +174,54 @@ def test_unit_inverse_power_series():
 def test_localized_normalize_idempotent(num, k):
     x = normalize(Fraction(num, 2 ** k), ZL2)
     assert normalize(x, ZL2) == x
+
+
+# ---------------------------------------------------------------------------
+# The record's JSON forms and enumeration, per family
+
+RAMIFIED_BK = TruncatedBK(3, 2, 4, EisensteinSpec((-3, 0, 1), 2))
+JSON_RINGS = [ZL2, LocalizedIntegers(()), Z2_6, S1, BK, RAMIFIED_BK, LAM,
+              TruncatedLambda((2, 3), 3)]
+
+
+@pytest.mark.parametrize("ring", JSON_RINGS, ids=repr)
+def test_ring_json_round_trip(ring):
+    """A ring written by its record parses back to itself, through JSON
+    text as a report carries it."""
+    import json
+
+    from truncalg.schemas import parse_ring
+
+    assert parse_ring(json.loads(json.dumps(ring.to_json()))) == ring
+
+
+@pytest.mark.parametrize("ring", [r for r in JSON_RINGS if r != LocalizedIntegers(())],
+                         ids=repr)
+def test_printed_elements_parse_back(ring):
+    """Every seeded element (`elements`, whose fractions have 2-power
+    denominators), printed as a report prints it (`jsonable`), parses back
+    to itself through the record's `element_from_json`."""
+    import json
+
+    from truncalg.schemas import jsonable
+
+    for x in elements(ring) + [ring.zero, ring.one]:
+        printed = json.loads(json.dumps(jsonable(x)))
+        assert ring.element_from_json(printed, "/x") == x, (x, printed)
+
+
+@pytest.mark.parametrize("ring", [Z2_6, TruncatedPadic(3, 2), S1, TruncatedPowerSeries(2, 4)],
+                         ids=repr)
+def test_enumeration_count_matches(ring):
+    """An enumerable family lists each of its `element_count` elements
+    once, each a canonical element of the ring."""
+    listed = ring.elements()
+    assert len(listed) == len(set(listed)) == ring.element_count()
+    assert all(ring.normalize(list(x) if isinstance(x, tuple) else x) == x for x in listed)
+
+
+@pytest.mark.parametrize("ring", [ZL2, BK, LAM], ids=repr)
+def test_infinite_or_unlisted_families_refuse_enumeration(ring):
+    for read in (ring.elements, ring.element_count):
+        with pytest.raises(UnsupportedRingError, match="cannot enumerate"):
+            read()

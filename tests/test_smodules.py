@@ -16,7 +16,7 @@ from truncalg.modules import (
     is_surjective,
     rows_are_zero_classes,
 )
-from truncalg.rings import TruncatedBK, TruncatedPadic
+from truncalg.rings import TruncatedBK, TruncatedPadic, TruncatedPowerSeries
 from truncalg.schemas import parse_module
 from truncalg.smodules import NotElementary, _gr_slices, decompose_over_s, gr_p
 
@@ -253,7 +253,8 @@ def test_decompose_factors_the_expanded_relations_once(monkeypatch):
     """The gr_p slices and the later solves against the relations read one
     memo entry: the expansion of the relations is factored once, and no
     SNF input repeats.  The expansion is factored over Z/p^N by
-    `_snf_padic`, the gr_p slices over F_p[z]/z^M by `_snf_chain`."""
+    `_snf_padic`, the gr_p slices over F_p[z]/z^M by `_snf_chain`, each
+    its family's kernel in `linalg._BASE`."""
     inputs = []
 
     def recording(real):
@@ -262,8 +263,9 @@ def test_decompose_factors_the_expanded_relations_once(monkeypatch):
             return real(mat, ring)
         return kernel
 
-    for name in ("_snf_padic", "_snf_chain"):
-        monkeypatch.setattr(linalg, name, recording(getattr(linalg, name)))
+    for family in (TruncatedPadic, TruncatedPowerSeries):
+        entry = linalg._BASE[family]
+        monkeypatch.setitem(linalg._BASE, family, entry._replace(snf=recording(entry.snf)))
     ring = TruncatedBK(3, 2, 4)
     rng = random.Random(5)
     for _ in range(3):
