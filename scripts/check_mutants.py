@@ -527,6 +527,28 @@ MUTANTS = [
         "tests": ["tests/test_cw.py::test_parse_cw_refuses_too_many_cells",
                   "tests/test_cli.py::test_cw_oversized_cell_count_refused_at_its_pointer"],
     },
+    {
+        "name": "localized-element-reads-any-fraction-string",
+        "file": "src/truncalg/rings.py",
+        "old": "        if isinstance(v, str) and not _FRACTION_STRING.fullmatch(v):\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_cli.py::test_noncanonical_fraction_string_rejected"],
+    },
+    {
+        "name": "cli-snf-without-witness-check",
+        "file": "src/truncalg/cli.py",
+        "old": "    if not res.verify(mat, ring):\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_cli.py::"
+                  "test_snf_witnesses_that_fail_to_verify_are_an_internal_inconsistency"],
+    },
+    {
+        "name": "cli-ss-report-without-oracle-comparison",
+        "file": "src/truncalg/cli.py",
+        "old": "            if any(orc[k] != payload[\"verdicts\"][k] for k in orc):\n",
+        "new": "            if False:\n",
+        "tests": ["tests/test_cli.py::test_oracle_disagreement_is_an_internal_inconsistency"],
+    },
 ]
 
 

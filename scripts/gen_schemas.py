@@ -13,8 +13,8 @@ SCHEMA_VERSION = "1"
 element_doc = {
     "description": "Canonical element encodings per ring family. Expression "
                    "strings are never accepted, only coefficient data.",
-    "LocalizedIntegers": "integer, or reduced fraction string 'a/b' with b > 0 "
-                         "supported on the inverted primes",
+    "LocalizedIntegers": "integer, or string of ASCII digits '-?a' or '-?a/b' in "
+                         "lowest terms, b > 0 supported on the inverted primes",
     "TruncatedPadic": "integer in [0, p^N)",
     "TruncatedPowerSeries": "array of exactly M integers in [0, p)",
     "TruncatedBK": "array of exactly M integers in [0, p^N)",
@@ -214,7 +214,7 @@ job = {
                                    "precision_n_local": {"type": "integer",
                                                          "minimum": 1}}}},
     "required": ["command", "input"],
-    "exit_codes": {"0": "completed", "1": "schema/input error (never dispatched)",
+    "exit_codes": {"0": "completed", "1": "schema/input error at a JSON-pointer location",
                    "2": "hypothesis gate unmet", "3": "precision-limited",
                    "4": "internal inconsistency (theorem-contradicting outcome) "
                         "or internal error (any other exception, named by type)"},

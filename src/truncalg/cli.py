@@ -4,7 +4,8 @@ Exit codes: 0 completed, 2 hypothesis gate unmet, 3 precision-limited,
 4 internal inconsistency (a checked theorem came out false -- a bug or a
 precision artifact, never a mathematical discovery claim) or internal error
 (any other exception, reported with its type).  Input and schema problems
-exit 1 before dispatch.
+exit 1 at a JSON-pointer location, nearly all while the input is parsed;
+`cw.skeletal_verification` refuses a disconnected complex.
 
 Reports are byte-deterministic for fixed input and version: keys are sorted
 and the timing field stays null unless --timing is passed.
@@ -13,6 +14,7 @@ and the timing field stays null unless --timing is passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,24 +49,23 @@ from .schemas import (
     parse_tower,
 )
 
-COMMANDS = ("snf", "decompose", "ext1", "split", "ss-report", "ss-basechange",
-            "bk-height", "bk-structure", "cw-ktheory", "cw-verify",
-            "lambda-survey", "lambda-zero", "oracle")
+# the integer job options: (key, least value, CLI flag or None)
+INT_OPTIONS = (("prime_bound", 0, "--prime-bound"), ("precision_n", 1, "--precision-N"),
+               ("precision_m", 1, "--precision-M"), ("precision_n_local", 1, None))
 
 
 def _apply_precision_overrides(data, options):
-    """Rewrite declared ring precisions before parsing, where requested."""
-    pn, pm = options.get("precision_n"), options.get("precision_m")
-    if pn is None and pm is None:
+    """Rewrite the precisions N and M on each ring node (an object with a
+    `family`) that declares them, where requested."""
+    fields = {k: v for k, v in (("N", options.get("precision_n")),
+                                ("M", options.get("precision_m"))) if v is not None}
+    if not fields:
         return data
 
     def walk(node):
         if isinstance(node, dict):
-            if node.get("family") in ("TruncatedPadic", "TruncatedBK") and pn is not None:
-                node = dict(node, N=pn)
-            if node.get("family") in ("TruncatedPowerSeries", "TruncatedBK",
-                                      "TruncatedLambda") and pm is not None:
-                node = dict(node, M=pm)
+            if "family" in node:
+                node = dict(node, **{k: v for k, v in fields.items() if k in node})
             return {k: walk(v) for k, v in node.items()}
         if isinstance(node, list):
             return [walk(v) for v in node]
@@ -73,222 +74,221 @@ def _apply_precision_overrides(data, options):
     return walk(data)
 
 
-def run_command(command, input_data, options):
-    """Dispatch to the owning module; returns the verdict payload.  Each
-    branch imports the modules it uses, so a job loads no other command's."""
-    oracle_on = bool(options.get("oracle"))
+# one run(input, options) per command, returning its payload (run_job fills in
+# empty witnesses and ledgers); each imports only the modules it uses
+def _snf(input_data, options):
+    ring = parse_ring(_want(input_data, "ring", "/input"), "/input/ring")
+    rows = _want(input_data, "matrix", "/input", list)
+    if rows and not isinstance(rows[0], list):
+        raise SchemaError("row 0 must be an array", "/input/matrix/0")
+    cols = (len(rows[0]) if rows else
+            _want(input_data, "cols", "/input", int) if "cols" in input_data else 0)
+    if cols < 0:
+        raise SchemaError("field 'cols' must be >= 0", "/input/cols")
+    mat = parse_matrix(rows, ring, cols, "/input/matrix")
+    res = smith_normal_form(mat, ring)
+    if not res.verify(mat, ring):
+        raise InternalInconsistencyError("SNF witnesses failed to verify")
+    return {"verdicts": {"divisors": jsonable(res.divisors)},
+            "witnesses": {"left": jsonable(res.left), "right": jsonable(res.right)}}
 
-    if command == "snf":
-        ring = parse_ring(_want(input_data, "ring", "/input"), "/input/ring")
-        rows = _want(input_data, "matrix", "/input", list)
-        if rows:
-            if not isinstance(rows[0], list):
-                raise SchemaError("row 0 must be an array", "/input/matrix/0")
-            cols = len(rows[0])
+
+def _decompose(input_data, options):
+    m = parse_module(_want(input_data, "module", "/input"), "/input/module")
+    dec = mods.decompose(m)
+    if isinstance(dec, mods.NotElementary):
+        return {"verdicts": {"elementary": False, "failing_gr_slice": dec.failing_j},
+                "witnesses": {"certificate": jsonable(dec.certificate)}}
+    return {"verdicts": {"elementary": True, "free_rank": dec.free_rank,
+                         "torsion_divisors": jsonable(dec.torsion_divisors)},
+            "witnesses": {"to_canonical": jsonable(dec.to_canonical.matrix),
+                          "from_canonical": jsonable(dec.from_canonical.matrix),
+                          "witness_verified": dec.verify()}}
+
+
+def _ext1(input_data, options):
+    from . import ext as extm
+
+    c = parse_module(_want(input_data, "c", "/input"), "/input/c")
+    a = parse_module(_want(input_data, "a", "/input"), "/input/a", ring=c.ring)
+    cexp, cfree = extm._elementary_exponents(c)
+    e = extm._ext1_of_exponents(cexp, a)
+    exps, free = extm._elementary_exponents(e)
+    payload = {"verdicts": {"torsion_exponents": exps, "free_rank": free},
+               "witnesses": {"module": module_to_json(e)}}
+    if options.get("oracle"):
+        aexp, afree = extm._elementary_exponents(a)
+        if len(cexp) == 1 and len(aexp) == 1 and not cfree and not afree:
+            orc = extm.ext1_cocycle_oracle(cexp[0], aexp[0], c.ring)
+            agree = orc.abelian_exponent_multiset == sorted(exps * c.ring.mlen)
+            payload["verdicts"]["oracle_agrees"] = bool(agree and orc.split_set_is_coboundaries)
+            payload["witnesses"]["oracle"] = jsonable(orc)
+    return payload
+
+
+def _split(input_data, options):
+    v = mods.split_test(parse_ses(_want(input_data, "ses", "/input"), "/input/ses"))
+    return {"verdicts": {"split": v.split},
+            "witnesses": ({"section": jsonable(v.section.matrix)} if v.split
+                          else {"obstruction": jsonable(v.obstruction)})}
+
+
+def _complex(input_data):
+    return parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
+
+
+def _ss_report(input_data, options):
+    from . import spectral as spec
+
+    x = _complex(input_data)
+    rep = spec.degeneration_report(x)
+    payload = report_payload(rep)
+    if options.get("oracle"):
+        try:
+            orc = spec.oracle(x)
+        except UnsupportedRingError as exc:
+            payload["verdicts"]["oracle"] = f"skipped: {exc}"
         else:
-            cols = _want(input_data, "cols", "/input", int) if "cols" in input_data else 0
-            if cols < 0:
-                raise SchemaError("field 'cols' must be >= 0", "/input/cols")
-        mat = parse_matrix(rows, ring, cols, "/input/matrix")
-        res = smith_normal_form(mat, ring)
-        if not res.verify(mat, ring):
-            raise InternalInconsistencyError("SNF witnesses failed to verify")
-        return {"verdicts": {"divisors": jsonable(res.divisors)},
-                "witnesses": {"left": jsonable(res.left), "right": jsonable(res.right)},
-                "ledgers": {}}
+            if any(orc[k] != payload["verdicts"][k] for k in orc):
+                raise InternalInconsistencyError("oracle disagrees with the checker")
+            payload["verdicts"]["oracle_agrees"] = True
+    if rep.precision_limited:
+        payload["exit_code_override"] = 3
+    return payload
 
-    if command == "decompose":
-        m = parse_module(_want(input_data, "module", "/input"), "/input/module")
-        dec = mods.decompose(m)
-        if isinstance(dec, mods.NotElementary):
-            return {"verdicts": {"elementary": False,
-                                 "failing_gr_slice": dec.failing_j},
-                    "witnesses": {"certificate": jsonable(dec.certificate)},
-                    "ledgers": {}}
-        return {"verdicts": {"elementary": True, "free_rank": dec.free_rank,
-                             "torsion_divisors": jsonable(dec.torsion_divisors)},
-                "witnesses": {"to_canonical": jsonable(dec.to_canonical.matrix),
-                              "from_canonical": jsonable(dec.from_canonical.matrix),
-                              "witness_verified": dec.verify()},
-                "ledgers": {}}
 
-    if command == "ext1":
-        from . import ext as extm
+def _oracle(input_data, options):
+    from . import spectral as spec
 
-        c = parse_module(_want(input_data, "c", "/input"), "/input/c")
-        a = parse_module(_want(input_data, "a", "/input"), "/input/a", ring=c.ring)
-        cexp, cfree = extm._elementary_exponents(c)
-        e = extm._ext1_of_exponents(cexp, a)
-        exps, free = extm._elementary_exponents(e)
-        payload = {"verdicts": {"torsion_exponents": exps, "free_rank": free},
-                   "witnesses": {"module": module_to_json(e)},
-                   "ledgers": {}}
-        if oracle_on:
-            aexp, afree = extm._elementary_exponents(a)
-            if len(cexp) == 1 and len(aexp) == 1 and not cfree and not afree:
-                orc = extm.ext1_cocycle_oracle(cexp[0], aexp[0], c.ring)
-                agree = (orc.abelian_exponent_multiset
-                         == sorted(exps * c.ring.mlen))
-                payload["verdicts"]["oracle_agrees"] = bool(
-                    agree and orc.split_set_is_coboundaries)
-                payload["witnesses"]["oracle"] = jsonable(orc)
-        return payload
+    return {"verdicts": jsonable(spec.oracle(_complex(input_data)))}
 
-    if command == "split":
-        ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
-        v = mods.split_test(ses)
-        out = {"verdicts": {"split": v.split}, "witnesses": {}, "ledgers": {}}
-        if v.split:
-            out["witnesses"]["section"] = jsonable(v.section.matrix)
-        else:
-            out["witnesses"]["obstruction"] = jsonable(v.obstruction)
-        return out
 
-    if command in ("ss-report", "oracle"):
-        from . import spectral as spec
+def _ss_basechange(input_data, options):
+    from . import spectral as spec
 
-        x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
-        if command == "oracle":
-            verdicts = spec.oracle(x)
-            return {"verdicts": jsonable(verdicts), "witnesses": {}, "ledgers": {}}
-        rep = spec.degeneration_report(x)
+    x = _complex(input_data)
+    kind, ell = parse_base_change_spec(_want(input_data, "spec", "/input", dict),
+                                       "/input/spec", x.ring)
+    rep, descent = spec.base_change_report(x, kind, ell)
+    if isinstance(rep, spec.TensoredReport):
+        payload = {"verdicts": {"degenerate_after_tensoring": rep.degenerate,
+                                "split_after_tensoring": rep.split,
+                                "sscritflat_checked": rep.sscritflat_checked},
+                   "witnesses": {"per_entry": jsonable(
+                       {f"{i},{n}": v for (i, n), v in rep.per_entry.items()})},
+                   "ledgers": {"tensored_h_profiles": jsonable(rep.h_profiles),
+                               "tensored_e1_profiles": jsonable(rep.e1_profiles)}}
+    else:
         payload = report_payload(rep)
-        if oracle_on:
-            try:
-                orc = spec.oracle(x)
-            except UnsupportedRingError as exc:
-                payload["verdicts"]["oracle"] = f"skipped: {exc}"
-            else:
-                agree = all(orc[k] == payload["verdicts"][k] for k in orc)
-                if not agree:
-                    raise InternalInconsistencyError("oracle disagrees with the checker")
-                payload["verdicts"]["oracle_agrees"] = True
-        if rep.precision_limited:
-            payload["exit_code_override"] = 3
-        return payload
+    payload["verdicts"]["descent"] = jsonable(descent)
+    return payload
 
-    if command == "ss-basechange":
-        from . import spectral as spec
 
-        x = parse_filtered_complex(_want(input_data, "complex", "/input"), "/input/complex")
-        kind, ell = parse_base_change_spec(_want(input_data, "spec", "/input", dict),
-                                           "/input/spec", x.ring)
-        rep, descent = spec.base_change_report(x, kind, ell)
-        if isinstance(rep, spec.TensoredReport):
-            payload = {"verdicts": {"degenerate_after_tensoring": rep.degenerate,
-                                    "split_after_tensoring": rep.split,
-                                    "sscritflat_checked": rep.sscritflat_checked},
-                       "witnesses": {"per_entry": jsonable(
-                           {f"{i},{n}": v for (i, n), v in rep.per_entry.items()})},
-                       "ledgers": {"tensored_h_profiles": jsonable(rep.h_profiles),
-                                   "tensored_e1_profiles": jsonable(rep.e1_profiles)}}
-        else:
-            payload = report_payload(rep)
-        payload["verdicts"]["descent"] = jsonable(descent)
-        return payload
+def _bk_height(input_data, options):
+    from . import breuil_kisin as bkm
 
-    if command == "bk-height":
-        from . import breuil_kisin as bkm
+    b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
+    s, r = _want(input_data, "s", "/input", int), _want(input_data, "r", "/input", int)
+    trail = [f"frobenius trusted z-precision: {b.ring.frobenius_trusted_precision}"]
+    cert = bkm.check_height(b, s, r)
+    if isinstance(cert, bkm.HeightFailure):
+        return {"verdicts": {"height_in_window": False, "failed_side": cert.side},
+                "witnesses": {"failures": jsonable(cert.failures)}, "precision_trail": trail}
+    return {"verdicts": {"height_in_window": True},
+            "witnesses": {"upper": jsonable(cert.upper), "lower": jsonable(cert.lower)},
+            "precision_trail": trail}
 
-        b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
-        s, r = _want(input_data, "s", "/input", int), _want(input_data, "r", "/input", int)
-        trail = [f"frobenius trusted z-precision: {b.ring.frobenius_trusted_precision}"]
-        cert = bkm.check_height(b, s, r)
-        if isinstance(cert, bkm.HeightFailure):
-            return {"verdicts": {"height_in_window": False, "failed_side": cert.side},
-                    "witnesses": {"failures": jsonable(cert.failures)}, "ledgers": {},
-                    "precision_trail": trail}
-        return {"verdicts": {"height_in_window": True},
-                "witnesses": {"upper": jsonable(cert.upper), "lower": jsonable(cert.lower)},
-                "ledgers": {}, "precision_trail": trail}
 
-    if command == "bk-structure":
-        from . import breuil_kisin as bkm
+def _bk_structure(input_data, options):
+    from . import breuil_kisin as bkm
 
-        b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
-        r = (_want(input_data, "r", "/input", int) if "r" in input_data
-             else b.height_window[1])
-        tower = None
-        if input_data.get("tower") is not None:
-            tower = parse_tower(input_data["tower"], "/input/tower")
-        res = bkm.structure_check(b, r, tower=tower)
-        verdicts = {"hypothesis_met": res.hypothesis_met,
-                    "elementary": res.elementary is not None,
-                    "gr_ranks": res.gr_ranks}
-        witnesses = {"notes": res.notes}
-        if res.elementary is not None:
-            verdicts["free_rank"] = res.elementary.free_rank
-            verdicts["torsion_exponents"] = res.elementary.divisors.exponents()
-        else:
-            witnesses["counterexample"] = jsonable(res.counterexample.certificate)
-            verdicts["failing_gr_slice"] = res.counterexample.failing_j
-        return {"verdicts": verdicts, "witnesses": witnesses, "ledgers": {},
-                "hypothesis_flag": not res.hypothesis_met}
+    b = parse_bk_module(_want(input_data, "bk", "/input"), "/input/bk")
+    r = _want(input_data, "r", "/input", int) if "r" in input_data else b.height_window[1]
+    tower = (parse_tower(input_data["tower"], "/input/tower")
+             if input_data.get("tower") is not None else None)
+    res = bkm.structure_check(b, r, tower=tower)
+    verdicts = {"hypothesis_met": res.hypothesis_met,
+                "elementary": res.elementary is not None,
+                "gr_ranks": res.gr_ranks}
+    witnesses = {"notes": res.notes}
+    if res.elementary is not None:
+        verdicts["free_rank"] = res.elementary.free_rank
+        verdicts["torsion_exponents"] = res.elementary.divisors.exponents()
+    else:
+        witnesses["counterexample"] = jsonable(res.counterexample.certificate)
+        verdicts["failing_gr_slice"] = res.counterexample.failing_j
+    return {"verdicts": verdicts, "witnesses": witnesses,
+            "hypothesis_flag": not res.hypothesis_met}
 
-    if command == "cw-ktheory":
-        from . import cw as cwm
 
-        x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
-        k = cwm.ktheory(x)
-        return {"verdicts": {
-                    "dimension": k.d, "denominator_index": k.m_index,
-                    "denominator_factorial": k.m_factorial,
-                    "inverted_primes": list(k.inverted),
-                    "k0": {"rank": k.k0.rank, "torsion": list(k.k0.torsion_divisors)},
-                    "k1": {"rank": k.k1.rank, "torsion": list(k.k1.torsion_divisors)}},
-                "witnesses": {"even_odd_identity": True},
-                "ledgers": {"reduced_cohomology": {
-                    str(j): {"rank": g.rank, "torsion": list(g.torsion_divisors)}
-                    for j, g in k.groups.items()}}}
+def _cw_ktheory(input_data, options):
+    from . import cw as cwm
 
-    if command == "cw-verify":
-        from . import cw as cwm
+    k = cwm.ktheory(parse_cw(_want(input_data, "cw", "/input"), "/input/cw"))
+    return {"verdicts": {
+                "dimension": k.d, "denominator_index": k.m_index,
+                "denominator_factorial": k.m_factorial,
+                "inverted_primes": list(k.inverted),
+                "k0": {"rank": k.k0.rank, "torsion": list(k.k0.torsion_divisors)},
+                "k1": {"rank": k.k1.rank, "torsion": list(k.k1.torsion_divisors)}},
+            "witnesses": {"even_odd_identity": True},
+            "ledgers": {"reduced_cohomology": {
+                str(j): {"rank": g.rank, "torsion": list(g.torsion_divisors)}
+                for j, g in k.groups.items()}}}
 
-        x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
-        trace = cwm.skeletal_verification(x, "/input/cw")
-        all_exact = all(n["exact"] for step in trace for n in step["nodes"])
-        return {"verdicts": {"all_nodes_exact": all_exact,
-                             "steps": len(trace)},
-                "witnesses": {"trace": jsonable(trace)}, "ledgers": {}}
 
-    if command == "lambda-survey":
-        from . import local_global as lgm
+def _cw_verify(input_data, options):
+    from . import cw as cwm
 
-        ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
-        primes = input_data.get("primes")
-        if primes is not None:
-            primes = parse_primes(primes, "/input/primes")
-        bound = options.get("prime_bound")
-        if primes is None and bound is not None:
-            primes = [q for q in primerange(2, bound + 1)
-                      if q not in ses.a.ring.inverted_primes]
-        survey = lgm.local_split_survey(ses, primes=primes,
-                                        precision_n=options.get("precision_n_local"))
-        payload = {"verdicts": {"per_prime": {str(k): v for k, v in survey.verdicts.items()},
-                                "globally_split": survey.globally_split,
-                                "obstruction_primes": survey.obstruction_primes,
-                                "covered": survey.covered},
-                   "witnesses": {}, "ledgers": {}}
-        if survey.globally_split and survey.covered and \
-                all(survey.verdicts.get(q, True) for q in survey.obstruction_primes):
-            section = lgm.global_split_conclude(ses, survey)
-            payload["witnesses"]["global_section"] = jsonable(section.matrix)
-        return payload
+    x = parse_cw(_want(input_data, "cw", "/input"), "/input/cw")
+    trace = cwm.skeletal_verification(x, "/input/cw")
+    return {"verdicts": {"all_nodes_exact": all(n["exact"] for step in trace
+                                                for n in step["nodes"]),
+                         "steps": len(trace)},
+            "witnesses": {"trace": jsonable(trace)}}
 
-    if command == "lambda-zero":
-        from . import local_global as lgm
 
-        f = parse_map(_want(input_data, "map", "/input"), "/input/map")
-        rep = lgm.zero_local_global(f)
-        return {"verdicts": {"is_zero": rep.direct_zero,
-                             "witness_prime": rep.witness_prime,
-                             "support_everywhere": rep.support_everywhere,
-                             "agreement": rep.agreement},
-                "witnesses": {"certified_primes": rep.certified_primes,
-                              "per_prime_zero": {str(k): v for k, v in rep.local_zero.items()}},
-                "ledgers": {}}
+def _lambda_survey(input_data, options):
+    from . import local_global as lgm
 
-    raise SchemaError(f"unknown command '{command}'")
+    ses = parse_ses(_want(input_data, "ses", "/input"), "/input/ses")
+    primes = input_data.get("primes")
+    if primes is not None:
+        primes = parse_primes(primes, "/input/primes")
+    bound = options.get("prime_bound")
+    if primes is None and bound is not None:
+        primes = [q for q in primerange(2, bound + 1) if q not in ses.a.ring.inverted_primes]
+    survey = lgm.local_split_survey(ses, primes=primes,
+                                    precision_n=options.get("precision_n_local"))
+    witnesses = {}
+    if survey.globally_split and survey.covered and \
+            all(survey.verdicts.get(q, True) for q in survey.obstruction_primes):
+        witnesses["global_section"] = jsonable(lgm.global_split_conclude(ses, survey).matrix)
+    return {"verdicts": {"per_prime": {str(k): v for k, v in survey.verdicts.items()},
+                         "globally_split": survey.globally_split,
+                         "obstruction_primes": survey.obstruction_primes,
+                         "covered": survey.covered},
+            "witnesses": witnesses}
+
+
+def _lambda_zero(input_data, options):
+    from . import local_global as lgm
+
+    rep = lgm.zero_local_global(parse_map(_want(input_data, "map", "/input"), "/input/map"))
+    return {"verdicts": {"is_zero": rep.direct_zero,
+                         "witness_prime": rep.witness_prime,
+                         "support_everywhere": rep.support_everywhere,
+                         "agreement": rep.agreement},
+            "witnesses": {"certified_primes": rep.certified_primes,
+                          "per_prime_zero": {str(k): v for k, v in rep.local_zero.items()}}}
+
+
+# the commands, in the order --help lists them
+COMMANDS = {"snf": _snf, "decompose": _decompose, "ext1": _ext1, "split": _split,
+            "ss-report": _ss_report, "ss-basechange": _ss_basechange,
+            "bk-height": _bk_height, "bk-structure": _bk_structure,
+            "cw-ktheory": _cw_ktheory, "cw-verify": _cw_verify,
+            "lambda-survey": _lambda_survey, "lambda-zero": _lambda_zero, "oracle": _oracle}
 
 
 def report_payload(rep):
@@ -331,11 +331,8 @@ def _report(job, payload, exit_code, hypothesis_flag=False, timing_ms=None):
         "hypothesis_flag": hypothesis_flag,
         "timing_ms": timing_ms,
     }
-    report.update({k: payload.get(k) for k in ("verdicts", "witnesses", "ledgers", "notes")
-                   if k in payload})
-    if "error" in payload:
-        report["error"] = payload["error"]
-        report["error_kind"] = payload["error_kind"]
+    report.update({k: payload[k] for k in ("verdicts", "witnesses", "ledgers", "notes",
+                                           "error", "error_kind") if k in payload})
     report["precision_trail"] = payload.get("precision_trail", [])
     return report
 
@@ -348,11 +345,11 @@ def run_job(job, timing=False):
         if not isinstance(job, dict):
             raise SchemaError("a job must be a JSON object")
         command = job.get("command")
-        if command not in COMMANDS:
+        if not isinstance(command, str) or command not in COMMANDS:
             raise SchemaError(f"unknown command '{command}'", "/command")
         options = _parse_options(job)
         input_data = _apply_precision_overrides(job.get("input", {}), options)
-        payload = run_command(command, input_data, options)
+        payload = {"witnesses": {}, "ledgers": {}, **COMMANDS[command](input_data, options)}
         hypothesis_flag = payload.pop("hypothesis_flag", False)
         exit_code = payload.pop("exit_code_override", 0)
     except Exception as exc:
@@ -364,13 +361,12 @@ def run_job(job, timing=False):
 
 
 def _parse_options(job):
-    """The job's options; the integer ones must be JSON integers, each
-    precision at least 1 and `prime_bound` at least 0."""
+    """The job's options; the integer ones must be JSON integers of at
+    least their INT_OPTIONS value."""
     options = job.get("options", {}) or {}
     if not isinstance(options, dict):
         raise SchemaError("options must be an object", "/options")
-    for key, least in (("prime_bound", 0), ("precision_n", 1), ("precision_m", 1),
-                       ("precision_n_local", 1)):
+    for key, least, _ in INT_OPTIONS:
         if options.get(key) is not None and _want(options, key, "/options", int) < least:
             raise SchemaError(f"field '{key}' must be >= {least}", f"/options/{key}")
     return options
@@ -406,10 +402,8 @@ def _atomic_write(path, text):
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -424,9 +418,9 @@ def main(argv=None):
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--oracle", action="store_true",
                     help="run the element-level oracle when in bounds")
-    ap.add_argument("--prime-bound", type=int, default=None)
-    ap.add_argument("--precision-N", type=int, default=None, dest="precision_n")
-    ap.add_argument("--precision-M", type=int, default=None, dest="precision_m")
+    for key, _, flag in INT_OPTIONS:
+        if flag:
+            ap.add_argument(flag, type=int, default=None, dest=key)
     ap.add_argument("--corpus-dir", help="process every .json job in a directory")
     ap.add_argument("--timing", action="store_true",
                     help="include wall time in the JSON report (breaks byte stability)")
@@ -502,12 +496,9 @@ def _merge_cli_options(job, args):
     options = dict(options)
     if args.oracle:
         options["oracle"] = True
-    if args.prime_bound is not None:
-        options["prime_bound"] = args.prime_bound
-    if args.precision_n is not None:
-        options["precision_n"] = args.precision_n
-    if args.precision_m is not None:
-        options["precision_m"] = args.precision_m
+    for key, _, flag in INT_OPTIONS:
+        if flag and getattr(args, key) is not None:
+            options[key] = getattr(args, key)
     return dict(job, options=options)
 
 

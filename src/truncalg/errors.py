@@ -4,7 +4,8 @@ Exit-code mapping used by the CLI:
   0 completed, 2 hypothesis gate unmet, 3 precision-limited,
   4 internal inconsistency (a checked theorem failed to hold), or any
     other exception, reported as an internal error.
-Input/schema problems exit 1 and never reach dispatch.
+Input/schema problems exit 1 with a JSON-pointer location, nearly all while
+the input is parsed; `cw.skeletal_verification` refuses a disconnected complex.
 """
 
 
@@ -13,13 +14,14 @@ class TruncalgError(Exception):
 
 
 class SchemaError(TruncalgError):
-    """Malformed or non-canonical input; carries a JSON-pointer-ish location."""
+    """Malformed or non-canonical input; carries a JSON-pointer location (a
+    ring's own refusals point into its JSON, `/p`, below the ring's pointer)."""
 
     exit_code = 1
 
     def __init__(self, message, location=""):
         super().__init__(f"{location}: {message}" if location else message)
-        self.location = location
+        self.message, self.location = message, location
 
 
 class UnsupportedRingError(TruncalgError):

@@ -26,7 +26,7 @@ Over Z/p^N (`modulus`), `Mat.mul` and the solve run on ints as well.  Z/p^N
 and Z[1/S] share the integer divisor rule, F_p[z]/z^M has the valuation
 rule.  Over Z[1/S] the products with the witnesses, the kernel and the
 L . A . R = D check run on their ints, so a result builds its Fraction
-`left` and `right` only when a caller reads them (the `snf` command,
+`left` and `right` only when a caller reads them (the CLI's Smith form report,
 `verify`, `modules.decompose_elementary`).  One 32-entry memo, `base_snf`,
 keyed by the caller's (matrix, ring), holds the SNFs; a BK or Lambda matrix
 is expanded only when its key misses.  Each entry also keeps up to 32 reads

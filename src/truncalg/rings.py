@@ -20,6 +20,7 @@ module imports nothing of linalg.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -27,6 +28,9 @@ from itertools import count, islice, product
 from math import gcd, isqrt
 
 from .errors import SchemaError, UnsupportedRingError
+
+# a Z[1/S] element as a string; Fraction also reads "1.5", "1e3", " 3 ", "+3", "1_0"
+_FRACTION_STRING = re.compile("-?[0-9]+(/[0-9]+)?")
 
 # ---------------------------------------------------------------------------
 # Prime arithmetic: primality, prime ranges, factorization, valuations
@@ -220,10 +224,10 @@ def prime_valuation(n, q):
 def _check_primes(primes):
     primes = tuple(int(q) for q in primes)
     if list(primes) != sorted(set(primes)):
-        raise SchemaError("inverted primes must be sorted and duplicate-free")
-    for q in primes:
+        raise SchemaError("inverted primes must be sorted and duplicate-free", "/inverted_primes")
+    for k, q in enumerate(primes):
         if not isprime(q):
-            raise SchemaError(f"{q} is not prime")
+            raise SchemaError(f"{q} is not prime", f"/inverted_primes/{k}")
     return primes
 
 
@@ -238,17 +242,18 @@ class EisensteinSpec:
         object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
 
     def validate(self, p):
-        c = self.coefficients
-        e = self.ramification_e
+        c, e, loc = self.coefficients, self.ramification_e, "/eisenstein/coefficients"
         if e < 1 or len(c) != e + 1:
-            raise SchemaError("eisenstein polynomial needs degree e >= 1 and e+1 coefficients")
+            raise SchemaError("eisenstein polynomial needs degree e >= 1 and e+1 coefficients",
+                              "/eisenstein/ramification_e" if e < 1 else loc)
         if c[-1] != 1:
-            raise SchemaError("eisenstein polynomial must be monic")
+            raise SchemaError("eisenstein polynomial must be monic", f"{loc}/{e}")
         if c[0] % p != 0 or c[0] % (p * p) == 0:
-            raise SchemaError("eisenstein constant term must have p-valuation exactly 1")
-        for ci in c[1:-1]:
-            if ci % p != 0:
-                raise SchemaError("eisenstein middle coefficients must be divisible by p")
+            raise SchemaError("eisenstein constant term must have p-valuation exactly 1", f"{loc}/0")
+        for i in range(1, e):
+            if c[i] % p != 0:
+                raise SchemaError("eisenstein middle coefficients must be divisible by p",
+                                  f"{loc}/{i}")
 
 
 def default_eisenstein(p):
@@ -321,12 +326,14 @@ class LocalizedIntegers(RingBase):
         return {"family": "LocalizedIntegers", "inverted_primes": list(self.inverted_primes)}
 
     def element_from_json(self, v, loc):
-        """An int, or a fraction string in lowest terms; the denominator
-        must be supported on S."""
+        """An int, or a string of ASCII digits -?a or -?a/b in lowest terms;
+        the denominator must be supported on S."""
         if isinstance(v, bool):
             raise SchemaError("booleans are not ring elements", loc)
         if not isinstance(v, (int, str)):
             raise SchemaError("expected an integer or fraction string", loc)
+        if isinstance(v, str) and not _FRACTION_STRING.fullmatch(v):
+            raise SchemaError(f"'{v}' is not a fraction string", loc)
         try:
             fr = Fraction(v)
         except Exception:
@@ -432,9 +439,9 @@ class TruncatedPadic(ChainRing):
 
     def __post_init__(self):
         if not isprime(self.p):
-            raise SchemaError(f"{self.p} is not prime")
+            raise SchemaError(f"{self.p} is not prime", "/p")
         if self.precision_n < 1:
-            raise SchemaError("precision must be >= 1")
+            raise SchemaError("precision must be >= 1", "/N")
 
     # ring constants are cached on the instance: cached_property writes the
     # instance __dict__ directly, so it works on the frozen dataclasses, and
@@ -673,9 +680,9 @@ class TruncatedPowerSeries(_ZFamilyMixin, ChainRing):
 
     def __post_init__(self):
         if not isprime(self.p):
-            raise SchemaError(f"{self.p} is not prime")
+            raise SchemaError(f"{self.p} is not prime", "/p")
         if self.precision_m < 1:
-            raise SchemaError("precision must be >= 1")
+            raise SchemaError("precision must be >= 1", "/M")
 
     @property
     def mlen(self):
@@ -723,9 +730,9 @@ class TruncatedBK(_ZFamilyMixin, RingBase):
 
     def __post_init__(self):
         if not isprime(self.p):
-            raise SchemaError(f"{self.p} is not prime")
+            raise SchemaError(f"{self.p} is not prime", "/p")
         if self.precision_n < 1 or self.precision_m < 1:
-            raise SchemaError("precisions must be >= 1")
+            raise SchemaError("precisions must be >= 1", "/N" if self.precision_n < 1 else "/M")
         e = self.eisenstein if self.eisenstein is not None else default_eisenstein(self.p)
         e.validate(self.p)
         object.__setattr__(self, "eisenstein", e)
@@ -771,7 +778,7 @@ class TruncatedLambda(_PolyTruncMixin, RingBase):
     def __post_init__(self):
         object.__setattr__(self, "inverted_primes", _check_primes(self.inverted_primes))
         if self.precision_m < 1:
-            raise SchemaError("precision must be >= 1")
+            raise SchemaError("precision must be >= 1", "/M")
 
     @property
     def mlen(self):

@@ -86,31 +86,30 @@ def _p_and_n(data, loc):
 
 def parse_ring(data, loc="/ring"):
     fam = _want(data, "family", loc, str)
+    if fam == "LocalizedIntegers":
+        cls, args = LocalizedIntegers, (tuple(parse_primes(
+            _want(data, "inverted_primes", loc), loc + "/inverted_primes")),)
+    elif fam == "TruncatedPadic":
+        cls, args = TruncatedPadic, _p_and_n(data, loc)
+    elif fam == "TruncatedPowerSeries":
+        cls, args = TruncatedPowerSeries, (_want(data, "p", loc, int), _want(data, "M", loc, int))
+    elif fam == "TruncatedBK":
+        e, eloc = data.get("eisenstein"), loc + "/eisenstein"
+        if e is not None:
+            e = EisensteinSpec(
+                tuple(_int_list(_want(e, "coefficients", eloc), eloc + "/coefficients")),
+                _want(e, "ramification_e", eloc, int))
+        cls, args = TruncatedBK, (*_p_and_n(data, loc), _want(data, "M", loc, int), e)
+    elif fam == "TruncatedLambda":
+        cls, args = TruncatedLambda, (tuple(parse_primes(
+            _want(data, "inverted_primes", loc), loc + "/inverted_primes")),
+            _want(data, "M", loc, int))
+    else:
+        raise SchemaError(f"unknown ring family '{fam}'", loc)
     try:
-        if fam == "LocalizedIntegers":
-            return LocalizedIntegers(tuple(parse_primes(
-                _want(data, "inverted_primes", loc), loc + "/inverted_primes")))
-        if fam == "TruncatedPadic":
-            return TruncatedPadic(*_p_and_n(data, loc))
-        if fam == "TruncatedPowerSeries":
-            return TruncatedPowerSeries(_want(data, "p", loc, int), _want(data, "M", loc, int))
-        if fam == "TruncatedBK":
-            eis = None
-            if "eisenstein" in data and data["eisenstein"] is not None:
-                e, eloc = data["eisenstein"], loc + "/eisenstein"
-                eis = EisensteinSpec(
-                    tuple(_int_list(_want(e, "coefficients", eloc), eloc + "/coefficients")),
-                    _want(e, "ramification_e", eloc, int))
-            return TruncatedBK(*_p_and_n(data, loc), _want(data, "M", loc, int), eis)
-        if fam == "TruncatedLambda":
-            return TruncatedLambda(tuple(parse_primes(
-                _want(data, "inverted_primes", loc), loc + "/inverted_primes")),
-                _want(data, "M", loc, int))
-    except SchemaError:
-        raise
-    except Exception as exc:
-        raise SchemaError(str(exc), loc)
-    raise SchemaError(f"unknown ring family '{fam}'", loc)
+        return cls(*args)
+    except SchemaError as exc:  # the ring's own refusal points into its JSON
+        raise SchemaError(exc.message, loc + exc.location) from None
 
 
 def parse_matrix(rows, ring, cols, loc):

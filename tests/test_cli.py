@@ -4,10 +4,11 @@ import random
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from truncalg.cli import COMMANDS, emit, run_job
+from truncalg.cli import COMMANDS, INT_OPTIONS, emit, run_job
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -66,6 +67,9 @@ def test_schema_error_exit_1():
     assert code == 1 and report["error_kind"] == "schema"
     report2, code2 = run_job({"command": "nope", "input": {}})
     assert code2 == 1
+    for command in (["snf"], {}):
+        report3, code3 = run_job({"command": command, "input": {}})
+        assert code3 == 1 and report3["error"].startswith("/command:"), report3["error"]
 
 
 def test_noncanonical_element_rejected_with_hint():
@@ -87,12 +91,62 @@ def test_fraction_denominator_rejected():
     assert code == 1 and "/input/matrix/0/0" in report["error"]
 
 
+@pytest.mark.parametrize("value", ["1.5", "1e3", " 3 ", "+3", "1_0", "\u0663", "1/2 ", "1//2"])
+def test_noncanonical_fraction_string_rejected(value):
+    """A Z[1/S] element string is -?a or -?a/b in ASCII digits; the other
+    spellings Fraction reads (a decimal, an exponent, spaces, a plus sign,
+    an underscore, a non-ASCII digit) are refused at their pointer."""
+    job = {"command": "snf",
+           "input": {"ring": {"family": "LocalizedIntegers", "inverted_primes": [2]},
+                     "matrix": [["1/2", value]]}}
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"] == f"/input/matrix/0/1: '{value}' is not a fraction string"
+
+
+def test_canonical_fraction_strings_parse():
+    from truncalg.rings import LocalizedIntegers
+
+    ring = LocalizedIntegers((2,))
+    assert [ring.element_from_json(v, "") for v in ("1/2", "3/4", "-3/4", "12", "-5", 7)] \
+        == [Fraction(1, 2), Fraction(3, 4), Fraction(-3, 4), 12, -5, 7]
+
+
 def test_precision_override_option():
     job = load("ext_golden_p2.json")
     job = dict(job, options={"precision_n": 5})
     report, code = run_job(job)
     assert code == 0
     assert report["job"]["options"]["precision_n"] == 5
+
+
+@pytest.mark.parametrize("ring", [
+    {"family": "TruncatedPadic", "p": 2, "N": 3},
+    {"family": "TruncatedPowerSeries", "p": 2, "M": 3},
+    {"family": "TruncatedBK", "p": 2, "N": 3, "M": 2},
+    {"family": "TruncatedLambda", "inverted_primes": [2], "M": 3},
+    {"family": "LocalizedIntegers", "inverted_primes": [2]},
+], ids=lambda ring: ring["family"])
+def test_precision_options_rewrite_the_declared_precisions(ring):
+    """precision_n rewrites N and precision_m rewrites M on every ring node
+    that declares them, nested ones included; a ring that omits its N or M
+    is refused with the option as without it."""
+    from truncalg.cli import _apply_precision_overrides
+    from truncalg.schemas import parse_ring
+
+    options = {"precision_n": 5, "precision_m": 4}
+    data = {"module": {"ring": ring, "generators": 0}, "rings": [ring]}
+    want = dict(ring, **{k: v for k, v in (("N", 5), ("M", 4)) if k in ring})
+    assert _apply_precision_overrides(data, options) == {
+        "module": {"ring": want, "generators": 0}, "rings": [want]}
+    assert parse_ring(want).to_json().items() >= want.items()
+    for key in {"N", "M"} & set(ring):
+        omitted = {k: v for k, v in ring.items() if k != key}
+        for opts in ({}, options):
+            report, code = run_job({"command": "snf", "options": opts,
+                                    "input": {"ring": omitted, "matrix": []}})
+            assert code == 1, report.get("error")
+            assert report["error"] == f"/input/ring: missing field '{key}'"
 
 
 def test_ext1_oracle_decomposes_each_module_once(monkeypatch):
@@ -361,6 +415,21 @@ _CHILD_RUN_JOB = (
     ("ss_basechange_identity.json", "/input/spec/kind", "bogus", "/input/spec/kind"),
     ("ss_basechange_identity.json", "/input/spec/kind", 5, "/input/spec/kind"),
     ("ss_basechange_identity.json", "/input", INVERTED_ELL_BASECHANGE, "/input/spec/ell"),
+    ("snf_2468.json", "/input/ring/p", 4, "/input/ring/p"),
+    ("snf_2468.json", "/input/ring/N", 0, "/input/ring/N"),
+    ("snf_2468.json", "/input/ring", {"family": "TruncatedPowerSeries", "p": 3, "M": 0},
+     "/input/ring/M"),
+    ("snf_2468.json", "/input/ring", {"family": "LocalizedIntegers", "inverted_primes": [3, 2]},
+     "/input/ring/inverted_primes"),
+    ("lambda_zero_qminus1.json", "/input/map/source/ring/inverted_primes", [2, 2],
+     "/input/map/source/ring/inverted_primes"),
+    ("bk_height_identity.json", "/input/bk/module/ring/eisenstein/coefficients", [],
+     "/input/bk/module/ring/eisenstein/coefficients"),
+    ("bk_height_identity.json", "/input/bk/module/ring/eisenstein/coefficients", [-3, 2],
+     "/input/bk/module/ring/eisenstein/coefficients/1"),
+    ("bk_height_identity.json", "/input/bk/module/ring/eisenstein/ramification_e", 0,
+     "/input/bk/module/ring/eisenstein/ramification_e"),
+    ("bk_height_identity.json", "/input/bk/module/ring/M", 0, "/input/bk/module/ring/M"),
 ])
 def test_malformed_field_rejected_at_parse_time(name, field, value, pointer):
     """Each mutant once raised, hung or was silently truncated; now it exits 1
@@ -659,6 +728,38 @@ def test_unexpected_exception_is_an_internal_error_report(tmp_path, monkeypatch)
     assert "ValueError" in big["error"]
 
 
+def test_snf_witnesses_that_fail_to_verify_are_an_internal_inconsistency(monkeypatch):
+    """The snf command checks L . A . R = D and the invertibility of L and R
+    before it reports; witnesses that fail the check exit 4."""
+    import truncalg.cli
+    from truncalg.linalg import Mat, smith_normal_form
+
+    def of_zero(mat, ring):  # the Smith form of the zero matrix of mat's shape
+        return smith_normal_form(Mat.zero(mat.rows, mat.cols, ring), ring)
+
+    monkeypatch.setattr(truncalg.cli, "smith_normal_form", of_zero)
+    report, code = run_job(load("snf_2468.json"))
+    assert code == 4 and report["error_kind"] == "internal_inconsistency", report.get("error")
+    assert report["error"] == "SNF witnesses failed to verify"
+
+
+def test_oracle_disagreement_is_an_internal_inconsistency(monkeypatch):
+    """Under --oracle, ss-report compares the element-level oracle's verdicts
+    with the checker's; a disagreement exits 4."""
+    from truncalg import spectral
+
+    real = spectral.oracle
+
+    def flipped(x):
+        verdicts = real(x)
+        return dict(verdicts, split=not verdicts["split"])
+
+    monkeypatch.setattr(spectral, "oracle", flipped)
+    report, code = run_job(load("ss_golden_trichotomy.json"))
+    assert code == 4 and report["error_kind"] == "internal_inconsistency", report.get("error")
+    assert report["error"] == "oracle disagrees with the checker"
+
+
 def test_batch_reports_every_job_file(tmp_path):
     """A job file that is not an object, one that is not JSON and one whose
     report cannot be printed each get a report; the others are unchanged."""
@@ -749,7 +850,8 @@ def _field_paths(node, pointer):
 def test_corpus_type_mutants_are_schema_errors():
     """Every input field of every corpus job, set to a value of the wrong
     type, yields a report without an internal error; a float or a boolean in
-    an integer field exits 1 as a schema error."""
+    an integer field exits 1 as a schema error.  Every schema refusal names
+    the location at fault."""
     import contextlib
     import io
 
@@ -766,14 +868,17 @@ def test_corpus_type_mutants_are_schema_errors():
                 count += 1
                 where = (name, pointer, value, report.get("error"))
                 assert report.get("error_kind") != "internal_error", where
+                if report.get("error_kind") == "schema":
+                    assert report["error"].startswith("/input"), where
                 if integer and type(value) in (float, bool):
                     assert code == 1 and report["error_kind"] == "schema", where
     assert count > 3000
 
 
 def test_schema_documents_match_the_generator():
-    """docs/schemas is what scripts/gen_schemas.py writes, and the
-    base-change spec lists exactly the kinds the library dispatches on."""
+    """docs/schemas is what scripts/gen_schemas.py writes, the base-change
+    spec lists exactly the kinds the library dispatches on, and the job
+    schema exactly the CLI's commands and options."""
     import importlib.util
 
     from truncalg.schemas import BASE_CHANGE_KINDS
@@ -790,3 +895,8 @@ def test_schema_documents_match_the_generator():
             assert fh.read() == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
     docs = dict(gen.DOCUMENTS)
     assert docs["base_change_spec"]["properties"]["kind"]["enum"] == list(BASE_CHANGE_KINDS)
+    job = docs["job"]["properties"]
+    assert job["command"]["enum"] == list(COMMANDS)
+    assert job["options"]["properties"] == {
+        "oracle": {"type": "boolean"},
+        **{key: {"type": "integer", "minimum": least} for key, least, _ in INT_OPTIONS}}
