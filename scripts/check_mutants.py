@@ -549,6 +549,20 @@ MUTANTS = [
         "new": "            if False:\n",
         "tests": ["tests/test_cli.py::test_oracle_disagreement_is_an_internal_inconsistency"],
     },
+    {
+        "name": "cli-bk-structure-without-tower-module-check",
+        "file": "src/truncalg/cli.py",
+        "old": "    if tower is not None and tower.bk.phi != b.phi:  # equal maps have equal targets\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_cli.py::test_tower_of_another_module_refused"],
+    },
+    {
+        "name": "parse-tower-without-ring-check",
+        "file": "src/truncalg/schemas.py",
+        "old": "        if part.bk.ring != bk.ring:\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_cli.py::test_tower_part_over_another_ring_refused_at_its_pointer"],
+    },
 ]
 
 

@@ -270,6 +270,40 @@ def golden_jobs():
                              "relations": [[3, 9, 3], [3, 18, 3]]}},
         "options": {}}
 
+    # lambda-survey on a globally split sequence over Lambda = Z[1/2][[q-1]]
+    # at M = 2: 0 -> Lambda/3 -> Lambda/15 -> Lambda/5 -> 0, split since 3
+    # and 5 are coprime; surveyed at 3 and 5
+    lam = lam_ring([2], 2)
+    out["lambda_survey_split15.json"] = {
+        "command": "lambda-survey",
+        "input": {"ses": {
+            "a": {"ring": lam, "generators": 1, "relations": [[[3, 0]]]},
+            "b": {"ring": lam, "generators": 1, "relations": [[[15, 0]]]},
+            "c": {"ring": lam, "generators": 1, "relations": [[[5, 0]]]},
+            "inject": [[[5, 0]]], "surject": [[[1, 0]]]},
+            "primes": [3, 5]},
+        "options": {}}
+
+    # bk-structure with a free layer in its tower, inside the gate e*r < p - 1
+    # (p = 3, e = r = 1): S/3 + S, phi = diag(1, E), as the split extension
+    # of the free leaf (S, E) by the mod_s1 leaf (S/3, 1)
+    bk324 = bk_ring(3, 2, 4)
+    e3 = vec(4, 6, 1)  # E = z - 3 mod 9
+    s3 = {"module": {"ring": bk324, "generators": 1, "relations": [[vec(4, 3)]]},
+          "phi": [[vec(4, 1)]], "height_window": [0, 1]}
+    free = {"module": {"ring": bk324, "generators": 1, "relations": []},
+            "phi": [[e3]], "height_window": [0, 1]}
+    top = {"module": {"ring": bk324, "generators": 2, "relations": [[vec(4, 3), vec(4)]]},
+           "phi": [[vec(4, 1), vec(4)], [vec(4), e3]], "height_window": [0, 1]}
+    out["bk_structure_free_layer.json"] = {
+        "command": "bk-structure",
+        "input": {"bk": top, "r": 1,
+                  "tower": {"kind": "extension", "bk": top,
+                            "sub": {"kind": "mod_s1", "bk": s3},
+                            "quot": {"kind": "free", "bk": free},
+                            "incl": [[vec(4, 1), vec(4)]], "proj": [[vec(4)], [vec(4, 1)]]}},
+        "options": {}}
+
     # snf over Z[1/2] and over F_3[z]/z^3
     out["snf_localized.json"] = {
         "command": "snf",

@@ -171,9 +171,11 @@ tower = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["mod_s1", "free", "extension"]},
-        "bk": {"$ref": "truncalg/bk_module"},
-        "sub": {"$ref": "truncalg/tower"},
-        "quot": {"$ref": "truncalg/tower"},
+        "bk": {"$ref": "truncalg/bk_module",
+               "description": "the module this node certifies; at the top of a "
+                              "bk-structure tower, the job's bk"},
+        "sub": {"$ref": "truncalg/tower", "description": "over the node's ring"},
+        "quot": {"$ref": "truncalg/tower", "description": "over the node's ring"},
         "incl": {"type": "array"},
         "proj": {"type": "array"}},
     "required": ["kind", "bk"],

@@ -206,6 +206,8 @@ def _bk_structure(input_data, options):
     r = _want(input_data, "r", "/input", int) if "r" in input_data else b.height_window[1]
     tower = (parse_tower(input_data["tower"], "/input/tower")
              if input_data.get("tower") is not None else None)
+    if tower is not None and tower.bk.phi != b.phi:  # equal maps have equal targets
+        raise SchemaError("the tower certifies another module than bk", "/input/tower/bk")
     res = bkm.structure_check(b, r, tower=tower)
     verdicts = {"hypothesis_met": res.hypothesis_met,
                 "elementary": res.elementary is not None,

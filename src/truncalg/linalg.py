@@ -14,7 +14,7 @@ because T^g = base^(g*M) is a base-module isomorphism.  The kernels:
 
   Z/p^N        `_snf_padic`, on Python ints: minimal-valuation pivoting with
                a deterministic row-major tie-break, each step x + c*y mod p^N;
-  F_p[z]/z^M   `_snf_chain`, the same pivoting through the ring's calls;
+  F_p[z]/z^M   `_snf_chain`, the same loop with each step a ring call;
   Z[1/S]       `_snf_localized`, on Python ints: least-|entry| pivoting, the
                nearest-integer multiple of the pivot subtracted, so the least
                |entry| falls until the pivot divides its block; the sign and
@@ -324,67 +324,6 @@ class _LocalizedSNF(SNFResult):
         return True
 
 
-class _Worker:
-    """Mutable state for SNF: applies elementary ops to the matrix and to the
-    witnesses left and right."""
-
-    def __init__(self, mat, ring):
-        self.ring = ring
-        self.a = [list(r) for r in mat.data]
-        self.rows = mat.rows
-        self.cols = mat.cols
-        one, zero = ring.one, ring.zero
-
-        def identity(n):
-            return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-        self.l = identity(mat.rows)
-        self.r = identity(mat.cols)
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.l[i], self.l[j] = self.l[j], self.l[i]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.r:
-            row[i], row[j] = row[j], row[i]
-
-    def scale_row(self, i, u):
-        """row_i *= u, u a unit"""
-        rg = self.ring
-        self.a[i] = [rg.mul(u, x) for x in self.a[i]]
-        self.l[i] = [rg.mul(u, x) for x in self.l[i]]
-
-    def add_row(self, dst, src, c):
-        """row_dst += c * row_src, skipping the zero entries of row_src."""
-        add, mul, is_zero = self.ring.add, self.ring.mul, self.ring.is_zero
-        for rows in (self.a, self.l):
-            rows[dst] = [x if is_zero(y) else add(x, mul(c, y))
-                         for x, y in zip(rows[dst], rows[src])]
-
-    def add_col(self, dst, src, c):
-        """col_dst += c * col_src, skipping the zero entries of col_src."""
-        add, mul, is_zero = self.ring.add, self.ring.mul, self.ring.is_zero
-        for row in self.a + self.r:
-            y = row[src]
-            if not is_zero(y):
-                row[dst] = add(row[dst], mul(c, y))
-
-    def result(self):
-        k = min(self.rows, self.cols)
-        return SNFResult(
-            left=Mat(self.rows, self.rows, self.l),
-            right=Mat(self.cols, self.cols, self.r),
-            divisors=[self.a[i][i] for i in range(k)],
-        )
-
-
 def _chain_pivot(a, k, ring):
     """(i, j) of the first entry of least valuation in a[k:][k:], scanning
     row-major, or None if that block is zero.  A unit ends the scan: nothing
@@ -405,28 +344,45 @@ def _chain_pivot(a, k, ring):
 
 
 def _snf_chain(mat, ring):
-    """SNF over a chain ring: a minimal-valuation pivot divides everything.
-    Serves F_p[z]/z^M; Z/p^N has its integer twin, `_snf_padic`."""
-    w = _Worker(mat, ring)
-    for k in range(min(mat.rows, mat.cols)):
-        at = _chain_pivot(w.a, k, ring)
+    """SNF over a chain ring, F_p[z]/z^M here: `_snf_padic`'s loop with each
+    int step a ring call.  With `_chain_pivot`'s pivot scaled to
+    uniformizer^v, the step for an entry x of its row or column is
+    -shift_down(x, v); zero entries take no step."""
+    add, mul, neg, is_zero, shift = ring.add, ring.mul, ring.neg, ring.is_zero, ring.shift_down
+    nrows, ncols = mat.rows, mat.cols
+    a = [list(r) for r in mat.data]
+    left, right = (Mat.identity(n, ring).tolist() for n in (nrows, ncols))
+    for k in range(min(nrows, ncols)):
+        at = _chain_pivot(a, k, ring)
         if at is None:
             break
-        w.swap_rows(k, at[0])
-        w.swap_cols(k, at[1])
-        unit = ring.unit_part(w.a[k][k])
+        i, j = at
+        a[k], a[i] = a[i], a[k]
+        left[k], left[i] = left[i], left[k]
+        if j != k:
+            for row in a + right:
+                row[k], row[j] = row[j], row[k]
+        v = ring.val(a[k][k])
+        unit = shift(a[k][k], v)
         if unit != ring.one:
-            w.scale_row(k, ring.inv(unit))
-        pivot = w.a[k][k]
-        for i in range(k + 1, w.rows):
-            if not ring.is_zero(w.a[i][k]):
-                q = ring.divide(w.a[i][k], pivot)
-                w.add_row(i, k, ring.neg(q))
-        for j in range(k + 1, w.cols):
-            if not ring.is_zero(w.a[k][j]):
-                q = ring.divide(w.a[k][j], pivot)
-                w.add_col(j, k, ring.neg(q))
-    return w.result()
+            u = ring.inv(unit)
+            a[k] = [mul(u, x) for x in a[k]]
+            left[k] = [mul(u, x) for x in left[k]]
+        ak, lk = a[k], left[k]
+        for i in range(k + 1, nrows):
+            if not is_zero(a[i][k]):
+                c = neg(shift(a[i][k], v))
+                a[i] = [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(a[i], ak)]
+                left[i] = [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(left[i], lk)]
+        cs = [(j, neg(shift(x, v))) for j, x in enumerate(ak[k + 1:], k + 1) if not is_zero(x)]
+        if cs:
+            for row in a + right:
+                y = row[k]
+                if not is_zero(y):
+                    for j, c in cs:
+                        row[j] = add(row[j], mul(c, y))
+    return SNFResult(left=Mat(nrows, nrows, left), right=Mat(ncols, ncols, right),
+                     divisors=[a[i][i] for i in range(min(nrows, ncols))])
 
 
 def _snf_padic(mat, ring):

@@ -386,35 +386,16 @@ class LocalizedIntegers(RingBase):
             )
         return x
 
-    def divide(self, x, y):
-        """Return q with q*y = x, or None. Exact division in Z[1/S]."""
-        if y == 0:
-            return self.zero if x == 0 else None
-        q = x / y
-        if self.strip_s(q.denominator) == 1:
-            return q
-        return None
-
 
 class ChainRing(RingBase):
     """Common protocol for Z/p^N and F_p[z]/(z^M): every ideal is
     (uniformizer^k).  A chain ring defines `precision`, `val`,
-    `uniformizer_power` and `shift_down` (exact division by
-    uniformizer^k, which requires v(x) >= k)."""
+    `uniformizer_power`, `shift_down` (exact division by uniformizer^k,
+    which requires v(x) >= k) and `inv` of a unit, which `linalg._snf_chain`
+    reads; `ann_gen` and `torsion_exponent` follow from them."""
 
     local = True
     inverted_primes = ()
-
-    def divide(self, x, y):
-        """q with q*y = x when v(x) >= v(y); None otherwise."""
-        if self.is_zero(x):
-            return self.zero
-        if self.is_zero(y):
-            return None
-        kx, ky = self.val(x), self.val(y)
-        if kx < ky:
-            return None
-        return self.mul(self.shift_down(x, ky), self.inv(self.unit_part(y)))
 
     def ann_gen(self, d):
         if self.is_zero(d):
@@ -423,10 +404,6 @@ class ChainRing(RingBase):
         if k == 0:
             return None
         return self.uniformizer_power(self.precision - k)
-
-    def unit_part(self, x):
-        """u with x = u * uniformizer^v(x)."""
-        return self.shift_down(x, self.val(x))
 
     def torsion_exponent(self, d):
         return self.val(d)

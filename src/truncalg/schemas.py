@@ -230,7 +230,7 @@ def parse_bk_module(data, loc="/bk"):
 
 def parse_tower(data, loc="/tower"):
     """Recursive tower certificate: leaves carry a kind tag, extension nodes
-    carry sub/quot towers with inclusion and projection matrices."""
+    carry sub/quot towers over their ring and the incl/proj matrices."""
     from .breuil_kisin import extension_node, leaf
 
     kind = _want(data, "kind", loc, str)
@@ -241,6 +241,9 @@ def parse_tower(data, loc="/tower"):
         raise SchemaError(f"unknown tower kind '{kind}'", loc)
     sub = parse_tower(_want(data, "sub", loc), loc + "/sub")
     quot = parse_tower(_want(data, "quot", loc), loc + "/quot")
+    for key, part in (("sub", sub), ("quot", quot)):
+        if part.bk.ring != bk.ring:
+            raise SchemaError("ring differs from the node's ring", f"{loc}/{key}/bk/module/ring")
     inc = _parse_map_matrix(data, "incl", sub.bk.module, bk.module, loc)
     prj = _parse_map_matrix(data, "proj", bk.module, quot.bk.module, loc)
     incl = module_map(sub.bk.module, bk.module, inc)

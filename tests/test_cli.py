@@ -837,6 +837,45 @@ def test_malformed_tower_rejected(value):
     assert report["error"].startswith("/input/tower:"), report["error"]
 
 
+@pytest.mark.parametrize("part", ["sub", "quot"])
+def test_tower_part_over_another_ring_refused_at_its_pointer(part):
+    """An extension node whose sub or quotient tower lives over another ring
+    is refused at that tower's ring, before any map between them is built."""
+    pointer = f"/input/tower/{part}/bk/module/ring"
+    report, code = run_job(_mutant("bk_structure_tower.json", pointer + "/N", 4))
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(pointer + ":"), report["error"]
+
+
+def _tower_of_another_module():
+    """A bk-structure job over T = TruncatedBK(3, 2, 4) whose `bk` is
+    T/(3, z), with a valid mod_s1 leaf on T/(3) as its tower."""
+    ring = {"family": "TruncatedBK", "p": 3, "N": 2, "M": 4}
+    z3 = {"ring": ring, "generators": 1, "relations": [[[3, 0, 0, 0]]]}
+    bk = {"module": dict(z3, relations=[[[3, 0, 0, 0]], [[0, 1, 0, 0]]]),
+          "phi": [[[1, 0, 0, 0]]]}
+    return {"command": "bk-structure", "options": {},
+            "input": {"bk": bk, "r": 1,
+                      "tower": {"kind": "mod_s1", "bk": {"module": z3, "phi": bk["phi"]}}}}
+
+
+@pytest.mark.parametrize("case", ["relations", "phi"])
+def test_tower_of_another_module_refused(case):
+    """A tower certifies its own top module: one whose relations or phi are
+    not the job's `bk` is refused at /input/tower/bk, where it once exited 4
+    as a failed structure theorem.  Without the tower the job runs."""
+    if case == "relations":
+        job = _tower_of_another_module()
+        untowered = dict(job, input={"bk": job["input"]["bk"], "r": 1})
+        report, code = run_job(untowered)
+        assert code == 0 and report["verdicts"]["elementary"] is False, report.get("error")
+    else:
+        job = _mutant("bk_structure_tower.json", "/input/tower/bk/phi", [[[3, 0]]])
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith("/input/tower/bk:"), report["error"]
+
+
 def _field_paths(node, pointer):
     """(pointer, value) of every field below node, the first two entries of
     each list included."""

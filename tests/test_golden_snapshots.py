@@ -11,6 +11,7 @@ snapshots with:
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -149,3 +150,67 @@ def test_golden_ramified_structure_matches_gr_ranks():
     want = [j for j in range(1, len(ranks)) for _ in range(ranks[j - 1] - ranks[j])]
     assert verdicts["torsion_exponents"] == sorted(want) == [2]
     assert verdicts["free_rank"] == ranks[-1] == 0
+
+
+def _power_of_two(q):
+    """Is the Fraction q in Z[1/2]: its denominator a power of 2?"""
+    return q.denominator & (q.denominator - 1) == 0
+
+
+def _lambda_mul(x, y):
+    """x . y in Z[1/2][[q-1]] truncated at len(x) coefficients, on Fractions."""
+    x, y = [Fraction(c) for c in x], [Fraction(c) for c in y]
+    return [sum((x[i] * y[k - i] for i in range(k + 1)), Fraction(0)) for k in range(len(x))]
+
+
+def _multiple_of(x, rel):
+    """Is x a Z[1/2][[q-1]]-multiple of the constant relation rel = [n, 0, ...]?"""
+    n, *rest = rel
+    assert n and not any(rest)
+    return all(_power_of_two(Fraction(c) / n) for c in x)
+
+
+def test_golden_global_section_splits_the_surjection():
+    """0 -> Lambda/3 -> Lambda/15 -> Lambda/5 -> 0 over Z[1/2][[q-1]] at
+    M = 2 splits, 3 and 5 being coprime.  The frozen section s is well
+    defined (5 . s lies in (15)) and s . surject = 1 modulo 5, both read in
+    Fraction arithmetic.  A split sequence stays split at every completion,
+    so the survey at 3 and at 5 reads split, and nothing obstructs."""
+    job, rep = _golden("lambda_survey_split15")
+    ses = job["input"]["ses"]
+    assert rep["exit_code"] == 0
+    [[s]], [[surject]] = rep["witnesses"]["global_section"], ses["surject"]
+    [[c_rel]], [[b_rel]] = ses["c"]["relations"], ses["b"]["relations"]
+    assert _multiple_of(_lambda_mul(c_rel, s), b_rel)
+    off_one = [x - int(k == 0) for k, x in enumerate(_lambda_mul(s, surject))]
+    assert _multiple_of(off_one, c_rel)
+    assert not _multiple_of(off_one, b_rel)  # the read can fail: s . surject is not 1 in b
+    assert rep["verdicts"] == {"covered": True, "globally_split": True, "obstruction_primes": [],
+                               "per_prime": {str(q): True for q in job["input"]["primes"]}}
+
+
+def test_golden_free_layer_structure_by_hand():
+    """The frozen bk-structure tower has a free layer: its quotient leaf has
+    no relations.  The top module's relations are constants, one per row
+    and one nonzero entry each, so it is the sum of S/p^v(entry) over the
+    rows and a free summand per untouched generator: S/3 + S.  The report
+    reads that, inside the gate e*r < p - 1, with its tower verified, and
+    its gr ranks give the same by the rule of the ramified case."""
+    job, rep = _golden("bk_structure_free_layer")
+    tower, module = job["input"]["tower"], job["input"]["bk"]["module"]
+    assert tower["quot"]["kind"] == "free" and tower["quot"]["bk"]["module"]["relations"] == []
+    assert tower["bk"] == job["input"]["bk"]
+    p, exponents, touched = module["ring"]["p"], [], set()
+    for row in module["relations"]:
+        [(j, x)] = [(j, x) for j, x in enumerate(row) if any(x)]
+        assert x[0] and not any(x[1:])
+        exponents.append(next(v for v in range(x[0].bit_length()) if x[0] % p ** (v + 1)))
+        touched.add(j)
+    verdicts = rep["verdicts"]
+    assert rep["exit_code"] == 0 and rep["witnesses"]["notes"] == ["tower of depth 2 verified"]
+    assert verdicts["hypothesis_met"] is True and verdicts["elementary"] is True
+    assert verdicts["torsion_exponents"] == sorted(exponents) == [1]
+    assert verdicts["free_rank"] == module["generators"] - len(touched) == 1
+    ranks = verdicts["gr_ranks"]
+    assert [j for j in range(1, len(ranks)) for _ in range(ranks[j - 1] - ranks[j])] == [1]
+    assert ranks[-1] == 1
