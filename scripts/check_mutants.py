@@ -563,6 +563,38 @@ MUTANTS = [
         "new": "        if False:\n",
         "tests": ["tests/test_cli.py::test_tower_part_over_another_ring_refused_at_its_pointer"],
     },
+    {
+        "name": "parse-tower-without-node-ring-pointer",
+        "file": "src/truncalg/schemas.py",
+        "old": "    if sub.bk.ring == quot.bk.ring != bk.ring:",
+        "new": "    if False:",
+        "tests": ["tests/test_cli.py::test_tower_node_over_another_ring_refused_at_its_own_ring"],
+    },
+    {
+        "name": "cli-options-ignore-unknown-keys",
+        "file": "src/truncalg/cli.py",
+        "old": ("        if key != \"oracle\":\n"
+                "            raise SchemaError(f\"unknown option '{key}': the only option is 'oracle'\",\n"
+                "                              f\"/options/{key}\")\n"),
+        "new": "        if key != \"oracle\":\n            continue\n",
+        "tests": ["tests/test_cli.py::test_unknown_option_rejected",
+                  "tests/test_cli.py::test_local_precision_option_refused_on_nonsplit_survey"],
+    },
+    {
+        "name": "cli-options-without-oracle-type-check",
+        "file": "src/truncalg/cli.py",
+        "old": "        if not isinstance(value, bool):\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_cli.py::test_malformed_option_rejected"],
+    },
+    {
+        "name": "cli-lambda-survey-concludes-only-global-splits",
+        "file": "src/truncalg/cli.py",
+        "old": "    if survey.covered and all(",
+        "new": "    if survey.globally_split and survey.covered and all(",
+        "tests": ["tests/test_cli.py::"
+                  "test_survey_checks_a_global_non_split_against_its_local_verdicts"],
+    },
 ]
 
 

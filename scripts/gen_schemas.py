@@ -209,12 +209,8 @@ job = {
                              "lambda-zero", "oracle"]},
         "input": {"type": "object", "description": "command-specific payload"},
         "options": {"type": "object",
-                    "properties": {"oracle": {"type": "boolean"},
-                                   "prime_bound": {"type": "integer", "minimum": 0},
-                                   "precision_n": {"type": "integer", "minimum": 1},
-                                   "precision_m": {"type": "integer", "minimum": 1},
-                                   "precision_n_local": {"type": "integer",
-                                                         "minimum": 1}}}},
+                    "properties": {"oracle": {"type": "boolean"}},
+                    "additionalProperties": False}},
     "required": ["command", "input"],
     "exit_codes": {"0": "completed", "1": "schema/input error at a JSON-pointer location",
                    "2": "hypothesis gate unmet", "3": "precision-limited",

@@ -31,7 +31,6 @@ from .errors import (
     UnsupportedRingError,
 )
 from .linalg import smith_normal_form
-from .rings import primerange
 from .schemas import (
     _want,
     jsonable,
@@ -48,31 +47,6 @@ from .schemas import (
     parse_ses,
     parse_tower,
 )
-
-# the integer job options: (key, least value, CLI flag or None)
-INT_OPTIONS = (("prime_bound", 0, "--prime-bound"), ("precision_n", 1, "--precision-N"),
-               ("precision_m", 1, "--precision-M"), ("precision_n_local", 1, None))
-
-
-def _apply_precision_overrides(data, options):
-    """Rewrite the precisions N and M on each ring node (an object with a
-    `family`) that declares them, where requested."""
-    fields = {k: v for k, v in (("N", options.get("precision_n")),
-                                ("M", options.get("precision_m"))) if v is not None}
-    if not fields:
-        return data
-
-    def walk(node):
-        if isinstance(node, dict):
-            if "family" in node:
-                node = dict(node, **{k: v for k, v in fields.items() if k in node})
-            return {k: walk(v) for k, v in node.items()}
-        if isinstance(node, list):
-            return [walk(v) for v in node]
-        return node
-
-    return walk(data)
-
 
 # one run(input, options) per command, returning its payload (run_job fills in
 # empty witnesses and ledgers); each imports only the modules it uses
@@ -257,14 +231,11 @@ def _lambda_survey(input_data, options):
     primes = input_data.get("primes")
     if primes is not None:
         primes = parse_primes(primes, "/input/primes")
-    bound = options.get("prime_bound")
-    if primes is None and bound is not None:
-        primes = [q for q in primerange(2, bound + 1) if q not in ses.a.ring.inverted_primes]
-    survey = lgm.local_split_survey(ses, primes=primes,
-                                    precision_n=options.get("precision_n_local"))
+    survey = lgm.local_split_survey(ses, primes=primes)
     witnesses = {}
-    if survey.globally_split and survey.covered and \
-            all(survey.verdicts.get(q, True) for q in survey.obstruction_primes):
+    # the lemma both ways: with every certified prime split locally, a global
+    # failure is raised as an inconsistency (exit 4), never reported
+    if survey.covered and all(survey.verdicts.get(q, True) for q in survey.obstruction_primes):
         witnesses["global_section"] = jsonable(lgm.global_split_conclude(ses, survey).matrix)
     return {"verdicts": {"per_prime": {str(k): v for k, v in survey.verdicts.items()},
                          "globally_split": survey.globally_split,
@@ -350,8 +321,8 @@ def run_job(job, timing=False):
         if not isinstance(command, str) or command not in COMMANDS:
             raise SchemaError(f"unknown command '{command}'", "/command")
         options = _parse_options(job)
-        input_data = _apply_precision_overrides(job.get("input", {}), options)
-        payload = {"witnesses": {}, "ledgers": {}, **COMMANDS[command](input_data, options)}
+        payload = {"witnesses": {}, "ledgers": {},
+                   **COMMANDS[command](job.get("input", {}), options)}
         hypothesis_flag = payload.pop("hypothesis_flag", False)
         exit_code = payload.pop("exit_code_override", 0)
     except Exception as exc:
@@ -363,14 +334,16 @@ def run_job(job, timing=False):
 
 
 def _parse_options(job):
-    """The job's options; the integer ones must be JSON integers of at
-    least their INT_OPTIONS value."""
+    """The job's options: at most `oracle`, a boolean."""
     options = job.get("options", {}) or {}
     if not isinstance(options, dict):
         raise SchemaError("options must be an object", "/options")
-    for key, least, _ in INT_OPTIONS:
-        if options.get(key) is not None and _want(options, key, "/options", int) < least:
-            raise SchemaError(f"field '{key}' must be >= {least}", f"/options/{key}")
+    for key, value in options.items():
+        if key != "oracle":
+            raise SchemaError(f"unknown option '{key}': the only option is 'oracle'",
+                              f"/options/{key}")
+        if not isinstance(value, bool):
+            raise SchemaError("field 'oracle' must be a boolean", "/options/oracle")
     return options
 
 
@@ -409,8 +382,17 @@ def _atomic_write(path, text):
         raise
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every input error does; 2 means an unmet
+    hypothesis gate."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="truncalg",
         description="exact desk-scale algebra over truncated local rings")
     ap.add_argument("command", nargs="?", choices=COMMANDS,
@@ -420,9 +402,6 @@ def main(argv=None):
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--oracle", action="store_true",
                     help="run the element-level oracle when in bounds")
-    for key, _, flag in INT_OPTIONS:
-        if flag:
-            ap.add_argument(flag, type=int, default=None, dest=key)
     ap.add_argument("--corpus-dir", help="process every .json job in a directory")
     ap.add_argument("--timing", action="store_true",
                     help="include wall time in the JSON report (breaks byte stability)")
@@ -490,7 +469,7 @@ def _as_job(doc, command):
 
 
 def _merge_cli_options(job, args):
-    """The job with the CLI's option flags merged in; a job or an options
+    """The job with the CLI's --oracle flag merged in; a job or an options
     value of the wrong type is left for run_job to report."""
     options = (job.get("options") or {}) if isinstance(job, dict) else None
     if not isinstance(options, dict):
@@ -498,9 +477,6 @@ def _merge_cli_options(job, args):
     options = dict(options)
     if args.oracle:
         options["oracle"] = True
-    for key, _, flag in INT_OPTIONS:
-        if flag and getattr(args, key) is not None:
-            options[key] = getattr(args, key)
     return dict(job, options=options)
 
 

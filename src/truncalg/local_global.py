@@ -82,11 +82,11 @@ def completion_precision(ell, mods, mats=()):
     return max(adaptive_precision(ell, *(m.relations for m in mods), *mats), depth + 2)
 
 
-def complete(maps, ell, precision_n=None):
+def complete(maps, ell):
     """Push a chain of composable Lambda maps M_0 -> M_1 -> ... -> M_k along
     the (ell, q-1)-completion to TruncatedBK(ell, n, M): the target ring is
-    built once, at `completion_precision` unless n is given, and every
-    module and matrix is pushed once.  Returns the pushed maps, each checked
+    built once, at n = `completion_precision`, and every module and matrix
+    is pushed once.  Returns the pushed maps, each checked
     well defined."""
     assert all(f.target == g.source for f, g in zip(maps, maps[1:]))
     mods = [maps[0].source] + [f.target for f in maps]
@@ -94,9 +94,8 @@ def complete(maps, ell, precision_n=None):
     if not isinstance(ring, TruncatedLambda):
         raise UnsupportedRingError("lambda_completion needs a TruncatedLambda source")
     check_completion_prime(ring, ell)
-    if precision_n is None:
-        precision_n = completion_precision(ell, mods, [f.matrix for f in maps])
-    tgt = TruncatedBK(ell, precision_n, ring.precision_m, default_eisenstein(ell))
+    tgt = TruncatedBK(ell, completion_precision(ell, mods, [f.matrix for f in maps]),
+                      ring.precision_m, default_eisenstein(ell))
     base = tgt.scalar
 
     def push(mat):
@@ -109,9 +108,9 @@ def complete(maps, ell, precision_n=None):
             for src, dst, f in zip(pushed, pushed[1:], maps)]
 
 
-def complete_ses(ses, ell, precision_n=None):
+def complete_ses(ses, ell):
     """The sequence base-changed along the (ell, q-1)-completion surrogate."""
-    inj, sur = complete([ses.inject, ses.surject], ell, precision_n)
+    inj, sur = complete([ses.inject, ses.surject], ell)
     return ShortExactSequence(inj.source, inj.target, sur.target, inj, sur)
 
 
@@ -137,7 +136,7 @@ def certified_obstruction_data(ses):
     return False, None, primes, everywhere
 
 
-def local_split_survey(ses, primes=None, precision_n=None):
+def local_split_survey(ses, primes=None):
     """Per-prime split verdicts; with primes=None the content-derived
     certified-complete set is used."""
     sset = set(ses.a.ring.inverted_primes)
@@ -149,8 +148,7 @@ def local_split_survey(ses, primes=None, precision_n=None):
         if bad:
             raise HypothesisUnmetError(f"primes {bad} are inverted in the base ring")
         survey_set = sorted(set(primes) | set(obst))
-    verdicts = {ell: split_test(complete_ses(ses, ell, precision_n)).split
-                for ell in survey_set}
+    verdicts = {ell: split_test(complete_ses(ses, ell)).split for ell in survey_set}
     covered = set(obst) <= set(survey_set)
     return SurveyResult(verdicts, obst, glob, section, covered)
 

@@ -241,6 +241,8 @@ def parse_tower(data, loc="/tower"):
         raise SchemaError(f"unknown tower kind '{kind}'", loc)
     sub = parse_tower(_want(data, "sub", loc), loc + "/sub")
     quot = parse_tower(_want(data, "quot", loc), loc + "/quot")
+    if sub.bk.ring == quot.bk.ring != bk.ring:  # the node's own ring is the odd one out
+        raise SchemaError("ring differs from the ring of sub and quot", f"{loc}/bk/module/ring")
     for key, part in (("sub", sub), ("quot", quot)):
         if part.bk.ring != bk.ring:
             raise SchemaError("ring differs from the node's ring", f"{loc}/{key}/bk/module/ring")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from truncalg.cli import COMMANDS, INT_OPTIONS, emit, run_job
+from truncalg.cli import COMMANDS, emit, main, run_job
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -112,41 +112,21 @@ def test_canonical_fraction_strings_parse():
         == [Fraction(1, 2), Fraction(3, 4), Fraction(-3, 4), 12, -5, 7]
 
 
-def test_precision_override_option():
-    job = load("ext_golden_p2.json")
-    job = dict(job, options={"precision_n": 5})
-    report, code = run_job(job)
-    assert code == 0
-    assert report["job"]["options"]["precision_n"] == 5
-
-
 @pytest.mark.parametrize("ring", [
     {"family": "TruncatedPadic", "p": 2, "N": 3},
     {"family": "TruncatedPowerSeries", "p": 2, "M": 3},
     {"family": "TruncatedBK", "p": 2, "N": 3, "M": 2},
     {"family": "TruncatedLambda", "inverted_primes": [2], "M": 3},
-    {"family": "LocalizedIntegers", "inverted_primes": [2]},
 ], ids=lambda ring: ring["family"])
-def test_precision_options_rewrite_the_declared_precisions(ring):
-    """precision_n rewrites N and precision_m rewrites M on every ring node
-    that declares them, nested ones included; a ring that omits its N or M
-    is refused with the option as without it."""
-    from truncalg.cli import _apply_precision_overrides
-    from truncalg.schemas import parse_ring
-
-    options = {"precision_n": 5, "precision_m": 4}
-    data = {"module": {"ring": ring, "generators": 0}, "rings": [ring]}
-    want = dict(ring, **{k: v for k, v in (("N", 5), ("M", 4)) if k in ring})
-    assert _apply_precision_overrides(data, options) == {
-        "module": {"ring": want, "generators": 0}, "rings": [want]}
-    assert parse_ring(want).to_json().items() >= want.items()
+def test_ring_without_its_precision_refused(ring):
+    """A ring that omits its N or M is refused: the input states its
+    precisions, and no option supplies them."""
     for key in {"N", "M"} & set(ring):
         omitted = {k: v for k, v in ring.items() if k != key}
-        for opts in ({}, options):
-            report, code = run_job({"command": "snf", "options": opts,
-                                    "input": {"ring": omitted, "matrix": []}})
-            assert code == 1, report.get("error")
-            assert report["error"] == f"/input/ring: missing field '{key}'"
+        report, code = run_job({"command": "snf", "options": {},
+                                "input": {"ring": omitted, "matrix": []}})
+        assert code == 1, report.get("error")
+        assert report["error"] == f"/input/ring: missing field '{key}'"
 
 
 def test_ext1_oracle_decomposes_each_module_once(monkeypatch):
@@ -815,18 +795,76 @@ def test_largest_modulus_accepted():
 
 
 @pytest.mark.parametrize("key", ["prime_bound", "precision_n", "precision_m",
-                                 "precision_n_local"])
-@pytest.mark.parametrize("value", ["a", 2.5, True, [], {}, 0, -1])
-def test_malformed_option_rejected(key, value):
-    """Integer options must be JSON integers, each precision at least 1 and
-    `prime_bound` at least 0; a value out of range is never read as unset."""
-    job = dict(load("snf_2468.json"), options={key: value})
-    report, code = run_job(job)
-    if key == "prime_bound" and value == 0:
-        assert code == 0, report.get("error")
-        return
+                                 "precision_n_local", "oracel"])
+@pytest.mark.parametrize("value", [1, 0, None, True, "a"])
+def test_unknown_option_rejected(key, value):
+    """`oracle` is the only job option: the former integer options and any
+    other key are refused at their pointer whatever their value (null, once
+    read as unset, included), never ignored."""
+    report, code = run_job(dict(load("snf_2468.json"), options={key: value}))
     assert code == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"].startswith(f"/options/{key}:"), report["error"]
+
+
+@pytest.mark.parametrize("value", ["yes", "no", "true", 1, 0, 2.5, [], {}, None])
+def test_malformed_option_rejected(value):
+    """`oracle` must be a JSON boolean; "no" used to run the oracle."""
+    report, code = run_job(dict(load("snf_2468.json"), options={"oracle": value}))
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith("/options/oracle:"), report["error"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_oracle_option_runs(value):
+    report, code = run_job(dict(load("ss_golden_trichotomy.json"), options={"oracle": value}))
+    assert code == 0, report.get("error")
+    assert ("oracle_agrees" in report["verdicts"]) is value
+
+
+def test_local_precision_option_refused_on_nonsplit_survey():
+    """The completion precision is always the derived one: the option that
+    replaced it (and at 1 read the non-split sequence as split at 3) is
+    refused, and without it the survey reports the non-split prime."""
+    job = load("lambda_survey_nonsplit9.json")
+    report, code = run_job(dict(job, options={"precision_n_local": 1}))
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith("/options/precision_n_local:"), report["error"]
+    report, code = run_job(job)
+    assert code == 0, report.get("error")
+    assert report["verdicts"]["per_prime"] == {"3": False}
+
+
+def test_survey_checks_a_global_non_split_against_its_local_verdicts(monkeypatch):
+    """A completion too coarse to see the 3-torsion reads every certified
+    prime as split; the global non-split then contradicts the local-global
+    lemma and exits 4 instead of reporting both verdicts."""
+    from truncalg import local_global
+
+    monkeypatch.setattr(local_global, "completion_precision", lambda *args: 1)
+    report, code = run_job(load("lambda_survey_nonsplit9.json"))
+    assert code == 4 and report["error_kind"] == "internal_inconsistency", report.get("error")
+    assert "local-global splitting lemma" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [["--bogus"], [], ["snf", "--prime-bound", "x"],
+                                  ["snf", "--precision-N", "3"], ["snf", "--format", "xml"]],
+                         ids=["unknown-flag", "no-command", "removed-flag-bad-value",
+                              "removed-flag", "bad-choice"])
+def test_usage_error_exits_1(argv, capsys):
+    """A command-line usage error exits 1, as any input error does (2 is an
+    unmet hypothesis gate), with argparse's usage message on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: truncalg") and "truncalg: error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: truncalg")
 
 
 @pytest.mark.parametrize("value", [[], 0, "", {}])
@@ -835,6 +873,15 @@ def test_malformed_tower_rejected(value):
     report, code = run_job(_mutant("bk_structure_tower.json", "/input/tower", value))
     assert code == 1 and report["error_kind"] == "schema", report.get("error")
     assert report["error"].startswith("/input/tower:"), report["error"]
+
+
+def test_tower_node_over_another_ring_refused_at_its_own_ring():
+    """When sub and quot share a ring and the node's own ring differs, the
+    node's ring is the field at fault."""
+    pointer = "/input/tower/bk/module/ring"
+    report, code = run_job(_mutant("bk_structure_tower.json", pointer + "/N", 4))
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith(pointer + ":"), report["error"]
 
 
 @pytest.mark.parametrize("part", ["sub", "quot"])
@@ -936,6 +983,5 @@ def test_schema_documents_match_the_generator():
     assert docs["base_change_spec"]["properties"]["kind"]["enum"] == list(BASE_CHANGE_KINDS)
     job = docs["job"]["properties"]
     assert job["command"]["enum"] == list(COMMANDS)
-    assert job["options"]["properties"] == {
-        "oracle": {"type": "boolean"},
-        **{key: {"type": "integer", "minimum": least} for key, least, _ in INT_OPTIONS}}
+    assert job["options"]["properties"] == {"oracle": {"type": "boolean"}}
+    assert job["options"]["additionalProperties"] is False

@@ -114,9 +114,9 @@ def _count_completions(monkeypatch):
     calls = []
     real = local_global.complete
 
-    def counted(maps, ell, precision_n=None):
+    def counted(maps, ell):
         calls.append(ell)
-        return real(maps, ell, precision_n)
+        return real(maps, ell)
 
     monkeypatch.setattr(local_global, "complete", counted)
     return calls
@@ -215,8 +215,8 @@ def test_vanishing_completion_at_first_support_prime_is_inconsistent(monkeypatch
     the map."""
     real = local_global.complete
 
-    def vanishing_at_3(maps, ell, precision_n=None):
-        (g,) = real(maps, ell, precision_n)
+    def vanishing_at_3(maps, ell):
+        (g,) = real(maps, ell)
         return [zero_map(g.source, g.target) if ell == 3 else g]
 
     monkeypatch.setattr(local_global, "complete", vanishing_at_3)
