@@ -588,6 +588,13 @@ MUTANTS = [
         "tests": ["tests/test_cli.py::test_malformed_option_rejected"],
     },
     {
+        "name": "cli-options-falsy-read-as-none",
+        "file": "src/truncalg/cli.py",
+        "old": "    options = job.get(\"options\")\n    if options is None:\n        return {}\n",
+        "new": "    options = job.get(\"options\") or {}\n",
+        "tests": ["tests/test_cli.py::test_falsy_options_refused"],
+    },
+    {
         "name": "cli-lambda-survey-concludes-only-global-splits",
         "file": "src/truncalg/cli.py",
         "old": "    if survey.covered and all(",

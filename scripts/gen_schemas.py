@@ -208,7 +208,8 @@ job = {
                              "cw-ktheory", "cw-verify", "lambda-survey",
                              "lambda-zero", "oracle"]},
         "input": {"type": "object", "description": "command-specific payload"},
-        "options": {"type": "object",
+        "options": {"type": ["object", "null"],
+                    "description": "omitted or null for no options",
                     "properties": {"oracle": {"type": "boolean"}},
                     "additionalProperties": False}},
     "required": ["command", "input"],

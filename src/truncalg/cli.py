@@ -334,8 +334,12 @@ def run_job(job, timing=False):
 
 
 def _parse_options(job):
-    """The job's options: at most `oracle`, a boolean."""
-    options = job.get("options", {}) or {}
+    """The job's options: at most `oracle`, a boolean.  A missing or null
+    `options` is no options; any other value that is not an object is
+    refused."""
+    options = job.get("options")
+    if options is None:
+        return {}
     if not isinstance(options, dict):
         raise SchemaError("options must be an object", "/options")
     for key, value in options.items():
@@ -471,7 +475,9 @@ def _as_job(doc, command):
 def _merge_cli_options(job, args):
     """The job with the CLI's --oracle flag merged in; a job or an options
     value of the wrong type is left for run_job to report."""
-    options = (job.get("options") or {}) if isinstance(job, dict) else None
+    if not isinstance(job, dict):
+        return job
+    options = {} if job.get("options") is None else job["options"]
     if not isinstance(options, dict):
         return job
     options = dict(options)

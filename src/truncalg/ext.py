@@ -124,12 +124,12 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring):
     )
 
     for v in (zero, gen, smul(pa, gen)):
-        verdict = _ses_split_verdict(ring, a_exp, b_exp, v, mlen)
+        verdict = _ses_split_verdict(ring, a_exp, b_exp, v)
         assert verdict == (v in split_set), f"SES split test disagrees at v={v}"
     return result
 
 
-def _ses_split_verdict(ring, a_exp, b_exp, v, mlen):
+def _ses_split_verdict(ring, a_exp, b_exp, v):
     """Production-path split test on the explicitly constructed extension.
 
     The middle of an extension of S/p^a by S/p^b can have exponent a+b, so

@@ -25,14 +25,15 @@ because T^g = base^(g*M) is a base-module isomorphism.  The kernels:
 Over Z/p^N (`modulus`), `Mat.mul` and the solve run on ints as well.  Z/p^N
 and Z[1/S] share the integer divisor rule, F_p[z]/z^M has the valuation
 rule.  Over Z[1/S] the products with the witnesses, the kernel and the
-L . A . R = D check run on their ints, so a result builds its Fraction
-`left` and `right` only when a caller reads them (the CLI's Smith form report,
-`verify`, `modules.decompose_elementary`).  One 32-entry memo, `base_snf`,
-keyed by the caller's (matrix, ring), holds the SNFs; a BK or Lambda matrix
-is expanded only when its key misses.  Each entry also keeps up to 32 reads
-of its matrix, the oldest dropped first: the kernel rows of each `lead` and
-the membership verdict on each target, each the value the first call
-computed, checks included, so a warm call answers as a cold one does.
+L . A . R = D check run on their ints; a result builds its Fraction `left`
+or `right` on each read, for the callers that print or invert them (the
+CLI's Smith form report, `verify`, `modules.decompose_elementary`).  One
+32-entry memo, `base_snf`, keyed by the caller's (matrix, ring), holds the
+SNFs; a BK or Lambda matrix is expanded only when its key misses.  Each
+entry also keeps up to 32 reads of its matrix, the oldest dropped first:
+the kernel rows of each `lead` and the membership verdict on each target,
+each the value the first call computed, checks included, so a warm call
+answers as a cold one does.
 
 Invertibility (`is_invertible`) is decided by an invariant, by a route
 that shares no code with the SNF kernels: the rank over F_p of the
@@ -244,41 +245,27 @@ class _LocalizedSNF(SNFResult):
     k of left is (lscale[k] / lden) . lrows[k], its row scalar an S-unit:
     s_k/d_k for a divisor d_k stripped to s_k, else 1; lden is the lcm of
     the scalars' denominators.  right is rrows, integral.  The solve, the
-    kernel and `diagonalizes` read these.  The Fraction Mats `left` and
-    `right` are built on first read, for the callers that print or invert
-    them, and kept in `built`, which a copy shares."""
+    kernel and `diagonalizes` read these.  Each read of `left` or `right`
+    builds its Fraction Mat, for the callers that print or invert it."""
 
-    __slots__ = ("lrows", "lscale", "lden", "rrows", "built")
+    __slots__ = ("lrows", "lscale", "lden", "rrows")
 
-    def __init__(self, divisors, lrows, lscale, lden, rrows, built=None):
-        self.divisors, self.reads, self.built = divisors, {}, {} if built is None else built
+    def __init__(self, divisors, lrows, lscale, lden, rrows):
+        self.divisors, self.reads = divisors, {}
         self.lrows, self.lscale, self.lden, self.rrows = lrows, lscale, lden, rrows
         self.rows, self.cols = len(lrows), len(rrows)
 
     @property
     def left(self):
-        return self._fractions("left")
+        return Mat(self.rows, self.rows, [[Fraction(x * s, self.lden) for x in row]
+                                          for s, row in zip(self.lscale, self.lrows)])
 
     @property
     def right(self):
-        return self._fractions("right")
-
-    def _fractions(self, name):
-        """The Fraction Mat of witness `name`.  Two threads may build it at
-        once: the Mats are equal."""
-        mat = self.built.get(name)
-        if mat is None:
-            if name == "left":
-                rows = [[Fraction(x * s, self.lden) for x in row]
-                        for s, row in zip(self.lscale, self.lrows)]
-            else:
-                rows = [[Fraction(x) for x in row] for row in self.rrows]
-            mat = self.built[name] = Mat(len(rows), len(rows), rows)
-        return mat
+        return Mat(self.cols, self.cols, [[Fraction(x) for x in row] for row in self.rrows])
 
     def copy(self):
-        return _LocalizedSNF(list(self.divisors), self.lrows, self.lscale, self.lden,
-                             self.rrows, self.built)
+        return _LocalizedSNF(list(self.divisors), self.lrows, self.lscale, self.lden, self.rrows)
 
     def right_product(self, b, ring):
         """(dens, c): per row of b the lcm D of its denominators, an S-unit,

@@ -124,23 +124,23 @@ class SurveyResult:
 
 
 def certified_obstruction_data(ses):
-    """(globally_split, section_or_None, certified prime set, everywhere)."""
+    """(globally_split, section_or_None, certified prime set)."""
     verdict = split_test(ses)
     sset = set(ses.a.ring.inverted_primes)
     if verdict.split:
-        return True, verdict.section, [], False
+        return True, verdict.section, []
     primes, everywhere = failure_primes(verdict.obstruction, sset)
     if not primes and not everywhere:
         raise InternalInconsistencyError(
             "non-split sequence with no obstruction primes contradicts the local lemma")
-    return False, None, primes, everywhere
+    return False, None, primes
 
 
 def local_split_survey(ses, primes=None):
     """Per-prime split verdicts; with primes=None the content-derived
     certified-complete set is used."""
     sset = set(ses.a.ring.inverted_primes)
-    glob, section, obst, _ = certified_obstruction_data(ses)
+    glob, section, obst = certified_obstruction_data(ses)
     if primes is None:
         survey_set = obst
     else:

@@ -509,7 +509,6 @@ class SupportResult:
     everywhere: bool
     primes: list
     content: int
-    certificate: dict
 
 
 def support_primes(m):
@@ -525,17 +524,10 @@ def support_primes(m):
     if not isinstance(m.ring, TruncatedLambda):
         raise UnsupportedRingError("support_primes needs a TruncatedLambda module")
     if m.gens == 0:
-        return SupportResult(False, [], 1, {"reason": "zero module"})
+        return SupportResult(False, [], 1)
     divs = _constant_term_divisors(m)
     if divs.free_rank:
-        return SupportResult(True, [], 0,
-                             {"reason": "constant-term matrix rank-deficient over Q"})
+        return SupportResult(True, [], 0)
     divisors = [int(d) for d in divs.torsion_divisors]
-    content = prod(divisors)
-    fact = {}
-    for d in divisors:
-        for q, e in factorint(d).items():
-            fact[q] = fact.get(q, 0) + e
-    primes = sorted(fact)
-    return SupportResult(False, primes, content,
-                         {"content": content, "factorization": dict(sorted(fact.items()))})
+    primes = sorted({q for d in divisors for q in factorint(d)})
+    return SupportResult(False, primes, prod(divisors))

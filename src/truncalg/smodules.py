@@ -46,7 +46,6 @@ from .rings import TruncatedBK, TruncatedPowerSeries
 
 @dataclass
 class GrSlice:
-    j: int
     module: PresentedModule  # over S1
     divisors: ElementaryDivisors  # free exactly when it has no torsion
 
@@ -62,7 +61,7 @@ def _reduce_mod_p(rows_t, s1):
     return Mat(rows_t.rows, rows_t.cols, out)
 
 
-def _lift_to_t(rows_s1, ring):
+def _lift_to_t(rows_s1):
     out = []
     for row in rows_s1.data:
         out.append([tuple(int(c) for c in x) for x in row])
@@ -87,12 +86,12 @@ def gr_p(m, j):
     g = m.gens
     if g == 0:
         mod = PresentedModule.zero(s1)
-        return GrSlice(j, mod, elementary_divisors(mod))
+        return GrSlice(mod, elementary_divisors(mod))
     pj = Mat.scalar(g, ring.from_int(ring.p ** j), ring)
     pj1 = Mat.scalar(g, ring.from_int(ring.p ** (j + 1)), ring)
     rel_s1 = _reduce_mod_p(kernel_left(pj.vstack(m.relations).vstack(pj1), ring, g), s1)
     mod = PresentedModule(s1, g, rel_s1)
-    return GrSlice(j, mod, elementary_divisors(mod))
+    return GrSlice(mod, elementary_divisors(mod))
 
 
 def _gr_slices(m):
@@ -212,7 +211,7 @@ def decompose_over_s(m, _trace=None):
 
     # back to generator coordinates of gr_0 = M/pM, then lift to the ring
     rows_s1 = basis.mul(from_can[0], s1) if basis.rows else Mat(0, m.gens, [])
-    rows_t = _lift_to_t(rows_s1, ring)
+    rows_t = _lift_to_t(rows_s1)
 
     # torsion generators by exponent, then the free ones
     gens_rows = []

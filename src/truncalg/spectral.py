@@ -177,7 +177,6 @@ def validate(ring, lo, hi, wmin, wmax, modules, diff_matrices, fil_data, pointer
 
 @dataclass
 class FilteredHomology:
-    i: int
     h: PresentedModule
     fil_inclusions: dict             # n -> ModuleMap into h
     gr_modules: dict                 # n -> PresentedModule
@@ -223,7 +222,7 @@ def homology_filtered(x, i):
     gr = {}
     for n in range(x.wmin, x.wmax + 1):
         gr[n] = subquotient_presentation(h, fil_rows[n], fil_rows[n + 1])
-    return FilteredHomology(i, h, fil_incls, gr, degenerate_at, sub_h_maps)
+    return FilteredHomology(h, fil_incls, gr, degenerate_at, sub_h_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +231,6 @@ def homology_filtered(x, i):
 
 @dataclass
 class PageEntry:
-    n: int
-    i: int
     module: PresentedModule
     rep_rows: Mat        # generator representatives as rows of C_i
     killer_rows: Mat
@@ -241,7 +238,6 @@ class PageEntry:
 
 @dataclass
 class SpectralPage:
-    r: int
     entries: dict        # (n, i) -> PageEntry
     diffs: dict          # (n, i) -> ModuleMap entry(n,i) -> entry(n+r, i-1)
 
@@ -279,7 +275,7 @@ def page(x, r):
                 Mat(0, x.module(i).gens, [])
             killers = zprev_up.vstack(drows)
             mod = subquotient_presentation(x.module(i), zr, killers)
-            entries[(n, i)] = PageEntry(n, i, mod, zr, killers)
+            entries[(n, i)] = PageEntry(mod, zr, killers)
     diffs = {}
     for (n, i), ent in entries.items():
         tgt = entries.get((n + r, i - 1))
@@ -295,7 +291,7 @@ def page(x, r):
         if sol is None:
             raise InternalInconsistencyError(f"d_{r} image escapes the target entry at {(n, i)}")
         diffs[(n, i)] = module_map(ent.module, tgt.module, sol)
-    pg = SpectralPage(r, entries, diffs)
+    pg = SpectralPage(entries, diffs)
     for (n, i), dmap in diffs.items():
         nxt = diffs.get((n + r, i - 1))
         if nxt is not None and not is_zero_map(compose(dmap, nxt)):
@@ -677,12 +673,11 @@ def oracle(x):
     for r in range(1, max(1, x.width) + 1):
         for n in range(x.wmin, x.wmax + 1):
             for i in range(x.lo, x.hi + 1):
-                f = fms[i]
                 ftgt = fm(i - 1)
-                zr = _oracle_zr(x, fms, fil_set, d_of, n, i, r)
+                zr = _oracle_zr(x, fil_set, d_of, n, i, r)
                 if ftgt is None:
                     continue
-                ztgt = _oracle_zr(x, fms, fil_set, d_of, n + r, i - 1, r)
+                ztgt = _oracle_zr(x, fil_set, d_of, n + r, i - 1, r)
                 btgt = _oracle_boundary(x, fms, fil_set, d_of, n + r, i - 1, r)
                 img = {d_of(i, e) for e in zr}
                 if all(e in btgt for e in img):
@@ -701,7 +696,7 @@ def oracle(x):
             "saturated": saturated, "split": split}
 
 
-def _oracle_zr(x, fms, fil_set, d_of, n, i, r):
+def _oracle_zr(x, fil_set, d_of, n, i, r):
     if not (x.lo <= i <= x.hi):
         return set()
     fs = fil_set(i, n)
@@ -714,10 +709,10 @@ def _oracle_zr(x, fms, fil_set, d_of, n, i, r):
 def _oracle_boundary(x, fms, fil_set, d_of, n, i, r):
     """Z_{r-1}(n+1, i) + d(Z_{r-1}(n-r+1, i+1)) as a subgroup."""
     f = fms[i]
-    z_up = _oracle_zr(x, fms, fil_set, d_of, n + 1, i, r - 1) if r >= 1 else set()
+    z_up = _oracle_zr(x, fil_set, d_of, n + 1, i, r - 1) if r >= 1 else set()
     seeds = set(z_up) | {f.zero}
     if x.lo <= i + 1 <= x.hi:
-        z_src = _oracle_zr(x, fms, fil_set, d_of, n - r + 1, i + 1, r - 1)
+        z_src = _oracle_zr(x, fil_set, d_of, n - r + 1, i + 1, r - 1)
         seeds |= {d_of(i + 1, e) for e in z_src}
     return f.subgroup(seeds)
 

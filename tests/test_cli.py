@@ -1,7 +1,9 @@
 import json
 import os
 import random
+import re
 import resource
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -157,6 +159,35 @@ def test_text_format_renders_ledger():
     text = emit(report, "text")
     assert "torsion-length ledger" in text
     assert "degree | len(H_tors)" in text
+
+
+def test_text_format_renders_a_schema_error():
+    report, code = run_job(dict(load("snf_2468.json"), options={"oracel": True}))
+    assert code == 1
+    lines = emit(report, "text").splitlines()
+    assert lines[2] == ("error [schema]: /options/oracel: "
+                        "unknown option 'oracel': the only option is 'oracle'"), lines
+
+
+def test_timing_flag_reports_wall_time(tmp_path, capsys):
+    """--timing sets `timing_ms`, an int >= 0, in single and --corpus-dir
+    mode, and the text form ends with the wall time; without it the field
+    is null and the text form has no such line."""
+    src = os.path.join(CORPUS, "snf_2468.json")
+    assert main(["snf", "--input", src, "--timing"]) == 0
+    ms = json.loads(capsys.readouterr().out)["timing_ms"]
+    assert type(ms) is int and ms >= 0
+    assert main(["snf", "--input", src, "--timing", "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert re.fullmatch(r"  wall time: \d+ ms", text.splitlines()[-1]), text
+    assert main(["snf", "--input", src, "--format", "text"]) == 0
+    assert "wall time" not in capsys.readouterr().out
+    for name in ("snf_2468.json", "cw_rp2.json"):
+        shutil.copy(os.path.join(CORPUS, name), tmp_path / name)
+    assert main(["--corpus-dir", str(tmp_path), "--timing"]) == 0
+    for name in ("snf_2468", "cw_rp2"):
+        ms = json.loads((tmp_path / f"{name}.report.json").read_text())["timing_ms"]
+        assert type(ms) is int and ms >= 0, name
 
 
 def test_cli_process_end_to_end(tmp_path):
@@ -832,6 +863,35 @@ def test_local_precision_option_refused_on_nonsplit_survey():
     report, code = run_job(job)
     assert code == 0, report.get("error")
     assert report["verdicts"]["per_prime"] == {"3": False}
+
+
+@pytest.mark.parametrize("value", [0, [], "", False])
+def test_falsy_options_refused(value, tmp_path, capsys):
+    """Only a missing or null `options` means no options.  Any other value
+    that is not an object is refused at /options, also under --oracle,
+    which once replaced it with {"oracle": true}."""
+    job = dict(load("ss_golden_trichotomy.json"), options=value)
+    report, code = run_job(job)
+    assert code == 1 and report["error_kind"] == "schema", report.get("error")
+    assert report["error"].startswith("/options:"), report["error"]
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps(job))
+    assert main(["ss-report", "--input", str(src), "--oracle"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"].startswith("/options:"), report["error"]
+    assert report["job"]["options"] == value and type(report["job"]["options"]) is type(value)
+
+
+def test_null_options_are_no_options(tmp_path, capsys):
+    """A null `options` runs as none, and --oracle still turns the oracle on."""
+    job = dict(load("ss_golden_trichotomy.json"), options=None)
+    report, code = run_job(job)
+    assert code == 0 and "oracle_agrees" not in report["verdicts"], report.get("error")
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps(job))
+    assert main(["ss-report", "--input", str(src), "--oracle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["job"]["options"] == {"oracle": True} and report["verdicts"]["oracle_agrees"]
 
 
 def test_survey_checks_a_global_non_split_against_its_local_verdicts(monkeypatch):

@@ -133,6 +133,50 @@ def test_every_engine_definition_is_named():
     assert not unnamed, unnamed
 
 
+# records that `schemas.jsonable` writes into a report whole, through vars():
+# the report reads each of their fields by name
+SERIALIZED_WHOLE = {"CocycleOracleResult"}
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def unread_fields(root):
+    """The fields of each `@dataclass` of src/truncalg that nothing in src/,
+    tests/, perfbench/ or scripts/ reads, as an attribute (`x.field`) or
+    through a literal `getattr(x, "field")`.  Records in SERIALIZED_WHOLE
+    are exempt.  The match is on the attribute name alone, so a field
+    escapes when code reads an attribute of that name off any object: a
+    `SpectralPage.r` or a `SupportResult.certificate` would not be caught."""
+    read = set()
+    for part in ("src", "tests", "perfbench", "scripts"):
+        for path in sorted((root / part).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant)):
+                    read.add(node.args[1].value)
+    return sorted(
+        f"{path.name}:{node.lineno} {cls.name}.{node.target.id}"
+        for path in sorted((root / "src" / "truncalg").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        and cls.name not in SERIALIZED_WHOLE
+        for node in cls.body if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name) and node.target.id not in read)
+
+
+def test_every_record_field_is_read():
+    """A record keeps only the fields some code reads."""
+    unread = unread_fields(SRC.parent.parent)
+    assert not unread, unread
+
+
 FAMILIES = {"RingBase", "ChainRing", "LocalizedIntegers", "TruncatedPadic",
             "TruncatedPowerSeries", "TruncatedBK", "TruncatedLambda"}
 

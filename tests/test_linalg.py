@@ -742,30 +742,34 @@ def test_localized_readers_match_fraction_route_on_lambda_expansions():
     assert seen == {"solved", "failed", "kernel", "no kernel"}, seen
 
 
-def test_localized_witnesses_stay_unbuilt_until_read():
-    """Over Z[1/2] a solve, a kernel, a membership test and a divisor read
-    run on the memo entry's integer witnesses, and its Fraction witnesses
-    stay unbuilt.  A later `.left`/`.right` read builds them once, equal to
-    the Fraction route's; copies of the entry share them."""
+def test_localized_witnesses_stay_unbuilt_until_read(monkeypatch):
+    """Over Z[1/2] a solve, a kernel, a membership test, a divisor read and
+    `diagonalizes` run on the memo entry's integer witnesses: with reads of
+    the Fraction `left` and `right` made to raise, each still answers.  A
+    later `.left`/`.right` read builds them, equal to the Fraction route's."""
     ring = ZL2
     m = mk(ring, [[12, 6, Fraction(3, 2)], [4, 10, 8], [16, 16, Fraction(19, 2)]])
     b = mk(ring, [[1, Fraction(1, 2), 3]]).mul(m, ring)
     base_snf.cache_clear()
-    assert solve_left(m, b, ring).mul(m, ring) == b
-    assert kernel_left(m, ring).mul(m, ring).is_zero(ring)
-    assert not in_row_span(m, mk(ring, [[1, 0, 0]]), ring)
-    divs = elementary_divisors(PresentedModule(ring, 3, m))
-    assert divs.free_rank == 1 and divs.torsion_divisors
-    entry = base_snf(m, ring)
+
+    def unread(self):
+        raise AssertionError("a Fraction witness was read")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg._LocalizedSNF, "left", property(unread))
+        mp.setattr(linalg._LocalizedSNF, "right", property(unread))
+        assert solve_left(m, b, ring).mul(m, ring) == b
+        assert kernel_left(m, ring).mul(m, ring).is_zero(ring)
+        assert not in_row_span(m, mk(ring, [[1, 0, 0]]), ring)
+        divs = elementary_divisors(PresentedModule(ring, 3, m))
+        assert divs.free_rank == 1 and divs.torsion_divisors
+        entry = base_snf(m, ring)
+        assert entry.diagonalizes(m, ring)
     assert base_snf.cache_info().misses == 1
-    assert entry.built == {}
     assert any(s != entry.lden for s in entry.lscale[:2])
     ref = reference_snf_localized(m, ring)
     own = smith_normal_form(m, ring)
-    assert entry.built == {}
     assert (own.left, own.right) == (ref.left, ref.right)
-    assert entry.built == {"left": ref.left, "right": ref.right}
-    assert entry.left is own.left and entry.right is own.right
     assert own.verify(m, ring) and entry == ref
 
 

@@ -80,7 +80,7 @@ def test_scrambled_split_instances():
     recovered = 0
     for _ in range(25):
         ls = scrambled_split_lambda_ses(LAM, rng)
-        glob, section, obst, everywhere = certified_obstruction_data(ls)
+        glob, section, obst = certified_obstruction_data(ls)
         assert glob, "scrambled split sequence must stay split"
         survey = local_split_survey(ls)
         sec = global_split_conclude(ls, survey)
