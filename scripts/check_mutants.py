@@ -602,6 +602,52 @@ MUTANTS = [
         "tests": ["tests/test_cli.py::"
                   "test_survey_checks_a_global_non_split_against_its_local_verdicts"],
     },
+    {
+        "name": "retraction-zero-test-always-true",
+        "file": "src/truncalg/modules.py",
+        "old": "    if is_zero_module(a):\n",
+        "new": "    if True:\n",
+        "tests": ["tests/test_modules.py::test_retraction_test",
+                  "tests/test_modules.py::test_split_vs_exhaustive_sections"],
+    },
+    {
+        "name": "split-zero-test-always-true",
+        "file": "src/truncalg/modules.py",
+        "old": "    if is_zero_module(c):\n",
+        "new": "    if True:\n",
+        "tests": ["tests/test_modules.py::test_split_tests",
+                  "tests/test_modules.py::test_split_vs_exhaustive_sections"],
+    },
+    {
+        "name": "divisors-zero-test-always-true",
+        "file": "src/truncalg/modules.py",
+        "old": "    if ring.local and not ring.expands and is_zero_module(m):\n",
+        "new": "    if ring.local and not ring.expands:\n",
+        "tests": ["tests/test_modules.py::test_elementary_divisors_agree_with_decompose_elementary",
+                  "tests/test_modules.py::test_torsion_vs_decompose_agreement"],
+    },
+    {
+        "name": "divisors-zero-test-ahead-of-refusal",
+        "file": "src/truncalg/modules.py",
+        "old": "    if ring.local and not ring.expands and is_zero_module(m):\n",
+        "new": "    if ring.local and is_zero_module(m):\n",
+        "tests": ["tests/test_modules.py::"
+                  "test_zero_module_divisors_still_refused_over_expanding_rings"],
+    },
+    {
+        "name": "injective-zero-test-always-true",
+        "file": "src/truncalg/modules.py",
+        "old": "    return is_zero_module(f.source) or rows_are_zero_classes(",
+        "new": "    return True or rows_are_zero_classes(",
+        "tests": ["tests/test_modules.py::test_injective_surjective_match_kernel_route"],
+    },
+    {
+        "name": "cocycle-oracle-without-split-cross-check",
+        "file": "src/truncalg/ext.py",
+        "old": "        if _ses_split_verdict(ring, a_exp, b_exp, v) != (v in split_set):\n",
+        "new": "        if False:\n",
+        "tests": ["tests/test_ext.py::test_cocycle_oracle_raises_when_the_split_test_disagrees"],
+    },
 ]
 
 

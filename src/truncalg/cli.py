@@ -353,7 +353,7 @@ def _parse_options(job):
 
 def emit(report, fmt="json"):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
     lines = [f"truncalg report ({report['version']})",
              f"command: {report['command']}  exit: {report['exit_code']}"]
     if report.get("error"):
@@ -473,17 +473,15 @@ def _as_job(doc, command):
 
 
 def _merge_cli_options(job, args):
-    """The job with the CLI's --oracle flag merged in; a job or an options
-    value of the wrong type is left for run_job to report."""
-    if not isinstance(job, dict):
+    """The job with the CLI's --oracle flag merged in, as given without it;
+    a job or an options value of the wrong type is left for run_job to
+    report."""
+    if not args.oracle or not isinstance(job, dict):
         return job
     options = {} if job.get("options") is None else job["options"]
     if not isinstance(options, dict):
         return job
-    options = dict(options)
-    if args.oracle:
-        options["oracle"] = True
-    return dict(job, options=options)
+    return dict(job, options=dict(options, oracle=True))
 
 
 if __name__ == "__main__":

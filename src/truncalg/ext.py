@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .bruteforce import _grow_submodule, exponent_multiset
-from .errors import PrecisionError, UnsupportedRingError
+from .errors import InternalInconsistencyError, PrecisionError, UnsupportedRingError
 from .linalg import Mat
 from .modules import (
     PresentedModule,
@@ -124,8 +124,8 @@ def ext1_cocycle_oracle(a_exp, b_exp, ring):
     )
 
     for v in (zero, gen, smul(pa, gen)):
-        verdict = _ses_split_verdict(ring, a_exp, b_exp, v)
-        assert verdict == (v in split_set), f"SES split test disagrees at v={v}"
+        if _ses_split_verdict(ring, a_exp, b_exp, v) != (v in split_set):
+            raise InternalInconsistencyError(f"SES split test disagrees at v={v}")
     return result
 
 

@@ -9,6 +9,12 @@ well-definedness is checked rather than assumed.
 Over TruncatedBK and TruncatedLambda all solving happens by restriction of
 scalars to the base chain ring (see linalg); the extra variable's action is
 carried by the coefficient-vector representation itself.
+
+A zero module is decided by `is_zero_module` (residue rank over the local
+families, a membership test over Z[1/S] and Lambda) before any Hom system
+or SNF: a zero submodule retracts and a zero quotient splits by the zero
+map, a map out of a zero module is injective, and over Z/p^N and
+F_p[z]/z^M a zero module has no elementary divisors.
 """
 
 from __future__ import annotations
@@ -167,8 +173,9 @@ def cokernel(f):
 
 
 def is_injective(f):
-    """Every kernel row of f is a zero class of the source."""
-    return rows_are_zero_classes(f.source, _kernel_rows(f))
+    """Every kernel row of f is a zero class of the source; a map out of a
+    zero module is injective with no kernel."""
+    return is_zero_module(f.source) or rows_are_zero_classes(f.source, _kernel_rows(f))
 
 
 def is_surjective(f):
@@ -313,7 +320,11 @@ def read_snf(m):
 
 def elementary_divisors(m):
     """Free rank and torsion divisors over an SNF-capable ring, with no
-    witness: the reader for callers that never touch the maps."""
+    witness: the reader for callers that never touch the maps.  A zero
+    module over Z/p^N or F_p[z]/z^M has none, read with no SNF."""
+    ring = m.ring
+    if ring.local and not ring.expands and is_zero_module(m):
+        return ElementaryDivisors(ring, 0, [])
     return read_snf(m)[0]
 
 
@@ -434,8 +445,11 @@ def _hom_solve(source, target, left, right, urel):
 
 
 def split_test(ses):
-    """Section sigma with sigma . surject = id_C, or the obstruction record."""
+    """Section sigma with sigma . surject = id_C, or the obstruction record.
+    A zero quotient splits by the zero section, with no Hom system."""
     c = ses.c
+    if is_zero_module(c):
+        return SplitVerdict(True, section=zero_map(c, ses.b))
     xmat, failures = _hom_solve(c, ses.b, Mat.identity(c.gens, c.ring), ses.surject.matrix,
                                 c.relations)
     if xmat is None:
@@ -447,8 +461,11 @@ def split_test(ses):
 
 
 def retraction_test(incl):
-    """Retraction rho with incl . rho = id on the submodule, or obstruction."""
+    """Retraction rho with incl . rho = id on the submodule, or obstruction.
+    A zero submodule has the zero retraction, with no Hom system."""
     a = incl.source
+    if is_zero_module(a):
+        return SplitVerdict(True, section=zero_map(incl.target, a))
     xmat, failures = _hom_solve(incl.target, a, incl.matrix, Mat.identity(a.gens, a.ring),
                                 a.relations)
     if xmat is None:

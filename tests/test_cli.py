@@ -894,6 +894,52 @@ def test_null_options_are_no_options(tmp_path, capsys):
     assert report["job"]["options"] == {"oracle": True} and report["verdicts"]["oracle_agrees"]
 
 
+@pytest.mark.parametrize("options", ["missing", None, {}, {"oracle": False}])
+def test_main_echoes_the_job_as_run_job_does(options, tmp_path, capsys):
+    """Without --oracle the CLI runs a job document as given: `main` writes
+    the report `run_job` writes, and a job with no `options` key is echoed
+    with none."""
+    job = load("snf_2468.json")
+    del job["options"]
+    if options != "missing":
+        job["options"] = options
+    report, code = run_job(job)
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps(job))
+    assert main(["snf", "--input", str(src)]) == code == 0
+    assert capsys.readouterr().out == emit(report)
+    assert report["job"] == job
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1}, object()])
+def test_emit_refuses_a_value_json_cannot_hold(value):
+    """A report value that JSON cannot hold raises, never printing as its
+    str."""
+    report, _ = run_job(load("snf_2468.json"))
+    report["verdicts"]["extra"] = value
+    with pytest.raises(TypeError):
+        emit(report)
+
+
+def test_unprintable_report_value_is_an_internal_error_report(tmp_path, capsys, monkeypatch):
+    """The CLI turns that raise into an exit-4 internal-error report."""
+    import truncalg.cli
+
+    real = truncalg.cli.run_job
+
+    def with_fraction(job, timing=False):
+        report, code = real(job, timing)
+        report["verdicts"]["extra"] = Fraction(1, 2)
+        return report, code
+
+    monkeypatch.setattr(truncalg.cli, "run_job", with_fraction)
+    src = tmp_path / "job.json"
+    src.write_text(json.dumps(load("snf_2468.json")))
+    assert main(["snf", "--input", str(src)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["error_kind"] == "internal_error" and "TypeError" in report["error"]
+
+
 def test_survey_checks_a_global_non_split_against_its_local_verdicts(monkeypatch):
     """A completion too coarse to see the 3-torsion reads every certified
     prime as split; the global non-split then contradicts the local-global

@@ -1,7 +1,8 @@
 import pytest
 
 from lemmas import ext1
-from truncalg.errors import NotElementaryError, PrecisionError
+from truncalg import ext
+from truncalg.errors import InternalInconsistencyError, NotElementaryError, PrecisionError
 from truncalg.ext import _elementary_exponents, ext1_cocycle_oracle
 from truncalg.modules import PresentedModule, is_zero_module
 from truncalg.rings import TruncatedBK, TruncatedPadic
@@ -63,3 +64,12 @@ def test_cocycle_oracle_p3_reduced():
 def test_oracle_precision_gate():
     with pytest.raises(PrecisionError):
         ext1_cocycle_oracle(4, 1, BK24)
+
+
+def test_cocycle_oracle_raises_when_the_split_test_disagrees(monkeypatch):
+    """The oracle cross-checks the production split test by a raise, which
+    `python -O` keeps: a flipped verdict is an internal inconsistency."""
+    real = ext._ses_split_verdict
+    monkeypatch.setattr(ext, "_ses_split_verdict", lambda *args: not real(*args))
+    with pytest.raises(InternalInconsistencyError, match="SES split test disagrees"):
+        ext1_cocycle_oracle(1, 1, TruncatedPadic(2, 2))

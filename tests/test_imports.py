@@ -133,6 +133,44 @@ def test_every_engine_definition_is_named():
     assert not unnamed, unnamed
 
 
+def verdict_names(src):
+    """The names a verdict goes by in src/truncalg: every field that a class
+    there declares `bool`."""
+    return {node.target.id for path in sorted(src.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and isinstance(node.annotation, ast.Name) and node.annotation.id == "bool"}
+
+
+def verdict_asserts(tree, verdicts):
+    """Line numbers of the `assert`s in a module whose test reads a verdict:
+    a name in `verdicts`, or any name with "verdict" in it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            read = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.test)
+                    if isinstance(n, (ast.Name, ast.Attribute))}
+            if any(r in verdicts or "verdict" in r for r in read):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_assert_compares_a_verdict():
+    """`python -O` drops every `assert`, so a verdict cross-check in
+    src/truncalg raises an error instead; the asserts left check shapes and
+    internal invariants.  The guard sees the oracle's old bare check."""
+    verdicts = verdict_names(SRC)
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in verdict_asserts(ast.parse(path.read_text(), filename=str(path)),
+                                         verdicts)]
+    assert found == []
+    old = "assert verdict == (v in split_set), f\"SES split test disagrees at v={v}\"\n"
+    assert verdict_asserts(ast.parse(old), verdicts) == [1]
+    assert verdict_asserts(ast.parse("assert report.split == multisets_equal\n"), verdicts) == [1]
+
+
 # records that `schemas.jsonable` writes into a report whole, through vars():
 # the report reads each of their fields by name
 SERIALIZED_WHOLE = {"CocycleOracleResult"}

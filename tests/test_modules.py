@@ -354,6 +354,132 @@ def test_retraction_test():
     assert not retraction_test(incl2).split
 
 
+ZERO_RINGS = [ZP26, TruncatedPowerSeries(3, 2), TruncatedBK(3, 2, 2), LocalizedIntegers((2,)),
+              LAM]
+
+
+def _zero_module(ring, rng):
+    """A seeded presentation of 0: the rows of an invertible matrix (the
+    identity under random row operations) with random rows mixed in, or
+    no generators at all."""
+    g = rng.choice([0, 1, 2, 3])
+    rows = [list(r) for r in Mat.identity(g, ring).data]
+    for _ in range(3 * g):
+        i, j = rng.randrange(g), rng.randrange(g)
+        if i != j:
+            c = _random_element(ring, rng)
+            rows[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+    rows += [[_random_element(ring, rng) for _ in range(g)] for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return PresentedModule(ring, g, Mat(len(rows), g, rows))
+
+
+def _zero_module_maps(ring, seed, count=12):
+    """Seeded maps out of a zero module into a random module: their matrix
+    rows are random combinations of the target's relations, so a matrix is
+    often nonzero although the map is zero."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(count):
+        a = _zero_module(ring, rng)
+        gb = rng.randint(1, 3)
+        brel = [[_random_element(ring, rng) for _ in range(gb)] for _ in range(rng.randint(0, 2))]
+        b = PresentedModule(ring, gb, Mat(len(brel), gb, brel))
+        coeffs = Mat(a.gens, len(brel), [[_random_element(ring, rng) for _ in brel]
+                                         for _ in range(a.gens)])
+        mat = coeffs.mul(b.relations, ring) if brel else Mat.zero(a.gens, gb, ring)
+        maps.append(module_map(a, b, mat))
+    return maps
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a zero module reached a solve")
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=repr)
+def test_zero_submodule_retracts_with_no_hom_system(monkeypatch, ring):
+    """Hom(B, 0) = 0: a zero submodule retracts by the zero map, which
+    `retraction_test` returns with no Kronecker system."""
+    incls = _zero_module_maps(ring, 4242)
+    monkeypatch.setattr(modules, "_hom_solve", _refuse)
+    for incl in incls:
+        verdict = retraction_test(incl)
+        assert verdict.split and verdict.section.matrix == Mat.zero(
+            incl.target.gens, incl.source.gens, ring)
+        assert maps_equal(compose(incl, verdict.section), identity_map(incl.source))
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=repr)
+def test_hom_system_retracts_every_zero_submodule(ring):
+    """The Kronecker route, which the zero test now skips, finds a
+    retraction of the same seeded zero submodules: the early return never
+    answers a question the solve would answer otherwise."""
+    incls = _zero_module_maps(ring, 4242)
+    assert any(not incl.matrix.is_zero(ring) for incl in incls)
+    for incl in incls:
+        a = incl.source
+        xmat, failures = modules._hom_solve(incl.target, a, incl.matrix,
+                                            Mat.identity(a.gens, ring), a.relations)
+        assert xmat is not None and failures == []
+        rho = module_map(incl.target, a, xmat)
+        assert maps_equal(compose(incl, rho), identity_map(a))
+        assert maps_equal(rho, zero_map(incl.target, a))
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=repr)
+def test_zero_quotient_splits_with_no_hom_system(monkeypatch, ring):
+    """Hom(0, B) = 0: a sequence A -> B -> 0 splits by the zero section,
+    which `split_test` returns with no Kronecker system.  Any matrix maps
+    onto a zero module, so the surjection is a random one."""
+    rng = random.Random(4343)
+    sess = []
+    for f in _zero_module_maps(ring, 4343):
+        b, c = f.target, f.source
+        surject = Mat(b.gens, c.gens, [[_random_element(ring, rng) for _ in range(c.gens)]
+                                       for _ in range(b.gens)])
+        sess.append(build_ses(b, b, c, Mat.identity(b.gens, ring), surject))
+    monkeypatch.setattr(modules, "_hom_solve", _refuse)
+    for ses in sess:
+        verdict = split_test(ses)
+        assert verdict.split and verdict.section.matrix == Mat.zero(
+            ses.c.gens, ses.b.gens, ring)
+        assert maps_equal(compose(verdict.section, ses.surject), identity_map(ses.c))
+
+
+@pytest.mark.parametrize("ring", [ZP26, ZP34, TruncatedPowerSeries(3, 2),
+                                  TruncatedPowerSeries(2, 3)], ids=repr)
+def test_zero_module_divisors_read_with_no_snf(monkeypatch, ring):
+    """Over Z/p^N and F_p[z]/z^M a zero module has no divisors and free rank
+    0, read with no SNF; the SNF route reads the same."""
+    rng = random.Random(4444)
+    mods = [_zero_module(ring, rng) for _ in range(12)]
+    want = [modules.read_snf(m)[0] for m in mods]
+    assert all(w == modules.ElementaryDivisors(ring, 0, []) for w in want)
+    monkeypatch.setattr(linalg, "smith_normal_form", _refuse)
+    monkeypatch.setattr(linalg, "base_snf", _refuse)
+    assert [elementary_divisors(m) for m in mods] == want
+
+
+@pytest.mark.parametrize("ring", [TruncatedBK(3, 2, 2), LAM], ids=repr)
+def test_zero_module_divisors_still_refused_over_expanding_rings(ring):
+    """TruncatedBK and TruncatedLambda have no SNF reader, a zero module
+    included: the zero test does not answer before the refusal."""
+    rng = random.Random(4545)
+    for m in [PresentedModule.zero(ring)] + [_zero_module(ring, rng) for _ in range(4)]:
+        with pytest.raises(UnsupportedRingError, match="SNF-capable"):
+            elementary_divisors(m)
+
+
+@pytest.mark.parametrize("ring", ZERO_RINGS, ids=repr)
+def test_map_out_of_zero_module_injective_with_no_kernel(monkeypatch, ring):
+    """A map out of a zero module is injective, decided with no kernel; the
+    kernel route gives the same verdict."""
+    maps = _zero_module_maps(ring, 4646)
+    assert all(rows_are_zero_classes(f.source, modules._kernel_rows(f)) for f in maps)
+    monkeypatch.setattr(modules, "_kernel_rows", _refuse)
+    assert all(is_injective(f) for f in maps)
+
+
 def reference_hom_system(source, target, post=None, pre=None):
     """The Hom system as the column-by-column assembly built it before the
     Kronecker form: (matrix, right-hand side), unknowns X row by row, then

@@ -201,6 +201,26 @@ def test_flipped_retraction_verdict_is_an_internal_inconsistency(monkeypatch):
     assert "divisor-multiset criterion disagrees" in report["error"]
 
 
+def test_zero_submodule_section_witness_is_the_zero_matrix():
+    """A zero fil^n H_i retracts by the zero map, decided by the zero test
+    with no Hom system, and the report prints the zero matrix.  On this
+    seeded complex over Z/4 the Kronecker solve, which ran before the zero
+    test did, returned [[1, 0, 0], [0, 0, 0]] for fil^1 H_1: another matrix
+    of the same zero map."""
+    ring = TruncatedPadic(2, 2)
+    x = random_filtered_complex(ring, random.Random(0), weights=3)
+    report = degeneration_report(x)
+    incl = report.homologies[1].fil_inclusions[1]
+    a = incl.source
+    assert modules.is_zero_module(a) and report.split
+    assert report.witnesses["sections"][(1, 1)] == [[0, 0, 0], [0, 0, 0]]
+    old, _ = modules._hom_solve(incl.target, a, incl.matrix, Mat.identity(a.gens, ring),
+                                a.relations)
+    assert old.tolist() == [[1, 0, 0], [0, 0, 0]]
+    assert modules.maps_equal(modules.module_map(incl.target, a, old),
+                              modules.zero_map(incl.target, a))
+
+
 def test_one_wrong_divisor_read_is_an_internal_inconsistency(monkeypatch):
     """One E1 divisor read raised by a factor p unbalances the torsion-length
     ledger while the saturation checks, which read gr_n H, still pass: the
