@@ -611,14 +611,6 @@ MUTANTS = [
                   "tests/test_modules.py::test_split_vs_exhaustive_sections"],
     },
     {
-        "name": "split-zero-test-always-true",
-        "file": "src/truncalg/modules.py",
-        "old": "    if is_zero_module(c):\n",
-        "new": "    if True:\n",
-        "tests": ["tests/test_modules.py::test_split_tests",
-                  "tests/test_modules.py::test_split_vs_exhaustive_sections"],
-    },
-    {
         "name": "divisors-zero-test-always-true",
         "file": "src/truncalg/modules.py",
         "old": "    if ring.local and not ring.expands and is_zero_module(m):\n",

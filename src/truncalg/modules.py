@@ -12,9 +12,9 @@ carried by the coefficient-vector representation itself.
 
 A zero module is decided by `is_zero_module` (residue rank over the local
 families, a membership test over Z[1/S] and Lambda) before any Hom system
-or SNF: a zero submodule retracts and a zero quotient splits by the zero
-map, a map out of a zero module is injective, and over Z/p^N and
-F_p[z]/z^M a zero module has no elementary divisors.
+or SNF: a zero submodule retracts by the zero map, a map out of a zero
+module is injective, and over Z/p^N and F_p[z]/z^M a zero module has no
+elementary divisors.
 """
 
 from __future__ import annotations
@@ -445,11 +445,8 @@ def _hom_solve(source, target, left, right, urel):
 
 
 def split_test(ses):
-    """Section sigma with sigma . surject = id_C, or the obstruction record.
-    A zero quotient splits by the zero section, with no Hom system."""
+    """Section sigma with sigma . surject = id_C, or the obstruction record."""
     c = ses.c
-    if is_zero_module(c):
-        return SplitVerdict(True, section=zero_map(c, ses.b))
     xmat, failures = _hom_solve(c, ses.b, Mat.identity(c.gens, c.ring), ses.surject.matrix,
                                 c.relations)
     if xmat is None:
